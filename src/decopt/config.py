@@ -40,6 +40,7 @@ SEED_OFFSET_DATA = 2
 SEED_OFFSET_INIT = 3
 
 _METRICS = ("objective_gap", "distance_sq", "consensus_err", "merit")
+_SADDLE_METRICS = ("objective_gap", "distance_sq", "merit")
 
 
 def _require(cond: bool, key: str, message: str) -> None:
@@ -267,9 +268,14 @@ class ExperimentConfig:
             section.validate()
         _require(self.problem.m == self.graph.m, "graph.m",
                  f"graph agents ({self.graph.m}) must match problem agents ({self.problem.m})")
-        if self.stop.metric in ("objective_gap", "distance_sq", "merit"):
-            _require(self.diagnostics.saddle, "diagnostics.saddle",
-                     f"stop metric {self.stop.metric!r} needs saddle diagnostics")
+        metrics = {"stop metric": self.stop.metric}
+        if self.algorithm.kind == "extra" and self.algorithm.grid is not None:
+            # the grid search ranks its stepsizes by this metric
+            metrics["EXTRA grid-search metric"] = self.stop.metric or "distance_sq"
+        for role, metric in metrics.items():
+            if metric in _SADDLE_METRICS:
+                _require(self.diagnostics.saddle, "diagnostics.saddle",
+                         f"{role} {metric!r} needs saddle diagnostics")
 
     # -- seed resolution --------------------------------------------------
 

@@ -7,10 +7,11 @@ L_op Y* = -grad F(X*). The primal gap, the merit function (primal gap plus
 consensus penalty), and the trajectory Lyapunov function are all measured
 against that anchor.
 
-The trace recorder consumes per-iteration events emitted by the solvers,
-integrates the shadow dual variable Y (so the Lyapunov value can be
-evaluated without the solvers carrying Y themselves), accumulates the
-gamma-weighted ergodic average, and writes one record per cadence tick.
+The trace recorder reads each pair of consecutive solver states, accumulates
+the gamma-weighted ergodic average, and writes one record per cadence tick.
+The adaptive solvers carry only D = L_op Y, with Y in the range of L_op, so
+the Lyapunov value recovers Y = pinv(L_op) D from the saddle's cached
+pseudoinverse on the rows it writes; the oracle hands over its own Y.
 
 Metric functions are pure and read-only over iterate snapshots; a recorder
 instance belongs to exactly one run and is not safe to share across
@@ -45,7 +46,6 @@ __all__ = [
     "rate_fit",
     "TraceRecord",
     "Trace",
-    "StepEvent",
     "TraceRecorder",
     "CSV_HEADER",
 ]
@@ -65,10 +65,6 @@ CSV_HEADER = [
     "L_k",
 ]
 
-DUAL_COLSUM_TOL = 1e-9
-SHADOW_CONSISTENCY_TOL = 1e-8
-
-
 @dataclass(frozen=True)
 class SaddlePoint:
     """Reference (X*, Y*) with cached quantities used by every metric."""
@@ -78,6 +74,7 @@ class SaddlePoint:
     x_stack: np.ndarray  # (m, d), every row x_star
     y_star: np.ndarray  # (m, d), minimum-norm dual
     d_star: np.ndarray  # L_op @ y_star
+    l_pinv: np.ndarray  # pinv(L_op): recovers Y = l_pinv @ D for D in range(L_op)
     stationarity_residual: float  # ||grad F(X*) + L_op Y*||_F
 
     @property
@@ -117,6 +114,7 @@ def compute_saddle(
         x_stack=x_stack,
         y_star=y_star,
         d_star=d_star,
+        l_pinv=pinv,
         stationarity_residual=residual,
     )
 
@@ -314,7 +312,6 @@ class Trace:
     consensus_iteration: int | None = None  # local runs: first k with equal stepsizes
     alpha_floor: float | None = None  # smallest per-agent stepsize seen
     dual_colsum_max: float = 0.0  # max relative column-sum drift of D
-    shadow_residual_max: float = 0.0  # max relative ||L Y - D||
     restricted: RestrictedConstants = field(default_factory=RestrictedConstants)
 
     def column(self, name: str) -> list:
@@ -337,52 +334,12 @@ class Trace:
         return buf.getvalue()
 
 
-@dataclass(frozen=True)
-class StepEvent:
-    """What one solver iteration tells the recorder.
-
-    Index k = 0 is the initialization update. x_k and x_prev are the
-    iterates entering the update, x_next the produced one. alpha/gamma may
-    be per-agent vectors; sigma is the scalar dual scale when one exists.
-    sigma_alpha is the row scaling of the dual increment (sigma_k alpha_k,
-    scalar or per-agent), used to integrate the shadow dual. comm counts are
-    the rounds consumed to REACH x_k.
-    """
-
-    k: int
-    x_k: np.ndarray
-    x_prev: np.ndarray
-    x_next: np.ndarray
-    alpha: float | np.ndarray
-    gamma: float | np.ndarray
-    sigma: float | None
-    sigma_alpha: float | np.ndarray | None
-    l_k: float | None
-    mu_k: float | None
-    comm_vector: int
-    comm_scalar: int
-    d_next: np.ndarray | None = None
-    y_next: np.ndarray | None = None  # exact dual from the oracle, if any
-
-    @property
-    def alpha_min(self) -> float:
-        return float(np.min(self.alpha))
-
-    @property
-    def alpha_max(self) -> float:
-        return float(np.max(self.alpha))
-
-    @property
-    def gamma_scalar(self) -> float:
-        return float(np.min(self.gamma))
-
-
 class TraceRecorder:
-    """Accumulates a Trace from solver step events.
+    """Accumulates a Trace from consecutive solver states.
 
-    Maintains the shadow dual Y integrated from the same increments as D
-    (saddle-aware metrics need it), the ergodic average, per-agent stepsize
-    consensus tracking, and the running dual-feasibility residuals.
+    Maintains the ergodic average, per-agent stepsize consensus tracking,
+    and the running dual column-sum drift. The dual Y behind a Lyapunov
+    value is recovered from D on the rows that need it, never integrated.
     """
 
     def __init__(
@@ -399,7 +356,6 @@ class TraceRecorder:
         self.saddle = saddle
         self.cadence = cadence
         self.trace = Trace()
-        self._y = None  # shadow dual, lazily sized
         self._ergodic = ErgodicAccumulator()
         self._last_nonconsensual = -1
         self._saw_vector_alpha = False
@@ -423,33 +379,32 @@ class TraceRecorder:
             return merit(self.problem, x_stack, self.saddle, self.l_op)
         raise ParameterError(f"unknown metric {name!r}")
 
-    # -- event intake ----------------------------------------------------
+    # -- state intake --------------------------------------------------
 
-    def observe(self, event: StepEvent) -> None:
-        alpha = np.asarray(event.alpha, dtype=float)
+    def observe(self, prev, new) -> None:
+        """Record step k = prev.k, the update that turned prev into new.
+
+        Row k describes prev's iterates, dual and round counts next to the
+        alpha, gamma, sigma and curvature that the step selected from them.
+        """
+        alpha = np.asarray(new.alpha, dtype=float)
         if alpha.ndim > 0:
             self._saw_vector_alpha = True
             spread = float(alpha.max() - alpha.min())
             if spread > 0.0:
-                self._last_nonconsensual = event.k
+                self._last_nonconsensual = prev.k
         floor = float(np.min(alpha))
         if self.trace.alpha_floor is None or floor < self.trace.alpha_floor:
             self.trace.alpha_floor = floor
-        self.trace.restricted.update(event.l_k, event.mu_k)
+        self.trace.restricted.update(new.l_last, new.mu_last)
 
-        record_now = event.k % self.cadence == 0
-        if record_now:
-            self._emit_row(event)
-        self._advance_shadow(event)
-        if event.d_next is not None:
-            col = np.abs(event.d_next.sum(axis=0)).max()
-            rel = col / (1.0 + np.linalg.norm(event.d_next))
+        if prev.k % self.cadence == 0:
+            self._emit_row(prev, new)
+        if new.dual is not None:
+            col = np.abs(new.dual.sum(axis=0)).max()
+            rel = col / (1.0 + np.linalg.norm(new.dual))
             self.trace.dual_colsum_max = max(self.trace.dual_colsum_max, float(rel))
-            if record_now and self._y is not None:
-                resid = np.linalg.norm(self.l_op @ self._y - event.d_next)
-                rel = resid / (1.0 + np.linalg.norm(event.d_next))
-                self.trace.shadow_residual_max = max(self.trace.shadow_residual_max, float(rel))
-        self._ergodic = ergodic_update(self._ergodic, event.x_k, event.gamma_scalar)
+        self._ergodic = ergodic_update(self._ergodic, prev.x_now, float(np.min(new.gamma)))
 
     def finalize(self, x_final: np.ndarray, k: int, comm_vector: int, comm_scalar: int) -> Trace:
         """Emit the terminal row (no iteration data) and close the trace."""
@@ -480,53 +435,33 @@ class TraceRecorder:
             return None
         return merit(self.problem, self._ergodic.average, self.saddle, self.l_op)
 
-    def _emit_row(self, event: StepEvent) -> None:
+    def _emit_row(self, prev, new) -> None:
         lyap = None
-        if (
-            self.saddle is not None
-            and event.sigma is not None
-            and np.asarray(event.alpha).ndim == 0
-        ):
-            y_k = self._y if self._y is not None else np.zeros_like(event.x_k)
+        if self.saddle is not None and new.sigma is not None and np.ndim(new.alpha) == 0:
+            y_k = prev.y if prev.y is not None else self.saddle.l_pinv @ prev.dual
             lyap = lyapunov(
                 self.problem,
-                event.x_k,
-                event.x_prev,
+                prev.x_now,
+                prev.x_prev,
                 y_k,
                 self.saddle,
-                sigma_k=event.sigma,
-                gamma_k=float(event.gamma),
-                alpha_k=float(event.alpha),
+                sigma_k=new.sigma,
+                gamma_k=float(new.gamma),
+                alpha_k=float(new.alpha),
             )
         self.trace.records.append(
             TraceRecord(
-                k=event.k,
-                comm_vector=event.comm_vector,
-                comm_scalar=event.comm_scalar,
-                objective_gap=self.metric_value("objective_gap", event.x_k),
-                distance_sq=self.metric_value("distance_sq", event.x_k),
-                consensus_err=self.metric_value("consensus_err", event.x_k),
+                k=prev.k,
+                comm_vector=prev.comm_vector,
+                comm_scalar=prev.comm_scalar,
+                objective_gap=self.metric_value("objective_gap", prev.x_now),
+                distance_sq=self.metric_value("distance_sq", prev.x_now),
+                consensus_err=self.metric_value("consensus_err", prev.x_now),
                 merit_ergodic=self._ergodic_merit(),
                 lyapunov=lyap,
-                alpha_min=event.alpha_min,
-                alpha_max=event.alpha_max,
-                gamma=event.gamma_scalar,
-                L_k=event.l_k,
+                alpha_min=float(np.min(new.alpha)),
+                alpha_max=float(np.max(new.alpha)),
+                gamma=float(np.min(new.gamma)),
+                L_k=new.l_last,
             )
         )
-
-    def _advance_shadow(self, event: StepEvent) -> None:
-        if event.y_next is not None:
-            self._y = event.y_next.copy()
-            return
-        if event.sigma_alpha is None:
-            return  # algorithm with no dual variable
-        gamma = np.asarray(event.gamma, dtype=float)
-        scale = np.asarray(event.sigma_alpha, dtype=float)
-        if gamma.ndim == 0:
-            mix = (1.0 + gamma) * event.x_k - gamma * event.x_prev
-            increment = scale * (self.l_op @ mix)
-        else:
-            mix = (1.0 + gamma)[:, None] * event.x_k - gamma[:, None] * event.x_prev
-            increment = self.l_op @ (scale[:, None] * mix)
-        self._y = increment if self._y is None else self._y + increment

@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
 Every error that the CLI maps to a distinct exit code lives here, so the
-mapping stays in one place (see cli.EXIT_CODES).
+mapping stays in one place (see the EXIT_* constants in decopt.cli).
 """
 
 
@@ -27,10 +27,6 @@ class DataError(DecoptError, ValueError):
 
 class NumericError(DecoptError, ArithmeticError):
     """Non-finite values appeared where finite numbers are required."""
-
-
-class DivergenceError(NumericError):
-    """An iteration diverged (non-finite iterate or exploding norm)."""
 
 
 class GraphGenerationError(DecoptError, RuntimeError):

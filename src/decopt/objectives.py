@@ -59,11 +59,6 @@ class LocalObjective(ABC):
     def d(self) -> int:
         """Decision-variable dimension."""
 
-    @property
-    def mu_hint(self) -> float:
-        """Known strong-convexity lower bound; 0 when unknown."""
-        return 0.0
-
     @abstractmethod
     def value(self, x: np.ndarray) -> float: ...
 
@@ -102,10 +97,6 @@ class RidgeObjective(LocalObjective):
     @property
     def d(self) -> int:
         return self.a_mat.shape[1]
-
-    @property
-    def mu_hint(self) -> float:
-        return self.gamma
 
     def value(self, x):
         x = self._check_point(x)

@@ -13,6 +13,14 @@ is an explicit state machine and traces can be reconstructed exactly. One
 run is strictly sequential (the synchronous-round semantics are part of
 correctness); distinct runs share nothing mutable and may execute in
 parallel.
+
+Every state offers the trace recorder the same read-only view: x_now,
+x_prev, k, comm_vector, comm_scalar; the alpha, gamma and sigma of the step
+that produced it, with its curvature estimates l_last and mu_last; and its
+dual. The adaptive engines carry only dual = D = L_op Y (Y is pinv(L_op) D,
+recovered by the recorder on the rows that need it), the oracle carries y =
+Y itself, and EXTRA has neither. run() drives the init/step functions from a
+dispatch table and hands the recorder each pair of consecutive states.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import StepEvent, Trace, TraceRecorder
+from .diagnostics import Trace, TraceRecorder
 from .errors import (
     ConfigError,
     NoConvergentStepsizeError,
@@ -151,6 +159,21 @@ class AdolfState:
     l_last: float | None = None
     mu_last: float | None = None
 
+    # recorder view
+    y = None
+
+    @property
+    def alpha(self) -> float:
+        return self.step.alpha_prev
+
+    @property
+    def gamma(self) -> float:
+        return self.step.gamma_prev
+
+    @property
+    def sigma(self) -> float:
+        return self.sigma_prev
+
 
 def adolf_init(
     problem: ProblemInstance,
@@ -257,6 +280,18 @@ class AdolfLocalState:
     mu_last: float | None = None
     l_local_last: np.ndarray | None = None
 
+    # recorder view; sigma_i is per agent, so there is no scalar sigma
+    sigma = None
+    y = None
+
+    @property
+    def alpha(self) -> np.ndarray:
+        return self.local_step.alpha_prev
+
+    @property
+    def gamma(self) -> np.ndarray:
+        return self.local_step.gamma_prev
+
 
 def _local_sigma_alpha(alpha_vec: np.ndarray, params: StepsizeParams) -> np.ndarray:
     """Row scaling sigma_i alpha_i of the dual increment."""
@@ -362,6 +397,24 @@ class CondatVuState:
     k: int
     comm_vector: int
 
+    # recorder view
+    comm_scalar = 0
+    l_last = None
+    mu_last = None
+    dual = None
+
+    @property
+    def alpha(self) -> float:
+        return self.params.alpha
+
+    @property
+    def gamma(self) -> float:
+        return self.params.gamma
+
+    @property
+    def sigma(self) -> float:
+        return self.params.sigma
+
 
 def condat_vu_init(
     problem: ProblemInstance,
@@ -416,6 +469,13 @@ class ExtraState:
     comm_vector: int
     l_last: float | None = None
     mu_last: float | None = None
+
+    # recorder view
+    comm_scalar = 0
+    gamma = 1.0
+    sigma = None
+    dual = None
+    y = None
 
 
 def extra_init(
@@ -478,130 +538,57 @@ def _is_diverged(x: np.ndarray, dual: np.ndarray | None = None) -> bool:
     return False
 
 
-def _event_init(x0, x_minus1, x1, alpha, gamma, sigma, sigma_alpha, d1, y1=None) -> StepEvent:
-    return StepEvent(
-        k=0, x_k=x0, x_prev=x_minus1, x_next=x1,
-        alpha=alpha, gamma=gamma, sigma=sigma, sigma_alpha=sigma_alpha,
-        l_k=None, mu_k=None, comm_vector=0, comm_scalar=0, d_next=d1, y_next=y1,
-    )
+@dataclass(frozen=True)
+class StartView:
+    """The starting pair (X^0, X^-1) seen as a state: no rounds, zero dual.
+
+    Trace row 0 reads it as the state before the initialization update.
+    """
+
+    x_now: np.ndarray
+    x_prev: np.ndarray
+    k: int = 0
+    comm_vector: int = 0
+    comm_scalar: int = 0
+    y = None
+
+    @property
+    def dual(self) -> np.ndarray:
+        return np.zeros_like(self.x_now)
 
 
-class _AdolfEngine:
-    def __init__(self, problem, gossip, params, x0, x_minus1):
-        self.problem, self.gossip, self.params = problem, gossip, params
-        if isinstance(params, FixedStepParams):
-            alpha0, sigma0, gamma0 = params.alpha, params.sigma, params.gamma
-        else:
-            if params.mode not in (MODE_CONVEX, MODE_STRONGLY_CONVEX):
-                raise ConfigError(f"adolf engine cannot run in mode {params.mode!r}")
-            alpha0, sigma0, gamma0 = params.alpha0, params.sigma0(), 1.0
-        self.state = adolf_init(problem, gossip, x0, x_minus1, alpha0, sigma0, gamma0)
-        self.init_event = _event_init(
-            x0, x0 if x_minus1 is None else x_minus1, self.state.x_now,
-            alpha=alpha0, gamma=gamma0, sigma=sigma0, sigma_alpha=sigma0 * alpha0,
-            d1=self.state.dual,
-        )
-
-    def advance(self) -> StepEvent:
-        old = self.state
-        new = adolf_step(old, self.problem, self.gossip, self.params)
-        self.state = new
-        sigma_alpha = (
-            self.params.sigma.sigma / new.step.alpha_prev
-            if isinstance(self.params, StepsizeParams) and self.params.strongly_convex_sigma
-            else new.sigma_prev * new.step.alpha_prev
-        )
-        return StepEvent(
-            k=old.k, x_k=old.x_now, x_prev=old.x_prev, x_next=new.x_now,
-            alpha=new.step.alpha_prev, gamma=new.step.gamma_prev, sigma=new.sigma_prev,
-            sigma_alpha=sigma_alpha, l_k=new.l_last, mu_k=new.mu_last,
-            comm_vector=old.comm_vector, comm_scalar=old.comm_scalar, d_next=new.dual,
-        )
+def _init_adolf(problem, gossip, params, x0, x_minus1) -> AdolfState:
+    if isinstance(params, FixedStepParams):
+        return adolf_init(problem, gossip, x0, x_minus1, params.alpha, params.sigma, params.gamma)
+    if not isinstance(params, StepsizeParams) or params.mode == MODE_LOCAL:
+        raise ConfigError("adolf needs FixedStepParams or global-mode StepsizeParams")
+    return adolf_init(problem, gossip, x0, x_minus1, params.alpha0, params.sigma0())
 
 
-class _AdolfLocalEngine:
-    def __init__(self, problem, gossip, params, x0, x_minus1):
-        if not isinstance(params, StepsizeParams) or params.mode != MODE_LOCAL:
-            raise ConfigError("adolf_local needs StepsizeParams in local mode")
-        self.problem, self.gossip, self.params = problem, gossip, params
-        self.state = adolf_local_init(problem, gossip, x0, x_minus1, params)
-        sigma0_alpha0 = float(_local_sigma_alpha(np.array([params.alpha0]), params)[0])
-        sigma0 = sigma0_alpha0 / params.alpha0
-        self.init_event = _event_init(
-            x0, x0 if x_minus1 is None else x_minus1, self.state.x_now,
-            alpha=np.full(problem.m, params.alpha0), gamma=np.ones(problem.m),
-            sigma=sigma0, sigma_alpha=np.full(problem.m, sigma0_alpha0),
-            d1=self.state.dual,
-        )
-
-    def advance(self) -> StepEvent:
-        old = self.state
-        new = adolf_local_step(old, self.problem, self.gossip, self.params)
-        self.state = new
-        alpha_vec = new.local_step.alpha_prev
-        return StepEvent(
-            k=old.k, x_k=old.x_now, x_prev=old.x_prev, x_next=new.x_now,
-            alpha=alpha_vec, gamma=new.local_step.gamma_prev, sigma=None,
-            sigma_alpha=_local_sigma_alpha(alpha_vec, self.params),
-            l_k=new.l_last, mu_k=new.mu_last,
-            comm_vector=old.comm_vector, comm_scalar=old.comm_scalar, d_next=new.dual,
-        )
+def _init_adolf_local(problem, gossip, params, x0, x_minus1) -> AdolfLocalState:
+    if not isinstance(params, StepsizeParams) or params.mode != MODE_LOCAL:
+        raise ConfigError("adolf_local needs StepsizeParams in local mode")
+    return adolf_local_init(problem, gossip, x0, x_minus1, params)
 
 
-class _CondatVuEngine:
-    def __init__(self, problem, gossip, params, x0, x_minus1):
-        if not isinstance(params, FixedStepParams):
-            raise ConfigError("condat_vu needs FixedStepParams")
-        self.problem = problem
-        self.state = condat_vu_init(problem, gossip, x0, x_minus1, params)
-        p = params
-        self.init_event = _event_init(
-            x0, x0 if x_minus1 is None else x_minus1, self.state.x_now,
-            alpha=p.alpha, gamma=p.gamma, sigma=p.sigma, sigma_alpha=p.sigma * p.alpha,
-            d1=None, y1=self.state.y,
-        )
-
-    def advance(self) -> StepEvent:
-        old = self.state
-        new = condat_vu_step(old, self.problem)
-        self.state = new
-        p = new.params
-        return StepEvent(
-            k=old.k, x_k=old.x_now, x_prev=old.x_prev, x_next=new.x_now,
-            alpha=p.alpha, gamma=p.gamma, sigma=p.sigma, sigma_alpha=p.sigma * p.alpha,
-            l_k=None, mu_k=None,
-            comm_vector=old.comm_vector, comm_scalar=0, y_next=new.y,
-        )
+def _init_condat_vu(problem, gossip, params, x0, x_minus1) -> CondatVuState:
+    if not isinstance(params, FixedStepParams):
+        raise ConfigError("condat_vu needs FixedStepParams")
+    return condat_vu_init(problem, gossip, x0, x_minus1, params)
 
 
-class _ExtraEngine:
-    def __init__(self, problem, gossip, params, x0, x_minus1):
-        if not isinstance(params, ExtraParams):
-            raise ConfigError("extra needs ExtraParams")
-        self.problem, self.gossip = problem, gossip
-        self.state = extra_init(problem, gossip, x0, params)
-        self.init_event = _event_init(
-            x0, x0, self.state.x_now,
-            alpha=params.alpha, gamma=1.0, sigma=None, sigma_alpha=None, d1=None,
-        )
-
-    def advance(self) -> StepEvent:
-        old = self.state
-        new = extra_step(old, self.problem, self.gossip)
-        self.state = new
-        return StepEvent(
-            k=old.k, x_k=old.x_now, x_prev=old.x_prev, x_next=new.x_now,
-            alpha=new.alpha, gamma=1.0, sigma=None, sigma_alpha=None,
-            l_k=new.l_last, mu_k=new.mu_last,
-            comm_vector=old.comm_vector, comm_scalar=0,
-        )
+def _init_extra(problem, gossip, params, x0, x_minus1) -> ExtraState:
+    if not isinstance(params, ExtraParams):
+        raise ConfigError("extra needs ExtraParams")
+    return extra_init(problem, gossip, x0, params)
 
 
-_ENGINES = {
-    "adolf": _AdolfEngine,
-    "adolf_local": _AdolfLocalEngine,
-    "condat_vu": _CondatVuEngine,
-    "extra": _ExtraEngine,
+# algorithm -> (init(problem, gossip, params, x0, x_minus1), step(state, problem, gossip, params))
+_ALGORITHMS = {
+    "adolf": (_init_adolf, adolf_step),
+    "adolf_local": (_init_adolf_local, adolf_local_step),
+    "condat_vu": (_init_condat_vu, lambda state, problem, gossip, params: condat_vu_step(state, problem)),
+    "extra": (_init_extra, lambda state, problem, gossip, params: extra_step(state, problem, gossip)),
 }
 
 
@@ -622,9 +609,10 @@ def run(
     (non-finite values or Frobenius norm above 1e12) ends the run with
     status "diverged" instead of raising.
     """
-    if algorithm not in _ENGINES:
+    if algorithm not in _ALGORITHMS:
         raise ConfigError(f"unknown algorithm {algorithm!r}")
     x0 = _check_stack(x0, problem, "x0")
+    x_minus1 = x0 if x_minus1 is None else _check_stack(x_minus1, problem, "x_minus1")
     if stop.metric is not None and recorder.metric_value(stop.metric, x0) is None:
         raise ConfigError(f"stop metric {stop.metric!r} needs saddle diagnostics")
 
@@ -633,43 +621,38 @@ def run(
         recorder.trace.status = "budget"
         return recorder.trace
 
-    engine = _ENGINES[algorithm](problem, gossip, params, x0, x_minus1)
-    recorder.observe(engine.init_event)
-    status = "budget"
+    init, step = _ALGORITHMS[algorithm]
+    state = init(problem, gossip, params, x0, x_minus1)
+    recorder.observe(StartView(x0, x_minus1), state)
 
     def stopped(k: int) -> bool:
         if stop.metric is None:
             return False
         if k % stop.cadence != 0 and k != stop.max_iter:
             return False
-        value = recorder.metric_value(stop.metric, engine.state.x_now)
+        value = recorder.metric_value(stop.metric, state.x_now)
         return value is not None and value <= stop.threshold
 
-    state_dual = getattr(engine.state, "dual", None)
-    if _is_diverged(engine.state.x_now, state_dual):
-        status = "diverged"
-    elif stopped(1):
-        status = "converged"
-    else:
-        while engine.state.k < stop.max_iter:
-            try:
-                event = engine.advance()
-            except NumericError:
-                status = "diverged"
-                break
-            recorder.observe(event)
-            dual = getattr(engine.state, "dual", None)
-            if _is_diverged(engine.state.x_now, dual):
-                status = "diverged"
-                break
-            if stopped(engine.state.k):
-                status = "converged"
-                break
+    status = "budget"
+    while True:
+        if _is_diverged(state.x_now, state.dual):
+            status = "diverged"
+            break
+        if stopped(state.k):
+            status = "converged"
+            break
+        if state.k >= stop.max_iter:
+            break
+        try:
+            new = step(state, problem, gossip, params)
+        except NumericError:
+            status = "diverged"
+            break
+        recorder.observe(state, new)
+        state = new
 
-    state = engine.state
     recorder.finalize(
-        state.x_now, k=state.k, comm_vector=state.comm_vector,
-        comm_scalar=getattr(state, "comm_scalar", 0),
+        state.x_now, k=state.k, comm_vector=state.comm_vector, comm_scalar=state.comm_scalar
     )
     recorder.trace.status = status
     return recorder.trace
@@ -698,6 +681,8 @@ def extra_grid_search(
                     threshold=threshold, cadence=10 if threshold is not None else 1)
     if x0 is None:
         x0 = np.zeros((problem.m, problem.d))
+    if recorder_factory().metric_value(metric, x0) is None:
+        raise ConfigError(f"grid-search metric {metric!r} needs saddle diagnostics")
     best: tuple[float, Trace] | None = None
     best_value = np.inf
     for alpha in grid:

@@ -118,7 +118,7 @@ class SigmaSchedule:
             raise ParameterError(f"sigma must be positive, got {self.sigma}")
 
 
-def sigma_value(schedule: SigmaSchedule, alpha: float, k: int = 0) -> float:
+def sigma_value(schedule: SigmaSchedule, alpha: float) -> float:
     """sigma_k for the given schedule, evaluated at the current stepsize."""
     if schedule.kind == SIGMA_CONSTANT:
         return schedule.sigma_bar
@@ -174,7 +174,7 @@ class StepsizeParams:
 
     def sigma0(self) -> float:
         """sigma at iteration 0, before any stepsize is selected."""
-        return sigma_value(self.sigma, self.alpha0, 0)
+        return sigma_value(self.sigma, self.alpha0)
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ from decopt.solvers import condat_vu_step, run
 from decopt.stepsize import GrowthPolicy, SigmaSchedule, StepsizeParams, gamma_ratio_bound
 from decopt.topology import graph_laplacian_sqrt, make_erdos_renyi, make_ring_graph
 from decopt.topology import metropolis_hastings, psd_shift
+from shadow_dual import shadow_dual_residuals
 
 
 def report(line: str) -> None:
@@ -32,8 +33,8 @@ def mh_shifted(graph, c=0.4):
     return psd_shift(metropolis_hastings(graph), c=c)
 
 
-def assert_structural_invariants(trace, gossip, c2: float):
-    """Criterion 10 assertions applied to a finished run."""
+def assert_structural_invariants(trace, algorithm, problem, gossip, params, x0):
+    """Criterion 10 assertions applied to a finished run and its replay."""
     wt = gossip.w_tilde
     assert np.max(np.abs(wt - wt.T)) <= 1e-12
     assert np.max(np.abs(wt.sum(axis=1) - 1.0)) <= 1e-12
@@ -42,8 +43,8 @@ def assert_structural_invariants(trace, gossip, c2: float):
     assert np.linalg.norm(l_op @ l_op - (np.eye(m) - gossip.shifted)) <= 1e-10
     assert np.linalg.norm(l_op @ np.ones(m)) <= 1e-10
     assert trace.dual_colsum_max <= 1e-9
-    assert trace.shadow_residual_max <= 1e-8
-    bound = gamma_ratio_bound(c2) + 1e-12
+    shadow_dual_residuals(algorithm, problem, gossip, params, x0, trace.final.k)
+    bound = gamma_ratio_bound(params.c2) + 1e-12
     for rec in trace.records:
         if rec.gamma is not None:
             assert rec.gamma <= bound
@@ -185,7 +186,7 @@ def test_criterion_03_adaptive_descent_certificates(logistic_setup, logistic_ado
         lhs = (2 + 2 * r_now.gamma) * r_now.alpha_max - 2 * r_next.gamma * r_next.alpha_max
         assert lhs >= -1e-12
         assert sigma_bar >= sigma_bar - 1e-12  # constant schedule is nondecreasing
-    assert_structural_invariants(trace, gossip, c2=params.c2)
+    assert_structural_invariants(trace, "adolf", problem, gossip, params, np.zeros((10, 10)))
     report("criterion 3 adaptive descent: V monotone over 1000 iterations and "
            "all selection certificates within 1e-12")
 
@@ -209,7 +210,8 @@ def test_criterion_05_linear_rate(ridge50_setup):
     problem, gossip, saddle, l_op = ridge50_setup
     recorder = TraceRecorder(problem, l_op, saddle, cadence=1)
     start = time.perf_counter()
-    trace = run("adolf", problem, gossip, sc_global_params(), StopRule(max_iter=1000),
+    params = sc_global_params()
+    trace = run("adolf", problem, gossip, params, StopRule(max_iter=1000),
                 recorder, np.zeros((20, 50)))
     elapsed = time.perf_counter() - start
     final = trace.final
@@ -219,7 +221,7 @@ def test_criterion_05_linear_rate(ridge50_setup):
     assert fit.geometric_r2 >= 0.95
     assert fit.geometric_slope < 0
     assert elapsed < 60.0
-    assert_structural_invariants(trace, gossip, c2=0.99)
+    assert_structural_invariants(trace, "adolf", problem, gossip, params, np.zeros((20, 50)))
     report(f"criterion 5 linear rate: terminal distance {final.distance_sq:.2e} <= 1e-8, "
            f"tail fit slope {fit.geometric_slope:.4f}, R^2 {fit.geometric_r2:.4f} (>= 0.95) "
            f"in {elapsed:.1f}s")
@@ -251,7 +253,8 @@ def test_criterion_06_local_stepsize_consensus(ridge50_setup, logistic_setup, lo
     assert log_trace.consensus_iteration is not None
     assert log_trace.consensus_iteration < 2000
     assert log_trace.alpha_floor > 0
-    assert_structural_invariants(log_trace, gossip, c2=params.c2)
+    assert_structural_invariants(log_trace, "adolf_local", problem, gossip, params,
+                                 np.zeros((10, 10)))
     report(f"criterion 6 stepsize consensus: ridge K={ridge_trace.consensus_iteration}, "
            f"logistic K={log_trace.consensus_iteration} (both < 2000); "
            f"floors {ridge_trace.alpha_floor:.2e}, {log_trace.alpha_floor:.2e} > 0")
@@ -259,7 +262,7 @@ def test_criterion_06_local_stepsize_consensus(ridge50_setup, logistic_setup, lo
 
 def test_criterion_07_local_convergence(ridge50_setup, local_ridge_trace):
     """Per-agent variant reaches 1e-8 with a geometric tail after consensus."""
-    _, gossip, _, _ = ridge50_setup
+    problem, gossip, _, _ = ridge50_setup
     trace = local_ridge_trace
     assert trace.status == "converged"
     assert trace.final.distance_sq <= 1e-8
@@ -267,7 +270,8 @@ def test_criterion_07_local_convergence(ridge50_setup, local_ridge_trace):
     fit = rate_fit(trace, "distance_sq", (k_obs, trace.final.k))
     assert fit.geometric_r2 >= 0.9
     assert fit.geometric_slope < 0
-    assert_structural_invariants(trace, gossip, c2=0.99)
+    assert_structural_invariants(trace, "adolf_local", problem, gossip, sc_local_params(),
+                                 np.zeros((20, 50)))
     report(f"criterion 7 local convergence: terminal {trace.final.distance_sq:.2e} <= 1e-8, "
            f"tail fit after K={k_obs}: slope {fit.geometric_slope:.4f}, "
            f"R^2 {fit.geometric_r2:.4f} (>= 0.9)")
@@ -353,9 +357,14 @@ def test_criterion_10_structural_invariants(ridge50_setup, logistic_adolf_trace,
     # run-level invariants accumulated by the recorders
     adolf_trace, _, params = logistic_adolf_trace
     assert adolf_trace.dual_colsum_max <= 1e-9
-    assert adolf_trace.shadow_residual_max <= 1e-8
     assert local_ridge_trace.dual_colsum_max <= 1e-9
-    assert local_ridge_trace.shadow_residual_max <= 1e-8
+    # D = L_op Y with Y = pinv(L_op) D, replayed from the same starts
+    shadow = [
+        *shadow_dual_residuals("adolf", log_problem, log_gossip, params, np.zeros((10, 10)),
+                               adolf_trace.final.k),
+        *shadow_dual_residuals("adolf_local", problem, gossip, sc_local_params(),
+                               np.zeros((20, 50)), local_ridge_trace.final.k),
+    ]
     bound = gamma_ratio_bound(params.c2) + 1e-12
     for rec in adolf_trace.records:
         if rec.gamma is not None:
@@ -369,8 +378,7 @@ def test_criterion_10_structural_invariants(ridge50_setup, logistic_adolf_trace,
                 assert rec.merit_ergodic >= -1e-10
     report(f"criterion 10 structural invariants: dual column drift "
            f"{max(adolf_trace.dual_colsum_max, local_ridge_trace.dual_colsum_max):.2e} <= 1e-9, "
-           f"shadow dual residual "
-           f"{max(adolf_trace.shadow_residual_max, local_ridge_trace.shadow_residual_max):.2e} <= 1e-8")
+           f"shadow dual residual {max(shadow):.2e} <= 1e-8")
 
 
 def test_criterion_11_determinism(tmp_path):

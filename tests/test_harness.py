@@ -97,6 +97,13 @@ class TestConfigParsing:
         )
         with pytest.raises(ConfigError, match="saddle"):
             parse_config_dict(raw)
+        # without stop.metric, the EXTRA grid search still ranks by distance_sq
+        raw = small_ridge_raw(
+            algorithm={"kind": "extra", "grid": [0.01, 0.1], "budget": 50},
+            diagnostics={"saddle": False},
+        )
+        with pytest.raises(ConfigError, match="diagnostics.saddle"):
+            parse_config_dict(raw)
 
     def test_round_trip_identity(self):
         cfg = parse_config_dict(small_ridge_raw())
@@ -325,6 +332,14 @@ class TestCli:
                               stop={"max_iter": 100})
         path = self.write_config(tmp_path, raw)
         assert cli.main(["run", str(path), "--out", str(tmp_path / "d")]) == 4
+
+    def test_grid_metric_without_saddle_exit_code(self, tmp_path, capsys):
+        raw = small_ridge_raw(algorithm={"kind": "extra", "grid": [0.01, 0.1, 1.0]},
+                              diagnostics={"saddle": False})
+        path = self.write_config(tmp_path, raw)
+        assert cli.main(["validate", str(path)]) == 2
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "s")]) == 2
+        assert "diagnostics.saddle" in capsys.readouterr().err
 
     def test_no_convergent_stepsize_exit_code(self, tmp_path):
         raw = small_ridge_raw(algorithm={"kind": "extra", "grid": [40.0, 80.0], "budget": 60},

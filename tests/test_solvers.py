@@ -21,6 +21,7 @@ from decopt.solvers import (
     run,
 )
 from decopt.stepsize import GrowthPolicy, SigmaSchedule, StepsizeParams, StepsizeState
+from shadow_dual import shadow_dual_residuals
 from decopt.topology import (
     GossipMatrix,
     graph_laplacian_sqrt,
@@ -440,15 +441,24 @@ class TestRunLoop:
             rec = TraceRecorder(prob, l_op, saddle, cadence=1)
             trace = run(algorithm, prob, gossip, params, StopRule(max_iter=60), rec,
                         np.ones((4, 3)))
-            assert trace.shadow_residual_max <= 1e-8
+            shadow_dual_residuals(algorithm, prob, gossip, params, np.ones((4, 3)),
+                                  trace.final.k)
             assert trace.dual_colsum_max <= 1e-9
 
     def test_unknown_algorithm(self):
+        # unknown names, and params of the wrong kind for a known algorithm
         prob, gossip, saddle, l_op = self.setup_case()
-        rec = TraceRecorder(prob, l_op, saddle, cadence=1)
-        with pytest.raises(ConfigError):
-            run("sgd", prob, gossip, convex_params(), StopRule(max_iter=5), rec,
-                np.zeros((4, 3)))
+        for algorithm, params in [
+            ("sgd", convex_params()),
+            ("adolf", local_params()),
+            ("adolf_local", convex_params()),
+            ("condat_vu", convex_params()),
+            ("extra", FixedStepParams(alpha=0.01)),
+        ]:
+            rec = TraceRecorder(prob, l_op, saddle, cadence=1)
+            with pytest.raises(ConfigError):
+                run(algorithm, prob, gossip, params, StopRule(max_iter=5), rec,
+                    np.zeros((4, 3)))
 
 
 class TestGridSearch:
@@ -471,6 +481,13 @@ class TestGridSearch:
         prob, gossip, factory = self.setup_case()
         best_alpha, _ = extra_grid_search(prob, gossip, [0.01], budget=100, recorder_factory=factory)
         assert best_alpha == 0.01
+
+    def test_metric_needs_saddle(self):
+        prob, gossip, _ = self.setup_case()
+        l_op = graph_laplacian_sqrt(gossip)
+        factory = lambda: TraceRecorder(prob, l_op, None, cadence=500)
+        with pytest.raises(ConfigError, match="saddle"):
+            extra_grid_search(prob, gossip, [0.01, 0.1], budget=50, recorder_factory=factory)
 
     def test_all_diverged(self):
         prob, gossip, factory = self.setup_case()
