@@ -20,7 +20,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from decopt.runner import PRESET_NAMES, compare, figure_preset  # noqa: E402
+from decopt.runner import PRESET_NAMES, compare, figure_preset, preset_metric  # noqa: E402
 
 
 def main() -> int:
@@ -53,7 +53,7 @@ def main() -> int:
             master_seed=args.master_seed,
         )
         out = args.out / name
-        metric = "objective_gap" if name.startswith("fig1") else "distance_sq"
+        metric = preset_metric(name)
         print(f"== {name} ({metric}) -> {out}")
         start = time.time()
         result = compare(configs, out_dir=out, metric=metric, label=name)

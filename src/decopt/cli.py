@@ -26,7 +26,7 @@ from .errors import (
     NoConvergentStepsizeError,
     NumericError,
 )
-from .runner import PRESET_NAMES, compare, figure_preset, run_experiment
+from .runner import PRESET_NAMES, compare, figure_preset, preset_metric, run_experiment
 
 EXIT_OK = 0
 EXIT_UNEXPECTED = 1
@@ -106,8 +106,7 @@ def _cmd_preset(args) -> int:
         print(f"wrote {path}")
     if args.configs_only:
         return EXIT_OK
-    metric = "objective_gap" if args.name.startswith("fig1") else "distance_sq"
-    result = compare(configs, out_dir=out, metric=metric, label=args.name)
+    result = compare(configs, out_dir=out, metric=preset_metric(args.name), label=args.name)
     print(result.summary_table(), end="")
     print(f"long-format data: {result.long_path}")
     return EXIT_OK

@@ -1,9 +1,12 @@
 """Experiment configuration: schema, validation, parsing, and emission.
 
 Configs are nested key-value documents (YAML on disk). Parsing is strict:
-unknown keys and out-of-range values raise ConfigError naming the offending
-key, and every default is resolved at parse time so that emitting a parsed
-config and parsing it again is the identity.
+unknown keys, values of the wrong type and out-of-range values raise
+ConfigError naming the offending key, and every default is resolved at parse
+time so that emitting a parsed config and parsing it again is the identity.
+The stop section and the growth policy are the solvers' own StopRule and
+GrowthPolicy, and the adaptive solvers' constants are checked by building
+their StepsizeParams, so each range check has one owner.
 
 The master seed derives per-component seeds by fixed offsets (graph +1,
 data +2, init +3) so a component can be varied independently by overriding
@@ -12,18 +15,23 @@ just its own seed.
 
 from __future__ import annotations
 
-import math
-from dataclasses import asdict, dataclass, field, fields
+import numbers
+import re
+import types
+import typing
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 
 import yaml
 
-from .errors import ConfigError
+from .diagnostics import DEFAULT_METRIC, SADDLE_METRICS
+from .errors import ConfigError, ParameterError
+from .solvers import StopRule
+from .stepsize import GrowthPolicy, SigmaSchedule, StepsizeParams
 
 __all__ = [
     "ProblemConfig",
     "GraphConfig",
     "GossipConfig",
-    "GrowthConfig",
     "AlgorithmConfig",
     "InitConfig",
     "StopConfig",
@@ -39,27 +47,13 @@ SEED_OFFSET_GRAPH = 1
 SEED_OFFSET_DATA = 2
 SEED_OFFSET_INIT = 3
 
-_METRICS = ("objective_gap", "distance_sq", "consensus_err", "merit")
-_SADDLE_METRICS = ("objective_gap", "distance_sq", "merit")
+# the stop section is the solvers' own stop rule, which checks itself
+StopConfig = StopRule
 
 
 def _require(cond: bool, key: str, message: str) -> None:
     if not cond:
         raise ConfigError(f"{key}: {message}")
-
-
-def _take(section: dict, key: str, cls) -> dict:
-    """Pop a sub-dict and reject unknown keys against the dataclass fields."""
-    raw = section.pop(key, {})
-    if raw is None:
-        raw = {}
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{key}: expected a mapping, got {type(raw).__name__}")
-    allowed = {f.name for f in fields(cls)}
-    unknown = set(raw) - allowed
-    if unknown:
-        raise ConfigError(f"{key}: unknown keys {sorted(unknown)}; allowed {sorted(allowed)}")
-    return raw
 
 
 @dataclass(frozen=True)
@@ -105,6 +99,8 @@ class GraphConfig:
         _require(self.kind in ("line", "ring", "erdos_renyi"), "graph.kind",
                  f"must be line, ring, or erdos_renyi, got {self.kind!r}")
         _require(self.m >= 2, "graph.m", f"must be >= 2, got {self.m}")
+        if self.kind == "ring":
+            _require(self.m >= 3, "graph.m", f"a ring needs m >= 3, got {self.m}")
         if self.kind == "erdos_renyi":
             _require(0.0 < self.p <= 1.0, "graph.p", f"must lie in (0, 1], got {self.p}")
 
@@ -117,29 +113,12 @@ class GossipConfig:
         _require(0.0 < self.c < 0.5, "gossip.c", f"c must lie in (0, 1/2), got {self.c}")
 
 
-@dataclass(frozen=True)
-class GrowthConfig:
-    kind: str = "unbounded"  # unbounded | additive | ratio_power
-    a: float = 6.0 / math.pi**2
-    beta1: float = 10.0
-    beta2: float = 1.0
-
-    def validate(self, key: str = "algorithm.growth") -> None:
-        _require(self.kind in ("unbounded", "additive", "ratio_power"), f"{key}.kind",
-                 f"must be unbounded, additive, or ratio_power, got {self.kind!r}")
-        if self.kind == "additive":
-            _require(self.a > 0, f"{key}.a", f"must be positive, got {self.a}")
-        if self.kind == "ratio_power":
-            _require(self.beta1 >= 1, f"{key}.beta1", f"must be >= 1, got {self.beta1}")
-            _require(self.beta2 > 0, f"{key}.beta2", f"must be positive, got {self.beta2}")
-
-
-def _default_growth(kind: str, mode: str) -> GrowthConfig:
+def _default_growth(kind: str, mode: str) -> GrowthPolicy:
     if kind == "adolf_local":
-        return GrowthConfig(kind="additive")
+        return GrowthPolicy(kind="additive")
     if mode == "strongly_convex":
-        return GrowthConfig(kind="ratio_power")
-    return GrowthConfig(kind="unbounded")
+        return GrowthPolicy(kind="ratio_power")
+    return GrowthPolicy(kind="unbounded")
 
 
 @dataclass(frozen=True)
@@ -152,7 +131,7 @@ class AlgorithmConfig:
     eta: float = 0.9
     sigma: float = 0.2  # strongly convex coupling constant
     sigma_bar: float = 1.0  # convex-mode constant dual scale
-    growth: GrowthConfig | None = None
+    growth: GrowthPolicy | None = None
     alpha: float | None = None  # extra (fixed) and condat_vu
     gamma: float = 1.0  # condat_vu
     grid: tuple[float, ...] | None = None  # extra grid search
@@ -163,8 +142,26 @@ class AlgorithmConfig:
             return self.c1
         return 0.5 if self.mode == "strongly_convex" else 0.99
 
-    def resolved_growth(self) -> GrowthConfig:
+    def resolved_growth(self) -> GrowthPolicy:
         return self.growth if self.growth is not None else _default_growth(self.kind, self.mode)
+
+    def stepsize_params(self) -> StepsizeParams:
+        """Solver-level stepsize parameters of an adolf or adolf_local block.
+
+        Raises ParameterError, naming the field at fault, when a constant is
+        out of the range the stepsize rule needs.
+        """
+        if self.mode == "strongly_convex":
+            sigma = SigmaSchedule(kind="inverse_alpha_sq", sigma=self.sigma)
+        else:
+            sigma = SigmaSchedule(kind="constant", sigma_bar=self.sigma_bar)
+        mode = "local" if self.kind == "adolf_local" else (
+            "strongly_convex_global" if self.mode == "strongly_convex" else "convex_global"
+        )
+        return StepsizeParams(
+            mode=mode, c1=self.resolved_c1(), c2=self.c2, alpha0=self.alpha0, eta=self.eta,
+            growth=self.resolved_growth(), sigma=sigma,
+        )
 
     def validate(self) -> None:
         _require(self.kind in ("adolf", "adolf_local", "extra", "condat_vu"),
@@ -173,22 +170,12 @@ class AlgorithmConfig:
         if self.kind in ("adolf", "adolf_local"):
             _require(self.mode in ("convex", "strongly_convex"), "algorithm.mode",
                      f"must be convex or strongly_convex, got {self.mode!r}")
-            c1 = self.resolved_c1()
-            _require(0 < c1 <= 1, "algorithm.c1", f"must lie in (0, 1], got {c1}")
-            _require(0 < self.c2 <= 1, "algorithm.c2", f"must lie in (0, 1], got {self.c2}")
-            _require(self.alpha0 > 0, "algorithm.alpha0", f"must be positive, got {self.alpha0}")
-            if self.mode == "strongly_convex":
-                _require(0 < self.sigma < c1 / 2, "algorithm.sigma",
-                         f"must lie in (0, c1/2) = (0, {c1 / 2}), got {self.sigma}")
-            else:
-                _require(self.sigma_bar > 0, "algorithm.sigma_bar",
-                         f"must be positive, got {self.sigma_bar}")
-            if self.kind == "adolf_local":
-                _require(0 < self.eta < 1, "algorithm.eta",
-                         f"must lie in (0, 1), got {self.eta}")
-                _require(self.resolved_growth().kind == "additive", "algorithm.growth.kind",
-                         "adolf_local needs the additive growth policy")
-            self.resolved_growth().validate()
+            try:
+                self.stepsize_params()
+            except ParameterError as exc:
+                raise ConfigError(f"algorithm: {exc}") from exc
+        # FixedStepParams calls sigma what this block calls sigma_bar, so the
+        # extra and condat_vu checks stay here to name the config's keys
         if self.kind == "extra":
             if self.grid is not None:
                 _require(len(self.grid) > 0 and all(a > 0 for a in self.grid),
@@ -214,26 +201,6 @@ class InitConfig:
     def validate(self) -> None:
         _require(self.kind in ("gaussian", "zeros"), "init.kind",
                  f"must be gaussian or zeros, got {self.kind!r}")
-
-
-@dataclass(frozen=True)
-class StopConfig:
-    max_iter: int = 10_000
-    metric: str | None = None
-    threshold: float | None = None
-    cadence: int = 1
-
-    def validate(self) -> None:
-        _require(self.max_iter >= 0, "stop.max_iter", f"must be >= 0, got {self.max_iter}")
-        _require(self.cadence >= 1, "stop.cadence", f"must be >= 1, got {self.cadence}")
-        if self.metric is not None:
-            _require(self.metric in _METRICS, "stop.metric",
-                     f"must be one of {_METRICS}, got {self.metric!r}")
-            _require(self.threshold is not None and self.threshold > 0, "stop.threshold",
-                     "a positive threshold must accompany stop.metric")
-        else:
-            _require(self.threshold is None, "stop.metric",
-                     "required when stop.threshold is set")
 
 
 @dataclass(frozen=True)
@@ -263,17 +230,18 @@ class ExperimentConfig:
     master_seed: int = 0
 
     def validate(self) -> None:
+        # stop is a StopRule, which checks itself when it is built
         for section in (self.problem, self.graph, self.gossip, self.algorithm,
-                        self.init, self.stop, self.diagnostics):
+                        self.init, self.diagnostics):
             section.validate()
         _require(self.problem.m == self.graph.m, "graph.m",
                  f"graph agents ({self.graph.m}) must match problem agents ({self.problem.m})")
         metrics = {"stop metric": self.stop.metric}
         if self.algorithm.kind == "extra" and self.algorithm.grid is not None:
             # the grid search ranks its stepsizes by this metric
-            metrics["EXTRA grid-search metric"] = self.stop.metric or "distance_sq"
+            metrics["EXTRA grid-search metric"] = self.stop.metric or DEFAULT_METRIC
         for role, metric in metrics.items():
-            if metric in _SADDLE_METRICS:
+            if metric in SADDLE_METRICS:
                 _require(self.diagnostics.saddle, "diagnostics.saddle",
                          f"{role} {metric!r} needs saddle diagnostics")
 
@@ -294,18 +262,59 @@ class ExperimentConfig:
         return f"{self.algorithm.kind}_{self.problem.kind}_{self.graph.kind}"
 
 
-def _build(cls, raw: dict, key: str):
-    coerced = dict(raw)
-    if cls is ProblemConfig and "digit_pair" in coerced:
-        pair = coerced["digit_pair"]
-        if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
-            raise ConfigError(f"{key}.digit_pair: expected a pair of digits, got {pair!r}")
-        coerced["digit_pair"] = (int(pair[0]), int(pair[1]))
-    if cls is AlgorithmConfig and coerced.get("grid") is not None:
-        coerced["grid"] = tuple(float(a) for a in coerced["grid"])
+_TYPE_NAMES = {bool: "a bool", int: "an integer", float: "a number", str: "a string"}
+
+
+def _typed(value, hint, key: str):
+    """value checked against a field annotation; sections are built, lists
+    become tuples, and numbers become the annotated type."""
+    if typing.get_origin(hint) in (typing.Union, types.UnionType):
+        if value is None and type(None) in typing.get_args(hint):
+            return None
+        (hint,) = [a for a in typing.get_args(hint) if a is not type(None)]
+    if is_dataclass(hint):
+        return _build(hint, value, key)
+    if typing.get_origin(hint) is tuple:
+        items = typing.get_args(hint)
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{key}: expected a list, got {type(value).__name__} {value!r}")
+        if items[-1] is Ellipsis:
+            items = items[:1] * len(value)
+        if len(value) != len(items):
+            raise ConfigError(f"{key}: expected {len(items)} entries, got {len(value)}")
+        return tuple(_typed(v, h, f"{key}[{i}]") for i, (v, h) in enumerate(zip(value, items)))
+    if hint is bool and isinstance(value, bool):
+        return value
+    if hint is int and isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if hint is float and isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    if hint is str and isinstance(value, str):
+        return value
+    message = f"{key}: expected {_TYPE_NAMES[hint]}, got {type(value).__name__} {value!r}"
+    if hint is float and re.fullmatch(r"[-+]?[\d.]+[eE][-+]?\d+", str(value)):
+        message += " (YAML reads 1e-3 or 1.0e4 as a string; write 1.0e-3 or 1.0e+4)"
+    raise ConfigError(message)
+
+
+def _build(cls, raw, key: str):
+    """Config dataclass from a mapping; unknown keys, mistyped values and the
+    class's own range checks raise ConfigError naming the section."""
+    if raw is None:
+        raw = {}
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{key}: expected a mapping, got {type(raw).__name__}")
+    allowed = {f.name for f in fields(cls)}
+    unknown = set(raw) - allowed
+    if unknown:
+        raise ConfigError(f"{key or 'config'}: unknown keys {sorted(unknown)}; "
+                          f"allowed {sorted(allowed)}")
+    hints = typing.get_type_hints(cls)
+    values = {name: _typed(value, hints[name], f"{key}.{name}" if key else name)
+              for name, value in raw.items()}
     try:
-        return cls(**coerced)
-    except TypeError as exc:
+        return cls(**values)
+    except ParameterError as exc:
         raise ConfigError(f"{key}: {exc}") from exc
 
 
@@ -313,39 +322,11 @@ def parse_config_dict(raw: dict) -> ExperimentConfig:
     """Validate a nested dict into a fully resolved ExperimentConfig."""
     if not isinstance(raw, dict):
         raise ConfigError(f"config root must be a mapping, got {type(raw).__name__}")
-    section = dict(raw)
-    problem = _build(ProblemConfig, _take(section, "problem", ProblemConfig), "problem")
-    graph = _build(GraphConfig, _take(section, "graph", GraphConfig), "graph")
-    gossip = _build(GossipConfig, _take(section, "gossip", GossipConfig), "gossip")
-    algo_raw = _take(section, "algorithm", AlgorithmConfig)
-    growth_raw = algo_raw.pop("growth", None)
-    algorithm = _build(AlgorithmConfig, algo_raw, "algorithm")
-    if growth_raw is not None:
-        allowed = {f.name for f in fields(GrowthConfig)}
-        unknown = set(growth_raw) - allowed
-        if unknown:
-            raise ConfigError(f"algorithm.growth: unknown keys {sorted(unknown)}")
-        algorithm = AlgorithmConfig(**{**_plain_dict(algorithm), "growth": GrowthConfig(**growth_raw)})
+    config = _build(ExperimentConfig, raw, "")
     # normalize lazily-defaulted fields so emit/parse round-trips exactly
-    algorithm = AlgorithmConfig(**{
-        **_plain_dict(algorithm),
-        "c1": algorithm.resolved_c1(),
-        "growth": algorithm.resolved_growth(),
-    })
-    init = _build(InitConfig, _take(section, "init", InitConfig), "init")
-    stop = _build(StopConfig, _take(section, "stop", StopConfig), "stop")
-    diagnostics = _build(DiagnosticsConfig, _take(section, "diagnostics", DiagnosticsConfig),
-                         "diagnostics")
-    name = section.pop("name", "")
-    output_dir = section.pop("output_dir", "out")
-    master_seed = section.pop("master_seed", 0)
-    if section:
-        raise ConfigError(f"unknown top-level keys {sorted(section)}")
-    config = ExperimentConfig(
-        problem=problem, graph=graph, gossip=gossip, algorithm=algorithm, init=init,
-        stop=stop, diagnostics=diagnostics, name=str(name), output_dir=str(output_dir),
-        master_seed=int(master_seed),
-    )
+    algorithm = config.algorithm
+    config = replace(config, algorithm=replace(
+        algorithm, c1=algorithm.resolved_c1(), growth=algorithm.resolved_growth()))
     config.validate()
     return config
 
@@ -360,10 +341,6 @@ def parse_config(path) -> ExperimentConfig:
     if raw is None:
         raw = {}
     return parse_config_dict(raw)
-
-
-def _plain_dict(obj) -> dict:
-    return {f.name: getattr(obj, f.name) for f in fields(obj)}
 
 
 def resolved_dict(config: ExperimentConfig) -> dict:

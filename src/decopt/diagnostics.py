@@ -48,6 +48,9 @@ __all__ = [
     "Trace",
     "TraceRecorder",
     "CSV_HEADER",
+    "METRICS",
+    "SADDLE_METRICS",
+    "DEFAULT_METRIC",
 ]
 
 CSV_HEADER = [
@@ -64,6 +67,15 @@ CSV_HEADER = [
     "gamma",
     "L_k",
 ]
+
+# metric name -> the trace column that reports it. Stopping on "merit" evaluates
+# it at the current iterate; traces, compare and the EXTRA grid search report
+# and rank it at the gamma-weighted ergodic average.
+METRICS = {"objective_gap": "objective_gap", "distance_sq": "distance_sq",
+           "consensus_err": "consensus_err", "merit": "merit_ergodic"}
+SADDLE_METRICS = frozenset({"objective_gap", "distance_sq", "merit"})  # need a saddle anchor
+DEFAULT_METRIC = "distance_sq"
+
 
 @dataclass(frozen=True)
 class SaddlePoint:
@@ -294,6 +306,10 @@ class TraceRecord:
     alpha_max: float | None
     gamma: float | None
     L_k: float | None
+
+    def metric(self, name: str) -> float | None:
+        """The value this row reports for a metric named in METRICS."""
+        return getattr(self, METRICS[name])
 
     def csv_row(self) -> list[str]:
         out = []

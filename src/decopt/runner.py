@@ -35,11 +35,18 @@ from .config import (
     emit_config,
     resolved_dict,
 )
-from .diagnostics import SaddlePoint, Trace, TraceRecorder, compute_saddle
+from .diagnostics import (
+    DEFAULT_METRIC,
+    METRICS,
+    SADDLE_METRICS,
+    SaddlePoint,
+    Trace,
+    TraceRecorder,
+    compute_saddle,
+)
 from .errors import ComparisonError, ConfigError
 from .objectives import ProblemInstance, load_mnist_partition, synth_logistic, synth_ridge
-from .solvers import ExtraParams, FixedStepParams, StopRule, extra_grid_search, run
-from .stepsize import GrowthPolicy, SigmaSchedule, StepsizeParams
+from .solvers import ExtraParams, FixedStepParams, extra_grid_search, run
 from .topology import (
     GossipMatrix,
     Graph,
@@ -58,11 +65,11 @@ __all__ = [
     "build_gossip",
     "build_problem",
     "build_initial_stack",
-    "build_stepsize_params",
     "default_extra_grid",
     "run_experiment",
     "compare",
     "figure_preset",
+    "preset_metric",
     "PRESET_NAMES",
 ]
 
@@ -110,24 +117,6 @@ def build_initial_stack(config: ExperimentConfig, problem: ProblemInstance) -> n
         return np.zeros((problem.m, problem.d))
     rng = np.random.default_rng(config.init_seed())
     return rng.standard_normal((problem.m, problem.d))
-
-
-def build_stepsize_params(algo: AlgorithmConfig) -> StepsizeParams:
-    """Translate the config block into solver-level stepsize parameters."""
-    growth_cfg = algo.resolved_growth()
-    growth = GrowthPolicy(kind=growth_cfg.kind, a=growth_cfg.a,
-                          beta1=growth_cfg.beta1, beta2=growth_cfg.beta2)
-    if algo.mode == "strongly_convex":
-        sigma = SigmaSchedule(kind="inverse_alpha_sq", sigma=algo.sigma)
-    else:
-        sigma = SigmaSchedule(kind="constant", sigma_bar=algo.sigma_bar)
-    mode = "local" if algo.kind == "adolf_local" else (
-        "strongly_convex_global" if algo.mode == "strongly_convex" else "convex_global"
-    )
-    return StepsizeParams(
-        mode=mode, c1=algo.resolved_c1(), c2=algo.c2, alpha0=algo.alpha0, eta=algo.eta,
-        growth=growth, sigma=sigma,
-    )
 
 
 @dataclass
@@ -183,27 +172,21 @@ class _Workspace:
         return TraceRecorder(self.problem, self.l_op, self.saddle, cadence=cadence)
 
 
-def _stop_rule(config: ExperimentConfig) -> StopRule:
-    s = config.stop
-    return StopRule(max_iter=s.max_iter, metric=s.metric, threshold=s.threshold,
-                    cadence=s.cadence)
-
-
 def _execute(config: ExperimentConfig, ws: _Workspace) -> tuple[Trace, float | None]:
     """Run the configured algorithm inside a prepared workspace."""
     algo = config.algorithm
-    stop = _stop_rule(config)
+    stop = config.stop
     cadence = config.diagnostics.cadence
     best_alpha = None
     if algo.kind in ("adolf", "adolf_local"):
-        params = build_stepsize_params(algo)
+        params = algo.stepsize_params()
         trace = run(algo.kind, ws.problem, ws.gossip, params, stop, ws.recorder(cadence), ws.x0)
     elif algo.kind == "condat_vu":
         params = FixedStepParams(alpha=algo.alpha, sigma=algo.sigma_bar, gamma=algo.gamma)
         trace = run("condat_vu", ws.problem, ws.gossip, params, stop, ws.recorder(cadence), ws.x0)
     else:  # extra
         if algo.grid is not None:
-            metric = stop.metric or "distance_sq"
+            metric = stop.metric or DEFAULT_METRIC
             best_alpha, _ = extra_grid_search(
                 ws.problem, ws.gossip, algo.grid, budget=algo.budget,
                 recorder_factory=lambda: ws.recorder(max(algo.budget, 1)),
@@ -292,7 +275,7 @@ def _comms_to_threshold(trace: Trace, metric: str, threshold: float | None) -> i
     if threshold is None:
         return None
     for rec in trace.records:
-        value = getattr(rec, metric if metric != "merit" else "merit_ergodic")
+        value = rec.metric(metric)
         if value is not None and value <= threshold:
             return rec.comm_vector
     return None
@@ -316,7 +299,12 @@ def compare(configs: list[ExperimentConfig], out_dir=None, metric: str | None = 
                 "configs must share problem, graph, gossip, and init sections "
                 "(including seeds) to be comparable"
             )
-    metric = metric or configs[0].stop.metric or "distance_sq"
+    metric = metric or configs[0].stop.metric or DEFAULT_METRIC
+    if metric not in METRICS:
+        raise ConfigError(f"compare metric must be one of {tuple(METRICS)}, got {metric!r}")
+    if metric in SADDLE_METRICS and not configs[0].diagnostics.saddle:
+        raise ConfigError(f"diagnostics.saddle: compare metric {metric!r} needs saddle "
+                          "diagnostics")
     threshold = configs[0].stop.threshold
     out = _resolve_out_dir(configs[0], out_dir)
     ws = _Workspace(configs[0])
@@ -337,7 +325,6 @@ def compare(configs: list[ExperimentConfig], out_dir=None, metric: str | None = 
         _atomic_write_text(out / f"{name}.manifest.json", manifest.to_json())
         manifests.append(manifest)
         traces.append((name, trace))
-        column = metric if metric != "merit" else "merit_ergodic"
         rows.append(
             ComparisonRow(
                 name=name,
@@ -345,16 +332,15 @@ def compare(configs: list[ExperimentConfig], out_dir=None, metric: str | None = 
                 status=trace.status,
                 comm_vector=trace.final.comm_vector,
                 comm_scalar=trace.final.comm_scalar,
-                final_metric=getattr(trace.final, column),
+                final_metric=trace.final.metric(metric),
                 comms_to_threshold=_comms_to_threshold(trace, metric, threshold),
             )
         )
 
-    column = metric if metric != "merit" else "merit_ergodic"
     long_lines = ["algorithm,k,comm_vector,comm_scalar,metric,value"]
     for name, trace in traces:
         for rec in trace.records:
-            value = getattr(rec, column)
+            value = rec.metric(metric)
             if value is not None:
                 long_lines.append(
                     f"{name},{rec.k},{rec.comm_vector},{rec.comm_scalar},{metric},{value!r}"
@@ -366,7 +352,7 @@ def compare(configs: list[ExperimentConfig], out_dir=None, metric: str | None = 
     for name, trace in traces:
         lines = [f"# {name}", "# k comm_vector value"]
         for rec in trace.records:
-            value = getattr(rec, column)
+            value = rec.metric(metric)
             if value is not None:
                 lines.append(f"{rec.k} {rec.comm_vector} {value!r}")
         gp_blocks.append("\n".join(lines))
@@ -380,6 +366,11 @@ def compare(configs: list[ExperimentConfig], out_dir=None, metric: str | None = 
     )
     _atomic_write_text(Path(result.summary_path), result.summary_table())
     return result
+
+
+def preset_metric(name: str) -> str:
+    """The metric a figure preset compares its runs on."""
+    return "objective_gap" if name.startswith("fig1") else "distance_sq"
 
 
 def _preset_graph(tag: str) -> GraphConfig:
@@ -428,7 +419,8 @@ def figure_preset(
                                      alpha0=1e-3, eta=0.9)
     else:
         problem = ProblemConfig(kind="ridge", m=20, n=20, d=500)
-        stop = StopConfig(max_iter=50_000, metric="distance_sq", threshold=1e-10, cadence=10)
+        stop = StopConfig(max_iter=50_000, metric=preset_metric(name), threshold=1e-10,
+                          cadence=10)
         diagnostics = DiagnosticsConfig(cadence=10, saddle=True, saddle_tol=1e-12)
         adolf_algo = AlgorithmConfig(kind="adolf", mode="strongly_convex", c2=0.99,
                                      alpha0=1e-3, sigma=0.2)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import Trace, TraceRecorder
+from .diagnostics import DEFAULT_METRIC, METRICS, SADDLE_METRICS, Trace, TraceRecorder
 from .errors import (
     ConfigError,
     NoConvergentStepsizeError,
@@ -106,9 +106,9 @@ class ExtraParams:
 
 @dataclass(frozen=True)
 class StopRule:
-    """Iteration budget plus an optional metric threshold."""
+    """Iteration budget plus an optional metric threshold, tested every cadence rounds."""
 
-    max_iter: int
+    max_iter: int = 10_000
     metric: str | None = None
     threshold: float | None = None
     cadence: int = 1
@@ -117,9 +117,14 @@ class StopRule:
         if self.max_iter < 0:
             raise ParameterError(f"max_iter must be >= 0, got {self.max_iter}")
         if self.cadence < 1:
-            raise ParameterError(f"stop cadence must be >= 1, got {self.cadence}")
+            raise ParameterError(f"cadence must be >= 1, got {self.cadence}")
         if (self.metric is None) != (self.threshold is None):
             raise ParameterError("metric and threshold must be given together")
+        if self.metric is not None:
+            if self.metric not in METRICS:
+                raise ParameterError(f"metric must be one of {tuple(METRICS)}, got {self.metric!r}")
+            if not self.threshold > 0:
+                raise ParameterError(f"threshold must be positive, got {self.threshold}")
 
 
 def _check_stack(x, problem: ProblemInstance, name: str) -> np.ndarray:
@@ -278,7 +283,6 @@ class AdolfLocalState:
     comm_scalar: int
     l_last: float | None = None
     mu_last: float | None = None
-    l_local_last: np.ndarray | None = None
 
     # recorder view; sigma_i is per agent, so there is no scalar sigma
     sigma = None
@@ -377,7 +381,6 @@ def adolf_local_step(
         comm_scalar=state.comm_scalar + 1,
         l_last=l_k,
         mu_last=mu_k,
-        l_local_last=l_vec,
     )
 
 
@@ -613,7 +616,7 @@ def run(
         raise ConfigError(f"unknown algorithm {algorithm!r}")
     x0 = _check_stack(x0, problem, "x0")
     x_minus1 = x0 if x_minus1 is None else _check_stack(x_minus1, problem, "x_minus1")
-    if stop.metric is not None and recorder.metric_value(stop.metric, x0) is None:
+    if stop.metric in SADDLE_METRICS and recorder.saddle is None:
         raise ConfigError(f"stop metric {stop.metric!r} needs saddle diagnostics")
 
     if stop.max_iter == 0:
@@ -664,24 +667,23 @@ def extra_grid_search(
     grid,
     budget: int,
     recorder_factory,
-    metric: str = "distance_sq",
-    threshold: float | None = None,
+    metric: str = DEFAULT_METRIC,
     x0: np.ndarray | None = None,
 ) -> tuple[float, Trace]:
     """Run EXTRA at every grid stepsize; keep the best non-diverged run.
 
-    "Best" means smallest terminal metric (ties go to the larger stepsize);
-    a threshold, when given, lets runs stop early. recorder_factory must
-    produce a fresh TraceRecorder per run.
+    "Best" means smallest terminal metric as the trace reports it (ties go to
+    the larger stepsize). recorder_factory must produce a fresh TraceRecorder per run.
     """
     grid = sorted(float(a) for a in grid)
     if not grid or any(a <= 0 for a in grid):
         raise ParameterError("grid must be a nonempty list of positive stepsizes")
-    stop = StopRule(max_iter=budget, metric=metric if threshold is not None else None,
-                    threshold=threshold, cadence=10 if threshold is not None else 1)
+    if metric not in METRICS:
+        raise ParameterError(f"grid-search metric must be one of {tuple(METRICS)}, got {metric!r}")
+    stop = StopRule(max_iter=budget)
     if x0 is None:
         x0 = np.zeros((problem.m, problem.d))
-    if recorder_factory().metric_value(metric, x0) is None:
+    if metric in SADDLE_METRICS and recorder_factory().saddle is None:
         raise ConfigError(f"grid-search metric {metric!r} needs saddle diagnostics")
     best: tuple[float, Trace] | None = None
     best_value = np.inf
@@ -690,7 +692,7 @@ def extra_grid_search(
         trace = run("extra", problem, gossip, ExtraParams(alpha), stop, recorder, x0)
         if trace.status == "diverged":
             continue
-        value = getattr(trace.final, metric)
+        value = trace.final.metric(metric)
         if value is None or not np.isfinite(value):
             continue
         if value <= best_value:

@@ -42,7 +42,6 @@ __all__ = [
     "curvature_guard",
     "select_alpha_convex",
     "select_alpha_strongly_convex",
-    "local_candidate",
     "local_candidate_strongly_convex",
     "local_tilde",
     "local_min_consensus",
@@ -81,14 +80,16 @@ class GrowthPolicy:
 
     def __post_init__(self):
         if self.kind not in (GROWTH_UNBOUNDED, GROWTH_ADDITIVE, GROWTH_RATIO_POWER):
-            raise ParameterError(f"unknown growth policy kind {self.kind!r}")
-        if self.kind == GROWTH_ADDITIVE and self.a <= 0:
-            raise ParameterError(f"additive increment must be positive, got {self.a}")
+            raise ParameterError(
+                f"kind must be unbounded, additive, or ratio_power, got {self.kind!r}")
+        if self.kind == GROWTH_ADDITIVE and not self.a > 0:
+            raise ParameterError(f"a must be positive, got {self.a}")
         if self.kind == GROWTH_RATIO_POWER:
-            if self.beta1 < 1.0:
-                raise ParameterError("ratio_power needs beta1 >= 1 so the cap never shrinks")
-            if self.beta2 <= 0.0:
-                raise ParameterError(f"ratio_power needs beta2 > 0, got {self.beta2}")
+            if not self.beta1 >= 1.0:
+                raise ParameterError(
+                    f"beta1 must be >= 1 so the cap never shrinks, got {self.beta1}")
+            if not self.beta2 > 0.0:
+                raise ParameterError(f"beta2 must be positive for ratio_power, got {self.beta2}")
 
     def cap(self, x: float, k: int) -> float | None:
         """pi_k(x), or None when the policy imposes no cap."""
@@ -112,9 +113,9 @@ class SigmaSchedule:
     def __post_init__(self):
         if self.kind not in (SIGMA_CONSTANT, SIGMA_INVERSE_ALPHA_SQ):
             raise ParameterError(f"unknown sigma schedule kind {self.kind!r}")
-        if self.kind == SIGMA_CONSTANT and self.sigma_bar <= 0:
-            raise ParameterError(f"constant sigma must be positive, got {self.sigma_bar}")
-        if self.kind == SIGMA_INVERSE_ALPHA_SQ and self.sigma <= 0:
+        if self.kind == SIGMA_CONSTANT and not self.sigma_bar > 0:
+            raise ParameterError(f"sigma_bar must be positive, got {self.sigma_bar}")
+        if self.kind == SIGMA_INVERSE_ALPHA_SQ and not self.sigma > 0:
             raise ParameterError(f"sigma must be positive, got {self.sigma}")
 
 
@@ -144,15 +145,14 @@ class StepsizeParams:
             raise ParameterError(f"c1 must lie in (0, 1], got {self.c1}")
         if not (0.0 < self.c2 <= 1.0):
             raise ParameterError(f"c2 must lie in (0, 1], got {self.c2}")
-        if self.alpha0 <= 0:
+        if not self.alpha0 > 0:
             raise ParameterError(f"alpha0 must be positive, got {self.alpha0}")
         if self.mode == MODE_LOCAL:
             if not (0.0 < self.eta < 1.0):
                 raise ParameterError(f"eta must lie in (0, 1), got {self.eta}")
             if self.growth.kind != GROWTH_ADDITIVE:
-                raise ParameterError(
-                    "local mode needs the additive growth policy (summable increments)"
-                )
+                raise ParameterError("growth.kind must be additive in local mode (summable "
+                                     f"increments), got {self.growth.kind!r}")
         if self.strongly_convex_sigma:
             if self.sigma.kind != SIGMA_INVERSE_ALPHA_SQ:
                 raise ParameterError(
@@ -160,7 +160,7 @@ class StepsizeParams:
                 )
             if not (0.0 < self.sigma.sigma < self.c1 / 2.0):
                 raise ParameterError(
-                    f"strongly convex mode needs sigma in (0, c1/2) = (0, {self.c1 / 2}), "
+                    f"sigma must lie in (0, c1/2) = (0, {self.c1 / 2}) in strongly convex mode, "
                     f"got {self.sigma.sigma}"
                 )
         elif self.sigma.kind != SIGMA_CONSTANT and self.mode == MODE_CONVEX:
@@ -298,13 +298,6 @@ def select_alpha_strongly_convex(
     if cap is not None:
         alpha = min(alpha, cap)
     return alpha, alpha / state.alpha_prev
-
-
-def local_candidate(l_ki: float, sigma_ki: float, c1: float) -> float:
-    """Per-agent curvature candidate, same guard as the global rule."""
-    if l_ki < 0:
-        raise ParameterError(f"curvature proxy must be nonnegative, got {l_ki}")
-    return curvature_guard(l_ki, sigma_ki, c1)
 
 
 def local_candidate_strongly_convex(l_ki: float, sigma: float, c1: float) -> float | None:

@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 from dataclasses import replace
 from pathlib import Path
@@ -22,7 +23,6 @@ from decopt.config import (
 from decopt.errors import ComparisonError, ConfigError
 from decopt.runner import (
     build_problem,
-    build_stepsize_params,
     compare,
     default_extra_grid,
     figure_preset,
@@ -89,6 +89,11 @@ class TestConfigParsing:
         raw = small_ridge_raw(graph={"kind": "line", "m": 5})
         with pytest.raises(ConfigError, match="graph.m"):
             parse_config_dict(raw)
+        # a ring needs three agents
+        raw = small_ridge_raw(problem={"kind": "ridge", "m": 2, "n": 5, "d": 3},
+                              graph={"kind": "ring", "m": 2})
+        with pytest.raises(ConfigError, match="graph.m"):
+            parse_config_dict(raw)
 
     def test_stop_metric_needs_saddle(self):
         raw = small_ridge_raw(
@@ -130,6 +135,53 @@ class TestConfigParsing:
         cfg = parse_config(path)
         assert cfg.problem.kind == "ridge"
 
+    @pytest.mark.parametrize("snippet, key", [
+        ("stop: {max_iter: 10, metric: distance_sq, threshold: 1e-3}", "stop.threshold"),
+        ("problem: {kind: ridge, m: x, n: 5, d: 3}", "problem.m"),
+        ("diagnostics: {saddle: 'false'}", "diagnostics.saddle"),
+        ("stop: {max_iter: 2.5}", "stop.max_iter"),
+        ("stop: {max_iter: true}", "stop.max_iter"),
+        ("gossip: {c: true}", "gossip.c"),
+        ("graph: {kind: 3, m: 4}", "graph.kind"),
+        ("init: {seed: 1.5}", "init.seed"),
+        ("problem: {kind: ridge, m: 4, n: 5, d: 3, noise: null}", "problem.noise"),
+        ("algorithm: {kind: extra, grid: [0.1, 1e-3]}", "algorithm.grid[1]"),
+        ("algorithm: {kind: adolf, growth: {kind: ratio_power, beta1: '10'}}",
+         "algorithm.growth.beta1"),
+        ("name: 3", "name"),
+    ])
+    def test_value_types_checked(self, snippet, key):
+        raw = small_ridge_raw(**yaml.safe_load(snippet))
+        with pytest.raises(ConfigError, match=rf"^{re.escape(key)}: expected"):
+            parse_config_dict(raw)
+
+    @pytest.mark.parametrize("snippet, section, field", [
+        ("algorithm: {kind: adolf, mode: convex, c1: 1.5}", "algorithm", "c1"),
+        ("algorithm: {kind: adolf, c2: 0.0}", "algorithm", "c2"),
+        ("algorithm: {kind: adolf, alpha0: -1.0}", "algorithm", "alpha0"),
+        ("algorithm: {kind: adolf, mode: strongly_convex, c1: 0.5, sigma: 0.3}",
+         "algorithm", "sigma"),
+        ("algorithm: {kind: adolf, mode: convex, sigma_bar: 0.0}", "algorithm", "sigma_bar"),
+        ("algorithm: {kind: adolf_local, mode: convex, eta: 1.5}", "algorithm", "eta"),
+        ("algorithm: {kind: adolf_local, growth: {kind: ratio_power}}", "algorithm",
+         "growth.kind"),
+        ("algorithm: {kind: adolf, growth: {kind: additive, a: -1.0}}", "algorithm.growth", "a"),
+        ("algorithm: {kind: adolf, growth: {kind: ratio_power, beta1: 0.5}}",
+         "algorithm.growth", "beta1"),
+        ("algorithm: {kind: adolf, growth: {kind: ratio_power, beta2: 0.0}}",
+         "algorithm.growth", "beta2"),
+        ("algorithm: {kind: adolf, growth: {kind: typo}}", "algorithm.growth", "kind"),
+        ("stop: {max_iter: -1}", "stop", "max_iter"),
+        ("stop: {cadence: 0}", "stop", "cadence"),
+        ("stop: {metric: merti, threshold: 1.0}", "stop", "metric"),
+        ("stop: {threshold: 1.0}", "stop", "metric"),
+        ("stop: {metric: distance_sq, threshold: -1.0}", "stop", "threshold"),
+    ])
+    def test_library_checks_name_section_and_field(self, snippet, section, field):
+        raw = small_ridge_raw(**yaml.safe_load(snippet))
+        with pytest.raises(ConfigError, match=rf"^{re.escape(section)}: {re.escape(field)}\b"):
+            parse_config_dict(raw)
+
     def test_extra_needs_grid_or_alpha(self):
         raw = small_ridge_raw(algorithm={"kind": "extra"})
         with pytest.raises(ConfigError, match="alpha"):
@@ -139,14 +191,14 @@ class TestConfigParsing:
 class TestStepsizeParamTranslation:
     def test_strongly_convex(self):
         cfg = parse_config_dict(small_ridge_raw())
-        params = build_stepsize_params(cfg.algorithm)
+        params = cfg.algorithm.stepsize_params()
         assert params.mode == "strongly_convex_global"
         assert params.sigma.kind == "inverse_alpha_sq"
         assert params.growth.kind == "ratio_power"
 
     def test_local_convex(self):
         raw = small_ridge_raw(algorithm={"kind": "adolf_local", "mode": "convex"})
-        params = build_stepsize_params(parse_config_dict(raw).algorithm)
+        params = parse_config_dict(raw).algorithm.stepsize_params()
         assert params.mode == "local"
         assert params.sigma.kind == "constant"
 
@@ -341,6 +393,38 @@ class TestCli:
         assert cli.main(["run", str(path), "--out", str(tmp_path / "s")]) == 2
         assert "diagnostics.saddle" in capsys.readouterr().err
 
+    def test_type_error_exit_code(self, tmp_path, capsys):
+        raw = small_ridge_raw(stop={"max_iter": 8, "metric": "distance_sq", "threshold": 0.001})
+        text = yaml.safe_dump(raw).replace("0.001", "1e-3")  # YAML reads this as a string
+        assert "threshold: 1e-3" in text
+        path = tmp_path / "cfg.yaml"
+        path.write_text(text)
+        assert cli.main(["validate", str(path)]) == 2
+        assert "stop.threshold" in capsys.readouterr().err
+
+    def test_grid_on_merit(self, tmp_path):
+        grid = [0.01, 0.1, 1.0]
+        raw = small_ridge_raw(algorithm={"kind": "extra", "grid": grid, "budget": 50},
+                              stop={"max_iter": 50, "metric": "merit", "threshold": 1e-12})
+        path = self.write_config(tmp_path, raw)
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "m")]) == 0
+        manifest = json.loads((tmp_path / "m" / "unit.manifest.json").read_text())
+        assert manifest["extra_best_alpha"] in grid
+
+    def test_compare_unknown_metric_exit_code(self, tmp_path, capsys):
+        path = self.write_config(tmp_path)
+        code = cli.main(["compare", str(path), "--metric", "merti", "--out", str(tmp_path / "c")])
+        assert code == 2
+        assert "merti" in capsys.readouterr().err
+
+    def test_compare_metric_without_saddle_exit_code(self, tmp_path, capsys):
+        path = self.write_config(tmp_path, small_ridge_raw(stop={"max_iter": 8},
+                                                           diagnostics={"saddle": False}))
+        code = cli.main(["compare", str(path), "--metric", "distance_sq",
+                         "--out", str(tmp_path / "c")])
+        assert code == 2
+        assert "diagnostics.saddle" in capsys.readouterr().err
+
     def test_no_convergent_stepsize_exit_code(self, tmp_path):
         raw = small_ridge_raw(algorithm={"kind": "extra", "grid": [40.0, 80.0], "budget": 60},
                               stop={"max_iter": 50})
@@ -364,3 +448,11 @@ class TestCli:
         assert len(written) == 3
         for path in written:
             parse_config(path)  # generated configs must be valid
+
+
+def test_readme_config_block_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```yaml\n(.*?)```", readme, flags=re.S)
+    assert len(blocks) == 1
+    cfg = parse_config_dict(yaml.safe_load(blocks[0]))
+    assert cfg.stop.threshold == 1e-8

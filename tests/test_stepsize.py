@@ -17,7 +17,6 @@ from decopt.stepsize import (
     curvature_local,
     curvature_guard,
     gamma_ratio_bound,
-    local_candidate,
     local_candidate_strongly_convex,
     local_min_consensus,
     local_tilde,
@@ -216,8 +215,9 @@ class TestStronglyConvexSelection:
 
 class TestLocalRules:
     def test_candidate_arithmetic(self):
-        assert local_candidate(0.0, 2.0, 1.0) == pytest.approx(0.5, abs=1e-15)
-        assert local_candidate(3.0, 8.0, 1.0) == pytest.approx(1 / 8, abs=1e-15)
+        # the convex per-agent candidate is the global curvature guard
+        assert curvature_guard(0.0, 2.0, 1.0) == pytest.approx(0.5, abs=1e-15)
+        assert curvature_guard(3.0, 8.0, 1.0) == pytest.approx(1 / 8, abs=1e-15)
 
     def test_candidate_strongly_convex(self):
         assert local_candidate_strongly_convex(2.0, 0.2, 0.5) == pytest.approx(0.05, abs=1e-15)
