@@ -8,7 +8,8 @@ Subcommands:
 
 Outcomes map to exit codes so scripts can branch on failure class:
 0 success (converged or budget), 2 config error, 3 data error, 4 numeric
-divergence, 5 no convergent stepsize in a grid, 6 invalid comparison.
+failure (divergence, or a reference solve that stalls), 5 no convergent
+stepsize in a grid, 6 invalid comparison.
 """
 
 from __future__ import annotations

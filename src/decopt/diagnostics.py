@@ -180,9 +180,8 @@ def descent_zeta(l_k: float, sigma_k: float, c1: float) -> float:
 
 @dataclass(frozen=True)
 class ErgodicAccumulator:
-    """Running gamma-weighted average of iterates from a start index."""
+    """Running gamma-weighted average of iterates."""
 
-    start_index: int = 0
     weighted_sum: np.ndarray | None = None
     theta: float = 0.0
 
@@ -330,16 +329,9 @@ class Trace:
     dual_colsum_max: float = 0.0  # max relative column-sum drift of D
     restricted: RestrictedConstants = field(default_factory=RestrictedConstants)
 
-    def column(self, name: str) -> list:
-        return [getattr(r, name) for r in self.records]
-
     @property
     def final(self) -> TraceRecord:
         return self.records[-1]
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as f:
-            f.write(self.to_csv())
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -422,24 +414,9 @@ class TraceRecorder:
             self.trace.dual_colsum_max = max(self.trace.dual_colsum_max, float(rel))
         self._ergodic = ergodic_update(self._ergodic, prev.x_now, float(np.min(new.gamma)))
 
-    def finalize(self, x_final: np.ndarray, k: int, comm_vector: int, comm_scalar: int) -> Trace:
-        """Emit the terminal row (no iteration data) and close the trace."""
-        self.trace.records.append(
-            TraceRecord(
-                k=k,
-                comm_vector=comm_vector,
-                comm_scalar=comm_scalar,
-                objective_gap=self.metric_value("objective_gap", x_final),
-                distance_sq=self.metric_value("distance_sq", x_final),
-                consensus_err=self.metric_value("consensus_err", x_final),
-                merit_ergodic=self._ergodic_merit(),
-                lyapunov=None,
-                alpha_min=None,
-                alpha_max=None,
-                gamma=None,
-                L_k=None,
-            )
-        )
+    def finalize(self, state) -> Trace:
+        """Emit the terminal row for the last state (no step data) and close the trace."""
+        self._emit_row(state, None)
         if self._saw_vector_alpha:
             self.trace.consensus_iteration = self._last_nonconsensual + 1
         return self.trace
@@ -452,19 +429,15 @@ class TraceRecorder:
         return merit(self.problem, self._ergodic.average, self.saddle, self.l_op)
 
     def _emit_row(self, prev, new) -> None:
-        lyap = None
-        if self.saddle is not None and new.sigma is not None and np.ndim(new.alpha) == 0:
-            y_k = prev.y if prev.y is not None else self.saddle.l_pinv @ prev.dual
-            lyap = lyapunov(
-                self.problem,
-                prev.x_now,
-                prev.x_prev,
-                y_k,
-                self.saddle,
-                sigma_k=new.sigma,
-                gamma_k=float(new.gamma),
-                alpha_k=float(new.alpha),
-            )
+        """Row prev.k: prev's iterates, next to the step data of new when a step follows."""
+        lyap = alpha_min = alpha_max = gamma = l_k = None
+        if new is not None:
+            alpha_min, alpha_max = float(np.min(new.alpha)), float(np.max(new.alpha))
+            gamma, l_k = float(np.min(new.gamma)), new.l_last
+            if self.saddle is not None and new.sigma is not None and np.ndim(new.alpha) == 0:
+                y_k = prev.y if prev.y is not None else self.saddle.l_pinv @ prev.dual
+                lyap = lyapunov(self.problem, prev.x_now, prev.x_prev, y_k, self.saddle,
+                                sigma_k=new.sigma, gamma_k=gamma, alpha_k=alpha_min)
         self.trace.records.append(
             TraceRecord(
                 k=prev.k,
@@ -475,9 +448,9 @@ class TraceRecorder:
                 consensus_err=self.metric_value("consensus_err", prev.x_now),
                 merit_ergodic=self._ergodic_merit(),
                 lyapunov=lyap,
-                alpha_min=float(np.min(new.alpha)),
-                alpha_max=float(np.max(new.alpha)),
-                gamma=float(np.min(new.gamma)),
-                L_k=new.l_last,
+                alpha_min=alpha_min,
+                alpha_max=alpha_max,
+                gamma=gamma,
+                L_k=l_k,
             )
         )

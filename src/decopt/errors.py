@@ -26,14 +26,14 @@ class DataError(DecoptError, ValueError):
 
 
 class NumericError(DecoptError, ArithmeticError):
-    """Non-finite values appeared where finite numbers are required."""
+    """Numeric failure: divergence, or a reference solve that stalls."""
 
 
 class GraphGenerationError(DecoptError, RuntimeError):
     """Random graph sampling failed to produce a connected graph."""
 
 
-class NotConvergedError(DecoptError, RuntimeError):
+class NotConvergedError(NumericError, RuntimeError):
     """Reference solver exhausted its budget; carries the best iterate."""
 
     def __init__(self, message, best_x=None, grad_norm=None):

@@ -246,7 +246,6 @@ class ComparisonRow:
 @dataclass
 class ComparisonResult:
     metric: str
-    threshold: float | None
     rows: list[ComparisonRow]
     manifests: list[RunManifest]
     long_path: str
@@ -264,11 +263,16 @@ class ComparisonResult:
         return "\n".join(lines) + "\n"
 
 
-def _shared_sections(config: ExperimentConfig) -> tuple:
-    return (
-        config.problem, config.graph, config.gossip, config.init,
-        config.graph_seed(), config.data_seed(), config.init_seed(),
-    )
+def _shared_sections(config: ExperimentConfig) -> dict:
+    """What every compared run shares, by config key: the workspace is built once."""
+    return {
+        "problem": (config.problem, config.data_seed()),
+        "graph": (config.graph, config.graph_seed()),
+        "gossip": config.gossip,
+        "init": (config.init, config.init_seed()),
+        "diagnostics.saddle": config.diagnostics.saddle,
+        "diagnostics.saddle_tol": config.diagnostics.saddle_tol,
+    }
 
 
 def _comms_to_threshold(trace: Trace, metric: str, threshold: float | None) -> int | None:
@@ -285,8 +289,10 @@ def compare(configs: list[ExperimentConfig], out_dir=None, metric: str | None = 
             label: str = "compare") -> ComparisonResult:
     """Run several algorithm configs on one shared problem/graph instance.
 
-    All configs must agree on problem, graph, gossip, and init sections
-    (including resolved seeds) so the trajectories are comparable.
+    All configs must agree on the problem, graph, gossip and init sections
+    (including resolved seeds) and on diagnostics.saddle and saddle_tol, so
+    the trajectories are comparable. A run's threshold column uses its own
+    stop.threshold when its stop.metric is the compared metric.
     """
     if not configs:
         raise ComparisonError("compare needs at least one config")
@@ -294,18 +300,16 @@ def compare(configs: list[ExperimentConfig], out_dir=None, metric: str | None = 
         cfg.validate()
     base = _shared_sections(configs[0])
     for cfg in configs[1:]:
-        if _shared_sections(cfg) != base:
-            raise ComparisonError(
-                "configs must share problem, graph, gossip, and init sections "
-                "(including seeds) to be comparable"
-            )
+        for key, value in _shared_sections(cfg).items():
+            if value != base[key]:
+                raise ComparisonError(f"{key}: {cfg.run_name()!r} differs from "
+                                      f"{configs[0].run_name()!r}, so they are not comparable")
     metric = metric or configs[0].stop.metric or DEFAULT_METRIC
     if metric not in METRICS:
         raise ConfigError(f"compare metric must be one of {tuple(METRICS)}, got {metric!r}")
     if metric in SADDLE_METRICS and not configs[0].diagnostics.saddle:
         raise ConfigError(f"diagnostics.saddle: compare metric {metric!r} needs saddle "
                           "diagnostics")
-    threshold = configs[0].stop.threshold
     out = _resolve_out_dir(configs[0], out_dir)
     ws = _Workspace(configs[0])
 
@@ -333,7 +337,8 @@ def compare(configs: list[ExperimentConfig], out_dir=None, metric: str | None = 
                 comm_vector=trace.final.comm_vector,
                 comm_scalar=trace.final.comm_scalar,
                 final_metric=trace.final.metric(metric),
-                comms_to_threshold=_comms_to_threshold(trace, metric, threshold),
+                comms_to_threshold=_comms_to_threshold(
+                    trace, metric, cfg.stop.threshold if cfg.stop.metric == metric else None),
             )
         )
 
@@ -360,7 +365,7 @@ def compare(configs: list[ExperimentConfig], out_dir=None, metric: str | None = 
     _atomic_write_text(gnuplot_path, "\n\n\n".join(gp_blocks) + "\n")
 
     result = ComparisonResult(
-        metric=metric, threshold=threshold, rows=rows, manifests=manifests,
+        metric=metric, rows=rows, manifests=manifests,
         long_path=str(long_path), gnuplot_path=str(gnuplot_path),
         summary_path=str(out / f"{label}_summary.txt"),
     )

@@ -136,14 +136,6 @@ def _check_stack(x, problem: ProblemInstance, name: str) -> np.ndarray:
     return x
 
 
-def _secant_strong_convexity(grad_now, grad_prev, x_now, x_prev) -> float | None:
-    dx = x_now - x_prev
-    denom = float(np.sum(dx * dx))
-    if denom == 0.0:
-        return None
-    return float(np.sum((grad_now - grad_prev) * dx) / denom)
-
-
 # ---------------------------------------------------------------------------
 # shared-stepsize adaptive engine
 
@@ -227,8 +219,7 @@ def adolf_step(
         raise ParameterError("adolf_step needs an initialized state (k >= 1)")
     w = gossip.shifted
     grad_now = problem.stacked_gradient(state.x_now)
-    l_k = curvature_global(grad_now, state.grad_prev, state.x_now, state.x_prev)
-    mu_k = _secant_strong_convexity(grad_now, state.grad_prev, state.x_now, state.x_prev)
+    l_k, mu_k = curvature_global(grad_now, state.grad_prev, state.x_now, state.x_prev)
 
     if isinstance(params, FixedStepParams):
         alpha, gamma, sigma_k = params.alpha, params.gamma, params.sigma
@@ -353,8 +344,7 @@ def adolf_local_step(
     w = gossip.shifted
     grad_now = problem.stacked_gradient(state.x_now)
     l_vec = curvature_local(grad_now, state.grad_prev, state.x_now, state.x_prev)
-    l_k = curvature_global(grad_now, state.grad_prev, state.x_now, state.x_prev)
-    mu_k = _secant_strong_convexity(grad_now, state.grad_prev, state.x_now, state.x_prev)
+    l_k, mu_k = curvature_global(grad_now, state.grad_prev, state.x_now, state.x_prev)
 
     prev = state.local_step
     tilde = np.empty(problem.m)
@@ -506,8 +496,7 @@ def extra_step(state: ExtraState, problem: ProblemInstance, gossip: GossipMatrix
     """
     grad_now = problem.stacked_gradient(state.x_now)
     wx_now = gossip.shifted @ state.x_now
-    l_k = curvature_global(grad_now, state.grad_prev, state.x_now, state.x_prev)
-    mu_k = _secant_strong_convexity(grad_now, state.grad_prev, state.x_now, state.x_prev)
+    l_k, mu_k = curvature_global(grad_now, state.grad_prev, state.x_now, state.x_prev)
     x_next = (
         state.x_now
         + wx_now
@@ -545,7 +534,8 @@ def _is_diverged(x: np.ndarray, dual: np.ndarray | None = None) -> bool:
 class StartView:
     """The starting pair (X^0, X^-1) seen as a state: no rounds, zero dual.
 
-    Trace row 0 reads it as the state before the initialization update.
+    run() starts from it: trace row 0 reads it as the state before the
+    initialization update, and a zero budget ends on it.
     """
 
     x_now: np.ndarray
@@ -619,14 +609,7 @@ def run(
     if stop.metric in SADDLE_METRICS and recorder.saddle is None:
         raise ConfigError(f"stop metric {stop.metric!r} needs saddle diagnostics")
 
-    if stop.max_iter == 0:
-        recorder.finalize(x0, k=0, comm_vector=0, comm_scalar=0)
-        recorder.trace.status = "budget"
-        return recorder.trace
-
     init, step = _ALGORITHMS[algorithm]
-    state = init(problem, gossip, params, x0, x_minus1)
-    recorder.observe(StartView(x0, x_minus1), state)
 
     def stopped(k: int) -> bool:
         if stop.metric is None:
@@ -636,27 +619,25 @@ def run(
         value = recorder.metric_value(stop.metric, state.x_now)
         return value is not None and value <= stop.threshold
 
+    state = StartView(x0, x_minus1)
     status = "budget"
-    while True:
+    while state.k < stop.max_iter:
+        try:
+            new = (init(problem, gossip, params, x0, x_minus1) if state.k == 0
+                   else step(state, problem, gossip, params))
+        except NumericError:
+            status = "diverged"
+            break
+        recorder.observe(state, new)
+        state = new
         if _is_diverged(state.x_now, state.dual):
             status = "diverged"
             break
         if stopped(state.k):
             status = "converged"
             break
-        if state.k >= stop.max_iter:
-            break
-        try:
-            new = step(state, problem, gossip, params)
-        except NumericError:
-            status = "diverged"
-            break
-        recorder.observe(state, new)
-        state = new
 
-    recorder.finalize(
-        state.x_now, k=state.k, comm_vector=state.comm_vector, comm_scalar=state.comm_scalar
-    )
+    recorder.finalize(state)
     recorder.trace.status = status
     return recorder.trace
 

@@ -219,22 +219,26 @@ class LocalStepsizeState:
         return cls(np.full(m, alpha0), np.ones(m), k=1)
 
 
-def curvature_global(grad_now, grad_prev, x_now, x_prev) -> float:
-    """Secant Lipschitz proxy of the stacked gradient field.
+def curvature_global(grad_now, grad_prev, x_now, x_prev) -> tuple[float, float | None]:
+    """Both secant estimates of the stacked gradient field, from one pair.
 
-    Frobenius-norm quotient ||dG|| / ||dX||, equal to the square root of
-    sum_i ||dg_i||^2 / sum_i ||dx_i||^2; zero displacement maps to 0.
+    Returns (L_k, mu_k): the Lipschitz proxy L_k = ||dG|| / ||dX||
+    (Frobenius norms, so the square root of sum_i ||dg_i||^2 / sum_i
+    ||dx_i||^2) and the strong-convexity proxy mu_k = <dG, dX> / ||dX||^2.
+    Zero displacement maps to (0, None). A non-finite entry makes a sum of
+    squares non-finite, so checking the two sums checks every entry.
     """
     dx = np.asarray(x_now, dtype=float) - np.asarray(x_prev, dtype=float)
     dg = np.asarray(grad_now, dtype=float) - np.asarray(grad_prev, dtype=float)
     if dx.shape != dg.shape:
         raise ParameterError(f"mismatched shapes {dx.shape} vs {dg.shape}")
-    if not (np.all(np.isfinite(dx)) and np.all(np.isfinite(dg))):
+    dx, dg = dx.ravel(), dg.ravel()
+    dxx, dgg = float(dx.dot(dx)), float(dg.dot(dg))
+    if not (math.isfinite(dxx) and math.isfinite(dgg)):
         raise NumericError("curvature proxy received non-finite inputs")
-    denom = np.linalg.norm(dx)
-    if denom == 0.0:
-        return 0.0
-    return float(np.linalg.norm(dg) / denom)
+    if dxx == 0.0:
+        return 0.0, None
+    return math.sqrt(dgg) / math.sqrt(dxx), float(dg.dot(dx)) / dxx
 
 
 def curvature_local(grad_now, grad_prev, x_now, x_prev) -> np.ndarray:

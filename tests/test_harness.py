@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
-from decopt import cli
+from decopt import cli, runner
 from decopt.config import (
     AlgorithmConfig,
     DiagnosticsConfig,
@@ -20,7 +20,7 @@ from decopt.config import (
     parse_config,
     parse_config_dict,
 )
-from decopt.errors import ComparisonError, ConfigError
+from decopt.errors import ComparisonError, ConfigError, NotConvergedError
 from decopt.runner import (
     build_problem,
     compare,
@@ -28,6 +28,7 @@ from decopt.runner import (
     figure_preset,
     run_experiment,
 )
+from faults import nan_gradient_problem
 
 
 def small_ridge_raw(**overrides):
@@ -310,6 +311,37 @@ class TestCompare:
         with pytest.raises(ComparisonError):
             compare([adolf_cfg, other], out_dir=tmp_path)
 
+    def test_mismatched_saddle_diagnostics_rejected(self, tmp_path):
+        # the workspace, and so the saddle anchor, is built once for every run
+        adolf_cfg, _ = self.make_pair()
+        no_saddle = replace(
+            adolf_cfg, name="no_saddle", diagnostics=DiagnosticsConfig(saddle=False),
+            stop=StopConfig(max_iter=100, metric="consensus_err", threshold=1e-20),
+        )
+        loose_tol = replace(adolf_cfg, name="loose_tol",
+                            diagnostics=DiagnosticsConfig(saddle_tol=1e-8))
+        with pytest.raises(ComparisonError, match=r"^diagnostics\.saddle:"):
+            compare([adolf_cfg, no_saddle], out_dir=tmp_path)
+        with pytest.raises(ComparisonError, match=r"^diagnostics\.saddle_tol:"):
+            compare([adolf_cfg, loose_tol], out_dir=tmp_path)
+        # the cadence stays per run
+        coarse = replace(adolf_cfg, name="coarse", diagnostics=DiagnosticsConfig(cadence=20))
+        result = compare([adolf_cfg, coarse], out_dir=tmp_path)
+        assert len(result.rows) == 2
+
+    def test_threshold_per_run(self, tmp_path):
+        adolf_cfg, _ = self.make_pair()  # distance_sq <= 1e-6
+        loose = replace(adolf_cfg, name="loose", stop=replace(adolf_cfg.stop, threshold=1e-2))
+        other_metric = replace(adolf_cfg, name="other_metric", stop=StopConfig(
+            max_iter=1000, metric="consensus_err", threshold=1e-20, cadence=10))
+        result = compare([adolf_cfg, loose, other_metric], out_dir=tmp_path, metric="distance_sq")
+        tight_row, loose_row, other_row = result.rows
+        assert None not in (tight_row.comms_to_threshold, loose_row.comms_to_threshold)
+        assert loose_row.comms_to_threshold < tight_row.comms_to_threshold
+        # another run's stop metric gives no threshold on the compared one
+        assert other_row.final_metric <= 1e-6
+        assert other_row.comms_to_threshold is None
+
 
 class TestPresets:
     def test_all_presets_validate(self):
@@ -437,6 +469,32 @@ class TestCli:
         p2 = tmp_path / "cfg2.yaml"
         p2.write_text(yaml.safe_dump(raw2))
         assert cli.main(["compare", str(p1), str(p2), "--out", str(tmp_path / "c")]) == 6
+
+    def test_comparison_of_saddle_settings_exit_code(self, tmp_path, capsys):
+        p1 = self.write_config(tmp_path, small_ridge_raw(
+            stop={"max_iter": 200, "metric": "distance_sq", "threshold": 0.001}))
+        p2 = tmp_path / "cfg2.yaml"
+        p2.write_text(yaml.safe_dump(small_ridge_raw(
+            stop={"max_iter": 200, "metric": "consensus_err", "threshold": 1.0e-20},
+            diagnostics={"saddle": False}, name="b")))
+        assert cli.main(["compare", str(p1), str(p2), "--out", str(tmp_path / "c")]) == 6
+        assert "diagnostics.saddle" in capsys.readouterr().err
+
+    def test_stalled_reference_solve_exit_code(self, tmp_path, capsys, monkeypatch):
+        def stalled(problem, gossip, tol):
+            raise NotConvergedError("reference solve stalled at gradient norm 1.0e-3")
+        monkeypatch.setattr(runner, "compute_saddle", stalled)
+        path = self.write_config(tmp_path)
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "n")]) == 4
+        assert "numeric error: reference solve stalled" in capsys.readouterr().err
+
+    def test_nan_gradient_exit_code(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(runner, "build_problem", lambda config: nan_gradient_problem(5))
+        raw = small_ridge_raw(diagnostics={"saddle": False})
+        path = self.write_config(tmp_path, raw)
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "f")]) == 4
+        manifest = json.loads((tmp_path / "f" / "unit.manifest.json").read_text())
+        assert manifest["status"] == "diverged"
 
     def test_preset_configs_only(self, tmp_path):
         code = cli.main([

@@ -21,6 +21,7 @@ from decopt.solvers import (
     run,
 )
 from decopt.stepsize import GrowthPolicy, SigmaSchedule, StepsizeParams, StepsizeState
+from faults import nan_gradient_problem
 from shadow_dual import shadow_dual_residuals
 from decopt.topology import (
     GossipMatrix,
@@ -493,3 +494,61 @@ class TestGridSearch:
         prob, gossip, factory = self.setup_case()
         with pytest.raises(NoConvergentStepsizeError):
             extra_grid_search(prob, gossip, [50.0, 80.0], budget=200, recorder_factory=factory)
+
+
+class TestFaultInjection:
+    @pytest.mark.parametrize("start", [0, 5])
+    @pytest.mark.parametrize("algorithm, params", [
+        ("adolf", sc_params()),
+        ("adolf", FixedStepParams(alpha=0.01)),
+        ("adolf_local", local_params()),
+        ("condat_vu", FixedStepParams(alpha=0.01)),
+        ("extra", ExtraParams(alpha=0.01)),
+    ])
+    def test_nan_gradient_ends_diverged(self, algorithm, params, start):
+        prob = nan_gradient_problem(start)
+        assert prob._batch is None
+        gossip = mh_shifted(make_line_graph(4))
+        rec = TraceRecorder(prob, graph_laplacian_sqrt(gossip), None, cadence=1)
+        trace = run(algorithm, prob, gossip, params, StopRule(max_iter=50), rec, np.ones((4, 3)))
+        assert trace.status == "diverged"
+        assert trace.final.k < 50
+
+
+class TestRestrictedOnRuns:
+    """Trace.restricted against secant pairs recomputed with plain numpy."""
+
+    ITERATIONS = 200
+
+    @pytest.mark.parametrize("algorithm", ["adolf", "extra"])
+    def test_matches_numpy_secants(self, algorithm):
+        prob = synth_ridge(m=6, n=10, d=8, seed=29)
+        gossip = mh_shifted(make_line_graph(6))
+        x0 = np.random.default_rng(30).standard_normal((6, 8))
+        if algorithm == "adolf":
+            params = sc_params()
+            state = adolf_init(prob, gossip, x0, alpha0=params.alpha0, sigma0=params.sigma0())
+            advance = lambda s: adolf_step(s, prob, gossip, params)
+        else:
+            params = ExtraParams(alpha=0.05)
+            state = extra_init(prob, gossip, x0, params)
+            advance = lambda s: extra_step(s, prob, gossip)
+        l_ks, mu_ks = [], []
+        for _ in range(self.ITERATIONS - 1):
+            dx = state.x_now - state.x_prev
+            dg = prob.stacked_gradient(state.x_now) - prob.stacked_gradient(state.x_prev)
+            assert np.linalg.norm(dx) > 0.0
+            l_ks.append(np.linalg.norm(dg) / np.linalg.norm(dx))
+            mu_ks.append(np.sum(dg * dx) / np.sum(dx * dx))
+            state = advance(state)
+
+        rec = TraceRecorder(prob, graph_laplacian_sqrt(gossip), None, cadence=50)
+        trace = run(algorithm, prob, gossip, params, StopRule(max_iter=self.ITERATIONS), rec, x0)
+        assert trace.status == "budget" and trace.final.k == self.ITERATIONS
+        # the replay ends on the run's final iterate, so both saw the same secant pairs
+        np.testing.assert_allclose(trace.final.consensus_err, rec.metric_value(
+            "consensus_err", state.x_now), rtol=1e-12)
+        assert trace.restricted.l_tilde_hat == pytest.approx(max(l_ks), rel=1e-12)
+        assert trace.restricted.mu_tilde_hat == pytest.approx(
+            min(max(mu, 0.0) for mu in mu_ks), rel=1e-12)
+        assert 0.0 < trace.restricted.mu_tilde_hat <= trace.restricted.l_tilde_hat

@@ -50,13 +50,13 @@ class TestCurvature:
     def test_zero_displacement(self):
         x = np.ones((3, 2))
         g = np.ones((3, 2))
-        assert curvature_global(g, g * 2, x, x) == 0.0
+        assert curvature_global(g, g * 2, x, x)[0] == 0.0
 
     def test_constant_curvature_scalar(self):
         # single agent, f(x) = (L/2) x^2: quotient is exactly L
         lval = 3.7
         x_now, x_prev = np.array([[2.0]]), np.array([[0.5]])
-        assert curvature_global(lval * x_now, lval * x_prev, x_now, x_prev) == pytest.approx(
+        assert curvature_global(lval * x_now, lval * x_prev, x_now, x_prev)[0] == pytest.approx(
             lval, abs=1e-15
         )
 
@@ -69,7 +69,7 @@ class TestCurvature:
         q = q @ q.T
         lam_max = np.linalg.eigvalsh(q).max()
         x_now, x_prev = rng.standard_normal((5, 4)), rng.standard_normal((5, 4))
-        proxy = curvature_global(x_now @ q, x_prev @ q, x_now, x_prev)
+        proxy = curvature_global(x_now @ q, x_prev @ q, x_now, x_prev)[0]
         assert proxy <= lam_max + 1e-9
 
     def test_matches_per_agent_aggregate(self):
@@ -79,7 +79,7 @@ class TestCurvature:
         agg = math.sqrt(
             np.sum((g_now - g_prev) ** 2) / np.sum((x_now - x_prev) ** 2)
         )
-        assert curvature_global(g_now, g_prev, x_now, x_prev) == pytest.approx(agg, rel=1e-14)
+        assert curvature_global(g_now, g_prev, x_now, x_prev)[0] == pytest.approx(agg, rel=1e-14)
 
     def test_local_convention(self):
         x_now = np.array([[1.0, 0.0], [2.0, 2.0]])
