@@ -15,6 +15,7 @@ just its own seed.
 
 from __future__ import annotations
 
+import math
 import numbers
 import re
 import types
@@ -178,19 +179,24 @@ class AlgorithmConfig:
         # extra and condat_vu checks stay here to name the config's keys
         if self.kind == "extra":
             if self.grid is not None:
-                _require(len(self.grid) > 0 and all(a > 0 for a in self.grid),
-                         "algorithm.grid", "must be a nonempty list of positive stepsizes")
+                _require(len(self.grid) > 0, "algorithm.grid",
+                         "must be a nonempty list of positive stepsizes")
+                for i, a in enumerate(self.grid):
+                    _require(0 < a < math.inf, f"algorithm.grid[{i}]",
+                             f"must be a positive finite stepsize, got {a}")
                 _require(self.budget > 0, "algorithm.budget",
                          f"must be positive, got {self.budget}")
             else:
-                _require(self.alpha is not None and self.alpha > 0, "algorithm.alpha",
+                _require(self.alpha is not None, "algorithm.alpha",
                          "extra needs either a positive alpha or a grid")
+                _require(0 < self.alpha < math.inf, "algorithm.alpha",
+                         f"must be positive and finite, got {self.alpha}")
         if self.kind == "condat_vu":
-            _require(self.alpha is not None and self.alpha > 0, "algorithm.alpha",
-                     "condat_vu needs a positive alpha")
-            _require(self.sigma_bar > 0, "algorithm.sigma_bar",
-                     f"must be positive, got {self.sigma_bar}")
-            _require(self.gamma > 0, "algorithm.gamma", f"must be positive, got {self.gamma}")
+            _require(self.alpha is not None, "algorithm.alpha", "condat_vu needs a positive alpha")
+            for key in ("alpha", "sigma_bar", "gamma"):
+                value = getattr(self, key)
+                _require(0 < value < math.inf, f"algorithm.{key}",
+                         f"must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True)

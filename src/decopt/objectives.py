@@ -7,7 +7,9 @@ averaged objective computed by ``centralized_minimize``.
 
 Homogeneous instances (all ridge or all logistic, same sample counts) get
 vectorized batch evaluators; the per-objective loop remains the reference
-implementation and the batch path is tested against it.
+implementation and the batch path is tested against it. ``column_gradients``
+evaluates G stacks at once, laid out as an (m, G, d) array, with one batched
+GEMM per agent; the EXTRA grid search advances one stack per stepsize that way.
 
 Objectives are immutable after construction (data arrays are marked
 read-only), so value and gradient evaluation is safe from multiple threads.
@@ -159,6 +161,13 @@ class _RidgeBatch:
         r = np.einsum("mnd,md->mn", self.a, x_rows) - self.b
         return (2.0 / self.n) * np.einsum("mnd,mn->md", self.a, r) + self.gammas[:, None] * x_rows
 
+    def column_gradients(self, x_cols):
+        r = np.matmul(x_cols, self.a.transpose(0, 2, 1)) - self.b[:, None, :]
+        r *= 2.0 / self.n
+        grad = np.matmul(r, self.a)
+        grad += self.gammas[:, None, None] * x_cols
+        return grad
+
     def values_at_own_rows(self, x_rows):
         r = np.einsum("mnd,md->mn", self.a, x_rows) - self.b
         return np.einsum("mn,mn->m", r, r) / self.n + 0.5 * self.gammas * np.einsum(
@@ -193,6 +202,12 @@ class _LogisticBatch:
         margins = self.b * np.einsum("mnd,md->mn", self.a, x_rows)
         weights = self.b * expit(-margins)
         return -np.einsum("mnd,mn->md", self.a, weights) / self.n
+
+    def column_gradients(self, x_cols):
+        b = self.b[:, None, :]
+        weights = b * expit(-b * np.matmul(x_cols, self.a.transpose(0, 2, 1)))
+        weights *= -1.0 / self.n
+        return np.matmul(weights, self.a)
 
     def values_at_own_rows(self, x_rows):
         margins = self.b * np.einsum("mnd,md->mn", self.a, x_rows)
@@ -262,6 +277,18 @@ class ProblemInstance:
         if self._batch is not None:
             return self._batch.stacked_gradient(x_stack)
         return np.stack([o.gradient(x) for o, x in zip(self.objectives, x_stack)])
+
+    def column_gradients(self, x_cols) -> np.ndarray:
+        """Gradients of G stacks at once: x_cols[:, g] is stack g, shape (m, G, d)."""
+        x_cols = np.asarray(x_cols, dtype=float)
+        if x_cols.ndim != 3 or x_cols.shape[0] != self.m or x_cols.shape[2] != self.d:
+            raise ShapeError(
+                f"expected columns of shape ({self.m}, G, {self.d}), got {x_cols.shape}"
+            )
+        if self._batch is not None:
+            return self._batch.column_gradients(x_cols)
+        return np.stack([self.stacked_gradient(x_cols[:, g]) for g in range(x_cols.shape[1])],
+                        axis=1)
 
     def average_value(self, x) -> float:
         """f(x) = (1/m) sum_i f_i(x) at a single shared point."""

@@ -46,7 +46,7 @@ from .diagnostics import (
 )
 from .errors import ComparisonError, ConfigError
 from .objectives import ProblemInstance, load_mnist_partition, synth_logistic, synth_ridge
-from .solvers import ExtraParams, FixedStepParams, extra_grid_search, run
+from .solvers import ExtraParams, FixedStepParams, GridPoint, extra_grid_search, run
 from .topology import (
     GossipMatrix,
     Graph,
@@ -134,6 +134,7 @@ class RunManifest:
     comm_scalar: int
     consensus_iteration: int | None = None
     extra_best_alpha: float | None = None
+    extra_grid: list[dict] | None = None  # one GridPoint per grid stepsize
     saddle_residual: float | None = None
 
     def to_json(self) -> str:
@@ -172,12 +173,16 @@ class _Workspace:
         return TraceRecorder(self.problem, self.l_op, self.saddle, cadence=cadence)
 
 
-def _execute(config: ExperimentConfig, ws: _Workspace) -> tuple[Trace, float | None]:
-    """Run the configured algorithm inside a prepared workspace."""
+def _execute(config: ExperimentConfig, ws: _Workspace
+             ) -> tuple[Trace, float | None, list[GridPoint] | None]:
+    """Run the configured algorithm inside a prepared workspace.
+
+    Returns the trace, EXTRA's stepsize and, for a grid, every grid point.
+    """
     algo = config.algorithm
     stop = config.stop
     cadence = config.diagnostics.cadence
-    best_alpha = None
+    best_alpha = grid = None
     if algo.kind in ("adolf", "adolf_local"):
         params = algo.stepsize_params()
         trace = run(algo.kind, ws.problem, ws.gossip, params, stop, ws.recorder(cadence), ws.x0)
@@ -186,21 +191,20 @@ def _execute(config: ExperimentConfig, ws: _Workspace) -> tuple[Trace, float | N
         trace = run("condat_vu", ws.problem, ws.gossip, params, stop, ws.recorder(cadence), ws.x0)
     else:  # extra
         if algo.grid is not None:
-            metric = stop.metric or DEFAULT_METRIC
-            best_alpha, _ = extra_grid_search(
-                ws.problem, ws.gossip, algo.grid, budget=algo.budget,
-                recorder_factory=lambda: ws.recorder(max(algo.budget, 1)),
-                metric=metric, x0=ws.x0,
+            best_alpha, grid = extra_grid_search(
+                ws.problem, ws.gossip, algo.grid, algo.budget, ws.recorder(cadence),
+                stop.metric or DEFAULT_METRIC, ws.x0,
             )
         else:
             best_alpha = algo.alpha
         trace = run("extra", ws.problem, ws.gossip, ExtraParams(best_alpha), stop,
                     ws.recorder(cadence), ws.x0)
-    return trace, best_alpha
+    return trace, best_alpha, grid
 
 
-def _manifest_for(config: ExperimentConfig, trace: Trace, csv_path: Path,
-                  ws: _Workspace, best_alpha: float | None, name: str) -> RunManifest:
+def _manifest_for(config: ExperimentConfig, trace: Trace, csv_path: Path, ws: _Workspace,
+                  best_alpha: float | None, grid: list[GridPoint] | None,
+                  name: str) -> RunManifest:
     return RunManifest(
         name=name,
         config=resolved_dict(config),
@@ -213,6 +217,7 @@ def _manifest_for(config: ExperimentConfig, trace: Trace, csv_path: Path,
         comm_scalar=trace.final.comm_scalar,
         consensus_iteration=trace.consensus_iteration,
         extra_best_alpha=best_alpha,
+        extra_grid=None if grid is None else [dataclasses.asdict(p) for p in grid],
         saddle_residual=None if ws.saddle is None else ws.saddle.stationarity_residual,
     )
 
@@ -222,11 +227,11 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> RunManifest:
     config.validate()
     out = _resolve_out_dir(config, out_dir)
     ws = _Workspace(config)
-    trace, best_alpha = _execute(config, ws)
+    trace, best_alpha, grid = _execute(config, ws)
     name = config.run_name()
     csv_path = out / f"{name}.csv"
     _atomic_write_text(csv_path, trace.to_csv())
-    manifest = _manifest_for(config, trace, csv_path, ws, best_alpha, name)
+    manifest = _manifest_for(config, trace, csv_path, ws, best_alpha, grid, name)
     _atomic_write_text(out / f"{name}.manifest.json", manifest.to_json())
     _atomic_write_text(out / f"{name}.config.yaml", emit_config(config))
     return manifest
@@ -322,10 +327,10 @@ def compare(configs: list[ExperimentConfig], out_dir=None, metric: str | None = 
         if name in used_names:
             name = f"{name}_{idx}"
         used_names.add(name)
-        trace, best_alpha = _execute(cfg, ws)
+        trace, best_alpha, grid = _execute(cfg, ws)
         csv_path = out / f"{name}.csv"
         _atomic_write_text(csv_path, trace.to_csv())
-        manifest = _manifest_for(cfg, trace, csv_path, ws, best_alpha, name)
+        manifest = _manifest_for(cfg, trace, csv_path, ws, best_alpha, grid, name)
         _atomic_write_text(out / f"{name}.manifest.json", manifest.to_json())
         manifests.append(manifest)
         traces.append((name, trace))

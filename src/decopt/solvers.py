@@ -21,6 +21,10 @@ dual. The adaptive engines carry only dual = D = L_op Y (Y is pinv(L_op) D,
 recovered by the recorder on the rows that need it), the oracle carries y =
 Y itself, and EXTRA has neither. run() drives the init/step functions from a
 dispatch table and hands the recorder each pair of consecutive states.
+
+The EXTRA grid search runs many stepsizes without run() or a recorder: it
+advances them as the columns of one (m, G, d) stack, so each round costs one
+stacked gradient and one gossip multiply for the whole block.
 """
 
 from __future__ import annotations
@@ -74,6 +78,7 @@ __all__ = [
     "extra_step",
     "run",
     "extra_grid_search",
+    "GridPoint",
     "DIVERGENCE_NORM",
 ]
 
@@ -89,8 +94,11 @@ class FixedStepParams:
     gamma: float = 1.0
 
     def __post_init__(self):
-        if self.alpha <= 0 or self.sigma <= 0 or self.gamma <= 0:
-            raise ParameterError("fixed alpha, sigma, gamma must all be positive")
+        if not all(0 < v < np.inf for v in (self.alpha, self.sigma, self.gamma)):
+            raise ParameterError(
+                f"fixed alpha, sigma, gamma must all be positive and finite, got "
+                f"{self.alpha}, {self.sigma}, {self.gamma}"
+            )
 
 
 @dataclass(frozen=True)
@@ -100,8 +108,8 @@ class ExtraParams:
     alpha: float
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ParameterError(f"EXTRA stepsize must be positive, got {self.alpha}")
+        if not 0 < self.alpha < np.inf:
+            raise ParameterError(f"EXTRA stepsize must be positive and finite, got {self.alpha}")
 
 
 @dataclass(frozen=True)
@@ -642,45 +650,138 @@ def run(
     return recorder.trace
 
 
+# Working-set bound of one block of the EXTRA grid search. Each stepsize in a
+# block is a column of at most GRID_COLUMN_ARRAYS live (m, d) arrays: the
+# iterate, the half-mixed previous iterate, the previous and the new gradient,
+# the gossip product (or a gradient temporary), and the ergodic sum when
+# ranking on merit.
+GRID_BLOCK_BYTES = 2 * 2**20
+GRID_COLUMN_ARRAYS = 6
+
+
+@dataclass(frozen=True)
+class GridPoint:
+    """One grid stepsize: how its budget run ended and its ranking value.
+
+    rounds is the round it diverged at (the final k run() would report), or
+    the budget; value is None when it diverged or its metric is not finite.
+    """
+
+    alpha: float
+    status: str  # budget | diverged
+    rounds: int
+    value: float | None
+
+
+def _extra_block(problem, gossip, start, alphas, budget, recorder, metric) -> list[GridPoint]:
+    """EXTRA at every stepsize of alphas, advanced as one (m, G, d) stack.
+
+    Column g follows extra_init and extra_step at alphas[g] from the shared
+    start (X^0, W X^0, grad F(X^0)): each round is one gradient call over the
+    stack, one gossip multiply and the update, with extra_step's operation
+    order. u holds (X^{k-1} + W X^{k-1}) / 2, the only use of X^{k-1} there.
+    A column leaves the stack when run() would end it "diverged": a
+    non-finite dG.dG in round k (curvature_global raises) ends it at k, a
+    non-finite iterate or a Frobenius norm above DIVERGENCE_NORM after round
+    k at k + 1. A surviving column is valued by recorder.metric_value at X^K,
+    or for merit at the mean (X^0 + ... + X^{K-1}) / K, the recorder's
+    ergodic average for EXTRA's gamma of 1.
+    """
+    x0, wx0, grad0 = start
+    ergodic = metric == "merit"
+    m, d = x0.shape
+    shape = (m, len(alphas), d)
+    live = np.arange(len(alphas))  # block index of each stack column
+    alpha = np.asarray(alphas)[:, None]
+    points: list[GridPoint | None] = [None] * len(alphas)
+    x = np.broadcast_to(x0[:, None, :], shape)
+    acc = None
+    for k in range(budget):
+        if ergodic:
+            acc = x.copy() if acc is None else np.add(acc, x, out=acc)
+        if k == 0:
+            x = wx0[:, None, :] - alpha * grad0[:, None, :]
+            u = np.broadcast_to((0.5 * (x0 + wx0))[:, None, :], shape).copy()
+            g_prev = np.broadcast_to(grad0[:, None, :], shape).copy()
+            failed = np.zeros(len(alphas), dtype=bool)
+        else:
+            grad = problem.column_gradients(x)
+            s = (gossip.shifted @ x.reshape(m, -1)).reshape(x.shape)
+            s += x
+            dg = np.subtract(grad, g_prev, out=g_prev)
+            failed = ~np.isfinite(np.einsum("mgd,mgd->g", dg, dg))
+            np.subtract(s, u, out=x)
+            np.multiply(s, 0.5, out=u)
+            del s
+            dg *= alpha
+            x -= dg
+            g_prev = grad
+        bad = failed | ~(np.sqrt(np.einsum("mgd,mgd->g", x, x)) <= DIVERGENCE_NORM)
+        if bad.any():
+            for j in np.flatnonzero(bad):
+                rounds = k if failed[j] else k + 1
+                points[live[j]] = GridPoint(alphas[live[j]], "diverged", rounds, None)
+            keep = ~bad
+            live, alpha = live[keep], alpha[keep]
+            x, u, g_prev = x[:, keep], u[:, keep], g_prev[:, keep]
+            if acc is not None:
+                acc = acc[:, keep]
+            if not live.size:
+                break
+    for j, idx in enumerate(live):
+        if ergodic:  # at budget 0 there is no ergodic average, as in the recorder
+            value = None if acc is None else recorder.metric_value(metric, acc[:, j] / budget)
+        else:
+            value = recorder.metric_value(metric, np.ascontiguousarray(x[:, j]))
+        finite = value is not None and np.isfinite(value)
+        points[idx] = GridPoint(alphas[idx], "budget", budget, value if finite else None)
+    return points
+
+
 def extra_grid_search(
     problem: ProblemInstance,
     gossip: GossipMatrix,
     grid,
     budget: int,
-    recorder_factory,
+    recorder: TraceRecorder,
     metric: str = DEFAULT_METRIC,
     x0: np.ndarray | None = None,
-) -> tuple[float, Trace]:
-    """Run EXTRA at every grid stepsize; keep the best non-diverged run.
+) -> tuple[float, list[GridPoint]]:
+    """Run EXTRA at every grid stepsize for budget rounds; pick the best one.
 
-    "Best" means smallest terminal metric as the trace reports it (ties go to
-    the larger stepsize). recorder_factory must produce a fresh TraceRecorder per run.
+    "Best" means the smallest terminal metric as run()'s final trace row
+    would report it, read through recorder.metric_value (ties go to the
+    larger stepsize); diverged points and non-finite values are skipped.
+    The stepsizes run as column blocks of _extra_block, as many per block as
+    fit GRID_BLOCK_BYTES. Returns the chosen stepsize and one GridPoint per
+    grid stepsize, in ascending order.
     """
     grid = sorted(float(a) for a in grid)
-    if not grid or any(a <= 0 for a in grid):
-        raise ParameterError("grid must be a nonempty list of positive stepsizes")
+    if not grid or not all(0 < a < np.inf for a in grid):
+        raise ParameterError("grid must be a nonempty list of positive finite stepsizes")
     if metric not in METRICS:
         raise ParameterError(f"grid-search metric must be one of {tuple(METRICS)}, got {metric!r}")
-    stop = StopRule(max_iter=budget)
-    if x0 is None:
-        x0 = np.zeros((problem.m, problem.d))
-    if metric in SADDLE_METRICS and recorder_factory().saddle is None:
+    if budget < 0:
+        raise ParameterError(f"grid-search budget must be >= 0, got {budget}")
+    if metric in SADDLE_METRICS and recorder.saddle is None:
         raise ConfigError(f"grid-search metric {metric!r} needs saddle diagnostics")
-    best: tuple[float, Trace] | None = None
-    best_value = np.inf
-    for alpha in grid:
-        recorder = recorder_factory()
-        trace = run("extra", problem, gossip, ExtraParams(alpha), stop, recorder, x0)
-        if trace.status == "diverged":
-            continue
-        value = trace.final.metric(metric)
-        if value is None or not np.isfinite(value):
-            continue
-        if value <= best_value:
-            best_value = value
-            best = (alpha, trace)
+    x0 = np.zeros((problem.m, problem.d)) if x0 is None else _check_stack(x0, problem, "x0")
+    start = (x0, gossip.shifted @ x0, problem.stacked_gradient(x0))
+    block = max(1, GRID_BLOCK_BYTES // (GRID_COLUMN_ARRAYS * x0.nbytes))
+    points = []
+    for i in range(0, len(grid), block):
+        points += _extra_block(problem, gossip, start, grid[i:i + block], budget, recorder,
+                               metric)
+    best, best_value = None, np.inf
+    for point in points:
+        if point.value is not None and point.value <= best_value:
+            best, best_value = point.alpha, point.value
     if best is None:
+        diverged = sum(point.status == "diverged" for point in points)
+        if diverged == len(points):
+            raise NoConvergentStepsizeError(f"every stepsize in the grid of {len(grid)} diverged")
         raise NoConvergentStepsizeError(
-            f"every stepsize in the grid of {len(grid)} diverged"
+            f"no stepsize in the grid of {len(grid)} ended with a finite {metric} after "
+            f"{budget} rounds ({diverged} diverged)"
         )
-    return best
+    return best, points

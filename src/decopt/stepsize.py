@@ -145,8 +145,8 @@ class StepsizeParams:
             raise ParameterError(f"c1 must lie in (0, 1], got {self.c1}")
         if not (0.0 < self.c2 <= 1.0):
             raise ParameterError(f"c2 must lie in (0, 1], got {self.c2}")
-        if not self.alpha0 > 0:
-            raise ParameterError(f"alpha0 must be positive, got {self.alpha0}")
+        if not 0 < self.alpha0 < np.inf:
+            raise ParameterError(f"alpha0 must be positive and finite, got {self.alpha0}")
         if self.mode == MODE_LOCAL:
             if not (0.0 < self.eta < 1.0):
                 raise ParameterError(f"eta must lie in (0, 1), got {self.eta}")

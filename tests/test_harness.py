@@ -216,6 +216,23 @@ class TestRunExperiment:
         blob = json.loads((tmp_path / "unit.manifest.json").read_text())
         assert blob["config"]["gossip"]["c"] == 0.4
 
+    def test_manifest_grid_table(self, tmp_path):
+        grid = [0.01, 0.1, 50.0]
+        cfg = parse_config_dict(small_ridge_raw(
+            algorithm={"kind": "extra", "grid": grid, "budget": 100}, stop={"max_iter": 20}))
+        manifest = run_experiment(cfg, out_dir=tmp_path)
+        table = json.loads((tmp_path / "unit.manifest.json").read_text())["extra_grid"]
+        assert table == manifest.extra_grid
+        assert [p["alpha"] for p in table] == grid
+        assert [p["status"] for p in table] == ["budget", "budget", "diverged"]
+        assert [p["rounds"] for p in table[:2]] == [100, 100]
+        assert 0 < table[2]["rounds"] < 100 and table[2]["value"] is None
+        assert all(p["value"] > 0 for p in table[:2])
+        assert manifest.extra_best_alpha == min(table[:2], key=lambda p: p["value"])["alpha"]
+        adolf = run_experiment(parse_config_dict(small_ridge_raw(stop={"max_iter": 5})),
+                               out_dir=tmp_path / "adolf")
+        assert adolf.extra_grid is None
+
     def test_deterministic_csv(self, tmp_path):
         cfg = parse_config_dict(small_ridge_raw(stop={"max_iter": 25}))
         m1 = run_experiment(cfg, out_dir=tmp_path / "a")
@@ -462,6 +479,24 @@ class TestCli:
                               stop={"max_iter": 50})
         path = self.write_config(tmp_path, raw)
         assert cli.main(["run", str(path), "--out", str(tmp_path / "g")]) == 5
+
+    @pytest.mark.parametrize("algorithm, key", [
+        ({"kind": "extra", "grid": [float("inf")]}, "algorithm.grid[0]"),
+        ({"kind": "extra", "grid": [0.1, float("nan")]}, "algorithm.grid[1]"),
+        ({"kind": "extra", "alpha": float("inf")}, "algorithm.alpha"),
+        ({"kind": "extra", "alpha": float("nan")}, "algorithm.alpha"),
+        ({"kind": "condat_vu", "alpha": float("inf")}, "algorithm.alpha"),
+        ({"kind": "condat_vu", "alpha": float("nan")}, "algorithm.alpha"),
+        ({"kind": "adolf", "mode": "strongly_convex", "alpha0": float("inf")},
+         "algorithm: alpha0"),
+        ({"kind": "adolf_local", "alpha0": float("nan")}, "algorithm: alpha0"),
+    ])
+    def test_non_finite_stepsize_exit_code(self, tmp_path, capsys, algorithm, key):
+        path = self.write_config(tmp_path, small_ridge_raw(algorithm=algorithm))
+        assert cli.main(["validate", str(path)]) == 2
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "r")]) == 2
+        err = capsys.readouterr().err
+        assert key in err and "finite" in err
 
     def test_comparison_error_exit_code(self, tmp_path):
         p1 = self.write_config(tmp_path)

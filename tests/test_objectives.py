@@ -17,6 +17,7 @@ from decopt.objectives import (
     synth_logistic,
     synth_ridge,
 )
+from faults import wrapped_problem
 
 
 def finite_diff_gradient(fn, x, scale=None):
@@ -136,6 +137,20 @@ class TestProblemInstance:
         prob = synth_ridge(m=3, n=4, d=2, seed=0)
         with pytest.raises(ShapeError):
             prob.stacked_gradient(np.zeros((2, 2)))
+
+    def test_column_gradients_match_stacked_gradient(self):
+        ridge = synth_ridge(4, 5, 3, seed=2)
+        wrapped = wrapped_problem(ridge)
+        assert wrapped._batch is None
+        x = np.random.default_rng(5).standard_normal((4, 6, 3))
+        for prob in (ridge, synth_logistic(4, 5, 3, seed=2), wrapped):
+            expected = np.stack([prob.stacked_gradient(x[:, g]) for g in range(6)], axis=1)
+            np.testing.assert_allclose(prob.column_gradients(x), expected, rtol=1e-12,
+                                       atol=1e-14)
+        with pytest.raises(ShapeError):
+            ridge.column_gradients(np.zeros((4, 3)))
+        with pytest.raises(ShapeError):
+            ridge.column_gradients(np.zeros((4, 2, 2)))
 
     def test_average_values_at_rows_matches_loop(self):
         for prob in (synth_ridge(4, 5, 3, seed=2), synth_logistic(4, 5, 3, seed=2)):

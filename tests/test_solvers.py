@@ -21,7 +21,9 @@ from decopt.solvers import (
     run,
 )
 from decopt.stepsize import GrowthPolicy, SigmaSchedule, StepsizeParams, StepsizeState
-from faults import nan_gradient_problem
+from decopt.diagnostics import METRICS
+from faults import nan_gradient_problem, wrapped_problem
+from sequential_grid import sequential_grid_search
 from shadow_dual import shadow_dual_residuals
 from decopt.topology import (
     GossipMatrix,
@@ -467,33 +469,128 @@ class TestGridSearch:
         prob = synth_ridge(m=4, n=5, d=3, seed=26)
         gossip = mh_shifted(make_erdos_renyi(4, 0.8, seed=6))
         saddle = compute_saddle(prob, gossip)
-        l_op = graph_laplacian_sqrt(gossip)
-        factory = lambda: TraceRecorder(prob, l_op, saddle, cadence=500)
-        return prob, gossip, factory
+        recorder = TraceRecorder(prob, graph_laplacian_sqrt(gossip), saddle)
+        return prob, gossip, recorder
 
     def test_interior_point_wins(self):
-        prob, gossip, factory = self.setup_case()
+        prob, gossip, recorder = self.setup_case()
         grid = np.logspace(-4, 0, 9)
-        best_alpha, trace = extra_grid_search(prob, gossip, grid, budget=500, recorder_factory=factory)
+        best_alpha, points = extra_grid_search(prob, gossip, grid, 500, recorder)
         assert grid[0] < best_alpha < grid[-1]
-        assert trace.status == "budget"
+        assert next(p for p in points if p.alpha == best_alpha).status == "budget"
 
     def test_singleton_grid(self):
-        prob, gossip, factory = self.setup_case()
-        best_alpha, _ = extra_grid_search(prob, gossip, [0.01], budget=100, recorder_factory=factory)
+        prob, gossip, recorder = self.setup_case()
+        best_alpha, _ = extra_grid_search(prob, gossip, [0.01], 100, recorder)
         assert best_alpha == 0.01
 
     def test_metric_needs_saddle(self):
         prob, gossip, _ = self.setup_case()
-        l_op = graph_laplacian_sqrt(gossip)
-        factory = lambda: TraceRecorder(prob, l_op, None, cadence=500)
+        recorder = TraceRecorder(prob, graph_laplacian_sqrt(gossip), None)
         with pytest.raises(ConfigError, match="saddle"):
-            extra_grid_search(prob, gossip, [0.01, 0.1], budget=50, recorder_factory=factory)
+            extra_grid_search(prob, gossip, [0.01, 0.1], 50, recorder)
 
     def test_all_diverged(self):
-        prob, gossip, factory = self.setup_case()
+        prob, gossip, recorder = self.setup_case()
         with pytest.raises(NoConvergentStepsizeError):
-            extra_grid_search(prob, gossip, [50.0, 80.0], budget=200, recorder_factory=factory)
+            extra_grid_search(prob, gossip, [50.0, 80.0], 200, recorder)
+
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+@pytest.mark.parametrize("build", [
+    lambda v: ExtraParams(alpha=v),
+    lambda v: FixedStepParams(alpha=v),
+    lambda v: FixedStepParams(alpha=0.1, sigma=v),
+    lambda v: FixedStepParams(alpha=0.1, gamma=v),
+    lambda v: sc_params(alpha0=v),
+], ids=["extra_alpha", "fixed_alpha", "fixed_sigma", "fixed_gamma", "alpha0"])
+def test_non_finite_stepsizes_rejected(build, value):
+    with pytest.raises(ParameterError, match="finite"):
+        build(value)
+
+
+def _parity_case(name):
+    """(problem, gossip, saddle, grid, x0) for the sequential-parity tests.
+
+    The ridge grid reaches stepsizes that diverge; "ball" is the same problem
+    behind wrappers whose gradient is NaN outside a ball, so its large
+    stepsizes end on a non-finite dG.dG before the iterate blows up. The
+    logistic grid stops below the stepsizes where EXTRA turns unstable but
+    stays bounded, whose terminal values rounding alone would scatter.
+    """
+    gossip = mh_shifted(make_line_graph(16))
+    # far from the solution, so that after 200 rounds every objective_gap is
+    # large next to the rounding of F (it is a difference of O(1) values)
+    x0 = 10.0 * np.random.default_rng(42).standard_normal((16, 4))
+    ridge = synth_ridge(m=16, n=8, d=4, seed=40)
+    grid = np.logspace(-3, 1.5, 10)
+    if name == "logistic":
+        prob = objectives.synth_logistic(m=16, n=8, d=4, seed=40)
+        return prob, gossip, compute_saddle(prob, gossip), np.logspace(-3, 0.5, 10), x0
+    prob = {"ridge": ridge, "wrapped": wrapped_problem(ridge),
+            "ball": wrapped_problem(ridge, radius=300.0)}[name]
+    return prob, gossip, compute_saddle(ridge, gossip), grid, x0
+
+
+class TestGridParity:
+    """extra_grid_search against run("extra", ...) replayed per stepsize."""
+
+    @pytest.mark.parametrize("budget", [0, 1, 200])
+    @pytest.mark.parametrize("metric", list(METRICS))
+    @pytest.mark.parametrize("case", ["ridge", "logistic", "wrapped", "ball"])
+    def test_matches_sequential(self, case, metric, budget, monkeypatch):
+        prob, gossip, saddle, grid, x0 = _parity_case(case)
+        assert (prob._batch is None) == (case in ("wrapped", "ball"))
+        ref_alpha, ref_points = sequential_grid_search(prob, gossip, grid, budget, saddle,
+                                                       metric, x0)
+        recorder = TraceRecorder(prob, graph_laplacian_sqrt(gossip), saddle)
+        # one block holding the whole grid, then blocks of three columns
+        for block_bytes in (solvers.GRID_BLOCK_BYTES,
+                            3 * solvers.GRID_COLUMN_ARRAYS * x0.nbytes):
+            monkeypatch.setattr(solvers, "GRID_BLOCK_BYTES", block_bytes)
+            if ref_alpha is None:
+                with pytest.raises(NoConvergentStepsizeError):
+                    extra_grid_search(prob, gossip, grid, budget, recorder, metric, x0)
+                continue
+            alpha, points = extra_grid_search(prob, gossip, grid, budget, recorder, metric, x0)
+            assert alpha == ref_alpha
+            assert [(p.alpha, p.status, p.rounds) for p in points] == [
+                (p.alpha, p.status, p.rounds) for p in ref_points]
+            for got, ref in zip(points, ref_points):
+                if ref.value is None:
+                    assert got.value is None
+                else:
+                    assert got.value == pytest.approx(ref.value, rel=1e-9, abs=0.0)
+
+    def test_parity_cases_cover_both_divergence_checks(self):
+        # "ridge" diverges by norm (round after the step), "ball" by dG (round of the step)
+        ends = {}
+        for case in ("ridge", "ball"):
+            prob, gossip, saddle, grid, x0 = _parity_case(case)
+            _, points = sequential_grid_search(prob, gossip, grid, 200, saddle, "distance_sq", x0)
+            ends[case] = [p.rounds for p in points if p.status == "diverged"]
+        assert ends["ridge"] and ends["ball"] and ends["ridge"] != ends["ball"]
+
+    def test_nan_gradient_from_start_diverges_every_point(self):
+        prob = nan_gradient_problem(0)
+        gossip = mh_shifted(make_line_graph(4))
+        recorder = TraceRecorder(prob, graph_laplacian_sqrt(gossip), None)
+        with pytest.raises(NoConvergentStepsizeError, match="every stepsize .* of 3 diverged"):
+            extra_grid_search(prob, gossip, [0.01, 0.1, 1.0], 50, recorder, "consensus_err",
+                              np.ones((4, 3)))
+
+    def test_no_finite_value_is_not_called_divergence(self):
+        # at budget 0 no ergodic average exists, so merit is undefined at every point
+        prob, gossip, saddle, grid, x0 = _parity_case("ridge")
+        recorder = TraceRecorder(prob, graph_laplacian_sqrt(gossip), saddle)
+        with pytest.raises(NoConvergentStepsizeError, match="finite merit after 0 rounds"):
+            extra_grid_search(prob, gossip, grid, 0, recorder, "merit", x0)
+
+    def test_rejects_non_finite_grid(self):
+        prob, gossip, saddle, _, x0 = _parity_case("ridge")
+        recorder = TraceRecorder(prob, graph_laplacian_sqrt(gossip), saddle)
+        for grid in ([0.1, np.inf], [np.nan], [], [0.0]):
+            with pytest.raises(ParameterError, match="grid"):
+                extra_grid_search(prob, gossip, grid, 10, recorder)
 
 
 class TestFaultInjection:
