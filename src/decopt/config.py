@@ -218,8 +218,8 @@ class DiagnosticsConfig:
     def validate(self) -> None:
         _require(self.cadence >= 1, "diagnostics.cadence",
                  f"must be >= 1, got {self.cadence}")
-        _require(self.saddle_tol > 0, "diagnostics.saddle_tol",
-                 f"must be positive, got {self.saddle_tol}")
+        _require(0 < self.saddle_tol < math.inf, "diagnostics.saddle_tol",
+                 f"must be positive and finite, got {self.saddle_tol}")
 
 
 @dataclass(frozen=True)

@@ -88,6 +88,7 @@ class SaddlePoint:
     d_star: np.ndarray  # L_op @ y_star
     l_pinv: np.ndarray  # pinv(L_op): recovers Y = l_pinv @ D for D in range(L_op)
     stationarity_residual: float  # ||grad F(X*) + L_op Y*||_F
+    grad_norm: float  # ||grad f(x*)||, the reference solve's accuracy
 
     @property
     def f_stack_star(self) -> float:
@@ -128,6 +129,7 @@ def compute_saddle(
         d_star=d_star,
         l_pinv=pinv,
         stationarity_residual=residual,
+        grad_norm=float(np.linalg.norm(problem.average_gradient(x_star))),
     )
 
 

@@ -6,10 +6,13 @@ all optimality metrics are anchored to a high-accuracy minimizer of the
 averaged objective computed by ``centralized_minimize``.
 
 Homogeneous instances (all ridge or all logistic, same sample counts) get
-vectorized batch evaluators; the per-objective loop remains the reference
-implementation and the batch path is tested against it. ``column_gradients``
-evaluates G stacks at once, laid out as an (m, G, d) array, with one batched
-GEMM per agent; the EXTRA grid search advances one stack per stepsize that way.
+batch evaluators built on two products of the stacked data A, (m, n, d).
+``own`` is one batched GEMM of each agent's rows with its own points; it gives
+the gradients of G stacks (``column_gradients``, with ``stacked_gradient`` as
+G = 1) and the own-row values. ``cross`` is one GEMM of the (m*n, d) view with
+k shared points; it gives every row under every loss (k = m) and the averaged
+value and gradient (k = 1). The per-objective loop remains the reference and
+the fallback for mixed instances; the batch path is tested against it.
 
 Objectives are immutable after construction (data arrays are marked
 read-only), so value and gradient evaluation is safe from multiple threads.
@@ -148,84 +151,86 @@ class LogisticObjective(LocalObjective):
         return -(self.features.T @ weights) / self.n
 
 
-class _RidgeBatch:
-    """Vectorized evaluators for m same-shape ridge objectives."""
+class _Batch:
+    """Stacked data of m same-shape objectives; losses build on its two products."""
+
+    def __init__(self, a, b):
+        self.a = np.stack(a)  # (m, n, d)
+        self.b = np.stack(b)  # (m, n)
+        self.m, self.n, d = self.a.shape
+        self.a_flat = self.a.reshape(self.m * self.n, d)  # a view
+
+    def own(self, x_cols):
+        """A_i x_cols[i, g] for every agent i and column g, shape (m, G, n)."""
+        return np.matmul(x_cols, self.a.transpose(0, 2, 1))
+
+    def cross(self, points):
+        """A_j p for every agent j and row p of a (k, d) array (or one (d,) point), (m, n, k)."""
+        return (self.a_flat @ points.T).reshape(self.m, self.n, -1)
+
+
+class _RidgeBatch(_Batch):
+    """Ridge evaluators on the residuals A x - b."""
 
     def __init__(self, objs):
-        self.a = np.stack([o.a_mat for o in objs])  # (m, n, d)
-        self.b = np.stack([o.b_vec for o in objs])  # (m, n)
+        super().__init__([o.a_mat for o in objs], [o.b_vec for o in objs])
         self.gammas = np.array([o.gamma for o in objs])  # (m,)
-        self.n = self.a.shape[1]
-
-    def stacked_gradient(self, x_rows):
-        r = np.einsum("mnd,md->mn", self.a, x_rows) - self.b
-        return (2.0 / self.n) * np.einsum("mnd,mn->md", self.a, r) + self.gammas[:, None] * x_rows
 
     def column_gradients(self, x_cols):
-        r = np.matmul(x_cols, self.a.transpose(0, 2, 1)) - self.b[:, None, :]
+        r = self.own(x_cols) - self.b[:, None, :]
         r *= 2.0 / self.n
         grad = np.matmul(r, self.a)
         grad += self.gammas[:, None, None] * x_cols
         return grad
 
     def values_at_own_rows(self, x_rows):
-        r = np.einsum("mnd,md->mn", self.a, x_rows) - self.b
-        return np.einsum("mn,mn->m", r, r) / self.n + 0.5 * self.gammas * np.einsum(
-            "md,md->m", x_rows, x_rows
-        )
+        r = self.own(x_rows[:, None])[:, 0] - self.b
+        sq = np.einsum("md,md->m", x_rows, x_rows)
+        return np.einsum("mn,mn->m", r, r) / self.n + 0.5 * self.gammas * sq
 
     def cross_values(self, x_rows):
         """value[i, j] = f_j evaluated at row i."""
-        z = np.einsum("jnd,id->ijn", self.a, x_rows) - self.b[None, :, :]
+        r = self.cross(x_rows) - self.b[:, :, None]
         sq = np.einsum("id,id->i", x_rows, x_rows)
-        return np.einsum("ijn,ijn->ij", z, z) / self.n + 0.5 * self.gammas[None, :] * sq[:, None]
+        return np.einsum("jni,jni->ij", r, r) / self.n + 0.5 * self.gammas[None, :] * sq[:, None]
 
     def average_value(self, x):
-        z = np.einsum("mnd,d->mn", self.a, x) - self.b
-        return float(np.mean(np.einsum("mn,mn->m", z, z)) / self.n + 0.5 * np.mean(self.gammas) * (x @ x))
+        r = self.cross(x).ravel() - self.b.ravel()
+        return float(r @ r / (self.m * self.n) + 0.5 * np.mean(self.gammas) * (x @ x))
 
     def average_gradient(self, x):
-        z = np.einsum("mnd,d->mn", self.a, x) - self.b
-        m = self.a.shape[0]
-        return (2.0 / (self.n * m)) * np.einsum("mnd,mn->d", self.a, z) + np.mean(self.gammas) * x
+        r = self.cross(x).ravel() - self.b.ravel()
+        return (2.0 / (self.m * self.n)) * (r @ self.a_flat) + np.mean(self.gammas) * x
 
 
-class _LogisticBatch:
-    """Vectorized evaluators for m same-shape logistic objectives."""
+class _LogisticBatch(_Batch):
+    """Logistic evaluators on the margins b * (A x)."""
 
     def __init__(self, objs):
-        self.a = np.stack([o.features for o in objs])  # (m, n, d)
-        self.b = np.stack([o.labels for o in objs])  # (m, n)
-        self.n = self.a.shape[1]
-
-    def stacked_gradient(self, x_rows):
-        margins = self.b * np.einsum("mnd,md->mn", self.a, x_rows)
-        weights = self.b * expit(-margins)
-        return -np.einsum("mnd,mn->md", self.a, weights) / self.n
+        super().__init__([o.features for o in objs], [o.labels for o in objs])
 
     def column_gradients(self, x_cols):
         b = self.b[:, None, :]
-        weights = b * expit(-b * np.matmul(x_cols, self.a.transpose(0, 2, 1)))
+        weights = b * expit(-b * self.own(x_cols))
         weights *= -1.0 / self.n
         return np.matmul(weights, self.a)
 
     def values_at_own_rows(self, x_rows):
-        margins = self.b * np.einsum("mnd,md->mn", self.a, x_rows)
+        margins = self.b * self.own(x_rows[:, None])[:, 0]
         return np.mean(np.logaddexp(0.0, -margins), axis=1)
 
     def cross_values(self, x_rows):
-        margins = self.b[None, :, :] * np.einsum("jnd,id->ijn", self.a, x_rows)
-        return np.mean(np.logaddexp(0.0, -margins), axis=2)
+        margins = self.b[:, :, None] * self.cross(x_rows)
+        return np.mean(np.logaddexp(0.0, -margins), axis=1).T
 
     def average_value(self, x):
-        margins = self.b * np.einsum("mnd,d->mn", self.a, x)
+        margins = self.b.ravel() * self.cross(x).ravel()
         return float(np.mean(np.logaddexp(0.0, -margins)))
 
     def average_gradient(self, x):
-        margins = self.b * np.einsum("mnd,d->mn", self.a, x)
-        weights = self.b * expit(-margins)
-        m = self.a.shape[0]
-        return -np.einsum("mnd,mn->d", self.a, weights) / (self.n * m)
+        b = self.b.ravel()
+        weights = b * expit(-b * self.cross(x).ravel())
+        return -(weights @ self.a_flat) / (self.m * self.n)
 
 
 @dataclass(frozen=True)
@@ -250,12 +255,9 @@ class ProblemInstance:
     @cached_property
     def _batch(self):
         objs = self.objectives
-        if all(isinstance(o, RidgeObjective) for o in objs):
-            if len({(o.n, o.d) for o in objs}) == 1:
-                return _RidgeBatch(objs)
-        if all(isinstance(o, LogisticObjective) for o in objs):
-            if len({(o.n, o.d) for o in objs}) == 1:
-                return _LogisticBatch(objs)
+        for kind, batch in ((RidgeObjective, _RidgeBatch), (LogisticObjective, _LogisticBatch)):
+            if all(isinstance(o, kind) for o in objs) and len({o.n for o in objs}) == 1:
+                return batch(objs)
         return None
 
     def _check_stack(self, x_stack):
@@ -275,16 +277,15 @@ class ProblemInstance:
         """Row i holds the gradient of f_i at row i of the stack."""
         x_stack = self._check_stack(x_stack)
         if self._batch is not None:
-            return self._batch.stacked_gradient(x_stack)
+            return self._batch.column_gradients(x_stack[:, None])[:, 0]
         return np.stack([o.gradient(x) for o, x in zip(self.objectives, x_stack)])
 
     def column_gradients(self, x_cols) -> np.ndarray:
         """Gradients of G stacks at once: x_cols[:, g] is stack g, shape (m, G, d)."""
         x_cols = np.asarray(x_cols, dtype=float)
         if x_cols.ndim != 3 or x_cols.shape[0] != self.m or x_cols.shape[2] != self.d:
-            raise ShapeError(
-                f"expected columns of shape ({self.m}, G, {self.d}), got {x_cols.shape}"
-            )
+            raise ShapeError(f"expected columns of shape ({self.m}, G, {self.d}), "
+                             f"got {x_cols.shape}")
         if self._batch is not None:
             return self._batch.column_gradients(x_cols)
         return np.stack([self.stacked_gradient(x_cols[:, g]) for g in range(x_cols.shape[1])],
@@ -534,9 +535,8 @@ def load_instance(path) -> ProblemInstance:
         objs: list[LocalObjective] = []
         for idx, kind in enumerate(kinds):
             if kind == "ridge":
-                objs.append(
-                    RidgeObjective(data[f"a_{idx}"], data[f"b_{idx}"], float(data[f"g_{idx}"]))
-                )
+                objs.append(RidgeObjective(data[f"a_{idx}"], data[f"b_{idx}"],
+                                           float(data[f"g_{idx}"])))
             else:
                 objs.append(LogisticObjective(data[f"a_{idx}"], data[f"b_{idx}"]))
     return ProblemInstance(tuple(objs), d)

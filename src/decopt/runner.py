@@ -136,6 +136,7 @@ class RunManifest:
     extra_best_alpha: float | None = None
     extra_grid: list[dict] | None = None  # one GridPoint per grid stepsize
     saddle_residual: float | None = None
+    saddle_grad_norm: float | None = None  # ||grad f(x*)|| of the reference x*
 
     def to_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True)
@@ -219,6 +220,7 @@ def _manifest_for(config: ExperimentConfig, trace: Trace, csv_path: Path, ws: _W
         extra_best_alpha=best_alpha,
         extra_grid=None if grid is None else [dataclasses.asdict(p) for p in grid],
         saddle_residual=None if ws.saddle is None else ws.saddle.stationarity_residual,
+        saddle_grad_norm=None if ws.saddle is None else ws.saddle.grad_norm,
     )
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import struct
 from dataclasses import replace
@@ -232,6 +233,22 @@ class TestRunExperiment:
         adolf = run_experiment(parse_config_dict(small_ridge_raw(stop={"max_iter": 5})),
                                out_dir=tmp_path / "adolf")
         assert adolf.extra_grid is None
+
+    def test_manifest_reference_accuracy(self, tmp_path):
+        raw = small_ridge_raw(problem={"kind": "logistic_synthetic", "m": 4, "n": 6, "d": 3},
+                              algorithm={"kind": "adolf", "mode": "convex"},
+                              stop={"max_iter": 5}, diagnostics={"saddle_tol": 1.0e-10})
+        logistic = run_experiment(parse_config_dict(raw), out_dir=tmp_path / "logistic")
+        written = json.loads((tmp_path / "logistic" / "unit.manifest.json").read_text())
+        assert written["saddle_grad_norm"] == logistic.saddle_grad_norm
+        assert 0 <= logistic.saddle_grad_norm <= 1e-10
+        ridge = run_experiment(parse_config_dict(small_ridge_raw(stop={"max_iter": 5})),
+                               out_dir=tmp_path / "ridge")
+        assert math.isfinite(ridge.saddle_grad_norm)
+        no_anchor = run_experiment(parse_config_dict(small_ridge_raw(
+            stop={"max_iter": 5, "metric": "consensus_err", "threshold": 1.0e-20},
+            diagnostics={"saddle": False})), out_dir=tmp_path / "none")
+        assert no_anchor.saddle_grad_norm is None and no_anchor.saddle_residual is None
 
     def test_deterministic_csv(self, tmp_path):
         cfg = parse_config_dict(small_ridge_raw(stop={"max_iter": 25}))
@@ -497,6 +514,16 @@ class TestCli:
         assert cli.main(["run", str(path), "--out", str(tmp_path / "r")]) == 2
         err = capsys.readouterr().err
         assert key in err and "finite" in err
+
+    @pytest.mark.parametrize("tol", [float("inf"), float("nan")])
+    def test_non_finite_saddle_tol_exit_code(self, tmp_path, capsys, tol):
+        raw = small_ridge_raw(problem={"kind": "logistic_synthetic", "m": 4, "n": 5, "d": 3},
+                              diagnostics={"saddle_tol": tol})
+        path = self.write_config(tmp_path, raw)
+        assert cli.main(["validate", str(path)]) == 2
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "r")]) == 2
+        err = capsys.readouterr().err
+        assert "diagnostics.saddle_tol" in err and "finite" in err
 
     def test_comparison_error_exit_code(self, tmp_path):
         p1 = self.write_config(tmp_path)

@@ -168,6 +168,35 @@ class TestProblemInstance:
             expected_v = np.mean([o.value(x) for o in prob.objectives])
             assert prob.average_value(x) == pytest.approx(expected_v, rel=1e-12)
 
+    # (m, n, d) all distinct, so a transposed or misshaped margin product shows
+    KERNEL_SHAPES = [(4, 5, 3), (6, 2, 9), (3, 7, 11), (1, 3, 2)]
+
+    @pytest.mark.parametrize("m, n, d", KERNEL_SHAPES)
+    @pytest.mark.parametrize("synth", [synth_ridge, synth_logistic])
+    def test_batch_kernels_match_loop(self, synth, m, n, d):
+        prob = synth(m, n, d, seed=7)
+        assert prob._batch is not None
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal((m, d))
+        own = sum(o.value(r) for o, r in zip(prob.objectives, x))
+        assert prob.stacked_value(x) == pytest.approx(own, rel=1e-12)
+        rows = [np.mean([o.value(r) for o in prob.objectives]) for r in x]
+        np.testing.assert_allclose(prob.average_values_at_rows(x), rows, rtol=1e-12)
+        point = x[-1]
+        assert prob.average_value(point) == pytest.approx(
+            np.mean([o.value(point) for o in prob.objectives]), rel=1e-12)
+        np.testing.assert_allclose(
+            prob.average_gradient(point),
+            np.mean([o.gradient(point) for o in prob.objectives], axis=0), atol=1e-13)
+
+    @pytest.mark.parametrize("m, n, d", KERNEL_SHAPES)
+    @pytest.mark.parametrize("synth", [synth_ridge, synth_logistic])
+    def test_stacked_gradient_is_one_column(self, synth, m, n, d):
+        prob = synth(m, n, d, seed=7)
+        x = np.random.default_rng(9).standard_normal((m, d))
+        one = prob.column_gradients(x[:, None])[:, 0]
+        assert np.array_equal(prob.stacked_gradient(x), one)
+
 
 class TestSynthGenerators:
     def test_ridge_gamma_ramp(self):
