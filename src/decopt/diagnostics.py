@@ -121,15 +121,16 @@ def compute_saddle(
     residual = float(np.linalg.norm(grad_stack + d_star))
     if residual > max(1e-6, np.sqrt(m) * 10 * tol * (1.0 + np.linalg.norm(grad_stack))):
         raise NumericError(f"saddle stationarity residual too large: {residual:.3e}")
+    f_star, grad_star = problem.average_value_and_gradient(x_star)
     return SaddlePoint(
         x_star=x_star,
-        f_star=problem.average_value(x_star),
+        f_star=f_star,
         x_stack=x_stack,
         y_star=y_star,
         d_star=d_star,
         l_pinv=pinv,
         stationarity_residual=residual,
-        grad_norm=float(np.linalg.norm(problem.average_gradient(x_star))),
+        grad_norm=float(np.linalg.norm(grad_star)),
     )
 
 
@@ -328,7 +329,7 @@ class Trace:
     status: str = "budget"  # converged | budget | diverged
     consensus_iteration: int | None = None  # local runs: first k with equal stepsizes
     alpha_floor: float | None = None  # smallest per-agent stepsize seen
-    dual_colsum_max: float = 0.0  # max relative column-sum drift of D
+    dual_colsum_max: float | None = None  # max relative column-sum drift of D; None without D
     restricted: RestrictedConstants = field(default_factory=RestrictedConstants)
 
     @property
@@ -412,8 +413,9 @@ class TraceRecorder:
             self._emit_row(prev, new)
         if new.dual is not None:
             col = np.abs(new.dual.sum(axis=0)).max()
-            rel = col / (1.0 + np.linalg.norm(new.dual))
-            self.trace.dual_colsum_max = max(self.trace.dual_colsum_max, float(rel))
+            rel = float(col / (1.0 + np.linalg.norm(new.dual)))
+            drift = self.trace.dual_colsum_max
+            self.trace.dual_colsum_max = rel if drift is None else max(drift, rel)
         self._ergodic = ergodic_update(self._ergodic, prev.x_now, float(np.min(new.gamma)))
 
     def finalize(self, state) -> Trace:

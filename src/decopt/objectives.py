@@ -5,17 +5,30 @@ stack X (one row per agent) through ``stacked_value``/``stacked_gradient``;
 all optimality metrics are anchored to a high-accuracy minimizer of the
 averaged objective computed by ``centralized_minimize``.
 
+One copy of the data. The generators and loaders (``synth_ridge``,
+``synth_logistic``, ``load_mnist_partition``, ``load_instance``) write an
+instance's data once, into one read-only slab: (m, n, d) features or rows and
+(m, n) labels or targets. Agent i's objective holds row i of each slab as a
+view, and the batch evaluators adopt the slab itself. An objective adopts an
+array without copying only when it is read-only float64 and the array that
+owns its memory is read-only too; anything else, every array a caller passes
+in particular, is copied, so mutating the caller's array never changes an
+objective. Instances that users build from their own arrays get their batch
+slab stacked from the objectives' copies.
+
 Homogeneous instances (all ridge or all logistic, same sample counts) get
 batch evaluators built on two products of the stacked data A, (m, n, d).
 ``own`` is one batched GEMM of each agent's rows with its own points; it gives
 the gradients of G stacks (``column_gradients``, with ``stacked_gradient`` as
 G = 1) and the own-row values. ``cross`` is one GEMM of the (m*n, d) view with
-k shared points; it gives every row under every loss (k = m) and the averaged
-value and gradient (k = 1). The per-objective loop remains the reference and
-the fallback for mixed instances; the batch path is tested against it.
+k shared points; it gives every row under every loss (k = m) and, from one
+pass for k = 1, the averaged value and gradient. The per-objective loop
+remains the reference and the fallback for mixed instances; the batch path is
+tested against it.
 
-Objectives are immutable after construction (data arrays are marked
-read-only), so value and gradient evaluation is safe from multiple threads.
+Objectives are immutable after construction (data arrays are read-only, and
+no writable array shares their memory), so value and gradient evaluation is
+safe from multiple threads.
 """
 
 from __future__ import annotations
@@ -51,9 +64,44 @@ IDX_LABEL_MAGIC = 0x00000801
 
 
 def _frozen_array(a, dtype=float) -> np.ndarray:
+    """a as a read-only array: adopted when nothing can write its memory, else copied."""
+    if isinstance(a, np.ndarray) and a.dtype == dtype and _read_only(a):
+        return a
     out = np.array(a, dtype=dtype)
     out.setflags(write=False)
     return out
+
+
+def _read_only(a: np.ndarray) -> bool:
+    """True when a and every array up to the one owning its memory are read-only."""
+    while not a.flags.writeable:
+        if a.base is None:
+            return True
+        if not isinstance(a.base, np.ndarray):
+            return False  # memory owned by a buffer that may be writable
+        a = a.base
+    return False
+
+
+def _stacked(rows) -> np.ndarray:
+    """The rows as one (m, ...) array: their read-only slab when they are its
+    consecutive rows, adopted as is, and a stacked copy otherwise."""
+    slab = rows[0].base
+    if (isinstance(slab, np.ndarray) and not slab.flags.writeable
+            and slab.shape == (len(rows), *rows[0].shape)):
+        start, step = slab.ctypes.data, slab.strides[0]
+        if all(row.base is slab and row.ctypes.data == start + i * step
+               and row.shape == slab.shape[1:] and row.strides == slab.strides[1:]
+               for i, row in enumerate(rows)):
+            return slab
+    return np.stack(rows)
+
+
+def _check_point(x, d: int) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if x.shape != (d,):
+        raise ShapeError(f"expected point of shape ({d},), got {x.shape}")
+    return x
 
 
 class LocalObjective(ABC):
@@ -69,12 +117,6 @@ class LocalObjective(ABC):
 
     @abstractmethod
     def gradient(self, x: np.ndarray) -> np.ndarray: ...
-
-    def _check_point(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.d,):
-            raise ShapeError(f"expected point of shape ({self.d},), got {x.shape}")
-        return x
 
 
 @dataclass(frozen=True)
@@ -104,12 +146,12 @@ class RidgeObjective(LocalObjective):
         return self.a_mat.shape[1]
 
     def value(self, x):
-        x = self._check_point(x)
+        x = _check_point(x, self.d)
         r = self.a_mat @ x - self.b_vec
         return float(r @ r / self.n + 0.5 * self.gamma * (x @ x))
 
     def gradient(self, x):
-        x = self._check_point(x)
+        x = _check_point(x, self.d)
         return (2.0 / self.n) * (self.a_mat.T @ (self.a_mat @ x - self.b_vec)) + self.gamma * x
 
 
@@ -139,24 +181,28 @@ class LogisticObjective(LocalObjective):
         return self.features.shape[1]
 
     def value(self, x):
-        x = self._check_point(x)
+        x = _check_point(x, self.d)
         margins = self.labels * (self.features @ x)
         # log(1 + exp(-t)) computed as logaddexp(0, -t): no overflow for any t
         return float(np.mean(np.logaddexp(0.0, -margins)))
 
     def gradient(self, x):
-        x = self._check_point(x)
+        x = _check_point(x, self.d)
         margins = self.labels * (self.features @ x)
         weights = self.labels * expit(-margins)
         return -(self.features.T @ weights) / self.n
 
 
 class _Batch:
-    """Stacked data of m same-shape objectives; losses build on its two products."""
+    """Stacked data of m same-shape objectives; losses build on its two products.
+
+    The averaged value and gradient share one pass, ``_average_pass``: the
+    residuals or margins at a shared point, computed once for both.
+    """
 
     def __init__(self, a, b):
-        self.a = np.stack(a)  # (m, n, d)
-        self.b = np.stack(b)  # (m, n)
+        self.a = _stacked(a)  # (m, n, d)
+        self.b = _stacked(b)  # (m, n)
         self.m, self.n, d = self.a.shape
         self.a_flat = self.a.reshape(self.m * self.n, d)  # a view
 
@@ -167,6 +213,16 @@ class _Batch:
     def cross(self, points):
         """A_j p for every agent j and row p of a (k, d) array (or one (d,) point), (m, n, k)."""
         return (self.a_flat @ points.T).reshape(self.m, self.n, -1)
+
+    def average_value(self, x):
+        return self._average_value(x, self._average_pass(x))
+
+    def average_gradient(self, x):
+        return self._average_gradient(x, self._average_pass(x))
+
+    def average_value_and_gradient(self, x):
+        t = self._average_pass(x)
+        return self._average_value(x, t), self._average_gradient(x, t)
 
 
 class _RidgeBatch(_Batch):
@@ -194,12 +250,13 @@ class _RidgeBatch(_Batch):
         sq = np.einsum("id,id->i", x_rows, x_rows)
         return np.einsum("jni,jni->ij", r, r) / self.n + 0.5 * self.gammas[None, :] * sq[:, None]
 
-    def average_value(self, x):
-        r = self.cross(x).ravel() - self.b.ravel()
+    def _average_pass(self, x):
+        return self.cross(x).ravel() - self.b.ravel()
+
+    def _average_value(self, x, r):
         return float(r @ r / (self.m * self.n) + 0.5 * np.mean(self.gammas) * (x @ x))
 
-    def average_gradient(self, x):
-        r = self.cross(x).ravel() - self.b.ravel()
+    def _average_gradient(self, x, r):
         return (2.0 / (self.m * self.n)) * (r @ self.a_flat) + np.mean(self.gammas) * x
 
 
@@ -223,13 +280,14 @@ class _LogisticBatch(_Batch):
         margins = self.b[:, :, None] * self.cross(x_rows)
         return np.mean(np.logaddexp(0.0, -margins), axis=1).T
 
-    def average_value(self, x):
-        margins = self.b.ravel() * self.cross(x).ravel()
+    def _average_pass(self, x):
+        return self.b.ravel() * self.cross(x).ravel()
+
+    def _average_value(self, x, margins):
         return float(np.mean(np.logaddexp(0.0, -margins)))
 
-    def average_gradient(self, x):
-        b = self.b.ravel()
-        weights = b * expit(-b * self.cross(x).ravel())
+    def _average_gradient(self, x, margins):
+        weights = self.b.ravel() * expit(-margins)
         return -(weights @ self.a_flat) / (self.m * self.n)
 
 
@@ -293,19 +351,29 @@ class ProblemInstance:
 
     def average_value(self, x) -> float:
         """f(x) = (1/m) sum_i f_i(x) at a single shared point."""
-        x = np.asarray(x, dtype=float)
+        x = _check_point(x, self.d)
         if self._batch is not None:
             return self._batch.average_value(x)
         return float(sum(o.value(x) for o in self.objectives)) / self.m
 
     def average_gradient(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
+        x = _check_point(x, self.d)
         if self._batch is not None:
             return self._batch.average_gradient(x)
         g = np.zeros(self.d)
         for o in self.objectives:
             g += o.gradient(x)
         return g / self.m
+
+    def average_value_and_gradient(self, x) -> tuple[float, np.ndarray]:
+        """(f(x), grad f(x)), bit-identical to the two separate calls.
+
+        The batch path computes the product with the data once for both.
+        """
+        x = _check_point(x, self.d)
+        if self._batch is not None:
+            return self._batch.average_value_and_gradient(x)
+        return self.average_value(x), self.average_gradient(x)
 
     def average_values_at_rows(self, x_stack) -> np.ndarray:
         """Vector of f(x_i) for every row, f being the averaged objective."""
@@ -320,12 +388,14 @@ def synth_ridge(m: int, n: int, d: int, seed: int) -> ProblemInstance:
     if min(m, n, d) < 1:
         raise ParameterError("m, n, d must all be >= 1")
     rng = np.random.default_rng(seed)
-    objs = []
-    for i in range(1, m + 1):
-        a = rng.standard_normal((n, d))
-        b = rng.standard_normal(n)
-        objs.append(RidgeObjective(a, b, gamma=0.1 + (i - 1) * 0.1))
-    return ProblemInstance(tuple(objs), d)
+    a, b = np.empty((m, n, d)), np.empty((m, n))
+    for i in range(m):
+        rng.standard_normal(out=a[i])
+        rng.standard_normal(out=b[i])
+    a.setflags(write=False)
+    b.setflags(write=False)
+    objs = tuple(RidgeObjective(a[i], b[i], gamma=0.1 + i * 0.1) for i in range(m))
+    return ProblemInstance(objs, d)
 
 
 def synth_logistic(m: int, n: int, d: int, seed: int, noise: float = 0.1) -> ProblemInstance:
@@ -340,14 +410,14 @@ def synth_logistic(m: int, n: int, d: int, seed: int, noise: float = 0.1) -> Pro
         raise ParameterError(f"label noise must lie in [0, 0.5), got {noise}")
     rng = np.random.default_rng(seed)
     planted = rng.standard_normal(d) / np.sqrt(d)
-    objs = []
-    for _ in range(m):
-        a = rng.standard_normal((n, d))
-        b = np.where(a @ planted >= 0.0, 1.0, -1.0)
-        flips = rng.random(n) < noise
-        b[flips] *= -1.0
-        objs.append(LogisticObjective(a, b))
-    return ProblemInstance(tuple(objs), d)
+    a, b = np.empty((m, n, d)), np.empty((m, n))
+    for i in range(m):
+        rng.standard_normal(out=a[i])
+        b[i] = np.where(a[i] @ planted >= 0.0, 1.0, -1.0)
+        b[i, rng.random(n) < noise] *= -1.0
+    a.setflags(write=False)
+    b.setflags(write=False)
+    return ProblemInstance(tuple(LogisticObjective(a[i], b[i]) for i in range(m)), d)
 
 
 def _read_be_u32(f, path) -> int:
@@ -357,8 +427,8 @@ def _read_be_u32(f, path) -> int:
     return struct.unpack(">I", raw)[0]
 
 
-def read_idx_images(path) -> np.ndarray:
-    """Parse a big-endian IDX image file into a (count, rows*cols) float array."""
+def _read_idx_pixels(path) -> np.ndarray:
+    """The raw (count, rows*cols) uint8 pixels of a big-endian IDX image file."""
     with open(path, "rb") as f:
         magic = _read_be_u32(f, path)
         if magic != IDX_IMAGE_MAGIC:
@@ -369,7 +439,12 @@ def read_idx_images(path) -> np.ndarray:
         raw = f.read(count * rows * cols)
         if len(raw) != count * rows * cols:
             raise DataError(f"truncated pixel data in {path}")
-    return np.frombuffer(raw, dtype=np.uint8).reshape(count, rows * cols).astype(float)
+    return np.frombuffer(raw, dtype=np.uint8).reshape(count, rows * cols)
+
+
+def read_idx_images(path) -> np.ndarray:
+    """Parse a big-endian IDX image file into a (count, rows*cols) float array."""
+    return _read_idx_pixels(path).astype(float)
 
 
 def read_idx_labels(path) -> np.ndarray:
@@ -402,26 +477,25 @@ def load_mnist_partition(
     p, q = digit_pair
     if p == q:
         raise ParameterError(f"digit pair must be distinct, got {digit_pair}")
-    images = read_idx_images(images_path)
+    pixels = _read_idx_pixels(images_path)
     labels = read_idx_labels(labels_path)
-    if images.shape[0] != labels.shape[0]:
+    if pixels.shape[0] != labels.shape[0]:
         raise DataError(
-            f"image/label count mismatch: {images.shape[0]} vs {labels.shape[0]}"
+            f"image/label count mismatch: {pixels.shape[0]} vs {labels.shape[0]}"
         )
-    keep = (labels == p) | (labels == q)
-    feats = images[keep] / 255.0
-    signs = np.where(labels[keep] == p, 1.0, -1.0)
-    if feats.shape[0] < m:
-        raise DataError(f"only {feats.shape[0]} samples for {m} agents")
+    kept = np.flatnonzero((labels == p) | (labels == q))
+    if kept.size < m:
+        raise DataError(f"only {kept.size} samples for {m} agents")
     rng = np.random.default_rng(seed)
-    order = rng.permutation(feats.shape[0])
-    feats, signs = feats[order], signs[order]
-    n = feats.shape[0] // m
-    objs = tuple(
-        LogisticObjective(feats[i * n : (i + 1) * n], signs[i * n : (i + 1) * n])
-        for i in range(m)
-    )
-    return ProblemInstance(objs, feats.shape[1])
+    order = rng.permutation(kept.size)
+    n, d = kept.size // m, pixels.shape[1]
+    rows = kept[order[: m * n]]  # shuffled; the remainder is dropped
+    a, b = np.empty((m, n, d)), np.empty((m, n))
+    np.divide(pixels[rows].reshape(m, n, d), 255.0, out=a)
+    b[:] = np.where(labels[rows] == p, 1.0, -1.0).reshape(m, n)
+    a.setflags(write=False)
+    b.setflags(write=False)
+    return ProblemInstance(tuple(LogisticObjective(a[i], b[i]) for i in range(m)), d)
 
 
 def ridge_exact_solution(problem: ProblemInstance) -> np.ndarray:
@@ -460,7 +534,7 @@ def centralized_minimize(
         raise ParameterError(f"tolerance must be positive, got {tol}")
     d = problem.d
     x = np.zeros(d) if x0 is None else np.asarray(x0, dtype=float).copy()
-    g = problem.average_gradient(x)
+    f_x, g = problem.average_value_and_gradient(x)
     if np.linalg.norm(g) <= tol:
         return x
 
@@ -470,20 +544,20 @@ def centralized_minimize(
     denom = np.linalg.norm(x - probe)
     lip = max(np.linalg.norm(g - g_probe) / denom, 1e-12) if denom > 0 else 1.0
 
+    # the value and gradient at each point share one product A x; a trial
+    # point that the backtracking rejects also pays for its gradient
     y = x.copy()
-    g_y = g
-    f_y = problem.average_value(y)
+    f_y, g_y = f_x, g
     t = 1.0
     best_x, best_norm = x.copy(), np.linalg.norm(g)
     for _ in range(max_iter):
         while True:
             x_new = y - g_y / lip
-            f_new = problem.average_value(x_new)
+            f_new, g_new = problem.average_value_and_gradient(x_new)
             gap = f_new - (f_y + g_y @ (x_new - y) + 0.5 * lip * np.sum((x_new - y) ** 2))
             if gap <= 1e-12 * (1.0 + abs(f_new)):
                 break
             lip *= 2.0
-        g_new = problem.average_gradient(x_new)
         norm = np.linalg.norm(g_new)
         if norm < best_norm:
             best_x, best_norm = x_new.copy(), norm
@@ -499,8 +573,10 @@ def centralized_minimize(
             y_next = x_new
             t_new = 1.0
         x, y, t = x_new, y_next, t_new
-        g_y = problem.average_gradient(y) if not np.array_equal(y, x_new) else g_new
-        f_y = problem.average_value(y) if not np.array_equal(y, x_new) else f_new
+        if np.array_equal(y, x_new):
+            f_y, g_y = f_new, g_new
+        else:
+            f_y, g_y = problem.average_value_and_gradient(y)
     raise NotConvergedError(
         f"centralized solve stalled at ||grad|| = {best_norm:.3e} (target {tol:.1e})",
         best_x=best_x,
@@ -527,16 +603,32 @@ def save_instance(problem: ProblemInstance, path) -> None:
     np.savez_compressed(path, kinds=np.array(kinds), d=np.array(problem.d), **arrays)
 
 
+def _archive_rows(data, prefix: str, m: int):
+    """Arrays prefix_0 .. prefix_{m-1} of an archive, read one at a time into
+    the rows of one read-only slab; a list of the arrays when their shapes differ."""
+    first = data[f"{prefix}_0"]
+    slab = np.empty((m, *first.shape))
+    slab[0] = first
+    for i in range(1, m):
+        row = data[f"{prefix}_{i}"]
+        if row.shape != first.shape:
+            return [data[f"{prefix}_{j}"] for j in range(m)]
+        slab[i] = row
+    slab.setflags(write=False)
+    return slab
+
+
 def load_instance(path) -> ProblemInstance:
     """Inverse of save_instance."""
     with np.load(path) as data:
         kinds = [str(k) for k in data["kinds"]]
         d = int(data["d"])
+        a = _archive_rows(data, "a", len(kinds))
+        b = _archive_rows(data, "b", len(kinds))
         objs: list[LocalObjective] = []
         for idx, kind in enumerate(kinds):
             if kind == "ridge":
-                objs.append(RidgeObjective(data[f"a_{idx}"], data[f"b_{idx}"],
-                                           float(data[f"g_{idx}"])))
+                objs.append(RidgeObjective(a[idx], b[idx], float(data[f"g_{idx}"])))
             else:
-                objs.append(LogisticObjective(data[f"a_{idx}"], data[f"b_{idx}"]))
+                objs.append(LogisticObjective(a[idx], b[idx]))
     return ProblemInstance(tuple(objs), d)

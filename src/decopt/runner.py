@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -137,6 +138,11 @@ class RunManifest:
     extra_grid: list[dict] | None = None  # one GridPoint per grid stepsize
     saddle_residual: float | None = None
     saddle_grad_norm: float | None = None  # ||grad f(x*)|| of the reference x*
+    # run telemetry from the Trace; None where undefined or not finite
+    alpha_floor: float | None = None  # smallest per-agent stepsize seen
+    dual_colsum_max: float | None = None  # max relative column-sum drift of D
+    l_tilde_hat: float | None = None  # max observed secant curvature; None if none positive
+    mu_tilde_hat: float | None = None  # min observed secant strong convexity
 
     def to_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True)
@@ -206,6 +212,7 @@ def _execute(config: ExperimentConfig, ws: _Workspace
 def _manifest_for(config: ExperimentConfig, trace: Trace, csv_path: Path, ws: _Workspace,
                   best_alpha: float | None, grid: list[GridPoint] | None,
                   name: str) -> RunManifest:
+    restricted = trace.restricted
     return RunManifest(
         name=name,
         config=resolved_dict(config),
@@ -221,7 +228,16 @@ def _manifest_for(config: ExperimentConfig, trace: Trace, csv_path: Path, ws: _W
         extra_grid=None if grid is None else [dataclasses.asdict(p) for p in grid],
         saddle_residual=None if ws.saddle is None else ws.saddle.stationarity_residual,
         saddle_grad_norm=None if ws.saddle is None else ws.saddle.grad_norm,
+        alpha_floor=_finite(trace.alpha_floor),
+        dual_colsum_max=_finite(trace.dual_colsum_max),
+        l_tilde_hat=_finite(restricted.l_tilde_hat) if restricted.l_tilde_hat > 0 else None,
+        mu_tilde_hat=_finite(restricted.mu_tilde_hat),
     )
+
+
+def _finite(value) -> float | None:
+    """A manifest number: None for an undefined or non-finite value, so the JSON stays standard."""
+    return None if value is None or not math.isfinite(value) else float(value)
 
 
 def run_experiment(config: ExperimentConfig, out_dir=None) -> RunManifest:

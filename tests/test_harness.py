@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import re
@@ -558,6 +559,50 @@ class TestCli:
         manifest = json.loads((tmp_path / "f" / "unit.manifest.json").read_text())
         assert manifest["status"] == "diverged"
 
+    @pytest.mark.parametrize("algorithm", [
+        {"kind": "adolf", "mode": "strongly_convex"},
+        {"kind": "adolf_local", "mode": "convex"},
+        {"kind": "extra", "alpha": 0.01},
+        {"kind": "condat_vu", "alpha": 0.05},
+    ])
+    def test_run_manifest_telemetry(self, tmp_path, algorithm):
+        path = self.write_config(tmp_path, small_ridge_raw(algorithm=algorithm,
+                                                           stop={"max_iter": 12}))
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+        manifest = strict_json(tmp_path / "out" / "unit.manifest.json")
+        rows = list(csv.DictReader((tmp_path / "out" / "unit.csv").read_text().splitlines()))[:-1]
+        assert len(rows) == 12  # a row per step: the manifest's extrema are the columns'
+        assert manifest["alpha_floor"] == min(float(r["alpha_min"]) for r in rows)
+        if algorithm["kind"] == "condat_vu":
+            assert manifest["l_tilde_hat"] is None and manifest["mu_tilde_hat"] is None
+        else:
+            assert manifest["l_tilde_hat"] == max(float(r["L_k"]) for r in rows if r["L_k"])
+            assert 0.0 <= manifest["mu_tilde_hat"] <= manifest["l_tilde_hat"]
+        if algorithm["kind"] in ("adolf", "adolf_local"):
+            assert 0.0 <= manifest["dual_colsum_max"] <= 1e-9
+        else:
+            assert manifest["dual_colsum_max"] is None
+
+    def test_preset_manifest_telemetry(self, tmp_path, monkeypatch):
+        def short(*args, **kwargs):  # the preset's runs and grid, at a few rounds each
+            return [replace(cfg, stop=replace(cfg.stop, max_iter=20),
+                            algorithm=replace(cfg.algorithm, budget=20))
+                    for cfg in runner.figure_preset(*args, **kwargs)]
+
+        monkeypatch.setattr(cli, "figure_preset", short)
+        code = cli.main(["preset", "fig1_er01", "--synthetic-logistic",
+                         "--out", str(tmp_path / "p")])
+        assert code == 0
+        for kind in ("adolf", "adolf_local", "extra"):
+            manifest = strict_json(tmp_path / "p" / f"fig1_er01_{kind}.manifest.json")
+            assert manifest["alpha_floor"] > 0
+            assert 0.0 <= manifest["mu_tilde_hat"] <= manifest["l_tilde_hat"]
+            if kind == "extra":
+                assert manifest["alpha_floor"] == manifest["extra_best_alpha"]
+                assert manifest["dual_colsum_max"] is None
+            else:
+                assert 0.0 <= manifest["dual_colsum_max"] <= 1e-9
+
     def test_preset_configs_only(self, tmp_path):
         code = cli.main([
             "preset", "fig1_er09", "--synthetic-logistic", "--configs-only",
@@ -568,6 +613,13 @@ class TestCli:
         assert len(written) == 3
         for path in written:
             parse_config(path)  # generated configs must be valid
+
+
+def strict_json(path: Path) -> dict:
+    """Parse a file as standard JSON: NaN and Infinity are refused."""
+    def refuse(name):
+        raise ValueError(f"{path.name}: non-standard JSON constant {name}")
+    return json.loads(path.read_text(), parse_constant=refuse)
 
 
 def test_readme_config_block_parses():

@@ -197,6 +197,36 @@ class TestProblemInstance:
         one = prob.column_gradients(x[:, None])[:, 0]
         assert np.array_equal(prob.stacked_gradient(x), one)
 
+    @pytest.mark.parametrize("build", ["ridge", "logistic", "mixed"])
+    def test_fused_average_is_the_two_calls(self, build):
+        prob = instance(build)
+        for seed in range(3):
+            x = np.random.default_rng(seed).standard_normal(prob.d)
+            value, grad = prob.average_value_and_gradient(x)
+            assert value == prob.average_value(x)
+            assert np.array_equal(grad, prob.average_gradient(x))
+
+    @pytest.mark.parametrize("build", ["ridge", "logistic", "mixed"])
+    def test_average_point_shape_checked(self, build):
+        prob = instance(build)
+        for shape in [(prob.d - 1,), (1, prob.d), (prob.d, 1), ()]:
+            for method in (prob.average_value, prob.average_gradient,
+                           prob.average_value_and_gradient):
+                with pytest.raises(ShapeError):
+                    method(np.zeros(shape))
+
+
+def instance(build: str) -> ProblemInstance:
+    """A d=5 instance on the ridge or logistic batch path, or on the mixed loop."""
+    if build == "ridge":
+        return synth_ridge(3, 4, 5, seed=1)
+    if build == "logistic":
+        return synth_logistic(3, 4, 5, seed=1)
+    ridge, logistic = synth_ridge(2, 4, 5, seed=1), synth_logistic(2, 4, 5, seed=1)
+    prob = ProblemInstance(ridge.objectives[:1] + logistic.objectives[1:], 5)
+    assert prob._batch is None
+    return prob
+
 
 class TestSynthGenerators:
     def test_ridge_gamma_ramp(self):
@@ -287,6 +317,138 @@ class TestMnist:
         img, lbl = write_idx_pair(tmp_path, images, np.zeros(4, dtype=int))
         with pytest.raises(ParameterError):
             load_mnist_partition(img, lbl, m=2, digit_pair=(1, 1), seed=0)
+
+
+def old_synth_ridge(m, n, d, seed):
+    """Per-agent draws as synth_ridge made them before the slab: the reference data."""
+    rng = np.random.default_rng(seed)
+    return [(rng.standard_normal((n, d)), rng.standard_normal(n)) for _ in range(m)]
+
+
+def old_synth_logistic(m, n, d, seed, noise=0.1):
+    rng = np.random.default_rng(seed)
+    planted = rng.standard_normal(d) / np.sqrt(d)
+    data = []
+    for _ in range(m):
+        a = rng.standard_normal((n, d))
+        b = np.where(a @ planted >= 0.0, 1.0, -1.0)
+        b[rng.random(n) < noise] *= -1.0
+        data.append((a, b))
+    return data
+
+
+def old_mnist_partition(images_path, labels_path, m, digit_pair, seed):
+    images = objectives.read_idx_images(images_path)
+    labels = objectives.read_idx_labels(labels_path)
+    keep = (labels == digit_pair[0]) | (labels == digit_pair[1])
+    feats = images[keep] / 255.0
+    signs = np.where(labels[keep] == digit_pair[0], 1.0, -1.0)
+    order = np.random.default_rng(seed).permutation(feats.shape[0])
+    feats, signs = feats[order], signs[order]
+    n = feats.shape[0] // m
+    return [(feats[i * n:(i + 1) * n], signs[i * n:(i + 1) * n]) for i in range(m)]
+
+
+def data_of(obj):
+    return (obj.a_mat, obj.b_vec) if isinstance(obj, RidgeObjective) else (obj.features,
+                                                                          obj.labels)
+
+
+class TestSlab:
+    """Built instances keep one read-only copy of their data; user arrays are copied."""
+
+    def mnist(self, tmp_path):
+        rng = np.random.default_rng(4)
+        images = rng.integers(0, 256, size=(53, 3, 4))
+        labels = rng.integers(0, 10, size=53)
+        img, lbl = write_idx_pair(tmp_path, images, labels)
+        return (load_mnist_partition(img, lbl, m=3, digit_pair=(7, 2), seed=5),
+                old_mnist_partition(img, lbl, 3, (7, 2), 5))
+
+    def built(self, tmp_path):
+        """(instance, reference data) for every generator and loader."""
+        cases = [(synth_ridge(4, 6, 5, seed=3), old_synth_ridge(4, 6, 5, 3)),
+                 (synth_logistic(4, 6, 5, seed=3), old_synth_logistic(4, 6, 5, 3)),
+                 self.mnist(tmp_path)]
+        for prob, ref in cases[:2]:
+            path = tmp_path / f"round_trip_{len(cases)}.npz"
+            objectives.save_instance(prob, path)
+            cases.append((objectives.load_instance(path), ref))
+        return cases
+
+    def test_data_is_the_per_agent_draws(self, tmp_path):
+        for prob, ref in self.built(tmp_path):
+            assert prob.m == len(ref)
+            for obj, (a, b) in zip(prob.objectives, ref):
+                got_a, got_b = data_of(obj)
+                assert got_a.dtype == a.dtype and np.array_equal(got_a, a)
+                assert got_b.dtype == b.dtype and np.array_equal(got_b, b)
+            if isinstance(prob.objectives[0], RidgeObjective):
+                np.testing.assert_array_equal([o.gamma for o in prob.objectives],
+                                              [0.1 + 0.1 * i for i in range(prob.m)])
+
+    def test_objectives_share_the_batch_slab(self, tmp_path):
+        for prob, _ in self.built(tmp_path):
+            batch = prob._batch
+            for i, obj in enumerate(prob.objectives):
+                a, b = data_of(obj)
+                assert np.shares_memory(a, batch.a) and np.shares_memory(b, batch.b)
+                assert a.base is batch.a and b.base is batch.b
+                assert np.array_equal(batch.a[i], a) and np.array_equal(batch.b[i], b)
+                for array in (a, b):
+                    with pytest.raises(ValueError):
+                        array[0] = 1.0
+            for array in (batch.a, batch.b, batch.a_flat):
+                with pytest.raises(ValueError):
+                    array[0] = 1.0
+
+    def test_other_rows_of_a_slab_are_stacked(self):
+        prob = synth_logistic(4, 6, 5, seed=3)
+        x = np.random.default_rng(8).standard_normal((4, 5))
+        for objs in (prob.objectives[::-1], prob.objectives[:1] * 4, prob.objectives[1:]):
+            sub = ProblemInstance(objs, 5)
+            assert not np.shares_memory(sub._batch.a, prob._batch.a)
+            loop = np.stack([o.gradient(r) for o, r in zip(objs, x)])
+            np.testing.assert_allclose(sub.stacked_gradient(x[:len(objs)]), loop, atol=1e-13)
+
+    def test_user_arrays_are_copied(self):
+        rng = np.random.default_rng(6)
+        arrays = [(rng.standard_normal((4, 3)), np.where(rng.random(4) < 0.5, 1.0, -1.0))
+                  for _ in range(3)]
+        frozen_view = arrays[0][0].view()  # read-only, but its owner is writable
+        frozen_view.setflags(write=False)
+        ridge = ProblemInstance(tuple(RidgeObjective(a, b, 0.5) for a, b in arrays), 3)
+        logistic = ProblemInstance(
+            (LogisticObjective(frozen_view, arrays[0][1]),)
+            + tuple(LogisticObjective(a, b) for a, b in arrays[1:]), 3)
+        x = rng.standard_normal((3, 3))
+        before = [(p.stacked_value(x), p.stacked_gradient(x)) for p in (ridge, logistic)]
+        for prob in (ridge, logistic):
+            for obj, (a, b) in zip(prob.objectives, arrays):
+                for mine, theirs in zip(data_of(obj), (a, b)):
+                    assert not np.shares_memory(mine, theirs)
+                    assert not np.shares_memory(prob._batch.a, theirs)
+        for a, b in arrays:
+            a += 1.0
+            b *= -1.0
+        after = [(p.stacked_value(x), p.stacked_gradient(x)) for p in (ridge, logistic)]
+        for (v0, g0), (v1, g1) in zip(before, after):
+            assert v0 == v1 and np.array_equal(g0, g1)
+
+    def test_ragged_round_trip_keeps_each_array(self, tmp_path):
+        rng = np.random.default_rng(7)
+        prob = ProblemInstance((
+            RidgeObjective(rng.standard_normal((3, 2)), rng.standard_normal(3), 0.4),
+            LogisticObjective(rng.standard_normal((5, 2)), np.ones(5)),
+        ), 2)
+        path = tmp_path / "ragged.npz"
+        objectives.save_instance(prob, path)
+        back = objectives.load_instance(path)
+        assert [type(o) for o in back.objectives] == [RidgeObjective, LogisticObjective]
+        for o1, o2 in zip(prob.objectives, back.objectives):
+            for a1, a2 in zip(data_of(o1), data_of(o2)):
+                assert np.array_equal(a1, a2) and not a2.flags.writeable
+        assert back.objectives[0].gamma == 0.4
 
 
 class TestConvexity:
