@@ -106,6 +106,8 @@ def compute_saddle(
     the minimum-norm Y* = -pinv(L_op) grad F(X*) after projecting the rows of
     the gradient stack off the consensus direction.
     """
+    if not 0 < tol < np.inf:
+        raise ParameterError(f"saddle tolerance must be positive and finite, got {tol}")
     if all(isinstance(o, RidgeObjective) for o in problem.objectives):
         x_star = ridge_exact_solution(problem)
     else:

@@ -39,7 +39,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import DataError, NotConvergedError, ParameterError, ShapeError
 
@@ -95,6 +94,18 @@ def _stacked(rows) -> np.ndarray:
                for i, row in enumerate(rows)):
             return slab
     return np.stack(rows)
+
+
+def _expit(t):
+    """The logistic sigmoid 1 / (1 + exp(-t)), elementwise.
+
+    ``scipy.special`` is imported here, on first use, so that ridge runs,
+    ``decopt validate`` and CLI startup never load it: it takes about as much
+    memory and import time as numpy and the rest of the program together.
+    """
+    from scipy.special import expit
+
+    return expit(t)
 
 
 def _check_point(x, d: int) -> np.ndarray:
@@ -189,7 +200,7 @@ class LogisticObjective(LocalObjective):
     def gradient(self, x):
         x = _check_point(x, self.d)
         margins = self.labels * (self.features @ x)
-        weights = self.labels * expit(-margins)
+        weights = self.labels * _expit(-margins)
         return -(self.features.T @ weights) / self.n
 
 
@@ -268,7 +279,7 @@ class _LogisticBatch(_Batch):
 
     def column_gradients(self, x_cols):
         b = self.b[:, None, :]
-        weights = b * expit(-b * self.own(x_cols))
+        weights = b * _expit(-b * self.own(x_cols))
         weights *= -1.0 / self.n
         return np.matmul(weights, self.a)
 
@@ -287,7 +298,7 @@ class _LogisticBatch(_Batch):
         return float(np.mean(np.logaddexp(0.0, -margins)))
 
     def _average_gradient(self, x, margins):
-        weights = self.b.ravel() * expit(-margins)
+        weights = self.b.ravel() * _expit(-margins)
         return -(weights @ self.a_flat) / (self.m * self.n)
 
 
@@ -509,9 +520,16 @@ def ridge_exact_solution(problem: ProblemInstance) -> np.ndarray:
     d = problem.d
     h = np.zeros((d, d))
     rhs = np.zeros(d)
+    # each agent's term is built in one reused buffer; this rounds exactly as
+    # (2/n) (A^T A) + gamma I does, since adding 0.0 off the diagonal is exact
+    term = np.empty((d, d))
     for o in problem.objectives:
-        h += (2.0 / o.n) * (o.a_mat.T @ o.a_mat) + o.gamma * np.eye(d)
+        np.matmul(o.a_mat.T, o.a_mat, out=term)
+        term *= 2.0 / o.n
+        term.flat[:: d + 1] += o.gamma
+        h += term
         rhs += (2.0 / o.n) * (o.a_mat.T @ o.b_vec)
+    del term  # each solve copies h: hold no third (d, d) array while they run
     x = np.linalg.solve(h, rhs)
     x -= np.linalg.solve(h, h @ x - rhs)
     return x
@@ -530,8 +548,8 @@ def centralized_minimize(
     quadratic upper bound fails, and relaxes geometrically otherwise. The
     momentum restarts whenever it points uphill. Stops at ||grad f|| <= tol.
     """
-    if tol <= 0:
-        raise ParameterError(f"tolerance must be positive, got {tol}")
+    if not 0 < tol < np.inf:
+        raise ParameterError(f"tolerance must be positive and finite, got {tol}")
     d = problem.d
     x = np.zeros(d) if x0 is None else np.asarray(x0, dtype=float).copy()
     f_x, g = problem.average_value_and_gradient(x)

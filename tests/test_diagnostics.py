@@ -52,6 +52,13 @@ class TestSaddle:
         saddle = compute_saddle(prob, gossip)
         assert np.linalg.norm(saddle.y_star) <= 1e-10
 
+    @pytest.mark.parametrize("tol", [0.0, np.inf, np.nan])
+    def test_tolerance_must_be_positive_and_finite(self, ridge_setup, tol):
+        # the ridge solve is exact and never reads tol, so only the check sees it
+        prob, gossip, _, _ = ridge_setup
+        with pytest.raises(ParameterError, match="positive and finite"):
+            compute_saddle(prob, gossip, tol=tol)
+
     def test_logistic_saddle_high_accuracy(self):
         prob = synth_logistic(m=5, n=15, d=6, seed=3, noise=0.15)
         gossip = psd_shift(metropolis_hastings(make_erdos_renyi(5, 0.6, seed=2)), c=0.4)

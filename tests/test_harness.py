@@ -1,8 +1,11 @@
 import csv
 import json
 import math
+import os
 import re
 import struct
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -613,6 +616,39 @@ class TestCli:
         assert len(written) == 3
         for path in written:
             parse_config(path)  # generated configs must be valid
+
+    def test_scipy_special_loads_only_for_logistic(self, tmp_path):
+        # a fresh interpreter: whether a module is loaded is process-wide state
+        probe = (
+            "import json, sys\n"
+            "import decopt.cli\n"
+            "loaded = {'import': 'scipy.special' in sys.modules}\n"
+            "for stage, argv in json.loads(sys.argv[1]):\n"
+            "    loaded[stage] = (decopt.cli.main(argv), 'scipy.special' in sys.modules)\n"
+            "print(json.dumps(loaded))\n"
+        )
+        ridge = self.write_config(tmp_path)
+        logistic = tmp_path / "logistic.yaml"
+        logistic.write_text(yaml.safe_dump(small_ridge_raw(
+            problem={"kind": "logistic_synthetic", "m": 4, "n": 5, "d": 3},
+            stop={"max_iter": 8})))
+        stages = [
+            ("validate", ["validate", str(ridge)]),
+            ("ridge", ["run", str(ridge), "--out", str(tmp_path / "ridge")]),
+            ("logistic", ["run", str(logistic), "--out", str(tmp_path / "logistic")]),
+        ]
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", probe, json.dumps(stages)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == {
+            "import": False,
+            "validate": [0, False],
+            "ridge": [0, False],
+            "logistic": [0, True],
+        }
 
 
 def strict_json(path: Path) -> dict:

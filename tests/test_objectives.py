@@ -468,6 +468,42 @@ class TestConvexity:
             assert mid <= (obj.value(x) + obj.value(y)) / 2 + 1e-12
 
 
+def summed_normal_equations_solution(problem):
+    """The normal-equation solve with a fresh (2/n) (A^T A) + gamma I per
+    agent: the reference ridge_exact_solution's in-place build must match."""
+    d = problem.d
+    h = np.zeros((d, d))
+    rhs = np.zeros(d)
+    for o in problem.objectives:
+        h += (2.0 / o.n) * (o.a_mat.T @ o.a_mat) + o.gamma * np.eye(d)
+        rhs += (2.0 / o.n) * (o.a_mat.T @ o.b_vec)
+    x = np.linalg.solve(h, rhs)
+    x -= np.linalg.solve(h, h @ x - rhs)
+    return x
+
+
+def mixed_ridge(seed):
+    """Agents with different sample counts and unequal, unordered coefficients."""
+    rng = np.random.default_rng(seed)
+    return ProblemInstance(tuple(
+        RidgeObjective(rng.standard_normal((n, 9)), rng.standard_normal(n), gamma)
+        for n, gamma in ((4, 1.7), (15, 0.03), (9, 0.45), (1, 2.9))), 9)
+
+
+class TestRidgeExactSolution:
+    @pytest.mark.parametrize("make", [
+        lambda: synth_ridge(m=5, n=3, d=12, seed=1),   # n < d
+        lambda: synth_ridge(m=4, n=40, d=7, seed=2),   # n > d
+        lambda: synth_ridge(m=1, n=6, d=6, seed=3),    # one agent
+        lambda: synth_ridge(m=6, n=20, d=150, seed=4),  # blocked BLAS products
+        lambda: mixed_ridge(5),                        # unequal n and gamma
+    ])
+    def test_bit_identical_to_summed_terms(self, make):
+        prob = make()
+        assert np.array_equal(ridge_exact_solution(prob),
+                              summed_normal_equations_solution(prob))
+
+
 class TestCentralizedMinimize:
     def test_hand_solved_ridge(self):
         # single agent, A=[[1]], b=[2], gamma=2: (2 + 2) x = 4 so x* = 1
@@ -497,6 +533,13 @@ class TestCentralizedMinimize:
         prob = synth_logistic(m=10, n=20, d=10, seed=5, noise=0.1)
         x = centralized_minimize(prob, tol=5e-14)
         assert np.linalg.norm(prob.average_gradient(x)) <= 5e-14
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, np.inf, np.nan])
+    def test_tolerance_must_be_positive_and_finite(self, tol):
+        # inf would stop at the start point, nan would never stop
+        prob = synth_logistic(m=2, n=20, d=6, seed=6, noise=0.1)
+        with pytest.raises(ParameterError, match="positive and finite"):
+            centralized_minimize(prob, tol=tol, max_iter=50)
 
     def test_budget_exhaustion_carries_best_iterate(self):
         prob = synth_logistic(m=2, n=20, d=6, seed=6, noise=0.1)
