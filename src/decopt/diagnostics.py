@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,7 +39,6 @@ __all__ = [
     "lyapunov",
     "descent_zeta",
     "ErgodicAccumulator",
-    "ergodic_update",
     "RestrictedConstants",
     "classical_stepsize_bound",
     "RateFit",
@@ -183,25 +182,28 @@ def descent_zeta(l_k: float, sigma_k: float, c1: float) -> float:
     return 0.5 * (np.sqrt(l_k * l_k + 2.0 * sigma_k / c1) - l_k)
 
 
-@dataclass(frozen=True)
 class ErgodicAccumulator:
-    """Running gamma-weighted average of iterates."""
+    """Running gamma-weighted average of iterates, its sum kept in place.
 
-    weighted_sum: np.ndarray | None = None
-    theta: float = 0.0
+    The weights are the solvers' gamma_k, positive by construction.
+    """
+
+    def __init__(self):
+        self.weighted_sum: np.ndarray | None = None
+        self.theta = 0.0
+
+    def add(self, x_t: np.ndarray, gamma_t: float) -> None:
+        if self.weighted_sum is None:
+            self.weighted_sum = gamma_t * x_t
+        else:
+            self.weighted_sum += gamma_t * x_t
+        self.theta += gamma_t
 
     @property
     def average(self) -> np.ndarray:
-        if self.theta <= 0.0 or self.weighted_sum is None:
+        if self.weighted_sum is None:
             raise ParameterError("ergodic average undefined before any term is accumulated")
         return self.weighted_sum / self.theta
-
-
-def ergodic_update(acc: ErgodicAccumulator, x_t: np.ndarray, gamma_t: float) -> ErgodicAccumulator:
-    if gamma_t <= 0:
-        raise ParameterError(f"ergodic weight must be positive, got {gamma_t}")
-    ws = gamma_t * x_t if acc.weighted_sum is None else acc.weighted_sum + gamma_t * x_t
-    return replace(acc, weighted_sum=ws, theta=acc.theta + gamma_t)
 
 
 @dataclass
@@ -418,7 +420,7 @@ class TraceRecorder:
             rel = float(col / (1.0 + np.linalg.norm(new.dual)))
             drift = self.trace.dual_colsum_max
             self.trace.dual_colsum_max = rel if drift is None else max(drift, rel)
-        self._ergodic = ergodic_update(self._ergodic, prev.x_now, float(np.min(new.gamma)))
+        self._ergodic.add(prev.x_now, float(np.min(new.gamma)))
 
     def finalize(self, state) -> Trace:
         """Emit the terminal row for the last state (no step data) and close the trace."""
@@ -430,7 +432,7 @@ class TraceRecorder:
     # -- internals -------------------------------------------------------
 
     def _ergodic_merit(self) -> float | None:
-        if self.saddle is None or self._ergodic.theta <= 0.0:
+        if self.saddle is None or self._ergodic.weighted_sum is None:
             return None
         return merit(self.problem, self._ergodic.average, self.saddle, self.l_op)
 

@@ -471,6 +471,14 @@ def read_idx_labels(path) -> np.ndarray:
     return np.frombuffer(raw, dtype=np.uint8).astype(int)
 
 
+def _read_idx(reader, path, key: str):
+    """reader(path), with an OSError turned into a DataError naming key and path."""
+    try:
+        return reader(path)
+    except OSError as exc:
+        raise DataError(f"problem.{key}: cannot read {path}: {exc.strerror or exc}") from exc
+
+
 def load_mnist_partition(
     images_path,
     labels_path,
@@ -488,8 +496,8 @@ def load_mnist_partition(
     p, q = digit_pair
     if p == q:
         raise ParameterError(f"digit pair must be distinct, got {digit_pair}")
-    pixels = _read_idx_pixels(images_path)
-    labels = read_idx_labels(labels_path)
+    pixels = _read_idx(_read_idx_pixels, images_path, "images_path")
+    labels = _read_idx(read_idx_labels, labels_path, "labels_path")
     if pixels.shape[0] != labels.shape[0]:
         raise DataError(
             f"image/label count mismatch: {pixels.shape[0]} vs {labels.shape[0]}"

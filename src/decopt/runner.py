@@ -45,7 +45,7 @@ from .diagnostics import (
     TraceRecorder,
     compute_saddle,
 )
-from .errors import ComparisonError, ConfigError
+from .errors import ComparisonError, ConfigError, GraphGenerationError
 from .objectives import ProblemInstance, load_mnist_partition, synth_logistic, synth_ridge
 from .solvers import ExtraParams, FixedStepParams, GridPoint, extra_grid_search, run
 from .topology import (
@@ -96,7 +96,11 @@ def build_graph(config: ExperimentConfig) -> Graph:
         return make_line_graph(g.m)
     if g.kind == "ring":
         return make_ring_graph(g.m)
-    return make_erdos_renyi(g.m, g.p, seed=config.graph_seed())
+    try:
+        return make_erdos_renyi(g.m, g.p, seed=config.graph_seed())
+    except GraphGenerationError as exc:
+        raise ConfigError(f"graph.p: {exc}; p = {g.p} is too sparse to connect {g.m} agents "
+                          "with any practical chance") from exc
 
 
 def build_gossip(config: ExperimentConfig, graph: Graph) -> GossipMatrix:

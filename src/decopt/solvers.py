@@ -46,9 +46,7 @@ from .stepsize import (
     MODE_CONVEX,
     MODE_LOCAL,
     MODE_STRONGLY_CONVEX,
-    LocalStepsizeState,
     StepsizeParams,
-    StepsizeState,
     curvature_global,
     curvature_local,
     curvature_guard,
@@ -150,14 +148,19 @@ def _check_stack(x, problem: ProblemInstance, name: str) -> np.ndarray:
 
 @dataclass
 class AdolfState:
-    """Iterates, dual, gradient cache, and stepsize bookkeeping after k rounds."""
+    """Iterates, dual, gradient cache, and the stepsize triple after k rounds.
+
+    alpha, gamma and sigma are the last step's; k is also the index of the
+    next selection.
+    """
 
     x_now: np.ndarray
     x_prev: np.ndarray
     dual: np.ndarray
     grad_prev: np.ndarray  # gradient at x_prev, reused by the curvature proxy
-    step: StepsizeState
-    sigma_prev: float
+    alpha: float
+    gamma: float
+    sigma: float
     k: int
     comm_vector: int
     comm_scalar: int
@@ -166,18 +169,6 @@ class AdolfState:
 
     # recorder view
     y = None
-
-    @property
-    def alpha(self) -> float:
-        return self.step.alpha_prev
-
-    @property
-    def gamma(self) -> float:
-        return self.step.gamma_prev
-
-    @property
-    def sigma(self) -> float:
-        return self.sigma_prev
 
 
 def adolf_init(
@@ -196,8 +187,8 @@ def adolf_init(
     """
     x0 = _check_stack(x0, problem, "x0")
     x_minus1 = x0 if x_minus1 is None else _check_stack(x_minus1, problem, "x_minus1")
-    if alpha0 <= 0 or sigma0 <= 0 or gamma0 <= 0:
-        raise ParameterError("alpha0, sigma0, gamma0 must be positive")
+    if not all(0 < v < np.inf for v in (alpha0, sigma0, gamma0)):
+        raise ParameterError("alpha0, sigma0, gamma0 must be positive and finite")
     w = gossip.shifted
     mix = (1.0 + gamma0) * x0 - gamma0 * x_minus1
     dual = sigma0 * alpha0 * (mix - w @ mix)
@@ -208,8 +199,9 @@ def adolf_init(
         x_prev=x0,
         dual=dual,
         grad_prev=grad0,
-        step=StepsizeState(alpha_prev=alpha0, gamma_prev=gamma0, k=1),
-        sigma_prev=sigma0,
+        alpha=alpha0,
+        gamma=gamma0,
+        sigma=sigma0,
         k=1,
         comm_vector=1,
         comm_scalar=0,
@@ -223,8 +215,6 @@ def adolf_step(
     params: StepsizeParams | FixedStepParams,
 ) -> AdolfState:
     """One synchronous round: curvature average, selection, dual+primal update."""
-    if state.k < 1:
-        raise ParameterError("adolf_step needs an initialized state (k >= 1)")
     w = gossip.shifted
     grad_now = problem.stacked_gradient(state.x_now)
     l_k, mu_k = curvature_global(grad_now, state.grad_prev, state.x_now, state.x_prev)
@@ -235,11 +225,13 @@ def adolf_step(
         scalar_rounds = 0  # selection disabled: no global average needed
     elif params.mode == MODE_CONVEX:
         sigma_k = params.sigma.sigma_bar
-        alpha, gamma = select_alpha_convex(l_k, sigma_k, state.step, params)
+        alpha, gamma = select_alpha_convex(l_k, sigma_k, state.alpha, state.gamma, state.k,
+                                           params)
         sigma_alpha = sigma_k * alpha
         scalar_rounds = 1
     elif params.mode == MODE_STRONGLY_CONVEX:
-        alpha, gamma = select_alpha_strongly_convex(l_k, state.step, params)
+        alpha, gamma = select_alpha_strongly_convex(l_k, state.alpha, state.gamma, state.k,
+                                                    params)
         sigma_k = params.sigma.sigma / alpha**2
         sigma_alpha = params.sigma.sigma / alpha
         scalar_rounds = 1
@@ -254,8 +246,9 @@ def adolf_step(
         x_prev=state.x_now,
         dual=dual,
         grad_prev=grad_now,
-        step=StepsizeState(alpha_prev=alpha, gamma_prev=gamma, k=state.k + 1),
-        sigma_prev=sigma_k,
+        alpha=alpha,
+        gamma=gamma,
+        sigma=sigma_k,
         k=state.k + 1,
         comm_vector=state.comm_vector + 1,
         comm_scalar=state.comm_scalar + scalar_rounds,
@@ -270,13 +263,14 @@ def adolf_step(
 
 @dataclass
 class AdolfLocalState:
-    """Like AdolfState but with per-agent stepsize vectors."""
+    """Like AdolfState but with per-agent stepsize vectors alpha and gamma."""
 
     x_now: np.ndarray
     x_prev: np.ndarray
     dual: np.ndarray
     grad_prev: np.ndarray
-    local_step: LocalStepsizeState
+    alpha: np.ndarray
+    gamma: np.ndarray
     k: int
     comm_vector: int
     comm_scalar: int
@@ -286,14 +280,6 @@ class AdolfLocalState:
     # recorder view; sigma_i is per agent, so there is no scalar sigma
     sigma = None
     y = None
-
-    @property
-    def alpha(self) -> np.ndarray:
-        return self.local_step.alpha_prev
-
-    @property
-    def gamma(self) -> np.ndarray:
-        return self.local_step.gamma_prev
 
 
 def _local_sigma_alpha(alpha_vec: np.ndarray, params: StepsizeParams) -> np.ndarray:
@@ -327,7 +313,8 @@ def adolf_local_init(
         x_prev=x0,
         dual=dual,
         grad_prev=grad0,
-        local_step=LocalStepsizeState.uniform(m, params.alpha0),
+        alpha=alpha_vec,
+        gamma=np.ones(m),
         k=1,
         comm_vector=1,
         comm_scalar=0,
@@ -342,27 +329,19 @@ def adolf_local_step(
 ) -> AdolfLocalState:
     """One round: own-curvature candidates, decrease rule, min-consensus, update.
 
-    The diagonal scaling Sigma_k Lambda_k applies before the mixing matrix,
-    so each agent scales its own contribution and then gossips once.
+    Every agent's rule runs at once on per-agent arrays. The diagonal scaling
+    Sigma_k Lambda_k applies before the mixing matrix, so each agent scales
+    its own contribution and then gossips once.
     """
-    if params.mode != MODE_LOCAL:
-        raise ConfigError("adolf_local_step needs StepsizeParams in local mode")
-    if state.k < 1:
-        raise ParameterError("adolf_local_step needs an initialized state (k >= 1)")
     w = gossip.shifted
     grad_now = problem.stacked_gradient(state.x_now)
-    l_vec = curvature_local(grad_now, state.grad_prev, state.x_now, state.x_prev)
-    l_k, mu_k = curvature_global(grad_now, state.grad_prev, state.x_now, state.x_prev)
-
-    prev = state.local_step
-    tilde = np.empty(problem.m)
-    for i in range(problem.m):
-        if params.strongly_convex_sigma:
-            hat = local_candidate_strongly_convex(l_vec[i], params.sigma.sigma, params.c1)
-        else:
-            hat = curvature_guard(l_vec[i], params.sigma.sigma_bar, params.c1)
-        tilde[i] = local_tilde(hat, prev.alpha_prev[i], prev.gamma_prev[i], params, state.k)
-    alpha_vec, gamma_vec = local_min_consensus(tilde, gossip.neighbor_mask(), prev.alpha_prev)
+    l_vec, l_k, mu_k = curvature_local(grad_now, state.grad_prev, state.x_now, state.x_prev)
+    if params.strongly_convex_sigma:
+        hat = local_candidate_strongly_convex(l_vec, params.sigma.sigma, params.c1)
+    else:
+        hat = curvature_guard(l_vec, params.sigma.sigma_bar, params.c1)
+    tilde = local_tilde(hat, state.alpha, state.gamma, params, state.k)
+    alpha_vec, gamma_vec = local_min_consensus(tilde, gossip.neighbor_mask(), state.alpha)
 
     mix = (1.0 + gamma_vec)[:, None] * state.x_now - gamma_vec[:, None] * state.x_prev
     scaled = _local_sigma_alpha(alpha_vec, params)[:, None] * mix
@@ -373,7 +352,8 @@ def adolf_local_step(
         x_prev=state.x_now,
         dual=dual,
         grad_prev=grad_now,
-        local_step=LocalStepsizeState(alpha_prev=alpha_vec, gamma_prev=gamma_vec, k=state.k + 1),
+        alpha=alpha_vec,
+        gamma=gamma_vec,
         k=state.k + 1,
         comm_vector=state.comm_vector + 1,
         comm_scalar=state.comm_scalar + 1,
@@ -528,14 +508,14 @@ def extra_step(state: ExtraState, problem: ProblemInstance, gossip: GossipMatrix
 # run loop
 
 
-def _is_diverged(x: np.ndarray, dual: np.ndarray | None = None) -> bool:
-    if not np.all(np.isfinite(x)):
-        return True
-    if np.linalg.norm(x) > DIVERGENCE_NORM:
-        return True
-    if dual is not None and not np.all(np.isfinite(dual)):
-        return True
-    return False
+def _is_diverged(x: np.ndarray) -> bool:
+    """Non-finite entries or a Frobenius norm above DIVERGENCE_NORM.
+
+    One norm decides: it is NaN or inf exactly when an entry is (or on
+    overflow). A non-finite dual needs no check of its own, because every
+    primal update subtracts alpha times it, so X turns non-finite with it.
+    """
+    return not np.linalg.norm(x) <= DIVERGENCE_NORM
 
 
 @dataclass(frozen=True)
@@ -638,7 +618,7 @@ def run(
             break
         recorder.observe(state, new)
         state = new
-        if _is_diverged(state.x_now, state.dual):
+        if _is_diverged(state.x_now):
             status = "diverged"
             break
         if stopped(state.k):

@@ -18,8 +18,9 @@ The local variant gives each agent its own stepsize: a per-agent curvature
 candidate, a sufficient-decrease correction, and a min-consensus step over
 the closed neighborhood that equalizes stepsizes in finite time.
 
-Everything here is a pure function of explicit state; infinite guard values
-are represented by absent terms, never stored as floats.
+Everything here is a pure function of explicit state. The local rule runs
+over all agents at once on per-agent arrays, where an absent guard is an
+infinite entry; the scalar rules represent it by an absent term.
 """
 
 from __future__ import annotations
@@ -35,8 +36,6 @@ __all__ = [
     "GrowthPolicy",
     "SigmaSchedule",
     "StepsizeParams",
-    "StepsizeState",
-    "LocalStepsizeState",
     "curvature_global",
     "curvature_local",
     "curvature_guard",
@@ -82,21 +81,21 @@ class GrowthPolicy:
         if self.kind not in (GROWTH_UNBOUNDED, GROWTH_ADDITIVE, GROWTH_RATIO_POWER):
             raise ParameterError(
                 f"kind must be unbounded, additive, or ratio_power, got {self.kind!r}")
-        if self.kind == GROWTH_ADDITIVE and not self.a > 0:
-            raise ParameterError(f"a must be positive, got {self.a}")
+        if self.kind == GROWTH_ADDITIVE and not 0 < self.a < math.inf:
+            raise ParameterError(f"a must be positive and finite, got {self.a}")
         if self.kind == GROWTH_RATIO_POWER:
-            if not self.beta1 >= 1.0:
+            if not 1.0 <= self.beta1 < math.inf:
                 raise ParameterError(
-                    f"beta1 must be >= 1 so the cap never shrinks, got {self.beta1}")
-            if not self.beta2 > 0.0:
-                raise ParameterError(f"beta2 must be positive for ratio_power, got {self.beta2}")
+                    f"beta1 must be >= 1 (so the cap never shrinks) and finite, got {self.beta1}")
+            if not 0.0 < self.beta2 < math.inf:
+                raise ParameterError(
+                    f"beta2 must be positive and finite for ratio_power, got {self.beta2}")
 
     def cap(self, x: float, k: int) -> float | None:
-        """pi_k(x), or None when the policy imposes no cap."""
+        """pi_k(x) at selection index k >= 1, elementwise over an array x;
+        None when the policy imposes no cap."""
         if self.kind == GROWTH_UNBOUNDED:
             return None
-        if k < 1:
-            raise ParameterError(f"growth policy evaluated at iteration {k} < 1")
         if self.kind == GROWTH_ADDITIVE:
             return x + self.a / float(k) ** 2
         return ((k + self.beta1) / (k + 1.0)) ** self.beta2 * x
@@ -113,10 +112,10 @@ class SigmaSchedule:
     def __post_init__(self):
         if self.kind not in (SIGMA_CONSTANT, SIGMA_INVERSE_ALPHA_SQ):
             raise ParameterError(f"unknown sigma schedule kind {self.kind!r}")
-        if self.kind == SIGMA_CONSTANT and not self.sigma_bar > 0:
-            raise ParameterError(f"sigma_bar must be positive, got {self.sigma_bar}")
-        if self.kind == SIGMA_INVERSE_ALPHA_SQ and not self.sigma > 0:
-            raise ParameterError(f"sigma must be positive, got {self.sigma}")
+        if self.kind == SIGMA_CONSTANT and not 0 < self.sigma_bar < math.inf:
+            raise ParameterError(f"sigma_bar must be positive and finite, got {self.sigma_bar}")
+        if self.kind == SIGMA_INVERSE_ALPHA_SQ and not 0 < self.sigma < math.inf:
+            raise ParameterError(f"sigma must be positive and finite, got {self.sigma}")
 
 
 def sigma_value(schedule: SigmaSchedule, alpha: float) -> float:
@@ -147,6 +146,13 @@ class StepsizeParams:
             raise ParameterError(f"c2 must lie in (0, 1], got {self.c2}")
         if not 0 < self.alpha0 < np.inf:
             raise ParameterError(f"alpha0 must be positive and finite, got {self.alpha0}")
+        try:
+            sigma0 = self.sigma0()
+        except ArithmeticError:  # alpha0**2 overflows, or underflows to 0
+            sigma0 = math.nan
+        if not 0 < sigma0 < math.inf:
+            raise ParameterError("alpha0 must keep sigma / alpha0^2 positive and finite, "
+                                 f"got alpha0 = {self.alpha0}")
         if self.mode == MODE_LOCAL:
             if not (0.0 < self.eta < 1.0):
                 raise ParameterError(f"eta must lie in (0, 1), got {self.eta}")
@@ -177,61 +183,20 @@ class StepsizeParams:
         return sigma_value(self.sigma, self.alpha0)
 
 
-@dataclass(frozen=True)
-class StepsizeState:
-    """(alpha_prev, gamma_prev) with the index k of the upcoming selection."""
-
-    alpha_prev: float
-    gamma_prev: float = 1.0
-    k: int = 1
-
-    def __post_init__(self):
-        if not (self.alpha_prev > 0 and np.isfinite(self.alpha_prev)):
-            raise ParameterError(f"alpha_prev must be positive finite, got {self.alpha_prev}")
-        if not (self.gamma_prev > 0 and np.isfinite(self.gamma_prev)):
-            raise ParameterError(f"gamma_prev must be positive finite, got {self.gamma_prev}")
-
-
-@dataclass(frozen=True)
-class LocalStepsizeState:
-    """Per-agent (alpha_prev, gamma_prev) vectors with the upcoming index."""
-
-    alpha_prev: np.ndarray
-    gamma_prev: np.ndarray
-    k: int = 1
-
-    def __post_init__(self):
-        a = np.asarray(self.alpha_prev, dtype=float)
-        g = np.asarray(self.gamma_prev, dtype=float)
-        if a.shape != g.shape or a.ndim != 1:
-            raise ParameterError("per-agent stepsize vectors must be 1-d and equal length")
-        if not (np.all(a > 0) and np.all(np.isfinite(a)) and np.all(g > 0) and np.all(np.isfinite(g))):
-            raise ParameterError("per-agent stepsize entries must be positive finite")
-        a = a.copy()
-        g = g.copy()
-        a.setflags(write=False)
-        g.setflags(write=False)
-        object.__setattr__(self, "alpha_prev", a)
-        object.__setattr__(self, "gamma_prev", g)
-
-    @classmethod
-    def uniform(cls, m: int, alpha0: float) -> "LocalStepsizeState":
-        return cls(np.full(m, alpha0), np.ones(m), k=1)
-
-
-def curvature_global(grad_now, grad_prev, x_now, x_prev) -> tuple[float, float | None]:
-    """Both secant estimates of the stacked gradient field, from one pair.
-
-    Returns (L_k, mu_k): the Lipschitz proxy L_k = ||dG|| / ||dX||
-    (Frobenius norms, so the square root of sum_i ||dg_i||^2 / sum_i
-    ||dx_i||^2) and the strong-convexity proxy mu_k = <dG, dX> / ||dX||^2.
-    Zero displacement maps to (0, None). A non-finite entry makes a sum of
-    squares non-finite, so checking the two sums checks every entry.
-    """
+def _differences(grad_now, grad_prev, x_now, x_prev) -> tuple[np.ndarray, np.ndarray]:
     dx = np.asarray(x_now, dtype=float) - np.asarray(x_prev, dtype=float)
     dg = np.asarray(grad_now, dtype=float) - np.asarray(grad_prev, dtype=float)
     if dx.shape != dg.shape:
         raise ParameterError(f"mismatched shapes {dx.shape} vs {dg.shape}")
+    return dx, dg
+
+
+def _secant(dx: np.ndarray, dg: np.ndarray) -> tuple[float, float | None]:
+    """(L_k, mu_k) from one secant pair, with the pair's one finiteness check.
+
+    A non-finite entry makes a sum of squares non-finite, so checking the
+    two sums checks every entry.
+    """
     dx, dg = dx.ravel(), dg.ravel()
     dxx, dgg = float(dx.dot(dx)), float(dg.dot(dg))
     if not (math.isfinite(dxx) and math.isfinite(dgg)):
@@ -241,97 +206,98 @@ def curvature_global(grad_now, grad_prev, x_now, x_prev) -> tuple[float, float |
     return math.sqrt(dgg) / math.sqrt(dxx), float(dg.dot(dx)) / dxx
 
 
-def curvature_local(grad_now, grad_prev, x_now, x_prev) -> np.ndarray:
-    """Per-agent secant proxies ||dg_i|| / ||dx_i||, 0 on zero displacement."""
-    dx = np.asarray(x_now, dtype=float) - np.asarray(x_prev, dtype=float)
-    dg = np.asarray(grad_now, dtype=float) - np.asarray(grad_prev, dtype=float)
-    if dx.shape != dg.shape:
-        raise ParameterError(f"mismatched shapes {dx.shape} vs {dg.shape}")
-    if not (np.all(np.isfinite(dx)) and np.all(np.isfinite(dg))):
-        raise NumericError("curvature proxy received non-finite inputs")
+def curvature_global(grad_now, grad_prev, x_now, x_prev) -> tuple[float, float | None]:
+    """Both secant estimates of the stacked gradient field, from one pair.
+
+    Returns (L_k, mu_k): the Lipschitz proxy L_k = ||dG|| / ||dX||
+    (Frobenius norms, so the square root of sum_i ||dg_i||^2 / sum_i
+    ||dx_i||^2) and the strong-convexity proxy mu_k = <dG, dX> / ||dX||^2.
+    Zero displacement maps to (0, None).
+    """
+    return _secant(*_differences(grad_now, grad_prev, x_now, x_prev))
+
+
+def curvature_local(grad_now, grad_prev, x_now, x_prev) -> tuple[np.ndarray, float, float | None]:
+    """Per-agent secant proxies ||dg_i|| / ||dx_i||, 0 on zero displacement,
+    followed by curvature_global's (L_k, mu_k) from the same differences."""
+    dx, dg = _differences(grad_now, grad_prev, x_now, x_prev)
+    l_k, mu_k = _secant(dx, dg)
     dx_norm = np.linalg.norm(dx, axis=1)
     dg_norm = np.linalg.norm(dg, axis=1)
-    out = np.zeros(dx.shape[0])
-    moved = dx_norm > 0.0
-    out[moved] = dg_norm[moved] / dx_norm[moved]
-    return out
+    l_vec = np.divide(dg_norm, dx_norm, out=np.zeros(dx.shape[0]), where=dx_norm > 0.0)
+    return l_vec, l_k, mu_k
 
 
-def curvature_guard(l_k: float, sigma_k: float, c1: float) -> float:
-    """1 / (sqrt(L_k^2 + 2 sigma_k / c1) + L_k); finite for sigma_k > 0."""
-    return 1.0 / (math.sqrt(l_k * l_k + 2.0 * sigma_k / c1) + l_k)
+def curvature_guard(l_k, sigma_k: float, c1: float):
+    """1 / (sqrt(L_k^2 + 2 sigma_k / c1) + L_k), elementwise over an array of
+    L_k; finite for sigma_k > 0."""
+    return 1.0 / (np.sqrt(l_k * l_k + 2.0 * sigma_k / c1) + l_k)
+
+
+def _capped(alpha: float, alpha_prev: float, k: int, params: StepsizeParams) -> tuple[float, float]:
+    """(alpha_k, gamma_k): alpha under the growth cap, checked positive and finite."""
+    cap = params.growth.cap(alpha_prev, k)
+    if cap is not None:
+        alpha = min(alpha, cap)
+    if not 0.0 < alpha < math.inf:
+        raise NumericError(f"selected stepsize {alpha} is not positive and finite")
+    return alpha, alpha / alpha_prev
 
 
 def select_alpha_convex(
-    l_k: float, sigma_k: float, state: StepsizeState, params: StepsizeParams
+    l_k: float, sigma_k: float, alpha_prev: float, gamma_prev: float, k: int,
+    params: StepsizeParams,
 ) -> tuple[float, float]:
     """Largest stepsize passing curvature, ratio, and growth guards.
 
     Returns (alpha_k, gamma_k) with gamma_k = alpha_k / alpha_prev.
     """
-    if l_k < 0 or not np.isfinite(l_k):
-        raise ParameterError(f"curvature proxy must be a nonnegative float, got {l_k}")
-    if sigma_k <= 0:
-        raise ParameterError(f"sigma_k must be positive, got {sigma_k}")
     alpha = min(
-        curvature_guard(l_k, sigma_k, params.c1),
-        math.sqrt(1.0 + params.c2 * state.gamma_prev) * state.alpha_prev,
+        float(curvature_guard(l_k, sigma_k, params.c1)),
+        math.sqrt(1.0 + params.c2 * gamma_prev) * alpha_prev,
     )
-    cap = params.growth.cap(state.alpha_prev, state.k)
-    if cap is not None:
-        alpha = min(alpha, cap)
-    return alpha, alpha / state.alpha_prev
+    return _capped(alpha, alpha_prev, k, params)
 
 
 def select_alpha_strongly_convex(
-    l_k: float, state: StepsizeState, params: StepsizeParams
+    l_k: float, alpha_prev: float, gamma_prev: float, k: int, params: StepsizeParams
 ) -> tuple[float, float]:
     """Closed-form selection for sigma_k = sigma / alpha_k^2.
 
     The curvature guard becomes (1/2 - sigma/c1) / L_k and drops out when
-    L_k = 0. Requires the strongly convex configuration.
+    L_k = 0.
     """
-    if not params.strongly_convex_sigma or params.mode != MODE_STRONGLY_CONVEX:
-        raise ParameterError("selection rule requires strongly_convex_global mode")
-    if l_k < 0 or not np.isfinite(l_k):
-        raise ParameterError(f"curvature proxy must be a nonnegative float, got {l_k}")
-    alpha = math.sqrt(1.0 + params.c2 * state.gamma_prev) * state.alpha_prev
+    alpha = math.sqrt(1.0 + params.c2 * gamma_prev) * alpha_prev
     if l_k > 0.0:
         alpha = min(alpha, (0.5 - params.sigma.sigma / params.c1) / l_k)
-    cap = params.growth.cap(state.alpha_prev, state.k)
-    if cap is not None:
-        alpha = min(alpha, cap)
-    return alpha, alpha / state.alpha_prev
+    return _capped(alpha, alpha_prev, k, params)
 
 
-def local_candidate_strongly_convex(l_ki: float, sigma: float, c1: float) -> float | None:
-    """Closed-form per-agent candidate; None (no cap) when the agent is idle."""
-    if l_ki < 0:
-        raise ParameterError(f"curvature proxy must be nonnegative, got {l_ki}")
-    if l_ki == 0.0:
-        return None
-    return (0.5 - sigma / c1) / l_ki
+def local_candidate_strongly_convex(l_vec: np.ndarray, sigma: float, c1: float) -> np.ndarray:
+    """Closed-form per-agent candidates; inf (no cap) where an agent is idle."""
+    return np.divide(0.5 - sigma / c1, l_vec, out=np.full(l_vec.shape, np.inf),
+                     where=l_vec > 0.0)
 
 
 def local_tilde(
-    alpha_hat_i: float | None,
-    alpha_prev_i: float,
-    gamma_prev_i: float,
+    alpha_hat: np.ndarray,
+    alpha_prev: np.ndarray,
+    gamma_prev: np.ndarray,
     params: StepsizeParams,
     k: int,
-) -> float:
-    """Sufficient-decrease correction of the raw candidate.
+) -> np.ndarray:
+    """Sufficient-decrease correction of the per-agent candidates.
 
-    When the curvature candidate falls at or below the growth cap, shrink by
-    eta (bounding how often that can happen); otherwise grow under both the
-    cap and the ratio guard. alpha_hat_i None means an absent candidate.
+    Where the curvature candidate falls at or below the growth cap, shrink
+    by eta (bounding how often that can happen); elsewhere grow under both
+    the cap and the ratio guard. An infinite candidate is an absent one.
     """
-    cap = params.growth.cap(alpha_prev_i, k)
-    if cap is None:
-        raise ParameterError("local rule needs a capped growth policy")
-    if alpha_hat_i is not None and alpha_hat_i <= cap:
-        return min(params.eta * alpha_prev_i, alpha_hat_i)
-    return min(cap, math.sqrt(1.0 + params.c2 * gamma_prev_i) * alpha_prev_i)
+    cap = params.growth.cap(alpha_prev, k)
+    return np.where(
+        alpha_hat <= cap,
+        np.minimum(params.eta * alpha_prev, alpha_hat),
+        np.minimum(cap, np.sqrt(1.0 + params.c2 * gamma_prev) * alpha_prev),
+    )
 
 
 def local_min_consensus(
@@ -340,17 +306,14 @@ def local_min_consensus(
     """One neighbor round: alpha_i = min over closed neighborhood of tilde.
 
     gamma_i keeps the agent's own ratio tilde_i / alpha_prev_i. The mask must
-    include the diagonal (an agent is in its own neighborhood).
+    include the diagonal (an agent is in its own neighborhood), as
+    GossipMatrix.neighbor_mask does. Raises NumericError unless every tilde
+    is positive and finite.
     """
-    tilde = np.asarray(alpha_tilde, dtype=float)
-    if np.any(tilde <= 0) or not np.all(np.isfinite(tilde)):
-        raise ParameterError("tilde stepsizes must be positive finite")
-    if not np.all(np.diag(neighbor_mask)):
-        raise ParameterError("neighbor mask must include every agent itself")
-    spread = np.where(neighbor_mask, tilde[None, :], np.inf)
-    alpha = spread.min(axis=1)
-    gamma = tilde / np.asarray(alpha_prev, dtype=float)
-    return alpha, gamma
+    if not (alpha_tilde.min() > 0.0 and alpha_tilde.max() < math.inf):
+        raise NumericError("selected stepsizes must be positive and finite")
+    alpha = np.where(neighbor_mask, alpha_tilde, np.inf).min(axis=1)
+    return alpha, alpha_tilde / alpha_prev
 
 
 def gamma_ratio_bound(c2: float) -> float:

@@ -180,9 +180,12 @@ class GossipMatrix:
         return self.w
 
     def neighbor_mask(self) -> np.ndarray:
-        """Closed-neighborhood mask from the sparsity pattern of w_tilde."""
+        """Closed-neighborhood mask: the sparsity pattern of w_tilde.
+
+        Its diagonal is set because construction checked that w_tilde's is
+        positive, so every agent is in its own neighborhood.
+        """
         mask = self.w_tilde > 0.0
-        mask = mask | np.eye(self.m, dtype=bool)
         mask.setflags(write=False)
         return mask
 

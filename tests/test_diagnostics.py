@@ -10,7 +10,6 @@ from decopt.diagnostics import (
     classical_stepsize_bound,
     compute_saddle,
     descent_zeta,
-    ergodic_update,
     lyapunov,
     merit,
     primal_gap,
@@ -140,11 +139,12 @@ class TestErgodic:
         acc = ErgodicAccumulator()
         xs = [np.full((2, 2), float(t)) for t in range(5)]
         for x in xs:
-            acc = ergodic_update(acc, x, 1.0)
+            acc.add(x, 1.0)
         np.testing.assert_allclose(acc.average, np.full((2, 2), 2.0))
 
     def test_single_term(self):
-        acc = ergodic_update(ErgodicAccumulator(), np.ones((2, 2)), 0.7)
+        acc = ErgodicAccumulator()
+        acc.add(np.ones((2, 2)), 0.7)
         np.testing.assert_allclose(acc.average, np.ones((2, 2)))
 
     def test_matches_loop_oracle(self):
@@ -153,13 +153,22 @@ class TestErgodic:
         gammas = rng.uniform(0.5, 1.5, size=6)
         acc = ErgodicAccumulator()
         for x, g in zip(xs, gammas):
-            acc = ergodic_update(acc, x, g)
+            acc.add(x, g)
         direct = sum(g * x for x, g in zip(xs, gammas)) / gammas.sum()
         np.testing.assert_allclose(acc.average, direct, atol=1e-14)
 
-    def test_positive_weight_required(self):
+    def test_in_place_sum_leaves_iterates_alone(self):
+        # the sum is updated in place, so it must never be an iterate itself
+        xs = [np.full((2, 2), 1.0), np.full((2, 2), 2.0)]
+        acc = ErgodicAccumulator()
+        for x in xs:
+            acc.add(x, 1.0)
+        np.testing.assert_array_equal(xs[0], np.full((2, 2), 1.0))
+        np.testing.assert_array_equal(acc.weighted_sum, np.full((2, 2), 3.0))
+
+    def test_average_needs_a_term(self):
         with pytest.raises(ParameterError):
-            ergodic_update(ErgodicAccumulator(), np.ones((1, 1)), 0.0)
+            ErgodicAccumulator().average
 
 
 class TestClassicalBound:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 import yaml
 
-from decopt import cli, runner
+from decopt import cli, runner, topology
 from decopt.config import (
     AlgorithmConfig,
     DiagnosticsConfig,
@@ -449,6 +449,28 @@ class TestCli:
         (tmp_path / "no2.idx").write_bytes(b"\x00\x00\x00\x00" * 2)
         assert cli.main(["run", str(path)]) == 3
 
+    @pytest.mark.parametrize("key", ["images_path", "labels_path"])
+    def test_missing_mnist_file_exit_code(self, tmp_path, capsys, key):
+        (tmp_path / "images.idx").write_bytes(struct.pack(">IIII", 2051, 1, 1, 1) + b"\x00")
+        (tmp_path / "labels.idx").write_bytes(struct.pack(">II", 2049, 1) + b"\x00")
+        problem = {"kind": "mnist", "m": 4, "images_path": str(tmp_path / "images.idx"),
+                   "labels_path": str(tmp_path / "labels.idx")}
+        missing = str(tmp_path / "missing.idx")
+        problem[key] = missing
+        path = self.write_config(tmp_path, small_ridge_raw(problem=problem))
+        assert cli.main(["validate", str(path)]) == 0
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "r")]) == 3
+        err = capsys.readouterr().err
+        assert f"problem.{key}" in err and missing in err
+
+    def test_unconnectable_graph_exit_code(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(topology, "_ER_MAX_ATTEMPTS", 5)
+        raw = small_ridge_raw(problem={"kind": "ridge", "m": 30, "n": 5, "d": 3},
+                              graph={"kind": "erdos_renyi", "m": 30, "p": 0.001})
+        path = self.write_config(tmp_path, raw)
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "g")]) == 2
+        assert "graph.p" in capsys.readouterr().err
+
     def test_divergence_exit_code(self, tmp_path):
         raw = small_ridge_raw(algorithm={"kind": "extra", "alpha": 50.0},
                               stop={"max_iter": 100})
@@ -511,6 +533,9 @@ class TestCli:
         ({"kind": "adolf", "mode": "strongly_convex", "alpha0": float("inf")},
          "algorithm: alpha0"),
         ({"kind": "adolf_local", "alpha0": float("nan")}, "algorithm: alpha0"),
+        # finite, but sigma / alpha0^2 overflows or divides by zero
+        ({"kind": "adolf", "alpha0": 1.0e200}, "algorithm: alpha0"),
+        ({"kind": "adolf", "alpha0": 1.0e-320}, "algorithm: alpha0"),
     ])
     def test_non_finite_stepsize_exit_code(self, tmp_path, capsys, algorithm, key):
         path = self.write_config(tmp_path, small_ridge_raw(algorithm=algorithm))

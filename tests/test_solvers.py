@@ -20,7 +20,7 @@ from decopt.solvers import (
     extra_step,
     run,
 )
-from decopt.stepsize import GrowthPolicy, SigmaSchedule, StepsizeParams, StepsizeState
+from decopt.stepsize import GrowthPolicy, SigmaSchedule, StepsizeParams
 from decopt.diagnostics import METRICS
 from faults import nan_gradient_problem, wrapped_problem
 from sequential_grid import sequential_grid_search
@@ -126,8 +126,7 @@ class TestAdolfStep:
         grad = prob.stacked_gradient(x_stack)
         st = solvers.AdolfState(
             x_now=x_stack.copy(), x_prev=x_stack.copy(), dual=-grad, grad_prev=grad,
-            step=StepsizeState(alpha_prev=0.01, gamma_prev=1.0, k=1),
-            sigma_prev=1.0, k=1, comm_vector=1, comm_scalar=0,
+            alpha=0.01, gamma=1.0, sigma=1.0, k=1, comm_vector=1, comm_scalar=0,
         )
         new = adolf_step(st, prob, gossip, convex_params())
         np.testing.assert_allclose(new.x_now, x_stack, atol=1e-10)
@@ -145,7 +144,7 @@ class TestAdolfStep:
         for _ in range(5):
             st = adolf_step(st, prob, gossip, params)
             xs.append(st.x_now.copy())
-            alphas.append(st.step.alpha_prev)
+            alphas.append(st.alpha)
         np.testing.assert_allclose(st.dual, 0.0, atol=1e-15)
         # replay plain adaptive gradient descent with the recorded stepsizes
         x = x0.copy()
@@ -184,11 +183,11 @@ class TestAdolfStep:
         params = convex_params()
         rng = np.random.default_rng(11)
         st = adolf_init(prob, gossip, rng.standard_normal((4, 3)))
-        triples = [(st.step.alpha_prev, st.step.gamma_prev, st.sigma_prev)]
+        triples = [(st.alpha, st.gamma, st.sigma)]
         for _ in range(30):
             st = adolf_step(st, prob, gossip, params)
             lk = st.l_last
-            alpha, gamma, sigma = st.step.alpha_prev, st.step.gamma_prev, st.sigma_prev
+            alpha, gamma, sigma = st.alpha, st.gamma, st.sigma
             guard = 1.0 / (np.sqrt(lk**2 + 2 * sigma / params.c1) + lk)
             assert alpha <= guard + 1e-15
             triples.append((alpha, gamma, sigma))
@@ -258,8 +257,8 @@ class TestAdolfLocal:
         x_now, x_prev, dual = st_l.x_now.copy(), x0.copy(), st_l.dual.copy()
         for _ in range(40):
             st_l = adolf_local_step(st_l, prob, gossip, params_l)
-            alphas = st_l.local_step.alpha_prev
-            gammas = st_l.local_step.gamma_prev
+            alphas = st_l.alpha
+            gammas = st_l.gamma
             assert alphas.max() == alphas.min()  # symmetry keeps consensus exact
             assert gammas.max() == gammas.min()
             alpha, gamma = float(alphas[0]), float(gammas[0])
@@ -300,12 +299,12 @@ class TestAdolfLocal:
         spreads = []
         for _ in range(400):
             st = adolf_local_step(st, prob, gossip, params)
-            a = st.local_step.alpha_prev
+            a = st.alpha
             spreads.append(float(a.max() - a.min()))
         last_spread = max(k for k, s in enumerate(spreads)) if spreads else 0
         nonzero = [k for k, s in enumerate(spreads) if s > 0]
         assert not nonzero or nonzero[-1] < 350  # consensus holds at the tail
-        assert min(st.local_step.alpha_prev) > 0
+        assert min(st.alpha) > 0
 
     def test_mode_enforced(self):
         prob = synth_ridge(m=3, n=4, d=2, seed=20)

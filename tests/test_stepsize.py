@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from decopt import stepsize, topology
-from decopt.errors import ParameterError
+from decopt.errors import NumericError, ParameterError
+from decopt.objectives import synth_ridge
+from decopt.solvers import adolf_local_init
 from decopt.stepsize import (
     GrowthPolicy,
-    LocalStepsizeState,
     SigmaSchedule,
     StepsizeParams,
-    StepsizeState,
     curvature_global,
     curvature_local,
     curvature_guard,
@@ -24,6 +24,7 @@ from decopt.stepsize import (
     select_alpha_strongly_convex,
     sigma_value,
 )
+from scalar_local_rule import scalar_candidate, scalar_cap, scalar_local_rule
 
 
 def convex_params(c1=1.0, c2=1.0, growth=None):
@@ -86,33 +87,40 @@ class TestCurvature:
         x_prev = np.array([[1.0, 0.0], [1.0, 2.0]])
         g_now = np.array([[5.0, 0.0], [4.0, 2.0]])
         g_prev = np.array([[1.0, 0.0], [1.0, 2.0]])
-        lk = curvature_local(g_now, g_prev, x_now, x_prev)
+        lk, l_k, mu_k = curvature_local(g_now, g_prev, x_now, x_prev)
         assert lk[0] == 0.0  # agent 0 did not move: convention
         assert lk[1] == pytest.approx(3.0, abs=1e-14)
+        assert (l_k, mu_k) == curvature_global(g_now, g_prev, x_now, x_prev)
+
+    def test_local_non_finite_is_numeric_error(self):
+        x = np.zeros((2, 2))
+        g_now = np.array([[np.nan, 0.0], [0.0, 0.0]])
+        with pytest.raises(NumericError):
+            curvature_local(g_now, x, x + 1.0, x)
 
 
 class TestConvexSelection:
     def test_curvature_guard_binds(self):
-        state = StepsizeState(alpha_prev=100.0, gamma_prev=1.0, k=1)
-        alpha, gamma = select_alpha_convex(0.0, 2.0, state, convex_params())
+        state = (100.0, 1.0, 1)
+        alpha, gamma = select_alpha_convex(0.0, 2.0, *state, convex_params())
         assert alpha == pytest.approx(0.5, abs=1e-15)
         assert gamma == pytest.approx(0.005, abs=1e-15)
 
     def test_curvature_guard_arithmetic(self):
-        state = StepsizeState(alpha_prev=100.0, gamma_prev=1.0, k=1)
-        alpha, _ = select_alpha_convex(3.0, 8.0, state, convex_params())
+        state = (100.0, 1.0, 1)
+        alpha, _ = select_alpha_convex(3.0, 8.0, *state, convex_params())
         assert alpha == pytest.approx(1.0 / 8.0, abs=1e-15)
 
     def test_ratio_guard_binds(self):
-        state = StepsizeState(alpha_prev=0.1, gamma_prev=1.0, k=1)
-        alpha, gamma = select_alpha_convex(0.0, 1e-12, state, convex_params(c2=1.0))
+        state = (0.1, 1.0, 1)
+        alpha, gamma = select_alpha_convex(0.0, 1e-12, *state, convex_params(c2=1.0))
         assert alpha == pytest.approx(math.sqrt(2.0) * 0.1, rel=1e-14)
         assert gamma == pytest.approx(math.sqrt(2.0), rel=1e-14)
 
     def test_growth_cap_binds(self):
         growth = GrowthPolicy(kind="additive", a=1e-4)
-        state = StepsizeState(alpha_prev=0.1, gamma_prev=1.0, k=1)
-        alpha, _ = select_alpha_convex(0.0, 1e-12, state, convex_params(growth=growth))
+        state = (0.1, 1.0, 1)
+        alpha, _ = select_alpha_convex(0.0, 1e-12, *state, convex_params(growth=growth))
         assert alpha == pytest.approx(0.1 + 1e-4, rel=1e-14)
 
     @given(
@@ -125,11 +133,11 @@ class TestConvexSelection:
         rng = np.random.default_rng(seed)
         params = convex_params(c1=0.9, c2=0.9)
         sigma_bar = params.sigma.sigma_bar
-        state = StepsizeState(alpha_prev=10.0 ** rng.uniform(-4, 0), gamma_prev=1.0, k=1)
+        state = (10.0 ** rng.uniform(-4, 0), 1.0, 1)
         emitted = []
         for k in range(1, steps + 1):
             l_k = rng.uniform(0.0, 50.0)
-            alpha, gamma = select_alpha_convex(l_k, sigma_bar, state, params)
+            alpha, gamma = select_alpha_convex(l_k, sigma_bar, *state, params)
             # curvature certificate
             assert alpha <= curvature_guard(l_k, sigma_bar, params.c1) + 1e-15
             # two-term form with the optimizing zeta
@@ -137,7 +145,7 @@ class TestConvexSelection:
             assert alpha <= 1.0 / (2.0 * (l_k + zeta)) + 1e-12
             assert alpha <= zeta / sigma_bar + 1e-12
             emitted.append((alpha, gamma))
-            state = StepsizeState(alpha_prev=alpha, gamma_prev=gamma, k=k + 1)
+            state = (alpha, gamma, k + 1)
         # ratio certificate across consecutive selections
         for (a0, g0), (a1, g1) in zip(emitted, emitted[1:]):
             assert (2 + 2 * g0) * a0 - 2 * g1 * a1 >= -1e-12
@@ -154,34 +162,34 @@ class TestConvexSelection:
         l_hat = rng.uniform(0.5, 20.0)
         alpha0 = 10.0 ** rng.uniform(-4, -1)
         floor = min(alpha0, curvature_guard(l_hat, params.sigma.sigma_bar, params.c1))
-        state = StepsizeState(alpha_prev=alpha0, gamma_prev=1.0, k=1)
+        state = (alpha0, 1.0, 1)
         for k in range(1, 80):
             alpha, gamma = select_alpha_convex(
-                rng.uniform(0, l_hat), params.sigma.sigma_bar, state, params
+                rng.uniform(0, l_hat), params.sigma.sigma_bar, *state, params
             )
             assert alpha >= floor - 1e-12
-            state = StepsizeState(alpha_prev=alpha, gamma_prev=gamma, k=k + 1)
+            state = (alpha, gamma, k + 1)
 
     def test_golden_ratio_bound_value(self):
         assert gamma_ratio_bound(1.0) == pytest.approx((1 + math.sqrt(5)) / 2, rel=1e-15)
 
     def test_determinism(self):
-        state = StepsizeState(alpha_prev=0.123, gamma_prev=1.1, k=5)
-        a1 = select_alpha_convex(2.5, 1.0, state, convex_params())
-        a2 = select_alpha_convex(2.5, 1.0, state, convex_params())
+        state = (0.123, 1.1, 5)
+        a1 = select_alpha_convex(2.5, 1.0, *state, convex_params())
+        a2 = select_alpha_convex(2.5, 1.0, *state, convex_params())
         assert a1 == a2
 
 
 class TestStronglyConvexSelection:
     def test_closed_form_binds(self):
-        state = StepsizeState(alpha_prev=100.0, gamma_prev=1.0, k=1)
-        alpha, _ = select_alpha_strongly_convex(1.0, state, sc_params(c1=0.5, sigma=0.2))
+        state = (100.0, 1.0, 1)
+        alpha, _ = select_alpha_strongly_convex(1.0, *state, sc_params(c1=0.5, sigma=0.2))
         assert alpha == pytest.approx(0.1, abs=1e-15)
 
     def test_zero_curvature_falls_to_growth(self):
         params = sc_params()
-        state = StepsizeState(alpha_prev=0.2, gamma_prev=1.0, k=3)
-        alpha, _ = select_alpha_strongly_convex(0.0, state, params)
+        state = (0.2, 1.0, 3)
+        alpha, _ = select_alpha_strongly_convex(0.0, *state, params)
         expected = min(
             math.sqrt(1 + params.c2) * 0.2, params.growth.cap(0.2, 3)
         )
@@ -203,10 +211,11 @@ class TestStronglyConvexSelection:
         assert alpha <= guard * (1 + 1e-12)
         assert alpha >= guard * (1 - 1e-12)
 
-    def test_mode_mismatch(self):
-        state = StepsizeState(alpha_prev=0.1)
-        with pytest.raises(ParameterError):
-            select_alpha_strongly_convex(1.0, state, convex_params())
+    def test_zero_selection_is_numeric_error(self):
+        # L_k^2 overflows, the curvature guard rounds to 0, and the run must
+        # end diverged rather than step with alpha = 0
+        with pytest.raises(NumericError):
+            select_alpha_convex(1e308, 1.0, 0.1, 1.0, 1, convex_params())
 
     def test_sigma_range_enforced(self):
         with pytest.raises(ParameterError):
@@ -220,8 +229,9 @@ class TestLocalRules:
         assert curvature_guard(3.0, 8.0, 1.0) == pytest.approx(1 / 8, abs=1e-15)
 
     def test_candidate_strongly_convex(self):
-        assert local_candidate_strongly_convex(2.0, 0.2, 0.5) == pytest.approx(0.05, abs=1e-15)
-        assert local_candidate_strongly_convex(0.0, 0.2, 0.5) is None
+        hat = local_candidate_strongly_convex(np.array([2.0, 0.0]), 0.2, 0.5)
+        assert hat[0] == pytest.approx(0.05, abs=1e-15)
+        assert hat[1] == np.inf  # idle agent: no curvature cap
 
     def local_params(self, a=0.01, eta=0.9, c2=0.5):
         return StepsizeParams(
@@ -253,7 +263,7 @@ class TestLocalRules:
 
     def test_tilde_absent_candidate(self):
         params = self.local_params(a=0.01, c2=0.5)
-        tilde = local_tilde(None, 0.1, 1.0, params, k=1)
+        tilde = local_tilde(np.inf, 0.1, 1.0, params, k=1)
         assert tilde == pytest.approx(0.11, rel=1e-14)
 
     def test_tilde_never_exceeds_guards_when_shrinking(self):
@@ -313,6 +323,76 @@ class TestLocalRules:
         np.testing.assert_allclose(vals, np.full(6, 0.05), atol=0)
 
 
+@st.composite
+def local_rule_cases(draw):
+    """Per-agent inputs of one local selection, some agents idle (L_i = 0)
+    and some exactly on the shrink/grow boundary (candidate == growth cap)."""
+    m = draw(st.integers(1, 7))
+    c1 = draw(st.floats(0.05, 1.0))
+    if draw(st.booleans()):
+        sigma = SigmaSchedule(kind="inverse_alpha_sq", sigma=draw(st.floats(0.02, 0.98)) * c1 / 2)
+    else:
+        sigma = SigmaSchedule(kind="constant", sigma_bar=draw(st.floats(1e-3, 1e3)))
+    params = StepsizeParams(
+        mode="local", c1=c1, c2=draw(st.floats(0.01, 1.0)), eta=draw(st.floats(0.05, 0.95)),
+        growth=GrowthPolicy(kind="additive", a=draw(st.floats(1e-6, 1.0))), sigma=sigma,
+    )
+    k = draw(st.integers(1, 10_000))
+    agents = st.lists(st.floats(1e-6, 10.0), min_size=m, max_size=m)
+    l_vec = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1e6)), min_size=m, max_size=m))
+    alpha_prev = draw(agents)
+    gamma_prev = draw(st.lists(st.floats(0.1, 1.7), min_size=m, max_size=m))
+    for i in draw(st.sets(st.integers(0, m - 1))):
+        hat = scalar_candidate(l_vec[i], params)
+        if hat is None:
+            continue
+        # walk alpha_prev by ulps until its cap lands exactly on the candidate
+        a = hat - scalar_cap(0.0, params, k)
+        for _ in range(8):
+            if not a > 0 or scalar_cap(a, params, k) == hat:
+                break
+            a = float(np.nextafter(a, np.inf if scalar_cap(a, params, k) < hat else 0.0))
+        if a > 0 and scalar_cap(a, params, k) == hat:
+            alpha_prev[i] = a
+    links = draw(st.lists(st.booleans(), min_size=m * m, max_size=m * m))
+    mask = np.array(links).reshape(m, m)
+    mask = mask | mask.T | np.eye(m, dtype=bool)
+    return np.array(l_vec), np.array(alpha_prev), np.array(gamma_prev), mask, params, k
+
+
+class TestVectorLocalRule:
+    @given(local_rule_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_scalar_reference_bit_for_bit(self, case):
+        l_vec, alpha_prev, gamma_prev, mask, params, k = case
+        # the composition adolf_local_step makes, over all agents at once
+        if params.strongly_convex_sigma:
+            hat = local_candidate_strongly_convex(l_vec, params.sigma.sigma, params.c1)
+        else:
+            hat = curvature_guard(l_vec, params.sigma.sigma_bar, params.c1)
+        tilde = local_tilde(hat, alpha_prev, gamma_prev, params, k)
+        alpha, gamma = local_min_consensus(tilde, mask, alpha_prev)
+        reference = scalar_local_rule(l_vec, alpha_prev, gamma_prev, mask, params, k)
+        for got, want in zip((tilde, alpha, gamma), reference):
+            assert got.dtype == np.float64
+            assert got.tobytes() == np.array(want).tobytes()
+        assert np.all(alpha > 0.0) and np.all(np.isfinite(alpha))
+
+    def test_boundary_candidate_takes_the_shrink_branch(self):
+        params = StepsizeParams(mode="local", c1=1.0, eta=0.5,
+                                growth=GrowthPolicy(kind="additive", a=0.25))
+        alpha_prev = np.array([1.0, 1.0])
+        hat = np.array([1.25, np.nextafter(1.25, 2.0)])  # cap at k=1 is exactly 1.25
+        tilde = local_tilde(hat, alpha_prev, np.ones(2), params, 1)
+        np.testing.assert_array_equal(tilde, [0.5, 1.25])
+
+    def test_non_positive_tilde_is_numeric_error(self):
+        mask = np.ones((2, 2), dtype=bool)
+        for bad in (0.0, np.inf, np.nan):
+            with pytest.raises(NumericError):
+                local_min_consensus(np.array([0.1, bad]), mask, np.ones(2))
+
+
 class TestSchedulesAndPolicies:
     def test_sigma_values(self):
         assert sigma_value(SigmaSchedule(kind="constant", sigma_bar=2.0), 0.5) == 2.0
@@ -354,9 +434,27 @@ class TestSchedulesAndPolicies:
             StepsizeParams(mode="strongly_convex_global", sigma=SigmaSchedule())
 
     def test_local_state_uniform(self):
-        st_local = LocalStepsizeState.uniform(4, 1e-3)
-        np.testing.assert_allclose(st_local.alpha_prev, np.full(4, 1e-3))
-        np.testing.assert_allclose(st_local.gamma_prev, np.ones(4))
+        params = StepsizeParams(mode="local", alpha0=1e-3, growth=GrowthPolicy(kind="additive"))
+        gossip = topology.psd_shift(topology.metropolis_hastings(topology.make_line_graph(4)))
+        st_local = adolf_local_init(synth_ridge(4, 3, 2, seed=0), gossip, np.zeros((4, 2)),
+                                    params=params)
+        np.testing.assert_array_equal(st_local.alpha, np.full(4, 1e-3))
+        np.testing.assert_array_equal(st_local.gamma, np.ones(4))
+
+    @pytest.mark.parametrize("alpha0", [1.0e200, 1.0e-320])
+    def test_alpha0_must_keep_sigma0_finite(self, alpha0):
+        with pytest.raises(ParameterError, match="alpha0"):
+            StepsizeParams(mode="strongly_convex_global", c1=0.5, alpha0=alpha0,
+                           growth=GrowthPolicy(kind="ratio_power"),
+                           sigma=SigmaSchedule(kind="inverse_alpha_sq", sigma=0.2))
+
+    def test_non_finite_constants_rejected(self):
+        with pytest.raises(ParameterError):
+            SigmaSchedule(kind="constant", sigma_bar=math.inf)
+        with pytest.raises(ParameterError):
+            GrowthPolicy(kind="additive", a=math.inf)
+        with pytest.raises(ParameterError):
+            GrowthPolicy(kind="ratio_power", beta2=math.nan)
 
     def test_sigma0(self):
         params = sc_params(sigma=0.2)
