@@ -17,23 +17,28 @@ objective. Instances that users build from their own arrays get their batch
 slab stacked from the objectives' copies.
 
 Homogeneous instances (all ridge or all logistic, same sample counts) get
-batch evaluators built on two products of the stacked data A, (m, n, d).
-``own`` is one batched GEMM of each agent's rows with its own points; it gives
-the gradients of G stacks (``column_gradients``, with ``stacked_gradient`` as
-G = 1) and the own-row values. ``cross`` is one GEMM of the (m*n, d) view with
-k shared points; it gives every row under every loss (k = m) and, from one
-pass for k = 1, the averaged value and gradient. The per-objective loop
-remains the reference and the fallback for mixed instances; the batch path is
-tested against it.
+batch evaluators built on products of the stacked data A, (m, n, d).
+``_own`` is one batched GEMM of each agent's rows with its own points; it
+gives the gradients of G stacks (``column_gradients``, with
+``stacked_gradient`` as G = 1) and the own-row values. ``_cross`` multiplies
+k shared points by the (m*n, d) view, as ``points @ A^T``; it gives every row
+under every loss (k = m). ``_forward`` is the one-point product ``A x`` behind
+the averaged value and gradient, computed once for both. The per-objective
+loop remains the reference and the fallback for mixed instances; the batch
+path is tested against it.
 
 Objectives are immutable after construction (data arrays are read-only, and
 no writable array shares their memory), so value and gradient evaluation is
-safe from multiple threads.
+safe from multiple threads. The batch evaluators rely on it: above
+``LANE_MIN_BYTES`` of data they split the agents into lanes that run on a
+thread pool, one lane per CPU, with results bit-identical to one lane's.
 """
 
 from __future__ import annotations
 
+import os
 import struct
+import threading
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import cached_property
@@ -60,6 +65,17 @@ __all__ = [
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
+
+# Batch evaluators of a data slab of at least this many bytes multiply shared
+# points by one agent's block of rows at a time and split the agents into
+# lanes, one per CPU (see _Batch). Measured at 1 BLAS thread on a 2-CPU VM
+# (m=20, d=784): two lanes cut a stacked gradient from 1.3 to 0.8 ms at a
+# 12 MiB slab and broke even at 6 MiB, where the stacked value and the averaged
+# pass were already slower; at the 1.5 MiB of the fig2 presets (d=500) the
+# gradient went from 0.17 to 0.28 ms, since waking a thread costs more there.
+LANE_MIN_BYTES = 8 << 20
+_LANE_POOL = None  # a concurrent.futures.ThreadPoolExecutor, started on first use
+_LANE_POOL_LOCK = threading.Lock()
 
 
 def _frozen_array(a, dtype=float) -> np.ndarray:
@@ -94,6 +110,40 @@ def _stacked(rows) -> np.ndarray:
                for i, row in enumerate(rows)):
             return slab
     return np.stack(rows)
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _lane_pool():
+    """The process's lane threads, started on first use: one per CPU beyond the caller's.
+
+    ``concurrent.futures`` is imported here, so that single-lane runs never
+    load it (with the ``logging`` it imports, it holds about 0.4 MB).
+    """
+    from concurrent.futures import ThreadPoolExecutor
+
+    global _LANE_POOL
+    with _LANE_POOL_LOCK:
+        if _LANE_POOL is None:
+            _LANE_POOL = ThreadPoolExecutor(max_workers=max(_cpu_count() - 1, 1),
+                                            thread_name_prefix="decopt-lane")
+        return _LANE_POOL
+
+
+def _forget_lane_pool() -> None:
+    """In a forked child, which has none of its parent's lane threads."""
+    global _LANE_POOL, _LANE_POOL_LOCK
+    _LANE_POOL, _LANE_POOL_LOCK = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_lane_pool)
 
 
 def _expit(t):
@@ -205,25 +255,79 @@ class LogisticObjective(LocalObjective):
 
 
 class _Batch:
-    """Stacked data of m same-shape objectives; losses build on its two products.
+    """Stacked data of m same-shape objectives; losses build on its products.
 
     The averaged value and gradient share one pass, ``_average_pass``: the
     residuals or margins at a shared point, computed once for both.
+
+    Agent lanes. Every kernel is written for a range of agents ``lo..hi-1`` and
+    runs through ``_in_lanes``, which gives each lane a contiguous range and one
+    slice of a preallocated output; one lane is the whole range. The products
+    with shared points (``_cross``, ``_forward``) run over ``block_rows`` rows
+    of ``a_flat`` at a time: the whole slab when it is below
+    ``LANE_MIN_BYTES``, else one block per agent, each a BLAS call of its own.
+    A lane therefore makes the very BLAS calls and elementwise operations that
+    one lane makes for its agents, and results are bit-identical at any lane
+    count. (One call over a lane's rows would not do: BLAS picks its kernels
+    and blocking from a call's shape, so it can round differently from one
+    call over all rows.) The blocking depends only on the slab's size, so a run's bits do
+    not depend on how many CPUs the machine has. Reductions across agents
+    (the averaged value, the back product ``weights @ a_flat``) stay on the
+    calling thread, in one call, so their summation order never changes.
     """
 
     def __init__(self, a, b):
         self.a = _stacked(a)  # (m, n, d)
         self.b = _stacked(b)  # (m, n)
-        self.m, self.n, d = self.a.shape
-        self.a_flat = self.a.reshape(self.m * self.n, d)  # a view
+        self.m, self.n, self.d = self.a.shape
+        self.a_flat = self.a.reshape(self.m * self.n, self.d)  # a view
+        laned = self.a.nbytes >= LANE_MIN_BYTES
+        self.block_rows = self.n if laned else self.m * self.n
+        lanes = min(_cpu_count(), self.m) if laned else 1
+        self.ranges = [(self.m * i // lanes, self.m * (i + 1) // lanes) for i in range(lanes)]
 
-    def own(self, x_cols):
-        """A_i x_cols[i, g] for every agent i and column g, shape (m, G, n)."""
-        return np.matmul(x_cols, self.a.transpose(0, 2, 1))
+    @property
+    def lanes(self) -> int:
+        return len(self.ranges)
 
-    def cross(self, points):
-        """A_j p for every agent j and row p of a (k, d) array (or one (d,) point), (m, n, k)."""
-        return (self.a_flat @ points.T).reshape(self.m, self.n, -1)
+    def _in_lanes(self, kernel) -> None:
+        """kernel(lo, hi) for every lane's agent range; the calling thread runs the first."""
+        futures = [_lane_pool().submit(kernel, lo, hi) for lo, hi in self.ranges[1:]]
+        try:
+            kernel(*self.ranges[0])
+        finally:
+            for future in futures:
+                future.exception()  # waits: no lane may write to the output after return
+        for future in futures:
+            future.result()  # re-raises a lane's exception in the caller
+
+    def _own(self, x_cols, lo, hi):
+        """A_i x_cols[i, g] for agents i in lo..hi-1 and every column g, (hi - lo, G, n)."""
+        return np.matmul(x_cols[lo:hi], self.a[lo:hi].transpose(0, 2, 1))
+
+    def _blocks(self, lo, hi):
+        """The rows of agents lo..hi-1 as (blocks, block_rows, d)."""
+        return self.a_flat[lo * self.n:hi * self.n].reshape(-1, self.block_rows, self.d)
+
+    def _cross(self, points, lo, hi):
+        """A_j p for agents j in lo..hi-1 and every row p of the (k, d) points, (hi - lo, n, k).
+
+        Computed as ``points @ A_j^T`` (wide side last, the faster GEMM
+        orientation) and copied to agent-major order for the reductions.
+        """
+        prods = np.matmul(points, self._blocks(lo, hi).transpose(0, 2, 1))  # (blocks, k, rows)
+        return np.ascontiguousarray(prods.transpose(0, 2, 1)).reshape(hi - lo, self.n, -1)
+
+    def _forward(self, x):
+        """A x at one shared point, shape (m*n,)."""
+        out = np.empty(self.m * self.n)
+
+        def lane(lo, hi):
+            np.matmul(self._blocks(lo, hi), x,
+                      out=out[lo * self.n:hi * self.n].reshape(-1, self.block_rows))
+
+        self._in_lanes(lane)
+        return out
 
     def average_value(self, x):
         return self._average_value(x, self._average_pass(x))
@@ -244,25 +348,47 @@ class _RidgeBatch(_Batch):
         self.gammas = np.array([o.gamma for o in objs])  # (m,)
 
     def column_gradients(self, x_cols):
-        r = self.own(x_cols) - self.b[:, None, :]
-        r *= 2.0 / self.n
-        grad = np.matmul(r, self.a)
-        grad += self.gammas[:, None, None] * x_cols
+        grad = np.empty(x_cols.shape)
+
+        def lane(lo, hi):
+            r = self._own(x_cols, lo, hi) - self.b[lo:hi, None, :]
+            r *= 2.0 / self.n
+            np.matmul(r, self.a[lo:hi], out=grad[lo:hi])
+            grad[lo:hi] += self.gammas[lo:hi, None, None] * x_cols[lo:hi]
+
+        self._in_lanes(lane)
         return grad
 
     def values_at_own_rows(self, x_rows):
-        r = self.own(x_rows[:, None])[:, 0] - self.b
-        sq = np.einsum("md,md->m", x_rows, x_rows)
-        return np.einsum("mn,mn->m", r, r) / self.n + 0.5 * self.gammas * sq
+        values = np.empty(self.m)
+
+        def lane(lo, hi):
+            r = self._own(x_rows[:, None], lo, hi)[:, 0] - self.b[lo:hi]
+            x = x_rows[lo:hi]
+            sq = np.einsum("md,md->m", x, x)
+            values[lo:hi] = (np.einsum("mn,mn->m", r, r) / self.n
+                             + 0.5 * self.gammas[lo:hi] * sq)
+
+        self._in_lanes(lane)
+        return values
 
     def cross_values(self, x_rows):
         """value[i, j] = f_j evaluated at row i."""
-        r = self.cross(x_rows) - self.b[:, :, None]
         sq = np.einsum("id,id->i", x_rows, x_rows)
-        return np.einsum("jni,jni->ij", r, r) / self.n + 0.5 * self.gammas[None, :] * sq[:, None]
+        values = np.empty((len(x_rows), self.m))
+
+        def lane(lo, hi):
+            r = self._cross(x_rows, lo, hi) - self.b[lo:hi, :, None]
+            values[:, lo:hi] = (np.einsum("jni,jni->ij", r, r) / self.n
+                                + 0.5 * self.gammas[None, lo:hi] * sq[:, None])
+
+        self._in_lanes(lane)
+        return values
 
     def _average_pass(self, x):
-        return self.cross(x).ravel() - self.b.ravel()
+        r = self._forward(x)
+        r -= self.b.ravel()
+        return r
 
     def _average_value(self, x, r):
         return float(r @ r / (self.m * self.n) + 0.5 * np.mean(self.gammas) * (x @ x))
@@ -278,21 +404,39 @@ class _LogisticBatch(_Batch):
         super().__init__([o.features for o in objs], [o.labels for o in objs])
 
     def column_gradients(self, x_cols):
-        b = self.b[:, None, :]
-        weights = b * _expit(-b * self.own(x_cols))
-        weights *= -1.0 / self.n
-        return np.matmul(weights, self.a)
+        grad = np.empty(x_cols.shape)
+
+        def lane(lo, hi):
+            b = self.b[lo:hi, None, :]
+            weights = b * _expit(-b * self._own(x_cols, lo, hi))
+            weights *= -1.0 / self.n
+            np.matmul(weights, self.a[lo:hi], out=grad[lo:hi])
+
+        self._in_lanes(lane)
+        return grad
 
     def values_at_own_rows(self, x_rows):
-        margins = self.b * self.own(x_rows[:, None])[:, 0]
-        return np.mean(np.logaddexp(0.0, -margins), axis=1)
+        values = np.empty(self.m)
+
+        def lane(lo, hi):
+            margins = self.b[lo:hi] * self._own(x_rows[:, None], lo, hi)[:, 0]
+            values[lo:hi] = np.mean(np.logaddexp(0.0, -margins), axis=1)
+
+        self._in_lanes(lane)
+        return values
 
     def cross_values(self, x_rows):
-        margins = self.b[:, :, None] * self.cross(x_rows)
-        return np.mean(np.logaddexp(0.0, -margins), axis=1).T
+        values = np.empty((self.m, len(x_rows)))
+
+        def lane(lo, hi):
+            margins = self.b[lo:hi, :, None] * self._cross(x_rows, lo, hi)
+            values[lo:hi] = np.mean(np.logaddexp(0.0, -margins), axis=1)
+
+        self._in_lanes(lane)
+        return values.T
 
     def _average_pass(self, x):
-        return self.b.ravel() * self.cross(x).ravel()
+        return self.b.ravel() * self._forward(x)
 
     def _average_value(self, x, margins):
         return float(np.mean(np.logaddexp(0.0, -margins)))
@@ -328,6 +472,12 @@ class ProblemInstance:
             if all(isinstance(o, kind) for o in objs) and len({o.n for o in objs}) == 1:
                 return batch(objs)
         return None
+
+    @property
+    def lanes(self) -> int:
+        """Agent lanes of the batch evaluators: 1 below LANE_MIN_BYTES, on one CPU
+        or without batch evaluators."""
+        return 1 if self._batch is None else self._batch.lanes
 
     def _check_stack(self, x_stack):
         x_stack = np.asarray(x_stack, dtype=float)

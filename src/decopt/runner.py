@@ -147,6 +147,7 @@ class RunManifest:
     dual_colsum_max: float | None = None  # max relative column-sum drift of D
     l_tilde_hat: float | None = None  # max observed secant curvature; None if none positive
     mu_tilde_hat: float | None = None  # min observed secant strong convexity
+    lanes: int = 1  # agent lanes of the instance's batch evaluators
 
     def to_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True)
@@ -236,6 +237,7 @@ def _manifest_for(config: ExperimentConfig, trace: Trace, csv_path: Path, ws: _W
         dual_colsum_max=_finite(trace.dual_colsum_max),
         l_tilde_hat=_finite(restricted.l_tilde_hat) if restricted.l_tilde_hat > 0 else None,
         mu_tilde_hat=_finite(restricted.mu_tilde_hat),
+        lanes=ws.problem.lanes,
     )
 
 

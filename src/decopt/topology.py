@@ -238,8 +238,10 @@ def make_erdos_renyi(m: int, p: float, seed: int) -> Graph:
     rng = np.random.default_rng(seed)
     pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
     for _ in range(_ER_MAX_ATTEMPTS):
-        draws = rng.random(len(pairs))
-        edges = frozenset(pair for pair, u in zip(pairs, draws) if u < p)
+        hits = rng.random(len(pairs)) < p
+        if np.count_nonzero(hits) < m - 1:
+            continue  # fewer than m - 1 edges cannot connect m vertices
+        edges = frozenset(pair for pair, hit in zip(pairs, hits) if hit)
         if _is_connected(m, edges):
             return Graph(m, edges)
     raise GraphGenerationError(

@@ -471,6 +471,20 @@ class TestCli:
         assert cli.main(["run", str(path), "--out", str(tmp_path / "g")]) == 2
         assert "graph.p" in capsys.readouterr().err
 
+    def test_unconnectable_graph_skips_sparse_draws(self, tmp_path, capsys, monkeypatch):
+        # every one of the 100000 draws has far fewer than m - 1 = 29 edges, so
+        # none is worth a connectivity traversal
+        checked = []
+        is_connected = topology._is_connected
+        monkeypatch.setattr(topology, "_is_connected",
+                            lambda m, edges: checked.append(len(edges)) or is_connected(m, edges))
+        raw = small_ridge_raw(problem={"kind": "ridge", "m": 30, "n": 5, "d": 3},
+                              graph={"kind": "erdos_renyi", "m": 30, "p": 0.001})
+        path = self.write_config(tmp_path, raw)
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "g")]) == 2
+        assert "graph.p" in capsys.readouterr().err
+        assert checked == []
+
     def test_divergence_exit_code(self, tmp_path):
         raw = small_ridge_raw(algorithm={"kind": "extra", "alpha": 50.0},
                               stop={"max_iter": 100})

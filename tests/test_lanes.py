@@ -1,0 +1,219 @@
+"""Agent lanes: batch evaluators that split their agents across threads.
+
+Lanes engage only above ``objectives.LANE_MIN_BYTES`` of data, on machines
+with more than one CPU. These tests force them on small instances by setting
+the cutoff to 0 and the CPU count to the lane count wanted; the lane count is
+capped at m. Every result must be bit-identical to the single-lane one, since
+a lane makes exactly the BLAS calls and elementwise operations that one lane
+makes for its agents.
+"""
+
+import json
+import os
+import signal
+import threading
+import time
+from dataclasses import replace
+
+import numpy as np
+import pytest
+import yaml
+
+from decopt import cli, objectives, runner
+from decopt.config import parse_config_dict
+from decopt.objectives import synth_logistic, synth_ridge
+
+# At this shape one BLAS call per lane, instead of one per agent block, rounds
+# differently from one call for all agents (OpenBLAS 0.3.31, SkylakeX kernels),
+# so a lane that strays from the single-lane calls shows.
+M, N, D = 7, 33, 65
+COUNTS = [2, 3, 4, 9]  # none divides M; 9 exceeds it
+
+
+@pytest.fixture
+def force_lanes(monkeypatch):
+    """force_lanes(count): instances built afterwards use min(count, m) lanes."""
+    def force(count):
+        monkeypatch.setattr(objectives, "LANE_MIN_BYTES", 0)
+        monkeypatch.setattr(objectives, "_cpu_count", lambda: count)
+    return force
+
+
+def evaluations(prob):
+    """Every batch evaluator of prob at fixed points."""
+    rng = np.random.default_rng(11)
+    x = 0.5 * rng.standard_normal((prob.m, prob.d))
+    x_cols = 0.5 * rng.standard_normal((prob.m, 3, prob.d))
+    value, grad = prob.average_value_and_gradient(x[0])
+    return {
+        "column_gradients": prob.column_gradients(x_cols),
+        "stacked_gradient": prob.stacked_gradient(x),
+        "stacked_value": prob.stacked_value(x),
+        "average_values_at_rows": prob.average_values_at_rows(x),
+        "average_value": value,
+        "average_gradient": grad,
+        "average_value_alone": prob.average_value(x[1]),
+        "average_gradient_alone": prob.average_gradient(x[1]),
+    }
+
+
+def assert_identical(got: dict, want: dict):
+    for name, value in want.items():
+        assert np.array_equal(got[name], value), name
+
+
+@pytest.mark.parametrize("synth", [synth_ridge, synth_logistic])
+def test_kernels_identical_at_any_lane_count(force_lanes, synth):
+    force_lanes(1)
+    one = synth(M, N, D, seed=3)
+    assert one.lanes == 1
+    want = evaluations(one)
+    for count in COUNTS:
+        force_lanes(count)
+        prob = synth(M, N, D, seed=3)
+        assert prob.lanes == min(count, M)
+        assert_identical(evaluations(prob), want)
+
+
+@pytest.mark.parametrize("synth", [synth_ridge, synth_logistic])
+def test_lanes_cover_every_agent_once(force_lanes, synth):
+    for count in [1] + COUNTS:
+        force_lanes(count)
+        ranges = synth(M, N, D, seed=3)._batch.ranges
+        assert ranges[0][0] == 0 and ranges[-1][1] == M
+        assert all(lo < hi == next_lo for (lo, hi), (next_lo, _) in zip(ranges, ranges[1:]))
+
+
+def test_below_cutoff_is_one_lane():
+    # a few kilobytes of data, far below the cutoff: one lane on any machine
+    for prob in (synth_ridge(M, N, D, seed=3), synth_logistic(M, N, D, seed=3)):
+        assert prob._batch.a.nbytes < objectives.LANE_MIN_BYTES
+        assert prob.lanes == 1
+
+
+def test_lanes_follow_the_cpus_this_process_may_use(monkeypatch):
+    # the real CPU count: one lane under `taskset -c 0`, min(cpus, m) otherwise
+    monkeypatch.setattr(objectives, "LANE_MIN_BYTES", 0)
+    cpus = len(os.sched_getaffinity(0))
+    prob = synth_logistic(M, N, D, seed=3)
+    assert prob.lanes == min(cpus, M)
+    monkeypatch.setattr(objectives, "_cpu_count", lambda: 1)
+    assert_identical(evaluations(prob), evaluations(synth_logistic(M, N, D, seed=3)))
+
+
+def test_lane_exception_reaches_caller(force_lanes, monkeypatch):
+    force_lanes(3)
+    prob = synth_logistic(M, N, D, seed=3)
+    caller = threading.current_thread()
+
+    def failing_expit(t):
+        if threading.current_thread() is not caller:
+            raise FloatingPointError("lane failed")
+        return 1.0 / (1.0 + np.exp(-t))
+
+    monkeypatch.setattr(objectives, "_expit", failing_expit)
+    with pytest.raises(FloatingPointError, match="lane failed"):
+        prob.stacked_gradient(np.zeros((M, D)))
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_starts_its_own_lanes(force_lanes):
+    force_lanes(3)
+    prob = synth_logistic(M, N, D, seed=3)
+    want = evaluations(prob)  # the lane threads now run in this process only
+    pid = os.fork()
+    if pid == 0:  # child: exit 0 only when the lanes ran and agreed
+        try:
+            got = evaluations(synth_logistic(M, N, D, seed=3))
+            os._exit(0 if all(np.array_equal(got[k], v) for k, v in want.items()) else 1)
+        finally:
+            os._exit(2)
+    deadline = time.monotonic() + 60
+    while (status := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.05)
+    if status[0] == 0:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    assert status[0] == pid, "forked child hung on its parent's lane pool"
+    assert os.waitstatus_to_exitcode(status[1]) == 0
+
+
+def raw_config(problem_kind: str, algorithm: dict) -> dict:
+    return {
+        "problem": {"kind": problem_kind, "m": M, "n": N, "d": D},
+        "graph": {"kind": "ring", "m": M},
+        "algorithm": algorithm,
+        "stop": {"max_iter": 40},
+        "diagnostics": {"cadence": 1},
+        "name": "lanes",
+        "master_seed": 2,
+    }
+
+
+def run_outputs(tmp_path, raw: dict, tag: str) -> tuple[bytes, dict]:
+    out = tmp_path / tag
+    manifest = runner.run_experiment(parse_config_dict(raw), out_dir=out)
+    return (out / "lanes.csv").read_bytes(), manifest
+
+
+@pytest.mark.parametrize("problem_kind", ["ridge", "logistic_synthetic"])
+@pytest.mark.parametrize("algorithm", [
+    {"kind": "adolf", "mode": "convex"},
+    {"kind": "adolf_local", "mode": "convex"},
+])
+def test_run_traces_identical_with_lanes(tmp_path, force_lanes, problem_kind, algorithm):
+    raw = raw_config(problem_kind, algorithm)
+    force_lanes(1)
+    want, manifest = run_outputs(tmp_path, raw, "one")
+    assert manifest.lanes == 1
+    for count in (2, 4):
+        force_lanes(count)
+        got, manifest = run_outputs(tmp_path, raw, f"lanes{count}")
+        assert manifest.lanes == count
+        assert got == want
+
+
+@pytest.mark.parametrize("problem_kind", ["ridge", "logistic_synthetic"])
+def test_grid_points_identical_with_lanes(tmp_path, force_lanes, problem_kind):
+    raw = raw_config(problem_kind, {"kind": "extra", "grid": [0.05, 0.3, 1.0, 8.0],
+                                    "budget": 30})
+    force_lanes(1)
+    want_csv, want = run_outputs(tmp_path, raw, "one")
+    force_lanes(3)
+    got_csv, got = run_outputs(tmp_path, raw, "three")
+    assert got.lanes == 3
+    assert got.extra_grid == want.extra_grid
+    assert got.extra_best_alpha == want.extra_best_alpha
+    assert got_csv == want_csv
+
+
+def test_run_manifest_records_lanes(tmp_path, force_lanes):
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(raw_config("ridge", {"kind": "adolf"})))
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "one")]) == 0
+    manifest = json.loads((tmp_path / "one" / "lanes.manifest.json").read_text())
+    assert manifest["lanes"] == 1  # a few kilobytes: below the cutoff
+    force_lanes(3)
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "three")]) == 0
+    manifest = json.loads((tmp_path / "three" / "lanes.manifest.json").read_text())
+    assert manifest["lanes"] == 3
+
+
+def test_preset_manifests_record_lanes(tmp_path, force_lanes, monkeypatch):
+    def short(*args, **kwargs):  # the preset's runs and grid, at a few rounds each
+        return [replace(cfg, stop=replace(cfg.stop, max_iter=20),
+                        algorithm=replace(cfg.algorithm, budget=20))
+                for cfg in runner.figure_preset(*args, **kwargs)]
+
+    monkeypatch.setattr(cli, "figure_preset", short)
+    outputs = {}
+    for count in (1, 2):
+        force_lanes(count)
+        out = tmp_path / f"lanes{count}"
+        assert cli.main(["preset", "fig1_er01", "--synthetic-logistic", "--out", str(out)]) == 0
+        for kind in ("adolf", "adolf_local", "extra"):
+            manifest = json.loads((out / f"fig1_er01_{kind}.manifest.json").read_text())
+            assert manifest["lanes"] == count
+        outputs[count] = {p.name: p.read_bytes() for p in out.iterdir()
+                          if not p.name.endswith(".manifest.json")}
+    assert outputs[2] == outputs[1]

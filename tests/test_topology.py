@@ -77,6 +77,12 @@ class TestGraphs:
         with pytest.raises(GraphGenerationError):
             topology.make_erdos_renyi(40, 0.02, seed=1)
 
+    @pytest.mark.parametrize("m", [5, 20, 30])
+    @pytest.mark.parametrize("p", [0.1, 0.3, 0.9])
+    def test_er_same_graphs_as_checking_every_draw(self, m, p):
+        for seed in range(5):
+            assert topology.make_erdos_renyi(m, p, seed).edges == replay_erdos_renyi(m, p, seed)
+
     def test_round_trip_text(self):
         g = topology.make_erdos_renyi(12, 0.3, seed=5)
         assert topology.graph_from_text(topology.graph_to_text(g)).edges == g.edges
@@ -210,3 +216,16 @@ class TestGossipValidation:
             gm.w_tilde[0, 0] = 2.0
         with pytest.raises(ValueError):
             gm.shifted[0, 0] = 2.0
+
+
+def replay_erdos_renyi(m: int, p: float, seed: int):
+    """The edges make_erdos_renyi returned when it ran the connectivity check on
+    every draw, however few edges it had; None when no draw connected."""
+    rng = np.random.default_rng(seed)
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    for _ in range(topology._ER_MAX_ATTEMPTS):
+        draws = rng.random(len(pairs))
+        edges = frozenset(pair for pair, u in zip(pairs, draws) if u < p)
+        if topology._is_connected(m, edges):
+            return edges
+    return None
