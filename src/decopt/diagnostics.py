@@ -28,7 +28,6 @@ import numpy as np
 
 from .errors import InsufficientDataError, NumericError, ParameterError
 from .objectives import ProblemInstance, centralized_minimize, ridge_exact_solution
-from .objectives import RidgeObjective
 from .topology import GossipMatrix, graph_laplacian_sqrt, laplacian_pinv_sqrt
 
 __all__ = [
@@ -107,7 +106,7 @@ def compute_saddle(
     """
     if not 0 < tol < np.inf:
         raise ParameterError(f"saddle tolerance must be positive and finite, got {tol}")
-    if all(isinstance(o, RidgeObjective) for o in problem.objectives):
+    if problem.loss == "ridge":
         x_star = ridge_exact_solution(problem)
     else:
         x_star = centralized_minimize(problem, tol=tol)

@@ -1,35 +1,33 @@
-"""Local losses, stacked operators, data generation, and the reference solver.
+"""Agents' losses, stacked operators, data generation, and the reference solver.
 
-Each agent i owns a private convex loss. The solvers work on the row-wise
-stack X (one row per agent) through ``stacked_value``/``stacked_gradient``;
-all optimality metrics are anchored to a high-accuracy minimizer of the
-averaged objective computed by ``centralized_minimize``.
+Each agent i owns a private convex loss f_i on its n samples: ridge or
+logistic, the same kind for every agent. A ``ProblemInstance`` holds the
+data of all m agents as read-only slabs: (m, n, d) features ``a``, (m, n)
+targets or labels ``b`` and, for ridge, the (m,) coefficients ``gammas``.
+The solvers work on the row-wise stack X (one row per agent) through
+``stacked_value``/``stacked_gradient``; all optimality metrics are anchored
+to a high-accuracy minimizer of the averaged objective computed by
+``centralized_minimize``.
 
-One copy of the data. The generators and loaders (``synth_ridge``,
-``synth_logistic``, ``load_mnist_partition``, ``load_instance``) write an
-instance's data once, into one read-only slab: (m, n, d) features or rows and
-(m, n) labels or targets. Agent i's objective holds row i of each slab as a
-view, and the batch evaluators adopt the slab itself. An objective adopts an
-array without copying only when it is read-only float64 and the array that
-owns its memory is read-only too; anything else, every array a caller passes
-in particular, is copied, so mutating the caller's array never changes an
-objective. Instances that users build from their own arrays get their batch
-slab stacked from the objectives' copies.
+One copy of the data. The generators and the loader (``synth_ridge``,
+``synth_logistic``, ``load_mnist_partition``) write an instance's data once,
+into slabs that they hand over read-only. An instance adopts an array
+without copying only when it is C-contiguous, read-only float64 and the
+array that owns its memory is read-only too; anything else, every array a caller passes in
+particular, is copied, so mutating the caller's array never changes an
+instance.
 
-Homogeneous instances (all ridge or all logistic, same sample counts) get
-batch evaluators built on products of the stacked data A, (m, n, d).
-``_own`` is one batched GEMM of each agent's rows with its own points; it
-gives the gradients of G stacks (``column_gradients``, with
-``stacked_gradient`` as G = 1) and the own-row values. ``_cross`` multiplies
-k shared points by the (m*n, d) view, as ``points @ A^T``; it gives every row
-under every loss (k = m). ``_forward`` is the one-point product ``A x`` behind
-the averaged value and gradient, computed once for both. The per-objective
-loop remains the reference and the fallback for mixed instances; the batch
-path is tested against it.
+The evaluators are built on products of the slab A, (m, n, d). ``_own`` is
+one batched GEMM of each agent's rows with its own points; it gives the
+gradients of G stacks (``column_gradients``, with ``stacked_gradient`` as
+G = 1) and the own-row values. ``_cross`` multiplies k shared points by the
+(m*n, d) view, as ``points @ A^T``; it gives every row under every loss
+(k = m). ``_forward`` is the one-point product ``A x`` behind the averaged
+value and gradient, computed once for both.
 
-Objectives are immutable after construction (data arrays are read-only, and
+Instances are immutable after construction (data arrays are read-only, and
 no writable array shares their memory), so value and gradient evaluation is
-safe from multiple threads. The batch evaluators rely on it: above
+safe from multiple threads. The evaluators rely on it: above
 ``LANE_MIN_BYTES`` of data they split the agents into lanes that run on a
 thread pool, one lane per CPU, with results bit-identical to one lane's.
 """
@@ -39,18 +37,13 @@ from __future__ import annotations
 import os
 import struct
 import threading
-from abc import ABC, abstractmethod
-from dataclasses import dataclass
-from functools import cached_property
+from operator import attrgetter
 
 import numpy as np
 
 from .errors import DataError, NotConvergedError, ParameterError, ShapeError
 
 __all__ = [
-    "LocalObjective",
-    "RidgeObjective",
-    "LogisticObjective",
     "ProblemInstance",
     "synth_ridge",
     "synth_logistic",
@@ -59,8 +52,6 @@ __all__ = [
     "read_idx_labels",
     "centralized_minimize",
     "ridge_exact_solution",
-    "save_instance",
-    "load_instance",
 ]
 
 IDX_IMAGE_MAGIC = 0x00000803
@@ -79,10 +70,12 @@ _LANE_POOL_LOCK = threading.Lock()
 
 
 def _frozen_array(a, dtype=float) -> np.ndarray:
-    """a as a read-only array: adopted when nothing can write its memory, else copied."""
-    if isinstance(a, np.ndarray) and a.dtype == dtype and _read_only(a):
+    """a as a read-only C-contiguous array: adopted when nothing can write its memory,
+    else copied."""
+    if (isinstance(a, np.ndarray) and a.dtype == dtype and a.flags.c_contiguous
+            and _read_only(a)):
         return a
-    out = np.array(a, dtype=dtype)
+    out = np.array(a, dtype=dtype, order="C")
     out.setflags(write=False)
     return out
 
@@ -96,20 +89,6 @@ def _read_only(a: np.ndarray) -> bool:
             return False  # memory owned by a buffer that may be writable
         a = a.base
     return False
-
-
-def _stacked(rows) -> np.ndarray:
-    """The rows as one (m, ...) array: their read-only slab when they are its
-    consecutive rows, adopted as is, and a stacked copy otherwise."""
-    slab = rows[0].base
-    if (isinstance(slab, np.ndarray) and not slab.flags.writeable
-            and slab.shape == (len(rows), *rows[0].shape)):
-        start, step = slab.ctypes.data, slab.strides[0]
-        if all(row.base is slab and row.ctypes.data == start + i * step
-               and row.shape == slab.shape[1:] and row.strides == slab.strides[1:]
-               for i, row in enumerate(rows)):
-            return slab
-    return np.stack(rows)
 
 
 def _cpu_count() -> int:
@@ -165,97 +144,9 @@ def _check_point(x, d: int) -> np.ndarray:
     return x
 
 
-class LocalObjective(ABC):
-    """Convex, continuously differentiable loss owned by one agent."""
-
-    @property
-    @abstractmethod
-    def d(self) -> int:
-        """Decision-variable dimension."""
-
-    @abstractmethod
-    def value(self, x: np.ndarray) -> float: ...
-
-    @abstractmethod
-    def gradient(self, x: np.ndarray) -> np.ndarray: ...
-
-
-@dataclass(frozen=True)
-class RidgeObjective(LocalObjective):
-    """f(x) = (1/n) ||A x - b||^2 + (gamma/2) ||x||^2 with gamma > 0."""
-
-    a_mat: np.ndarray
-    b_vec: np.ndarray
-    gamma: float
-
-    def __post_init__(self):
-        a = np.asarray(self.a_mat, dtype=float)
-        b = np.asarray(self.b_vec, dtype=float)
-        if a.ndim != 2 or b.shape != (a.shape[0],):
-            raise ShapeError(f"incompatible ridge data shapes {a.shape}, {b.shape}")
-        if self.gamma <= 0:
-            raise ParameterError(f"ridge coefficient must be positive, got {self.gamma}")
-        object.__setattr__(self, "a_mat", _frozen_array(a))
-        object.__setattr__(self, "b_vec", _frozen_array(b))
-
-    @property
-    def n(self) -> int:
-        return self.a_mat.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.a_mat.shape[1]
-
-    def value(self, x):
-        x = _check_point(x, self.d)
-        r = self.a_mat @ x - self.b_vec
-        return float(r @ r / self.n + 0.5 * self.gamma * (x @ x))
-
-    def gradient(self, x):
-        x = _check_point(x, self.d)
-        return (2.0 / self.n) * (self.a_mat.T @ (self.a_mat @ x - self.b_vec)) + self.gamma * x
-
-
-@dataclass(frozen=True)
-class LogisticObjective(LocalObjective):
-    """f(x) = (1/n) sum_j log(1 + exp(-b_j <x, a_j>)) with b_j in {-1, +1}."""
-
-    features: np.ndarray
-    labels: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.features, dtype=float)
-        b = np.asarray(self.labels, dtype=float)
-        if a.ndim != 2 or b.shape != (a.shape[0],):
-            raise ShapeError(f"incompatible logistic data shapes {a.shape}, {b.shape}")
-        if not np.all(np.abs(b) == 1.0):
-            raise ParameterError("logistic labels must be +1 or -1")
-        object.__setattr__(self, "features", _frozen_array(a))
-        object.__setattr__(self, "labels", _frozen_array(b))
-
-    @property
-    def n(self) -> int:
-        return self.features.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.features.shape[1]
-
-    def value(self, x):
-        x = _check_point(x, self.d)
-        margins = self.labels * (self.features @ x)
-        # log(1 + exp(-t)) computed as logaddexp(0, -t): no overflow for any t
-        return float(np.mean(np.logaddexp(0.0, -margins)))
-
-    def gradient(self, x):
-        x = _check_point(x, self.d)
-        margins = self.labels * (self.features @ x)
-        weights = self.labels * _expit(-margins)
-        return -(self.features.T @ weights) / self.n
-
-
 class _Batch:
-    """Stacked data of m same-shape objectives; losses build on its products.
+    """Read-only (m, n, d) features and (m, n) labels or targets of m agents;
+    a loss builds its evaluators on their products.
 
     The averaged value and gradient share one pass, ``_average_pass``: the
     residuals or margins at a shared point, computed once for both.
@@ -277,8 +168,12 @@ class _Batch:
     """
 
     def __init__(self, a, b):
-        self.a = _stacked(a)  # (m, n, d)
-        self.b = _stacked(b)  # (m, n)
+        self.a, self.b = _frozen_array(a), _frozen_array(b)
+        if self.a.ndim != 3 or self.b.shape != self.a.shape[:2]:
+            raise ShapeError(f"incompatible {self.loss} data shapes {self.a.shape}, "
+                             f"{self.b.shape}: expected (m, n, d) and (m, n)")
+        if self.a.shape[0] < 1:
+            raise ParameterError("a problem needs at least one agent")
         self.m, self.n, self.d = self.a.shape
         self.a_flat = self.a.reshape(self.m * self.n, self.d)  # a view
         laned = self.a.nbytes >= LANE_MIN_BYTES
@@ -343,9 +238,16 @@ class _Batch:
 class _RidgeBatch(_Batch):
     """Ridge evaluators on the residuals A x - b."""
 
-    def __init__(self, objs):
-        super().__init__([o.a_mat for o in objs], [o.b_vec for o in objs])
-        self.gammas = np.array([o.gamma for o in objs])  # (m,)
+    loss = "ridge"
+
+    def __init__(self, a, b, gammas):
+        super().__init__(a, b)
+        self.gammas = _frozen_array(gammas)
+        if self.gammas.shape != (self.m,):
+            raise ShapeError(f"expected {self.m} ridge coefficients, got shape "
+                             f"{self.gammas.shape}")
+        if not np.all(self.gammas > 0):  # a NaN coefficient fails too
+            raise ParameterError(f"ridge coefficients must be positive, got {self.gammas}")
 
     def column_gradients(self, x_cols):
         grad = np.empty(x_cols.shape)
@@ -400,8 +302,13 @@ class _RidgeBatch(_Batch):
 class _LogisticBatch(_Batch):
     """Logistic evaluators on the margins b * (A x)."""
 
-    def __init__(self, objs):
-        super().__init__([o.features for o in objs], [o.labels for o in objs])
+    loss = "logistic"
+    gammas = None
+
+    def __init__(self, a, b):
+        super().__init__(a, b)
+        if not np.all(np.abs(self.b) == 1.0):
+            raise ParameterError("logistic labels must be +1 or -1")
 
     def column_gradients(self, x_cols):
         grad = np.empty(x_cols.shape)
@@ -446,38 +353,45 @@ class _LogisticBatch(_Batch):
         return -(weights @ self.a_flat) / (self.m * self.n)
 
 
-@dataclass(frozen=True)
 class ProblemInstance:
-    """m local objectives sharing one decision dimension d."""
+    """m agents' losses of one kind, evaluated on the instance's data slabs.
 
-    objectives: tuple[LocalObjective, ...]
-    d: int
+    Build one with ``ProblemInstance.ridge`` or ``ProblemInstance.logistic``.
+    ``loss`` is "ridge" or "logistic"; ``a`` holds the (m, n, d) features
+    (a[i, j] is agent i's sample j), ``b`` the (m, n) ridge targets or
+    logistic labels and ``gammas`` the (m,) ridge coefficients, None for
+    logistic. The arrays are read-only; ``lanes`` counts the evaluators'
+    agent lanes: 1 below LANE_MIN_BYTES or on one CPU.
+    """
 
-    def __post_init__(self):
-        objs = tuple(self.objectives)
-        if not objs:
-            raise ParameterError("a problem needs at least one objective")
-        if any(o.d != self.d for o in objs):
-            raise ShapeError("all objectives must share the problem dimension")
-        object.__setattr__(self, "objectives", objs)
+    def __init__(self, kernel: _Batch):
+        self._kernel = kernel
 
-    @property
-    def m(self) -> int:
-        return len(self.objectives)
+    # the kernel's fields, read-only: each is stored once
+    loss = property(attrgetter("_kernel.loss"))
+    lanes = property(attrgetter("_kernel.lanes"))
+    a = property(attrgetter("_kernel.a"))
+    b = property(attrgetter("_kernel.b"))
+    gammas = property(attrgetter("_kernel.gammas"))
+    m = property(attrgetter("_kernel.m"))
+    n = property(attrgetter("_kernel.n"))
+    d = property(attrgetter("_kernel.d"))
 
-    @cached_property
-    def _batch(self):
-        objs = self.objectives
-        for kind, batch in ((RidgeObjective, _RidgeBatch), (LogisticObjective, _LogisticBatch)):
-            if all(isinstance(o, kind) for o in objs) and len({o.n for o in objs}) == 1:
-                return batch(objs)
-        return None
+    @classmethod
+    def ridge(cls, a, b, gammas) -> ProblemInstance:
+        """f_i(x) = (1/n) ||A_i x - b_i||^2 + (gamma_i/2) ||x||^2 with every gamma_i > 0.
 
-    @property
-    def lanes(self) -> int:
-        """Agent lanes of the batch evaluators: 1 below LANE_MIN_BYTES, on one CPU
-        or without batch evaluators."""
-        return 1 if self._batch is None else self._batch.lanes
+        a is (m, n, d), b is (m, n) and gammas is (m,).
+        """
+        return cls(_RidgeBatch(a, b, gammas))
+
+    @classmethod
+    def logistic(cls, a, b) -> ProblemInstance:
+        """f_i(x) = (1/n) sum_j log(1 + exp(-b_ij <x, a_ij>)) with every b_ij in {-1, +1}.
+
+        a is (m, n, d) and b is (m, n).
+        """
+        return cls(_LogisticBatch(a, b))
 
     def _check_stack(self, x_stack):
         x_stack = np.asarray(x_stack, dtype=float)
@@ -487,17 +401,11 @@ class ProblemInstance:
 
     def stacked_value(self, x_stack) -> float:
         """F(X) = sum_i f_i(x_i)."""
-        x_stack = self._check_stack(x_stack)
-        if self._batch is not None:
-            return float(np.sum(self._batch.values_at_own_rows(x_stack)))
-        return float(sum(o.value(x) for o, x in zip(self.objectives, x_stack)))
+        return float(np.sum(self._kernel.values_at_own_rows(self._check_stack(x_stack))))
 
     def stacked_gradient(self, x_stack) -> np.ndarray:
         """Row i holds the gradient of f_i at row i of the stack."""
-        x_stack = self._check_stack(x_stack)
-        if self._batch is not None:
-            return self._batch.column_gradients(x_stack[:, None])[:, 0]
-        return np.stack([o.gradient(x) for o, x in zip(self.objectives, x_stack)])
+        return self._kernel.column_gradients(self._check_stack(x_stack)[:, None])[:, 0]
 
     def column_gradients(self, x_cols) -> np.ndarray:
         """Gradients of G stacks at once: x_cols[:, g] is stack g, shape (m, G, d)."""
@@ -505,43 +413,25 @@ class ProblemInstance:
         if x_cols.ndim != 3 or x_cols.shape[0] != self.m or x_cols.shape[2] != self.d:
             raise ShapeError(f"expected columns of shape ({self.m}, G, {self.d}), "
                              f"got {x_cols.shape}")
-        if self._batch is not None:
-            return self._batch.column_gradients(x_cols)
-        return np.stack([self.stacked_gradient(x_cols[:, g]) for g in range(x_cols.shape[1])],
-                        axis=1)
+        return self._kernel.column_gradients(x_cols)
 
     def average_value(self, x) -> float:
         """f(x) = (1/m) sum_i f_i(x) at a single shared point."""
-        x = _check_point(x, self.d)
-        if self._batch is not None:
-            return self._batch.average_value(x)
-        return float(sum(o.value(x) for o in self.objectives)) / self.m
+        return self._kernel.average_value(_check_point(x, self.d))
 
     def average_gradient(self, x) -> np.ndarray:
-        x = _check_point(x, self.d)
-        if self._batch is not None:
-            return self._batch.average_gradient(x)
-        g = np.zeros(self.d)
-        for o in self.objectives:
-            g += o.gradient(x)
-        return g / self.m
+        return self._kernel.average_gradient(_check_point(x, self.d))
 
     def average_value_and_gradient(self, x) -> tuple[float, np.ndarray]:
         """(f(x), grad f(x)), bit-identical to the two separate calls.
 
-        The batch path computes the product with the data once for both.
+        The product with the data is computed once for both.
         """
-        x = _check_point(x, self.d)
-        if self._batch is not None:
-            return self._batch.average_value_and_gradient(x)
-        return self.average_value(x), self.average_gradient(x)
+        return self._kernel.average_value_and_gradient(_check_point(x, self.d))
 
     def average_values_at_rows(self, x_stack) -> np.ndarray:
         """Vector of f(x_i) for every row, f being the averaged objective."""
-        x_stack = self._check_stack(x_stack)
-        if self._batch is not None:
-            return np.mean(self._batch.cross_values(x_stack), axis=1)
-        return np.array([self.average_value(x) for x in x_stack])
+        return np.mean(self._kernel.cross_values(self._check_stack(x_stack)), axis=1)
 
 
 def synth_ridge(m: int, n: int, d: int, seed: int) -> ProblemInstance:
@@ -555,8 +445,7 @@ def synth_ridge(m: int, n: int, d: int, seed: int) -> ProblemInstance:
         rng.standard_normal(out=b[i])
     a.setflags(write=False)
     b.setflags(write=False)
-    objs = tuple(RidgeObjective(a[i], b[i], gamma=0.1 + i * 0.1) for i in range(m))
-    return ProblemInstance(objs, d)
+    return ProblemInstance.ridge(a, b, [0.1 + i * 0.1 for i in range(m)])
 
 
 def synth_logistic(m: int, n: int, d: int, seed: int, noise: float = 0.1) -> ProblemInstance:
@@ -578,7 +467,7 @@ def synth_logistic(m: int, n: int, d: int, seed: int, noise: float = 0.1) -> Pro
         b[i, rng.random(n) < noise] *= -1.0
     a.setflags(write=False)
     b.setflags(write=False)
-    return ProblemInstance(tuple(LogisticObjective(a[i], b[i]) for i in range(m)), d)
+    return ProblemInstance.logistic(a, b)
 
 
 def _read_be_u32(f, path) -> int:
@@ -664,29 +553,29 @@ def load_mnist_partition(
     b[:] = np.where(labels[rows] == p, 1.0, -1.0).reshape(m, n)
     a.setflags(write=False)
     b.setflags(write=False)
-    return ProblemInstance(tuple(LogisticObjective(a[i], b[i]) for i in range(m)), d)
+    return ProblemInstance.logistic(a, b)
 
 
 def ridge_exact_solution(problem: ProblemInstance) -> np.ndarray:
     """Minimizer of the averaged ridge objective via the normal equations.
 
-    Solves sum_i [(2/n_i) A_i^T A_i + gamma_i I] x = sum_i (2/n_i) A_i^T b_i,
+    Solves sum_i [(2/n) A_i^T A_i + gamma_i I] x = sum_i (2/n) A_i^T b_i,
     then applies one step of iterative refinement to clean up the residual.
     """
-    if not all(isinstance(o, RidgeObjective) for o in problem.objectives):
-        raise ParameterError("exact solve only applies to all-ridge instances")
-    d = problem.d
+    if problem.loss != "ridge":
+        raise ParameterError(f"exact solve only applies to ridge instances, not {problem.loss}")
+    d, n = problem.d, problem.n
     h = np.zeros((d, d))
     rhs = np.zeros(d)
     # each agent's term is built in one reused buffer; this rounds exactly as
     # (2/n) (A^T A) + gamma I does, since adding 0.0 off the diagonal is exact
     term = np.empty((d, d))
-    for o in problem.objectives:
-        np.matmul(o.a_mat.T, o.a_mat, out=term)
-        term *= 2.0 / o.n
-        term.flat[:: d + 1] += o.gamma
+    for a, b, gamma in zip(problem.a, problem.b, problem.gammas):
+        np.matmul(a.T, a, out=term)
+        term *= 2.0 / n
+        term.flat[:: d + 1] += gamma
         h += term
-        rhs += (2.0 / o.n) * (o.a_mat.T @ o.b_vec)
+        rhs += (2.0 / n) * (a.T @ b)
     del term  # each solve copies h: hold no third (d, d) array while they run
     x = np.linalg.solve(h, rhs)
     x -= np.linalg.solve(h, h @ x - rhs)
@@ -697,9 +586,8 @@ def centralized_minimize(
     problem: ProblemInstance,
     tol: float = 1e-10,
     max_iter: int = 500_000,
-    x0: np.ndarray | None = None,
 ) -> np.ndarray:
-    """High-accuracy minimizer of f = (1/m) sum f_i by accelerated descent.
+    """High-accuracy minimizer of f = (1/m) sum f_i by accelerated descent from 0.
 
     Nesterov-accelerated gradient steps with a curvature-estimated inverse
     stepsize: the estimate starts from a secant probe, is re-doubled when the
@@ -708,8 +596,7 @@ def centralized_minimize(
     """
     if not 0 < tol < np.inf:
         raise ParameterError(f"tolerance must be positive and finite, got {tol}")
-    d = problem.d
-    x = np.zeros(d) if x0 is None else np.asarray(x0, dtype=float).copy()
+    x = np.zeros(problem.d)
     f_x, g = problem.average_value_and_gradient(x)
     if np.linalg.norm(g) <= tol:
         return x
@@ -758,53 +645,3 @@ def centralized_minimize(
         best_x=best_x,
         grad_norm=best_norm,
     )
-
-
-def save_instance(problem: ProblemInstance, path) -> None:
-    """Snapshot an instance to a .npz archive for reproducibility."""
-    arrays = {}
-    kinds = []
-    for idx, o in enumerate(problem.objectives):
-        if isinstance(o, RidgeObjective):
-            kinds.append("ridge")
-            arrays[f"a_{idx}"] = o.a_mat
-            arrays[f"b_{idx}"] = o.b_vec
-            arrays[f"g_{idx}"] = np.array(o.gamma)
-        elif isinstance(o, LogisticObjective):
-            kinds.append("logistic")
-            arrays[f"a_{idx}"] = o.features
-            arrays[f"b_{idx}"] = o.labels
-        else:
-            raise ParameterError(f"cannot serialize objective type {type(o).__name__}")
-    np.savez_compressed(path, kinds=np.array(kinds), d=np.array(problem.d), **arrays)
-
-
-def _archive_rows(data, prefix: str, m: int):
-    """Arrays prefix_0 .. prefix_{m-1} of an archive, read one at a time into
-    the rows of one read-only slab; a list of the arrays when their shapes differ."""
-    first = data[f"{prefix}_0"]
-    slab = np.empty((m, *first.shape))
-    slab[0] = first
-    for i in range(1, m):
-        row = data[f"{prefix}_{i}"]
-        if row.shape != first.shape:
-            return [data[f"{prefix}_{j}"] for j in range(m)]
-        slab[i] = row
-    slab.setflags(write=False)
-    return slab
-
-
-def load_instance(path) -> ProblemInstance:
-    """Inverse of save_instance."""
-    with np.load(path) as data:
-        kinds = [str(k) for k in data["kinds"]]
-        d = int(data["d"])
-        a = _archive_rows(data, "a", len(kinds))
-        b = _archive_rows(data, "b", len(kinds))
-        objs: list[LocalObjective] = []
-        for idx, kind in enumerate(kinds):
-            if kind == "ridge":
-                objs.append(RidgeObjective(a[idx], b[idx], float(data[f"g_{idx}"])))
-            else:
-                objs.append(LogisticObjective(a[idx], b[idx]))
-    return ProblemInstance(tuple(objs), d)

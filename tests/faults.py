@@ -1,67 +1,63 @@
-"""Test helper: a problem whose gradient turns NaN, to check divergence handling."""
+"""Test helper: problems whose gradient turns NaN, to check divergence handling.
+
+Both evaluate on the wrapped instance's own kernel and then overwrite rows of
+the stacked gradient (``stacked_gradient``) or of the column gradients
+(``column_gradients``, one call per column) with NaN. Values and the averaged
+evaluations are left exact.
+"""
 
 import numpy as np
 
-from decopt.objectives import LocalObjective, ProblemInstance, synth_ridge
+from decopt.objectives import ProblemInstance, synth_ridge
 
 
-class NanGradient(LocalObjective):
-    """Wraps a local objective; its gradient is NaN from call number `start` on.
+class NanGradient(ProblemInstance):
+    """problem whose agent 0 gradient is NaN from call number `start` on."""
 
-    A wrapper rather than a RidgeObjective subclass, so the problem falls back
-    to the per-objective loop instead of the batch evaluator.
-    """
-
-    def __init__(self, inner: LocalObjective, start: int):
-        self.inner = inner
+    def __init__(self, problem: ProblemInstance, start: int):
+        super().__init__(problem._kernel)
         self.start = start
         self.calls = 0
 
-    @property
-    def d(self) -> int:
-        return self.inner.d
+    def _poison(self, agent0_rows):
+        for row in agent0_rows:
+            self.calls += 1
+            if self.calls > self.start:
+                row[:] = np.nan
 
-    def value(self, x):
-        return self.inner.value(x)
+    def stacked_gradient(self, x_stack):
+        grad = super().stacked_gradient(x_stack)
+        self._poison(grad[:1])
+        return grad
 
-    def gradient(self, x):
-        self.calls += 1
-        grad = self.inner.gradient(x)
-        return grad * np.nan if self.calls > self.start else grad
+    def column_gradients(self, x_cols):
+        grad = super().column_gradients(x_cols)
+        self._poison(grad[0])
+        return grad
 
 
 def nan_gradient_problem(start: int) -> ProblemInstance:
     """synth_ridge(4, 5, 3) whose agent 0 returns NaN gradients from call `start` on."""
-    prob = synth_ridge(m=4, n=5, d=3, seed=28)
-    return ProblemInstance((NanGradient(prob.objectives[0], start),) + prob.objectives[1:], prob.d)
+    return NanGradient(synth_ridge(m=4, n=5, d=3, seed=28), start)
 
 
-
-class NanOutsideBall(LocalObjective):
-    """Wraps a local objective; its gradient is NaN wherever ||x|| > radius.
+class NanOutsideBall(ProblemInstance):
+    """problem whose gradient is NaN at every row with ||x_i|| > radius.
 
     The fault depends only on the point, not on how many calls came before,
     so one run sees it at the same round however many runs share the problem.
-    With radius = inf it is a plain wrapper that bypasses the batch evaluator.
     """
 
-    def __init__(self, inner: LocalObjective, radius: float):
-        self.inner = inner
+    def __init__(self, problem: ProblemInstance, radius: float):
+        super().__init__(problem._kernel)
         self.radius = radius
 
-    @property
-    def d(self) -> int:
-        return self.inner.d
+    def stacked_gradient(self, x_stack):
+        grad = super().stacked_gradient(x_stack)
+        grad[np.linalg.norm(x_stack, axis=-1) > self.radius] = np.nan
+        return grad
 
-    def value(self, x):
-        return self.inner.value(x)
-
-    def gradient(self, x):
-        grad = self.inner.gradient(x)
-        return grad * np.nan if np.linalg.norm(x) > self.radius else grad
-
-
-def wrapped_problem(problem: ProblemInstance, radius: float = np.inf) -> ProblemInstance:
-    """problem with every objective wrapped in NanOutsideBall(radius)."""
-    return ProblemInstance(tuple(NanOutsideBall(o, radius) for o in problem.objectives),
-                           problem.d)
+    def column_gradients(self, x_cols):
+        grad = super().column_gradients(x_cols)
+        grad[np.linalg.norm(x_cols, axis=-1) > self.radius] = np.nan
+        return grad

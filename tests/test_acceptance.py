@@ -15,7 +15,7 @@ from decopt import objectives, solvers, topology
 from decopt.config import AlgorithmConfig, ExperimentConfig, GraphConfig, InitConfig
 from decopt.config import DiagnosticsConfig, ProblemConfig, StopConfig
 from decopt.diagnostics import TraceRecorder, compute_saddle, merit, rate_fit
-from decopt.objectives import LogisticObjective, RidgeObjective, synth_logistic, synth_ridge
+from decopt.objectives import ProblemInstance, synth_logistic, synth_ridge
 from decopt.runner import compare, default_extra_grid
 from decopt.solvers import FixedStepParams, StopRule, adolf_init, adolf_step, condat_vu_init
 from decopt.solvers import condat_vu_step, run
@@ -149,8 +149,8 @@ def test_criterion_02_fixed_parameter_descent():
     problem = synth_ridge(m=8, n=10, d=6, seed=2)
     # independent oracle for the global smoothness constant: eigensolve per agent
     l_const = max(
-        2 * np.linalg.eigvalsh(o.a_mat.T @ o.a_mat).max() / o.n + o.gamma
-        for o in problem.objectives
+        2 * np.linalg.eigvalsh(a.T @ a).max() / problem.n + gamma
+        for a, gamma in zip(problem.a, problem.gammas)
     )
     gossip = mh_shifted(make_ring_graph(8))
     saddle = compute_saddle(problem, gossip)
@@ -306,7 +306,8 @@ def test_criterion_08_baseline_trend(tmp_path):
 
 
 def test_criterion_09_gradient_correctness():
-    """Every objective gradient matches central finite differences."""
+    """The stacked and averaged gradients of one-agent instances match central
+    finite differences of the stacked and averaged values."""
     start = time.perf_counter()
     rng = np.random.default_rng(123)
 
@@ -319,21 +320,25 @@ def test_criterion_09_gradient_correctness():
             g[i] = (fn(x + e) - fn(x - e)) / (2 * h)
         return g
 
-    objs = []
-    objs.append(RidgeObjective(rng.standard_normal((6, 4)), rng.standard_normal(6), 0.7))
-    objs.append(RidgeObjective(rng.standard_normal((3, 5)), rng.standard_normal(3), 1.5))
-    labels = np.where(rng.random(8) < 0.5, 1.0, -1.0)
-    objs.append(LogisticObjective(rng.standard_normal((8, 4)), labels))
-    objs.append(LogisticObjective(rng.standard_normal((5, 3)), np.ones(5)))
+    probs = []
+    probs.append(ProblemInstance.ridge(rng.standard_normal((1, 6, 4)),
+                                       rng.standard_normal((1, 6)), [0.7]))
+    probs.append(ProblemInstance.ridge(rng.standard_normal((1, 3, 5)),
+                                       rng.standard_normal((1, 3)), [1.5]))
+    labels = np.where(rng.random((1, 8)) < 0.5, 1.0, -1.0)
+    probs.append(ProblemInstance.logistic(rng.standard_normal((1, 8, 4)), labels))
+    probs.append(ProblemInstance.logistic(rng.standard_normal((1, 5, 3)), np.ones((1, 5))))
     worst = 0.0
-    for obj in objs:
+    for prob in probs:
         for _ in range(10):
-            x = rng.standard_normal(obj.d)
-            g = obj.gradient(x)
-            fd = finite_diff(obj.value, x)
-            rel = np.linalg.norm(g - fd) / (1.0 + np.linalg.norm(g))
-            worst = max(worst, float(rel))
-            assert rel <= 1e-6
+            x = rng.standard_normal(prob.d)
+            pairs = [(prob.stacked_gradient(x[None])[0], lambda y: prob.stacked_value(y[None])),
+                     (prob.average_gradient(x), prob.average_value)]
+            for g, value in pairs:
+                fd = finite_diff(value, x)
+                rel = np.linalg.norm(g - fd) / (1.0 + np.linalg.norm(g))
+                worst = max(worst, float(rel))
+                assert rel <= 1e-6
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
     report(f"criterion 9 gradient correctness: worst relative deviation {worst:.2e} "

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from decopt import objectives, topology
+from decopt import diagnostics, objectives, topology
 from decopt.diagnostics import (
     ErgodicAccumulator,
     RestrictedConstants,
@@ -17,7 +17,7 @@ from decopt.diagnostics import (
     CSV_HEADER,
 )
 from decopt.errors import InsufficientDataError, ParameterError
-from decopt.objectives import ProblemInstance, RidgeObjective, synth_logistic, synth_ridge
+from decopt.objectives import ProblemInstance, synth_logistic, synth_ridge
 from decopt.topology import graph_laplacian_sqrt, make_erdos_renyi, make_line_graph
 from decopt.topology import metropolis_hastings, psd_shift
 
@@ -45,8 +45,7 @@ class TestSaddle:
         assert np.abs(saddle.y_star.sum(axis=0)).max() <= 1e-10
 
     def test_homogeneous_agents_zero_dual(self):
-        obj = RidgeObjective(np.eye(3), np.ones(3), 1.0)
-        prob = ProblemInstance((obj, obj, obj), 3)
+        prob = ProblemInstance.ridge(np.tile(np.eye(3), (3, 1, 1)), np.ones((3, 3)), [1.0] * 3)
         gossip = psd_shift(metropolis_hastings(make_line_graph(3)), c=0.4)
         saddle = compute_saddle(prob, gossip)
         assert np.linalg.norm(saddle.y_star) <= 1e-10
@@ -57,6 +56,28 @@ class TestSaddle:
         prob, gossip, _, _ = ridge_setup
         with pytest.raises(ParameterError, match="positive and finite"):
             compute_saddle(prob, gossip, tol=tol)
+
+    @pytest.mark.parametrize("synth, solver", [(synth_ridge, "ridge_exact_solution"),
+                                               (synth_logistic, "centralized_minimize")])
+    def test_reference_solve_follows_the_loss(self, synth, solver, monkeypatch):
+        # called through the module's names, once, so profiles count the solve
+        calls = []
+
+        def spy(name):
+            real = getattr(diagnostics, name)
+
+            def call(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return call
+
+        for name in ("ridge_exact_solution", "centralized_minimize"):
+            monkeypatch.setattr(diagnostics, name, spy(name))
+        prob = synth(m=4, n=6, d=3, seed=2)
+        gossip = psd_shift(metropolis_hastings(make_line_graph(4)), c=0.4)
+        saddle = compute_saddle(prob, gossip)
+        assert calls == [solver]
+        assert saddle.stationarity_residual <= 1e-9
 
     def test_logistic_saddle_high_accuracy(self):
         prob = synth_logistic(m=5, n=15, d=6, seed=3, noise=0.15)
@@ -100,8 +121,7 @@ class TestPrimalGapAndMerit:
         assert merit(prob, x, saddle, l_op) == pytest.approx(expected, rel=1e-12)
 
     def test_consensual_point_reduces_to_objective_gap(self):
-        obj = RidgeObjective(np.eye(2), np.array([1.0, -1.0]), 0.5)
-        prob = ProblemInstance((obj, obj), 2)
+        prob = ProblemInstance.ridge(np.tile(np.eye(2), (2, 1, 1)), [[1.0, -1.0]] * 2, [0.5] * 2)
         gossip = psd_shift(metropolis_hastings(make_line_graph(2)), c=0.4)
         saddle = compute_saddle(prob, gossip)
         l_op = graph_laplacian_sqrt(gossip)

@@ -21,7 +21,8 @@ import yaml
 
 from decopt import cli, objectives, runner
 from decopt.config import parse_config_dict
-from decopt.objectives import synth_logistic, synth_ridge
+from decopt.objectives import load_mnist_partition, synth_logistic, synth_ridge
+from idx_files import write_idx_pair
 
 # At this shape one BLAS call per lane, instead of one per agent block, rounds
 # differently from one call for all agents (OpenBLAS 0.3.31, SkylakeX kernels),
@@ -75,11 +76,29 @@ def test_kernels_identical_at_any_lane_count(force_lanes, synth):
         assert_identical(evaluations(prob), want)
 
 
+def test_mnist_partition_identical_at_any_lane_count(tmp_path, force_lanes):
+    # M * N + 4 samples of the digit pair, so the loader drops a remainder of 4
+    rng = np.random.default_rng(5)
+    labels = np.concatenate([rng.integers(0, 2, M * N + 4), np.full(9, 7)])
+    rng.shuffle(labels)
+    images = rng.integers(0, 256, size=(len(labels), 5, 13))  # d = 65 = D
+    img, lbl = write_idx_pair(tmp_path, images, labels)
+    force_lanes(1)
+    one = load_mnist_partition(img, lbl, m=M, digit_pair=(0, 1), seed=4)
+    assert one.lanes == 1 and (one.m, one.n, one.d) == (M, N, D)
+    want = evaluations(one)
+    for count in COUNTS:
+        force_lanes(count)
+        prob = load_mnist_partition(img, lbl, m=M, digit_pair=(0, 1), seed=4)
+        assert prob.lanes == min(count, M)
+        assert_identical(evaluations(prob), want)
+
+
 @pytest.mark.parametrize("synth", [synth_ridge, synth_logistic])
 def test_lanes_cover_every_agent_once(force_lanes, synth):
     for count in [1] + COUNTS:
         force_lanes(count)
-        ranges = synth(M, N, D, seed=3)._batch.ranges
+        ranges = synth(M, N, D, seed=3)._kernel.ranges
         assert ranges[0][0] == 0 and ranges[-1][1] == M
         assert all(lo < hi == next_lo for (lo, hi), (next_lo, _) in zip(ranges, ranges[1:]))
 
@@ -87,7 +106,7 @@ def test_lanes_cover_every_agent_once(force_lanes, synth):
 def test_below_cutoff_is_one_lane():
     # a few kilobytes of data, far below the cutoff: one lane on any machine
     for prob in (synth_ridge(M, N, D, seed=3), synth_logistic(M, N, D, seed=3)):
-        assert prob._batch.a.nbytes < objectives.LANE_MIN_BYTES
+        assert prob.a.nbytes < objectives.LANE_MIN_BYTES
         assert prob.lanes == 1
 
 

@@ -8,16 +8,21 @@ from hypothesis import strategies as st
 from decopt import objectives
 from decopt.errors import DataError, ParameterError, ShapeError
 from decopt.objectives import (
-    LogisticObjective,
     ProblemInstance,
-    RidgeObjective,
     centralized_minimize,
     load_mnist_partition,
     ridge_exact_solution,
     synth_logistic,
     synth_ridge,
 )
-from faults import wrapped_problem
+from idx_files import write_idx_pair
+from local_losses import (
+    local_gradient,
+    local_value,
+    loop_average_gradient,
+    loop_average_value,
+    loop_stacked_gradient,
+)
 
 
 def finite_diff_gradient(fn, x, scale=None):
@@ -31,49 +36,89 @@ def finite_diff_gradient(fn, x, scale=None):
     return g
 
 
-def assert_grad_matches_fd(obj, x, rtol=1e-6):
-    g = obj.gradient(x)
-    fd = finite_diff_gradient(obj.value, x)
-    assert np.linalg.norm(g - fd) <= rtol * (1.0 + np.linalg.norm(g))
+def one_ridge(a, b, gamma):
+    """The one-agent instance of f(x) = (1/n) ||A x - b||^2 + (gamma/2) ||x||^2."""
+    return ProblemInstance.ridge(np.asarray(a)[None], np.asarray(b)[None], [gamma])
+
+
+def one_logistic(a, b):
+    """The one-agent instance of f(x) = (1/n) sum_j log(1 + exp(-b_j <x, a_j>))."""
+    return ProblemInstance.logistic(np.asarray(a)[None], np.asarray(b)[None])
+
+
+def value(prob, x):
+    """f(x) of a one-agent instance, through its stacked value."""
+    return prob.stacked_value(x[None])
+
+
+def gradient(prob, x):
+    """grad f(x) of a one-agent instance, through its stacked gradient."""
+    return prob.stacked_gradient(x[None])[0]
+
+
+def assert_grad_matches_fd(prob, x, rtol=1e-6):
+    """The stacked and the averaged gradient each match differences of their values."""
+    for grad, fn in ((gradient(prob, x), lambda y: value(prob, y)),
+                     (prob.average_gradient(x), prob.average_value)):
+        fd = finite_diff_gradient(fn, x)
+        assert np.linalg.norm(grad - fd) <= rtol * (1.0 + np.linalg.norm(grad))
 
 
 class TestRidge:
     def test_hand_gradient(self):
-        obj = RidgeObjective(np.array([[1.0]]), np.array([0.0]), gamma=1.0)
-        np.testing.assert_allclose(obj.gradient(np.array([1.0])), [3.0], atol=1e-15)
+        prob = one_ridge([[1.0]], [0.0], gamma=1.0)
+        np.testing.assert_allclose(gradient(prob, np.array([1.0])), [3.0], atol=1e-15)
 
     def test_zero_at_exact_solution(self):
         rng = np.random.default_rng(0)
         a, b = rng.standard_normal((6, 4)), rng.standard_normal(6)
         gamma = 0.7
-        obj = RidgeObjective(a, b, gamma)
+        prob = one_ridge(a, b, gamma)
         # oracle: normal equations of the single objective
         x_star = np.linalg.solve((2 / 6) * a.T @ a + gamma * np.eye(4), (2 / 6) * a.T @ b)
-        assert np.linalg.norm(obj.gradient(x_star)) <= 1e-12
+        assert np.linalg.norm(gradient(prob, x_star)) <= 1e-12
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=20, deadline=None)
     def test_fd_match(self, seed):
         rng = np.random.default_rng(seed)
-        obj = RidgeObjective(rng.standard_normal((5, 3)), rng.standard_normal(5), 0.3)
-        assert_grad_matches_fd(obj, rng.standard_normal(3))
+        prob = one_ridge(rng.standard_normal((5, 3)), rng.standard_normal(5), 0.3)
+        assert_grad_matches_fd(prob, rng.standard_normal(3))
 
     def test_strong_convexity_inequality(self):
         rng = np.random.default_rng(1)
-        obj = RidgeObjective(rng.standard_normal((4, 3)), rng.standard_normal(4), 0.5)
+        prob = one_ridge(rng.standard_normal((4, 3)), rng.standard_normal(4), 0.5)
         for _ in range(10):
             x, y = rng.standard_normal(3), rng.standard_normal(3)
-            lower = obj.value(x) + obj.gradient(x) @ (y - x) + 0.5 * obj.gamma * np.sum((y - x) ** 2)
-            assert obj.value(y) >= lower - 1e-10
+            lower = (value(prob, x) + gradient(prob, x) @ (y - x)
+                     + 0.5 * prob.gammas[0] * np.sum((y - x) ** 2))
+            assert value(prob, y) >= lower - 1e-10
 
     def test_shape_error(self):
-        obj = RidgeObjective(np.eye(2), np.zeros(2), 1.0)
+        prob = one_ridge(np.eye(2), np.zeros(2), 1.0)
         with pytest.raises(ShapeError):
-            obj.gradient(np.zeros(3))
+            prob.stacked_gradient(np.zeros((1, 3)))
 
     def test_gamma_positive(self):
         with pytest.raises(ParameterError):
-            RidgeObjective(np.eye(2), np.zeros(2), 0.0)
+            one_ridge(np.eye(2), np.zeros(2), 0.0)
+        with pytest.raises(ParameterError):
+            ProblemInstance.ridge(np.zeros((2, 2, 2)), np.zeros((2, 2)), [0.5, -0.1])
+
+    @pytest.mark.parametrize("bad", [0.0, -0.1, np.nan])
+    def test_every_agents_gamma_checked(self, bad):
+        gammas = [0.5, 1.0, bad]  # only the last agent's is wrong
+        with pytest.raises(ParameterError, match="positive"):
+            ProblemInstance.ridge(np.zeros((3, 4, 2)), np.zeros((3, 4)), gammas)
+
+    def test_slab_shapes_checked(self):
+        a, b = np.zeros((3, 4, 2)), np.zeros((3, 4))
+        for bad in [(a[0], b[0], [1.0]), (a, b[:2], [1.0] * 3), (a, b.T, [1.0] * 3),
+                    (a, b, [1.0] * 2), (a, b, [[1.0] * 3])]:
+            with pytest.raises(ShapeError):
+                ProblemInstance.ridge(*bad)
+        with pytest.raises(ParameterError, match="at least one agent"):
+            ProblemInstance.ridge(a[:0], b[:0], [])
 
 
 class TestLogistic:
@@ -81,22 +126,24 @@ class TestLogistic:
         rng = np.random.default_rng(2)
         a = rng.standard_normal((8, 3))
         b = np.where(rng.random(8) < 0.5, 1.0, -1.0)
-        obj = LogisticObjective(a, b)
-        assert obj.value(np.zeros(3)) == pytest.approx(np.log(2.0), abs=1e-12)
+        prob = one_logistic(a, b)
+        assert value(prob, np.zeros(3)) == pytest.approx(np.log(2.0), abs=1e-12)
         expected = -(a.T @ b) / (2 * 8)
-        np.testing.assert_allclose(obj.gradient(np.zeros(3)), expected, atol=1e-12)
+        np.testing.assert_allclose(gradient(prob, np.zeros(3)), expected, atol=1e-12)
 
     def test_saturated_sigmoid_no_overflow(self):
-        obj = LogisticObjective(np.array([[1.0]]), np.array([1.0]))
-        g = obj.gradient(np.array([50.0]))
+        prob = one_logistic([[1.0]], [1.0])
+        g = gradient(prob, np.array([50.0]))
         assert np.all(np.isfinite(g))
         assert abs(g[0]) < 1e-20
 
     def test_extreme_margins_finite(self):
-        obj = LogisticObjective(np.array([[1.0], [-1.0]]), np.array([1.0, 1.0]))
+        prob = one_logistic([[1.0], [-1.0]], [1.0, 1.0])
         for t in (-700.0, -100.0, 0.0, 100.0, 700.0):
-            assert np.isfinite(obj.value(np.array([t])))
-            assert np.all(np.isfinite(obj.gradient(np.array([t]))))
+            x = np.array([t])
+            assert np.isfinite(value(prob, x)) and np.isfinite(prob.average_value(x))
+            assert np.all(np.isfinite(gradient(prob, x)))
+            assert np.all(np.isfinite(prob.average_gradient(x)))
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=20, deadline=None)
@@ -104,11 +151,24 @@ class TestLogistic:
         rng = np.random.default_rng(seed)
         a = rng.standard_normal((6, 4))
         b = np.where(rng.random(6) < 0.5, 1.0, -1.0)
-        assert_grad_matches_fd(LogisticObjective(a, b), rng.standard_normal(4))
+        assert_grad_matches_fd(one_logistic(a, b), rng.standard_normal(4))
 
     def test_labels_validated(self):
         with pytest.raises(ParameterError):
-            LogisticObjective(np.eye(2), np.array([1.0, 0.5]))
+            one_logistic(np.eye(2), np.array([1.0, 0.5]))
+
+    @pytest.mark.parametrize("bad", [0.0, -0.5, 2.0, np.nan])
+    def test_every_agents_labels_checked(self, bad):
+        b = np.ones((3, 4))
+        b[2, 3] = bad  # only the last sample of the last agent is wrong
+        with pytest.raises(ParameterError, match="labels"):
+            ProblemInstance.logistic(np.zeros((3, 4, 2)), b)
+
+    def test_slab_shapes_checked(self):
+        with pytest.raises(ShapeError):
+            ProblemInstance.logistic(np.eye(2), np.ones(2))
+        with pytest.raises(ShapeError):
+            ProblemInstance.logistic(np.zeros((2, 3, 4)), np.ones((3, 2)))
 
 
 class TestProblemInstance:
@@ -116,21 +176,21 @@ class TestProblemInstance:
         prob = synth_ridge(m=5, n=4, d=3, seed=0)
         rng = np.random.default_rng(1)
         x = rng.standard_normal((5, 3))
-        loop = np.stack([o.gradient(r) for o, r in zip(prob.objectives, x)])
-        np.testing.assert_allclose(prob.stacked_gradient(x), loop, atol=1e-13)
+        np.testing.assert_allclose(prob.stacked_gradient(x), loop_stacked_gradient(prob, x),
+                                   atol=1e-13)
 
     def test_stacked_gradient_logistic_matches_loop(self):
         prob = synth_logistic(m=4, n=6, d=3, seed=0)
         rng = np.random.default_rng(1)
         x = rng.standard_normal((4, 3))
-        loop = np.stack([o.gradient(r) for o, r in zip(prob.objectives, x)])
-        np.testing.assert_allclose(prob.stacked_gradient(x), loop, atol=1e-13)
+        np.testing.assert_allclose(prob.stacked_gradient(x), loop_stacked_gradient(prob, x),
+                                   atol=1e-13)
 
     def test_single_agent_reduction(self):
         prob = synth_ridge(m=1, n=4, d=3, seed=0)
         x = np.ones((1, 3))
         np.testing.assert_allclose(
-            prob.stacked_gradient(x)[0], prob.objectives[0].gradient(x[0]), atol=1e-14
+            prob.stacked_gradient(x)[0], local_gradient(prob, 0, x[0]), atol=1e-14
         )
 
     def test_stack_shape_error(self):
@@ -140,10 +200,8 @@ class TestProblemInstance:
 
     def test_column_gradients_match_stacked_gradient(self):
         ridge = synth_ridge(4, 5, 3, seed=2)
-        wrapped = wrapped_problem(ridge)
-        assert wrapped._batch is None
         x = np.random.default_rng(5).standard_normal((4, 6, 3))
-        for prob in (ridge, synth_logistic(4, 5, 3, seed=2), wrapped):
+        for prob in (ridge, synth_logistic(4, 5, 3, seed=2)):
             expected = np.stack([prob.stacked_gradient(x[:, g]) for g in range(6)], axis=1)
             np.testing.assert_allclose(prob.column_gradients(x), expected, rtol=1e-12,
                                        atol=1e-14)
@@ -156,17 +214,37 @@ class TestProblemInstance:
         for prob in (synth_ridge(4, 5, 3, seed=2), synth_logistic(4, 5, 3, seed=2)):
             rng = np.random.default_rng(3)
             x = rng.standard_normal((4, 3))
-            expected = [np.mean([o.value(r) for o in prob.objectives]) for r in x]
+            expected = [loop_average_value(prob, r) for r in x]
             np.testing.assert_allclose(prob.average_values_at_rows(x), expected, rtol=1e-12)
 
     def test_average_gradient_matches_loop(self):
         for prob in (synth_ridge(4, 5, 3, seed=2), synth_logistic(4, 5, 3, seed=2)):
             rng = np.random.default_rng(4)
             x = rng.standard_normal(3)
-            expected = np.mean([o.gradient(x) for o in prob.objectives], axis=0)
-            np.testing.assert_allclose(prob.average_gradient(x), expected, atol=1e-13)
-            expected_v = np.mean([o.value(x) for o in prob.objectives])
-            assert prob.average_value(x) == pytest.approx(expected_v, rel=1e-12)
+            np.testing.assert_allclose(prob.average_gradient(x),
+                                       loop_average_gradient(prob, x), atol=1e-13)
+            assert prob.average_value(x) == pytest.approx(loop_average_value(prob, x),
+                                                          rel=1e-12)
+
+    # d = 5 instances from each generator and from caller arrays
+    BUILDS = {"ridge": lambda: synth_ridge(3, 4, 5, seed=1),
+              "logistic": lambda: synth_logistic(3, 4, 5, seed=1),
+              "unordered": lambda: unordered_ridge(1, d=5)}
+
+    def test_unordered_gammas_match_loop(self):
+        # each agent keeps its own coefficient in every evaluator, not a ramp
+        prob = unordered_ridge(6)
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal((prob.m, prob.d))
+        own = sum(local_value(prob, i, r) for i, r in enumerate(x))
+        assert prob.stacked_value(x) == pytest.approx(own, rel=1e-12)
+        np.testing.assert_allclose(prob.stacked_gradient(x), loop_stacked_gradient(prob, x),
+                                   atol=1e-13)
+        rows = [loop_average_value(prob, r) for r in x]
+        np.testing.assert_allclose(prob.average_values_at_rows(x), rows, rtol=1e-12)
+        value_, grad = prob.average_value_and_gradient(x[0])
+        assert value_ == pytest.approx(loop_average_value(prob, x[0]), rel=1e-12)
+        np.testing.assert_allclose(grad, loop_average_gradient(prob, x[0]), atol=1e-13)
 
     # (m, n, d) all distinct, so a transposed or misshaped margin product shows
     KERNEL_SHAPES = [(4, 5, 3), (6, 2, 9), (3, 7, 11), (1, 3, 2)]
@@ -175,19 +253,17 @@ class TestProblemInstance:
     @pytest.mark.parametrize("synth", [synth_ridge, synth_logistic])
     def test_batch_kernels_match_loop(self, synth, m, n, d):
         prob = synth(m, n, d, seed=7)
-        assert prob._batch is not None
         rng = np.random.default_rng(8)
         x = rng.standard_normal((m, d))
-        own = sum(o.value(r) for o, r in zip(prob.objectives, x))
+        own = sum(local_value(prob, i, r) for i, r in enumerate(x))
         assert prob.stacked_value(x) == pytest.approx(own, rel=1e-12)
-        rows = [np.mean([o.value(r) for o in prob.objectives]) for r in x]
+        rows = [loop_average_value(prob, r) for r in x]
         np.testing.assert_allclose(prob.average_values_at_rows(x), rows, rtol=1e-12)
         point = x[-1]
-        assert prob.average_value(point) == pytest.approx(
-            np.mean([o.value(point) for o in prob.objectives]), rel=1e-12)
-        np.testing.assert_allclose(
-            prob.average_gradient(point),
-            np.mean([o.gradient(point) for o in prob.objectives], axis=0), atol=1e-13)
+        assert prob.average_value(point) == pytest.approx(loop_average_value(prob, point),
+                                                          rel=1e-12)
+        np.testing.assert_allclose(prob.average_gradient(point),
+                                   loop_average_gradient(prob, point), atol=1e-13)
 
     @pytest.mark.parametrize("m, n, d", KERNEL_SHAPES)
     @pytest.mark.parametrize("synth", [synth_ridge, synth_logistic])
@@ -197,18 +273,18 @@ class TestProblemInstance:
         one = prob.column_gradients(x[:, None])[:, 0]
         assert np.array_equal(prob.stacked_gradient(x), one)
 
-    @pytest.mark.parametrize("build", ["ridge", "logistic", "mixed"])
+    @pytest.mark.parametrize("build", list(BUILDS))
     def test_fused_average_is_the_two_calls(self, build):
-        prob = instance(build)
+        prob = self.BUILDS[build]()
         for seed in range(3):
             x = np.random.default_rng(seed).standard_normal(prob.d)
-            value, grad = prob.average_value_and_gradient(x)
-            assert value == prob.average_value(x)
+            val, grad = prob.average_value_and_gradient(x)
+            assert val == prob.average_value(x)
             assert np.array_equal(grad, prob.average_gradient(x))
 
-    @pytest.mark.parametrize("build", ["ridge", "logistic", "mixed"])
+    @pytest.mark.parametrize("build", list(BUILDS))
     def test_average_point_shape_checked(self, build):
-        prob = instance(build)
+        prob = self.BUILDS[build]()
         for shape in [(prob.d - 1,), (1, prob.d), (prob.d, 1), ()]:
             for method in (prob.average_value, prob.average_gradient,
                            prob.average_value_and_gradient):
@@ -216,54 +292,27 @@ class TestProblemInstance:
                     method(np.zeros(shape))
 
 
-def instance(build: str) -> ProblemInstance:
-    """A d=5 instance on the ridge or logistic batch path, or on the mixed loop."""
-    if build == "ridge":
-        return synth_ridge(3, 4, 5, seed=1)
-    if build == "logistic":
-        return synth_logistic(3, 4, 5, seed=1)
-    ridge, logistic = synth_ridge(2, 4, 5, seed=1), synth_logistic(2, 4, 5, seed=1)
-    prob = ProblemInstance(ridge.objectives[:1] + logistic.objectives[1:], 5)
-    assert prob._batch is None
-    return prob
-
-
 class TestSynthGenerators:
     def test_ridge_gamma_ramp(self):
         prob = synth_ridge(m=20, n=4, d=3, seed=0)
-        gammas = [o.gamma for o in prob.objectives]
-        np.testing.assert_allclose(gammas, 0.1 + 0.1 * np.arange(20), atol=1e-12)
+        assert np.array_equal(prob.gammas, [0.1 + i * 0.1 for i in range(20)])
 
     def test_ridge_paper_shapes(self):
         prob = synth_ridge(m=3, n=20, d=500, seed=0)
-        assert all(o.a_mat.shape == (20, 500) for o in prob.objectives)
+        assert prob.a.shape == (3, 20, 500) and prob.b.shape == (3, 20)
+        assert (prob.loss, prob.m, prob.n, prob.d) == ("ridge", 3, 20, 500)
 
     def test_ridge_deterministic(self):
         p1, p2 = synth_ridge(3, 4, 5, seed=9), synth_ridge(3, 4, 5, seed=9)
-        for o1, o2 in zip(p1.objectives, p2.objectives):
-            assert np.array_equal(o1.a_mat, o2.a_mat)
-            assert np.array_equal(o1.b_vec, o2.b_vec)
+        assert np.array_equal(p1.a, p2.a)
+        assert np.array_equal(p1.b, p2.b)
 
     def test_logistic_deterministic_and_noisy(self):
         p1 = synth_logistic(3, 50, 4, seed=9, noise=0.2)
         p2 = synth_logistic(3, 50, 4, seed=9, noise=0.2)
-        for o1, o2 in zip(p1.objectives, p2.objectives):
-            assert np.array_equal(o1.labels, o2.labels)
-        assert all(set(np.unique(o.labels)) <= {-1.0, 1.0} for o in p1.objectives)
-
-
-def write_idx_pair(tmp_path, images, labels):
-    """Tiny IDX writer used as the independent fixture for the parser."""
-    img_path = tmp_path / "imgs.idx"
-    lbl_path = tmp_path / "lbls.idx"
-    count, rows, cols = images.shape
-    with open(img_path, "wb") as f:
-        f.write(struct.pack(">IIII", 0x00000803, count, rows, cols))
-        f.write(images.astype(np.uint8).tobytes())
-    with open(lbl_path, "wb") as f:
-        f.write(struct.pack(">II", 0x00000801, count))
-        f.write(labels.astype(np.uint8).tobytes())
-    return img_path, lbl_path
+        assert np.array_equal(p1.b, p2.b)
+        assert set(np.unique(p1.b)) <= {-1.0, 1.0}
+        assert p1.loss == "logistic" and p1.gammas is None
 
 
 class TestMnist:
@@ -282,10 +331,9 @@ class TestMnist:
         img, lbl = write_idx_pair(tmp_path, images, labels)
         prob = load_mnist_partition(img, lbl, m=4, digit_pair=(0, 1), seed=0)
         assert prob.m == 4
-        assert all(o.n == 5 for o in prob.objectives)  # 22 // 4, remainder dropped
+        assert prob.n == 5  # 22 // 4, remainder dropped
         assert prob.d == 4
-        all_feats = np.concatenate([o.features for o in prob.objectives])
-        assert all_feats.min() >= 0.0 and all_feats.max() <= 1.0
+        assert prob.a.min() >= 0.0 and prob.a.max() <= 1.0
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.idx"
@@ -349,11 +397,6 @@ def old_mnist_partition(images_path, labels_path, m, digit_pair, seed):
     return [(feats[i * n:(i + 1) * n], signs[i * n:(i + 1) * n]) for i in range(m)]
 
 
-def data_of(obj):
-    return (obj.a_mat, obj.b_vec) if isinstance(obj, RidgeObjective) else (obj.features,
-                                                                          obj.labels)
-
-
 class TestSlab:
     """Built instances keep one read-only copy of their data; user arrays are copied."""
 
@@ -367,88 +410,99 @@ class TestSlab:
 
     def built(self, tmp_path):
         """(instance, reference data) for every generator and loader."""
-        cases = [(synth_ridge(4, 6, 5, seed=3), old_synth_ridge(4, 6, 5, 3)),
-                 (synth_logistic(4, 6, 5, seed=3), old_synth_logistic(4, 6, 5, 3)),
-                 self.mnist(tmp_path)]
-        for prob, ref in cases[:2]:
-            path = tmp_path / f"round_trip_{len(cases)}.npz"
-            objectives.save_instance(prob, path)
-            cases.append((objectives.load_instance(path), ref))
-        return cases
+        return [(synth_ridge(4, 6, 5, seed=3), old_synth_ridge(4, 6, 5, 3)),
+                (synth_logistic(4, 6, 5, seed=3), old_synth_logistic(4, 6, 5, 3)),
+                self.mnist(tmp_path)]
 
     def test_data_is_the_per_agent_draws(self, tmp_path):
         for prob, ref in self.built(tmp_path):
             assert prob.m == len(ref)
-            for obj, (a, b) in zip(prob.objectives, ref):
-                got_a, got_b = data_of(obj)
+            for got_a, got_b, (a, b) in zip(prob.a, prob.b, ref):
                 assert got_a.dtype == a.dtype and np.array_equal(got_a, a)
                 assert got_b.dtype == b.dtype and np.array_equal(got_b, b)
-            if isinstance(prob.objectives[0], RidgeObjective):
-                np.testing.assert_array_equal([o.gamma for o in prob.objectives],
-                                              [0.1 + 0.1 * i for i in range(prob.m)])
+            if prob.loss == "ridge":
+                np.testing.assert_array_equal(prob.gammas, [0.1 + 0.1 * i for i in range(prob.m)])
 
-    def test_objectives_share_the_batch_slab(self, tmp_path):
-        for prob, _ in self.built(tmp_path):
-            batch = prob._batch
-            for i, obj in enumerate(prob.objectives):
-                a, b = data_of(obj)
-                assert np.shares_memory(a, batch.a) and np.shares_memory(b, batch.b)
-                assert a.base is batch.a and b.base is batch.b
-                assert np.array_equal(batch.a[i], a) and np.array_equal(batch.b[i], b)
-                for array in (a, b):
+    def test_built_slabs_are_adopted_not_copied(self, tmp_path, monkeypatch):
+        adopted = []
+        frozen_array = objectives._frozen_array
+
+        def spy(a, dtype=float):
+            out = frozen_array(a, dtype)
+            if isinstance(a, np.ndarray):
+                adopted.append(out is a)
+            return out
+
+        monkeypatch.setattr(objectives, "_frozen_array", spy)
+        built = self.built(tmp_path)
+        assert adopted == [True] * 2 * len(built)  # every a and b slab handed over
+        for prob, _ in built:
+            kernel = prob._kernel
+            assert np.shares_memory(prob.a, kernel.a) and np.shares_memory(prob.b, kernel.b)
+            assert np.shares_memory(kernel.a_flat, prob.a)
+            for array in (prob.a, prob.b, kernel.a_flat, prob.gammas):
+                if array is not None:
                     with pytest.raises(ValueError):
                         array[0] = 1.0
-            for array in (batch.a, batch.b, batch.a_flat):
-                with pytest.raises(ValueError):
-                    array[0] = 1.0
 
-    def test_other_rows_of_a_slab_are_stacked(self):
+    def test_views_of_a_read_only_slab(self):
         prob = synth_logistic(4, 6, 5, seed=3)
         x = np.random.default_rng(8).standard_normal((4, 5))
-        for objs in (prob.objectives[::-1], prob.objectives[:1] * 4, prob.objectives[1:]):
-            sub = ProblemInstance(objs, 5)
-            assert not np.shares_memory(sub._batch.a, prob._batch.a)
-            loop = np.stack([o.gradient(r) for o, r in zip(objs, x)])
-            np.testing.assert_allclose(sub.stacked_gradient(x[:len(objs)]), loop, atol=1e-13)
+        cases = [(prob.a[1:], prob.b[1:], True), (prob.a[::-1], prob.b[::-1], False),
+                 (prob.a[:, :, 1:], prob.b, False), (prob.a[[0, 0, 0, 0]], prob.b, False)]
+        for a, b, adopted in cases:
+            sub = ProblemInstance.logistic(a, b)
+            # a contiguous view nothing can write is adopted; a strided view or an
+            # index copy becomes a new contiguous slab
+            assert np.shares_memory(sub.a, prob.a) == adopted
+            assert sub.a.flags.c_contiguous and not sub.a.flags.writeable
+            flat = sub._kernel.a_flat
+            assert np.shares_memory(flat, sub.a) and not flat.flags.writeable
+            np.testing.assert_allclose(sub.stacked_gradient(x[:sub.m, :sub.d]),
+                                       loop_stacked_gradient(sub, x[:sub.m, :sub.d]),
+                                       atol=1e-13)
+
+    def test_fields_cannot_be_reassigned(self):
+        prob = synth_ridge(3, 4, 2, seed=0)
+        for name in ("loss", "lanes", "a", "b", "gammas", "m", "n", "d"):
+            with pytest.raises(AttributeError):
+                setattr(prob, name, getattr(prob, name))
+
+    @pytest.mark.parametrize("loss", ["ridge", "logistic"])
+    def test_integer_arrays_become_float(self, loss):
+        rng = np.random.default_rng(9)
+        a = rng.integers(-3, 4, size=(3, 4, 2))
+        b = np.where(rng.random((3, 4)) < 0.5, 1, -1)
+        args = {"ridge": lambda a, b: (a, b, [1, 2, 3]), "logistic": lambda a, b: (a, b)}[loss]
+        build = getattr(ProblemInstance, loss)
+        prob, ref = build(*args(a, b)), build(*args(a.astype(float), b.astype(float)))
+        for array in (prob.a, prob.b, prob.gammas):
+            assert array is None or array.dtype == np.float64
+        x = rng.standard_normal((3, 2))
+        assert prob.stacked_value(x) == ref.stacked_value(x)
+        assert np.array_equal(prob.stacked_gradient(x), ref.stacked_gradient(x))
 
     def test_user_arrays_are_copied(self):
         rng = np.random.default_rng(6)
-        arrays = [(rng.standard_normal((4, 3)), np.where(rng.random(4) < 0.5, 1.0, -1.0))
-                  for _ in range(3)]
-        frozen_view = arrays[0][0].view()  # read-only, but its owner is writable
+        a = rng.standard_normal((3, 4, 3))
+        b = np.where(rng.random((3, 4)) < 0.5, 1.0, -1.0)
+        gammas = np.full(3, 0.5)
+        frozen_view = a.view()  # read-only, but its owner is writable
         frozen_view.setflags(write=False)
-        ridge = ProblemInstance(tuple(RidgeObjective(a, b, 0.5) for a, b in arrays), 3)
-        logistic = ProblemInstance(
-            (LogisticObjective(frozen_view, arrays[0][1]),)
-            + tuple(LogisticObjective(a, b) for a, b in arrays[1:]), 3)
+        ridge = ProblemInstance.ridge(a, b, gammas)
+        logistic = ProblemInstance.logistic(frozen_view, b)
         x = rng.standard_normal((3, 3))
         before = [(p.stacked_value(x), p.stacked_gradient(x)) for p in (ridge, logistic)]
         for prob in (ridge, logistic):
-            for obj, (a, b) in zip(prob.objectives, arrays):
-                for mine, theirs in zip(data_of(obj), (a, b)):
-                    assert not np.shares_memory(mine, theirs)
-                    assert not np.shares_memory(prob._batch.a, theirs)
-        for a, b in arrays:
-            a += 1.0
-            b *= -1.0
+            for mine, theirs in ((prob.a, a), (prob.b, b), (prob._kernel.a_flat, a)):
+                assert not np.shares_memory(mine, theirs)
+        assert not np.shares_memory(ridge.gammas, gammas)
+        a += 1.0
+        b *= -1.0
+        gammas *= 2.0
         after = [(p.stacked_value(x), p.stacked_gradient(x)) for p in (ridge, logistic)]
         for (v0, g0), (v1, g1) in zip(before, after):
             assert v0 == v1 and np.array_equal(g0, g1)
-
-    def test_ragged_round_trip_keeps_each_array(self, tmp_path):
-        rng = np.random.default_rng(7)
-        prob = ProblemInstance((
-            RidgeObjective(rng.standard_normal((3, 2)), rng.standard_normal(3), 0.4),
-            LogisticObjective(rng.standard_normal((5, 2)), np.ones(5)),
-        ), 2)
-        path = tmp_path / "ragged.npz"
-        objectives.save_instance(prob, path)
-        back = objectives.load_instance(path)
-        assert [type(o) for o in back.objectives] == [RidgeObjective, LogisticObjective]
-        for o1, o2 in zip(prob.objectives, back.objectives):
-            for a1, a2 in zip(data_of(o1), data_of(o2)):
-                assert np.array_equal(a1, a2) and not a2.flags.writeable
-        assert back.objectives[0].gamma == 0.4
 
 
 class TestConvexity:
@@ -456,38 +510,35 @@ class TestConvexity:
     @settings(max_examples=20, deadline=None)
     def test_midpoint_convexity(self, seed):
         rng = np.random.default_rng(seed)
-        objs = [
-            RidgeObjective(rng.standard_normal((5, 3)), rng.standard_normal(5), 0.4),
-            LogisticObjective(
-                rng.standard_normal((5, 3)), np.where(rng.random(5) < 0.5, 1.0, -1.0)
-            ),
+        probs = [
+            one_ridge(rng.standard_normal((5, 3)), rng.standard_normal(5), 0.4),
+            one_logistic(rng.standard_normal((5, 3)), np.where(rng.random(5) < 0.5, 1.0, -1.0)),
         ]
-        for obj in objs:
+        for prob in probs:
             x, y = rng.standard_normal(3), rng.standard_normal(3)
-            mid = obj.value((x + y) / 2)
-            assert mid <= (obj.value(x) + obj.value(y)) / 2 + 1e-12
+            mid = value(prob, (x + y) / 2)
+            assert mid <= (value(prob, x) + value(prob, y)) / 2 + 1e-12
 
 
 def summed_normal_equations_solution(problem):
     """The normal-equation solve with a fresh (2/n) (A^T A) + gamma I per
     agent: the reference ridge_exact_solution's in-place build must match."""
-    d = problem.d
+    d, n = problem.d, problem.n
     h = np.zeros((d, d))
     rhs = np.zeros(d)
-    for o in problem.objectives:
-        h += (2.0 / o.n) * (o.a_mat.T @ o.a_mat) + o.gamma * np.eye(d)
-        rhs += (2.0 / o.n) * (o.a_mat.T @ o.b_vec)
+    for a, b, gamma in zip(problem.a, problem.b, problem.gammas):
+        h += (2.0 / n) * (a.T @ a) + gamma * np.eye(d)
+        rhs += (2.0 / n) * (a.T @ b)
     x = np.linalg.solve(h, rhs)
     x -= np.linalg.solve(h, h @ x - rhs)
     return x
 
 
-def mixed_ridge(seed):
-    """Agents with different sample counts and unequal, unordered coefficients."""
+def unordered_ridge(seed, d=9):
+    """Agents with unequal, unordered coefficients, built from caller arrays."""
     rng = np.random.default_rng(seed)
-    return ProblemInstance(tuple(
-        RidgeObjective(rng.standard_normal((n, 9)), rng.standard_normal(n), gamma)
-        for n, gamma in ((4, 1.7), (15, 0.03), (9, 0.45), (1, 2.9))), 9)
+    return ProblemInstance.ridge(rng.standard_normal((4, 7, d)), rng.standard_normal((4, 7)),
+                                 [1.7, 0.03, 0.45, 2.9])
 
 
 class TestRidgeExactSolution:
@@ -496,18 +547,22 @@ class TestRidgeExactSolution:
         lambda: synth_ridge(m=4, n=40, d=7, seed=2),   # n > d
         lambda: synth_ridge(m=1, n=6, d=6, seed=3),    # one agent
         lambda: synth_ridge(m=6, n=20, d=150, seed=4),  # blocked BLAS products
-        lambda: mixed_ridge(5),                        # unequal n and gamma
+        lambda: unordered_ridge(5),                    # unequal gamma
     ])
     def test_bit_identical_to_summed_terms(self, make):
         prob = make()
         assert np.array_equal(ridge_exact_solution(prob),
                               summed_normal_equations_solution(prob))
 
+    def test_only_for_ridge(self):
+        with pytest.raises(ParameterError, match="ridge"):
+            ridge_exact_solution(synth_logistic(m=2, n=3, d=2, seed=0))
+
 
 class TestCentralizedMinimize:
     def test_hand_solved_ridge(self):
         # single agent, A=[[1]], b=[2], gamma=2: (2 + 2) x = 4 so x* = 1
-        prob = ProblemInstance((RidgeObjective(np.array([[1.0]]), np.array([2.0]), 2.0),), 1)
+        prob = one_ridge([[1.0]], [2.0], 2.0)
         np.testing.assert_allclose(ridge_exact_solution(prob), [1.0], atol=1e-14)
         np.testing.assert_allclose(centralized_minimize(prob, tol=1e-12), [1.0], atol=1e-10)
 
@@ -519,8 +574,7 @@ class TestCentralizedMinimize:
 
     def test_symmetric_logistic_zero(self):
         a = np.array([[1.0, 0.5], [1.0, 0.5]])
-        obj = LogisticObjective(a, np.array([1.0, -1.0]))
-        prob = ProblemInstance((obj,), 2)
+        prob = one_logistic(a, [1.0, -1.0])
         x = centralized_minimize(prob, tol=1e-12)
         assert np.linalg.norm(x) <= 1e-10
 
@@ -548,17 +602,3 @@ class TestCentralizedMinimize:
         assert err.value.best_x is not None
         assert err.value.best_x.shape == (6,)
         assert err.value.grad_norm > 0
-
-
-class TestSnapshots:
-    def test_round_trip(self, tmp_path):
-        for prob in (synth_ridge(3, 4, 2, seed=0), synth_logistic(2, 5, 3, seed=0)):
-            path = tmp_path / "dump.npz"
-            objectives.save_instance(prob, path)
-            back = objectives.load_instance(path)
-            assert back.m == prob.m and back.d == prob.d
-            rng = np.random.default_rng(0)
-            x = rng.standard_normal((prob.m, prob.d))
-            np.testing.assert_allclose(
-                back.stacked_gradient(x), prob.stacked_gradient(x), atol=1e-15
-            )
