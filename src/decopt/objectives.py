@@ -249,14 +249,15 @@ class _RidgeBatch(_Batch):
         if not np.all(self.gammas > 0):  # a NaN coefficient fails too
             raise ParameterError(f"ridge coefficients must be positive, got {self.gammas}")
 
-    def column_gradients(self, x_cols):
-        grad = np.empty(x_cols.shape)
+    def column_gradients(self, x_cols, out=None, scratch=None):
+        grad = np.empty(x_cols.shape) if out is None else out
 
         def lane(lo, hi):
             r = self._own(x_cols, lo, hi) - self.b[lo:hi, None, :]
             r *= 2.0 / self.n
             np.matmul(r, self.a[lo:hi], out=grad[lo:hi])
-            grad[lo:hi] += self.gammas[lo:hi, None, None] * x_cols[lo:hi]
+            grad[lo:hi] += np.multiply(self.gammas[lo:hi, None, None], x_cols[lo:hi],
+                                       out=None if scratch is None else scratch[lo:hi])
 
         self._in_lanes(lane)
         return grad
@@ -310,8 +311,8 @@ class _LogisticBatch(_Batch):
         if not np.all(np.abs(self.b) == 1.0):
             raise ParameterError("logistic labels must be +1 or -1")
 
-    def column_gradients(self, x_cols):
-        grad = np.empty(x_cols.shape)
+    def column_gradients(self, x_cols, out=None, scratch=None):
+        grad = np.empty(x_cols.shape) if out is None else out
 
         def lane(lo, hi):
             b = self.b[lo:hi, None, :]
@@ -407,13 +408,23 @@ class ProblemInstance:
         """Row i holds the gradient of f_i at row i of the stack."""
         return self._kernel.column_gradients(self._check_stack(x_stack)[:, None])[:, 0]
 
-    def column_gradients(self, x_cols) -> np.ndarray:
-        """Gradients of G stacks at once: x_cols[:, g] is stack g, shape (m, G, d)."""
+    def column_gradients(self, x_cols, out=None, scratch=None) -> np.ndarray:
+        """Gradients of G stacks at once: x_cols[:, g] is stack g, shape (m, G, d).
+
+        With ``out``, an (m, G, d) float array not overlapping x_cols, the
+        gradients are written there and ``out`` is returned; ``scratch``, one
+        more such array, then holds ridge's gamma term, so the call allocates
+        nothing of size (m, G, d). The bits are the allocating call's.
+        """
         x_cols = np.asarray(x_cols, dtype=float)
         if x_cols.ndim != 3 or x_cols.shape[0] != self.m or x_cols.shape[2] != self.d:
             raise ShapeError(f"expected columns of shape ({self.m}, G, {self.d}), "
                              f"got {x_cols.shape}")
-        return self._kernel.column_gradients(x_cols)
+        for name, buf in (("out", out), ("scratch", scratch)):
+            if buf is not None and (buf.shape != x_cols.shape or buf.dtype != float):
+                raise ShapeError(f"{name} must be a float array of shape {x_cols.shape}, "
+                                 f"got {buf.dtype} {buf.shape}")
+        return self._kernel.column_gradients(x_cols, out, scratch)
 
     def average_value(self, x) -> float:
         """f(x) = (1/m) sum_i f_i(x) at a single shared point."""

@@ -47,7 +47,14 @@ from .diagnostics import (
 )
 from .errors import ComparisonError, ConfigError, GraphGenerationError
 from .objectives import ProblemInstance, load_mnist_partition, synth_logistic, synth_ridge
-from .solvers import ExtraParams, FixedStepParams, GridPoint, extra_grid_search, run
+from .solvers import (
+    ExtraParams,
+    FixedStepParams,
+    GridPoint,
+    extra_grid_search,
+    grid_lanes,
+    run,
+)
 from .topology import (
     GossipMatrix,
     Graph,
@@ -148,6 +155,7 @@ class RunManifest:
     l_tilde_hat: float | None = None  # max observed secant curvature; None if none positive
     mu_tilde_hat: float | None = None  # min observed secant strong convexity
     lanes: int = 1  # agent lanes of the instance's batch evaluators
+    grid_lanes: int | None = None  # grid lanes of the EXTRA grid search, if one ran
 
     def to_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True)
@@ -238,6 +246,7 @@ def _manifest_for(config: ExperimentConfig, trace: Trace, csv_path: Path, ws: _W
         l_tilde_hat=_finite(restricted.l_tilde_hat) if restricted.l_tilde_hat > 0 else None,
         mu_tilde_hat=_finite(restricted.mu_tilde_hat),
         lanes=ws.problem.lanes,
+        grid_lanes=None if grid is None else grid_lanes(ws.problem, len(grid)),
     )
 
 

@@ -24,15 +24,19 @@ dispatch table and hands the recorder each pair of consecutive states.
 
 The EXTRA grid search runs many stepsizes without run() or a recorder: it
 advances them as the columns of one (m, G, d) stack, so each round costs one
-stacked gradient and one gossip multiply for the whole block.
+stacked gradient and one gossip multiply for the whole block. The blocks
+are independent given their shared start, so they run on one thread per
+CPU (grid lanes), with the same bits as on one.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import objectives
 from .diagnostics import DEFAULT_METRIC, METRICS, SADDLE_METRICS, Trace, TraceRecorder
 from .errors import (
     ConfigError,
@@ -76,6 +80,7 @@ __all__ = [
     "extra_step",
     "run",
     "extra_grid_search",
+    "grid_lanes",
     "GridPoint",
     "DIVERGENCE_NORM",
 ]
@@ -631,10 +636,12 @@ def run(
 
 
 # Working-set bound of one block of the EXTRA grid search. Each stepsize in a
-# block is a column of at most GRID_COLUMN_ARRAYS live (m, d) arrays: the
-# iterate, the half-mixed previous iterate, the previous and the new gradient,
-# the gossip product (or a gradient temporary), and the ergodic sum when
-# ranking on merit.
+# block is a column of at most GRID_COLUMN_ARRAYS (m, d) arrays: the iterate,
+# the half-mixed previous iterate, the previous and the new gradient, the
+# gossip product (which first serves as the ridge gradient's scratch), and the
+# ergodic sum when ranking on merit. Each grid lane holds one such set of
+# arrays, sized for one block; on the fig2 presets (m=20, d=500, 4 columns a
+# block) that is 1.6 MB, or 1.9 MB when ranking on merit.
 GRID_BLOCK_BYTES = 2 * 2**20
 GRID_COLUMN_ARRAYS = 6
 
@@ -653,7 +660,38 @@ class GridPoint:
     value: float | None
 
 
-def _extra_block(problem, gossip, start, alphas, budget, recorder, metric) -> list[GridPoint]:
+def _grid_block_width(m: int, d: int) -> int:
+    """Stepsizes per block: as many columns as fit GRID_BLOCK_BYTES, at least one."""
+    return max(1, GRID_BLOCK_BYTES // (GRID_COLUMN_ARRAYS * 8 * m * d))
+
+
+def grid_lanes(problem: ProblemInstance, grid_size: int) -> int:
+    """How many grid lanes extra_grid_search runs a grid of grid_size stepsizes on.
+
+    One per CPU this process may use, up to the number of blocks; one when
+    the problem's evaluators already split its agents into lanes.
+    """
+    if problem.lanes > 1:
+        return 1
+    blocks = -(-grid_size // _grid_block_width(problem.m, problem.d))
+    return min(objectives._cpu_count(), blocks)
+
+
+def _grid_buffers(m: int, width: int, d: int, ergodic: bool) -> list:
+    """One grid lane's flat working arrays for blocks of up to width columns:
+    iterate, half-mixed previous iterate, previous and new gradient, gossip
+    product, and the ergodic sum (None unless ranking on merit)."""
+    size = m * width * d
+    return [np.empty(size) for _ in range(5)] + [np.empty(size) if ergodic else None]
+
+
+def _front(flat: list, m: int, width: int, d: int) -> list:
+    """The (m, width, d) view of the front of each flat array (None stays None)."""
+    return [None if buf is None else buf[:m * width * d].reshape(m, width, d) for buf in flat]
+
+
+def _extra_block(problem, gossip, start, alphas, budget, recorder, metric,
+                 flat) -> list[GridPoint]:
     """EXTRA at every stepsize of alphas, advanced as one (m, G, d) stack.
 
     Column g follows extra_init and extra_step at alphas[g] from the shared
@@ -666,56 +704,113 @@ def _extra_block(problem, gossip, start, alphas, budget, recorder, metric) -> li
     k at k + 1. A surviving column is valued by recorder.metric_value at X^K,
     or for merit at the mean (X^0 + ... + X^{K-1}) / K, the recorder's
     ergodic average for EXTRA's gamma of 1.
+
+    The stacks live at the front of flat, one lane's _grid_buffers, and the
+    rounds allocate nothing of size (m, G, d): the gradients are written
+    into two arrays that swap roles every round, and the columns that stay
+    are moved to the front of the arrays when others diverge. G, and so
+    every BLAS call, is the same as with fresh arrays each round.
     """
     x0, wx0, grad0 = start
     ergodic = metric == "merit"
     m, d = x0.shape
-    shape = (m, len(alphas), d)
     live = np.arange(len(alphas))  # block index of each stack column
     alpha = np.asarray(alphas)[:, None]
     points: list[GridPoint | None] = [None] * len(alphas)
-    x = np.broadcast_to(x0[:, None, :], shape)
-    acc = None
+    x, u, g_prev, g_new, s, acc = _front(flat, m, len(alphas), d)
+    x[...] = x0[:, None, :]
     for k in range(budget):
         if ergodic:
-            acc = x.copy() if acc is None else np.add(acc, x, out=acc)
+            if k == 0:
+                acc[...] = x
+            else:
+                acc += x
         if k == 0:
-            x = wx0[:, None, :] - alpha * grad0[:, None, :]
-            u = np.broadcast_to((0.5 * (x0 + wx0))[:, None, :], shape).copy()
-            g_prev = np.broadcast_to(grad0[:, None, :], shape).copy()
+            np.subtract(wx0[:, None, :], np.multiply(alpha, grad0[:, None, :], out=s), out=x)
+            u[...] = (0.5 * (x0 + wx0))[:, None, :]
+            g_prev[...] = grad0[:, None, :]
             failed = np.zeros(len(alphas), dtype=bool)
         else:
-            grad = problem.column_gradients(x)
-            s = (gossip.shifted @ x.reshape(m, -1)).reshape(x.shape)
+            problem.column_gradients(x, out=g_new, scratch=s)
+            np.matmul(gossip.shifted, x.reshape(m, -1), out=s.reshape(m, -1))
             s += x
-            dg = np.subtract(grad, g_prev, out=g_prev)
+            dg = np.subtract(g_new, g_prev, out=g_prev)
             failed = ~np.isfinite(np.einsum("mgd,mgd->g", dg, dg))
             np.subtract(s, u, out=x)
             np.multiply(s, 0.5, out=u)
-            del s
             dg *= alpha
             x -= dg
-            g_prev = grad
+            g_prev, g_new = g_new, g_prev
         bad = failed | ~(np.sqrt(np.einsum("mgd,mgd->g", x, x)) <= DIVERGENCE_NORM)
         if bad.any():
             for j in np.flatnonzero(bad):
                 rounds = k if failed[j] else k + 1
                 points[live[j]] = GridPoint(alphas[live[j]], "diverged", rounds, None)
-            keep = ~bad
+            keep = np.flatnonzero(~bad)
             live, alpha = live[keep], alpha[keep]
-            x, u, g_prev = x[:, keep], u[:, keep], g_prev[:, keep]
-            if acc is not None:
-                acc = acc[:, keep]
             if not live.size:
                 break
+            old = (x, u, g_prev, acc)
+            x, u, g_prev, g_new, s, acc = _front(flat, m, live.size, d)
+            for new, prev in zip((x, u, g_prev, acc), old):
+                if new is not None:  # in one array, new[i] ends before prev[i + 1] starts
+                    for i in range(m):
+                        new[i] = prev[i, keep]
     for j, idx in enumerate(live):
         if ergodic:  # at budget 0 there is no ergodic average, as in the recorder
-            value = None if acc is None else recorder.metric_value(metric, acc[:, j] / budget)
+            value = None if budget == 0 else recorder.metric_value(metric, acc[:, j] / budget)
         else:
             value = recorder.metric_value(metric, np.ascontiguousarray(x[:, j]))
         finite = value is not None and np.isfinite(value)
         points[idx] = GridPoint(alphas[idx], "budget", budget, value if finite else None)
     return points
+
+
+def _in_grid_lanes(count: int, lanes: int, work) -> None:
+    """work(i, lane) for every item i in 0..count-1, on lanes threads.
+
+    The calling thread is lane 0: it claims item 0, then starts the others.
+    A free lane claims the next item, so items start in order. After a
+    failure no lane claims another item; once every lane has stopped, the
+    exception of the first failing item (in item order, as one lane would
+    meet it) is raised here.
+    """
+    lock = threading.Lock()
+    claimed = 0
+    errors: dict[int, BaseException] = {}
+
+    def claim() -> int | None:
+        nonlocal claimed
+        with lock:
+            if errors or claimed == count:
+                return None
+            claimed += 1
+            return claimed - 1
+
+    def lane(index: int, item: int | None) -> None:
+        while item is not None:
+            try:
+                work(item, index)
+            except BaseException as exc:  # raised again in the caller
+                with lock:
+                    errors[item] = exc
+                return
+            item = claim()
+
+    first = claim()
+    started = []
+    try:
+        for index in range(1, lanes):
+            thread = threading.Thread(target=lambda index=index: lane(index, claim()),
+                                      name=f"decopt-grid-lane-{index}", daemon=True)
+            thread.start()
+            started.append(thread)
+        lane(0, first)
+    finally:
+        for thread in started:
+            thread.join()  # no lane may write to the results after return
+    if errors:
+        raise errors[min(errors)]
 
 
 def extra_grid_search(
@@ -733,8 +828,10 @@ def extra_grid_search(
     would report it, read through recorder.metric_value (ties go to the
     larger stepsize); diverged points and non-finite values are skipped.
     The stepsizes run as column blocks of _extra_block, as many per block as
-    fit GRID_BLOCK_BYTES. Returns the chosen stepsize and one GridPoint per
-    grid stepsize, in ascending order.
+    fit GRID_BLOCK_BYTES. The blocks run in grid lanes (see grid_lanes),
+    each with one set of working arrays; a block makes the same calls in any
+    lane, so the points are bit-identical at any lane count. Returns the
+    chosen stepsize and one GridPoint per grid stepsize, in ascending order.
     """
     grid = sorted(float(a) for a in grid)
     if not grid or not all(0 < a < np.inf for a in grid):
@@ -747,11 +844,20 @@ def extra_grid_search(
         raise ConfigError(f"grid-search metric {metric!r} needs saddle diagnostics")
     x0 = np.zeros((problem.m, problem.d)) if x0 is None else _check_stack(x0, problem, "x0")
     start = (x0, gossip.shifted @ x0, problem.stacked_gradient(x0))
-    block = max(1, GRID_BLOCK_BYTES // (GRID_COLUMN_ARRAYS * x0.nbytes))
-    points = []
-    for i in range(0, len(grid), block):
-        points += _extra_block(problem, gossip, start, grid[i:i + block], budget, recorder,
-                               metric)
+    width = _grid_block_width(problem.m, problem.d)
+    blocks = [grid[i:i + width] for i in range(0, len(grid), width)]
+    lanes = grid_lanes(problem, len(grid))
+    # allocated here, on the calling thread, so no lane's allocator holds them
+    buffers = [_grid_buffers(problem.m, len(blocks[0]), problem.d, metric == "merit")
+               for _ in range(lanes)]
+    results: list[list[GridPoint] | None] = [None] * len(blocks)
+
+    def block(i: int, lane: int) -> None:
+        results[i] = _extra_block(problem, gossip, start, blocks[i], budget, recorder, metric,
+                                  buffers[lane])
+
+    _in_grid_lanes(len(blocks), lanes, block)
+    points = [point for result in results for point in result]
     best, best_value = None, np.inf
     for point in points:
         if point.value is not None and point.value <= best_value:

@@ -1,9 +1,10 @@
-"""Test helper: problems whose gradient turns NaN, to check divergence handling.
+"""Test helper: problems whose gradient turns NaN or raises, to check failure handling.
 
-Both evaluate on the wrapped instance's own kernel and then overwrite rows of
-the stacked gradient (``stacked_gradient``) or of the column gradients
-(``column_gradients``, one call per column) with NaN. Values and the averaged
-evaluations are left exact.
+The NaN problems evaluate on the wrapped instance's own kernel and then
+overwrite rows of the stacked gradient (``stacked_gradient``) or of the
+column gradients (``column_gradients``, one call per column) with NaN.
+``RaiseOutsideBall`` raises from ``column_gradients`` instead. Values and
+the averaged evaluations are left exact.
 """
 
 import numpy as np
@@ -12,7 +13,12 @@ from decopt.objectives import ProblemInstance, synth_ridge
 
 
 class NanGradient(ProblemInstance):
-    """problem whose agent 0 gradient is NaN from call number `start` on."""
+    """problem whose agent 0 gradient is NaN from call number `start` on.
+
+    The count spans every caller: in a grid search whose blocks run in
+    several grid lanes, which block makes call `start` depends on the
+    threads' timing, so use it there only with start 0, or NanOutsideBall.
+    """
 
     def __init__(self, problem: ProblemInstance, start: int):
         super().__init__(problem._kernel)
@@ -30,8 +36,8 @@ class NanGradient(ProblemInstance):
         self._poison(grad[:1])
         return grad
 
-    def column_gradients(self, x_cols):
-        grad = super().column_gradients(x_cols)
+    def column_gradients(self, x_cols, out=None, scratch=None):
+        grad = super().column_gradients(x_cols, out, scratch)
         self._poison(grad[0])
         return grad
 
@@ -57,7 +63,26 @@ class NanOutsideBall(ProblemInstance):
         grad[np.linalg.norm(x_stack, axis=-1) > self.radius] = np.nan
         return grad
 
-    def column_gradients(self, x_cols):
-        grad = super().column_gradients(x_cols)
+    def column_gradients(self, x_cols, out=None, scratch=None):
+        grad = super().column_gradients(x_cols, out, scratch)
         grad[np.linalg.norm(x_cols, axis=-1) > self.radius] = np.nan
         return grad
+
+
+class RaiseOutsideBall(ProblemInstance):
+    """problem whose column gradients raise FloatingPointError at any row with ||x_i|| > radius.
+
+    Like NanOutsideBall the fault depends only on the point, so a grid block
+    meets it at the same round on any thread; the message names the call's
+    largest row norm, so the raising calls of different blocks tell apart.
+    """
+
+    def __init__(self, problem: ProblemInstance, radius: float):
+        super().__init__(problem._kernel)
+        self.radius = radius
+
+    def column_gradients(self, x_cols, out=None, scratch=None):
+        norm = np.max(np.linalg.norm(x_cols, axis=-1))
+        if norm > self.radius:
+            raise FloatingPointError(f"row norm {norm!r} outside the ball")
+        return super().column_gradients(x_cols, out, scratch)

@@ -11,6 +11,7 @@ makes for its agents.
 import json
 import os
 import signal
+import sys
 import threading
 import time
 from dataclasses import replace
@@ -19,9 +20,14 @@ import numpy as np
 import pytest
 import yaml
 
-from decopt import cli, objectives, runner
+from decopt import cli, objectives, runner, solvers
 from decopt.config import parse_config_dict
+from decopt.diagnostics import METRICS, TraceRecorder, compute_saddle
+from decopt.errors import NoConvergentStepsizeError, ShapeError
 from decopt.objectives import load_mnist_partition, synth_logistic, synth_ridge
+from decopt.solvers import extra_grid_search
+from decopt.topology import graph_laplacian_sqrt, make_line_graph, metropolis_hastings, psd_shift
+from faults import RaiseOutsideBall
 from idx_files import write_idx_pair
 
 # At this shape one BLAS call per lane, instead of one per agent block, rounds
@@ -95,6 +101,30 @@ def test_mnist_partition_identical_at_any_lane_count(tmp_path, force_lanes):
 
 
 @pytest.mark.parametrize("synth", [synth_ridge, synth_logistic])
+def test_column_gradients_into_buffers(force_lanes, synth):
+    # the grid's allocation-free call: same bits as the allocating one, at any lane count
+    rng = np.random.default_rng(12)
+    x_cols = 0.5 * rng.standard_normal((M, 3, D))
+    x = 0.5 * rng.standard_normal((M, D))
+    builds = [lambda: synth(M, N, D, seed=3)]  # below the cutoff: one lane, one block
+    for count in [1] + COUNTS:
+        builds.append(lambda count=count: force_lanes(count) or synth(M, N, D, seed=3))
+    for build in builds:
+        prob = build()
+        want = prob.column_gradients(x_cols)
+        for scratch in (None, np.full_like(x_cols, np.nan)):
+            out = np.full_like(x_cols, np.nan)
+            assert prob.column_gradients(x_cols, out=out, scratch=scratch) is out
+            assert np.array_equal(out, want)
+        assert np.array_equal(prob.stacked_gradient(x), prob.column_gradients(x[:, None])[:, 0])
+    for bad in (np.empty((M, 2, D)), np.empty((M, 3, D), dtype=np.float32)):
+        with pytest.raises(ShapeError, match="out"):
+            prob.column_gradients(x_cols, out=bad)
+        with pytest.raises(ShapeError, match="scratch"):
+            prob.column_gradients(x_cols, out=np.empty_like(x_cols), scratch=bad)
+
+
+@pytest.mark.parametrize("synth", [synth_ridge, synth_logistic])
 def test_lanes_cover_every_agent_once(force_lanes, synth):
     for count in [1] + COUNTS:
         force_lanes(count)
@@ -157,6 +187,143 @@ def test_forked_child_starts_its_own_lanes(force_lanes):
     assert os.waitstatus_to_exitcode(status[1]) == 0
 
 
+# Grid lanes: the EXTRA grid search runs its column blocks on one thread per
+# CPU, the calling thread first. These tests set the CPU count through
+# objectives._cpu_count and cut the grids into blocks of two stepsizes.
+GRID_LANE_COUNTS = [1, 2, 3, 9]  # 9 exceeds the 5 blocks
+
+
+@pytest.fixture
+def grid_blocks_of_two(monkeypatch):
+    monkeypatch.setattr(solvers, "GRID_BLOCK_BYTES", 2 * solvers.GRID_COLUMN_ARRAYS * 16 * 4 * 8)
+
+
+def grid_case(loss):
+    """(problem, gossip, saddle, grid, x0) for 10 stepsizes, so 5 blocks of two.
+
+    On ridge the top five stepsizes diverge at budget 200, and the block
+    (0.1, 0.316) drops to one column when 0.316 diverges. The logistic grid
+    stays below the stepsizes where EXTRA turns unstable.
+    """
+    gossip = psd_shift(metropolis_hastings(make_line_graph(16)), c=0.4)
+    x0 = 10.0 * np.random.default_rng(42).standard_normal((16, 4))
+    if loss == "ridge":
+        prob, grid = synth_ridge(16, 8, 4, seed=40), np.logspace(-3, 1.5, 10)
+    else:
+        prob, grid = synth_logistic(16, 8, 4, seed=40), np.logspace(-3, 0.5, 10)
+    return prob, gossip, compute_saddle(prob, gossip), grid, x0
+
+
+def search(prob, gossip, saddle, grid, budget, metric, x0):
+    """extra_grid_search's (stepsize, points), or its NoConvergentStepsizeError message."""
+    recorder = TraceRecorder(prob, graph_laplacian_sqrt(gossip), saddle)
+    try:
+        return extra_grid_search(prob, gossip, grid, budget, recorder, metric, x0)
+    except NoConvergentStepsizeError as exc:  # merit at budget 0: no value anywhere
+        return str(exc)
+
+
+def grid_lane_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("decopt-grid-lane")]
+
+
+@pytest.mark.parametrize("budget", [0, 1, 200])
+@pytest.mark.parametrize("metric", list(METRICS))
+@pytest.mark.parametrize("loss", ["ridge", "logistic"])
+def test_grid_identical_at_any_grid_lane_count(monkeypatch, grid_blocks_of_two, loss, metric,
+                                               budget):
+    prob, gossip, saddle, grid, x0 = grid_case(loss)
+    results = {}
+    for count in GRID_LANE_COUNTS:
+        monkeypatch.setattr(objectives, "_cpu_count", lambda: count)
+        assert solvers.grid_lanes(prob, len(grid)) == min(count, 5)
+        results[count] = search(prob, gossip, saddle, grid, budget, metric, x0)
+    assert all(result == results[1] for result in results.values())
+    assert not grid_lane_threads()
+
+
+def test_grid_case_diverges_and_drops_to_one_column(grid_blocks_of_two):
+    prob, gossip, saddle, grid, x0 = grid_case("ridge")
+    _, points = search(prob, gossip, saddle, grid, 200, "distance_sq", x0)
+    blocks = [points[i:i + 2] for i in range(0, len(points), 2)]
+    statuses = [tuple(p.status for p in block) for block in blocks]
+    assert ("budget", "diverged") in statuses  # one column runs on alone
+    assert ("diverged", "diverged") in statuses
+    assert all(p.rounds < 200 for p in points if p.status == "diverged")
+
+
+@pytest.mark.parametrize("count", GRID_LANE_COUNTS)
+def test_first_failing_block_raises_after_every_lane_stops(monkeypatch, grid_blocks_of_two,
+                                                           count):
+    # blocks 2-4 leave the ball; the error is block 2's at any lane count,
+    # and no grid lane still runs when it reaches the caller
+    monkeypatch.setattr(objectives, "_cpu_count", lambda: 1)
+    prob, gossip, saddle, grid, x0 = grid_case("ridge")
+    faulty = RaiseOutsideBall(prob, radius=300.0)
+    with pytest.raises(FloatingPointError) as want:
+        search(faulty, gossip, saddle, grid[4:6], 200, "distance_sq", x0)
+    monkeypatch.setattr(objectives, "_cpu_count", lambda: count)
+    with pytest.raises(FloatingPointError) as got:
+        search(faulty, gossip, saddle, grid, 200, "distance_sq", x0)
+    assert str(got.value) == str(want.value)
+    assert not grid_lane_threads()
+
+
+def test_caller_block_runs_to_its_end_when_another_lane_fails(monkeypatch, grid_blocks_of_two):
+    monkeypatch.setattr(objectives, "_cpu_count", lambda: 2)
+    prob, gossip, saddle, grid, x0 = grid_case("ridge")
+    caller = threading.current_thread()
+    failed = threading.Event()
+    calls = []
+
+    class FailsOffCaller(objectives.ProblemInstance):
+        def column_gradients(self, x_cols, out=None, scratch=None):
+            if threading.current_thread() is not caller:
+                failed.set()
+                raise FloatingPointError("lane failed")
+            if not calls:  # the caller's block goes on only once the other lane failed
+                assert failed.wait(timeout=60)
+            calls.append(1)
+            return super().column_gradients(x_cols, out, scratch)
+
+    with pytest.raises(FloatingPointError, match="lane failed"):
+        # 0.001-0.0316: no column diverges, so each block makes 199 gradient calls
+        search(FailsOffCaller(prob._kernel), gossip, saddle, grid[:4], 200, "distance_sq", x0)
+    assert len(calls) == 199
+    assert not grid_lane_threads()
+
+
+def test_grid_lanes_claim_every_block_once():
+    # more lanes than CPUs and a short switch interval: a lost update of the
+    # claim counter would run some block twice or skip one
+    ran = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        solvers._in_grid_lanes(500, 8, lambda i, lane: ran.append((i, lane)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(i for i, _ in ran) == list(range(500))
+    assert (0, 0) in ran  # the calling thread takes the first block
+    assert not grid_lane_threads()
+
+
+def test_laned_problem_runs_one_grid_lane(force_lanes, grid_blocks_of_two):
+    force_lanes(1)
+    prob, gossip, saddle, grid, x0 = grid_case("ridge")
+    want = search(prob, gossip, saddle, grid, 200, "distance_sq", x0)
+    force_lanes(2)
+    prob = grid_case("ridge")[0]
+    assert prob.lanes == 2 and solvers.grid_lanes(prob, len(grid)) == 1
+    got = {}
+    worker = threading.Thread(target=lambda: got.update(
+        result=search(prob, gossip, saddle, grid, 200, "distance_sq", x0)), daemon=True)
+    worker.start()
+    worker.join(timeout=120)
+    assert not worker.is_alive(), "the grid search hung on a laned problem"
+    assert got["result"] == want
+
+
 def raw_config(problem_kind: str, algorithm: dict) -> dict:
     return {
         "problem": {"kind": problem_kind, "m": M, "n": N, "d": D},
@@ -201,6 +368,7 @@ def test_grid_points_identical_with_lanes(tmp_path, force_lanes, problem_kind):
     force_lanes(3)
     got_csv, got = run_outputs(tmp_path, raw, "three")
     assert got.lanes == 3
+    assert got.grid_lanes == 1  # the agent lanes use the CPUs
     assert got.extra_grid == want.extra_grid
     assert got.extra_best_alpha == want.extra_best_alpha
     assert got_csv == want_csv
@@ -212,10 +380,24 @@ def test_run_manifest_records_lanes(tmp_path, force_lanes):
     assert cli.main(["run", str(path), "--out", str(tmp_path / "one")]) == 0
     manifest = json.loads((tmp_path / "one" / "lanes.manifest.json").read_text())
     assert manifest["lanes"] == 1  # a few kilobytes: below the cutoff
+    assert manifest["grid_lanes"] is None  # no grid search
     force_lanes(3)
     assert cli.main(["run", str(path), "--out", str(tmp_path / "three")]) == 0
     manifest = json.loads((tmp_path / "three" / "lanes.manifest.json").read_text())
     assert manifest["lanes"] == 3
+
+
+def test_manifest_records_grid_lanes(tmp_path, monkeypatch):
+    raw = raw_config("ridge", {"kind": "extra", "grid": [0.05, 0.3, 1.0, 8.0], "budget": 30})
+    monkeypatch.setattr(solvers, "GRID_BLOCK_BYTES", 2 * solvers.GRID_COLUMN_ARRAYS * M * D * 8)
+    outputs = {}
+    for count in (1, 2):  # two blocks of two stepsizes
+        monkeypatch.setattr(objectives, "_cpu_count", lambda: count)
+        outputs[count], manifest = run_outputs(tmp_path, raw, f"grid{count}")
+        assert (manifest.lanes, manifest.grid_lanes) == (1, count)
+        assert json.loads((tmp_path / f"grid{count}" / "lanes.manifest.json").read_text())[
+            "grid_lanes"] == count
+    assert outputs[2] == outputs[1]
 
 
 def test_preset_manifests_record_lanes(tmp_path, force_lanes, monkeypatch):
