@@ -50,9 +50,8 @@ from .objectives import ProblemInstance, load_mnist_partition, synth_logistic, s
 from .solvers import (
     ExtraParams,
     FixedStepParams,
-    GridPoint,
+    GridSearch,
     extra_grid_search,
-    grid_lanes,
     run,
 )
 from .topology import (
@@ -155,7 +154,8 @@ class RunManifest:
     l_tilde_hat: float | None = None  # max observed secant curvature; None if none positive
     mu_tilde_hat: float | None = None  # min observed secant strong convexity
     lanes: int = 1  # agent lanes of the instance's batch evaluators
-    grid_lanes: int | None = None  # grid lanes of the EXTRA grid search, if one ran
+    grid_lanes: int | None = None  # processes the EXTRA grid search ran on, if one ran
+    grid_rounds: int | None = None  # rounds the grid search ran, summed over its points
 
     def to_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True)
@@ -194,15 +194,15 @@ class _Workspace:
 
 
 def _execute(config: ExperimentConfig, ws: _Workspace
-             ) -> tuple[Trace, float | None, list[GridPoint] | None]:
+             ) -> tuple[Trace, float | None, GridSearch | None]:
     """Run the configured algorithm inside a prepared workspace.
 
-    Returns the trace, EXTRA's stepsize and, for a grid, every grid point.
+    Returns the trace, EXTRA's stepsize and, for a grid, the grid search.
     """
     algo = config.algorithm
     stop = config.stop
     cadence = config.diagnostics.cadence
-    best_alpha = grid = None
+    best_alpha = search = None
     if algo.kind in ("adolf", "adolf_local"):
         params = algo.stepsize_params()
         trace = run(algo.kind, ws.problem, ws.gossip, params, stop, ws.recorder(cadence), ws.x0)
@@ -211,21 +211,23 @@ def _execute(config: ExperimentConfig, ws: _Workspace
         trace = run("condat_vu", ws.problem, ws.gossip, params, stop, ws.recorder(cadence), ws.x0)
     else:  # extra
         if algo.grid is not None:
-            best_alpha, grid = extra_grid_search(
+            search = extra_grid_search(
                 ws.problem, ws.gossip, algo.grid, algo.budget, ws.recorder(cadence),
                 stop.metric or DEFAULT_METRIC, ws.x0,
             )
+            best_alpha = search.alpha
         else:
             best_alpha = algo.alpha
         trace = run("extra", ws.problem, ws.gossip, ExtraParams(best_alpha), stop,
                     ws.recorder(cadence), ws.x0)
-    return trace, best_alpha, grid
+    return trace, best_alpha, search
 
 
 def _manifest_for(config: ExperimentConfig, trace: Trace, csv_path: Path, ws: _Workspace,
-                  best_alpha: float | None, grid: list[GridPoint] | None,
+                  best_alpha: float | None, search: GridSearch | None,
                   name: str) -> RunManifest:
     restricted = trace.restricted
+    grid = None if search is None else search.points
     return RunManifest(
         name=name,
         config=resolved_dict(config),
@@ -246,7 +248,8 @@ def _manifest_for(config: ExperimentConfig, trace: Trace, csv_path: Path, ws: _W
         l_tilde_hat=_finite(restricted.l_tilde_hat) if restricted.l_tilde_hat > 0 else None,
         mu_tilde_hat=_finite(restricted.mu_tilde_hat),
         lanes=ws.problem.lanes,
-        grid_lanes=None if grid is None else grid_lanes(ws.problem, len(grid)),
+        grid_lanes=None if search is None else search.workers,
+        grid_rounds=None if grid is None else sum(point.rounds for point in grid),
     )
 
 
@@ -260,11 +263,11 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> RunManifest:
     config.validate()
     out = _resolve_out_dir(config, out_dir)
     ws = _Workspace(config)
-    trace, best_alpha, grid = _execute(config, ws)
+    trace, best_alpha, search = _execute(config, ws)
     name = config.run_name()
     csv_path = out / f"{name}.csv"
     _atomic_write_text(csv_path, trace.to_csv())
-    manifest = _manifest_for(config, trace, csv_path, ws, best_alpha, grid, name)
+    manifest = _manifest_for(config, trace, csv_path, ws, best_alpha, search, name)
     _atomic_write_text(out / f"{name}.manifest.json", manifest.to_json())
     _atomic_write_text(out / f"{name}.config.yaml", emit_config(config))
     return manifest
@@ -360,10 +363,10 @@ def compare(configs: list[ExperimentConfig], out_dir=None, metric: str | None = 
         if name in used_names:
             name = f"{name}_{idx}"
         used_names.add(name)
-        trace, best_alpha, grid = _execute(cfg, ws)
+        trace, best_alpha, search = _execute(cfg, ws)
         csv_path = out / f"{name}.csv"
         _atomic_write_text(csv_path, trace.to_csv())
-        manifest = _manifest_for(cfg, trace, csv_path, ws, best_alpha, grid, name)
+        manifest = _manifest_for(cfg, trace, csv_path, ws, best_alpha, search, name)
         _atomic_write_text(out / f"{name}.manifest.json", manifest.to_json())
         manifests.append(manifest)
         traces.append((name, trace))

@@ -25,14 +25,16 @@ dispatch table and hands the recorder each pair of consecutive states.
 The EXTRA grid search runs many stepsizes without run() or a recorder: it
 advances them as the columns of one (m, G, d) stack, so each round costs one
 stacked gradient and one gossip multiply for the whole block. The blocks
-are independent given their shared start, so they run on one thread per
-CPU (grid lanes), with the same bits as on one.
+are independent given their shared start, so they run in forked worker
+processes, up to two per CPU, with the same bits as in one.
 """
 
 from __future__ import annotations
 
-import threading
+import os
+import pickle
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -82,6 +84,7 @@ __all__ = [
     "extra_grid_search",
     "grid_lanes",
     "GridPoint",
+    "GridSearch",
     "DIVERGENCE_NORM",
 ]
 
@@ -639,7 +642,7 @@ def run(
 # block is a column of at most GRID_COLUMN_ARRAYS (m, d) arrays: the iterate,
 # the half-mixed previous iterate, the previous and the new gradient, the
 # gossip product (which first serves as the ridge gradient's scratch), and the
-# ergodic sum when ranking on merit. Each grid lane holds one such set of
+# ergodic sum when ranking on merit. Each grid worker holds one such set of
 # arrays, sized for one block; on the fig2 presets (m=20, d=500, 4 columns a
 # block) that is 1.6 MB, or 1.9 MB when ranking on merit.
 GRID_BLOCK_BYTES = 2 * 2**20
@@ -660,25 +663,38 @@ class GridPoint:
     value: float | None
 
 
+class GridSearch(NamedTuple):
+    """extra_grid_search's result: the chosen stepsize, one GridPoint per grid
+    stepsize in ascending order, and how many processes ran the blocks."""
+
+    alpha: float
+    points: list[GridPoint]
+    workers: int
+
+
 def _grid_block_width(m: int, d: int) -> int:
     """Stepsizes per block: as many columns as fit GRID_BLOCK_BYTES, at least one."""
     return max(1, GRID_BLOCK_BYTES // (GRID_COLUMN_ARRAYS * 8 * m * d))
 
 
 def grid_lanes(problem: ProblemInstance, grid_size: int) -> int:
-    """How many grid lanes extra_grid_search runs a grid of grid_size stepsizes on.
+    """How many worker processes extra_grid_search plans for a grid of grid_size stepsizes.
 
-    One per CPU this process may use, up to the number of blocks; one when
-    the problem's evaluators already split its agents into lanes.
+    One per block, at most two per CPU this process may use, the caller
+    included. Two per CPU let the OS share the CPUs between the long blocks
+    instead of queueing one behind another. One, in this process, on one CPU,
+    where os.fork does not exist, or when the problem's evaluators already
+    split its agents into lanes.
     """
-    if problem.lanes > 1:
+    cpus = objectives._cpu_count()
+    if problem.lanes > 1 or cpus == 1 or not hasattr(os, "fork"):
         return 1
     blocks = -(-grid_size // _grid_block_width(problem.m, problem.d))
-    return min(objectives._cpu_count(), blocks)
+    return min(2 * cpus, blocks)
 
 
 def _grid_buffers(m: int, width: int, d: int, ergodic: bool) -> list:
-    """One grid lane's flat working arrays for blocks of up to width columns:
+    """One grid worker's flat working arrays for blocks of up to width columns:
     iterate, half-mixed previous iterate, previous and new gradient, gossip
     product, and the ergodic sum (None unless ranking on merit)."""
     size = m * width * d
@@ -705,7 +721,7 @@ def _extra_block(problem, gossip, start, alphas, budget, recorder, metric,
     or for merit at the mean (X^0 + ... + X^{K-1}) / K, the recorder's
     ergodic average for EXTRA's gamma of 1.
 
-    The stacks live at the front of flat, one lane's _grid_buffers, and the
+    The stacks live at the front of flat, one worker's _grid_buffers, and the
     rounds allocate nothing of size (m, G, d): the gradients are written
     into two arrays that swap roles every round, and the columns that stay
     are moved to the front of the arrays when others diverge. G, and so
@@ -766,51 +782,134 @@ def _extra_block(problem, gossip, start, alphas, budget, recorder, metric,
     return points
 
 
-def _in_grid_lanes(count: int, lanes: int, work) -> None:
-    """work(i, lane) for every item i in 0..count-1, on lanes threads.
+_CLAIM_BYTES = 4  # one item index in the claims pipe, little-endian
 
-    The calling thread is lane 0: it claims item 0, then starts the others.
-    A free lane claims the next item, so items start in order. After a
-    failure no lane claims another item; once every lane has stopped, the
-    exception of the first failing item (in item order, as one lane would
-    meet it) is raised here.
-    """
-    lock = threading.Lock()
-    claimed = 0
-    errors: dict[int, BaseException] = {}
 
-    def claim() -> int | None:
-        nonlocal claimed
-        with lock:
-            if errors or claimed == count:
-                return None
-            claimed += 1
-            return claimed - 1
-
-    def lane(index: int, item: int | None) -> None:
-        while item is not None:
-            try:
-                work(item, index)
-            except BaseException as exc:  # raised again in the caller
-                with lock:
-                    errors[item] = exc
-                return
-            item = claim()
-
-    first = claim()
-    started = []
+def _claims_pipe(count: int) -> int | None:
+    """The read end of a pipe holding the indices 1..count-1, its write end closed;
+    None when they do not fit the pipe's buffer (over 16 thousand on Linux)."""
+    claims, feed = os.pipe()
     try:
-        for index in range(1, lanes):
-            thread = threading.Thread(target=lambda index=index: lane(index, claim()),
-                                      name=f"decopt-grid-lane-{index}", daemon=True)
-            thread.start()
-            started.append(thread)
-        lane(0, first)
+        os.set_blocking(feed, False)
+        data = b"".join(i.to_bytes(_CLAIM_BYTES, "little") for i in range(1, count))
+        fits = os.write(feed, data) == len(data)
+    except BlockingIOError:
+        fits = False
     finally:
-        for thread in started:
-            thread.join()  # no lane may write to the results after return
-    if errors:
-        raise errors[min(errors)]
+        os.close(feed)
+    if not fits:
+        os.close(claims)
+        return None
+    return claims
+
+
+def _claim(claims: int) -> int | None:
+    """The next item index from the claims pipe; None once it is empty.
+
+    Every index was written before any worker started, and a pipe read is
+    atomic, so each read takes one whole index.
+    """
+    claim = os.read(claims, _CLAIM_BYTES)
+    return int.from_bytes(claim, "little") if claim else None
+
+
+def _drain(claims: int) -> None:
+    """Take every index left, so no worker starts another item."""
+    while os.read(claims, 1 << 16):
+        pass
+
+
+def _fork_worker(claims: int, work):
+    """(pid, report pipe) of a forked worker running claimed items; None if fork fails.
+
+    The child runs work(i) for each index it claims, and once none is left
+    pickles {i: work(i)} into its report pipe and leaves through os._exit,
+    so it runs none of the parent's cleanup. If an item raises, it drains
+    the claims and reports the items before it; the caller runs that item
+    again. Exit status 0 means the report is complete.
+    """
+    report, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to spare: the workers already started do the work
+        os.close(report)
+        os.close(write_end)
+        return None
+    if pid == 0:
+        status = 1
+        try:
+            done = {}
+            try:
+                while (item := _claim(claims)) is not None:
+                    done[item] = work(item)
+            except BaseException:  # the child only exits; the caller runs the item again
+                _drain(claims)
+            with open(write_end, "wb") as pipe:
+                pickle.dump(done, pipe, protocol=pickle.HIGHEST_PROTOCOL)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_end)
+    return pid, open(report, "rb")
+
+
+def _reap(children: list) -> dict:
+    """Every result the children reported, by item. Each child is waited for on
+    every path: if the caller is interrupted while reading, the reports not
+    read are closed, their writers fail, and they exit."""
+    reports = []
+    try:
+        for _, pipe in children:
+            reports.append(pipe.read())
+    finally:
+        for _, pipe in children:
+            pipe.close()
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid, _ in children]
+    results = {}
+    for data, code in zip(reports, codes):
+        if code == 0:  # bytes a worker of this search wrote, so safe to unpickle
+            results.update(pickle.loads(data))
+    return results
+
+
+def _in_grid_workers(count: int, workers: int, work) -> tuple[list, int]:
+    """([work(0), ..., work(count - 1)], the workers that ran them).
+
+    This process is worker 0 and runs item 0; up to workers - 1 forked
+    processes share the rest, each claiming the next index from a pipe, so
+    items start in order. After an item fails, no worker starts another
+    one. Once every child has been waited for, this process runs, in item
+    order, each item that no child reported; so the first failing item
+    raises here the exception one worker raises, even if it does not pickle
+    or the child that met it died. Plain os.fork, not multiprocessing, which
+    would load ctypes and more into this process: a child starts from this
+    process's memory, with only the thread that forked it; the agent lane
+    pool forgets its threads at fork (objectives._forget_lane_pool).
+    """
+    claims = _claims_pipe(count) if workers > 1 else None
+    if claims is None:
+        return [work(i) for i in range(count)], 1
+    results, children, failed = {}, [], None
+    try:
+        while len(children) < workers - 1 and (child := _fork_worker(claims, work)):
+            children.append(child)
+        item = 0
+        try:
+            while item is not None:
+                results[item] = work(item)
+                item = _claim(claims)
+        except Exception as exc:  # raised below, unless an earlier item fails first
+            failed = item, exc
+    finally:
+        _drain(claims)
+        os.close(claims)
+        results.update(_reap(children))
+    for i in range(count):
+        if i not in results:
+            if failed is not None and failed[0] == i:
+                raise failed[1]
+            results[i] = work(i)
+    return [results[i] for i in range(count)], len(children) + 1
 
 
 def extra_grid_search(
@@ -821,17 +920,18 @@ def extra_grid_search(
     recorder: TraceRecorder,
     metric: str = DEFAULT_METRIC,
     x0: np.ndarray | None = None,
-) -> tuple[float, list[GridPoint]]:
+) -> GridSearch:
     """Run EXTRA at every grid stepsize for budget rounds; pick the best one.
 
     "Best" means the smallest terminal metric as run()'s final trace row
     would report it, read through recorder.metric_value (ties go to the
     larger stepsize); diverged points and non-finite values are skipped.
     The stepsizes run as column blocks of _extra_block, as many per block as
-    fit GRID_BLOCK_BYTES. The blocks run in grid lanes (see grid_lanes),
-    each with one set of working arrays; a block makes the same calls in any
-    lane, so the points are bit-identical at any lane count. Returns the
-    chosen stepsize and one GridPoint per grid stepsize, in ascending order.
+    fit GRID_BLOCK_BYTES. The blocks run in worker processes (see
+    grid_lanes and _in_grid_workers), each with one set of working arrays; a
+    block makes the same calls in any worker, so the points are
+    bit-identical at any worker count. Returns the chosen stepsize, one
+    GridPoint per grid stepsize in ascending order, and the worker count.
     """
     grid = sorted(float(a) for a in grid)
     if not grid or not all(0 < a < np.inf for a in grid):
@@ -846,17 +946,12 @@ def extra_grid_search(
     start = (x0, gossip.shifted @ x0, problem.stacked_gradient(x0))
     width = _grid_block_width(problem.m, problem.d)
     blocks = [grid[i:i + width] for i in range(0, len(grid), width)]
-    lanes = grid_lanes(problem, len(grid))
-    # allocated here, on the calling thread, so no lane's allocator holds them
-    buffers = [_grid_buffers(problem.m, len(blocks[0]), problem.d, metric == "merit")
-               for _ in range(lanes)]
-    results: list[list[GridPoint] | None] = [None] * len(blocks)
-
-    def block(i: int, lane: int) -> None:
-        results[i] = _extra_block(problem, gossip, start, blocks[i], budget, recorder, metric,
-                                  buffers[lane])
-
-    _in_grid_lanes(len(blocks), lanes, block)
+    # this process's working arrays; a forked worker writes to its own copy
+    buffers = _grid_buffers(problem.m, len(blocks[0]), problem.d, metric == "merit")
+    results, workers = _in_grid_workers(
+        len(blocks), grid_lanes(problem, len(grid)),
+        lambda i: _extra_block(problem, gossip, start, blocks[i], budget, recorder, metric,
+                               buffers))
     points = [point for result in results for point in result]
     best, best_value = None, np.inf
     for point in points:
@@ -870,4 +965,4 @@ def extra_grid_search(
             f"no stepsize in the grid of {len(grid)} ended with a finite {metric} after "
             f"{budget} rounds ({diverged} diverged)"
         )
-    return best, points
+    return GridSearch(best, points, workers)

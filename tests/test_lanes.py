@@ -10,11 +10,14 @@ makes for its agents.
 
 import json
 import os
+import select
 import signal
+import subprocess
 import sys
 import threading
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +30,7 @@ from decopt.errors import NoConvergentStepsizeError, ShapeError
 from decopt.objectives import load_mnist_partition, synth_logistic, synth_ridge
 from decopt.solvers import extra_grid_search
 from decopt.topology import graph_laplacian_sqrt, make_line_graph, metropolis_hastings, psd_shift
-from faults import RaiseOutsideBall
+from faults import FaultByProcess, RaiseOutsideBall
 from idx_files import write_idx_pair
 
 # At this shape one BLAS call per lane, instead of one per agent block, rounds
@@ -187,15 +190,23 @@ def test_forked_child_starts_its_own_lanes(force_lanes):
     assert os.waitstatus_to_exitcode(status[1]) == 0
 
 
-# Grid lanes: the EXTRA grid search runs its column blocks on one thread per
-# CPU, the calling thread first. These tests set the CPU count through
-# objectives._cpu_count and cut the grids into blocks of two stepsizes.
-GRID_LANE_COUNTS = [1, 2, 3, 9]  # 9 exceeds the 5 blocks
+# Grid workers: the EXTRA grid search runs its column blocks in forked worker
+# processes, the calling process first. These tests cut the grids into blocks
+# of two stepsizes and set the worker count by patching solvers.grid_lanes.
+GRID_WORKER_COUNTS = [1, 2, 3, 4, 9]  # 9 exceeds the 5 blocks: four workers claim none
 
 
 @pytest.fixture
 def grid_blocks_of_two(monkeypatch):
     monkeypatch.setattr(solvers, "GRID_BLOCK_BYTES", 2 * solvers.GRID_COLUMN_ARRAYS * 16 * 4 * 8)
+
+
+@pytest.fixture
+def force_grid_workers(monkeypatch):
+    """force_grid_workers(count): grid searches afterwards run on count workers."""
+    def force(count):
+        monkeypatch.setattr(solvers, "grid_lanes", lambda problem, grid_size: count)
+    return force
 
 
 def grid_case(loss):
@@ -215,7 +226,7 @@ def grid_case(loss):
 
 
 def search(prob, gossip, saddle, grid, budget, metric, x0):
-    """extra_grid_search's (stepsize, points), or its NoConvergentStepsizeError message."""
+    """extra_grid_search's GridSearch, or its NoConvergentStepsizeError message."""
     recorder = TraceRecorder(prob, graph_laplacian_sqrt(gossip), saddle)
     try:
         return extra_grid_search(prob, gossip, grid, budget, recorder, metric, x0)
@@ -223,28 +234,65 @@ def search(prob, gossip, saddle, grid, budget, metric, x0):
         return str(exc)
 
 
-def grid_lane_threads():
-    return [t for t in threading.enumerate() if t.name.startswith("decopt-grid-lane")]
+def chosen(result):
+    """A search's stepsize and points, or its message: all that must not depend on the workers."""
+    return result if isinstance(result, str) else result[:2]
+
+
+def open_fds() -> set:
+    return set(os.listdir("/proc/self/fd" if os.path.isdir("/proc/self/fd") else "/dev/fd"))
+
+
+def assert_nothing_left(fds: set):
+    """No child process of this one remains, and no descriptor beyond fds is open."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert open_fds() == fds
+
+
+def bounded(call, timeout=120):
+    """call() on a thread, failing the test if it has not returned within timeout seconds."""
+    got = {}
+    thread = threading.Thread(target=lambda: got.update(result=call()), daemon=True)
+    thread.start()
+    thread.join(timeout=timeout)
+    assert not thread.is_alive(), "the grid search hung"
+    return got["result"]
+
+
+def test_grid_lanes_rule(monkeypatch, grid_blocks_of_two):
+    # one per block, at most two per CPU; one on one CPU, for a laned problem, without fork
+    prob, _, _, grid, _ = grid_case("ridge")
+    for cpus, workers in [(1, 1), (2, 4), (3, 5), (9, 5)]:
+        monkeypatch.setattr(objectives, "_cpu_count", lambda: cpus)
+        assert solvers.grid_lanes(prob, len(grid)) == workers
+        assert solvers.grid_lanes(prob, 3) == min(workers, 2)  # two blocks
+    monkeypatch.setattr(objectives, "LANE_MIN_BYTES", 0)
+    assert solvers.grid_lanes(grid_case("ridge")[0], len(grid)) == 1
+    monkeypatch.delattr(os, "fork")
+    assert solvers.grid_lanes(prob, len(grid)) == 1
 
 
 @pytest.mark.parametrize("budget", [0, 1, 200])
 @pytest.mark.parametrize("metric", list(METRICS))
 @pytest.mark.parametrize("loss", ["ridge", "logistic"])
-def test_grid_identical_at_any_grid_lane_count(monkeypatch, grid_blocks_of_two, loss, metric,
-                                               budget):
+def test_grid_identical_at_any_grid_lane_count(force_grid_workers, grid_blocks_of_two, loss,
+                                               metric, budget):
     prob, gossip, saddle, grid, x0 = grid_case(loss)
     results = {}
-    for count in GRID_LANE_COUNTS:
-        monkeypatch.setattr(objectives, "_cpu_count", lambda: count)
-        assert solvers.grid_lanes(prob, len(grid)) == min(count, 5)
+    fds = open_fds()
+    for count in GRID_WORKER_COUNTS:
+        force_grid_workers(count)
         results[count] = search(prob, gossip, saddle, grid, budget, metric, x0)
-    assert all(result == results[1] for result in results.values())
-    assert not grid_lane_threads()
+        if not isinstance(results[count], str):
+            assert results[count].workers == count
+        assert_nothing_left(fds)
+    assert all(chosen(result) == chosen(results[1]) for result in results.values())
 
 
 def test_grid_case_diverges_and_drops_to_one_column(grid_blocks_of_two):
     prob, gossip, saddle, grid, x0 = grid_case("ridge")
-    _, points = search(prob, gossip, saddle, grid, 200, "distance_sq", x0)
+    _, points, _ = search(prob, gossip, saddle, grid, 200, "distance_sq", x0)
     blocks = [points[i:i + 2] for i in range(0, len(points), 2)]
     statuses = [tuple(p.status for p in block) for block in blocks]
     assert ("budget", "diverged") in statuses  # one column runs on alone
@@ -252,60 +300,172 @@ def test_grid_case_diverges_and_drops_to_one_column(grid_blocks_of_two):
     assert all(p.rounds < 200 for p in points if p.status == "diverged")
 
 
-@pytest.mark.parametrize("count", GRID_LANE_COUNTS)
-def test_first_failing_block_raises_after_every_lane_stops(monkeypatch, grid_blocks_of_two,
-                                                           count):
-    # blocks 2-4 leave the ball; the error is block 2's at any lane count,
-    # and no grid lane still runs when it reaches the caller
-    monkeypatch.setattr(objectives, "_cpu_count", lambda: 1)
+@pytest.mark.parametrize("count", GRID_WORKER_COUNTS)
+def test_first_failing_block_raises_after_every_lane_stops(force_grid_workers,
+                                                           grid_blocks_of_two, count):
+    # blocks 2-4 leave the ball; the error is block 2's at any worker count,
+    # and no worker process or pipe is left when it reaches the caller
     prob, gossip, saddle, grid, x0 = grid_case("ridge")
     faulty = RaiseOutsideBall(prob, radius=300.0)
+    force_grid_workers(1)
     with pytest.raises(FloatingPointError) as want:
         search(faulty, gossip, saddle, grid[4:6], 200, "distance_sq", x0)
-    monkeypatch.setattr(objectives, "_cpu_count", lambda: count)
+    force_grid_workers(count)
+    fds = open_fds()
     with pytest.raises(FloatingPointError) as got:
         search(faulty, gossip, saddle, grid, 200, "distance_sq", x0)
     assert str(got.value) == str(want.value)
-    assert not grid_lane_threads()
+    assert_nothing_left(fds)
 
 
-def test_caller_block_runs_to_its_end_when_another_lane_fails(monkeypatch, grid_blocks_of_two):
-    monkeypatch.setattr(objectives, "_cpu_count", lambda: 2)
+def test_first_failing_block_raises_when_the_caller_fails_later(force_grid_workers,
+                                                               grid_blocks_of_two):
+    # a worker's block 2 and the caller's block 3 both leave the ball: block 2's error
     prob, gossip, saddle, grid, x0 = grid_case("ridge")
-    caller = threading.current_thread()
-    failed = threading.Event()
+    faulty = RaiseOutsideBall(prob, radius=300.0)
+    force_grid_workers(1)
+    with pytest.raises(FloatingPointError) as want:
+        search(faulty, gossip, saddle, grid[4:6], 200, "distance_sq", x0)
+    force_grid_workers(3)
+    held, held_write = os.pipe()  # a byte from each worker once it holds its block
+    go, go_write = os.pipe()  # a byte for each worker once the caller holds block 3
     calls = []
 
-    class FailsOffCaller(objectives.ProblemInstance):
-        def column_gradients(self, x_cols, out=None, scratch=None):
-            if threading.current_thread() is not caller:
-                failed.set()
-                raise FloatingPointError("lane failed")
-            if not calls:  # the caller's block goes on only once the other lane failed
-                assert failed.wait(timeout=60)
-            calls.append(1)
-            return super().column_gradients(x_cols, out, scratch)
+    def fault(in_caller):
+        calls.append(1)
+        if not in_caller and len(calls) == 1:  # blocks 1 and 2 wait for the caller
+            os.write(held_write, b"x")
+            assert select.select([go], [], [], 60)[0] and os.read(go, 1)
+        elif in_caller and len(calls) == 1:  # block 0 goes on once both workers hold theirs
+            got = b""
+            while len(got) < 2 and select.select([held], [], [], 60)[0]:
+                got += os.read(held, 2 - len(got))
+            assert got == b"xx"
+        elif in_caller and len(calls) == 200:  # block 0 made 199 calls: this is block 3's first
+            os.write(go_write, b"xx")
 
-    with pytest.raises(FloatingPointError, match="lane failed"):
-        # 0.001-0.0316: no column diverges, so each block makes 199 gradient calls
-        search(FailsOffCaller(prob._kernel), gossip, saddle, grid[:4], 200, "distance_sq", x0)
-    assert len(calls) == 199
-    assert not grid_lane_threads()
-
-
-def test_grid_lanes_claim_every_block_once():
-    # more lanes than CPUs and a short switch interval: a lost update of the
-    # claim counter would run some block twice or skip one
-    ran = []
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
     try:
-        solvers._in_grid_lanes(500, 8, lambda i, lane: ran.append((i, lane)))
+        with pytest.raises(FloatingPointError) as got:
+            search(FaultByProcess(faulty, fault), gossip, saddle, grid, 200, "distance_sq", x0)
     finally:
-        sys.setswitchinterval(interval)
-    assert sorted(i for i, _ in ran) == list(range(500))
-    assert (0, 0) in ran  # the calling thread takes the first block
-    assert not grid_lane_threads()
+        for fd in (held, held_write, go, go_write):
+            os.close(fd)
+    assert str(got.value) == str(want.value)
+    assert len(calls) > 200  # the caller met block 3, then ran block 2 again
+
+
+def test_caller_block_runs_to_its_end_when_another_lane_fails(force_grid_workers,
+                                                              grid_blocks_of_two):
+    prob, gossip, saddle, grid, x0 = grid_case("ridge")
+    force_grid_workers(1)
+    want = search(prob, gossip, saddle, grid[:4], 200, "distance_sq", x0)
+    force_grid_workers(2)
+    failed, failed_write = os.pipe()
+    calls = []
+
+    def fault(in_caller):
+        if not in_caller:
+            os.write(failed_write, b"x")
+            raise FloatingPointError("worker failed")
+        if not calls:  # the caller's block goes on only once the worker's block failed
+            assert select.select([failed], [], [], 60)[0]
+        calls.append(1)
+
+    try:
+        # 0.001-0.0316: no column diverges, so each block makes 199 gradient calls
+        got = search(FaultByProcess(prob, fault), gossip, saddle, grid[:4], 200, "distance_sq", x0)
+    finally:
+        os.close(failed)
+        os.close(failed_write)
+    assert got.workers == 2 and chosen(got) == chosen(want)
+    assert len(calls) == 2 * 199  # its own block to its end, then the failed block again
+
+
+@pytest.mark.parametrize("count", [2, 4])
+def test_worker_that_exits_without_reporting(force_grid_workers, grid_blocks_of_two, count):
+    prob, gossip, saddle, grid, x0 = grid_case("ridge")
+    force_grid_workers(1)
+    want = search(prob, gossip, saddle, grid, 200, "distance_sq", x0)
+    force_grid_workers(count)
+
+    def fault(in_caller):
+        if not in_caller:
+            os._exit(3)
+
+    fds = open_fds()
+    got = bounded(lambda: search(FaultByProcess(prob, fault), gossip, saddle, grid, 200,
+                                 "distance_sq", x0))
+    assert got.workers == count and chosen(got) == chosen(want)
+    assert_nothing_left(fds)
+
+
+def test_caller_block_failure_reaps_every_worker(force_grid_workers, grid_blocks_of_two):
+    prob, gossip, saddle, grid, x0 = grid_case("ridge")
+    force_grid_workers(3)
+
+    def fault(in_caller):
+        if in_caller:
+            raise FloatingPointError("caller failed")
+
+    fds = open_fds()
+    with pytest.raises(FloatingPointError, match="caller failed"):
+        search(FaultByProcess(prob, fault), gossip, saddle, grid, 200, "distance_sq", x0)
+    assert_nothing_left(fds)
+
+
+def test_grid_lanes_claim_every_block_once(tmp_path):
+    # more workers than CPUs, each logging every item it runs: an index
+    # claimed twice would run twice, a lost one never
+    log = tmp_path / "ran"
+
+    def work(i):
+        with open(log, "a") as f:
+            f.write(f"{i} {os.getpid()}\n")
+        time.sleep(0.001)
+        return i, os.getpid()
+
+    fds = open_fds()
+    results, workers = solvers._in_grid_workers(500, 8, work)
+    assert_nothing_left(fds)
+    assert workers == 8
+    assert [i for i, _ in results] == list(range(500))
+    ran = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+    assert sorted(ran) == sorted(results)
+    assert results[0][1] == os.getpid()  # the calling process takes the first block
+    assert len({pid for _, pid in results}) > 1
+
+
+def test_a_report_cut_short_is_not_read():
+    # a worker's report fails to pickle after 200 kB went into its pipe: the
+    # caller drops those bytes and runs the worker's items itself
+    caller = os.getpid()
+    fds = open_fds()
+    started, started_write = os.pipe()
+
+    def work(i):
+        if os.getpid() != caller:
+            os.write(started_write, b"x")
+        elif i == 0:  # item 0 goes on once the worker holds an item
+            assert select.select([started], [], [], 60)[0]
+        return i, bytes(200_000), lambda: i
+
+    try:
+        results, workers = solvers._in_grid_workers(4, 2, work)
+    finally:
+        os.close(started)
+        os.close(started_write)
+    assert_nothing_left(fds)
+    assert workers == 2
+    assert [(i, len(data), fn()) for i, data, fn in results] == [(i, 200_000, i) for i in range(4)]
+
+
+def test_more_blocks_than_the_claims_pipe_holds():
+    # 4 bytes an index: 80 kB overflows a 64 KiB pipe, so this process runs every item
+    fds = open_fds()
+    results, workers = solvers._in_grid_workers(20_000, 2, lambda i: i)
+    assert_nothing_left(fds)
+    assert results == list(range(20_000))
+    assert workers == 1
 
 
 def test_laned_problem_runs_one_grid_lane(force_lanes, grid_blocks_of_two):
@@ -315,13 +475,35 @@ def test_laned_problem_runs_one_grid_lane(force_lanes, grid_blocks_of_two):
     force_lanes(2)
     prob = grid_case("ridge")[0]
     assert prob.lanes == 2 and solvers.grid_lanes(prob, len(grid)) == 1
-    got = {}
-    worker = threading.Thread(target=lambda: got.update(
-        result=search(prob, gossip, saddle, grid, 200, "distance_sq", x0)), daemon=True)
-    worker.start()
-    worker.join(timeout=120)
-    assert not worker.is_alive(), "the grid search hung on a laned problem"
-    assert got["result"] == want
+    got = bounded(lambda: search(prob, gossip, saddle, grid, 200, "distance_sq", x0))
+    assert got == want and got.workers == 1
+
+
+def test_ridge_grid_workers_load_no_pool_modules(tmp_path):
+    # a fresh interpreter: whether a module is loaded is process-wide state
+    config = tmp_path / "grid.yaml"
+    config.write_text(yaml.safe_dump(raw_config("ridge", {"kind": "extra",
+                                                          "grid": [0.05, 0.3, 1.0, 8.0],
+                                                          "budget": 30})))
+    probe = (
+        "import json, sys\n"
+        "from decopt import cli, objectives, solvers\n"
+        f"solvers.GRID_BLOCK_BYTES = {2 * solvers.GRID_COLUMN_ARRAYS * M * D * 8}\n"
+        "objectives._cpu_count = lambda: 2\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "print(json.dumps([code, 'multiprocessing' in sys.modules,\n"
+        "                  'concurrent.futures' in sys.modules]))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", probe, "run", str(config), "--out",
+                           str(tmp_path / "out")], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, False, False]
+    manifest = json.loads((tmp_path / "out" / "lanes.manifest.json").read_text())
+    assert manifest["grid_lanes"] == 2  # two blocks of two stepsizes: one forked worker
 
 
 def raw_config(problem_kind: str, algorithm: dict) -> dict:
@@ -381,6 +563,7 @@ def test_run_manifest_records_lanes(tmp_path, force_lanes):
     manifest = json.loads((tmp_path / "one" / "lanes.manifest.json").read_text())
     assert manifest["lanes"] == 1  # a few kilobytes: below the cutoff
     assert manifest["grid_lanes"] is None  # no grid search
+    assert manifest["grid_rounds"] is None
     force_lanes(3)
     assert cli.main(["run", str(path), "--out", str(tmp_path / "three")]) == 0
     manifest = json.loads((tmp_path / "three" / "lanes.manifest.json").read_text())
@@ -395,8 +578,11 @@ def test_manifest_records_grid_lanes(tmp_path, monkeypatch):
         monkeypatch.setattr(objectives, "_cpu_count", lambda: count)
         outputs[count], manifest = run_outputs(tmp_path, raw, f"grid{count}")
         assert (manifest.lanes, manifest.grid_lanes) == (1, count)
-        assert json.loads((tmp_path / f"grid{count}" / "lanes.manifest.json").read_text())[
-            "grid_lanes"] == count
+        written = json.loads((tmp_path / f"grid{count}" / "lanes.manifest.json").read_text())
+        assert written["grid_lanes"] == count
+        # the tuning cost: every point's rounds, so 8.0's divergence counts short
+        rounds = [point["rounds"] for point in written["extra_grid"]]
+        assert written["grid_rounds"] == manifest.grid_rounds == sum(rounds) < 4 * 30
     assert outputs[2] == outputs[1]
 
 

@@ -474,14 +474,15 @@ class TestGridSearch:
     def test_interior_point_wins(self):
         prob, gossip, recorder = self.setup_case()
         grid = np.logspace(-4, 0, 9)
-        best_alpha, points = extra_grid_search(prob, gossip, grid, 500, recorder)
+        best_alpha, points, _ = extra_grid_search(prob, gossip, grid, 500, recorder)
         assert grid[0] < best_alpha < grid[-1]
         assert next(p for p in points if p.alpha == best_alpha).status == "budget"
 
     def test_singleton_grid(self):
         prob, gossip, recorder = self.setup_case()
-        best_alpha, _ = extra_grid_search(prob, gossip, [0.01], 100, recorder)
+        best_alpha, _, workers = extra_grid_search(prob, gossip, [0.01], 100, recorder)
         assert best_alpha == 0.01
+        assert workers == 1  # one block runs in this process
 
     def test_metric_needs_saddle(self):
         prob, gossip, _ = self.setup_case()
@@ -548,7 +549,8 @@ class TestGridParity:
                 with pytest.raises(NoConvergentStepsizeError):
                     extra_grid_search(prob, gossip, grid, budget, recorder, metric, x0)
                 continue
-            alpha, points = extra_grid_search(prob, gossip, grid, budget, recorder, metric, x0)
+            alpha, points, _ = extra_grid_search(prob, gossip, grid, budget, recorder, metric,
+                                                 x0)
             assert alpha == ref_alpha
             assert [(p.alpha, p.status, p.rounds) for p in points] == [
                 (p.alpha, p.status, p.rounds) for p in ref_points]
