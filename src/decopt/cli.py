@@ -27,7 +27,15 @@ from .errors import (
     NoConvergentStepsizeError,
     NumericError,
 )
-from .runner import PRESET_NAMES, compare, figure_preset, preset_metric, run_experiment
+from .runner import (
+    PRESET_NAMES,
+    _atomic_write_text,
+    _resolve_out_dir,
+    compare,
+    figure_preset,
+    preset_metric,
+    run_experiment,
+)
 
 EXIT_OK = 0
 EXIT_UNEXPECTED = 1
@@ -99,11 +107,10 @@ def _cmd_preset(args) -> int:
         mnist_labels=str(args.mnist_labels) if args.mnist_labels else None,
         master_seed=args.master_seed,
     )
-    out = args.out or Path(configs[0].output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _resolve_out_dir(configs[0], args.out)
     for cfg in configs:
         path = out / f"{cfg.run_name()}.config.yaml"
-        path.write_text(emit_config(cfg))
+        _atomic_write_text(path, emit_config(cfg))
         print(f"wrote {path}")
     if args.configs_only:
         return EXIT_OK

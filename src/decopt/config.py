@@ -250,6 +250,15 @@ class ExperimentConfig:
             if metric in SADDLE_METRICS:
                 _require(self.diagnostics.saddle, "diagnostics.saddle",
                          f"{role} {metric!r} needs saddle diagnostics")
+        for key, own, offset, seed in (
+                ("graph.seed", self.graph.seed, SEED_OFFSET_GRAPH, self.graph_seed()),
+                ("problem.seed", self.problem.seed, SEED_OFFSET_DATA, self.data_seed()),
+                ("init.seed", self.init.seed, SEED_OFFSET_INIT, self.init_seed())):
+            if own is None:
+                _require(seed >= 0, "master_seed", f"{key} derives from it as master_seed + "
+                         f"{offset} = {seed}, and seeds must be >= 0")
+            else:
+                _require(seed >= 0, key, f"must be >= 0, got {seed}")
 
     # -- seed resolution --------------------------------------------------
 

@@ -36,7 +36,6 @@ __all__ = [
     "primal_gap",
     "merit",
     "lyapunov",
-    "descent_zeta",
     "ErgodicAccumulator",
     "RestrictedConstants",
     "classical_stepsize_bound",
@@ -176,11 +175,6 @@ def lyapunov(
     )
 
 
-def descent_zeta(l_k: float, sigma_k: float, c1: float) -> float:
-    """Coupling weight that makes the two curvature-guard terms coincide."""
-    return 0.5 * (np.sqrt(l_k * l_k + 2.0 * sigma_k / c1) - l_k)
-
-
 class ErgodicAccumulator:
     """Running gamma-weighted average of iterates, its sum kept in place.
 
@@ -222,10 +216,6 @@ class RestrictedConstants:
             self.l_tilde_hat = max(self.l_tilde_hat, l_k)
         if mu_k is not None:
             self.mu_tilde_hat = min(self.mu_tilde_hat, max(mu_k, 0.0))
-
-    @property
-    def defined(self) -> bool:
-        return self.l_tilde_hat > 0.0 and np.isfinite(self.mu_tilde_hat)
 
 
 def classical_stepsize_bound(l_const: float, sigma: float, w_tilde_norm: float) -> float:

@@ -483,4 +483,5 @@ def figure_preset(
                 name=f"{name}_{algo.kind}", master_seed=master_seed,
             )
         )
+        configs[-1].validate()
     return configs

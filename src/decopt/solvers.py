@@ -26,7 +26,8 @@ The EXTRA grid search runs many stepsizes without run() or a recorder: it
 advances them as the columns of one (m, G, d) stack, so each round costs one
 stacked gradient and one gossip multiply for the whole block. The blocks
 are independent given their shared start, so they run in forked worker
-processes, up to two per CPU, with the same bits as in one.
+processes, up to two per CPU, each taking a fixed stride of the blocks, with
+the same bits as in one.
 """
 
 from __future__ import annotations
@@ -677,8 +678,8 @@ def _grid_block_width(m: int, d: int) -> int:
     return max(1, GRID_BLOCK_BYTES // (GRID_COLUMN_ARRAYS * 8 * m * d))
 
 
-def grid_lanes(problem: ProblemInstance, grid_size: int) -> int:
-    """How many worker processes extra_grid_search plans for a grid of grid_size stepsizes.
+def grid_lanes(problem: ProblemInstance, blocks: int) -> int:
+    """How many worker processes extra_grid_search plans for a grid of that many blocks.
 
     One per block, at most two per CPU this process may use, the caller
     included. Two per CPU let the OS share the CPUs between the long blocks
@@ -689,7 +690,6 @@ def grid_lanes(problem: ProblemInstance, grid_size: int) -> int:
     cpus = objectives._cpu_count()
     if problem.lanes > 1 or cpus == 1 or not hasattr(os, "fork"):
         return 1
-    blocks = -(-grid_size // _grid_block_width(problem.m, problem.d))
     return min(2 * cpus, blocks)
 
 
@@ -782,56 +782,19 @@ def _extra_block(problem, gossip, start, alphas, budget, recorder, metric,
     return points
 
 
-_CLAIM_BYTES = 4  # one item index in the claims pipe, little-endian
+def _fork_worker(items: range, work):
+    """(pid, report pipe) of a forked worker running items; None if fork fails.
 
-
-def _claims_pipe(count: int) -> int | None:
-    """The read end of a pipe holding the indices 1..count-1, its write end closed;
-    None when they do not fit the pipe's buffer (over 16 thousand on Linux)."""
-    claims, feed = os.pipe()
-    try:
-        os.set_blocking(feed, False)
-        data = b"".join(i.to_bytes(_CLAIM_BYTES, "little") for i in range(1, count))
-        fits = os.write(feed, data) == len(data)
-    except BlockingIOError:
-        fits = False
-    finally:
-        os.close(feed)
-    if not fits:
-        os.close(claims)
-        return None
-    return claims
-
-
-def _claim(claims: int) -> int | None:
-    """The next item index from the claims pipe; None once it is empty.
-
-    Every index was written before any worker started, and a pipe read is
-    atomic, so each read takes one whole index.
-    """
-    claim = os.read(claims, _CLAIM_BYTES)
-    return int.from_bytes(claim, "little") if claim else None
-
-
-def _drain(claims: int) -> None:
-    """Take every index left, so no worker starts another item."""
-    while os.read(claims, 1 << 16):
-        pass
-
-
-def _fork_worker(claims: int, work):
-    """(pid, report pipe) of a forked worker running claimed items; None if fork fails.
-
-    The child runs work(i) for each index it claims, and once none is left
-    pickles {i: work(i)} into its report pipe and leaves through os._exit,
-    so it runs none of the parent's cleanup. If an item raises, it drains
-    the claims and reports the items before it; the caller runs that item
-    again. Exit status 0 means the report is complete.
+    The child runs work(i) for each index i in items, in order, pickles
+    {i: work(i)} into its report pipe and leaves through os._exit, so it
+    runs none of the parent's cleanup. If an item raises, it stops there and
+    reports the items before it; the caller runs that item and those after
+    it. Exit status 0 means the report is complete.
     """
     report, write_end = os.pipe()
     try:
         pid = os.fork()
-    except OSError:  # no process to spare: the workers already started do the work
+    except OSError:  # no process to spare: the caller runs these items at the end
         os.close(report)
         os.close(write_end)
         return None
@@ -840,10 +803,10 @@ def _fork_worker(claims: int, work):
         try:
             done = {}
             try:
-                while (item := _claim(claims)) is not None:
+                for item in items:
                     done[item] = work(item)
             except BaseException:  # the child only exits; the caller runs the item again
-                _drain(claims)
+                pass
             with open(write_end, "wb") as pipe:
                 pickle.dump(done, pipe, protocol=pickle.HIGHEST_PROTOCOL)
             status = 0
@@ -875,34 +838,30 @@ def _reap(children: list) -> dict:
 def _in_grid_workers(count: int, workers: int, work) -> tuple[list, int]:
     """([work(0), ..., work(count - 1)], the workers that ran them).
 
-    This process is worker 0 and runs item 0; up to workers - 1 forked
-    processes share the rest, each claiming the next index from a pipe, so
-    items start in order. After an item fails, no worker starts another
-    one. Once every child has been waited for, this process runs, in item
-    order, each item that no child reported; so the first failing item
-    raises here the exception one worker raises, even if it does not pickle
-    or the child that met it died. Plain os.fork, not multiprocessing, which
-    would load ctypes and more into this process: a child starts from this
-    process's memory, with only the thread that forked it; the agent lane
-    pool forgets its threads at fork (objectives._forget_lane_pool).
+    Worker w runs items w, w + workers, w + 2 * workers, ... in order; this
+    process is worker 0, and each other worker is a forked process. A worker
+    stops at its first failing item. Once every child has been waited for,
+    this process runs, in item order, each item that no worker reported (a
+    failed one, one after it, or one of a child that died or never forked);
+    so the first failing item raises here the exception one worker raises,
+    even if it does not pickle or the child that met it died. Plain os.fork,
+    not multiprocessing, which would load ctypes and more into this process:
+    a child starts from this process's memory, with only the thread that
+    forked it; the agent lane pool forgets its threads at fork
+    (objectives._forget_lane_pool).
     """
-    claims = _claims_pipe(count) if workers > 1 else None
-    if claims is None:
-        return [work(i) for i in range(count)], 1
     results, children, failed = {}, [], None
     try:
-        while len(children) < workers - 1 and (child := _fork_worker(claims, work)):
+        for w in range(1, workers):
+            if (child := _fork_worker(range(w, count, workers), work)) is None:
+                break
             children.append(child)
-        item = 0
         try:
-            while item is not None:
+            for item in range(0, count, workers):
                 results[item] = work(item)
-                item = _claim(claims)
         except Exception as exc:  # raised below, unless an earlier item fails first
             failed = item, exc
     finally:
-        _drain(claims)
-        os.close(claims)
         results.update(_reap(children))
     for i in range(count):
         if i not in results:
@@ -949,7 +908,7 @@ def extra_grid_search(
     # this process's working arrays; a forked worker writes to its own copy
     buffers = _grid_buffers(problem.m, len(blocks[0]), problem.d, metric == "merit")
     results, workers = _in_grid_workers(
-        len(blocks), grid_lanes(problem, len(grid)),
+        len(blocks), grid_lanes(problem, len(blocks)),
         lambda i: _extra_block(problem, gossip, start, blocks[i], budget, recorder, metric,
                                buffers))
     points = [point for result in results for point in result]

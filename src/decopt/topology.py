@@ -13,7 +13,7 @@ read-only so they can be shared across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -23,17 +23,13 @@ from .errors import GraphGenerationError, NumericError, ParameterError, ShapeErr
 __all__ = [
     "Graph",
     "GossipMatrix",
-    "SpectralSummary",
     "make_line_graph",
     "make_ring_graph",
     "make_erdos_renyi",
     "metropolis_hastings",
     "psd_shift",
-    "spectral_summary",
     "graph_laplacian_sqrt",
     "laplacian_pinv_sqrt",
-    "graph_to_text",
-    "graph_from_text",
 ]
 
 # Tolerances for gossip-matrix invariants.
@@ -281,32 +277,6 @@ def psd_shift(gossip: GossipMatrix, c: float = 0.4) -> GossipMatrix:
     return shifted
 
 
-@dataclass(frozen=True)
-class SpectralSummary:
-    """Eigenvalue diagnostics of the shifted matrix W.
-
-    Never consumed by the solvers; exists only to report the network
-    quantities that the adaptive stepsizes manage to avoid.
-    """
-
-    lambda2: float
-    lambda_m: float
-    spectral_gap: float
-    eigenvalues: np.ndarray = field(repr=False)
-
-
-def spectral_summary(gossip: GossipMatrix) -> SpectralSummary:
-    """Exact eigenvalues of W, sorted nonincreasing; checks lambda_1 = 1."""
-    vals = np.sort(gossip._shifted_eigensystem[0])[::-1]
-    if abs(vals[0] - 1.0) > 1e-10:
-        raise NumericError(f"largest eigenvalue of W should be 1, got {vals[0]}")
-    lam2 = float(vals[1]) if len(vals) > 1 else float(vals[0])
-    lam_m = float(vals[-1])
-    out = vals.copy()
-    out.setflags(write=False)
-    return SpectralSummary(lambda2=lam2, lambda_m=lam_m, spectral_gap=1.0 - lam2, eigenvalues=out)
-
-
 def _sqrt_spectrum(gossip: GossipMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues s_i of I - W with the consensus direction zeroed, and Q."""
     vals, vecs = gossip._shifted_eigensystem
@@ -342,25 +312,3 @@ def laplacian_pinv_sqrt(gossip: GossipMatrix) -> np.ndarray:
     pinv = (pinv + pinv.T) / 2.0
     pinv.setflags(write=False)
     return pinv
-
-
-def graph_to_text(graph: Graph) -> str:
-    """Edge-list format: first line m, then one 'i j' pair per line."""
-    lines = [str(graph.m)]
-    lines += [f"{i} {j}" for i, j in sorted(graph.edges)]
-    return "\n".join(lines) + "\n"
-
-
-def graph_from_text(text: str) -> Graph:
-    """Inverse of graph_to_text."""
-    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-    if not lines:
-        raise ParameterError("empty graph text")
-    try:
-        m = int(lines[0])
-        edges = frozenset(tuple(int(t) for t in ln.split()) for ln in lines[1:])
-    except ValueError as exc:
-        raise ParameterError(f"malformed graph text: {exc}") from exc
-    if any(len(e) != 2 for e in edges):
-        raise ParameterError("each edge line must contain exactly two indices")
-    return Graph(m, frozenset((i, j) for i, j in edges))

@@ -9,7 +9,6 @@ from decopt.diagnostics import (
     TraceRecord,
     classical_stepsize_bound,
     compute_saddle,
-    descent_zeta,
     lyapunov,
     merit,
     primal_gap,
@@ -146,13 +145,6 @@ class TestLyapunov:
         v = lyapunov(prob, x, saddle.x_stack, saddle.y_star, saddle, 1.0, 1.0, 0.1)
         assert v > 0
 
-    def test_zeta_equalizes_guard_terms(self):
-        for l_k, sigma_k, c1 in [(0.0, 1.0, 1.0), (3.0, 8.0, 0.9), (12.0, 0.3, 0.5)]:
-            zeta = descent_zeta(l_k, sigma_k, c1)
-            lhs = 1.0 / (2.0 * (l_k + zeta))
-            rhs = zeta / (sigma_k / c1)
-            assert lhs == pytest.approx(rhs, rel=1e-12)
-
 
 class TestErgodic:
     def test_plain_average(self):
@@ -257,7 +249,6 @@ class TestRestrictedConstants:
         rc.update(1.0, 0.2)
         assert rc.l_tilde_hat == 5.0
         assert rc.mu_tilde_hat == 0.2
-        assert rc.defined
         assert 0 <= rc.mu_tilde_hat <= rc.l_tilde_hat
 
 

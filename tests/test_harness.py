@@ -656,6 +656,38 @@ class TestCli:
         for path in written:
             parse_config(path)  # generated configs must be valid
 
+    @pytest.mark.parametrize("section, key", [(None, "master_seed"), ("graph", "graph.seed"),
+                                              ("problem", "problem.seed"), ("init", "init.seed")])
+    def test_negative_seed_exit_code(self, tmp_path, capsys, section, key):
+        raw = small_ridge_raw(master_seed=-3)
+        if section is not None:
+            raw = small_ridge_raw()
+            raw[section] = {**raw.get(section, {}), "seed": -1}
+        path = self.write_config(tmp_path, raw)
+        for argv in (["validate", str(path)], ["run", str(path), "--out", str(tmp_path / "r")]):
+            assert cli.main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"config error: {key}: ") and "must be >= 0" in err
+        assert not (tmp_path / "r").exists()
+
+    def test_preset_negative_master_seed_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "p"
+        argv = ["preset", "fig2_line", "--configs-only", "--master-seed", "-3", "--out", str(out)]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith("config error: master_seed: ")
+        assert not out.exists()
+
+    def test_preset_env_var_output_dir(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("DECOPT_OUTPUT_DIR", str(tmp_path / "env_out"))
+        assert cli.main(["preset", "fig2_line", "--configs-only"]) == 0
+        written = sorted(path.name for path in (tmp_path / "env_out").iterdir())
+        assert written == [f"fig2_line_{kind}.config.yaml"
+                           for kind in ("adolf", "adolf_local", "extra")]
+        assert not (tmp_path / "out").exists()
+        assert cli.main(["preset", "fig2_line", "--configs-only", "--out", "flag_out"]) == 0
+        assert len(list((tmp_path / "flag_out").iterdir())) == 3  # --out still wins
+
     def test_scipy_special_loads_only_for_logistic(self, tmp_path):
         # a fresh interpreter: whether a module is loaded is process-wide state
         probe = (

@@ -8,6 +8,7 @@ a lane makes exactly the BLAS calls and elementwise operations that one lane
 makes for its agents.
 """
 
+import errno
 import json
 import os
 import select
@@ -193,7 +194,7 @@ def test_forked_child_starts_its_own_lanes(force_lanes):
 # Grid workers: the EXTRA grid search runs its column blocks in forked worker
 # processes, the calling process first. These tests cut the grids into blocks
 # of two stepsizes and set the worker count by patching solvers.grid_lanes.
-GRID_WORKER_COUNTS = [1, 2, 3, 4, 9]  # 9 exceeds the 5 blocks: four workers claim none
+GRID_WORKER_COUNTS = [1, 2, 3, 4, 9]  # 9 exceeds the 5 blocks: four workers run none
 
 
 @pytest.fixture
@@ -205,7 +206,7 @@ def grid_blocks_of_two(monkeypatch):
 def force_grid_workers(monkeypatch):
     """force_grid_workers(count): grid searches afterwards run on count workers."""
     def force(count):
-        monkeypatch.setattr(solvers, "grid_lanes", lambda problem, grid_size: count)
+        monkeypatch.setattr(solvers, "grid_lanes", lambda problem, blocks: count)
     return force
 
 
@@ -260,17 +261,17 @@ def bounded(call, timeout=120):
     return got["result"]
 
 
-def test_grid_lanes_rule(monkeypatch, grid_blocks_of_two):
+def test_grid_lanes_rule(monkeypatch):
     # one per block, at most two per CPU; one on one CPU, for a laned problem, without fork
-    prob, _, _, grid, _ = grid_case("ridge")
+    prob = grid_case("ridge")[0]
     for cpus, workers in [(1, 1), (2, 4), (3, 5), (9, 5)]:
         monkeypatch.setattr(objectives, "_cpu_count", lambda: cpus)
-        assert solvers.grid_lanes(prob, len(grid)) == workers
-        assert solvers.grid_lanes(prob, 3) == min(workers, 2)  # two blocks
+        assert solvers.grid_lanes(prob, 5) == workers
+        assert solvers.grid_lanes(prob, 2) == min(workers, 2)
     monkeypatch.setattr(objectives, "LANE_MIN_BYTES", 0)
-    assert solvers.grid_lanes(grid_case("ridge")[0], len(grid)) == 1
+    assert solvers.grid_lanes(grid_case("ridge")[0], 5) == 1
     monkeypatch.delattr(os, "fork")
-    assert solvers.grid_lanes(prob, len(grid)) == 1
+    assert solvers.grid_lanes(prob, 5) == 1
 
 
 @pytest.mark.parametrize("budget", [0, 1, 200])
@@ -399,6 +400,29 @@ def test_worker_that_exits_without_reporting(force_grid_workers, grid_blocks_of_
     assert_nothing_left(fds)
 
 
+@pytest.mark.parametrize("forks", [0, 1])
+def test_grid_runs_on_the_workers_that_forked(monkeypatch, force_grid_workers,
+                                              grid_blocks_of_two, forks):
+    # fork fails after forks children: this process runs the blocks of the workers never forked
+    prob, gossip, saddle, grid, x0 = grid_case("ridge")
+    force_grid_workers(1)
+    want = search(prob, gossip, saddle, grid, 200, "distance_sq", x0)
+    force_grid_workers(4)
+    fork, calls = os.fork, []
+
+    def failing_fork():
+        calls.append(1)
+        if len(calls) > forks:
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", failing_fork)
+    fds = open_fds()
+    got = search(prob, gossip, saddle, grid, 200, "distance_sq", x0)
+    assert got.workers == forks + 1 and chosen(got) == chosen(want)
+    assert_nothing_left(fds)
+
+
 def test_caller_block_failure_reaps_every_worker(force_grid_workers, grid_blocks_of_two):
     prob, gossip, saddle, grid, x0 = grid_case("ridge")
     force_grid_workers(3)
@@ -413,9 +437,9 @@ def test_caller_block_failure_reaps_every_worker(force_grid_workers, grid_blocks
     assert_nothing_left(fds)
 
 
-def test_grid_lanes_claim_every_block_once(tmp_path):
-    # more workers than CPUs, each logging every item it runs: an index
-    # claimed twice would run twice, a lost one never
+def test_grid_workers_run_every_block_once(tmp_path):
+    # more workers than CPUs, each logging every item it runs: an index in
+    # two strides would run twice, one in none never
     log = tmp_path / "ran"
 
     def work(i):
@@ -432,7 +456,10 @@ def test_grid_lanes_claim_every_block_once(tmp_path):
     ran = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
     assert sorted(ran) == sorted(results)
     assert results[0][1] == os.getpid()  # the calling process takes the first block
-    assert len({pid for _, pid in results}) > 1
+    # worker w runs the items w, w + 8, ...: eight processes, one per stride
+    pids = [pid for _, pid in results]
+    assert len(set(pids)) == 8
+    assert all(pids[i] == pids[i % 8] for i in range(500))
 
 
 def test_a_report_cut_short_is_not_read():
@@ -459,13 +486,13 @@ def test_a_report_cut_short_is_not_read():
     assert [(i, len(data), fn()) for i, data, fn in results] == [(i, 200_000, i) for i in range(4)]
 
 
-def test_more_blocks_than_the_claims_pipe_holds():
-    # 4 bytes an index: 80 kB overflows a 64 KiB pipe, so this process runs every item
+def test_many_blocks_on_two_strides():
+    # worker 1 reports the 10 000 odd items, and the caller puts them between its own
     fds = open_fds()
     results, workers = solvers._in_grid_workers(20_000, 2, lambda i: i)
     assert_nothing_left(fds)
     assert results == list(range(20_000))
-    assert workers == 1
+    assert workers == 2
 
 
 def test_laned_problem_runs_one_grid_lane(force_lanes, grid_blocks_of_two):
@@ -474,7 +501,7 @@ def test_laned_problem_runs_one_grid_lane(force_lanes, grid_blocks_of_two):
     want = search(prob, gossip, saddle, grid, 200, "distance_sq", x0)
     force_lanes(2)
     prob = grid_case("ridge")[0]
-    assert prob.lanes == 2 and solvers.grid_lanes(prob, len(grid)) == 1
+    assert prob.lanes == 2 and solvers.grid_lanes(prob, 5) == 1
     got = bounded(lambda: search(prob, gossip, saddle, grid, 200, "distance_sq", x0))
     assert got == want and got.workers == 1
 

@@ -83,14 +83,6 @@ class TestGraphs:
         for seed in range(5):
             assert topology.make_erdos_renyi(m, p, seed).edges == replay_erdos_renyi(m, p, seed)
 
-    def test_round_trip_text(self):
-        g = topology.make_erdos_renyi(12, 0.3, seed=5)
-        assert topology.graph_from_text(topology.graph_to_text(g)).edges == g.edges
-
-    def test_text_format(self):
-        text = topology.graph_to_text(topology.make_line_graph(3))
-        assert text == "3\n0 1\n1 2\n"
-
 
 class TestMetropolisHastings:
     def test_line_m3_hand_values(self):
@@ -148,26 +140,6 @@ class TestPsdShift:
         assert np.array_equal(
             shifted.shifted[off] != 0, shifted.w_tilde[off] != 0
         )
-
-
-class TestSpectral:
-    def test_2x2_closed_form(self):
-        gm = topology.GossipMatrix(np.full((2, 2), 0.5), c=0.4, w=np.array([[0.8, 0.2], [0.2, 0.8]]))
-        s = topology.spectral_summary(gm)
-        assert s.lambda2 == pytest.approx(0.6, abs=1e-12)
-        assert s.spectral_gap == pytest.approx(0.4, abs=1e-12)
-        assert s.lambda_m == pytest.approx(0.6, abs=1e-12)
-
-    def test_er_gap_positive(self):
-        s = topology.spectral_summary(mh_shifted(topology.make_erdos_renyi(20, 0.9, seed=0)))
-        assert s.lambda2 < 1.0
-        assert s.spectral_gap > 0
-        assert s.eigenvalues[0] == pytest.approx(1.0, abs=1e-10)
-
-    def test_requires_shift(self):
-        gm = topology.metropolis_hastings(topology.make_line_graph(4))
-        with pytest.raises(ParameterError):
-            topology.spectral_summary(gm)
 
 
 class TestLaplacianSqrt:
