@@ -90,13 +90,15 @@ def _cmd_run(args) -> int:
 
 def _cmd_compare(args) -> int:
     configs = [parse_config(path) for path in args.configs]
-    result = compare(configs, out_dir=args.out, metric=args.metric, label=args.label)
+    return _report(compare(configs, out_dir=args.out, metric=args.metric, label=args.label))
+
+
+def _report(result) -> int:
+    """Print a comparison's summary table and files; exit 4 if any of its runs diverged."""
     print(result.summary_table(), end="")
     print(f"long-format data: {result.long_path}")
     print(f"gnuplot blocks:   {result.gnuplot_path}")
-    if any(row.status == "diverged" for row in result.rows):
-        return EXIT_DIVERGED
-    return EXIT_OK
+    return EXIT_DIVERGED if any(row.status == "diverged" for row in result.rows) else EXIT_OK
 
 
 def _cmd_preset(args) -> int:
@@ -114,10 +116,7 @@ def _cmd_preset(args) -> int:
         print(f"wrote {path}")
     if args.configs_only:
         return EXIT_OK
-    result = compare(configs, out_dir=out, metric=preset_metric(args.name), label=args.name)
-    print(result.summary_table(), end="")
-    print(f"long-format data: {result.long_path}")
-    return EXIT_OK
+    return _report(compare(configs, out_dir=out, metric=preset_metric(args.name), label=args.name))
 
 
 def _cmd_validate(args) -> int:

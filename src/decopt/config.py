@@ -27,7 +27,7 @@ import yaml
 from .diagnostics import DEFAULT_METRIC, SADDLE_METRICS
 from .errors import ConfigError, ParameterError
 from .solvers import StopRule
-from .stepsize import GrowthPolicy, SigmaSchedule, StepsizeParams
+from .stepsize import GrowthPolicy, StepsizeParams
 
 __all__ = [
     "ProblemConfig",
@@ -152,16 +152,10 @@ class AlgorithmConfig:
         Raises ParameterError, naming the field at fault, when a constant is
         out of the range the stepsize rule needs.
         """
-        if self.mode == "strongly_convex":
-            sigma = SigmaSchedule(kind="inverse_alpha_sq", sigma=self.sigma)
-        else:
-            sigma = SigmaSchedule(kind="constant", sigma_bar=self.sigma_bar)
-        mode = "local" if self.kind == "adolf_local" else (
-            "strongly_convex_global" if self.mode == "strongly_convex" else "convex_global"
-        )
         return StepsizeParams(
-            mode=mode, c1=self.resolved_c1(), c2=self.c2, alpha0=self.alpha0, eta=self.eta,
-            growth=self.resolved_growth(), sigma=sigma,
+            strongly_convex=self.mode == "strongly_convex", local=self.kind == "adolf_local",
+            c1=self.resolved_c1(), c2=self.c2, alpha0=self.alpha0, eta=self.eta,
+            growth=self.resolved_growth(), sigma=self.sigma, sigma_bar=self.sigma_bar,
         )
 
     def validate(self) -> None:

@@ -65,9 +65,8 @@ CSV_HEADER = [
     "L_k",
 ]
 
-# metric name -> the trace column that reports it. Stopping on "merit" evaluates
-# it at the current iterate; traces, compare and the EXTRA grid search report
-# and rank it at the gamma-weighted ergodic average.
+# metric name -> the trace column that reports it. Traces, stop rules, compare
+# and the EXTRA grid search all read "merit" at the gamma-weighted ergodic average.
 METRICS = {"objective_gap": "objective_gap", "distance_sq": "distance_sq",
            "consensus_err": "consensus_err", "merit": "merit_ergodic"}
 SADDLE_METRICS = frozenset({"objective_gap", "distance_sq", "merit"})  # need a saddle anchor
@@ -382,6 +381,11 @@ class TraceRecorder:
         if name == "merit":
             return merit(self.problem, x_stack, self.saddle, self.l_op)
         raise ParameterError(f"unknown metric {name!r}")
+
+    def row_metric(self, name: str, x_stack: np.ndarray) -> float | None:
+        """The value the next row, describing x_stack, reports for a metric:
+        merit at the ergodic average of the iterates observed so far."""
+        return self._ergodic_merit() if name == "merit" else self.metric_value(name, x_stack)
 
     # -- state intake --------------------------------------------------
 

@@ -8,19 +8,15 @@ additionally exchange one scalar per agent (a global average for the
 shared-stepsize variant, a neighborhood minimum for the local one); those
 scalar rounds are counted separately.
 
-States are plain dataclasses; step functions return fresh states so a run
-is an explicit state machine and traces can be reconstructed exactly. One
-run is strictly sequential (the synchronous-round semantics are part of
-correctness); distinct runs share nothing mutable and may execute in
-parallel.
-
-Every state offers the trace recorder the same read-only view: x_now,
-x_prev, k, comm_vector, comm_scalar; the alpha, gamma and sigma of the step
-that produced it, with its curvature estimates l_last and mu_last; and its
-dual. The adaptive engines carry only dual = D = L_op Y (Y is pinv(L_op) D,
-recovered by the recorder on the rows that need it), the oracle carries y =
-Y itself, and EXTRA has neither. run() drives the init/step functions from a
-dispatch table and hands the recorder each pair of consecutive states.
+Every engine is an init/step pair over one State dataclass:
+init(problem, gossip, params, x0, x_minus1=None) runs the initialization
+round and checks that params are of the engine's kind, and
+step(state, problem, gossip, params) runs one more round. Both return fresh
+states, so a run is an explicit state machine and traces can be
+reconstructed exactly. One run is strictly sequential (the
+synchronous-round semantics are part of correctness); distinct runs share
+nothing mutable and may execute in parallel. run() drives the pair named by
+its algorithm and hands the trace recorder each pair of consecutive states.
 
 The EXTRA grid search runs many stepsizes without run() or a recorder: it
 advances them as the columns of one (m, G, d) stack, so each round costs one
@@ -50,9 +46,6 @@ from .errors import (
 )
 from .objectives import ProblemInstance
 from .stepsize import (
-    MODE_CONVEX,
-    MODE_LOCAL,
-    MODE_STRONGLY_CONVEX,
     StepsizeParams,
     curvature_global,
     curvature_local,
@@ -63,13 +56,10 @@ from .stepsize import (
     select_alpha_convex,
     select_alpha_strongly_convex,
 )
-from .topology import GossipMatrix, graph_laplacian_sqrt
+from .topology import GossipMatrix
 
 __all__ = [
-    "AdolfState",
-    "AdolfLocalState",
-    "CondatVuState",
-    "ExtraState",
+    "State",
     "FixedStepParams",
     "ExtraParams",
     "StopRule",
@@ -151,78 +141,82 @@ def _check_stack(x, problem: ProblemInstance, name: str) -> np.ndarray:
     return x
 
 
-# ---------------------------------------------------------------------------
-# shared-stepsize adaptive engine
-
-
 @dataclass
-class AdolfState:
-    """Iterates, dual, gradient cache, and the stepsize triple after k rounds.
+class State:
+    """One engine's state after k rounds; an engine leaves the fields it does not use None.
 
-    alpha, gamma and sigma are the last step's; k is also the index of the
-    next selection.
+    x_now and x_prev are X^k and X^{k-1}; comm_vector and comm_scalar count the
+    vector and the scalar rounds so far. dual is D = L_op Y (adolf,
+    adolf_local), y the explicit Y (condat_vu). alpha, gamma and sigma are the
+    step's that produced the state (per-agent vectors and no sigma for
+    adolf_local; gamma 1 and no sigma for extra), with its curvature estimates
+    l_last and mu_last. grad_prev is the gradient at x_prev, which the
+    curvature proxy reuses, and w_x_prev extra's W x_prev, which keeps its
+    round at one gossip multiplication.
     """
 
     x_now: np.ndarray
     x_prev: np.ndarray
-    dual: np.ndarray
-    grad_prev: np.ndarray  # gradient at x_prev, reused by the curvature proxy
-    alpha: float
-    gamma: float
-    sigma: float
-    k: int
-    comm_vector: int
-    comm_scalar: int
+    k: int = 0
+    comm_vector: int = 0
+    comm_scalar: int = 0
+    dual: np.ndarray | None = None
+    y: np.ndarray | None = None
+    alpha: float | np.ndarray | None = None
+    gamma: float | np.ndarray | None = None
+    sigma: float | None = None
     l_last: float | None = None
     mu_last: float | None = None
+    grad_prev: np.ndarray | None = None
+    w_x_prev: np.ndarray | None = None
 
-    # recorder view
-    y = None
+
+def _start_pair(problem: ProblemInstance, x0, x_minus1) -> tuple[np.ndarray, np.ndarray]:
+    """(X^0, X^-1) checked against the problem's shape; X^-1 defaults to X^0."""
+    x0 = _check_stack(x0, problem, "x0")
+    return x0, x0 if x_minus1 is None else _check_stack(x_minus1, problem, "x_minus1")
+
+
+# ---------------------------------------------------------------------------
+# shared-stepsize adaptive engine
 
 
 def adolf_init(
     problem: ProblemInstance,
     gossip: GossipMatrix,
+    params: StepsizeParams | FixedStepParams,
     x0: np.ndarray,
     x_minus1: np.ndarray | None = None,
-    alpha0: float = 1e-3,
-    sigma0: float = 1.0,
-    gamma0: float = 1.0,
-) -> AdolfState:
+) -> State:
     """Initialization round: one dual ramp-up and one primal step.
 
     The dual picks up sigma0 alpha0 (I - W) ((1 + gamma0) X0 - gamma0 X^-1)
     starting from zero, so its columns sum to zero from the first round.
+    FixedStepParams give (alpha0, sigma0, gamma0); StepsizeParams give
+    alpha0, its sigma0() and gamma0 = 1.
     """
-    x0 = _check_stack(x0, problem, "x0")
-    x_minus1 = x0 if x_minus1 is None else _check_stack(x_minus1, problem, "x_minus1")
-    if not all(0 < v < np.inf for v in (alpha0, sigma0, gamma0)):
-        raise ParameterError("alpha0, sigma0, gamma0 must be positive and finite")
+    if isinstance(params, FixedStepParams):
+        alpha0, sigma0, gamma0 = params.alpha, params.sigma, params.gamma
+    elif isinstance(params, StepsizeParams) and not params.local:
+        alpha0, sigma0, gamma0 = params.alpha0, params.sigma0(), 1.0
+    else:
+        raise ConfigError("adolf needs FixedStepParams or global-mode StepsizeParams")
+    x0, x_minus1 = _start_pair(problem, x0, x_minus1)
     w = gossip.shifted
     mix = (1.0 + gamma0) * x0 - gamma0 * x_minus1
     dual = sigma0 * alpha0 * (mix - w @ mix)
     grad0 = problem.stacked_gradient(x0)
     x1 = x0 - alpha0 * (grad0 + dual)
-    return AdolfState(
-        x_now=x1,
-        x_prev=x0,
-        dual=dual,
-        grad_prev=grad0,
-        alpha=alpha0,
-        gamma=gamma0,
-        sigma=sigma0,
-        k=1,
-        comm_vector=1,
-        comm_scalar=0,
-    )
+    return State(x_now=x1, x_prev=x0, k=1, comm_vector=1, dual=dual,
+                 alpha=alpha0, gamma=gamma0, sigma=sigma0, grad_prev=grad0)
 
 
 def adolf_step(
-    state: AdolfState,
+    state: State,
     problem: ProblemInstance,
     gossip: GossipMatrix,
     params: StepsizeParams | FixedStepParams,
-) -> AdolfState:
+) -> State:
     """One synchronous round: curvature average, selection, dual+primal update."""
     w = gossip.shifted
     grad_now = problem.stacked_gradient(state.x_now)
@@ -232,84 +226,50 @@ def adolf_step(
         alpha, gamma, sigma_k = params.alpha, params.gamma, params.sigma
         sigma_alpha = sigma_k * alpha
         scalar_rounds = 0  # selection disabled: no global average needed
-    elif params.mode == MODE_CONVEX:
-        sigma_k = params.sigma.sigma_bar
+    elif params.strongly_convex:
+        alpha, gamma = select_alpha_strongly_convex(l_k, state.alpha, state.gamma, state.k,
+                                                    params)
+        sigma_k = params.sigma / alpha**2
+        sigma_alpha = params.sigma / alpha
+        scalar_rounds = 1
+    else:
+        sigma_k = params.sigma_bar
         alpha, gamma = select_alpha_convex(l_k, sigma_k, state.alpha, state.gamma, state.k,
                                            params)
         sigma_alpha = sigma_k * alpha
         scalar_rounds = 1
-    elif params.mode == MODE_STRONGLY_CONVEX:
-        alpha, gamma = select_alpha_strongly_convex(l_k, state.alpha, state.gamma, state.k,
-                                                    params)
-        sigma_k = params.sigma.sigma / alpha**2
-        sigma_alpha = params.sigma.sigma / alpha
-        scalar_rounds = 1
-    else:
-        raise ConfigError(f"adolf_step cannot run in mode {params.mode!r}")
 
     mix = (1.0 + gamma) * state.x_now - gamma * state.x_prev
     dual = state.dual + sigma_alpha * (mix - w @ mix)
     x_next = state.x_now - alpha * (grad_now + dual)
-    return AdolfState(
-        x_now=x_next,
-        x_prev=state.x_now,
-        dual=dual,
-        grad_prev=grad_now,
-        alpha=alpha,
-        gamma=gamma,
-        sigma=sigma_k,
-        k=state.k + 1,
-        comm_vector=state.comm_vector + 1,
-        comm_scalar=state.comm_scalar + scalar_rounds,
-        l_last=l_k,
-        mu_last=mu_k,
-    )
+    return State(x_now=x_next, x_prev=state.x_now, k=state.k + 1,
+                 comm_vector=state.comm_vector + 1, comm_scalar=state.comm_scalar + scalar_rounds,
+                 dual=dual, alpha=alpha, gamma=gamma, sigma=sigma_k, l_last=l_k, mu_last=mu_k,
+                 grad_prev=grad_now)
 
 
 # ---------------------------------------------------------------------------
 # per-agent adaptive engine
 
 
-@dataclass
-class AdolfLocalState:
-    """Like AdolfState but with per-agent stepsize vectors alpha and gamma."""
-
-    x_now: np.ndarray
-    x_prev: np.ndarray
-    dual: np.ndarray
-    grad_prev: np.ndarray
-    alpha: np.ndarray
-    gamma: np.ndarray
-    k: int
-    comm_vector: int
-    comm_scalar: int
-    l_last: float | None = None
-    mu_last: float | None = None
-
-    # recorder view; sigma_i is per agent, so there is no scalar sigma
-    sigma = None
-    y = None
-
-
 def _local_sigma_alpha(alpha_vec: np.ndarray, params: StepsizeParams) -> np.ndarray:
     """Row scaling sigma_i alpha_i of the dual increment."""
-    if params.strongly_convex_sigma:
-        return params.sigma.sigma / alpha_vec
-    return params.sigma.sigma_bar * alpha_vec
+    if params.strongly_convex:
+        return params.sigma / alpha_vec
+    return params.sigma_bar * alpha_vec
 
 
 def adolf_local_init(
     problem: ProblemInstance,
     gossip: GossipMatrix,
+    params: StepsizeParams,
     x0: np.ndarray,
     x_minus1: np.ndarray | None = None,
-    params: StepsizeParams | None = None,
-) -> AdolfLocalState:
+) -> State:
     """Initialization with uniform Lambda0 = alpha0 I and Gamma0 = I."""
-    if params is None or params.mode != MODE_LOCAL:
-        raise ConfigError("adolf_local_init needs StepsizeParams in local mode")
-    x0 = _check_stack(x0, problem, "x0")
-    x_minus1 = x0 if x_minus1 is None else _check_stack(x_minus1, problem, "x_minus1")
+    if not isinstance(params, StepsizeParams) or not params.local:
+        raise ConfigError("adolf_local needs StepsizeParams in local mode")
+    x0, x_minus1 = _start_pair(problem, x0, x_minus1)
     w = gossip.shifted
     m = problem.m
     alpha_vec = np.full(m, params.alpha0)
@@ -317,25 +277,16 @@ def adolf_local_init(
     dual = scaled - w @ scaled
     grad0 = problem.stacked_gradient(x0)
     x1 = x0 - params.alpha0 * (grad0 + dual)
-    return AdolfLocalState(
-        x_now=x1,
-        x_prev=x0,
-        dual=dual,
-        grad_prev=grad0,
-        alpha=alpha_vec,
-        gamma=np.ones(m),
-        k=1,
-        comm_vector=1,
-        comm_scalar=0,
-    )
+    return State(x_now=x1, x_prev=x0, k=1, comm_vector=1, dual=dual,
+                 alpha=alpha_vec, gamma=np.ones(m), grad_prev=grad0)
 
 
 def adolf_local_step(
-    state: AdolfLocalState,
+    state: State,
     problem: ProblemInstance,
     gossip: GossipMatrix,
     params: StepsizeParams,
-) -> AdolfLocalState:
+) -> State:
     """One round: own-curvature candidates, decrease rule, min-consensus, update.
 
     Every agent's rule runs at once on per-agent arrays. The diagonal scaling
@@ -345,10 +296,10 @@ def adolf_local_step(
     w = gossip.shifted
     grad_now = problem.stacked_gradient(state.x_now)
     l_vec, l_k, mu_k = curvature_local(grad_now, state.grad_prev, state.x_now, state.x_prev)
-    if params.strongly_convex_sigma:
-        hat = local_candidate_strongly_convex(l_vec, params.sigma.sigma, params.c1)
+    if params.strongly_convex:
+        hat = local_candidate_strongly_convex(l_vec, params.sigma, params.c1)
     else:
-        hat = curvature_guard(l_vec, params.sigma.sigma_bar, params.c1)
+        hat = curvature_guard(l_vec, params.sigma_bar, params.c1)
     tilde = local_tilde(hat, state.alpha, state.gamma, params, state.k)
     alpha_vec, gamma_vec = local_min_consensus(tilde, gossip.neighbor_mask(), state.alpha)
 
@@ -356,136 +307,75 @@ def adolf_local_step(
     scaled = _local_sigma_alpha(alpha_vec, params)[:, None] * mix
     dual = state.dual + (scaled - w @ scaled)
     x_next = state.x_now - alpha_vec[:, None] * (grad_now + dual)
-    return AdolfLocalState(
-        x_now=x_next,
-        x_prev=state.x_now,
-        dual=dual,
-        grad_prev=grad_now,
-        alpha=alpha_vec,
-        gamma=gamma_vec,
-        k=state.k + 1,
-        comm_vector=state.comm_vector + 1,
-        comm_scalar=state.comm_scalar + 1,
-        l_last=l_k,
-        mu_last=mu_k,
-    )
+    return State(x_now=x_next, x_prev=state.x_now, k=state.k + 1,
+                 comm_vector=state.comm_vector + 1, comm_scalar=state.comm_scalar + 1,
+                 dual=dual, alpha=alpha_vec, gamma=gamma_vec, l_last=l_k, mu_last=mu_k,
+                 grad_prev=grad_now)
 
 
 # ---------------------------------------------------------------------------
 # fixed-parameter primal-dual oracle
 
 
-@dataclass
-class CondatVuState:
-    """Oracle state; keeps the explicit dual Y and the operator sqrt(I - W)."""
-
-    x_now: np.ndarray
-    x_prev: np.ndarray
-    y: np.ndarray
-    l_op: np.ndarray
-    params: FixedStepParams
-    k: int
-    comm_vector: int
-
-    # recorder view
-    comm_scalar = 0
-    l_last = None
-    mu_last = None
-    dual = None
-
-    @property
-    def alpha(self) -> float:
-        return self.params.alpha
-
-    @property
-    def gamma(self) -> float:
-        return self.params.gamma
-
-    @property
-    def sigma(self) -> float:
-        return self.params.sigma
-
-
 def condat_vu_init(
     problem: ProblemInstance,
     gossip: GossipMatrix,
+    params: FixedStepParams,
     x0: np.ndarray,
     x_minus1: np.ndarray | None = None,
-    params: FixedStepParams = FixedStepParams(alpha=1e-2),
-) -> CondatVuState:
+) -> State:
     """Run the first oracle iteration from Y0 = 0."""
-    x0 = _check_stack(x0, problem, "x0")
-    x_minus1 = x0 if x_minus1 is None else _check_stack(x_minus1, problem, "x_minus1")
-    l_op = graph_laplacian_sqrt(gossip)
-    state = CondatVuState(
-        x_now=x0, x_prev=x_minus1, y=np.zeros_like(x0), l_op=l_op, params=params,
-        k=0, comm_vector=0,
-    )
-    return condat_vu_step(state, problem)
+    if not isinstance(params, FixedStepParams):
+        raise ConfigError("condat_vu needs FixedStepParams")
+    x0, x_minus1 = _start_pair(problem, x0, x_minus1)
+    return condat_vu_step(State(x_now=x0, x_prev=x_minus1, y=np.zeros_like(x0)), problem,
+                          gossip, params)
 
 
-def condat_vu_step(state: CondatVuState, problem: ProblemInstance) -> CondatVuState:
-    """One oracle iteration; the conjugate prox of the {0}-indicator is identity."""
-    p = state.params
-    mix = (1.0 + p.gamma) * state.x_now - p.gamma * state.x_prev
-    y_next = state.y + p.sigma * p.alpha * (state.l_op @ mix)
+def condat_vu_step(
+    state: State, problem: ProblemInstance, gossip: GossipMatrix, params: FixedStepParams
+) -> State:
+    """One oracle iteration with L_op = sqrt(I - W); the conjugate prox of the
+    {0}-indicator is identity."""
+    alpha, gamma, sigma = params.alpha, params.gamma, params.sigma
+    l_op = gossip.laplacian_sqrt
+    mix = (1.0 + gamma) * state.x_now - gamma * state.x_prev
+    y_next = state.y + sigma * alpha * (l_op @ mix)
     grad_now = problem.stacked_gradient(state.x_now)
-    x_next = state.x_now - p.alpha * (grad_now + state.l_op @ y_next)
-    return CondatVuState(
-        x_now=x_next,
-        x_prev=state.x_now,
-        y=y_next,
-        l_op=state.l_op,
-        params=p,
-        k=state.k + 1,
-        comm_vector=state.comm_vector + 1,
-    )
+    x_next = state.x_now - alpha * (grad_now + l_op @ y_next)
+    return State(x_now=x_next, x_prev=state.x_now, k=state.k + 1,
+                 comm_vector=state.comm_vector + 1, y=y_next,
+                 alpha=alpha, gamma=gamma, sigma=sigma)
 
 
 # ---------------------------------------------------------------------------
 # EXTRA baseline
 
 
-@dataclass
-class ExtraState:
-    """Two-term recursion state; caches the mixed iterate to keep one gossip."""
-
-    x_now: np.ndarray
-    x_prev: np.ndarray
-    grad_prev: np.ndarray
-    w_x_prev: np.ndarray  # W @ x_prev from the previous round
-    alpha: float
-    k: int
-    comm_vector: int
-    l_last: float | None = None
-    mu_last: float | None = None
-
-    # recorder view
-    comm_scalar = 0
-    gamma = 1.0
-    sigma = None
-    dual = None
-    y = None
-
-
 def extra_init(
     problem: ProblemInstance,
     gossip: GossipMatrix,
-    x0: np.ndarray,
     params: ExtraParams,
-) -> ExtraState:
-    """First round is mixed gradient descent: X1 = W X0 - alpha grad F(X0)."""
+    x0: np.ndarray,
+    x_minus1: np.ndarray | None = None,
+) -> State:
+    """First round is mixed gradient descent: X1 = W X0 - alpha grad F(X0).
+
+    EXTRA starts from X0 alone, so x_minus1 is not used.
+    """
+    if not isinstance(params, ExtraParams):
+        raise ConfigError("extra needs ExtraParams")
     x0 = _check_stack(x0, problem, "x0")
     wx0 = gossip.shifted @ x0
     grad0 = problem.stacked_gradient(x0)
     x1 = wx0 - params.alpha * grad0
-    return ExtraState(
-        x_now=x1, x_prev=x0, grad_prev=grad0, w_x_prev=wx0,
-        alpha=params.alpha, k=1, comm_vector=1,
-    )
+    return State(x_now=x1, x_prev=x0, k=1, comm_vector=1, alpha=params.alpha, gamma=1.0,
+                 grad_prev=grad0, w_x_prev=wx0)
 
 
-def extra_step(state: ExtraState, problem: ProblemInstance, gossip: GossipMatrix) -> ExtraState:
+def extra_step(
+    state: State, problem: ProblemInstance, gossip: GossipMatrix, params: ExtraParams
+) -> State:
     """X^{k+1} = (I + W) X^k - W_bar X^{k-1} - alpha (grad^k - grad^{k-1}).
 
     W_bar = (I + W) / 2 is the second mixing matrix; applying it to the
@@ -498,19 +388,11 @@ def extra_step(state: ExtraState, problem: ProblemInstance, gossip: GossipMatrix
         state.x_now
         + wx_now
         - 0.5 * (state.x_prev + state.w_x_prev)
-        - state.alpha * (grad_now - state.grad_prev)
+        - params.alpha * (grad_now - state.grad_prev)
     )
-    return ExtraState(
-        x_now=x_next,
-        x_prev=state.x_now,
-        grad_prev=grad_now,
-        w_x_prev=wx_now,
-        alpha=state.alpha,
-        k=state.k + 1,
-        comm_vector=state.comm_vector + 1,
-        l_last=l_k,
-        mu_last=mu_k,
-    )
+    return State(x_now=x_next, x_prev=state.x_now, k=state.k + 1,
+                 comm_vector=state.comm_vector + 1, alpha=params.alpha, gamma=1.0,
+                 l_last=l_k, mu_last=mu_k, grad_prev=grad_now, w_x_prev=wx_now)
 
 
 # ---------------------------------------------------------------------------
@@ -527,58 +409,12 @@ def _is_diverged(x: np.ndarray) -> bool:
     return not np.linalg.norm(x) <= DIVERGENCE_NORM
 
 
-@dataclass(frozen=True)
-class StartView:
-    """The starting pair (X^0, X^-1) seen as a state: no rounds, zero dual.
-
-    run() starts from it: trace row 0 reads it as the state before the
-    initialization update, and a zero budget ends on it.
-    """
-
-    x_now: np.ndarray
-    x_prev: np.ndarray
-    k: int = 0
-    comm_vector: int = 0
-    comm_scalar: int = 0
-    y = None
-
-    @property
-    def dual(self) -> np.ndarray:
-        return np.zeros_like(self.x_now)
-
-
-def _init_adolf(problem, gossip, params, x0, x_minus1) -> AdolfState:
-    if isinstance(params, FixedStepParams):
-        return adolf_init(problem, gossip, x0, x_minus1, params.alpha, params.sigma, params.gamma)
-    if not isinstance(params, StepsizeParams) or params.mode == MODE_LOCAL:
-        raise ConfigError("adolf needs FixedStepParams or global-mode StepsizeParams")
-    return adolf_init(problem, gossip, x0, x_minus1, params.alpha0, params.sigma0())
-
-
-def _init_adolf_local(problem, gossip, params, x0, x_minus1) -> AdolfLocalState:
-    if not isinstance(params, StepsizeParams) or params.mode != MODE_LOCAL:
-        raise ConfigError("adolf_local needs StepsizeParams in local mode")
-    return adolf_local_init(problem, gossip, x0, x_minus1, params)
-
-
-def _init_condat_vu(problem, gossip, params, x0, x_minus1) -> CondatVuState:
-    if not isinstance(params, FixedStepParams):
-        raise ConfigError("condat_vu needs FixedStepParams")
-    return condat_vu_init(problem, gossip, x0, x_minus1, params)
-
-
-def _init_extra(problem, gossip, params, x0, x_minus1) -> ExtraState:
-    if not isinstance(params, ExtraParams):
-        raise ConfigError("extra needs ExtraParams")
-    return extra_init(problem, gossip, x0, params)
-
-
 # algorithm -> (init(problem, gossip, params, x0, x_minus1), step(state, problem, gossip, params))
 _ALGORITHMS = {
-    "adolf": (_init_adolf, adolf_step),
-    "adolf_local": (_init_adolf_local, adolf_local_step),
-    "condat_vu": (_init_condat_vu, lambda state, problem, gossip, params: condat_vu_step(state, problem)),
-    "extra": (_init_extra, lambda state, problem, gossip, params: extra_step(state, problem, gossip)),
+    "adolf": (adolf_init, adolf_step),
+    "adolf_local": (adolf_local_init, adolf_local_step),
+    "condat_vu": (condat_vu_init, condat_vu_step),
+    "extra": (extra_init, extra_step),
 }
 
 
@@ -595,14 +431,16 @@ def run(
     """Drive one algorithm under a stop rule, recording diagnostics.
 
     Iteration 0 is the initialization update; the trace row at index k
-    always describes the iterate after k communication rounds. Divergence
-    (non-finite values or Frobenius norm above 1e12) ends the run with
-    status "diverged" instead of raising.
+    always describes the iterate after k communication rounds. The run
+    starts from State(X^0, X^-1, dual=0), which trace row 0 reads and a zero
+    budget ends on. A stop metric is tested on the value its trace row
+    reports (merit at the ergodic average). Divergence (non-finite values or
+    Frobenius norm above 1e12) ends the run with status "diverged" instead
+    of raising.
     """
     if algorithm not in _ALGORITHMS:
         raise ConfigError(f"unknown algorithm {algorithm!r}")
-    x0 = _check_stack(x0, problem, "x0")
-    x_minus1 = x0 if x_minus1 is None else _check_stack(x_minus1, problem, "x_minus1")
+    x0, x_minus1 = _start_pair(problem, x0, x_minus1)
     if stop.metric in SADDLE_METRICS and recorder.saddle is None:
         raise ConfigError(f"stop metric {stop.metric!r} needs saddle diagnostics")
 
@@ -613,10 +451,10 @@ def run(
             return False
         if k % stop.cadence != 0 and k != stop.max_iter:
             return False
-        value = recorder.metric_value(stop.metric, state.x_now)
+        value = recorder.row_metric(stop.metric, state.x_now)
         return value is not None and value <= stop.threshold
 
-    state = StartView(x0, x_minus1)
+    state = State(x0, x_minus1, dual=np.zeros_like(x0))
     status = "budget"
     while state.k < stop.max_iter:
         try:

@@ -34,7 +34,6 @@ from .errors import NumericError, ParameterError
 
 __all__ = [
     "GrowthPolicy",
-    "SigmaSchedule",
     "StepsizeParams",
     "curvature_global",
     "curvature_local",
@@ -44,20 +43,12 @@ __all__ = [
     "local_candidate_strongly_convex",
     "local_tilde",
     "local_min_consensus",
-    "sigma_value",
     "gamma_ratio_bound",
 ]
-
-MODE_CONVEX = "convex_global"
-MODE_STRONGLY_CONVEX = "strongly_convex_global"
-MODE_LOCAL = "local"
 
 GROWTH_UNBOUNDED = "unbounded"
 GROWTH_ADDITIVE = "additive"
 GROWTH_RATIO_POWER = "ratio_power"
-
-SIGMA_CONSTANT = "constant"
-SIGMA_INVERSE_ALPHA_SQ = "inverse_alpha_sq"
 
 # default additive increment: sum over k of (6/pi^2)/k^2 equals 1
 DEFAULT_ADDITIVE_INCREMENT = 6.0 / math.pi**2
@@ -102,44 +93,31 @@ class GrowthPolicy:
 
 
 @dataclass(frozen=True)
-class SigmaSchedule:
-    """Dual scaling sequence: a constant, or sigma / alpha^2."""
-
-    kind: str = SIGMA_CONSTANT
-    sigma_bar: float = 1.0
-    sigma: float = 0.2
-
-    def __post_init__(self):
-        if self.kind not in (SIGMA_CONSTANT, SIGMA_INVERSE_ALPHA_SQ):
-            raise ParameterError(f"unknown sigma schedule kind {self.kind!r}")
-        if self.kind == SIGMA_CONSTANT and not 0 < self.sigma_bar < math.inf:
-            raise ParameterError(f"sigma_bar must be positive and finite, got {self.sigma_bar}")
-        if self.kind == SIGMA_INVERSE_ALPHA_SQ and not 0 < self.sigma < math.inf:
-            raise ParameterError(f"sigma must be positive and finite, got {self.sigma}")
-
-
-def sigma_value(schedule: SigmaSchedule, alpha: float) -> float:
-    """sigma_k for the given schedule, evaluated at the current stepsize."""
-    if schedule.kind == SIGMA_CONSTANT:
-        return schedule.sigma_bar
-    return schedule.sigma / alpha**2
-
-
-@dataclass(frozen=True)
 class StepsizeParams:
-    """Slack constants, initial stepsize, and policy choices for a run."""
+    """The stepsize rule's regime and constants for a run.
 
-    mode: str = MODE_CONVEX
+    strongly_convex ties the dual scale to the stepsize, sigma_k = sigma /
+    alpha_k^2; otherwise it is the constant sigma_bar. local gives every
+    agent its own stepsize (adolf_local) instead of one shared stepsize
+    (adolf). The slack constants c1 and c2, the initial stepsize alpha0, the
+    local shrink factor eta and the growth policy complete the rule.
+    """
+
+    strongly_convex: bool = False
+    local: bool = False
     c1: float = 0.99
     c2: float = 0.99
     alpha0: float = 1e-3
     eta: float = 0.9
     growth: GrowthPolicy = GrowthPolicy()
-    sigma: SigmaSchedule = SigmaSchedule()
+    sigma: float = 0.2
+    sigma_bar: float = 1.0
 
     def __post_init__(self):
-        if self.mode not in (MODE_CONVEX, MODE_STRONGLY_CONVEX, MODE_LOCAL):
-            raise ParameterError(f"unknown stepsize mode {self.mode!r}")
+        if self.strongly_convex and not 0 < self.sigma < math.inf:
+            raise ParameterError(f"sigma must be positive and finite, got {self.sigma}")
+        if not self.strongly_convex and not 0 < self.sigma_bar < math.inf:
+            raise ParameterError(f"sigma_bar must be positive and finite, got {self.sigma_bar}")
         if not (0.0 < self.c1 <= 1.0):
             raise ParameterError(f"c1 must lie in (0, 1], got {self.c1}")
         if not (0.0 < self.c2 <= 1.0):
@@ -153,34 +131,21 @@ class StepsizeParams:
         if not 0 < sigma0 < math.inf:
             raise ParameterError("alpha0 must keep sigma / alpha0^2 positive and finite, "
                                  f"got alpha0 = {self.alpha0}")
-        if self.mode == MODE_LOCAL:
+        if self.local:
             if not (0.0 < self.eta < 1.0):
                 raise ParameterError(f"eta must lie in (0, 1), got {self.eta}")
             if self.growth.kind != GROWTH_ADDITIVE:
                 raise ParameterError("growth.kind must be additive in local mode (summable "
                                      f"increments), got {self.growth.kind!r}")
-        if self.strongly_convex_sigma:
-            if self.sigma.kind != SIGMA_INVERSE_ALPHA_SQ:
-                raise ParameterError(
-                    "strongly convex mode needs the inverse_alpha_sq sigma schedule"
-                )
-            if not (0.0 < self.sigma.sigma < self.c1 / 2.0):
-                raise ParameterError(
-                    f"sigma must lie in (0, c1/2) = (0, {self.c1 / 2}) in strongly convex mode, "
-                    f"got {self.sigma.sigma}"
-                )
-        elif self.sigma.kind != SIGMA_CONSTANT and self.mode == MODE_CONVEX:
-            raise ParameterError("convex mode needs a constant (bounded) sigma schedule")
-
-    @property
-    def strongly_convex_sigma(self) -> bool:
-        if self.mode == MODE_STRONGLY_CONVEX:
-            return True
-        return self.mode == MODE_LOCAL and self.sigma.kind == SIGMA_INVERSE_ALPHA_SQ
+        if self.strongly_convex and not (0.0 < self.sigma < self.c1 / 2.0):
+            raise ParameterError(
+                f"sigma must lie in (0, c1/2) = (0, {self.c1 / 2}) in strongly convex mode, "
+                f"got {self.sigma}"
+            )
 
     def sigma0(self) -> float:
         """sigma at iteration 0, before any stepsize is selected."""
-        return sigma_value(self.sigma, self.alpha0)
+        return self.sigma / self.alpha0**2 if self.strongly_convex else self.sigma_bar
 
 
 def _differences(grad_now, grad_prev, x_now, x_prev) -> tuple[np.ndarray, np.ndarray]:
@@ -269,7 +234,7 @@ def select_alpha_strongly_convex(
     """
     alpha = math.sqrt(1.0 + params.c2 * gamma_prev) * alpha_prev
     if l_k > 0.0:
-        alpha = min(alpha, (0.5 - params.sigma.sigma / params.c1) / l_k)
+        alpha = min(alpha, (0.5 - params.sigma / params.c1) / l_k)
     return _capped(alpha, alpha_prev, k, params)
 
 

@@ -192,6 +192,11 @@ class GossipMatrix:
             raise NumericError("eigendecomposition of W returned non-finite values")
         return vals, vecs
 
+    @cached_property
+    def laplacian_sqrt(self) -> np.ndarray:
+        """graph_laplacian_sqrt of this matrix, computed once."""
+        return graph_laplacian_sqrt(self)
+
 
 def _check_stochastic(wt: np.ndarray) -> None:
     if not np.all(np.isfinite(wt)):

@@ -13,9 +13,9 @@ import math
 
 
 def scalar_candidate(l_i: float, params) -> float | None:
-    if params.strongly_convex_sigma:
-        return None if l_i == 0.0 else (0.5 - params.sigma.sigma / params.c1) / l_i
-    return 1.0 / (math.sqrt(l_i * l_i + 2.0 * params.sigma.sigma_bar / params.c1) + l_i)
+    if params.strongly_convex:
+        return None if l_i == 0.0 else (0.5 - params.sigma / params.c1) / l_i
+    return 1.0 / (math.sqrt(l_i * l_i + 2.0 * params.sigma_bar / params.c1) + l_i)
 
 
 def scalar_cap(alpha_prev_i: float, params, k: int) -> float:

@@ -10,7 +10,6 @@ that pinv(L_op) D recovers Y.
 import numpy as np
 
 from decopt.solvers import adolf_init, adolf_local_init, adolf_local_step, adolf_step
-from decopt.stepsize import sigma_value
 from decopt.topology import graph_laplacian_sqrt, laplacian_pinv_sqrt
 
 SHADOW_TOL = 1e-8
@@ -31,17 +30,15 @@ def shadow_dual_residuals(algorithm, problem, gossip, params, x0, iterations):
     l_op = graph_laplacian_sqrt(gossip)
     pinv = laplacian_pinv_sqrt(gossip)
     x_now = x_prev = np.asarray(x0, dtype=float)
-    if algorithm == "adolf":
-        state = adolf_init(problem, gossip, x_now, None, params.alpha0, params.sigma0())
-        step = adolf_step
-    else:
-        state = adolf_local_init(problem, gossip, x_now, None, params)
-        step = adolf_local_step
+    init, step = ((adolf_init, adolf_step) if algorithm == "adolf"
+                  else (adolf_local_init, adolf_local_step))
+    state = init(problem, gossip, params, x_now)
     y = np.zeros_like(x_now)
     worst_lift = worst_pinv = 0.0
     while True:
         # the step that produced state scaled row i of the dual increment by sigma_i alpha_i
-        sigma_alpha = _rows(sigma_value(params.sigma, state.alpha) * state.alpha)
+        sigma_k = params.sigma / state.alpha**2 if params.strongly_convex else params.sigma_bar
+        sigma_alpha = _rows(sigma_k * state.alpha)
         gamma = _rows(state.gamma)
         y = y + l_op @ (sigma_alpha * ((1.0 + gamma) * x_now - gamma * x_prev))
         d_norm = 1.0 + np.linalg.norm(state.dual)

@@ -19,7 +19,7 @@ from decopt.objectives import ProblemInstance, synth_logistic, synth_ridge
 from decopt.runner import compare, default_extra_grid
 from decopt.solvers import FixedStepParams, StopRule, adolf_init, adolf_step, condat_vu_init
 from decopt.solvers import condat_vu_step, run
-from decopt.stepsize import GrowthPolicy, SigmaSchedule, StepsizeParams, gamma_ratio_bound
+from decopt.stepsize import GrowthPolicy, StepsizeParams, gamma_ratio_bound
 from decopt.topology import graph_laplacian_sqrt, make_erdos_renyi, make_ring_graph
 from decopt.topology import metropolis_hastings, psd_shift
 from shadow_dual import shadow_dual_residuals
@@ -68,8 +68,7 @@ def logistic_adolf_trace(logistic_setup):
     """One 2000-iteration convex-mode run serving criteria 3 and 4."""
     problem, gossip, saddle, l_op = logistic_setup
     params = StepsizeParams(
-        mode="convex_global", c1=0.9, c2=0.9, alpha0=1e-3,
-        sigma=SigmaSchedule(kind="constant", sigma_bar=1.0),
+        c1=0.9, c2=0.9, alpha0=1e-3, sigma_bar=1.0,
     )
     recorder = TraceRecorder(problem, l_op, saddle, cadence=1)
     start = time.perf_counter()
@@ -89,17 +88,15 @@ def ridge50_setup():
 
 def sc_global_params():
     return StepsizeParams(
-        mode="strongly_convex_global", c1=0.5, c2=0.99, alpha0=1e-3,
+        strongly_convex=True, c1=0.5, c2=0.99, alpha0=1e-3, sigma=0.2,
         growth=GrowthPolicy(kind="ratio_power", beta1=10, beta2=1),
-        sigma=SigmaSchedule(kind="inverse_alpha_sq", sigma=0.2),
     )
 
 
 def sc_local_params():
     return StepsizeParams(
-        mode="local", c1=0.5, c2=0.99, alpha0=1e-3, eta=0.9,
+        strongly_convex=True, local=True, c1=0.5, c2=0.99, alpha0=1e-3, eta=0.9, sigma=0.2,
         growth=GrowthPolicy(kind="additive", a=6 / np.pi**2),
-        sigma=SigmaSchedule(kind="inverse_alpha_sq", sigma=0.2),
     )
 
 
@@ -128,15 +125,15 @@ def test_criterion_01_oracle_equivalence():
     params = FixedStepParams(alpha=1e-2, sigma=1.0, gamma=1.0)
     rng = np.random.default_rng(0)
     x0 = rng.standard_normal((5, 3))
-    a_state = adolf_init(problem, gossip, x0, None, params.alpha, params.sigma, params.gamma)
-    c_state = condat_vu_init(problem, gossip, x0, None, params)
+    a_state = adolf_init(problem, gossip, params, x0)
+    c_state = condat_vu_init(problem, gossip, params, x0)
     l_op = graph_laplacian_sqrt(gossip)
     worst = 0.0
     for _ in range(100):
         worst = max(worst, float(np.linalg.norm(a_state.x_now - c_state.x_now)))
         worst = max(worst, float(np.linalg.norm(a_state.dual - l_op @ c_state.y)))
         a_state = adolf_step(a_state, problem, gossip, params)
-        c_state = condat_vu_step(c_state, problem)
+        c_state = condat_vu_step(c_state, problem, gossip, params)
     elapsed = time.perf_counter() - start
     assert worst <= 1e-10
     assert elapsed < 1.0
@@ -178,7 +175,7 @@ def test_criterion_03_adaptive_descent_certificates(logistic_setup, logistic_ado
     for r_now, r_next in zip(rows[:1000], rows[1:1001]):
         assert r_next.lyapunov <= r_now.lyapunov + 1e-10 * (1.0 + r_now.lyapunov)
     # selection certificates at every iteration
-    sigma_bar = params.sigma.sigma_bar
+    sigma_bar = params.sigma_bar
     for r_now, r_next in zip(rows[:1000], rows[1:1001]):
         if r_now.L_k is not None:
             guard = 1.0 / (np.sqrt(r_now.L_k**2 + 2 * sigma_bar / params.c1) + r_now.L_k)
@@ -243,9 +240,8 @@ def test_criterion_06_local_stepsize_consensus(ridge50_setup, logistic_setup, lo
     # logistic instance, convex local mode
     problem, gossip, saddle, l_op = logistic_setup
     params = StepsizeParams(
-        mode="local", c1=0.9, c2=0.9, alpha0=1e-3, eta=0.9,
+        local=True, c1=0.9, c2=0.9, alpha0=1e-3, eta=0.9, sigma_bar=1.0,
         growth=GrowthPolicy(kind="additive", a=6 / np.pi**2),
-        sigma=SigmaSchedule(kind="constant", sigma_bar=1.0),
     )
     recorder = TraceRecorder(problem, l_op, saddle, cadence=1)
     log_trace = run("adolf_local", problem, gossip, params, StopRule(max_iter=2000),

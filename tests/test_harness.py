@@ -198,15 +198,13 @@ class TestStepsizeParamTranslation:
     def test_strongly_convex(self):
         cfg = parse_config_dict(small_ridge_raw())
         params = cfg.algorithm.stepsize_params()
-        assert params.mode == "strongly_convex_global"
-        assert params.sigma.kind == "inverse_alpha_sq"
+        assert params.strongly_convex and not params.local
         assert params.growth.kind == "ratio_power"
 
     def test_local_convex(self):
         raw = small_ridge_raw(algorithm={"kind": "adolf_local", "mode": "convex"})
         params = parse_config_dict(raw).algorithm.stepsize_params()
-        assert params.mode == "local"
-        assert params.sigma.kind == "constant"
+        assert params.local and not params.strongly_convex
 
 
 class TestRunExperiment:
@@ -367,6 +365,15 @@ class TestCompare:
         result = compare([adolf_cfg, coarse], out_dir=tmp_path)
         assert len(result.rows) == 2
 
+    def test_merit_stop_reaches_threshold_at_final_row(self, tmp_path):
+        # the stop rule tests the ergodic merit the rows report, not the merit at X^k
+        raw = small_ridge_raw(stop={"max_iter": 20_000, "metric": "merit", "threshold": 1.0e-2,
+                                    "cadence": 10}, diagnostics={"cadence": 10})
+        row = compare([parse_config_dict(raw)], out_dir=tmp_path).rows[0]
+        assert row.status == "converged"
+        assert row.comms_to_threshold == row.comm_vector
+        assert row.final_metric <= 1.0e-2
+
     def test_threshold_per_run(self, tmp_path):
         adolf_cfg, _ = self.make_pair()  # distance_sq <= 1e-6
         loose = replace(adolf_cfg, name="loose", stop=replace(adolf_cfg.stop, threshold=1e-2))
@@ -490,6 +497,18 @@ class TestCli:
                               stop={"max_iter": 100})
         path = self.write_config(tmp_path, raw)
         assert cli.main(["run", str(path), "--out", str(tmp_path / "d")]) == 4
+
+    def test_preset_divergence_exit_code(self, tmp_path, monkeypatch, capsys):
+        def diverging(*args, **kwargs):  # 100 rounds each, extra at a stepsize that diverges
+            configs = [replace(cfg, stop=replace(cfg.stop, max_iter=100))
+                       for cfg in runner.figure_preset(*args, **kwargs)]
+            configs[2] = replace(configs[2], algorithm=AlgorithmConfig(kind="extra", alpha=50.0))
+            return configs
+
+        monkeypatch.setattr(cli, "figure_preset", diverging)
+        code = cli.main(["preset", "fig2_line", "--out", str(tmp_path / "p")])
+        assert code == 4
+        assert "diverged" in capsys.readouterr().out
 
     def test_grid_metric_without_saddle_exit_code(self, tmp_path, capsys):
         raw = small_ridge_raw(algorithm={"kind": "extra", "grid": [0.01, 0.1, 1.0]},
@@ -735,3 +754,13 @@ def test_readme_config_block_parses():
     assert len(blocks) == 1
     cfg = parse_config_dict(yaml.safe_load(blocks[0]))
     assert cfg.stop.threshold == 1e-8
+
+
+def test_readme_library_block_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    assert len(blocks) == 1
+    namespace = {}
+    exec(compile(blocks[0], "README.md", "exec"), namespace)
+    assert namespace["trace"].status == "converged"
+    assert namespace["trace"].final.distance_sq <= 1e-8

@@ -20,7 +20,7 @@ from decopt.solvers import (
     extra_step,
     run,
 )
-from decopt.stepsize import GrowthPolicy, SigmaSchedule, StepsizeParams
+from decopt.stepsize import GrowthPolicy, StepsizeParams
 from decopt.diagnostics import METRICS
 from faults import NanOutsideBall, nan_gradient_problem
 from sequential_grid import sequential_grid_search
@@ -42,8 +42,7 @@ def mh_shifted(graph, c=0.4):
 
 def convex_params(**kw):
     defaults = dict(
-        mode="convex_global", c1=0.9, c2=0.9, alpha0=1e-3,
-        sigma=SigmaSchedule(kind="constant", sigma_bar=1.0),
+        c1=0.9, c2=0.9, alpha0=1e-3, sigma_bar=1.0,
     )
     defaults.update(kw)
     return StepsizeParams(**defaults)
@@ -51,9 +50,8 @@ def convex_params(**kw):
 
 def sc_params(**kw):
     defaults = dict(
-        mode="strongly_convex_global", c1=0.5, c2=0.99, alpha0=1e-3,
+        strongly_convex=True, c1=0.5, c2=0.99, alpha0=1e-3, sigma=0.2,
         growth=GrowthPolicy(kind="ratio_power", beta1=10, beta2=1),
-        sigma=SigmaSchedule(kind="inverse_alpha_sq", sigma=0.2),
     )
     defaults.update(kw)
     return StepsizeParams(**defaults)
@@ -61,9 +59,8 @@ def sc_params(**kw):
 
 def local_params(**kw):
     defaults = dict(
-        mode="local", c1=0.9, c2=0.9, alpha0=1e-3, eta=0.9,
+        local=True, c1=0.9, c2=0.9, alpha0=1e-3, eta=0.9, sigma_bar=1.0,
         growth=GrowthPolicy(kind="additive", a=6 / np.pi**2),
-        sigma=SigmaSchedule(kind="constant", sigma_bar=1.0),
     )
     defaults.update(kw)
     return StepsizeParams(**defaults)
@@ -82,7 +79,7 @@ class TestAdolfInit:
         gossip = mh_shifted(make_line_graph(4))
         rng = np.random.default_rng(2)
         x0 = rng.standard_normal((4, 3))
-        st = adolf_init(prob, gossip, x0, None, alpha0=0.05, sigma0=2.0, gamma0=1.0)
+        st = adolf_init(prob, gossip, FixedStepParams(alpha=0.05, sigma=2.0, gamma=1.0), x0)
         # X^-1 = X0 and gamma0 = 1 make the mix collapse to X0 itself
         w = gossip.shifted
         expected = 2.0 * 0.05 * (x0 - w @ x0)
@@ -94,7 +91,7 @@ class TestAdolfInit:
         gossip = mh_shifted(make_line_graph(4))
         rng = np.random.default_rng(3)
         x0 = rng.standard_normal((4, 3))
-        st = adolf_init(prob, gossip, x0, np.zeros_like(x0), alpha0=0.05, sigma0=2.0)
+        st = adolf_init(prob, gossip, FixedStepParams(alpha=0.05, sigma=2.0), x0, np.zeros_like(x0))
         w = gossip.shifted
         expected = 2.0 * 0.05 * 2.0 * (x0 - w @ x0)
         np.testing.assert_allclose(st.dual, expected, atol=1e-14)
@@ -103,7 +100,7 @@ class TestAdolfInit:
         prob = synth_ridge(m=5, n=4, d=3, seed=4)
         gossip = mh_shifted(make_erdos_renyi(5, 0.6, seed=0))
         rng = np.random.default_rng(5)
-        st = adolf_init(prob, gossip, rng.standard_normal((5, 3)))
+        st = adolf_init(prob, gossip, FixedStepParams(alpha=1e-3), rng.standard_normal((5, 3)))
         assert np.abs(st.dual.sum(axis=0)).max() <= 1e-12
 
     def test_consensual_stationary_fixed_point(self):
@@ -111,7 +108,7 @@ class TestAdolfInit:
         gossip = mh_shifted(make_line_graph(4))
         x_star = objectives.ridge_exact_solution(prob)
         x0 = np.tile(x_star, (4, 1))
-        st = adolf_init(prob, gossip, x0)
+        st = adolf_init(prob, gossip, FixedStepParams(alpha=1e-3), x0)
         np.testing.assert_allclose(st.dual, 0.0, atol=1e-12)
         np.testing.assert_allclose(st.x_now, x0, atol=1e-12)
 
@@ -124,7 +121,7 @@ class TestAdolfStep:
         x_star = objectives.ridge_exact_solution(prob)
         x_stack = np.tile(x_star, (5, 1))
         grad = prob.stacked_gradient(x_stack)
-        st = solvers.AdolfState(
+        st = solvers.State(
             x_now=x_stack.copy(), x_prev=x_stack.copy(), dual=-grad, grad_prev=grad,
             alpha=0.01, gamma=1.0, sigma=1.0, k=1, comm_vector=1, comm_scalar=0,
         )
@@ -137,7 +134,7 @@ class TestAdolfStep:
         gossip = psd_shift(GossipMatrix(np.array([[1.0]])), c=0.4)
         rng = np.random.default_rng(8)
         x0 = rng.standard_normal((1, 4))
-        st = adolf_init(prob, gossip, x0, alpha0=0.01, sigma0=1.0)
+        st = adolf_init(prob, gossip, FixedStepParams(alpha=0.01, sigma=1.0), x0)
         params = convex_params(alpha0=0.01)
         xs = [x0.copy(), st.x_now.copy()]
         alphas = [0.01]
@@ -169,7 +166,7 @@ class TestAdolfStep:
 
         prob = CountingProblem(synth_ridge(m=4, n=5, d=3, seed=9))
         gossip = mh_shifted(make_line_graph(4))
-        st = adolf_init(prob, gossip, np.zeros((4, 3)))
+        st = adolf_init(prob, gossip, FixedStepParams(alpha=1e-3), np.zeros((4, 3)))
         assert calls["grad"] == 1
         for i in range(6):
             st = adolf_step(st, prob, gossip, convex_params())
@@ -182,7 +179,7 @@ class TestAdolfStep:
         gossip = mh_shifted(make_line_graph(4))
         params = convex_params()
         rng = np.random.default_rng(11)
-        st = adolf_init(prob, gossip, rng.standard_normal((4, 3)))
+        st = adolf_init(prob, gossip, FixedStepParams(alpha=1e-3), rng.standard_normal((4, 3)))
         triples = [(st.alpha, st.gamma, st.sigma)]
         for _ in range(30):
             st = adolf_step(st, prob, gossip, params)
@@ -215,14 +212,14 @@ class TestCondatVuEquivalence:
         params = FixedStepParams(alpha=1e-2, sigma=1.0, gamma=1.0)
         rng = np.random.default_rng(0)
         x0 = rng.standard_normal((5, 3))
-        a_st = adolf_init(prob, gossip, x0, None, params.alpha, params.sigma, params.gamma)
-        c_st = condat_vu_init(prob, gossip, x0, None, params)
+        a_st = adolf_init(prob, gossip, params, x0)
+        c_st = condat_vu_init(prob, gossip, params, x0)
         l_op = graph_laplacian_sqrt(gossip)
         for _ in range(100):
             assert np.linalg.norm(a_st.x_now - c_st.x_now) <= 1e-10
             assert np.linalg.norm(a_st.dual - l_op @ c_st.y) <= 1e-10
             a_st = adolf_step(a_st, prob, gossip, params)
-            c_st = condat_vu_step(c_st, prob)
+            c_st = condat_vu_step(c_st, prob, gossip, params)
 
     def test_prox_of_zero_conjugate_is_linear_update(self):
         prob = synth_ridge(m=3, n=4, d=2, seed=13)
@@ -230,10 +227,10 @@ class TestCondatVuEquivalence:
         params = FixedStepParams(alpha=0.02, sigma=0.5, gamma=1.0)
         rng = np.random.default_rng(14)
         x0 = rng.standard_normal((3, 2))
-        st = condat_vu_init(prob, gossip, x0, None, params)
-        l_op = st.l_op
+        st = condat_vu_init(prob, gossip, params, x0)
+        l_op = gossip.laplacian_sqrt
         y_prev, x_prev, x_now = st.y.copy(), st.x_prev.copy(), st.x_now.copy()
-        new = condat_vu_step(st, prob)
+        new = condat_vu_step(st, prob, gossip, params)
         expected_y = y_prev + params.sigma * params.alpha * (
             l_op @ ((1 + params.gamma) * x_now - params.gamma * x_prev)
         )
@@ -250,9 +247,9 @@ class TestAdolfLocal:
         params_l = local_params(c1=0.9, c2=0.9)
         rng = np.random.default_rng(16)
         x0 = np.tile(rng.standard_normal(3), (4, 1))
-        st_l = adolf_local_init(prob, gossip, x0, params=params_l)
+        st_l = adolf_local_init(prob, gossip, params_l, x0)
         w = gossip.shifted
-        sigma_bar = params_l.sigma.sigma_bar
+        sigma_bar = params_l.sigma_bar
         # replay state for the scalar-form update
         x_now, x_prev, dual = st_l.x_now.copy(), x0.copy(), st_l.dual.copy()
         for _ in range(40):
@@ -274,7 +271,7 @@ class TestAdolfLocal:
         gossip = mh_shifted(make_line_graph(4))
         x_star = objectives.ridge_exact_solution(prob)
         x0 = np.tile(x_star, (4, 1))
-        st = adolf_local_init(prob, gossip, x0, params=local_params())
+        st = adolf_local_init(prob, gossip, local_params(), x0)
         for _ in range(3):
             st = adolf_local_step(st, prob, gossip, local_params())
             np.testing.assert_allclose(st.x_now, x0, atol=1e-11)
@@ -283,7 +280,7 @@ class TestAdolfLocal:
         prob = synth_ridge(m=6, n=5, d=4, seed=17)
         gossip = mh_shifted(make_erdos_renyi(6, 0.5, seed=3))
         rng = np.random.default_rng(18)
-        st = adolf_local_init(prob, gossip, rng.standard_normal((6, 4)), params=local_params())
+        st = adolf_local_init(prob, gossip, local_params(), rng.standard_normal((6, 4)))
         for _ in range(25):
             st = adolf_local_step(st, prob, gossip, local_params())
             assert np.abs(st.dual.sum(axis=0)).max() <= 1e-9 * (1 + np.linalg.norm(st.dual))
@@ -292,10 +289,9 @@ class TestAdolfLocal:
         prob = synth_ridge(m=5, n=6, d=4, seed=19)
         gossip = mh_shifted(make_erdos_renyi(5, 0.6, seed=4))
         params = local_params(
-            c1=0.5, c2=0.99,
-            sigma=SigmaSchedule(kind="inverse_alpha_sq", sigma=0.2),
+            c1=0.5, c2=0.99, strongly_convex=True, sigma=0.2,
         )
-        st = adolf_local_init(prob, gossip, np.zeros((5, 4)), params=params)
+        st = adolf_local_init(prob, gossip, params, np.zeros((5, 4)))
         spreads = []
         for _ in range(400):
             st = adolf_local_step(st, prob, gossip, params)
@@ -310,7 +306,7 @@ class TestAdolfLocal:
         prob = synth_ridge(m=3, n=4, d=2, seed=20)
         gossip = mh_shifted(make_line_graph(3))
         with pytest.raises(ConfigError):
-            adolf_local_init(prob, gossip, np.zeros((3, 2)), params=convex_params())
+            adolf_local_init(prob, gossip, convex_params(), np.zeros((3, 2)))
 
 
 class TestExtra:
@@ -320,31 +316,34 @@ class TestExtra:
         rng = np.random.default_rng(22)
         x0 = rng.standard_normal((1, 4))
         alpha = 0.03
-        st = extra_init(prob, gossip, x0, ExtraParams(alpha))
+        params = ExtraParams(alpha)
+        st = extra_init(prob, gossip, params, x0)
         x = x0.copy()
         for _ in range(8):
             x = x - alpha * prob.stacked_gradient(x)
             np.testing.assert_allclose(st.x_now, x, atol=1e-12)
-            st = extra_step(st, prob, gossip)
+            st = extra_step(st, prob, gossip, params)
 
     def test_consensual_stationary_fixed_point(self):
         prob = homogeneous_problem(4)
         gossip = mh_shifted(make_line_graph(4))
         x_star = objectives.ridge_exact_solution(prob)
         x0 = np.tile(x_star, (4, 1))
-        st = extra_init(prob, gossip, x0, ExtraParams(0.05))
+        params = ExtraParams(0.05)
+        st = extra_init(prob, gossip, params, x0)
         for _ in range(4):
             np.testing.assert_allclose(st.x_now, x0, atol=1e-11)
-            st = extra_step(st, prob, gossip)
+            st = extra_step(st, prob, gossip, params)
 
     def test_geometric_convergence_to_exact_solution(self):
         prob = synth_ridge(m=5, n=6, d=4, seed=23)
         gossip = mh_shifted(make_erdos_renyi(5, 0.7, seed=5))
         saddle = compute_saddle(prob, gossip)
-        st = extra_init(prob, gossip, np.zeros((5, 4)), ExtraParams(0.05))
+        params = ExtraParams(0.05)
+        st = extra_init(prob, gossip, params, np.zeros((5, 4)))
         dists = []
         for _ in range(800):
-            st = extra_step(st, prob, gossip)
+            st = extra_step(st, prob, gossip, params)
             dists.append(float(np.sum((st.x_now - saddle.x_stack) ** 2)))
         assert dists[-1] <= 1e-18
         # tail slope strictly negative on a log scale
@@ -369,10 +368,11 @@ class TestExtra:
                 return getattr(self._inner, name)
 
         gossip = CountingGossip(mh_shifted(make_line_graph(4)))
-        st = extra_init(prob, gossip, np.zeros((4, 3)), ExtraParams(0.01))
+        params = ExtraParams(0.01)
+        st = extra_init(prob, gossip, params, np.zeros((4, 3)))
         base = gossip.mults
         for _ in range(5):
-            st = extra_step(st, prob, gossip)
+            st = extra_step(st, prob, gossip, params)
         assert gossip.mults - base == 5  # one W product per round
         assert st.comm_vector == 6
 
@@ -461,6 +461,57 @@ class TestRunLoop:
             with pytest.raises(ConfigError):
                 run(algorithm, prob, gossip, params, StopRule(max_iter=5), rec,
                     np.zeros((4, 3)))
+
+
+# each engine's (init, step, params of its kind) and the message its init gives
+# params of another kind
+ENGINES = {
+    "adolf": (adolf_init, adolf_step, sc_params(),
+              "adolf needs FixedStepParams or global-mode StepsizeParams"),
+    "adolf_local": (adolf_local_init, adolf_local_step, local_params(),
+                    "adolf_local needs StepsizeParams in local mode"),
+    "condat_vu": (condat_vu_init, condat_vu_step, FixedStepParams(alpha=0.01),
+                  "condat_vu needs FixedStepParams"),
+    "extra": (extra_init, extra_step, ExtraParams(alpha=0.05), "extra needs ExtraParams"),
+}
+
+
+class TestEngineContract:
+    @pytest.mark.parametrize("algorithm", list(ENGINES))
+    def test_run_is_init_then_step(self, algorithm):
+        init, step, params, _ = ENGINES[algorithm]
+        prob = synth_ridge(m=4, n=5, d=3, seed=31)
+        gossip = mh_shifted(make_erdos_renyi(4, 0.7, seed=2))
+        saddle = compute_saddle(prob, gossip)
+        l_op = graph_laplacian_sqrt(gossip)
+        x0 = np.random.default_rng(32).standard_normal((4, 3))
+        trace = run(algorithm, prob, gossip, params, StopRule(max_iter=25),
+                    TraceRecorder(prob, l_op, saddle, cadence=1), x0)
+        # the same states by hand, from State(X^0, X^-1, dual=0), through a fresh recorder
+        recorder = TraceRecorder(prob, l_op, saddle, cadence=1)
+        state = solvers.State(x0, x0, dual=np.zeros_like(x0))
+        for k in range(25):
+            new = init(prob, gossip, params, x0) if k == 0 else step(state, prob, gossip, params)
+            recorder.observe(state, new)
+            state = new
+        recorder.finalize(state)
+        assert trace.status == "budget"
+        assert trace.to_csv() == recorder.trace.to_csv()
+
+    @pytest.mark.parametrize("algorithm", list(ENGINES))
+    def test_init_rejects_other_params(self, algorithm):
+        init, _, _, message = ENGINES[algorithm]
+        prob = synth_ridge(m=3, n=4, d=2, seed=33)
+        gossip = mh_shifted(make_line_graph(3))
+        rec = TraceRecorder(prob, graph_laplacian_sqrt(gossip), None, cadence=1)
+        others = [params for name, (_, _, params, _) in ENGINES.items() if name != algorithm
+                  and not (algorithm == "adolf" and name == "condat_vu")]  # adolf takes both
+        assert len(others) == (2 if algorithm == "adolf" else 3)
+        for params in others:
+            with pytest.raises(ConfigError, match=f"^{message}$"):
+                init(prob, gossip, params, np.zeros((3, 2)))
+            with pytest.raises(ConfigError, match=f"^{message}$"):
+                run(algorithm, prob, gossip, params, StopRule(max_iter=5), rec, np.zeros((3, 2)))
 
 
 class TestGridSearch:
@@ -622,12 +673,12 @@ class TestRestrictedOnRuns:
         x0 = np.random.default_rng(30).standard_normal((6, 8))
         if algorithm == "adolf":
             params = sc_params()
-            state = adolf_init(prob, gossip, x0, alpha0=params.alpha0, sigma0=params.sigma0())
+            state = adolf_init(prob, gossip, params, x0)
             advance = lambda s: adolf_step(s, prob, gossip, params)
         else:
             params = ExtraParams(alpha=0.05)
-            state = extra_init(prob, gossip, x0, params)
-            advance = lambda s: extra_step(s, prob, gossip)
+            state = extra_init(prob, gossip, params, x0)
+            advance = lambda s: extra_step(s, prob, gossip, params)
         l_ks, mu_ks = [], []
         for _ in range(self.ITERATIONS - 1):
             dx = state.x_now - state.x_prev

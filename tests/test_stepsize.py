@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from decopt import stepsize, topology
+from decopt import topology
 from decopt.errors import NumericError, ParameterError
 from decopt.objectives import synth_ridge
 from decopt.solvers import adolf_local_init
 from decopt.stepsize import (
     GrowthPolicy,
-    SigmaSchedule,
     StepsizeParams,
     curvature_global,
     curvature_local,
@@ -22,28 +21,26 @@ from decopt.stepsize import (
     local_tilde,
     select_alpha_convex,
     select_alpha_strongly_convex,
-    sigma_value,
 )
 from scalar_local_rule import scalar_candidate, scalar_cap, scalar_local_rule
 
 
 def convex_params(c1=1.0, c2=1.0, growth=None):
     return StepsizeParams(
-        mode=stepsize.MODE_CONVEX,
         c1=c1,
         c2=c2,
         growth=growth or GrowthPolicy(),
-        sigma=SigmaSchedule(kind="constant", sigma_bar=1.0),
+        sigma_bar=1.0,
     )
 
 
 def sc_params(c1=0.5, c2=0.99, sigma=0.2, growth=None):
     return StepsizeParams(
-        mode=stepsize.MODE_STRONGLY_CONVEX,
+        strongly_convex=True,
         c1=c1,
         c2=c2,
         growth=growth or GrowthPolicy(kind="ratio_power", beta1=10, beta2=1),
-        sigma=SigmaSchedule(kind="inverse_alpha_sq", sigma=sigma),
+        sigma=sigma,
     )
 
 
@@ -132,7 +129,7 @@ class TestConvexSelection:
         # every emitted triple satisfies the descent certificates
         rng = np.random.default_rng(seed)
         params = convex_params(c1=0.9, c2=0.9)
-        sigma_bar = params.sigma.sigma_bar
+        sigma_bar = params.sigma_bar
         state = (10.0 ** rng.uniform(-4, 0), 1.0, 1)
         emitted = []
         for k in range(1, steps + 1):
@@ -161,11 +158,11 @@ class TestConvexSelection:
         params = convex_params(c1=0.9, c2=0.9)
         l_hat = rng.uniform(0.5, 20.0)
         alpha0 = 10.0 ** rng.uniform(-4, -1)
-        floor = min(alpha0, curvature_guard(l_hat, params.sigma.sigma_bar, params.c1))
+        floor = min(alpha0, curvature_guard(l_hat, params.sigma_bar, params.c1))
         state = (alpha0, 1.0, 1)
         for k in range(1, 80):
             alpha, gamma = select_alpha_convex(
-                rng.uniform(0, l_hat), params.sigma.sigma_bar, *state, params
+                rng.uniform(0, l_hat), params.sigma_bar, *state, params
             )
             assert alpha >= floor - 1e-12
             state = (alpha, gamma, k + 1)
@@ -235,12 +232,12 @@ class TestLocalRules:
 
     def local_params(self, a=0.01, eta=0.9, c2=0.5):
         return StepsizeParams(
-            mode=stepsize.MODE_LOCAL,
+            local=True,
             c1=1.0,
             c2=c2,
             eta=eta,
             growth=GrowthPolicy(kind="additive", a=a),
-            sigma=SigmaSchedule(kind="constant", sigma_bar=1.0),
+            sigma_bar=1.0,
         )
 
     def test_tilde_decrease_branch(self):
@@ -330,12 +327,12 @@ def local_rule_cases(draw):
     m = draw(st.integers(1, 7))
     c1 = draw(st.floats(0.05, 1.0))
     if draw(st.booleans()):
-        sigma = SigmaSchedule(kind="inverse_alpha_sq", sigma=draw(st.floats(0.02, 0.98)) * c1 / 2)
+        sigma = dict(strongly_convex=True, sigma=draw(st.floats(0.02, 0.98)) * c1 / 2)
     else:
-        sigma = SigmaSchedule(kind="constant", sigma_bar=draw(st.floats(1e-3, 1e3)))
+        sigma = dict(sigma_bar=draw(st.floats(1e-3, 1e3)))
     params = StepsizeParams(
-        mode="local", c1=c1, c2=draw(st.floats(0.01, 1.0)), eta=draw(st.floats(0.05, 0.95)),
-        growth=GrowthPolicy(kind="additive", a=draw(st.floats(1e-6, 1.0))), sigma=sigma,
+        local=True, c1=c1, c2=draw(st.floats(0.01, 1.0)), eta=draw(st.floats(0.05, 0.95)),
+        growth=GrowthPolicy(kind="additive", a=draw(st.floats(1e-6, 1.0))), **sigma,
     )
     k = draw(st.integers(1, 10_000))
     agents = st.lists(st.floats(1e-6, 10.0), min_size=m, max_size=m)
@@ -366,10 +363,10 @@ class TestVectorLocalRule:
     def test_matches_scalar_reference_bit_for_bit(self, case):
         l_vec, alpha_prev, gamma_prev, mask, params, k = case
         # the composition adolf_local_step makes, over all agents at once
-        if params.strongly_convex_sigma:
-            hat = local_candidate_strongly_convex(l_vec, params.sigma.sigma, params.c1)
+        if params.strongly_convex:
+            hat = local_candidate_strongly_convex(l_vec, params.sigma, params.c1)
         else:
-            hat = curvature_guard(l_vec, params.sigma.sigma_bar, params.c1)
+            hat = curvature_guard(l_vec, params.sigma_bar, params.c1)
         tilde = local_tilde(hat, alpha_prev, gamma_prev, params, k)
         alpha, gamma = local_min_consensus(tilde, mask, alpha_prev)
         reference = scalar_local_rule(l_vec, alpha_prev, gamma_prev, mask, params, k)
@@ -379,7 +376,7 @@ class TestVectorLocalRule:
         assert np.all(alpha > 0.0) and np.all(np.isfinite(alpha))
 
     def test_boundary_candidate_takes_the_shrink_branch(self):
-        params = StepsizeParams(mode="local", c1=1.0, eta=0.5,
+        params = StepsizeParams(local=True, c1=1.0, eta=0.5,
                                 growth=GrowthPolicy(kind="additive", a=0.25))
         alpha_prev = np.array([1.0, 1.0])
         hat = np.array([1.25, np.nextafter(1.25, 2.0)])  # cap at k=1 is exactly 1.25
@@ -394,12 +391,12 @@ class TestVectorLocalRule:
 
 
 class TestSchedulesAndPolicies:
-    def test_sigma_values(self):
-        assert sigma_value(SigmaSchedule(kind="constant", sigma_bar=2.0), 0.5) == 2.0
-        inv = SigmaSchedule(kind="inverse_alpha_sq", sigma=0.2)
-        assert sigma_value(inv, 0.1) == pytest.approx(20.0, rel=1e-15)
+    def test_dual_scale_per_regime(self):
+        assert StepsizeParams(alpha0=0.5, sigma_bar=2.0).sigma0() == 2.0
+        inv = StepsizeParams(strongly_convex=True, c1=0.5, alpha0=0.1, sigma=0.2)
+        assert inv.sigma0() == pytest.approx(20.0, rel=1e-15)
         # product sigma_k * alpha_k reduces to sigma / alpha
-        assert sigma_value(inv, 0.1) * 0.1 == pytest.approx(2.0, rel=1e-15)
+        assert inv.sigma0() * 0.1 == pytest.approx(2.0, rel=1e-15)
 
     def test_growth_unbounded(self):
         assert GrowthPolicy().cap(0.3, 5) is None
@@ -425,32 +422,31 @@ class TestSchedulesAndPolicies:
 
     def test_params_validation(self):
         with pytest.raises(ParameterError):
-            StepsizeParams(mode="local", eta=1.5, growth=GrowthPolicy(kind="additive"))
+            StepsizeParams(local=True, eta=1.5, growth=GrowthPolicy(kind="additive"))
         with pytest.raises(ParameterError):
-            StepsizeParams(mode="local", growth=GrowthPolicy())  # needs additive
+            StepsizeParams(local=True, growth=GrowthPolicy())  # needs additive
         with pytest.raises(ParameterError):
             StepsizeParams(c1=0.0)
         with pytest.raises(ParameterError):
-            StepsizeParams(mode="strongly_convex_global", sigma=SigmaSchedule())
+            StepsizeParams(strongly_convex=True, c1=0.5, sigma=0.25)  # needs sigma < c1/2
 
     def test_local_state_uniform(self):
-        params = StepsizeParams(mode="local", alpha0=1e-3, growth=GrowthPolicy(kind="additive"))
+        params = StepsizeParams(local=True, alpha0=1e-3, growth=GrowthPolicy(kind="additive"))
         gossip = topology.psd_shift(topology.metropolis_hastings(topology.make_line_graph(4)))
-        st_local = adolf_local_init(synth_ridge(4, 3, 2, seed=0), gossip, np.zeros((4, 2)),
-                                    params=params)
+        st_local = adolf_local_init(synth_ridge(4, 3, 2, seed=0), gossip, params,
+                                    np.zeros((4, 2)))
         np.testing.assert_array_equal(st_local.alpha, np.full(4, 1e-3))
         np.testing.assert_array_equal(st_local.gamma, np.ones(4))
 
     @pytest.mark.parametrize("alpha0", [1.0e200, 1.0e-320])
     def test_alpha0_must_keep_sigma0_finite(self, alpha0):
         with pytest.raises(ParameterError, match="alpha0"):
-            StepsizeParams(mode="strongly_convex_global", c1=0.5, alpha0=alpha0,
-                           growth=GrowthPolicy(kind="ratio_power"),
-                           sigma=SigmaSchedule(kind="inverse_alpha_sq", sigma=0.2))
+            StepsizeParams(strongly_convex=True, c1=0.5, alpha0=alpha0,
+                           growth=GrowthPolicy(kind="ratio_power"), sigma=0.2)
 
     def test_non_finite_constants_rejected(self):
         with pytest.raises(ParameterError):
-            SigmaSchedule(kind="constant", sigma_bar=math.inf)
+            StepsizeParams(sigma_bar=math.inf)
         with pytest.raises(ParameterError):
             GrowthPolicy(kind="additive", a=math.inf)
         with pytest.raises(ParameterError):
@@ -459,10 +455,10 @@ class TestSchedulesAndPolicies:
     def test_sigma0(self):
         params = sc_params(sigma=0.2)
         params = StepsizeParams(
-            mode=stepsize.MODE_STRONGLY_CONVEX,
+            strongly_convex=True,
             c1=0.5,
             alpha0=0.1,
             growth=GrowthPolicy(kind="ratio_power"),
-            sigma=SigmaSchedule(kind="inverse_alpha_sq", sigma=0.2),
+            sigma=0.2,
         )
         assert params.sigma0() == pytest.approx(0.2 / 0.01, rel=1e-15)
