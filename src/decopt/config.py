@@ -27,7 +27,7 @@ import yaml
 from .diagnostics import DEFAULT_METRIC, SADDLE_METRICS
 from .errors import ConfigError, ParameterError
 from .solvers import StopRule
-from .stepsize import GrowthPolicy, StepsizeParams
+from .stepsize import GROWTH_UNBOUNDED, GrowthPolicy, StepsizeParams
 
 __all__ = [
     "ProblemConfig",
@@ -165,6 +165,10 @@ class AlgorithmConfig:
         if self.kind in ("adolf", "adolf_local"):
             _require(self.mode in ("convex", "strongly_convex"), "algorithm.mode",
                      f"must be convex or strongly_convex, got {self.mode!r}")
+            _require(self.mode == "convex" or self.resolved_growth().kind != GROWTH_UNBOUNDED,
+                     "algorithm.growth.kind",
+                     "unbounded growth is valid in convex mode only; strongly convex mode "
+                     "needs additive or ratio_power")
             try:
                 self.stepsize_params()
             except ParameterError as exc:

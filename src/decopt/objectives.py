@@ -116,7 +116,12 @@ def _lane_pool():
 
 
 def _forget_lane_pool() -> None:
-    """In a forked child, which has none of its parent's lane threads."""
+    """In a forked child, which has none of its parent's lane threads.
+
+    decopt itself never forks; this protects a caller that does, such as a
+    ``multiprocessing`` pool with the fork start method, so that a child
+    starts its own lane threads instead of waiting on its parent's.
+    """
     global _LANE_POOL, _LANE_POOL_LOCK
     _LANE_POOL, _LANE_POOL_LOCK = None, threading.Lock()
 

@@ -154,7 +154,6 @@ class RunManifest:
     l_tilde_hat: float | None = None  # max observed secant curvature; None if none positive
     mu_tilde_hat: float | None = None  # min observed secant strong convexity
     lanes: int = 1  # agent lanes of the instance's batch evaluators
-    grid_lanes: int | None = None  # processes the EXTRA grid search ran on, if one ran
     grid_rounds: int | None = None  # rounds the grid search ran, summed over its points
 
     def to_json(self) -> str:
@@ -213,7 +212,7 @@ def _execute(config: ExperimentConfig, ws: _Workspace
         if algo.grid is not None:
             search = extra_grid_search(
                 ws.problem, ws.gossip, algo.grid, algo.budget, ws.recorder(cadence),
-                stop.metric or DEFAULT_METRIC, ws.x0,
+                stop.metric or DEFAULT_METRIC, ws.x0, stop,
             )
             best_alpha = search.alpha
         else:
@@ -248,7 +247,6 @@ def _manifest_for(config: ExperimentConfig, trace: Trace, csv_path: Path, ws: _W
         l_tilde_hat=_finite(restricted.l_tilde_hat) if restricted.l_tilde_hat > 0 else None,
         mu_tilde_hat=_finite(restricted.mu_tilde_hat),
         lanes=ws.problem.lanes,
-        grid_lanes=None if search is None else search.workers,
         grid_rounds=None if grid is None else sum(point.rounds for point in grid),
     )
 

@@ -20,16 +20,13 @@ its algorithm and hands the trace recorder each pair of consecutive states.
 
 The EXTRA grid search runs many stepsizes without run() or a recorder: it
 advances them as the columns of one (m, G, d) stack, so each round costs one
-stacked gradient and one gossip multiply for the whole block. The blocks
-are independent given their shared start, so they run in forked worker
-processes, up to two per CPU, each taking a fixed stride of the blocks, with
-the same bits as in one.
+stacked gradient and one gossip multiply for the whole block. Under a stop
+threshold it visits the stepsizes from the largest down, and no stepsize
+runs past the round at which a larger one reached the threshold.
 """
 
 from __future__ import annotations
 
-import os
-import pickle
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -73,7 +70,6 @@ __all__ = [
     "extra_step",
     "run",
     "extra_grid_search",
-    "grid_lanes",
     "GridPoint",
     "GridSearch",
     "DIVERGENCE_NORM",
@@ -481,34 +477,34 @@ def run(
 # block is a column of at most GRID_COLUMN_ARRAYS (m, d) arrays: the iterate,
 # the half-mixed previous iterate, the previous and the new gradient, the
 # gossip product (which first serves as the ridge gradient's scratch), and the
-# ergodic sum when ranking on merit. Each grid worker holds one such set of
-# arrays, sized for one block; on the fig2 presets (m=20, d=500, 4 columns a
-# block) that is 1.6 MB, or 1.9 MB when ranking on merit.
+# ergodic sum when ranking on merit. The search holds one such set of arrays,
+# sized for one block; on the fig2 presets (m=20, d=500, 4 columns a block)
+# that is 1.6 MB, or 1.9 MB when ranking on merit.
 GRID_BLOCK_BYTES = 2 * 2**20
 GRID_COLUMN_ARRAYS = 6
 
 
 @dataclass(frozen=True)
 class GridPoint:
-    """One grid stepsize: how its budget run ended and its ranking value.
+    """One grid stepsize: how its run ended and its ranking value.
 
-    rounds is the round it diverged at (the final k run() would report), or
-    the budget; value is None when it diverged or its metric is not finite.
+    rounds is the round it converged, diverged or was cut off at (the final
+    k run() would report); value is its metric at that round, None when it
+    diverged or its metric is not finite.
     """
 
     alpha: float
-    status: str  # budget | diverged
+    status: str  # converged | budget | diverged
     rounds: int
     value: float | None
 
 
 class GridSearch(NamedTuple):
-    """extra_grid_search's result: the chosen stepsize, one GridPoint per grid
-    stepsize in ascending order, and how many processes ran the blocks."""
+    """extra_grid_search's result: the chosen stepsize and one GridPoint per
+    grid stepsize in ascending order."""
 
     alpha: float
     points: list[GridPoint]
-    workers: int
 
 
 def _grid_block_width(m: int, d: int) -> int:
@@ -516,23 +512,8 @@ def _grid_block_width(m: int, d: int) -> int:
     return max(1, GRID_BLOCK_BYTES // (GRID_COLUMN_ARRAYS * 8 * m * d))
 
 
-def grid_lanes(problem: ProblemInstance, blocks: int) -> int:
-    """How many worker processes extra_grid_search plans for a grid of that many blocks.
-
-    One per block, at most two per CPU this process may use, the caller
-    included. Two per CPU let the OS share the CPUs between the long blocks
-    instead of queueing one behind another. One, in this process, on one CPU,
-    where os.fork does not exist, or when the problem's evaluators already
-    split its agents into lanes.
-    """
-    cpus = objectives._cpu_count()
-    if problem.lanes > 1 or cpus == 1 or not hasattr(os, "fork"):
-        return 1
-    return min(2 * cpus, blocks)
-
-
 def _grid_buffers(m: int, width: int, d: int, ergodic: bool) -> list:
-    """One grid worker's flat working arrays for blocks of up to width columns:
+    """The grid search's flat working arrays for blocks of up to width columns:
     iterate, half-mixed previous iterate, previous and new gradient, gossip
     product, and the ergodic sum (None unless ranking on merit)."""
     size = m * width * d
@@ -544,42 +525,64 @@ def _front(flat: list, m: int, width: int, d: int) -> list:
     return [None if buf is None else buf[:m * width * d].reshape(m, width, d) for buf in flat]
 
 
-def _extra_block(problem, gossip, start, alphas, budget, recorder, metric,
+def _extra_block(problem, gossip, start, alphas, cap, recorder, metric, stop,
                  flat) -> list[GridPoint]:
-    """EXTRA at every stepsize of alphas, advanced as one (m, G, d) stack.
+    """EXTRA at every stepsize of alphas (ascending), advanced as one (m, G, d) stack.
 
     Column g follows extra_init and extra_step at alphas[g] from the shared
     start (X^0, W X^0, grad F(X^0)): each round is one gradient call over the
     stack, one gossip multiply and the update, with extra_step's operation
     order. u holds (X^{k-1} + W X^{k-1}) / 2, the only use of X^{k-1} there.
-    A column leaves the stack when run() would end it "diverged": a
-    non-finite dG.dG in round k (curvature_global raises) ends it at k, a
-    non-finite iterate or a Frobenius norm above DIVERGENCE_NORM after round
-    k at k + 1. A surviving column is valued by recorder.metric_value at X^K,
-    or for merit at the mean (X^0 + ... + X^{K-1}) / K, the recorder's
-    ergodic average for EXTRA's gamma of 1.
+    A column ends where run() under stop, with max_iter = cap, would end it:
+    - "diverged" at k when a non-finite dG.dG in round k makes
+      curvature_global raise, or at k + 1 when round k leaves a non-finite
+      iterate or a Frobenius norm above DIVERGENCE_NORM;
+    - "converged" at k when stop has a threshold, k is a multiple of
+      stop.cadence or the cap, and the column's metric is at or below it; a
+      converging column also ends every smaller-stepsize column of the
+      block at k, since k is their cap;
+    - "budget" at its cap otherwise.
+    The metric is recorder.metric_value at X^k, or for merit at the mean
+    (X^0 + ... + X^{k-1}) / k, the recorder's ergodic average for EXTRA's
+    gamma of 1.
 
-    The stacks live at the front of flat, one worker's _grid_buffers, and the
+    The stacks live at the front of flat, the search's _grid_buffers, and the
     rounds allocate nothing of size (m, G, d): the gradients are written
     into two arrays that swap roles every round, and the columns that stay
-    are moved to the front of the arrays when others diverge. G, and so
-    every BLAS call, is the same as with fresh arrays each round.
+    are moved to the front of the arrays when others end. G, and so every
+    BLAS call, is the same as with fresh arrays each round.
     """
     x0, wx0, grad0 = start
     ergodic = metric == "merit"
+    threshold = stop.threshold
     m, d = x0.shape
     live = np.arange(len(alphas))  # block index of each stack column
     alpha = np.asarray(alphas)[:, None]
     points: list[GridPoint | None] = [None] * len(alphas)
     x, u, g_prev, g_new, s, acc = _front(flat, m, len(alphas), d)
     x[...] = x0[:, None, :]
-    for k in range(budget):
+
+    def value(j: int, k: int) -> float | None:
+        """The metric of stack column j after k rounds."""
+        if ergodic:  # at round 0 there is no ergodic average, as in the recorder
+            return None if k == 0 else recorder.metric_value(metric, acc[:, j] / k)
+        return recorder.metric_value(metric, np.ascontiguousarray(x[:, j]))
+
+    def finish(j: int, status: str, k: int, v: float | None) -> None:
+        finite = v is not None and np.isfinite(v)
+        points[live[j]] = GridPoint(alphas[live[j]], status, k, v if finite else None)
+
+    if cap == 0:
+        for j in range(len(alphas)):
+            finish(j, "budget", 0, value(j, 0))
+        return points
+    for k in range(1, cap + 1):  # round k makes X^k
         if ergodic:
-            if k == 0:
+            if k == 1:
                 acc[...] = x
             else:
                 acc += x
-        if k == 0:
+        if k == 1:
             np.subtract(wx0[:, None, :], np.multiply(alpha, grad0[:, None, :], out=s), out=x)
             u[...] = (0.5 * (x0 + wx0))[:, None, :]
             g_prev[...] = grad0[:, None, :]
@@ -595,12 +598,20 @@ def _extra_block(problem, gossip, start, alphas, budget, recorder, metric,
             dg *= alpha
             x -= dg
             g_prev, g_new = g_new, g_prev
-        bad = failed | ~(np.sqrt(np.einsum("mgd,mgd->g", x, x)) <= DIVERGENCE_NORM)
-        if bad.any():
-            for j in np.flatnonzero(bad):
-                rounds = k if failed[j] else k + 1
-                points[live[j]] = GridPoint(alphas[live[j]], "diverged", rounds, None)
-            keep = np.flatnonzero(~bad)
+        ended = failed | ~(np.sqrt(np.einsum("mgd,mgd->g", x, x)) <= DIVERGENCE_NORM)
+        for j in np.flatnonzero(ended):
+            finish(j, "diverged", k - 1 if failed[j] else k, None)
+        if k == cap or (threshold is not None and k % stop.cadence == 0):
+            alive = np.flatnonzero(~ended)
+            values = [value(j, k) for j in alive]
+            met = [threshold is not None and v is not None and v <= threshold for v in values]
+            top = max((i for i, hit in enumerate(met) if hit), default=-1)
+            for i, j in enumerate(alive):
+                if k == cap or i <= top:  # the columns up to the largest converged one
+                    ended[j] = True
+                    finish(j, "converged" if met[i] else "budget", k, values[i])
+        if ended.any():
+            keep = np.flatnonzero(~ended)
             live, alpha = live[keep], alpha[keep]
             if not live.size:
                 break
@@ -610,103 +621,7 @@ def _extra_block(problem, gossip, start, alphas, budget, recorder, metric,
                 if new is not None:  # in one array, new[i] ends before prev[i + 1] starts
                     for i in range(m):
                         new[i] = prev[i, keep]
-    for j, idx in enumerate(live):
-        if ergodic:  # at budget 0 there is no ergodic average, as in the recorder
-            value = None if budget == 0 else recorder.metric_value(metric, acc[:, j] / budget)
-        else:
-            value = recorder.metric_value(metric, np.ascontiguousarray(x[:, j]))
-        finite = value is not None and np.isfinite(value)
-        points[idx] = GridPoint(alphas[idx], "budget", budget, value if finite else None)
     return points
-
-
-def _fork_worker(items: range, work):
-    """(pid, report pipe) of a forked worker running items; None if fork fails.
-
-    The child runs work(i) for each index i in items, in order, pickles
-    {i: work(i)} into its report pipe and leaves through os._exit, so it
-    runs none of the parent's cleanup. If an item raises, it stops there and
-    reports the items before it; the caller runs that item and those after
-    it. Exit status 0 means the report is complete.
-    """
-    report, write_end = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:  # no process to spare: the caller runs these items at the end
-        os.close(report)
-        os.close(write_end)
-        return None
-    if pid == 0:
-        status = 1
-        try:
-            done = {}
-            try:
-                for item in items:
-                    done[item] = work(item)
-            except BaseException:  # the child only exits; the caller runs the item again
-                pass
-            with open(write_end, "wb") as pipe:
-                pickle.dump(done, pipe, protocol=pickle.HIGHEST_PROTOCOL)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_end)
-    return pid, open(report, "rb")
-
-
-def _reap(children: list) -> dict:
-    """Every result the children reported, by item. Each child is waited for on
-    every path: if the caller is interrupted while reading, the reports not
-    read are closed, their writers fail, and they exit."""
-    reports = []
-    try:
-        for _, pipe in children:
-            reports.append(pipe.read())
-    finally:
-        for _, pipe in children:
-            pipe.close()
-        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid, _ in children]
-    results = {}
-    for data, code in zip(reports, codes):
-        if code == 0:  # bytes a worker of this search wrote, so safe to unpickle
-            results.update(pickle.loads(data))
-    return results
-
-
-def _in_grid_workers(count: int, workers: int, work) -> tuple[list, int]:
-    """([work(0), ..., work(count - 1)], the workers that ran them).
-
-    Worker w runs items w, w + workers, w + 2 * workers, ... in order; this
-    process is worker 0, and each other worker is a forked process. A worker
-    stops at its first failing item. Once every child has been waited for,
-    this process runs, in item order, each item that no worker reported (a
-    failed one, one after it, or one of a child that died or never forked);
-    so the first failing item raises here the exception one worker raises,
-    even if it does not pickle or the child that met it died. Plain os.fork,
-    not multiprocessing, which would load ctypes and more into this process:
-    a child starts from this process's memory, with only the thread that
-    forked it; the agent lane pool forgets its threads at fork
-    (objectives._forget_lane_pool).
-    """
-    results, children, failed = {}, [], None
-    try:
-        for w in range(1, workers):
-            if (child := _fork_worker(range(w, count, workers), work)) is None:
-                break
-            children.append(child)
-        try:
-            for item in range(0, count, workers):
-                results[item] = work(item)
-        except Exception as exc:  # raised below, unless an earlier item fails first
-            failed = item, exc
-    finally:
-        results.update(_reap(children))
-    for i in range(count):
-        if i not in results:
-            if failed is not None and failed[0] == i:
-                raise failed[1]
-            results[i] = work(i)
-    return [results[i] for i in range(count)], len(children) + 1
 
 
 def extra_grid_search(
@@ -717,24 +632,37 @@ def extra_grid_search(
     recorder: TraceRecorder,
     metric: str = DEFAULT_METRIC,
     x0: np.ndarray | None = None,
+    stop: StopRule = StopRule(),
 ) -> GridSearch:
-    """Run EXTRA at every grid stepsize for budget rounds; pick the best one.
+    """Run EXTRA at every grid stepsize for at most budget rounds; pick the best one.
 
-    "Best" means the smallest terminal metric as run()'s final trace row
-    would report it, read through recorder.metric_value (ties go to the
-    larger stepsize); diverged points and non-finite values are skipped.
+    Each stepsize's GridPoint is what run("extra", ...) would report under
+    stop with max_iter set to the stepsize's cap: budget, or the smallest
+    round at which a larger stepsize converged. Only stop's threshold and
+    cadence are read; a threshold must be on metric. Without a threshold
+    every cap is budget.
+
+    "Best" is the converged point with the fewest rounds, then the smallest
+    metric at that round. When none converged, it is the smallest metric at
+    the budget as run()'s final trace row would report it, read through
+    recorder.metric_value. Ties go to the larger stepsize; diverged points
+    and non-finite values are skipped.
+
     The stepsizes run as column blocks of _extra_block, as many per block as
-    fit GRID_BLOCK_BYTES. The blocks run in worker processes (see
-    grid_lanes and _in_grid_workers), each with one set of working arrays; a
-    block makes the same calls in any worker, so the points are
-    bit-identical at any worker count. Returns the chosen stepsize, one
-    GridPoint per grid stepsize in ascending order, and the worker count.
+    fit GRID_BLOCK_BYTES, in one set of working arrays, from the largest
+    stepsizes down. A converging column caps only the smaller stepsizes of
+    its own block, so the points do not depend on the block width. Returns
+    the chosen stepsize and one GridPoint per grid stepsize in ascending
+    order.
     """
     grid = sorted(float(a) for a in grid)
     if not grid or not all(0 < a < np.inf for a in grid):
         raise ParameterError("grid must be a nonempty list of positive finite stepsizes")
     if metric not in METRICS:
         raise ParameterError(f"grid-search metric must be one of {tuple(METRICS)}, got {metric!r}")
+    if stop.metric not in (None, metric):
+        raise ParameterError(f"grid-search metric {metric!r} differs from the stop metric "
+                             f"{stop.metric!r}")
     if budget < 0:
         raise ParameterError(f"grid-search budget must be >= 0, got {budget}")
     if metric in SADDLE_METRICS and recorder.saddle is None:
@@ -742,18 +670,23 @@ def extra_grid_search(
     x0 = np.zeros((problem.m, problem.d)) if x0 is None else _check_stack(x0, problem, "x0")
     start = (x0, gossip.shifted @ x0, problem.stacked_gradient(x0))
     width = _grid_block_width(problem.m, problem.d)
-    blocks = [grid[i:i + width] for i in range(0, len(grid), width)]
-    # this process's working arrays; a forked worker writes to its own copy
-    buffers = _grid_buffers(problem.m, len(blocks[0]), problem.d, metric == "merit")
-    results, workers = _in_grid_workers(
-        len(blocks), grid_lanes(problem, len(blocks)),
-        lambda i: _extra_block(problem, gossip, start, blocks[i], budget, recorder, metric,
-                               buffers))
-    points = [point for result in results for point in result]
-    best, best_value = None, np.inf
-    for point in points:
-        if point.value is not None and point.value <= best_value:
-            best, best_value = point.alpha, point.value
+    buffers = _grid_buffers(problem.m, min(width, len(grid)), problem.d, metric == "merit")
+    points, cap = [], budget
+    for i in reversed(range(0, len(grid), width)):
+        block = _extra_block(problem, gossip, start, grid[i:i + width], cap, recorder, metric,
+                             stop, buffers)
+        cap = min([cap] + [point.rounds for point in block if point.status == "converged"])
+        points[:0] = block
+    best = best_key = None
+    for point in points:  # ascending, so ties go to the larger stepsize
+        if point.status == "converged":
+            key = (0, point.rounds, point.value)
+        elif point.value is not None:
+            key = (1, point.value)
+        else:
+            continue
+        if best_key is None or key <= best_key:
+            best, best_key = point.alpha, key
     if best is None:
         diverged = sum(point.status == "diverged" for point in points)
         if diverged == len(points):
@@ -762,4 +695,4 @@ def extra_grid_search(
             f"no stepsize in the grid of {len(grid)} ended with a finite {metric} after "
             f"{budget} rounds ({diverged} diverged)"
         )
-    return GridSearch(best, points, workers)
+    return GridSearch(best, points)

@@ -3,13 +3,9 @@
 The NaN problems evaluate on the wrapped instance's own kernel and then
 overwrite rows of the stacked gradient (``stacked_gradient``) or of the
 column gradients (``column_gradients``, one call per column) with NaN.
-``RaiseOutsideBall`` raises from ``column_gradients`` instead, and
-``FaultByProcess`` runs a given fault there, told whether it runs in the
-process that built the problem or in a forked grid worker. Values and the
-averaged evaluations are left exact.
+``RaiseOutsideBall`` raises from ``column_gradients`` instead. Values and
+the averaged evaluations are left exact.
 """
-
-import os
 
 import numpy as np
 
@@ -19,9 +15,8 @@ from decopt.objectives import ProblemInstance, synth_ridge
 class NanGradient(ProblemInstance):
     """problem whose agent 0 gradient is NaN from call number `start` on.
 
-    The count spans the callers in one process: in a grid search whose
-    blocks run in forked worker processes, each process counts its own
-    calls, so use it there only with start 0, or NanOutsideBall.
+    The count spans every caller, so in a grid search the round at which a
+    block meets the fault depends on the blocks run before it.
     """
 
     def __init__(self, problem: ProblemInstance, start: int):
@@ -77,8 +72,9 @@ class RaiseOutsideBall(ProblemInstance):
     """problem whose column gradients raise FloatingPointError at any row with ||x_i|| > radius.
 
     Like NanOutsideBall the fault depends only on the point, so a grid block
-    meets it at the same round in any worker; the message names the call's
-    largest row norm, so the raising calls of different blocks tell apart.
+    meets it at the same round whatever ran before; the message names the
+    call's largest row norm, so the raising calls of different blocks tell
+    apart.
     """
 
     def __init__(self, problem: ProblemInstance, radius: float):
@@ -91,21 +87,3 @@ class RaiseOutsideBall(ProblemInstance):
             raise FloatingPointError(f"row norm {norm!r} outside the ball")
         return super().column_gradients(x_cols, out, scratch)
 
-
-class FaultByProcess(ProblemInstance):
-    """problem whose column_gradients calls fault(in_caller), then problem's.
-
-    in_caller is True in the process that built the problem and False in a
-    forked grid worker, so a fault can strike the workers only, or the
-    caller only.
-    """
-
-    def __init__(self, problem: ProblemInstance, fault):
-        super().__init__(problem._kernel)
-        self.problem = problem
-        self.caller = os.getpid()
-        self.fault = fault
-
-    def column_gradients(self, x_cols, out=None, scratch=None):
-        self.fault(os.getpid() == self.caller)
-        return self.problem.column_gradients(x_cols, out, scratch)

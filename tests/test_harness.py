@@ -577,6 +577,19 @@ class TestCli:
         err = capsys.readouterr().err
         assert key in err and "finite" in err
 
+    @pytest.mark.parametrize("kind", ["adolf", "adolf_local"])
+    def test_unbounded_growth_in_strongly_convex_mode_exit_code(self, tmp_path, capsys, kind):
+        raw = small_ridge_raw(graph={"kind": "ring", "m": 4},
+                              algorithm={"kind": kind, "mode": "strongly_convex",
+                                         "growth": {"kind": "unbounded"}})
+        path = self.write_config(tmp_path, raw)
+        for argv in (["validate", str(path)], ["run", str(path), "--out", str(tmp_path / "r")]):
+            assert cli.main(argv) == 2
+            assert capsys.readouterr().err.startswith("config error: algorithm.growth.kind: ")
+        raw["algorithm"]["mode"] = "convex"  # where unbounded growth is valid for adolf
+        assert cli.main(["validate", str(self.write_config(tmp_path, raw))]) == (
+            0 if kind == "adolf" else 2)
+
     @pytest.mark.parametrize("tol", [float("inf"), float("nan")])
     def test_non_finite_saddle_tol_exit_code(self, tmp_path, capsys, tol):
         raw = small_ridge_raw(problem={"kind": "logistic_synthetic", "m": 4, "n": 5, "d": 3},

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -525,15 +527,14 @@ class TestGridSearch:
     def test_interior_point_wins(self):
         prob, gossip, recorder = self.setup_case()
         grid = np.logspace(-4, 0, 9)
-        best_alpha, points, _ = extra_grid_search(prob, gossip, grid, 500, recorder)
+        best_alpha, points = extra_grid_search(prob, gossip, grid, 500, recorder)
         assert grid[0] < best_alpha < grid[-1]
         assert next(p for p in points if p.alpha == best_alpha).status == "budget"
 
     def test_singleton_grid(self):
         prob, gossip, recorder = self.setup_case()
-        best_alpha, _, workers = extra_grid_search(prob, gossip, [0.01], 100, recorder)
+        best_alpha, _ = extra_grid_search(prob, gossip, [0.01], 100, recorder)
         assert best_alpha == 0.01
-        assert workers == 1  # one block runs in this process
 
     def test_metric_needs_saddle(self):
         prob, gossip, _ = self.setup_case()
@@ -581,16 +582,34 @@ def _parity_case(name):
     return prob, gossip, compute_saddle(ridge, gossip), grid, x0
 
 
+@functools.cache
+def _parity_threshold(case, metric):
+    """A stop threshold on metric that some of the case's stepsizes reach within 200 rounds
+    and some do not: midway between the two middle finite values they end on without one."""
+    prob, gossip, saddle, grid, x0 = _parity_case(case)
+    _, points = sequential_grid_search(prob, gossip, grid, 200, saddle, metric, x0)
+    values = sorted(p.value for p in points if p.value is not None)
+    mid = len(values) // 2
+    return (values[mid - 1] + values[mid]) / 2
+
+
 class TestGridParity:
     """extra_grid_search against run("extra", ...) replayed per stepsize."""
 
+    @pytest.mark.parametrize("cadence", [None, 1, 3],
+                             ids=["no_threshold", "threshold_every_round", "threshold_every_3"])
     @pytest.mark.parametrize("budget", [0, 1, 200])
     @pytest.mark.parametrize("metric", list(METRICS))
     @pytest.mark.parametrize("case", ["ridge", "logistic", "ball"])
-    def test_matches_sequential(self, case, metric, budget, monkeypatch):
+    def test_matches_sequential(self, case, metric, budget, cadence, monkeypatch):
         prob, gossip, saddle, grid, x0 = _parity_case(case)
+        if cadence is None:
+            threshold, stop = None, StopRule()
+        else:
+            threshold = _parity_threshold(case, metric)
+            stop = StopRule(metric=metric, threshold=threshold, cadence=cadence)
         ref_alpha, ref_points = sequential_grid_search(prob, gossip, grid, budget, saddle,
-                                                       metric, x0)
+                                                       metric, x0, threshold, cadence or 1)
         recorder = TraceRecorder(prob, graph_laplacian_sqrt(gossip), saddle)
         # one block holding the whole grid, then blocks of three columns
         for block_bytes in (solvers.GRID_BLOCK_BYTES,
@@ -598,10 +617,10 @@ class TestGridParity:
             monkeypatch.setattr(solvers, "GRID_BLOCK_BYTES", block_bytes)
             if ref_alpha is None:
                 with pytest.raises(NoConvergentStepsizeError):
-                    extra_grid_search(prob, gossip, grid, budget, recorder, metric, x0)
+                    extra_grid_search(prob, gossip, grid, budget, recorder, metric, x0, stop)
                 continue
-            alpha, points, _ = extra_grid_search(prob, gossip, grid, budget, recorder, metric,
-                                                 x0)
+            alpha, points = extra_grid_search(prob, gossip, grid, budget, recorder, metric, x0,
+                                              stop)
             assert alpha == ref_alpha
             assert [(p.alpha, p.status, p.rounds) for p in points] == [
                 (p.alpha, p.status, p.rounds) for p in ref_points]
@@ -619,6 +638,26 @@ class TestGridParity:
             _, points = sequential_grid_search(prob, gossip, grid, 200, saddle, "distance_sq", x0)
             ends[case] = [p.rounds for p in points if p.status == "diverged"]
         assert ends["ridge"] and ends["ball"] and ends["ridge"] != ends["ball"]
+
+    @pytest.mark.parametrize("metric", list(METRICS))
+    @pytest.mark.parametrize("case", ["ridge", "logistic", "ball"])
+    def test_thresholds_converge_some_points_and_cut_others_off(self, case, metric):
+        # so the parity test's threshold axis meets every status and the cap
+        prob, gossip, saddle, grid, x0 = _parity_case(case)
+        threshold = _parity_threshold(case, metric)
+        _, points = sequential_grid_search(prob, gossip, grid, 200, saddle, metric, x0,
+                                           threshold, 3)
+        statuses = [p.status for p in points]
+        assert "converged" in statuses
+        assert ("diverged" in statuses) == (case != "logistic")  # see _parity_case
+        assert any(p.status == "budget" and p.rounds < 200 for p in points)  # cut off
+
+    def test_threshold_on_another_metric_rejected(self):
+        prob, gossip, saddle, grid, x0 = _parity_case("ridge")
+        recorder = TraceRecorder(prob, graph_laplacian_sqrt(gossip), saddle)
+        stop = StopRule(metric="consensus_err", threshold=1e-6)
+        with pytest.raises(ParameterError, match="differs from the stop metric"):
+            extra_grid_search(prob, gossip, grid, 10, recorder, "distance_sq", x0, stop)
 
     def test_nan_gradient_from_start_diverges_every_point(self):
         prob = nan_gradient_problem(0)
