@@ -5,9 +5,10 @@ network-free curvature guard.
 The classical admissibility condition couples the stepsize to the network
 through ||I - W_tilde||; bounding that norm by its worst case (2) gives the
 conservative value practitioners would have to use without spectral
-knowledge. The curvature guard 1/(sqrt(L^2 + 2 sigma) + L) needs no network
-quantity at all. The two certify descent of different Lyapunov functions,
-so the table is a conservativeness comparison, not an inequality claim.
+knowledge. The curvature guard, stepsize.curvature_guard at c1 = 1, that is
+1/(sqrt(L^2 + 2 sigma) + L), needs no network quantity at all. The two
+certify descent of different Lyapunov functions, so the table is a
+conservativeness comparison, not an inequality claim.
 
     python scripts/bound_comparison.py --graph-m 20 --graph-p 0.9
 """
@@ -21,6 +22,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from decopt.diagnostics import classical_stepsize_bound  # noqa: E402
+from decopt.stepsize import curvature_guard  # noqa: E402
 from decopt.topology import make_erdos_renyi, metropolis_hastings  # noqa: E402
 
 
@@ -47,7 +49,7 @@ def main() -> int:
         for sigma in args.sigma:
             exact = classical_stepsize_bound(l_const, sigma, actual_norm)
             worst = classical_stepsize_bound(l_const, sigma, 2.0)
-            guard = 1.0 / (np.sqrt(l_const**2 + 2 * sigma) + l_const)
+            guard = curvature_guard(l_const, sigma, 1.0)
             print(f"{l_const:>8.2f} {sigma:>8.2f} {exact:>22.5f} {worst:>19.5f} {guard:>16.5f}")
     return 0
 

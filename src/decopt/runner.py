@@ -357,9 +357,9 @@ def compare(configs: list[ExperimentConfig], out_dir=None, metric: str | None = 
     traces: list[tuple[str, Trace]] = []
     used_names: set[str] = set()
     for idx, cfg in enumerate(configs):
-        name = cfg.run_name()
-        if name in used_names:
-            name = f"{name}_{idx}"
+        name, suffix = cfg.run_name(), idx
+        while name in used_names:  # run_name()_idx, or the next suffix that is free
+            name, suffix = f"{cfg.run_name()}_{suffix}", suffix + 1
         used_names.add(name)
         trace, best_alpha, search = _execute(cfg, ws)
         csv_path = out / f"{name}.csv"

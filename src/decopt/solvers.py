@@ -475,11 +475,10 @@ def run(
 
 # Working-set bound of one block of the EXTRA grid search. Each stepsize in a
 # block is a column of at most GRID_COLUMN_ARRAYS (m, d) arrays: the iterate,
-# the half-mixed previous iterate, the previous and the new gradient, the
-# gossip product (which first serves as the ridge gradient's scratch), and the
-# ergodic sum when ranking on merit. The search holds one such set of arrays,
-# sized for one block; on the fig2 presets (m=20, d=500, 4 columns a block)
-# that is 1.6 MB, or 1.9 MB when ranking on merit.
+# the half-mixed previous iterate, the previous gradient, the gossip product,
+# the new gradient and the ergodic sum when ranking on merit. On the fig2
+# presets (m=20, d=500, 4 columns a block) a block's arrays take 1.6 MB, or
+# 1.9 MB when ranking on merit.
 GRID_BLOCK_BYTES = 2 * 2**20
 GRID_COLUMN_ARRAYS = 6
 
@@ -512,21 +511,7 @@ def _grid_block_width(m: int, d: int) -> int:
     return max(1, GRID_BLOCK_BYTES // (GRID_COLUMN_ARRAYS * 8 * m * d))
 
 
-def _grid_buffers(m: int, width: int, d: int, ergodic: bool) -> list:
-    """The grid search's flat working arrays for blocks of up to width columns:
-    iterate, half-mixed previous iterate, previous and new gradient, gossip
-    product, and the ergodic sum (None unless ranking on merit)."""
-    size = m * width * d
-    return [np.empty(size) for _ in range(5)] + [np.empty(size) if ergodic else None]
-
-
-def _front(flat: list, m: int, width: int, d: int) -> list:
-    """The (m, width, d) view of the front of each flat array (None stays None)."""
-    return [None if buf is None else buf[:m * width * d].reshape(m, width, d) for buf in flat]
-
-
-def _extra_block(problem, gossip, start, alphas, cap, recorder, metric, stop,
-                 flat) -> list[GridPoint]:
+def _extra_block(problem, gossip, start, alphas, cap, recorder, metric, stop) -> list[GridPoint]:
     """EXTRA at every stepsize of alphas (ascending), advanced as one (m, G, d) stack.
 
     Column g follows extra_init and extra_step at alphas[g] from the shared
@@ -546,11 +531,11 @@ def _extra_block(problem, gossip, start, alphas, cap, recorder, metric, stop,
     (X^0 + ... + X^{k-1}) / k, the recorder's ergodic average for EXTRA's
     gamma of 1.
 
-    The stacks live at the front of flat, the search's _grid_buffers, and the
-    rounds allocate nothing of size (m, G, d): the gradients are written
-    into two arrays that swap roles every round, and the columns that stay
-    are moved to the front of the arrays when others end. G, and so every
-    BLAS call, is the same as with fresh arrays each round.
+    The block allocates its stacks once and updates them in place; each
+    round's gradient is a fresh array that becomes the previous gradient.
+    When columns end, the stacks shrink to the others by a contiguous
+    gather, so every gradient call sees a C-ordered stack and makes the
+    BLAS calls of a fresh one.
     """
     x0, wx0, grad0 = start
     ergodic = metric == "merit"
@@ -559,7 +544,8 @@ def _extra_block(problem, gossip, start, alphas, cap, recorder, metric, stop,
     live = np.arange(len(alphas))  # block index of each stack column
     alpha = np.asarray(alphas)[:, None]
     points: list[GridPoint | None] = [None] * len(alphas)
-    x, u, g_prev, g_new, s, acc = _front(flat, m, len(alphas), d)
+    x, u, g_prev, s = (np.empty((m, len(alphas), d)) for _ in range(4))
+    acc = np.empty_like(x) if ergodic else None
     x[...] = x0[:, None, :]
 
     def value(j: int, k: int) -> float | None:
@@ -588,7 +574,7 @@ def _extra_block(problem, gossip, start, alphas, cap, recorder, metric, stop,
             g_prev[...] = grad0[:, None, :]
             failed = np.zeros(len(alphas), dtype=bool)
         else:
-            problem.column_gradients(x, out=g_new, scratch=s)
+            g_new = problem.column_gradients(x)
             np.matmul(gossip.shifted, x.reshape(m, -1), out=s.reshape(m, -1))
             s += x
             dg = np.subtract(g_new, g_prev, out=g_prev)
@@ -597,7 +583,7 @@ def _extra_block(problem, gossip, start, alphas, cap, recorder, metric, stop,
             np.multiply(s, 0.5, out=u)
             dg *= alpha
             x -= dg
-            g_prev, g_new = g_new, g_prev
+            g_prev = g_new
         ended = failed | ~(np.sqrt(np.einsum("mgd,mgd->g", x, x)) <= DIVERGENCE_NORM)
         for j in np.flatnonzero(ended):
             finish(j, "diverged", k - 1 if failed[j] else k, None)
@@ -615,12 +601,11 @@ def _extra_block(problem, gossip, start, alphas, cap, recorder, metric, stop,
             live, alpha = live[keep], alpha[keep]
             if not live.size:
                 break
-            old = (x, u, g_prev, acc)
-            x, u, g_prev, g_new, s, acc = _front(flat, m, live.size, d)
-            for new, prev in zip((x, u, g_prev, acc), old):
-                if new is not None:  # in one array, new[i] ends before prev[i + 1] starts
-                    for i in range(m):
-                        new[i] = prev[i, keep]
+            # take, not x[:, keep]: a contiguous stack keeps the gradient's BLAS path
+            x, u, g_prev = (a.take(keep, axis=1) for a in (x, u, g_prev))
+            s = np.empty_like(x)
+            if ergodic:
+                acc = acc.take(keep, axis=1)
     return points
 
 
@@ -649,7 +634,7 @@ def extra_grid_search(
     and non-finite values are skipped.
 
     The stepsizes run as column blocks of _extra_block, as many per block as
-    fit GRID_BLOCK_BYTES, in one set of working arrays, from the largest
+    fit GRID_BLOCK_BYTES, each in arrays of its own, from the largest
     stepsizes down. A converging column caps only the smaller stepsizes of
     its own block, so the points do not depend on the block width. Returns
     the chosen stepsize and one GridPoint per grid stepsize in ascending
@@ -670,11 +655,10 @@ def extra_grid_search(
     x0 = np.zeros((problem.m, problem.d)) if x0 is None else _check_stack(x0, problem, "x0")
     start = (x0, gossip.shifted @ x0, problem.stacked_gradient(x0))
     width = _grid_block_width(problem.m, problem.d)
-    buffers = _grid_buffers(problem.m, min(width, len(grid)), problem.d, metric == "merit")
     points, cap = [], budget
     for i in reversed(range(0, len(grid), width)):
         block = _extra_block(problem, gossip, start, grid[i:i + width], cap, recorder, metric,
-                             stop, buffers)
+                             stop)
         cap = min([cap] + [point.rounds for point in block if point.status == "converged"])
         points[:0] = block
     best = best_key = None

@@ -35,8 +35,8 @@ class NanGradient(ProblemInstance):
         self._poison(grad[:1])
         return grad
 
-    def column_gradients(self, x_cols, out=None, scratch=None):
-        grad = super().column_gradients(x_cols, out, scratch)
+    def column_gradients(self, x_cols):
+        grad = super().column_gradients(x_cols)
         self._poison(grad[0])
         return grad
 
@@ -62,8 +62,8 @@ class NanOutsideBall(ProblemInstance):
         grad[np.linalg.norm(x_stack, axis=-1) > self.radius] = np.nan
         return grad
 
-    def column_gradients(self, x_cols, out=None, scratch=None):
-        grad = super().column_gradients(x_cols, out, scratch)
+    def column_gradients(self, x_cols):
+        grad = super().column_gradients(x_cols)
         grad[np.linalg.norm(x_cols, axis=-1) > self.radius] = np.nan
         return grad
 
@@ -81,9 +81,9 @@ class RaiseOutsideBall(ProblemInstance):
         super().__init__(problem._kernel)
         self.radius = radius
 
-    def column_gradients(self, x_cols, out=None, scratch=None):
+    def column_gradients(self, x_cols):
         norm = np.max(np.linalg.norm(x_cols, axis=-1))
         if norm > self.radius:
             raise FloatingPointError(f"row norm {norm!r} outside the ball")
-        return super().column_gradients(x_cols, out, scratch)
+        return super().column_gradients(x_cols)
 

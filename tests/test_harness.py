@@ -12,6 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from decopt import cli, runner, topology
 from decopt.config import (
@@ -25,6 +27,7 @@ from decopt.config import (
     parse_config,
     parse_config_dict,
 )
+from decopt.diagnostics import METRICS, SADDLE_METRICS
 from decopt.errors import ComparisonError, ConfigError, NotConvergedError
 from decopt.runner import (
     build_problem,
@@ -49,7 +52,92 @@ def small_ridge_raw(**overrides):
     return raw
 
 
+def between(lo, hi, **kwargs):
+    return st.floats(lo, hi, allow_nan=False, allow_subnormal=False, **kwargs)
+
+
+SEEDS = st.none() | st.integers(0, 2**32)
+
+
+@st.composite
+def algorithm_sections(draw, grid: bool):
+    """A valid algorithm section of any kind; an extra section has a grid exactly when grid."""
+    kind = "extra" if grid else draw(st.sampled_from(["adolf", "adolf_local", "extra",
+                                                      "condat_vu"]))
+    section = {"kind": kind}
+    if kind == "extra":
+        if grid:
+            section["grid"] = draw(st.lists(between(1e-6, 10.0), min_size=1, max_size=5))
+            section["budget"] = draw(st.integers(1, 10**5))
+        else:
+            section["alpha"] = draw(between(1e-6, 10.0))
+    elif kind == "condat_vu":
+        section.update(alpha=draw(between(1e-6, 10.0)), sigma_bar=draw(between(1e-6, 10.0)),
+                       gamma=draw(between(1e-6, 10.0)))
+    else:
+        mode = draw(st.sampled_from(["convex", "strongly_convex"]))
+        c1 = draw(st.none() | between(1e-3, 1.0))
+        section.update(mode=mode, c2=draw(between(1e-3, 1.0)), alpha0=draw(between(1e-6, 1.0)),
+                       eta=draw(between(0.0, 1.0, exclude_min=True, exclude_max=True)))
+        if c1 is not None:
+            section["c1"] = c1
+        c1 = AlgorithmConfig(mode=mode, c1=c1).resolved_c1()
+        if mode == "strongly_convex":
+            section["sigma"] = draw(between(1e-6, c1 / 2, exclude_max=True))
+        else:
+            section["sigma_bar"] = draw(between(1e-6, 10.0))
+        growths = ["additive"]  # the only policy adolf_local accepts
+        if kind == "adolf":
+            growths += ["ratio_power"] + (["unbounded"] if mode == "convex" else [])
+        growth = draw(st.none() | st.sampled_from(growths))
+        if growth is not None:
+            section["growth"] = {"kind": growth, "a": draw(between(1e-6, 10.0)),
+                                 "beta1": draw(between(1.0, 100.0)),
+                                 "beta2": draw(between(1e-3, 5.0))}
+    return section
+
+
+@st.composite
+def valid_raw_configs(draw):
+    """A raw config that parses: every problem kind but mnist, every graph and algorithm kind."""
+    graph = draw(st.sampled_from(["line", "ring", "erdos_renyi"]))
+    m = draw(st.integers(3 if graph == "ring" else 2, 12))
+    saddle = draw(st.booleans())
+    grid = draw(st.booleans())
+    metrics = [name for name in METRICS if saddle or name not in SADDLE_METRICS]
+    # the grid search ranks on the stop metric, or on a saddle metric by default
+    metric = draw(st.sampled_from(metrics) if grid and not saddle
+                  else st.none() | st.sampled_from(metrics))
+    stop = {"max_iter": draw(st.integers(0, 10**5)), "cadence": draw(st.integers(1, 100))}
+    if metric is not None:
+        stop.update(metric=metric, threshold=draw(between(1e-15, 1.0)))
+    return {
+        "problem": {"kind": draw(st.sampled_from(["ridge", "logistic_synthetic"])), "m": m,
+                    "n": draw(st.integers(1, 50)), "d": draw(st.integers(1, 50)),
+                    "seed": draw(SEEDS), "noise": draw(between(0.0, 0.5, exclude_max=True)),
+                    "digit_pair": draw(st.lists(st.integers(0, 9), min_size=2, max_size=2,
+                                                unique=True))},
+        "graph": {"kind": graph, "m": m, "p": draw(between(0.0, 1.0, exclude_min=True)),
+                  "seed": draw(SEEDS)},
+        "gossip": {"c": draw(between(0.0, 0.5, exclude_min=True, exclude_max=True))},
+        "algorithm": draw(algorithm_sections(grid)),
+        "init": {"kind": draw(st.sampled_from(["gaussian", "zeros"])), "seed": draw(SEEDS)},
+        "stop": stop,
+        "diagnostics": {"cadence": draw(st.integers(1, 100)), "saddle": saddle,
+                        "saddle_tol": draw(between(1e-15, 1.0))},
+        "name": draw(st.text(max_size=12)),
+        "output_dir": draw(st.text(min_size=1, max_size=12)),
+        "master_seed": draw(st.integers(0, 2**32)),
+    }
+
+
 class TestConfigParsing:
+    @given(valid_raw_configs())
+    @settings(max_examples=100, deadline=None)
+    def test_round_trip_generated(self, raw):
+        cfg = parse_config_dict(raw)
+        assert parse_config_dict(yaml.safe_load(emit_config(cfg))) == cfg
+
     def test_minimal_defaults_filled(self):
         cfg = parse_config_dict(small_ridge_raw())
         assert cfg.gossip.c == 0.4
@@ -321,6 +409,19 @@ class TestCompare:
         gnuplot = Path(result.gnuplot_path).read_text()
         assert "# run_adolf" in gnuplot and "\n\n\n" in gnuplot
         assert Path(result.summary_path).exists()
+
+    def test_duplicate_names_stay_distinct(self, tmp_path):
+        # a duplicate's name_idx may already be taken by an earlier run
+        adolf_cfg, _ = self.make_pair()
+        configs = [replace(adolf_cfg, name=name) for name in ("a_2", "a", "a")]
+        result = compare(configs, out_dir=tmp_path)
+        names = [row.name for row in result.rows]
+        assert len(set(names)) == 3 and names[:2] == ["a_2", "a"]
+        assert len(list(tmp_path.glob("*.manifest.json"))) == 3
+        assert {path.name for path in tmp_path.glob("*.csv")} >= {f"{n}.csv" for n in names}
+        csv_paths = {json.loads((tmp_path / f"{n}.manifest.json").read_text())["csv_path"]
+                     for n in names}
+        assert len(csv_paths) == 3
 
     def test_single_config_degenerate(self, tmp_path):
         adolf_cfg, _ = self.make_pair()

@@ -25,7 +25,6 @@ import yaml
 from decopt import cli, objectives, runner, solvers
 from decopt.config import parse_config_dict
 from decopt.diagnostics import TraceRecorder, compute_saddle
-from decopt.errors import ShapeError
 from decopt.objectives import load_mnist_partition, synth_logistic, synth_ridge
 from decopt.solvers import extra_grid_search
 from decopt.topology import graph_laplacian_sqrt, make_line_graph, metropolis_hastings, psd_shift
@@ -54,6 +53,8 @@ def evaluations(prob):
     x = 0.5 * rng.standard_normal((prob.m, prob.d))
     x_cols = 0.5 * rng.standard_normal((prob.m, 3, prob.d))
     value, grad = prob.average_value_and_gradient(x[0])
+    # the stacked gradient is the one-column case of the column gradients
+    assert np.array_equal(prob.stacked_gradient(x), prob.column_gradients(x[:, None])[:, 0])
     return {
         "column_gradients": prob.column_gradients(x_cols),
         "stacked_gradient": prob.stacked_gradient(x),
@@ -103,30 +104,6 @@ def test_mnist_partition_identical_at_any_lane_count(tmp_path, force_lanes):
 
 
 @pytest.mark.parametrize("synth", [synth_ridge, synth_logistic])
-def test_column_gradients_into_buffers(force_lanes, synth):
-    # the grid's allocation-free call: same bits as the allocating one, at any lane count
-    rng = np.random.default_rng(12)
-    x_cols = 0.5 * rng.standard_normal((M, 3, D))
-    x = 0.5 * rng.standard_normal((M, D))
-    builds = [lambda: synth(M, N, D, seed=3)]  # below the cutoff: one lane, one block
-    for count in [1] + COUNTS:
-        builds.append(lambda count=count: force_lanes(count) or synth(M, N, D, seed=3))
-    for build in builds:
-        prob = build()
-        want = prob.column_gradients(x_cols)
-        for scratch in (None, np.full_like(x_cols, np.nan)):
-            out = np.full_like(x_cols, np.nan)
-            assert prob.column_gradients(x_cols, out=out, scratch=scratch) is out
-            assert np.array_equal(out, want)
-        assert np.array_equal(prob.stacked_gradient(x), prob.column_gradients(x[:, None])[:, 0])
-    for bad in (np.empty((M, 2, D)), np.empty((M, 3, D), dtype=np.float32)):
-        with pytest.raises(ShapeError, match="out"):
-            prob.column_gradients(x_cols, out=bad)
-        with pytest.raises(ShapeError, match="scratch"):
-            prob.column_gradients(x_cols, out=np.empty_like(x_cols), scratch=bad)
-
-
-@pytest.mark.parametrize("synth", [synth_ridge, synth_logistic])
 def test_lanes_cover_every_agent_once(force_lanes, synth):
     for count in [1] + COUNTS:
         force_lanes(count)
@@ -140,6 +117,7 @@ def test_below_cutoff_is_one_lane():
     for prob in (synth_ridge(M, N, D, seed=3), synth_logistic(M, N, D, seed=3)):
         assert prob.a.nbytes < objectives.LANE_MIN_BYTES
         assert prob.lanes == 1
+        evaluations(prob)
 
 
 def test_lanes_follow_the_cpus_this_process_may_use(monkeypatch):
