@@ -42,6 +42,7 @@ __all__ = [
     "parse_config_dict",
     "emit_config",
     "resolved_dict",
+    "check_file_stem",
 ]
 
 SEED_OFFSET_GRAPH = 1
@@ -55,6 +56,14 @@ StopConfig = StopRule
 def _require(cond: bool, key: str, message: str) -> None:
     if not cond:
         raise ConfigError(f"{key}: {message}")
+
+
+def check_file_stem(value: str, key: str) -> None:
+    """ConfigError naming key unless value is a plain file name, so that the
+    output files named after it stay in their directory."""
+    _require(not any(c in value for c in "/\\\0") and value not in (".", ".."), key,
+             f"must be a file name without '/', '\\' or NUL, and not '.' or '..', "
+             f"got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -238,6 +247,7 @@ class ExperimentConfig:
         for section in (self.problem, self.graph, self.gossip, self.algorithm,
                         self.init, self.diagnostics):
             section.validate()
+        check_file_stem(self.name, "name")
         _require(self.problem.m == self.graph.m, "graph.m",
                  f"graph agents ({self.graph.m}) must match problem agents ({self.problem.m})")
         metrics = {"stop metric": self.stop.metric}

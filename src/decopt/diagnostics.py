@@ -44,6 +44,8 @@ __all__ = [
     "TraceRecord",
     "Trace",
     "TraceRecorder",
+    "TRACE_BATCH_BYTES",
+    "trace_batch_rows",
     "CSV_HEADER",
     "METRICS",
     "SADDLE_METRICS",
@@ -132,20 +134,40 @@ def compute_saddle(
     )
 
 
+def _linear_term(x_stack: np.ndarray, saddle: SaddlePoint):
+    """<L_op Y*, X - X*>, the primal gap's term that does not need F."""
+    return np.sum(saddle.d_star * (x_stack - saddle.x_stack))
+
+
+def _gap(f_value, linear, saddle: SaddlePoint) -> float:
+    """The primal gap from F(X) and _linear_term(X)."""
+    return float(f_value - saddle.f_stack_star + linear)
+
+
+def _consensus(l_op: np.ndarray, x_stack: np.ndarray) -> float:
+    """||L_op X||^2."""
+    lx = l_op @ x_stack
+    return float(np.sum(lx * lx))
+
+
 def primal_gap(problem: ProblemInstance, x_stack: np.ndarray, saddle: SaddlePoint) -> float:
     """Lagrangian gap F(X) - F(X*) + <L_op Y*, X - X*>, nonnegative by convexity."""
-    diff = x_stack - saddle.x_stack
-    return float(
-        problem.stacked_value(x_stack) - saddle.f_stack_star + np.sum(saddle.d_star * diff)
-    )
+    return _gap(problem.stacked_value(x_stack), _linear_term(x_stack, saddle), saddle)
 
 
 def merit(
     problem: ProblemInstance, x_stack: np.ndarray, saddle: SaddlePoint, l_op: np.ndarray
 ) -> float:
     """Primal gap plus consensus penalty ||L_op X||^2; zero exactly at solutions."""
-    lx = l_op @ x_stack
-    return primal_gap(problem, x_stack, saddle) + float(np.sum(lx * lx))
+    return primal_gap(problem, x_stack, saddle) + _consensus(l_op, x_stack)
+
+
+def _lyapunov_parts(x_now, x_prev, y, saddle: SaddlePoint, sigma_k, gamma_k, alpha_k):
+    """The Lyapunov terms that do not need F, and the weight of the primal gap at x_prev."""
+    dx = x_now - saddle.x_stack
+    dy = y - saddle.y_star
+    base = np.sum(dx * dx) + np.sum(dy * dy) / sigma_k + 0.5 * np.sum((x_now - x_prev) ** 2)
+    return base, 2.0 * gamma_k * alpha_k
 
 
 def lyapunov(
@@ -164,14 +186,8 @@ def lyapunov(
     ||X^k - X^{k-1}||^2 / 2, plus 2 gamma_k alpha_k times the primal gap at
     the previous iterate.
     """
-    dx = x_now - saddle.x_stack
-    dy = y - saddle.y_star
-    return float(
-        np.sum(dx * dx)
-        + np.sum(dy * dy) / sigma_k
-        + 0.5 * np.sum((x_now - x_prev) ** 2)
-        + 2.0 * gamma_k * alpha_k * primal_gap(problem, x_prev, saddle)
-    )
+    base, weight = _lyapunov_parts(x_now, x_prev, y, saddle, sigma_k, gamma_k, alpha_k)
+    return float(base + weight * primal_gap(problem, x_prev, saddle))
 
 
 class ErgodicAccumulator:
@@ -337,12 +353,60 @@ class Trace:
         return buf.getvalue()
 
 
+# Bytes that one batch of trace rows may hold (see TraceRecorder). A row holds
+# three (m, d) snapshots: its iterate for the objective gap, and the ergodic
+# average and X^{k-1} for F. Its products with the data are two own-value
+# columns, (m, n) each, and the arrays that cross_values makes at its m points
+# (ProblemInstance.cross_bytes). Measured at 1 BLAS thread on a 2-CPU VM, in
+# CPU time: a 400-row cadence-1 trace of fig2_er09's adolf and adolf_local
+# (m=20, n=20, d=500) took 1.42 s in batches of 1 row, 1.27 s of 2, 1.20 s of
+# 3 and 1.19 s of 4; the fig1_er01 adolf and adolf_local traces (n=50, d=20),
+# whose objective gap is mostly the softplus of 20 000 margins a row and not
+# the product, took 2.92 s in batches of 1 and 3.27 s of 2. 1.5 MiB holds 3
+# rows at the fig2 shape and 1 at the fig1 and MNIST (n=600, d=784) shapes.
+TRACE_BATCH_BYTES = 3 << 19
+
+
+def trace_batch_rows(problem: ProblemInstance) -> int:
+    """Rows per batch of trace rows: as many as fit TRACE_BATCH_BYTES, at least one."""
+    m, n, d = problem.m, problem.n, problem.d
+    row = 8 * (3 * m * d + 2 * m * n) + problem.cross_bytes(m)
+    return max(1, TRACE_BATCH_BYTES // row)
+
+
+@dataclass
+class _PendingRow:
+    """A trace row that waits for its batch's products.
+
+    fields are the TraceRecord fields known when the row was due. gap is the
+    row's first point among the batch's stacked iterates, None when its
+    objective gap does not wait. Each term (field, column, offset, weight,
+    linear) makes the field offset + weight * the primal gap at the batch's
+    F column, given that column's _linear_term.
+    """
+
+    fields: dict
+    gap: int | None = None
+    terms: list = field(default_factory=list)
+
+
 class TraceRecorder:
     """Accumulates a Trace from consecutive solver states.
 
     Maintains the ergodic average, per-agent stepsize consensus tracking,
     and the running dual column-sum drift. The dual Y behind a Lyapunov
     value is recovered from D on the rows that need it, never integrated.
+
+    Rows are written in batches of trace_batch_rows. When a row is due, its
+    cheap fields are computed at once: k, the round counts, the step
+    scalars, distance_sq, consensus_err and the terms of merit and Lyapunov
+    that do not need F. The rest waits, as copies of the row's iterate,
+    ergodic average and X^{k-1}, until the batch is full or the run ends.
+    Then one cross_values call gives every waiting row's objective gap, and
+    one column_values call the F behind its merit and Lyapunov value. So
+    ``trace.records`` is complete only after ``finalize``. A stop rule's
+    value is computed when the rule asks (``row_metric``), and its row
+    reports that very value.
     """
 
     def __init__(
@@ -362,13 +426,17 @@ class TraceRecorder:
         self._ergodic = ErgodicAccumulator()
         self._last_nonconsensual = -1
         self._saw_vector_alpha = False
+        self._tested: tuple[int, str, float | None] | None = None  # (k, column, value)
+        self._batch_rows = trace_batch_rows(problem)
+        self._pending: list[_PendingRow] = []
+        self._points = self._columns = None  # the batch's snapshots, allocated on first use
+        self._n_points = self._n_columns = 0
 
     # -- metric helpers -------------------------------------------------
 
     def metric_value(self, name: str, x_stack: np.ndarray) -> float | None:
         if name == "consensus_err":
-            lx = self.l_op @ x_stack
-            return float(np.sum(lx * lx))
+            return _consensus(self.l_op, x_stack)
         if self.saddle is None:
             return None
         if name == "distance_sq":
@@ -382,10 +450,15 @@ class TraceRecorder:
             return merit(self.problem, x_stack, self.saddle, self.l_op)
         raise ParameterError(f"unknown metric {name!r}")
 
-    def row_metric(self, name: str, x_stack: np.ndarray) -> float | None:
-        """The value the next row, describing x_stack, reports for a metric:
-        merit at the ergodic average of the iterates observed so far."""
-        return self._ergodic_merit() if name == "merit" else self.metric_value(name, x_stack)
+    def row_metric(self, name: str, state) -> float | None:
+        """The value row state.k reports for a metric: merit at the ergodic
+        average of the iterates observed so far, any other at state.x_now.
+
+        Computed once: when row state.k is written, it reports this value.
+        """
+        value = self._ergodic_merit() if name == "merit" else self.metric_value(name, state.x_now)
+        self._tested = (state.k, METRICS[name], value)
+        return value
 
     # -- state intake --------------------------------------------------
 
@@ -416,8 +489,10 @@ class TraceRecorder:
         self._ergodic.add(prev.x_now, float(np.min(new.gamma)))
 
     def finalize(self, state) -> Trace:
-        """Emit the terminal row for the last state (no step data) and close the trace."""
+        """Emit the terminal row for the last state (no step data), write the
+        waiting rows and close the trace."""
         self._emit_row(state, None)
+        self._flush()
         if self._saw_vector_alpha:
             self.trace.consensus_iteration = self._last_nonconsensual + 1
         return self.trace
@@ -430,28 +505,81 @@ class TraceRecorder:
         return merit(self.problem, self._ergodic.average, self.saddle, self.l_op)
 
     def _emit_row(self, prev, new) -> None:
-        """Row prev.k: prev's iterates, next to the step data of new when a step follows."""
-        lyap = alpha_min = alpha_max = gamma = l_k = None
+        """Row prev.k: prev's iterates, next to the step data of new when a step follows.
+
+        The row waits in the batch for its objective gap and the F behind its
+        merit and Lyapunov value, unless a stop rule already computed one.
+        """
+        saddle = self.saddle
+        row = _PendingRow(dict(
+            k=prev.k, comm_vector=prev.comm_vector, comm_scalar=prev.comm_scalar,
+            objective_gap=None, distance_sq=self.metric_value("distance_sq", prev.x_now),
+            consensus_err=self.metric_value("consensus_err", prev.x_now),
+            merit_ergodic=None, lyapunov=None, alpha_min=None, alpha_max=None, gamma=None,
+            L_k=None,
+        ))
+        tested = None
+        if self._tested is not None and self._tested[0] == prev.k:
+            _, tested, value = self._tested
+            row.fields[tested] = value  # the stop rule's value, computed once
+        if saddle is not None and tested != "objective_gap":
+            row.gap = self._stage_point(prev.x_now)
+        if (saddle is not None and tested != "merit_ergodic"
+                and self._ergodic.weighted_sum is not None):
+            average = self._ergodic.average
+            row.terms.append(("merit_ergodic", self._stage_column(average),
+                              _consensus(self.l_op, average), 1.0,
+                              _linear_term(average, saddle)))
         if new is not None:
             alpha_min, alpha_max = float(np.min(new.alpha)), float(np.max(new.alpha))
-            gamma, l_k = float(np.min(new.gamma)), new.l_last
-            if self.saddle is not None and new.sigma is not None and np.ndim(new.alpha) == 0:
-                y_k = prev.y if prev.y is not None else self.saddle.l_pinv @ prev.dual
-                lyap = lyapunov(self.problem, prev.x_now, prev.x_prev, y_k, self.saddle,
-                                sigma_k=new.sigma, gamma_k=gamma, alpha_k=alpha_min)
-        self.trace.records.append(
-            TraceRecord(
-                k=prev.k,
-                comm_vector=prev.comm_vector,
-                comm_scalar=prev.comm_scalar,
-                objective_gap=self.metric_value("objective_gap", prev.x_now),
-                distance_sq=self.metric_value("distance_sq", prev.x_now),
-                consensus_err=self.metric_value("consensus_err", prev.x_now),
-                merit_ergodic=self._ergodic_merit(),
-                lyapunov=lyap,
-                alpha_min=alpha_min,
-                alpha_max=alpha_max,
-                gamma=gamma,
-                L_k=l_k,
-            )
-        )
+            gamma = float(np.min(new.gamma))
+            row.fields.update(alpha_min=alpha_min, alpha_max=alpha_max, gamma=gamma,
+                              L_k=new.l_last)
+            if saddle is not None and new.sigma is not None and np.ndim(new.alpha) == 0:
+                y_k = prev.y if prev.y is not None else saddle.l_pinv @ prev.dual
+                base, weight = _lyapunov_parts(prev.x_now, prev.x_prev, y_k, saddle,
+                                               sigma_k=new.sigma, gamma_k=gamma,
+                                               alpha_k=alpha_min)
+                row.terms.append(("lyapunov", self._stage_column(prev.x_prev), base, weight,
+                                  _linear_term(prev.x_prev, saddle)))
+        self._pending.append(row)
+        if len(self._pending) == self._batch_rows:
+            self._flush()
+
+    def _stage_point(self, x_stack: np.ndarray) -> int:
+        """Copy a stack into the batch's stacked iterates; returns its first row."""
+        self._allocate()
+        start, self._n_points = self._n_points, self._n_points + len(x_stack)
+        self._points[start:self._n_points] = x_stack
+        return start
+
+    def _stage_column(self, x_stack: np.ndarray) -> int:
+        """Copy a stack into the batch's F columns; returns its column."""
+        self._allocate()
+        self._columns[:, self._n_columns] = x_stack
+        self._n_columns += 1
+        return self._n_columns - 1
+
+    def _allocate(self) -> None:
+        if self._points is None:
+            m, d = self.problem.m, self.problem.d
+            self._points = np.empty((self._batch_rows * m, d))
+            self._columns = np.empty((m, 2 * self._batch_rows, d))
+
+    def _flush(self) -> None:
+        """Complete the waiting rows with one product call of each kind, and write them."""
+        saddle, m = self.saddle, self.problem.m
+        if self._n_points:
+            at_points = self.problem.average_values_at_rows(self._points[:self._n_points])
+        if self._n_columns:
+            f_values = self.problem.column_values(self._columns[:, :self._n_columns])
+        for row in self._pending:
+            fields = row.fields
+            if row.gap is not None:
+                fields["objective_gap"] = float(
+                    np.mean(at_points[row.gap:row.gap + m]) - saddle.f_star)
+            for name, column, offset, weight, linear in row.terms:
+                fields[name] = float(offset + weight * _gap(f_values[column], linear, saddle))
+            self.trace.records.append(TraceRecord(**fields))
+        self._pending.clear()
+        self._n_points = self._n_columns = 0

@@ -20,10 +20,12 @@ instance.
 The evaluators are built on products of the slab A, (m, n, d). ``_own`` is
 one batched GEMM of each agent's rows with its own points; it gives the
 gradients of G stacks (``column_gradients``, with ``stacked_gradient`` as
-G = 1) and the own-row values. ``_cross`` multiplies k shared points by the
-(m*n, d) view, as ``points @ A^T``; it gives every row under every loss
-(k = m). ``_forward`` is the one-point product ``A x`` behind the averaged
-value and gradient, computed once for both.
+G = 1) and the own-row values of G stacks (``column_values``, with
+``stacked_value`` as G = 1). ``_cross`` multiplies k shared points by the
+(m*n, d) view, as ``points @ A^T``; it gives every point under every loss
+(k = m for one stack, a multiple of m for a trace batch's stacks).
+``_forward`` is the one-point product ``A x`` behind the averaged value and
+gradient, computed once for both.
 
 Instances are immutable after construction (data arrays are read-only, and
 no writable array shares their memory), so value and gradient evaluation is
@@ -244,6 +246,7 @@ class _RidgeBatch(_Batch):
     """Ridge evaluators on the residuals A x - b."""
 
     loss = "ridge"
+    cross_arrays = 3  # of cross_values' product size: the product, its copy, the residuals
 
     def __init__(self, a, b, gammas):
         super().__init__(a, b)
@@ -266,15 +269,15 @@ class _RidgeBatch(_Batch):
         self._in_lanes(lane)
         return grad
 
-    def values_at_own_rows(self, x_rows):
-        values = np.empty(self.m)
+    def values_at_own_columns(self, x_cols):
+        values = np.empty(x_cols.shape[:2])
 
         def lane(lo, hi):
-            r = self._own(x_rows[:, None], lo, hi)[:, 0] - self.b[lo:hi]
-            x = x_rows[lo:hi]
-            sq = np.einsum("md,md->m", x, x)
-            values[lo:hi] = (np.einsum("mn,mn->m", r, r) / self.n
-                             + 0.5 * self.gammas[lo:hi] * sq)
+            r = self._own(x_cols, lo, hi) - self.b[lo:hi, None, :]
+            x = x_cols[lo:hi]
+            sq = np.einsum("mgd,mgd->mg", x, x)
+            values[lo:hi] = (np.einsum("mgn,mgn->mg", r, r) / self.n
+                             + 0.5 * self.gammas[lo:hi, None] * sq)
 
         self._in_lanes(lane)
         return values
@@ -309,6 +312,9 @@ class _LogisticBatch(_Batch):
 
     loss = "logistic"
     gammas = None
+    # of cross_values' product size: the product, its copy, the margins, their
+    # negation and their softplus
+    cross_arrays = 5
 
     def __init__(self, a, b):
         super().__init__(a, b)
@@ -327,12 +333,12 @@ class _LogisticBatch(_Batch):
         self._in_lanes(lane)
         return grad
 
-    def values_at_own_rows(self, x_rows):
-        values = np.empty(self.m)
+    def values_at_own_columns(self, x_cols):
+        values = np.empty(x_cols.shape[:2])
 
         def lane(lo, hi):
-            margins = self.b[lo:hi] * self._own(x_rows[:, None], lo, hi)[:, 0]
-            values[lo:hi] = np.mean(np.logaddexp(0.0, -margins), axis=1)
+            margins = self.b[lo:hi, None, :] * self._own(x_cols, lo, hi)
+            values[lo:hi] = np.mean(np.logaddexp(0.0, -margins), axis=2)
 
         self._in_lanes(lane)
         return values
@@ -404,9 +410,25 @@ class ProblemInstance:
             raise ShapeError(f"expected stack of shape ({self.m}, {self.d}), got {x_stack.shape}")
         return x_stack
 
+    def _check_columns(self, x_cols):
+        x_cols = np.asarray(x_cols, dtype=float)
+        if x_cols.ndim != 3 or x_cols.shape[0] != self.m or x_cols.shape[2] != self.d:
+            raise ShapeError(f"expected columns of shape ({self.m}, G, {self.d}), "
+                             f"got {x_cols.shape}")
+        return x_cols
+
     def stacked_value(self, x_stack) -> float:
         """F(X) = sum_i f_i(x_i)."""
-        return float(np.sum(self._kernel.values_at_own_rows(self._check_stack(x_stack))))
+        return float(self.column_values(self._check_stack(x_stack)[:, None])[0])
+
+    def column_values(self, x_cols) -> np.ndarray:
+        """F at G stacks at once: x_cols[:, g] is stack g, shape (m, G, d); returns (G,).
+
+        Each column's sum over the agents is the one-column sum; only the
+        product with the data rounds differently at other G.
+        """
+        values = self._kernel.values_at_own_columns(self._check_columns(x_cols))
+        return np.array([np.sum(values[:, g]) for g in range(values.shape[1])])
 
     def stacked_gradient(self, x_stack) -> np.ndarray:
         """Row i holds the gradient of f_i at row i of the stack."""
@@ -414,11 +436,7 @@ class ProblemInstance:
 
     def column_gradients(self, x_cols) -> np.ndarray:
         """Gradients of G stacks at once: x_cols[:, g] is stack g, shape (m, G, d)."""
-        x_cols = np.asarray(x_cols, dtype=float)
-        if x_cols.ndim != 3 or x_cols.shape[0] != self.m or x_cols.shape[2] != self.d:
-            raise ShapeError(f"expected columns of shape ({self.m}, G, {self.d}), "
-                             f"got {x_cols.shape}")
-        return self._kernel.column_gradients(x_cols)
+        return self._kernel.column_gradients(self._check_columns(x_cols))
 
     def average_value(self, x) -> float:
         """f(x) = (1/m) sum_i f_i(x) at a single shared point."""
@@ -434,9 +452,22 @@ class ProblemInstance:
         """
         return self._kernel.average_value_and_gradient(_check_point(x, self.d))
 
-    def average_values_at_rows(self, x_stack) -> np.ndarray:
-        """Vector of f(x_i) for every row, f being the averaged objective."""
-        return np.mean(self._kernel.cross_values(self._check_stack(x_stack)), axis=1)
+    def cross_bytes(self, points: int) -> int:
+        """Bytes of the arrays that average_values_at_rows makes at that many points:
+        a loss-specific count of arrays the size of the data product, (m*n, points)."""
+        return self._kernel.cross_arrays * 8 * self.m * self.n * points
+
+    def average_values_at_rows(self, x_rows) -> np.ndarray:
+        """f(x_r) for every row x_r of a (k, d) array, f being the averaged objective.
+
+        One product with the data for all k rows: a trace batch passes the
+        stacks of several rows at once.
+        """
+        x_rows = np.asarray(x_rows, dtype=float)
+        if x_rows.ndim != 2 or x_rows.shape[1] != self.d or not len(x_rows):
+            raise ShapeError(f"expected rows of shape (k, {self.d}) with k >= 1, "
+                             f"got {x_rows.shape}")
+        return np.mean(self._kernel.cross_values(x_rows), axis=1)
 
 
 def synth_ridge(m: int, n: int, d: int, seed: int) -> ProblemInstance:

@@ -33,6 +33,7 @@ from .config import (
     InitConfig,
     ProblemConfig,
     StopConfig,
+    check_file_stem,
     emit_config,
     resolved_dict,
 )
@@ -331,10 +332,12 @@ def compare(configs: list[ExperimentConfig], out_dir=None, metric: str | None = 
     All configs must agree on the problem, graph, gossip and init sections
     (including resolved seeds) and on diagnostics.saddle and saddle_tol, so
     the trajectories are comparable. A run's threshold column uses its own
-    stop.threshold when its stop.metric is the compared metric.
+    stop.threshold when its stop.metric is the compared metric. label names
+    the comparison's files, so it must be a plain file name.
     """
     if not configs:
         raise ComparisonError("compare needs at least one config")
+    check_file_stem(label, "label")
     for cfg in configs:
         cfg.validate()
     base = _shared_sections(configs[0])

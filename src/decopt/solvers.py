@@ -430,7 +430,8 @@ def run(
     always describes the iterate after k communication rounds. The run
     starts from State(X^0, X^-1, dual=0), which trace row 0 reads and a zero
     budget ends on. A stop metric is tested on the value its trace row
-    reports (merit at the ergodic average). Divergence (non-finite values or
+    reports (merit at the ergodic average), and that row reports the very
+    value tested, computed once. Divergence (non-finite values or
     Frobenius norm above 1e12) ends the run with status "diverged" instead
     of raising.
     """
@@ -447,7 +448,7 @@ def run(
             return False
         if k % stop.cadence != 0 and k != stop.max_iter:
             return False
-        value = recorder.row_metric(stop.metric, state.x_now)
+        value = recorder.row_metric(stop.metric, state)
         return value is not None and value <= stop.threshold
 
     state = State(x0, x_minus1, dual=np.zeros_like(x0))

@@ -125,7 +125,8 @@ def valid_raw_configs(draw):
         "stop": stop,
         "diagnostics": {"cadence": draw(st.integers(1, 100)), "saddle": saddle,
                         "saddle_tol": draw(between(1e-15, 1.0))},
-        "name": draw(st.text(max_size=12)),
+        "name": draw(st.text(max_size=12).filter(
+            lambda name: not set(name) & set("/\\\0") and name not in (".", ".."))),
         "output_dir": draw(st.text(min_size=1, max_size=12)),
         "master_seed": draw(st.integers(0, 2**32)),
     }
@@ -275,6 +276,16 @@ class TestConfigParsing:
         raw = small_ridge_raw(**yaml.safe_load(snippet))
         with pytest.raises(ConfigError, match=rf"^{re.escape(section)}: {re.escape(field)}\b"):
             parse_config_dict(raw)
+
+    @pytest.mark.parametrize("name", ["../escaped", "runs/a", "a\\b", "nul\0byte", ".", ".."])
+    def test_name_must_be_a_file_name(self, name):
+        # output files are named after it, so it must not lead out of their directory
+        with pytest.raises(ConfigError, match=r"^name: must be a file name without '/'"):
+            parse_config_dict(small_ridge_raw(name=name))
+
+    @pytest.mark.parametrize("name", ["", "...", ".hidden", "run.v2", "a b"])
+    def test_plain_names_accepted(self, name):
+        assert parse_config_dict(small_ridge_raw(name=name)).name == name
 
     def test_extra_needs_grid_or_alpha(self):
         raw = small_ridge_raw(algorithm={"kind": "extra"})
@@ -535,6 +546,25 @@ class TestCli:
         code = cli.main(["run", str(path), "--out", str(tmp_path / "out")])
         assert code == 0
         assert "unit" in capsys.readouterr().out
+
+    def test_escaping_name_exit_code(self, tmp_path, capsys):
+        path = self.write_config(tmp_path, small_ridge_raw(stop={"max_iter": 8},
+                                                           name="../escaped"))
+        assert cli.main(["validate", str(path)]) == 2
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and all(line.startswith("config error: name: ") for line in err)
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.yaml"]  # nothing written
+
+    @pytest.mark.parametrize("label", ["../escaped", "sub/label", "a\\b", ".", ".."])
+    def test_escaping_compare_label_exit_code(self, tmp_path, capsys, label):
+        path = self.write_config(tmp_path)
+        code = cli.main(["compare", str(path), "--label", label, "--out", str(tmp_path / "c")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: label: must be a file name")
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.yaml"]  # nothing written
+        with pytest.raises(ConfigError, match="^label: "):  # argv cannot carry a NUL
+            compare([parse_config(path)], out_dir=tmp_path / "c", label="nul\0byte")
 
     def test_validate_echo(self, tmp_path, capsys):
         path = self.write_config(tmp_path)

@@ -210,6 +210,26 @@ class TestProblemInstance:
         with pytest.raises(ShapeError):
             ridge.column_gradients(np.zeros((4, 2, 2)))
 
+    def test_column_values_match_stacked_value(self):
+        ridge = synth_ridge(4, 5, 3, seed=2)
+        x = np.random.default_rng(5).standard_normal((4, 6, 3))
+        for prob in (ridge, synth_logistic(4, 5, 3, seed=2)):
+            expected = [prob.stacked_value(x[:, g]) for g in range(6)]
+            np.testing.assert_allclose(prob.column_values(x), expected, rtol=1e-12)
+            assert prob.column_values(x[:, :1])[0] == expected[0]  # one column: the same bits
+        with pytest.raises(ShapeError):
+            ridge.column_values(np.zeros((4, 3)))
+
+    def test_average_values_at_any_number_of_rows(self):
+        # a trace batch passes the stacks of several rows at once
+        for prob in (synth_ridge(4, 5, 3, seed=2), synth_logistic(4, 5, 3, seed=2)):
+            x = np.random.default_rng(6).standard_normal((7, 3))
+            expected = [loop_average_value(prob, r) for r in x]
+            np.testing.assert_allclose(prob.average_values_at_rows(x), expected, rtol=1e-12)
+            for bad in (np.zeros((0, 3)), np.zeros((4, 2)), np.zeros(3)):
+                with pytest.raises(ShapeError):
+                    prob.average_values_at_rows(bad)
+
     def test_average_values_at_rows_matches_loop(self):
         for prob in (synth_ridge(4, 5, 3, seed=2), synth_logistic(4, 5, 3, seed=2)):
             rng = np.random.default_rng(3)
