@@ -27,7 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InsufficientDataError, NumericError, ParameterError
-from .objectives import ProblemInstance, centralized_minimize, ridge_exact_solution
+from .objectives import (ProblemInstance, SolveCounts, centralized_minimize,
+                         ridge_exact_solution)
 from .topology import GossipMatrix, graph_laplacian_sqrt, laplacian_pinv_sqrt
 
 __all__ = [
@@ -87,6 +88,7 @@ class SaddlePoint:
     l_pinv: np.ndarray  # pinv(L_op): recovers Y = l_pinv @ D for D in range(L_op)
     stationarity_residual: float  # ||grad F(X*) + L_op Y*||_F
     grad_norm: float  # ||grad f(x*)||, the reference solve's accuracy
+    solve_counts: SolveCounts | None  # what centralized_minimize spent; None for ridge
 
     @property
     def f_stack_star(self) -> float:
@@ -100,16 +102,19 @@ def compute_saddle(
     """Solve the averaged problem to high accuracy and lift to a saddle point.
 
     Ridge instances use the exact normal-equation solve; everything else runs
-    the accelerated reference solver to gradient norm tol. The dual anchor is
+    ``centralized_minimize`` to gradient norm tol (its chord finish goes on
+    to the rounding floor when tol is below CHORD_START). The dual anchor is
     the minimum-norm Y* = -pinv(L_op) grad F(X*) after projecting the rows of
     the gradient stack off the consensus direction.
     """
     if not 0 < tol < np.inf:
         raise ParameterError(f"saddle tolerance must be positive and finite, got {tol}")
+    counts = None
     if problem.loss == "ridge":
         x_star = ridge_exact_solution(problem)
     else:
-        x_star = centralized_minimize(problem, tol=tol)
+        counts = SolveCounts()
+        x_star = centralized_minimize(problem, tol=tol, counts=counts)
     m = problem.m
     x_stack = np.tile(x_star, (m, 1))
     grad_stack = problem.stacked_gradient(x_stack)
@@ -131,6 +136,7 @@ def compute_saddle(
         l_pinv=pinv,
         stationarity_residual=residual,
         grad_norm=float(np.linalg.norm(grad_star)),
+        solve_counts=counts,
     )
 
 

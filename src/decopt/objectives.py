@@ -25,7 +25,9 @@ G = 1) and the own-row values of G stacks (``column_values``, with
 (m*n, d) view, as ``points @ A^T``; it gives every point under every loss
 (k = m for one stack, a multiple of m for a trace batch's stacks).
 ``_forward`` is the one-point product ``A x`` behind the averaged value and
-gradient, computed once for both.
+gradient, computed once for both, and ``_back`` the product ``w @ A`` that
+turns it into the gradient. ``average_hessian`` is the reference solve's
+float32 Hessian: its lanes split the Hessian's block columns, not the agents.
 
 Instances are immutable after construction (data arrays are read-only, and
 no writable array shares their memory), so value and gradient evaluation is
@@ -39,6 +41,7 @@ from __future__ import annotations
 import os
 import struct
 import threading
+from dataclasses import dataclass
 from operator import attrgetter
 
 import numpy as np
@@ -53,6 +56,7 @@ __all__ = [
     "read_idx_images",
     "read_idx_labels",
     "centralized_minimize",
+    "SolveCounts",
     "ridge_exact_solution",
 ]
 
@@ -69,6 +73,21 @@ IDX_LABEL_MAGIC = 0x00000801
 LANE_MIN_BYTES = 8 << 20
 _LANE_POOL = None  # a concurrent.futures.ThreadPoolExecutor, started on first use
 _LANE_POOL_LOCK = threading.Lock()
+
+# centralized_minimize hands over from its accelerated steps to its chord finish
+# at this gradient norm. At the MNIST shape (m=20, n=600, d=784) that took 14
+# evaluations, and the finish then took 7 steps on one Hessian to 5.8e-17.
+CHORD_START = 1e-3
+# A chord step above the target that cuts the gradient norm by less than this
+# factor brings a new Hessian; below the target, it ends the finish. On the
+# separable data of scripts/synthetic_idx.py (m=20, n=80, d=784), where the
+# curvature keeps changing, the finish took 17 Hessians from 1e-3 to 4e-11.
+CHORD_CONTRACTION = 4.0
+# Halvings of a chord step before its direction counts as bringing no descent.
+CHORD_HALVINGS = 30
+# Columns of the blocks in which the chord finish builds, factors and solves
+# with its Hessian (_hessian_blocks): no temporary as large as the Hessian.
+HESSIAN_BLOCK = 128
 
 
 def _frozen_array(a, dtype=float) -> np.ndarray:
@@ -161,7 +180,7 @@ class _Batch:
     Agent lanes. Every kernel is written for a range of agents ``lo..hi-1`` and
     runs through ``_in_lanes``, which gives each lane a contiguous range and one
     slice of a preallocated output; one lane is the whole range. The products
-    with shared points (``_cross``, ``_forward``) run over ``block_rows`` rows
+    with shared points (``_cross``, ``_forward``, ``_back``) run over ``block_rows`` rows
     of ``a_flat`` at a time: the whole slab when it is below
     ``LANE_MIN_BYTES``, else one block per agent, each a BLAS call of its own.
     A lane therefore makes the very BLAS calls and elementwise operations that
@@ -170,8 +189,9 @@ class _Batch:
     and blocking from a call's shape, so it can round differently from one
     call over all rows.) The blocking depends only on the slab's size, so a run's bits do
     not depend on how many CPUs the machine has. Reductions across agents
-    (the averaged value, the back product ``weights @ a_flat``) stay on the
-    calling thread, in one call, so their summation order never changes.
+    stay on the calling thread, so their summation order never changes: the
+    averaged value's mean, in one call, and the sum of the back product's
+    per-block rows (``_back``), in block order.
     """
 
     def __init__(self, a, b):
@@ -192,11 +212,13 @@ class _Batch:
     def lanes(self) -> int:
         return len(self.ranges)
 
-    def _in_lanes(self, kernel) -> None:
-        """kernel(lo, hi) for every lane's agent range; the calling thread runs the first."""
-        futures = [_lane_pool().submit(kernel, lo, hi) for lo, hi in self.ranges[1:]]
+    def _in_lanes(self, kernel, ranges=None) -> None:
+        """kernel(lo, hi) for every lane's range, by default its agent range; the
+        calling thread runs the first."""
+        ranges = self.ranges if ranges is None else ranges
+        futures = [_lane_pool().submit(kernel, lo, hi) for lo, hi in ranges[1:]]
         try:
-            kernel(*self.ranges[0])
+            kernel(*ranges[0])
         finally:
             for future in futures:
                 future.exception()  # waits: no lane may write to the output after return
@@ -230,6 +252,55 @@ class _Batch:
 
         self._in_lanes(lane)
         return out
+
+    def _back(self, w):
+        """w @ A for one weight per row of a_flat, shape (d,).
+
+        One product per block of rows, each into its own row of a buffer; the
+        calling thread then sums the rows in block order.
+        """
+        parts = np.empty((self.m * self.n // self.block_rows, 1, self.d))
+
+        def lane(lo, hi):
+            np.matmul(w[lo * self.n:hi * self.n].reshape(-1, 1, self.block_rows),
+                      self._blocks(lo, hi),
+                      out=parts[lo * self.n // self.block_rows:hi * self.n // self.block_rows])
+
+        self._in_lanes(lane)
+        return np.sum(parts[:, 0], axis=0)
+
+    def average_hessian(self, x):
+        """The lower triangle of the averaged objective's Hessian at x, in float32.
+
+        sum_i A_i^T diag(c_i) A_i / (m n) + shift I, where c holds each row's
+        curvature (``_curvature``), built one agent at a time, in agent order.
+        Each agent's term is made one block column at a time
+        (``_hessian_blocks``), from the diagonal block down: a product of the
+        agent's scaled rows with a slice of themselves, which needs no (d, d)
+        temporary. The lanes split the block columns, not the agents: each
+        takes a contiguous run of about equal work, so every block sees the
+        same products in the same order at any lane count. The entries right
+        of the diagonal blocks stay zero.
+        """
+        curvature, shift = self._curvature(x)
+        scale = np.sqrt(curvature / (self.m * self.n)).reshape(self.m, self.n)
+        hess = np.zeros((self.d, self.d), dtype=np.float32)
+        rows = np.empty((self.n, self.d), dtype=np.float32)
+        blocks = _hessian_blocks(self.d)
+        work = np.cumsum([(self.d - i) * (j - i) for i, j in blocks])
+        cuts = [0, *(int(np.searchsorted(work, work[-1] * k / self.lanes)) + 1
+                     for k in range(1, self.lanes)), len(blocks)]
+        runs = list(zip(cuts, cuts[1:]))  # each lane's blocks
+
+        def lane(lo, hi):
+            for i, j in blocks[lo:hi]:
+                hess[i:, i:j] += rows[:, i:].T @ rows[:, i:j]
+
+        for a, s in zip(self.a, scale):
+            np.multiply(a, s[:, None], out=rows, casting="same_kind")
+            self._in_lanes(lane, runs)
+        hess.flat[:: self.d + 1] += shift
+        return hess
 
     def average_value(self, x):
         return self._average_value(x, self._average_pass(x))
@@ -304,7 +375,10 @@ class _RidgeBatch(_Batch):
         return float(r @ r / (self.m * self.n) + 0.5 * np.mean(self.gammas) * (x @ x))
 
     def _average_gradient(self, x, r):
-        return (2.0 / (self.m * self.n)) * (r @ self.a_flat) + np.mean(self.gammas) * x
+        return (2.0 / (self.m * self.n)) * self._back(r) + np.mean(self.gammas) * x
+
+    def _curvature(self, x):
+        return np.full(self.m * self.n, 2.0), float(np.mean(self.gammas))
 
 
 class _LogisticBatch(_Batch):
@@ -361,7 +435,11 @@ class _LogisticBatch(_Batch):
 
     def _average_gradient(self, x, margins):
         weights = self.b.ravel() * _expit(-margins)
-        return -(weights @ self.a_flat) / (self.m * self.n)
+        return -self._back(weights) / (self.m * self.n)
+
+    def _curvature(self, x):
+        p = _expit(self._average_pass(x))
+        return p * (1.0 - p), 0.0
 
 
 class ProblemInstance:
@@ -451,6 +529,16 @@ class ProblemInstance:
         The product with the data is computed once for both.
         """
         return self._kernel.average_value_and_gradient(_check_point(x, self.d))
+
+    def average_hessian(self, x) -> np.ndarray:
+        """The Hessian of f at x, (d, d), in float32: a preconditioner, not a value.
+
+        Only its lower triangle is the Hessian's, as the factor reads nothing
+        else; the entries right of its diagonal blocks are zero. Built one
+        agent at a time, in agent order, with the same bits at any lane
+        count; the chord finish of ``centralized_minimize`` factors it.
+        """
+        return self._kernel.average_hessian(_check_point(x, self.d))
 
     def cross_bytes(self, points: int) -> int:
         """Bytes of the arrays that average_values_at_rows makes at that many points:
@@ -618,66 +706,216 @@ def ridge_exact_solution(problem: ProblemInstance) -> np.ndarray:
     return x
 
 
+@dataclass
+class SolveCounts:
+    """What one centralized_minimize call spent, by phase."""
+
+    evaluations: int = 0  # averaged gradients of the accelerated steps, the probe's included
+    hessians: int = 0  # Hessians the chord finish formed and factored
+    chord_steps: int = 0  # the finish's trial points, halved steps included
+
+
+def _hessian_blocks(d: int) -> list[tuple[int, int]]:
+    """The column ranges of the reference solve's Hessian blocks, HESSIAN_BLOCK wide."""
+    return [(i, min(i + HESSIAN_BLOCK, d)) for i in range(0, d, HESSIAN_BLOCK)]
+
+
+class _Factor:
+    """H^-1 g for a symmetric positive definite float32 H, by its Cholesky factor L.
+
+    The factorization and the substitutions run over H's block columns
+    (``_hessian_blocks``), as numpy products on the lower triangle: each
+    diagonal block of L is factored and inverted once, and the rest is
+    products. (numpy has no triangular solve, and its Cholesky of a whole
+    784 x 784 matrix touched about 11 MB of LAPACK workspace.) The factor
+    overwrites h and reads only its lower triangle.
+    """
+
+    def __init__(self, h):
+        self.blocks = _hessian_blocks(len(h))
+        self.inverses = []
+        for k, (i, j) in enumerate(self.blocks):  # h[i:, i:] holds what is left to factor
+            diag = np.linalg.cholesky(h[i:j, i:j])  # LinAlgError unless positive definite
+            inverse = np.linalg.inv(diag)
+            h[i:j, i:j] = diag
+            column = h[j:, i:j] = h[j:, i:j] @ inverse.T
+            for p, q in self.blocks[k + 1:]:
+                h[p:, p:q] -= column[p - j:] @ column[p - j:q - j].T
+            self.inverses.append(inverse)
+        self.low = h  # L on and below the diagonal blocks; above them, unused
+
+    def solve(self, g):
+        """H^-1 g, computed in float32 and returned in float64."""
+        low, y = self.low, g.astype(np.float32)
+        for (i, j), inv in zip(self.blocks, self.inverses):  # L z = g
+            y[i:j] = inv @ (y[i:j] - low[i:j, :i] @ y[:i])
+        for (i, j), inv in zip(self.blocks[::-1], self.inverses[::-1]):  # L^T y = z
+            y[i:j] = inv.T @ (y[i:j] - low[j:, i:j].T @ y[j:])
+        return y.astype(float)
+
+
+class _Descent:
+    """One centralized_minimize call: its problem, its remaining budget of
+    iterations, its counts, and the point of smallest gradient norm seen."""
+
+    def __init__(self, problem: ProblemInstance, max_iter: int, counts: SolveCounts):
+        self.problem, self.budget, self.counts = problem, max_iter, counts
+        self.best = None  # (x, f, grad f) at the smallest gradient norm evaluated
+        self.best_norm = np.inf
+
+    def evaluate(self, x):
+        """(f(x), grad f(x), ||grad f(x)||), remembered when the norm is the smallest yet.
+
+        The solve never writes into a point after evaluating it, so x is kept
+        without a copy.
+        """
+        f, g = self.problem.average_value_and_gradient(x)
+        norm = np.linalg.norm(g)
+        if norm < self.best_norm:
+            self.best, self.best_norm = (x, f, g), norm
+        return f, g, norm
+
+    def accelerate(self, x, f_x, g, lip, tol):
+        """Accelerated steps from x to ||grad f|| <= tol.
+
+        Returns (x, f, grad f, lip) at the first point within tol, or None when
+        the budget runs out. The value and gradient at each point share one
+        product A x; a trial point that the backtracking rejects also pays for
+        its gradient.
+        """
+        y = x
+        f_y, g_y = f_x, g
+        t = 1.0
+        while self.budget > 0:
+            self.budget -= 1
+            while True:
+                x_new = y - g_y / lip
+                f_new, g_new, norm = self.evaluate(x_new)
+                self.counts.evaluations += 1
+                gap = f_new - (f_y + g_y @ (x_new - y) + 0.5 * lip * np.sum((x_new - y) ** 2))
+                if gap <= 1e-12 * (1.0 + abs(f_new)):
+                    break
+                lip *= 2.0
+            if norm <= tol:
+                return x_new, f_new, g_new, lip
+            step = np.linalg.norm(x_new - y)
+            if step > 0:
+                lip = max(np.linalg.norm(g_new - g_y) / step, lip * 0.9)
+            t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+            momentum = (t - 1.0) / t_new
+            y_next = x_new + momentum * (x_new - x)
+            if g_new @ (x_new - x) > 0.0:  # restart: momentum points uphill
+                y_next = x_new
+                t_new = 1.0
+            x, y, t = x_new, y_next, t_new
+            if np.array_equal(y, x_new):
+                f_y, g_y = f_new, g_new
+            else:
+                f_y, g_y, _ = self.evaluate(y)
+                self.counts.evaluations += 1
+        return None
+
+    def chord(self, x, f, g, tol) -> None:
+        """Chord steps x <- x - t H^-1 grad f(x) from x, leaving the best point in best.
+
+        H is the float32 Hessian of ``average_hessian``, factored by Cholesky;
+        the steps use the float64 gradient, so the factor's precision sets
+        only how fast they contract (Carson and Higham, SIAM J. Sci. Comput.
+        40(2), 2018). t halves from 1 until f does not rise. A step above tol
+        that cuts ||grad f|| by less than CHORD_CONTRACTION brings a new
+        Hessian at the point it reached. The steps end when a step at or
+        below tol cuts ||grad f|| by less than CHORD_CONTRACTION (rounding
+        stops them there), when a fresh factor brings neither a smaller norm
+        nor a lower f, when a factor fails, or when the budget runs out.
+        """
+        norm, factor = np.linalg.norm(g), None
+        while self.budget > 0:
+            if factor is None:
+                self.counts.hessians += 1
+                try:
+                    factor = _Factor(self.problem.average_hessian(x))
+                except np.linalg.LinAlgError:  # not positive definite in float32
+                    return
+                fresh = True
+            self.budget -= 1
+            direction = factor.solve(g)
+            slack = 1e-12 * (1.0 + abs(f))
+            step = 1.0
+            for _ in range(CHORD_HALVINGS):
+                x_new = x - step * direction
+                f_new, g_new, norm_new = self.evaluate(x_new)
+                self.counts.chord_steps += 1
+                if f_new <= f + slack:
+                    break
+                step *= 0.5
+            else:  # no descent along the direction
+                if fresh:
+                    return
+                factor = None
+                continue
+            if norm_new * CHORD_CONTRACTION > norm:
+                if min(norm, norm_new) <= tol:
+                    return  # within tol and no longer contracting
+                if fresh and norm_new >= norm and f_new >= f - slack:
+                    return  # a fresh factor brought no progress
+                factor = None
+            x, f, g, norm, fresh = x_new, f_new, g_new, norm_new, False
+
+
 def centralized_minimize(
     problem: ProblemInstance,
     tol: float = 1e-10,
     max_iter: int = 500_000,
+    counts: SolveCounts | None = None,
 ) -> np.ndarray:
-    """High-accuracy minimizer of f = (1/m) sum f_i by accelerated descent from 0.
+    """High-accuracy minimizer of f = (1/m) sum f_i: accelerated descent from 0, then chord steps.
 
     Nesterov-accelerated gradient steps with a curvature-estimated inverse
     stepsize: the estimate starts from a secant probe, is re-doubled when the
     quadratic upper bound fails, and relaxes geometrically otherwise. The
-    momentum restarts whenever it points uphill. Stops at ||grad f|| <= tol.
+    momentum restarts whenever it points uphill.
+
+    When tol lies below CHORD_START and d <= m n (so the Hessian is no larger
+    than the data), the accelerated steps stop at ||grad f|| <= CHORD_START
+    and ``_Descent.chord`` finishes with Newton-type steps on a once-factored
+    Hessian (Nocedal and Wright, *Numerical Optimization*, 2nd ed., ch. 6-7).
+    These go on past tol while each one cuts the gradient norm
+    CHORD_CONTRACTION-fold, so they end where rounding stops them. If they
+    end above tol, the accelerated steps resume from their best point.
+
+    Returns a point with ||grad f|| <= tol. max_iter bounds the accelerated
+    iterations and the chord steps together; when it runs out, the
+    NotConvergedError carries the best point seen. counts, if given, gains
+    what the call spent.
     """
     if not 0 < tol < np.inf:
         raise ParameterError(f"tolerance must be positive and finite, got {tol}")
+    run = _Descent(problem, max_iter, SolveCounts() if counts is None else counts)
     x = np.zeros(problem.d)
-    f_x, g = problem.average_value_and_gradient(x)
-    if np.linalg.norm(g) <= tol:
+    f_x, g, norm = run.evaluate(x)
+    run.counts.evaluations += 1
+    if norm <= tol:
         return x
 
     # secant probe along the gradient for an initial curvature estimate
-    probe = x - 1e-3 * g / max(np.linalg.norm(g), 1.0)
+    probe = x - 1e-3 * g / max(norm, 1.0)
     g_probe = problem.average_gradient(probe)
+    run.counts.evaluations += 1
     denom = np.linalg.norm(x - probe)
     lip = max(np.linalg.norm(g - g_probe) / denom, 1e-12) if denom > 0 else 1.0
 
-    # the value and gradient at each point share one product A x; a trial
-    # point that the backtracking rejects also pays for its gradient
-    y = x.copy()
-    f_y, g_y = f_x, g
-    t = 1.0
-    best_x, best_norm = x.copy(), np.linalg.norm(g)
-    for _ in range(max_iter):
-        while True:
-            x_new = y - g_y / lip
-            f_new, g_new = problem.average_value_and_gradient(x_new)
-            gap = f_new - (f_y + g_y @ (x_new - y) + 0.5 * lip * np.sum((x_new - y) ** 2))
-            if gap <= 1e-12 * (1.0 + abs(f_new)):
-                break
-            lip *= 2.0
-        norm = np.linalg.norm(g_new)
-        if norm < best_norm:
-            best_x, best_norm = x_new.copy(), norm
-        if norm <= tol:
-            return x_new
-        step = np.linalg.norm(x_new - y)
-        if step > 0:
-            lip = max(np.linalg.norm(g_new - g_y) / step, lip * 0.9)
-        t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        momentum = (t - 1.0) / t_new
-        y_next = x_new + momentum * (x_new - x)
-        if g_new @ (x_new - x) > 0.0:  # restart: momentum points uphill
-            y_next = x_new
-            t_new = 1.0
-        x, y, t = x_new, y_next, t_new
-        if np.array_equal(y, x_new):
-            f_y, g_y = f_new, g_new
-        else:
-            f_y, g_y = problem.average_value_and_gradient(y)
-    raise NotConvergedError(
-        f"centralized solve stalled at ||grad|| = {best_norm:.3e} (target {tol:.1e})",
-        best_x=best_x,
-        grad_norm=best_norm,
-    )
+    finish = tol < CHORD_START and problem.d <= problem.m * problem.n
+    reached = run.accelerate(x, f_x, g, lip, CHORD_START if finish else tol)
+    if reached is not None and finish:
+        lip = reached[3]
+        run.chord(*reached[:3], tol)
+        if run.best_norm <= tol:
+            return run.best[0]
+        reached = run.accelerate(*run.best, lip, tol)
+    if reached is None:
+        raise NotConvergedError(
+            f"centralized solve stalled at ||grad|| = {run.best_norm:.3e} (target {tol:.1e})",
+            best_x=run.best[0].copy(),
+            grad_norm=run.best_norm,
+        )
+    return reached[0]

@@ -149,6 +149,10 @@ class RunManifest:
     extra_grid: list[dict] | None = None  # one GridPoint per grid stepsize
     saddle_residual: float | None = None
     saddle_grad_norm: float | None = None  # ||grad f(x*)|| of the reference x*
+    # what the iterative reference solve spent; None for ridge's exact solve
+    reference_evaluations: int | None = None  # averaged gradients of its accelerated steps
+    reference_hessians: int | None = None  # Hessians its chord finish formed
+    reference_chord_steps: int | None = None  # its chord finish's trial points
     # run telemetry from the Trace; None where undefined or not finite
     alpha_floor: float | None = None  # smallest per-agent stepsize seen
     dual_colsum_max: float | None = None  # max relative column-sum drift of D
@@ -228,6 +232,7 @@ def _manifest_for(config: ExperimentConfig, trace: Trace, csv_path: Path, ws: _W
                   name: str) -> RunManifest:
     restricted = trace.restricted
     grid = None if search is None else search.points
+    counts = None if ws.saddle is None else ws.saddle.solve_counts
     return RunManifest(
         name=name,
         config=resolved_dict(config),
@@ -243,6 +248,9 @@ def _manifest_for(config: ExperimentConfig, trace: Trace, csv_path: Path, ws: _W
         extra_grid=None if grid is None else [dataclasses.asdict(p) for p in grid],
         saddle_residual=None if ws.saddle is None else ws.saddle.stationarity_residual,
         saddle_grad_norm=None if ws.saddle is None else ws.saddle.grad_norm,
+        reference_evaluations=None if counts is None else counts.evaluations,
+        reference_hessians=None if counts is None else counts.hessians,
+        reference_chord_steps=None if counts is None else counts.chord_steps,
         alpha_floor=_finite(trace.alpha_floor),
         dual_colsum_max=_finite(trace.dual_colsum_max),
         l_tilde_hat=_finite(restricted.l_tilde_hat) if restricted.l_tilde_hat > 0 else None,

@@ -1,8 +1,9 @@
 """Test helper: each agent's loss evaluated alone, from its rows of the slabs.
 
 ProblemInstance evaluates all agents at once, with batched products over the
-(m, n, d) feature slab. These are the per-agent formulas it must match: f_i
-and its gradient at one point, from a[i], b[i] and, for ridge, gammas[i].
+(m, n, d) feature slab. These are the per-agent formulas it must match: f_i,
+its gradient and its Hessian at one point, from a[i], b[i] and, for ridge,
+gammas[i].
 """
 
 import numpy as np
@@ -27,6 +28,15 @@ def local_gradient(problem, i, x):
     return -(a.T @ (b * expit(-b * (a @ x)))) / problem.n
 
 
+def local_hessian(problem, i, x):
+    """The Hessian of f_i at x, in float64."""
+    a, b = problem.a[i], problem.b[i]
+    if problem.loss == "ridge":
+        return (2.0 / problem.n) * (a.T @ a) + problem.gammas[i] * np.eye(problem.d)
+    p = expit(b * (a @ x))
+    return (a.T * (p * (1.0 - p))) @ a / problem.n
+
+
 def loop_stacked_gradient(problem, x_stack):
     """Row i: grad f_i at row i of the stack."""
     return np.stack([local_gradient(problem, i, x) for i, x in enumerate(x_stack)])
@@ -40,3 +50,8 @@ def loop_average_value(problem, x):
 def loop_average_gradient(problem, x):
     """(1/m) sum_i grad f_i(x)."""
     return np.mean([local_gradient(problem, i, x) for i in range(problem.m)], axis=0)
+
+
+def loop_average_hessian(problem, x):
+    """(1/m) sum_i Hessian of f_i at x."""
+    return np.mean([local_hessian(problem, i, x) for i in range(problem.m)], axis=0)

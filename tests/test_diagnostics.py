@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from decopt import diagnostics, objectives, topology
+from decopt import diagnostics, objectives, runner, topology
 from decopt.diagnostics import (
     ErgodicAccumulator,
     RestrictedConstants,
@@ -17,6 +17,7 @@ from decopt.diagnostics import (
 )
 from decopt.errors import InsufficientDataError, ParameterError
 from decopt.objectives import ProblemInstance, synth_logistic, synth_ridge
+from decopt.solvers import extra_grid_search
 from decopt.topology import graph_laplacian_sqrt, make_erdos_renyi, make_line_graph
 from decopt.topology import metropolis_hastings, psd_shift
 
@@ -77,6 +78,27 @@ class TestSaddle:
         saddle = compute_saddle(prob, gossip)
         assert calls == [solver]
         assert saddle.stationarity_residual <= 1e-9
+
+    def test_saddle_records_what_the_solve_spent(self, ridge_setup):
+        prob, gossip, saddle, _ = ridge_setup
+        assert saddle.solve_counts is None  # the exact normal-equation solve
+        logistic = synth_logistic(m=prob.m, n=6, d=3, seed=2)
+        counts = compute_saddle(logistic, gossip, tol=1e-10).solve_counts
+        assert counts.evaluations > 0 and counts.hessians >= 1 and counts.chord_steps >= 1
+
+    def test_fig1_extra_grid_separates(self):
+        # against a reference x* at the rounding floor, the fig1_er01 preset's
+        # EXTRA grid (ranked on distance_sq) has a clear winner: its top two
+        # points differ by at least 10%, where they once tied on the floor of
+        # a reference solved to 1e-10 (0.1% apart)
+        cfg = runner.figure_preset("fig1_er01", synthetic_logistic=True)[2]
+        ws = runner._Workspace(cfg)
+        assert ws.saddle.grad_norm <= 1e-15
+        search = extra_grid_search(ws.problem, ws.gossip, cfg.algorithm.grid,
+                                   cfg.algorithm.budget, ws.recorder(cfg.diagnostics.cadence),
+                                   "distance_sq", ws.x0, cfg.stop)
+        best, second = sorted(p.value for p in search.points if p.value is not None)[:2]
+        assert second >= 1.1 * best
 
     def test_logistic_saddle_high_accuracy(self):
         prob = synth_logistic(m=5, n=15, d=6, seed=3, noise=0.15)

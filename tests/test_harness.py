@@ -788,6 +788,26 @@ class TestCli:
         else:
             assert manifest["dual_colsum_max"] is None
 
+    REFERENCE_COUNTS = ("reference_evaluations", "reference_hessians", "reference_chord_steps")
+
+    def test_run_manifest_reference_counts(self, tmp_path):
+        logistic = small_ridge_raw(problem={"kind": "logistic_synthetic", "m": 4, "n": 6, "d": 3},
+                                   algorithm={"kind": "adolf", "mode": "convex"},
+                                   stop={"max_iter": 5}, diagnostics={"saddle_tol": 1.0e-10})
+        ridge = small_ridge_raw(stop={"max_iter": 5})
+        for name, raw in (("logistic", logistic), ("ridge", ridge)):
+            path = tmp_path / f"{name}.yaml"
+            path.write_text(yaml.safe_dump(raw))
+            assert cli.main(["run", str(path), "--out", str(tmp_path / name)]) == 0
+            manifest = strict_json(tmp_path / name / "unit.manifest.json")
+            counts = [manifest[key] for key in self.REFERENCE_COUNTS]
+            if name == "ridge":  # the exact normal-equation solve
+                assert counts == [None, None, None]
+            else:
+                assert all(isinstance(c, int) for c in counts)
+                assert counts[0] > 0 and counts[1] >= 1 and counts[2] >= 1
+                assert manifest["saddle_grad_norm"] <= 1e-15
+
     def test_preset_manifest_telemetry(self, tmp_path, monkeypatch):
         def short(*args, **kwargs):  # the preset's runs and grid, at a few rounds each
             return [replace(cfg, stop=replace(cfg.stop, max_iter=20),
@@ -798,8 +818,11 @@ class TestCli:
         code = cli.main(["preset", "fig1_er01", "--synthetic-logistic",
                          "--out", str(tmp_path / "p")])
         assert code == 0
+        counts = set()
         for kind in ("adolf", "adolf_local", "extra"):
             manifest = strict_json(tmp_path / "p" / f"fig1_er01_{kind}.manifest.json")
+            assert manifest["saddle_grad_norm"] <= 1e-15
+            counts.add(tuple(manifest[key] for key in self.REFERENCE_COUNTS))
             assert manifest["alpha_floor"] > 0
             assert 0.0 <= manifest["mu_tilde_hat"] <= manifest["l_tilde_hat"]
             if kind == "extra":
@@ -807,6 +830,10 @@ class TestCli:
                 assert manifest["dual_colsum_max"] is None
             else:
                 assert 0.0 <= manifest["dual_colsum_max"] <= 1e-9
+        # one reference solve for the preset's shared instance: one Hessian at
+        # the fig1 shape, then chord steps to the floor
+        (evaluations, hessians, chord_steps), = counts
+        assert evaluations > 0 and hessians == 1 and chord_steps >= 1
 
     def test_preset_configs_only(self, tmp_path):
         code = cli.main([

@@ -64,6 +64,7 @@ def evaluations(prob):
         "average_gradient": grad,
         "average_value_alone": prob.average_value(x[1]),
         "average_gradient_alone": prob.average_gradient(x[1]),
+        "average_hessian": prob.average_hessian(x[2]),
     }
 
 
@@ -83,6 +84,18 @@ def test_kernels_identical_at_any_lane_count(force_lanes, synth):
         prob = synth(M, N, D, seed=3)
         assert prob.lanes == min(count, M)
         assert_identical(evaluations(prob), want)
+
+
+@pytest.mark.parametrize("synth", [synth_ridge, synth_logistic])
+def test_hessian_block_columns_identical_at_any_lane_count(force_lanes, monkeypatch, synth):
+    # 9 block columns of unequal work: the lanes split them into runs, not the agents
+    monkeypatch.setattr(objectives, "HESSIAN_BLOCK", 8)
+    x = 0.5 * np.random.default_rng(12).standard_normal(D)
+    force_lanes(1)
+    want = synth(M, N, D, seed=3).average_hessian(x)
+    for count in COUNTS:
+        force_lanes(count)
+        assert np.array_equal(synth(M, N, D, seed=3).average_hessian(x), want), count
 
 
 def test_mnist_partition_identical_at_any_lane_count(tmp_path, force_lanes):

@@ -20,6 +20,7 @@ from local_losses import (
     local_gradient,
     local_value,
     loop_average_gradient,
+    loop_average_hessian,
     loop_average_value,
     loop_stacked_gradient,
 )
@@ -302,12 +303,63 @@ class TestProblemInstance:
             assert val == prob.average_value(x)
             assert np.array_equal(grad, prob.average_gradient(x))
 
+    @pytest.mark.parametrize("m, n, d", KERNEL_SHAPES)
+    @pytest.mark.parametrize("synth", [synth_ridge, synth_logistic])
+    def test_average_hessian_matches_loop(self, synth, m, n, d):
+        # float32 terms and sums: agreement to a few float32 rounding units
+        prob = synth(m, n, d, seed=7)
+        x = np.random.default_rng(10).standard_normal(d)
+        hess = prob.average_hessian(x)
+        assert hess.dtype == np.float32 and hess.shape == (d, d)
+        want = loop_average_hessian(prob, x)
+        np.testing.assert_allclose(np.tril(hess), np.tril(want), rtol=0,
+                                   atol=1e-6 * np.abs(want).max())
+
+    def test_average_hessian_block_columns(self, monkeypatch):
+        # several block columns and a ragged last one: the lower triangle is
+        # the Hessian's, and nothing right of the diagonal blocks is set
+        monkeypatch.setattr(objectives, "HESSIAN_BLOCK", 4)
+        prob = synth_logistic(3, 5, 11, seed=2)
+        x = np.random.default_rng(12).standard_normal(prob.d)
+        hess, want = prob.average_hessian(x), loop_average_hessian(prob, x)
+        np.testing.assert_allclose(np.tril(hess), np.tril(want), rtol=0,
+                                   atol=1e-6 * np.abs(want).max())
+        blocks = np.kron(np.eye(3), np.ones((4, 4)))[:11, :11]
+        assert np.all(hess[np.triu(1 - blocks, 1) > 0] == 0)
+
+    @pytest.mark.parametrize("build", list(BUILDS))
+    def test_average_hessian_matches_gradient_differences(self, build):
+        prob = self.BUILDS[build]()
+        x = 0.5 * np.random.default_rng(11).standard_normal(prob.d)
+        columns = [finite_diff_gradient(lambda t, j=j: prob.average_gradient(t)[j], x)
+                   for j in range(prob.d)]
+        differences = np.array(columns)
+        np.testing.assert_allclose(np.tril(prob.average_hessian(x)), np.tril(differences),
+                                   rtol=0, atol=1e-6 * np.abs(differences).max())
+
+    @pytest.mark.parametrize("d", [5, 11])
+    def test_factor_solves_with_the_hessian(self, monkeypatch, d):
+        # one block, and three with a ragged last one
+        monkeypatch.setattr(objectives, "HESSIAN_BLOCK", 4 if d == 11 else 128)
+        prob = synth_logistic(3, 20, d, seed=3)
+        x = 0.3 * np.random.default_rng(13).standard_normal(d)
+        factor = objectives._Factor(prob.average_hessian(x))
+        g = np.random.default_rng(14).standard_normal(d)
+        step = factor.solve(g)
+        assert step.dtype == np.float64
+        np.testing.assert_allclose(loop_average_hessian(prob, x) @ step, g, rtol=0,
+                                   atol=1e-4 * np.linalg.norm(g))
+
+    def test_factor_refuses_an_indefinite_matrix(self):
+        with pytest.raises(np.linalg.LinAlgError):
+            objectives._Factor(np.diag([1.0, -1.0, 2.0]).astype(np.float32))
+
     @pytest.mark.parametrize("build", list(BUILDS))
     def test_average_point_shape_checked(self, build):
         prob = self.BUILDS[build]()
         for shape in [(prob.d - 1,), (1, prob.d), (prob.d, 1), ()]:
             for method in (prob.average_value, prob.average_gradient,
-                           prob.average_value_and_gradient):
+                           prob.average_value_and_gradient, prob.average_hessian):
                 with pytest.raises(ShapeError):
                     method(np.zeros(shape))
 
@@ -614,6 +666,68 @@ class TestCentralizedMinimize:
         prob = synth_logistic(m=2, n=20, d=6, seed=6, noise=0.1)
         with pytest.raises(ParameterError, match="positive and finite"):
             centralized_minimize(prob, tol=tol, max_iter=50)
+
+    def test_chord_finish_reaches_the_rounding_floor(self):
+        # the fig1 preset's shape: one Hessian, then chord steps far below tol
+        prob = synth_logistic(m=20, n=50, d=20, seed=1, noise=0.1)
+        counts = objectives.SolveCounts()
+        x = centralized_minimize(prob, tol=1e-10, counts=counts)
+        assert np.linalg.norm(prob.average_gradient(x)) <= 1e-15
+        assert counts.hessians == 1 and counts.chord_steps > 0
+        assert counts.evaluations > 2  # the start, the probe and accelerated steps
+
+    def test_chord_finish_on_ridge_matches_normal_equations(self):
+        prob = synth_ridge(m=4, n=6, d=5, seed=3)
+        counts = objectives.SolveCounts()
+        x = centralized_minimize(prob, tol=1e-12, counts=counts)
+        assert counts.hessians >= 1
+        np.testing.assert_allclose(x, ridge_exact_solution(prob), rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("make, tol", [
+        (lambda: synth_logistic(m=3, n=30, d=5, seed=4, noise=0.15), 1e-2),  # tol above the start
+        (lambda: synth_ridge(m=2, n=3, d=10, seed=5), 1e-12),  # Hessian larger than the data
+    ])
+    def test_accelerated_steps_alone(self, make, tol):
+        prob = make()
+        counts = objectives.SolveCounts()
+        x = centralized_minimize(prob, tol=tol, counts=counts)
+        assert np.linalg.norm(prob.average_gradient(x)) <= tol
+        assert counts.hessians == counts.chord_steps == 0
+
+    def spy_accelerate(self, monkeypatch):
+        """The tolerances centralized_minimize runs its accelerated steps to, in order."""
+        targets, real = [], objectives._Descent.accelerate
+
+        def spy(run, x, f, g, lip, tol):
+            targets.append(tol)
+            return real(run, x, f, g, lip, tol)
+        monkeypatch.setattr(objectives._Descent, "accelerate", spy)
+        return targets
+
+    def test_stalled_chord_falls_back_to_accelerated_steps(self, monkeypatch):
+        # nearly separable: ||x*|| is about 64, and at the chord's start the
+        # curvature of most samples is nearly gone; Hessians formed along the
+        # way stop contracting, and the accelerated steps finish the solve
+        prob = synth_logistic(m=4, n=6, d=20, seed=0, noise=0.05)
+        targets = self.spy_accelerate(monkeypatch)
+        counts = objectives.SolveCounts()
+        x = centralized_minimize(prob, tol=1e-12, counts=counts)
+        assert np.linalg.norm(prob.average_gradient(x)) <= 1e-12
+        assert targets == [objectives.CHORD_START, 1e-12]
+        assert counts.hessians > 1
+        assert np.linalg.norm(x) > 50
+
+    def test_failed_factor_falls_back_to_accelerated_steps(self, monkeypatch):
+        def not_positive_definite(h):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+        monkeypatch.setattr(objectives, "_Factor", not_positive_definite)
+        targets = self.spy_accelerate(monkeypatch)
+        prob = synth_logistic(m=3, n=30, d=5, seed=4, noise=0.15)
+        counts = objectives.SolveCounts()
+        x = centralized_minimize(prob, tol=1e-12, counts=counts)
+        assert np.linalg.norm(prob.average_gradient(x)) <= 1e-12
+        assert targets == [objectives.CHORD_START, 1e-12]
+        assert (counts.hessians, counts.chord_steps) == (1, 0)
 
     def test_budget_exhaustion_carries_best_iterate(self):
         prob = synth_logistic(m=2, n=20, d=6, seed=6, noise=0.1)
