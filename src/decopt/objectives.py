@@ -152,15 +152,20 @@ if hasattr(os, "register_at_fork"):
 
 
 def _expit(t):
-    """The logistic sigmoid 1 / (1 + exp(-t)), elementwise.
+    """The logistic sigmoid 1 / (1 + exp(-t)) of the float array t, computed in
+    t itself, which it returns.
 
-    ``scipy.special`` is imported here, on first use, so that ridge runs,
-    ``decopt validate`` and CLI startup never load it: it takes about as much
-    memory and import time as numpy and the rest of the program together.
+    In place, because the logistic gradient calls it on a product-size array
+    every round, and several fresh temporaries of that size a call make
+    glibc grow and trim its heap every round (see the README). exp
+    overflows to inf for t below about -709, where the sigmoid is
+    1 / inf = 0, so the overflow is not an error.
     """
-    from scipy.special import expit
-
-    return expit(t)
+    np.negative(t, out=t)
+    with np.errstate(over="ignore"):
+        np.exp(t, out=t)
+    t += 1.0
+    return np.divide(1.0, t, out=t)
 
 
 def _check_point(x, d: int) -> np.ndarray:
@@ -400,7 +405,10 @@ class _LogisticBatch(_Batch):
 
         def lane(lo, hi):
             b = self.b[lo:hi, None, :]
-            weights = b * _expit(-b * self._own(x_cols, lo, hi))
+            weights = self._own(x_cols, lo, hi)
+            weights *= -b
+            weights = _expit(weights)
+            weights *= b
             weights *= -1.0 / self.n
             np.matmul(weights, self.a[lo:hi], out=grad[lo:hi])
 

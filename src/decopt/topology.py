@@ -179,8 +179,13 @@ class GossipMatrix:
         """Closed-neighborhood mask: the sparsity pattern of w_tilde.
 
         Its diagonal is set because construction checked that w_tilde's is
-        positive, so every agent is in its own neighborhood.
+        positive, so every agent is in its own neighborhood. Computed once;
+        every call returns the same read-only array.
         """
+        return self._neighbor_mask
+
+    @cached_property
+    def _neighbor_mask(self) -> np.ndarray:
         mask = self.w_tilde > 0.0
         mask.setflags(write=False)
         return mask

@@ -878,14 +878,14 @@ class TestCli:
         assert cli.main(["preset", "fig2_line", "--configs-only", "--out", "flag_out"]) == 0
         assert len(list((tmp_path / "flag_out").iterdir())) == 3  # --out still wins
 
-    def test_scipy_special_loads_only_for_logistic(self, tmp_path):
+    def test_no_stage_loads_scipy(self, tmp_path):
         # a fresh interpreter: whether a module is loaded is process-wide state
         probe = (
             "import json, sys\n"
             "import decopt.cli\n"
-            "loaded = {'import': 'scipy.special' in sys.modules}\n"
+            "loaded = {'import': 'scipy' in sys.modules}\n"
             "for stage, argv in json.loads(sys.argv[1]):\n"
-            "    loaded[stage] = (decopt.cli.main(argv), 'scipy.special' in sys.modules)\n"
+            "    loaded[stage] = (decopt.cli.main(argv), 'scipy' in sys.modules)\n"
             "print(json.dumps(loaded))\n"
         )
         ridge = self.write_config(tmp_path)
@@ -908,7 +908,7 @@ class TestCli:
             "import": False,
             "validate": [0, False],
             "ridge": [0, False],
-            "logistic": [0, True],
+            "logistic": [0, False],
         }
 
 

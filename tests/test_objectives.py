@@ -122,6 +122,14 @@ class TestRidge:
             ProblemInstance.ridge(a[:0], b[:0], [])
 
 
+# ±0, ±tiny, ±1, the range where exp(-t) overflows or 1 + exp(-t) rounds to
+# 1 (|t| from 708 to 746), ±inf and NaN
+EXPIT_EDGES = np.array(
+    [0.0, -0.0, 1e-300, -1e-300, 1.0, -1.0, np.inf, -np.inf, np.nan]
+    + [s * t for t in (708.0, 709.0, 709.7, 710.0, 720.0, 744.0, 745.0, 745.2, 746.0)
+       for s in (1.0, -1.0)])
+
+
 class TestLogistic:
     def test_value_gradient_at_zero(self):
         rng = np.random.default_rng(2)
@@ -145,6 +153,35 @@ class TestLogistic:
             assert np.isfinite(value(prob, x)) and np.isfinite(prob.average_value(x))
             assert np.all(np.isfinite(gradient(prob, x)))
             assert np.all(np.isfinite(prob.average_gradient(x)))
+
+    def test_expit_matches_scipy(self):
+        from scipy.special import expit  # the reference; decopt itself never loads scipy
+
+        got = objectives._expit(EXPIT_EDGES.copy())
+        want = expit(EXPIT_EDGES)
+        assert np.array_equal(np.isnan(got), np.isnan(EXPIT_EDGES))
+        finite = ~np.isnan(EXPIT_EDGES)
+        np.testing.assert_array_max_ulp(got[finite], want[finite], maxulp=1)
+        # elsewhere numpy's exp and the C library's differ by up to 1 ulp, and
+        # 1 + e and 1 / (1 + e) each round once on either side: 3 eps relative
+        t = np.concatenate([np.linspace(-700.0, 700.0, 30001),
+                            30.0 * np.random.default_rng(0).standard_normal(10_000)])
+        np.testing.assert_allclose(objectives._expit(t.copy()), expit(t),
+                                   rtol=3 * np.finfo(float).eps, atol=0.0)
+
+    def test_expit_is_the_numpy_formula_in_place(self):
+        t = np.concatenate([EXPIT_EDGES, np.linspace(-750.0, 750.0, 30001)])
+        with np.errstate(over="ignore"):
+            want = 1.0 / (1.0 + np.exp(-t))
+        got = t.copy()
+        assert objectives._expit(got) is got
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        finite = ~np.isnan(want)
+        assert np.array_equal(got[finite].view(np.int64), want[finite].view(np.int64))
+
+    def test_expit_overflow_is_not_an_error(self):
+        with np.errstate(all="raise"):
+            assert objectives._expit(np.array([-800.0]))[0] == 0.0
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=20, deadline=None)

@@ -1,4 +1,8 @@
 import functools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -546,6 +550,36 @@ class TestGridSearch:
         prob, gossip, recorder = self.setup_case()
         with pytest.raises(NoConvergentStepsizeError):
             extra_grid_search(prob, gossip, [50.0, 80.0], 200, recorder)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="counts page faults as Linux reports them")
+    def test_logistic_grid_rounds_do_not_churn_the_heap(self):
+        # Several product-size temporaries per logistic gradient (160 KB each
+        # here) pass glibc's dynamic trim threshold together, so the heap grows
+        # and is trimmed on every round: tens of thousands of minor page faults
+        # over these 1000 rounds. A fresh interpreter, so that no other test
+        # has moved those thresholds.
+        probe = (
+            "import resource\n"
+            "from decopt import runner, solvers\n"
+            "extra = next(c for c in runner.figure_preset('fig1_er01', synthetic_logistic=True)\n"
+            "             if c.algorithm.kind == 'extra')\n"
+            "ws = runner._Workspace(extra)\n"
+            "def search(budget):\n"
+            "    solvers.extra_grid_search(ws.problem, ws.gossip, extra.algorithm.grid, budget,\n"
+            "                              ws.recorder(extra.diagnostics.cadence), x0=ws.x0)\n"
+            "search(20)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "search(1000)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        )
+        src = str(Path(solvers.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout.splitlines()[-1]) < 1000
 
 @pytest.mark.parametrize("value", [np.inf, np.nan])
 @pytest.mark.parametrize("build", [

@@ -141,6 +141,14 @@ class TestPsdShift:
             shifted.shifted[off] != 0, shifted.w_tilde[off] != 0
         )
 
+    def test_neighbor_mask_computed_once(self):
+        g = topology.make_erdos_renyi(10, 0.3, seed=2)
+        shifted = mh_shifted(g)
+        mask = shifted.neighbor_mask()
+        assert mask is shifted.neighbor_mask()
+        assert not mask.flags.writeable
+        assert np.array_equal(mask, g.neighbor_mask())
+
 
 class TestLaplacianSqrt:
     def test_2x2_closed_form(self):
