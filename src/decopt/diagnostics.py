@@ -360,16 +360,19 @@ class Trace:
 
 
 # Bytes that one batch of trace rows may hold (see TraceRecorder). A row holds
-# three (m, d) snapshots: its iterate for the objective gap, and the ergodic
+# three (m, d) stacks: its iterate for the objective gap, and the ergodic
 # average and X^{k-1} for F. Its products with the data are two own-value
 # columns, (m, n) each, and the arrays that cross_values makes at its m points
-# (ProblemInstance.cross_bytes). Measured at 1 BLAS thread on a 2-CPU VM, in
-# CPU time: a 400-row cadence-1 trace of fig2_er09's adolf and adolf_local
-# (m=20, n=20, d=500) took 1.42 s in batches of 1 row, 1.27 s of 2, 1.20 s of
-# 3 and 1.19 s of 4; the fig1_er01 adolf and adolf_local traces (n=50, d=20),
-# whose objective gap is mostly the softplus of 20 000 margins a row and not
-# the product, took 2.92 s in batches of 1 and 3.27 s of 2. 1.5 MiB holds 3
-# rows at the fig2 shape and 1 at the fig1 and MNIST (n=600, d=784) shapes.
+# (ProblemInstance.cross_bytes). During a flush the batch holds the rows'
+# stacks plus one stacked copy of each kind, the points and the F columns;
+# trace_batch_rows counts the stacks once. Measured at 1 BLAS thread on a
+# 2-CPU VM, in CPU time: a 400-row cadence-1 trace of fig2_er09's adolf and
+# adolf_local (m=20, n=20, d=500) took 1.42 s in batches of 1 row, 1.27 s of
+# 2, 1.20 s of 3 and 1.19 s of 4; the fig1_er01 adolf and adolf_local traces
+# (n=50, d=20), whose objective gap is mostly the softplus of 20 000 margins a
+# row and not the product, took 2.92 s in batches of 1 and 3.27 s of 2.
+# 1.5 MiB holds 3 rows at the fig2 shape and 1 at the fig1 and MNIST
+# (n=600, d=784) shapes.
 TRACE_BATCH_BYTES = 3 << 19
 
 
@@ -384,15 +387,17 @@ def trace_batch_rows(problem: ProblemInstance) -> int:
 class _PendingRow:
     """A trace row that waits for its batch's products.
 
-    fields are the TraceRecord fields known when the row was due. gap is the
-    row's first point among the batch's stacked iterates, None when its
-    objective gap does not wait. Each term (field, column, offset, weight,
-    linear) makes the field offset + weight * the primal gap at the batch's
-    F column, given that column's _linear_term.
+    fields are the TraceRecord fields known when the row was due. point is
+    the iterate whose objective gap waits, None when it does not. Each term
+    (field, x_stack, offset, weight, linear) makes the field offset + weight
+    times the primal gap at x_stack, given its _linear_term. The stacks are
+    the run's own arrays, not copies: no engine writes an array after
+    returning it in a State, and the ergodic average is a fresh array each
+    time.
     """
 
     fields: dict
-    gap: int | None = None
+    point: np.ndarray | None = None
     terms: list = field(default_factory=list)
 
 
@@ -406,8 +411,8 @@ class TraceRecorder:
     Rows are written in batches of trace_batch_rows. When a row is due, its
     cheap fields are computed at once: k, the round counts, the step
     scalars, distance_sq, consensus_err and the terms of merit and Lyapunov
-    that do not need F. The rest waits, as copies of the row's iterate,
-    ergodic average and X^{k-1}, until the batch is full or the run ends.
+    that do not need F. The rest waits, as the row's iterate, ergodic
+    average and X^{k-1}, until the batch is full or the run ends.
     Then one cross_values call gives every waiting row's objective gap, and
     one column_values call the F behind its merit and Lyapunov value. So
     ``trace.records`` is complete only after ``finalize``. A stop rule's
@@ -435,8 +440,6 @@ class TraceRecorder:
         self._tested: tuple[int, str, float | None] | None = None  # (k, column, value)
         self._batch_rows = trace_batch_rows(problem)
         self._pending: list[_PendingRow] = []
-        self._points = self._columns = None  # the batch's snapshots, allocated on first use
-        self._n_points = self._n_columns = 0
 
     # -- metric helpers -------------------------------------------------
 
@@ -529,12 +532,11 @@ class TraceRecorder:
             _, tested, value = self._tested
             row.fields[tested] = value  # the stop rule's value, computed once
         if saddle is not None and tested != "objective_gap":
-            row.gap = self._stage_point(prev.x_now)
+            row.point = prev.x_now
         if (saddle is not None and tested != "merit_ergodic"
                 and self._ergodic.weighted_sum is not None):
             average = self._ergodic.average
-            row.terms.append(("merit_ergodic", self._stage_column(average),
-                              _consensus(self.l_op, average), 1.0,
+            row.terms.append(("merit_ergodic", average, _consensus(self.l_op, average), 1.0,
                               _linear_term(average, saddle)))
         if new is not None:
             alpha_min, alpha_max = float(np.min(new.alpha)), float(np.max(new.alpha))
@@ -546,46 +548,27 @@ class TraceRecorder:
                 base, weight = _lyapunov_parts(prev.x_now, prev.x_prev, y_k, saddle,
                                                sigma_k=new.sigma, gamma_k=gamma,
                                                alpha_k=alpha_min)
-                row.terms.append(("lyapunov", self._stage_column(prev.x_prev), base, weight,
+                row.terms.append(("lyapunov", prev.x_prev, base, weight,
                                   _linear_term(prev.x_prev, saddle)))
         self._pending.append(row)
         if len(self._pending) == self._batch_rows:
             self._flush()
 
-    def _stage_point(self, x_stack: np.ndarray) -> int:
-        """Copy a stack into the batch's stacked iterates; returns its first row."""
-        self._allocate()
-        start, self._n_points = self._n_points, self._n_points + len(x_stack)
-        self._points[start:self._n_points] = x_stack
-        return start
-
-    def _stage_column(self, x_stack: np.ndarray) -> int:
-        """Copy a stack into the batch's F columns; returns its column."""
-        self._allocate()
-        self._columns[:, self._n_columns] = x_stack
-        self._n_columns += 1
-        return self._n_columns - 1
-
-    def _allocate(self) -> None:
-        if self._points is None:
-            m, d = self.problem.m, self.problem.d
-            self._points = np.empty((self._batch_rows * m, d))
-            self._columns = np.empty((m, 2 * self._batch_rows, d))
-
     def _flush(self) -> None:
         """Complete the waiting rows with one product call of each kind, and write them."""
-        saddle, m = self.saddle, self.problem.m
-        if self._n_points:
-            at_points = self.problem.average_values_at_rows(self._points[:self._n_points])
-        if self._n_columns:
-            f_values = self.problem.column_values(self._columns[:, :self._n_columns])
-        for row in self._pending:
+        saddle, m, pending = self.saddle, self.problem.m, self._pending
+        points = [row.point for row in pending if row.point is not None]
+        if points:
+            at_points = iter(
+                self.problem.average_values_at_rows(np.concatenate(points)).reshape(-1, m))
+        stacks = [term[1] for row in pending for term in row.terms]
+        if stacks:
+            f_values = iter(self.problem.column_values(np.stack(stacks, axis=1)))
+        for row in pending:
             fields = row.fields
-            if row.gap is not None:
-                fields["objective_gap"] = float(
-                    np.mean(at_points[row.gap:row.gap + m]) - saddle.f_star)
-            for name, column, offset, weight, linear in row.terms:
-                fields[name] = float(offset + weight * _gap(f_values[column], linear, saddle))
+            if row.point is not None:
+                fields["objective_gap"] = float(np.mean(next(at_points)) - saddle.f_star)
+            for name, _, offset, weight, linear in row.terms:
+                fields[name] = float(offset + weight * _gap(next(f_values), linear, saddle))
             self.trace.records.append(TraceRecord(**fields))
-        self._pending.clear()
-        self._n_points = self._n_columns = 0
+        pending.clear()

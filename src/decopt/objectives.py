@@ -830,11 +830,12 @@ class _Descent:
         the steps use the float64 gradient, so the factor's precision sets
         only how fast they contract (Carson and Higham, SIAM J. Sci. Comput.
         40(2), 2018). t halves from 1 until f does not rise. A step above tol
-        that cuts ||grad f|| by less than CHORD_CONTRACTION brings a new
+        that cuts ||grad f|| by no more than CHORD_CONTRACTION brings a new
         Hessian at the point it reached. The steps end when a step at or
-        below tol cuts ||grad f|| by less than CHORD_CONTRACTION (rounding
-        stops them there), when a fresh factor brings neither a smaller norm
-        nor a lower f, when a factor fails, or when the budget runs out.
+        below tol cuts ||grad f|| by no more than CHORD_CONTRACTION (rounding
+        stops them there, and so does an exact zero gradient, which a step
+        cannot cut), when a fresh factor brings neither a smaller norm nor a
+        lower f, when a factor fails, or when the budget runs out.
         """
         norm, factor = np.linalg.norm(g), None
         while self.budget > 0:
@@ -861,7 +862,7 @@ class _Descent:
                     return
                 factor = None
                 continue
-            if norm_new * CHORD_CONTRACTION > norm:
+            if norm_new * CHORD_CONTRACTION >= norm:
                 if min(norm, norm_new) <= tol:
                     return  # within tol and no longer contracting
                 if fresh and norm_new >= norm and f_new >= f - slack:

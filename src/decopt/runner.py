@@ -365,7 +365,8 @@ def compare(configs: list[ExperimentConfig], out_dir=None, metric: str | None = 
 
     rows: list[ComparisonRow] = []
     manifests: list[RunManifest] = []
-    traces: list[tuple[str, Trace]] = []
+    long_lines = ["algorithm,k,comm_vector,comm_scalar,metric,value"]
+    gp_blocks = []
     used_names: set[str] = set()
     for idx, cfg in enumerate(configs):
         name, suffix = cfg.run_name(), idx
@@ -378,7 +379,6 @@ def compare(configs: list[ExperimentConfig], out_dir=None, metric: str | None = 
         manifest = _manifest_for(cfg, trace, csv_path, ws, best_alpha, search, name)
         _atomic_write_text(out / f"{name}.manifest.json", manifest.to_json())
         manifests.append(manifest)
-        traces.append((name, trace))
         rows.append(
             ComparisonRow(
                 name=name,
@@ -391,26 +391,18 @@ def compare(configs: list[ExperimentConfig], out_dir=None, metric: str | None = 
                     trace, metric, cfg.stop.threshold if cfg.stop.metric == metric else None),
             )
         )
-
-    long_lines = ["algorithm,k,comm_vector,comm_scalar,metric,value"]
-    for name, trace in traces:
+        gp_lines = [f"# {name}", "# k comm_vector value"]
         for rec in trace.records:
             value = rec.metric(metric)
             if value is not None:
                 long_lines.append(
                     f"{name},{rec.k},{rec.comm_vector},{rec.comm_scalar},{metric},{value!r}"
                 )
+                gp_lines.append(f"{rec.k} {rec.comm_vector} {value!r}")
+        gp_blocks.append("\n".join(gp_lines))
+
     long_path = out / f"{label}_long.csv"
     _atomic_write_text(long_path, "\n".join(long_lines) + "\n")
-
-    gp_blocks = []
-    for name, trace in traces:
-        lines = [f"# {name}", "# k comm_vector value"]
-        for rec in trace.records:
-            value = rec.metric(metric)
-            if value is not None:
-                lines.append(f"{rec.k} {rec.comm_vector} {value!r}")
-        gp_blocks.append("\n".join(lines))
     gnuplot_path = out / f"{label}.dat"
     _atomic_write_text(gnuplot_path, "\n\n\n".join(gp_blocks) + "\n")
 

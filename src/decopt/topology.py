@@ -68,16 +68,12 @@ class Graph:
                 raise ParameterError(f"self-loop ({i},{j}) not allowed")
             if not (0 <= i < self.m and 0 <= j < self.m):
                 raise ParameterError(f"edge ({i},{j}) out of range for m={self.m}")
-        if not _is_connected(self.m, self.edges):
+        if -1 in _bfs_distances(self.m, self.neighbor_lists, 0):
             raise ParameterError("graph is not connected")
 
     @cached_property
     def neighbor_lists(self) -> tuple[tuple[int, ...], ...]:
-        nbrs: list[list[int]] = [[] for _ in range(self.m)]
-        for i, j in self.edges:
-            nbrs[i].append(j)
-            nbrs[j].append(i)
-        return tuple(tuple(sorted(n)) for n in nbrs)
+        return _neighbor_lists(self.m, self.edges)
 
     def neighbors(self, i: int) -> tuple[int, ...]:
         return self.neighbor_lists[i]
@@ -105,26 +101,17 @@ class Graph:
         return best
 
 
-def _is_connected(m: int, edges: frozenset[tuple[int, int]]) -> bool:
+def _neighbor_lists(m: int, edges) -> tuple[tuple[int, ...], ...]:
+    """Each agent's neighbors in ascending order."""
     nbrs: list[list[int]] = [[] for _ in range(m)]
     for i, j in edges:
         nbrs[i].append(j)
         nbrs[j].append(i)
-    seen = [False] * m
-    stack = [0]
-    seen[0] = True
-    count = 1
-    while stack:
-        v = stack.pop()
-        for w in nbrs[v]:
-            if not seen[w]:
-                seen[w] = True
-                count += 1
-                stack.append(w)
-    return count == m
+    return tuple(tuple(sorted(n)) for n in nbrs)
 
 
 def _bfs_distances(m: int, nbrs, src: int) -> list[int]:
+    """Hops from src to every agent, -1 for an agent it does not reach."""
     dist = [-1] * m
     dist[src] = 0
     queue = [src]
@@ -248,7 +235,7 @@ def make_erdos_renyi(m: int, p: float, seed: int) -> Graph:
         if np.count_nonzero(hits) < m - 1:
             continue  # fewer than m - 1 edges cannot connect m vertices
         edges = frozenset(pair for pair, hit in zip(pairs, hits) if hit)
-        if _is_connected(m, edges):
+        if -1 not in _bfs_distances(m, _neighbor_lists(m, edges), 0):
             return Graph(m, edges)
     raise GraphGenerationError(
         f"no connected G({m}, {p}) sample within {_ER_MAX_ATTEMPTS} attempts"

@@ -613,9 +613,9 @@ class TestCli:
         # every one of the 100000 draws has far fewer than m - 1 = 29 edges, so
         # none is worth a connectivity traversal
         checked = []
-        is_connected = topology._is_connected
-        monkeypatch.setattr(topology, "_is_connected",
-                            lambda m, edges: checked.append(len(edges)) or is_connected(m, edges))
+        bfs_distances = topology._bfs_distances
+        monkeypatch.setattr(topology, "_bfs_distances",
+                            lambda m, nbrs, src: checked.append(m) or bfs_distances(m, nbrs, src))
         raw = small_ridge_raw(problem={"kind": "ridge", "m": 30, "n": 5, "d": 3},
                               graph={"kind": "erdos_renyi", "m": 30, "p": 0.001})
         path = self.write_config(tmp_path, raw)

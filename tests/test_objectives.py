@@ -675,6 +675,16 @@ class TestCentralizedMinimize:
         np.testing.assert_allclose(ridge_exact_solution(prob), [1.0], atol=1e-14)
         np.testing.assert_allclose(centralized_minimize(prob, tol=1e-12), [1.0], atol=1e-10)
 
+    def test_chord_finish_ends_on_an_exact_zero_gradient(self):
+        # the hand-solved ridge's chord step lands on x* = 1 with a zero
+        # gradient, which no further step can cut: the finish ends there
+        # instead of taking zero-length steps until the budget runs out
+        prob = one_ridge([[1.0]], [2.0], 2.0)
+        counts = objectives.SolveCounts()
+        x = centralized_minimize(prob, tol=1e-12, counts=counts)
+        assert np.array_equal(prob.average_gradient(x), [0.0])
+        assert counts.hessians == 1 and 1 <= counts.chord_steps <= 3
+
     def test_matches_normal_equations(self):
         prob = synth_ridge(m=4, n=6, d=5, seed=3)
         x_exact = ridge_exact_solution(prob)

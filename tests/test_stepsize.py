@@ -208,6 +208,24 @@ class TestStronglyConvexSelection:
         assert alpha <= guard * (1 + 1e-12)
         assert alpha >= guard * (1 - 1e-12)
 
+    @given(
+        st.integers(min_value=0, max_value=5_000),
+        st.integers(min_value=1, max_value=60),
+        st.floats(0.01, 1.0),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_gamma_bounded_on_random_paths(self, seed, steps, c2):
+        # zero curvature now and then lets the ratio guard bind
+        rng = np.random.default_rng(seed)
+        params = sc_params(c2=c2)
+        bound = gamma_ratio_bound(c2)
+        state = (10.0 ** rng.uniform(-4, 0), 1.0, 1)
+        for k in range(1, steps + 1):
+            l_k = 0.0 if rng.random() < 0.3 else rng.uniform(0.0, 50.0)
+            alpha, gamma = select_alpha_strongly_convex(l_k, *state, params)
+            assert gamma <= bound + 1e-12
+            state = (alpha, gamma, k + 1)
+
     def test_zero_selection_is_numeric_error(self):
         # L_k^2 overflows, the curvature guard rounds to 0, and the run must
         # end diverged rather than step with alpha = 0
@@ -318,6 +336,44 @@ class TestLocalRules:
         for _ in range(g.diameter):
             vals, _ = local_min_consensus(vals, mask, np.ones(6))
         np.testing.assert_allclose(vals, np.full(6, 0.05), atol=0)
+
+    @given(st.integers(2, 12), st.floats(0.3, 1.0), st.integers(0, 1_000))
+    @settings(max_examples=40, deadline=None)
+    def test_min_propagates_in_diameter_rounds_on_random_graphs(self, m, p, seed):
+        g = topology.make_erdos_renyi(m, p, seed=seed)
+        mask = g.neighbor_mask()
+        vals = np.random.default_rng(seed).uniform(0.01, 1.0, size=m)
+        target = vals.min()
+        for _ in range(g.diameter):
+            vals, _ = local_min_consensus(vals, mask, np.ones(m))
+        np.testing.assert_array_equal(vals, np.full(m, target))
+
+    @given(
+        st.integers(min_value=0, max_value=5_000),
+        st.integers(min_value=1, max_value=60),
+        st.floats(0.01, 1.0),
+        st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_gamma_bounded_on_random_paths(self, seed, steps, c2, strongly_convex):
+        # the composition adolf_local_step makes, from gamma_0 = 1; idle agents
+        # (L_i = 0) and a loose growth cap let the ratio guard bind
+        rng = np.random.default_rng(seed)
+        m = 6
+        params = StepsizeParams(local=True, strongly_convex=strongly_convex, c1=0.9, c2=c2,
+                                eta=0.5, growth=GrowthPolicy(kind="additive", a=1.0))
+        mask = topology.make_erdos_renyi(m, 0.5, seed=seed).neighbor_mask()
+        bound = gamma_ratio_bound(c2)
+        alpha, gamma = np.full(m, 10.0 ** rng.uniform(-4, 0)), np.ones(m)
+        for k in range(1, steps + 1):
+            l_vec = np.where(rng.random(m) < 0.3, 0.0, rng.uniform(0.0, 50.0, size=m))
+            if strongly_convex:
+                hat = local_candidate_strongly_convex(l_vec, params.sigma, params.c1)
+            else:
+                hat = curvature_guard(l_vec, params.sigma_bar, params.c1)
+            tilde = local_tilde(hat, alpha, gamma, params, k)
+            alpha, gamma = local_min_consensus(tilde, mask, alpha)
+            assert np.all(gamma <= bound + 1e-12)
 
 
 @st.composite

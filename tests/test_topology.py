@@ -206,6 +206,6 @@ def replay_erdos_renyi(m: int, p: float, seed: int):
     for _ in range(topology._ER_MAX_ATTEMPTS):
         draws = rng.random(len(pairs))
         edges = frozenset(pair for pair, u in zip(pairs, draws) if u < p)
-        if topology._is_connected(m, edges):
+        if -1 not in topology._bfs_distances(m, topology._neighbor_lists(m, edges), 0):
             return edges
     return None
