@@ -29,7 +29,7 @@ import numpy as np
 from .errors import InsufficientDataError, NumericError, ParameterError
 from .objectives import (ProblemInstance, SolveCounts, centralized_minimize,
                          ridge_exact_solution)
-from .topology import GossipMatrix, graph_laplacian_sqrt, laplacian_pinv_sqrt
+from .topology import GossipMatrix, laplacian_pinv_sqrt
 
 __all__ = [
     "SaddlePoint",
@@ -121,8 +121,7 @@ def compute_saddle(
     perp = grad_stack - grad_stack.mean(axis=0, keepdims=True)
     pinv = laplacian_pinv_sqrt(gossip)
     y_star = -pinv @ perp
-    l_op = graph_laplacian_sqrt(gossip)
-    d_star = l_op @ y_star
+    d_star = gossip.laplacian_sqrt @ y_star
     residual = float(np.linalg.norm(grad_stack + d_star))
     if residual > max(1e-6, np.sqrt(m) * 10 * tol * (1.0 + np.linalg.norm(grad_stack))):
         raise NumericError(f"saddle stationarity residual too large: {residual:.3e}")

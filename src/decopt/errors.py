@@ -43,7 +43,8 @@ class NotConvergedError(NumericError, RuntimeError):
 
 
 class NoConvergentStepsizeError(DecoptError, RuntimeError):
-    """Every stepsize in a grid search diverged."""
+    """A grid search has no stepsize to choose: every one diverged, or none
+    ended with a finite metric."""
 
 
 class ComparisonError(DecoptError, ValueError):

@@ -187,6 +187,7 @@ class _Workspace:
             raise ConfigError(
                 f"problem.m: problem has {self.problem.m} agents but graph has {self.graph.m}"
             )
+        # computed here, on the gossip matrix; compute_saddle and condat_vu reuse it
         self.l_op = graph_laplacian_sqrt(self.gossip)
         self.saddle: SaddlePoint | None = None
         if config.diagnostics.saddle:
@@ -225,6 +226,17 @@ def _execute(config: ExperimentConfig, ws: _Workspace
         trace = run("extra", ws.problem, ws.gossip, ExtraParams(best_alpha), stop,
                     ws.recorder(cadence), ws.x0)
     return trace, best_alpha, search
+
+
+def _write_run(config: ExperimentConfig, ws: _Workspace, out: Path,
+               name: str) -> tuple[Trace, RunManifest]:
+    """Execute one config in ws and write its trace CSV and manifest to out as name.*."""
+    trace, best_alpha, search = _execute(config, ws)
+    csv_path = out / f"{name}.csv"
+    _atomic_write_text(csv_path, trace.to_csv())
+    manifest = _manifest_for(config, trace, csv_path, ws, best_alpha, search, name)
+    _atomic_write_text(out / f"{name}.manifest.json", manifest.to_json())
+    return trace, manifest
 
 
 def _manifest_for(config: ExperimentConfig, trace: Trace, csv_path: Path, ws: _Workspace,
@@ -269,14 +281,8 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> RunManifest:
     """Build everything, run the algorithm, and write trace + manifest."""
     config.validate()
     out = _resolve_out_dir(config, out_dir)
-    ws = _Workspace(config)
-    trace, best_alpha, search = _execute(config, ws)
-    name = config.run_name()
-    csv_path = out / f"{name}.csv"
-    _atomic_write_text(csv_path, trace.to_csv())
-    manifest = _manifest_for(config, trace, csv_path, ws, best_alpha, search, name)
-    _atomic_write_text(out / f"{name}.manifest.json", manifest.to_json())
-    _atomic_write_text(out / f"{name}.config.yaml", emit_config(config))
+    _, manifest = _write_run(config, _Workspace(config), out, config.run_name())
+    _atomic_write_text(out / f"{manifest.name}.config.yaml", emit_config(config))
     return manifest
 
 
@@ -373,11 +379,7 @@ def compare(configs: list[ExperimentConfig], out_dir=None, metric: str | None = 
         while name in used_names:  # run_name()_idx, or the next suffix that is free
             name, suffix = f"{cfg.run_name()}_{suffix}", suffix + 1
         used_names.add(name)
-        trace, best_alpha, search = _execute(cfg, ws)
-        csv_path = out / f"{name}.csv"
-        _atomic_write_text(csv_path, trace.to_csv())
-        manifest = _manifest_for(cfg, trace, csv_path, ws, best_alpha, search, name)
-        _atomic_write_text(out / f"{name}.manifest.json", manifest.to_json())
+        trace, manifest = _write_run(cfg, ws, out, name)
         manifests.append(manifest)
         rows.append(
             ComparisonRow(

@@ -8,15 +8,16 @@ additionally exchange one scalar per agent (a global average for the
 shared-stepsize variant, a neighborhood minimum for the local one); those
 scalar rounds are counted separately.
 
-Every engine is an init/step pair over one State dataclass:
-init(problem, gossip, params, x0, x_minus1=None) runs the initialization
-round and checks that params are of the engine's kind, and
-step(state, problem, gossip, params) runs one more round. Both return fresh
-states, so a run is an explicit state machine and traces can be
-reconstructed exactly. One run is strictly sequential (the
-synchronous-round semantics are part of correctness); distinct runs share
-nothing mutable and may execute in parallel. run() drives the pair named by
-its algorithm and hands the trace recorder each pair of consecutive states.
+Every engine is one step(state, problem, gossip, params) over one State
+dataclass, and it returns a fresh state, so a run is an explicit state
+machine and traces can be reconstructed exactly. A run starts from
+initial_state(problem, x0, x_minus1), State(X^0, X^-1, dual=0); round 0 of
+each step is the engine's initialization from it, and there the step also
+checks that params are of the engine's kind. One run is strictly sequential
+(the synchronous-round semantics are part of correctness); distinct runs
+share nothing mutable and may execute in parallel. run() drives the step
+named by its algorithm and hands the trace recorder each pair of
+consecutive states.
 
 The EXTRA grid search runs many stepsizes without run() or a recorder: it
 advances them as the columns of one (m, G, d) stack, so each round costs one
@@ -60,13 +61,10 @@ __all__ = [
     "FixedStepParams",
     "ExtraParams",
     "StopRule",
-    "adolf_init",
+    "initial_state",
     "adolf_step",
-    "adolf_local_init",
     "adolf_local_step",
-    "condat_vu_init",
     "condat_vu_step",
-    "extra_init",
     "extra_step",
     "run",
     "extra_grid_search",
@@ -167,73 +165,54 @@ class State:
     w_x_prev: np.ndarray | None = None
 
 
-def _start_pair(problem: ProblemInstance, x0, x_minus1) -> tuple[np.ndarray, np.ndarray]:
-    """(X^0, X^-1) checked against the problem's shape; X^-1 defaults to X^0."""
+def initial_state(problem: ProblemInstance, x0, x_minus1=None) -> State:
+    """State(X^0, X^-1, dual=0), the start of every run; X^-1 defaults to X^0.
+
+    Both stacks are checked against the problem's shape. Round 0 of each
+    engine's step is its initialization from this state.
+    """
     x0 = _check_stack(x0, problem, "x0")
-    return x0, x0 if x_minus1 is None else _check_stack(x_minus1, problem, "x_minus1")
+    x_minus1 = x0 if x_minus1 is None else _check_stack(x_minus1, problem, "x_minus1")
+    return State(x0, x_minus1, dual=np.zeros_like(x0))
 
 
 # ---------------------------------------------------------------------------
 # shared-stepsize adaptive engine
 
 
-def adolf_init(
-    problem: ProblemInstance,
-    gossip: GossipMatrix,
-    params: StepsizeParams | FixedStepParams,
-    x0: np.ndarray,
-    x_minus1: np.ndarray | None = None,
-) -> State:
-    """Initialization round: one dual ramp-up and one primal step.
+def adolf_step(state: State, problem: ProblemInstance, gossip: GossipMatrix,
+               params: StepsizeParams | FixedStepParams) -> State:
+    """One synchronous round: curvature average, selection, dual+primal update.
 
-    The dual picks up sigma0 alpha0 (I - W) ((1 + gamma0) X0 - gamma0 X^-1)
-    starting from zero, so its columns sum to zero from the first round.
-    FixedStepParams give (alpha0, sigma0, gamma0); StepsizeParams give
-    alpha0, its sigma0() and gamma0 = 1.
+    Round 0 is the initialization: it selects nothing, and the dual picks up
+    sigma0 alpha0 (I - W) ((1 + gamma0) X0 - gamma0 X^-1) from zero, so its
+    columns sum to zero from the first round. FixedStepParams give (alpha,
+    sigma, gamma) at every round; StepsizeParams give alpha0, its sigma0()
+    and gamma0 = 1 at round 0.
     """
-    if isinstance(params, FixedStepParams):
-        alpha0, sigma0, gamma0 = params.alpha, params.sigma, params.gamma
-    elif isinstance(params, StepsizeParams) and not params.local:
-        alpha0, sigma0, gamma0 = params.alpha0, params.sigma0(), 1.0
-    else:
+    fixed = isinstance(params, FixedStepParams)
+    if state.k == 0 and not (fixed or isinstance(params, StepsizeParams) and not params.local):
         raise ConfigError("adolf needs FixedStepParams or global-mode StepsizeParams")
-    x0, x_minus1 = _start_pair(problem, x0, x_minus1)
-    w = gossip.shifted
-    mix = (1.0 + gamma0) * x0 - gamma0 * x_minus1
-    dual = sigma0 * alpha0 * (mix - w @ mix)
-    grad0 = problem.stacked_gradient(x0)
-    x1 = x0 - alpha0 * (grad0 + dual)
-    return State(x_now=x1, x_prev=x0, k=1, comm_vector=1, dual=dual,
-                 alpha=alpha0, gamma=gamma0, sigma=sigma0, grad_prev=grad0)
-
-
-def adolf_step(
-    state: State,
-    problem: ProblemInstance,
-    gossip: GossipMatrix,
-    params: StepsizeParams | FixedStepParams,
-) -> State:
-    """One synchronous round: curvature average, selection, dual+primal update."""
     w = gossip.shifted
     grad_now = problem.stacked_gradient(state.x_now)
-    l_k, mu_k = curvature_global(grad_now, state.grad_prev, state.x_now, state.x_prev)
+    l_k = mu_k = None
+    if state.k > 0:
+        l_k, mu_k = curvature_global(grad_now, state.grad_prev, state.x_now, state.x_prev)
 
-    if isinstance(params, FixedStepParams):
-        alpha, gamma, sigma_k = params.alpha, params.gamma, params.sigma
-        sigma_alpha = sigma_k * alpha
-        scalar_rounds = 0  # selection disabled: no global average needed
+    if fixed or state.k == 0:  # no selection, so no global average
+        alpha, gamma, sigma_k = ((params.alpha, params.gamma, params.sigma) if fixed
+                                 else (params.alpha0, 1.0, params.sigma0()))
+        sigma_alpha, scalar_rounds = sigma_k * alpha, 0
     elif params.strongly_convex:
         alpha, gamma = select_alpha_strongly_convex(l_k, state.alpha, state.gamma, state.k,
                                                     params)
         sigma_k = params.sigma / alpha**2
-        sigma_alpha = params.sigma / alpha
-        scalar_rounds = 1
+        sigma_alpha, scalar_rounds = params.sigma / alpha, 1
     else:
         sigma_k = params.sigma_bar
         alpha, gamma = select_alpha_convex(l_k, sigma_k, state.alpha, state.gamma, state.k,
                                            params)
-        sigma_alpha = sigma_k * alpha
-        scalar_rounds = 1
+        sigma_alpha, scalar_rounds = sigma_k * alpha, 1
 
     mix = (1.0 + gamma) * state.x_now - gamma * state.x_prev
     dual = state.dual + sigma_alpha * (mix - w @ mix)
@@ -255,56 +234,39 @@ def _local_sigma_alpha(alpha_vec: np.ndarray, params: StepsizeParams) -> np.ndar
     return params.sigma_bar * alpha_vec
 
 
-def adolf_local_init(
-    problem: ProblemInstance,
-    gossip: GossipMatrix,
-    params: StepsizeParams,
-    x0: np.ndarray,
-    x_minus1: np.ndarray | None = None,
-) -> State:
-    """Initialization with uniform Lambda0 = alpha0 I and Gamma0 = I."""
-    if not isinstance(params, StepsizeParams) or not params.local:
-        raise ConfigError("adolf_local needs StepsizeParams in local mode")
-    x0, x_minus1 = _start_pair(problem, x0, x_minus1)
-    w = gossip.shifted
-    m = problem.m
-    alpha_vec = np.full(m, params.alpha0)
-    scaled = _local_sigma_alpha(alpha_vec, params)[:, None] * (2.0 * x0 - x_minus1)
-    dual = scaled - w @ scaled
-    grad0 = problem.stacked_gradient(x0)
-    x1 = x0 - params.alpha0 * (grad0 + dual)
-    return State(x_now=x1, x_prev=x0, k=1, comm_vector=1, dual=dual,
-                 alpha=alpha_vec, gamma=np.ones(m), grad_prev=grad0)
-
-
-def adolf_local_step(
-    state: State,
-    problem: ProblemInstance,
-    gossip: GossipMatrix,
-    params: StepsizeParams,
-) -> State:
+def adolf_local_step(state: State, problem: ProblemInstance, gossip: GossipMatrix,
+                     params: StepsizeParams) -> State:
     """One round: own-curvature candidates, decrease rule, min-consensus, update.
 
     Every agent's rule runs at once on per-agent arrays. The diagonal scaling
     Sigma_k Lambda_k applies before the mixing matrix, so each agent scales
-    its own contribution and then gossips once.
+    its own contribution and then gossips once. Round 0 is the
+    initialization, with uniform Lambda0 = alpha0 I and Gamma0 = I and no
+    scalar round.
     """
+    if state.k == 0 and not (isinstance(params, StepsizeParams) and params.local):
+        raise ConfigError("adolf_local needs StepsizeParams in local mode")
     w = gossip.shifted
     grad_now = problem.stacked_gradient(state.x_now)
-    l_vec, l_k, mu_k = curvature_local(grad_now, state.grad_prev, state.x_now, state.x_prev)
-    if params.strongly_convex:
-        hat = local_candidate_strongly_convex(l_vec, params.sigma, params.c1)
+    if state.k == 0:
+        l_k = mu_k = None
+        alpha_vec, gamma_vec = np.full(problem.m, params.alpha0), np.ones(problem.m)
     else:
-        hat = curvature_guard(l_vec, params.sigma_bar, params.c1)
-    tilde = local_tilde(hat, state.alpha, state.gamma, params, state.k)
-    alpha_vec, gamma_vec = local_min_consensus(tilde, gossip.neighbor_mask(), state.alpha)
+        l_vec, l_k, mu_k = curvature_local(grad_now, state.grad_prev, state.x_now, state.x_prev)
+        if params.strongly_convex:
+            hat = local_candidate_strongly_convex(l_vec, params.sigma, params.c1)
+        else:
+            hat = curvature_guard(l_vec, params.sigma_bar, params.c1)
+        tilde = local_tilde(hat, state.alpha, state.gamma, params, state.k)
+        alpha_vec, gamma_vec = local_min_consensus(tilde, gossip.neighbor_mask(), state.alpha)
 
     mix = (1.0 + gamma_vec)[:, None] * state.x_now - gamma_vec[:, None] * state.x_prev
     scaled = _local_sigma_alpha(alpha_vec, params)[:, None] * mix
     dual = state.dual + (scaled - w @ scaled)
     x_next = state.x_now - alpha_vec[:, None] * (grad_now + dual)
     return State(x_now=x_next, x_prev=state.x_now, k=state.k + 1,
-                 comm_vector=state.comm_vector + 1, comm_scalar=state.comm_scalar + 1,
+                 comm_vector=state.comm_vector + 1,
+                 comm_scalar=state.comm_scalar + (state.k > 0),
                  dual=dual, alpha=alpha_vec, gamma=gamma_vec, l_last=l_k, mu_last=mu_k,
                  grad_prev=grad_now)
 
@@ -313,30 +275,17 @@ def adolf_local_step(
 # fixed-parameter primal-dual oracle
 
 
-def condat_vu_init(
-    problem: ProblemInstance,
-    gossip: GossipMatrix,
-    params: FixedStepParams,
-    x0: np.ndarray,
-    x_minus1: np.ndarray | None = None,
-) -> State:
-    """Run the first oracle iteration from Y0 = 0."""
-    if not isinstance(params, FixedStepParams):
-        raise ConfigError("condat_vu needs FixedStepParams")
-    x0, x_minus1 = _start_pair(problem, x0, x_minus1)
-    return condat_vu_step(State(x_now=x0, x_prev=x_minus1, y=np.zeros_like(x0)), problem,
-                          gossip, params)
-
-
 def condat_vu_step(
     state: State, problem: ProblemInstance, gossip: GossipMatrix, params: FixedStepParams
 ) -> State:
-    """One oracle iteration with L_op = sqrt(I - W); the conjugate prox of the
-    {0}-indicator is identity."""
+    """One oracle iteration with L_op = sqrt(I - W), from Y0 = 0 at round 0;
+    the conjugate prox of the {0}-indicator is identity."""
+    if state.k == 0 and not isinstance(params, FixedStepParams):
+        raise ConfigError("condat_vu needs FixedStepParams")
     alpha, gamma, sigma = params.alpha, params.gamma, params.sigma
     l_op = gossip.laplacian_sqrt
     mix = (1.0 + gamma) * state.x_now - gamma * state.x_prev
-    y_next = state.y + sigma * alpha * (l_op @ mix)
+    y_next = (0.0 if state.k == 0 else state.y) + sigma * alpha * (l_op @ mix)
     grad_now = problem.stacked_gradient(state.x_now)
     x_next = state.x_now - alpha * (grad_now + l_op @ y_next)
     return State(x_now=x_next, x_prev=state.x_now, k=state.k + 1,
@@ -348,27 +297,6 @@ def condat_vu_step(
 # EXTRA baseline
 
 
-def extra_init(
-    problem: ProblemInstance,
-    gossip: GossipMatrix,
-    params: ExtraParams,
-    x0: np.ndarray,
-    x_minus1: np.ndarray | None = None,
-) -> State:
-    """First round is mixed gradient descent: X1 = W X0 - alpha grad F(X0).
-
-    EXTRA starts from X0 alone, so x_minus1 is not used.
-    """
-    if not isinstance(params, ExtraParams):
-        raise ConfigError("extra needs ExtraParams")
-    x0 = _check_stack(x0, problem, "x0")
-    wx0 = gossip.shifted @ x0
-    grad0 = problem.stacked_gradient(x0)
-    x1 = wx0 - params.alpha * grad0
-    return State(x_now=x1, x_prev=x0, k=1, comm_vector=1, alpha=params.alpha, gamma=1.0,
-                 grad_prev=grad0, w_x_prev=wx0)
-
-
 def extra_step(
     state: State, problem: ProblemInstance, gossip: GossipMatrix, params: ExtraParams
 ) -> State:
@@ -376,16 +304,24 @@ def extra_step(
 
     W_bar = (I + W) / 2 is the second mixing matrix; applying it to the
     cached W X^{k-1} keeps the round at a single gossip multiplication.
+    Round 0 is mixed gradient descent, X1 = W X0 - alpha grad F(X0): EXTRA
+    starts from X0 alone, so it does not read X^-1.
     """
+    if state.k == 0 and not isinstance(params, ExtraParams):
+        raise ConfigError("extra needs ExtraParams")
     grad_now = problem.stacked_gradient(state.x_now)
     wx_now = gossip.shifted @ state.x_now
-    l_k, mu_k = curvature_global(grad_now, state.grad_prev, state.x_now, state.x_prev)
-    x_next = (
-        state.x_now
-        + wx_now
-        - 0.5 * (state.x_prev + state.w_x_prev)
-        - params.alpha * (grad_now - state.grad_prev)
-    )
+    if state.k == 0:
+        l_k = mu_k = None
+        x_next = wx_now - params.alpha * grad_now
+    else:
+        l_k, mu_k = curvature_global(grad_now, state.grad_prev, state.x_now, state.x_prev)
+        x_next = (
+            state.x_now
+            + wx_now
+            - 0.5 * (state.x_prev + state.w_x_prev)
+            - params.alpha * (grad_now - state.grad_prev)
+        )
     return State(x_now=x_next, x_prev=state.x_now, k=state.k + 1,
                  comm_vector=state.comm_vector + 1, alpha=params.alpha, gamma=1.0,
                  l_last=l_k, mu_last=mu_k, grad_prev=grad_now, w_x_prev=wx_now)
@@ -405,12 +341,12 @@ def _is_diverged(x: np.ndarray) -> bool:
     return not np.linalg.norm(x) <= DIVERGENCE_NORM
 
 
-# algorithm -> (init(problem, gossip, params, x0, x_minus1), step(state, problem, gossip, params))
+# algorithm -> step(state, problem, gossip, params)
 _ALGORITHMS = {
-    "adolf": (adolf_init, adolf_step),
-    "adolf_local": (adolf_local_init, adolf_local_step),
-    "condat_vu": (condat_vu_init, condat_vu_step),
-    "extra": (extra_init, extra_step),
+    "adolf": adolf_step,
+    "adolf_local": adolf_local_step,
+    "condat_vu": condat_vu_step,
+    "extra": extra_step,
 }
 
 
@@ -437,11 +373,11 @@ def run(
     """
     if algorithm not in _ALGORITHMS:
         raise ConfigError(f"unknown algorithm {algorithm!r}")
-    x0, x_minus1 = _start_pair(problem, x0, x_minus1)
+    state = initial_state(problem, x0, x_minus1)
     if stop.metric in SADDLE_METRICS and recorder.saddle is None:
         raise ConfigError(f"stop metric {stop.metric!r} needs saddle diagnostics")
 
-    init, step = _ALGORITHMS[algorithm]
+    step = _ALGORITHMS[algorithm]
 
     def stopped(k: int) -> bool:
         if stop.metric is None:
@@ -451,12 +387,10 @@ def run(
         value = recorder.row_metric(stop.metric, state)
         return value is not None and value <= stop.threshold
 
-    state = State(x0, x_minus1, dual=np.zeros_like(x0))
     status = "budget"
     while state.k < stop.max_iter:
         try:
-            new = (init(problem, gossip, params, x0, x_minus1) if state.k == 0
-                   else step(state, problem, gossip, params))
+            new = step(state, problem, gossip, params)
         except NumericError:
             status = "diverged"
             break
@@ -515,10 +449,11 @@ def _grid_block_width(m: int, d: int) -> int:
 def _extra_block(problem, gossip, start, alphas, cap, recorder, metric, stop) -> list[GridPoint]:
     """EXTRA at every stepsize of alphas (ascending), advanced as one (m, G, d) stack.
 
-    Column g follows extra_init and extra_step at alphas[g] from the shared
-    start (X^0, W X^0, grad F(X^0)): each round is one gradient call over the
-    stack, one gossip multiply and the update, with extra_step's operation
-    order. u holds (X^{k-1} + W X^{k-1}) / 2, the only use of X^{k-1} there.
+    Column g follows extra_step at alphas[g] from the shared start (X^0,
+    W X^0, grad F(X^0)), round 0's gossip product and gradient: each later
+    round is one gradient call over the stack, one gossip multiply and the
+    update, with extra_step's operation order. u holds
+    (X^{k-1} + W X^{k-1}) / 2, the only use of X^{k-1} there.
     A column ends where run() under stop, with max_iter = cap, would end it:
     - "diverged" at k when a non-finite dG.dG in round k makes
       curvature_global raise, or at k + 1 when round k leaves a non-finite
@@ -539,9 +474,9 @@ def _extra_block(problem, gossip, start, alphas, cap, recorder, metric, stop) ->
     BLAS calls of a fresh one.
 
     The block keeps this arithmetic of its own rather than driving
-    extra_init and extra_step on (m, G, d) stacks. That drive was measured
-    on the fig2_er09 and fig1_er01 grids (2-CPU VM): it kept every grid
-    point's bits, but a block round at G = 4 took 672-784 us against
+    extra_step on (m, G, d) stacks. That drive was measured on the
+    fig2_er09 and fig1_er01 grids (2-CPU VM): it kept every grid point's
+    bits, but a block round at G = 4 took 672-784 us against
     535-636 us here, for the fresh arrays of each State and the secant that
     extra_step computes and the grid never reads, and it saved 3 lines.
     """

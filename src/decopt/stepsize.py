@@ -81,6 +81,12 @@ class GrowthPolicy:
             if not 0.0 < self.beta2 < math.inf:
                 raise ParameterError(
                     f"beta2 must be positive and finite for ratio_power, got {self.beta2}")
+            try:  # the cap's factor at k = 1, its largest, since it falls with k for beta1 >= 1
+                ((1.0 + self.beta1) / 2.0) ** self.beta2
+            except OverflowError:
+                raise ParameterError(
+                    f"beta2 = {self.beta2} with beta1 = {self.beta1} overflows the cap's first "
+                    "factor ((1 + beta1) / 2) ** beta2") from None
 
     def cap(self, x: float, k: int) -> float | None:
         """pi_k(x) at selection index k >= 1, elementwise over an array x;

@@ -186,8 +186,20 @@ class GossipMatrix:
 
     @cached_property
     def laplacian_sqrt(self) -> np.ndarray:
-        """graph_laplacian_sqrt of this matrix, computed once."""
-        return graph_laplacian_sqrt(self)
+        """Symmetric PSD square root of I - W, with null space span(1).
+
+        Satisfies ||L_op @ L_op - (I - W)||_F <= 1e-10 and L_op @ 1 = 0.
+        Computed on first use; every later use returns the same read-only
+        array.
+        """
+        s, q = _sqrt_spectrum(self)
+        l_op = (q * np.sqrt(s)) @ q.T
+        l_op = (l_op + l_op.T) / 2.0
+        recon = np.linalg.norm(l_op @ l_op - (np.eye(self.m) - self.shifted))
+        if recon > SQRT_RECON_TOL:
+            raise NumericError(f"laplacian sqrt reconstruction error {recon:.2e}")
+        l_op.setflags(write=False)
+        return l_op
 
 
 def _check_stochastic(wt: np.ndarray) -> None:
@@ -285,18 +297,9 @@ def _sqrt_spectrum(gossip: GossipMatrix) -> tuple[np.ndarray, np.ndarray]:
 
 
 def graph_laplacian_sqrt(gossip: GossipMatrix) -> np.ndarray:
-    """Symmetric PSD square root of I - W, with null space span(1).
-
-    Satisfies ||L_op @ L_op - (I - W)||_F <= 1e-10 and L_op @ 1 = 0.
-    """
-    s, q = _sqrt_spectrum(gossip)
-    l_op = (q * np.sqrt(s)) @ q.T
-    l_op = (l_op + l_op.T) / 2.0
-    recon = np.linalg.norm(l_op @ l_op - (np.eye(gossip.m) - gossip.shifted))
-    if recon > SQRT_RECON_TOL:
-        raise NumericError(f"laplacian sqrt reconstruction error {recon:.2e}")
-    l_op.setflags(write=False)
-    return l_op
+    """gossip.laplacian_sqrt: the first call on a gossip matrix computes the
+    square root, and later calls return the same array."""
+    return gossip.laplacian_sqrt
 
 
 def laplacian_pinv_sqrt(gossip: GossipMatrix) -> np.ndarray:

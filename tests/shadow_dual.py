@@ -2,14 +2,14 @@
 
 adolf and adolf_local carry only D = L_op Y, and the trace recorder reads
 Y back as pinv(L_op) D. This helper replays a run through the public
-init/step functions, integrates the Condat-Vu dual Y from the same
+step functions, integrates the Condat-Vu dual Y from the same
 increments as D, and checks at every iteration that L_op Y matches D and
 that pinv(L_op) D recovers Y.
 """
 
 import numpy as np
 
-from decopt.solvers import adolf_init, adolf_local_init, adolf_local_step, adolf_step
+from decopt.solvers import adolf_local_step, adolf_step, initial_state
 from decopt.topology import graph_laplacian_sqrt, laplacian_pinv_sqrt
 
 SHADOW_TOL = 1e-8
@@ -30,9 +30,8 @@ def shadow_dual_residuals(algorithm, problem, gossip, params, x0, iterations):
     l_op = graph_laplacian_sqrt(gossip)
     pinv = laplacian_pinv_sqrt(gossip)
     x_now = x_prev = np.asarray(x0, dtype=float)
-    init, step = ((adolf_init, adolf_step) if algorithm == "adolf"
-                  else (adolf_local_init, adolf_local_step))
-    state = init(problem, gossip, params, x_now)
+    step = adolf_step if algorithm == "adolf" else adolf_local_step
+    state = step(initial_state(problem, x_now), problem, gossip, params)
     y = np.zeros_like(x_now)
     worst_lift = worst_pinv = 0.0
     while True:

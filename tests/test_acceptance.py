@@ -17,7 +17,7 @@ from decopt.config import DiagnosticsConfig, ProblemConfig, StopConfig
 from decopt.diagnostics import TraceRecorder, compute_saddle, merit, rate_fit
 from decopt.objectives import ProblemInstance, synth_logistic, synth_ridge
 from decopt.runner import compare, default_extra_grid
-from decopt.solvers import FixedStepParams, StopRule, adolf_init, adolf_step, condat_vu_init
+from decopt.solvers import FixedStepParams, StopRule, adolf_step, initial_state
 from decopt.solvers import condat_vu_step, run
 from decopt.stepsize import GrowthPolicy, StepsizeParams, gamma_ratio_bound
 from decopt.topology import graph_laplacian_sqrt, make_erdos_renyi, make_ring_graph
@@ -125,8 +125,8 @@ def test_criterion_01_oracle_equivalence():
     params = FixedStepParams(alpha=1e-2, sigma=1.0, gamma=1.0)
     rng = np.random.default_rng(0)
     x0 = rng.standard_normal((5, 3))
-    a_state = adolf_init(problem, gossip, params, x0)
-    c_state = condat_vu_init(problem, gossip, params, x0)
+    a_state = adolf_step(initial_state(problem, x0), problem, gossip, params)
+    c_state = condat_vu_step(initial_state(problem, x0), problem, gossip, params)
     l_op = graph_laplacian_sqrt(gossip)
     worst = 0.0
     for _ in range(100):

@@ -1,3 +1,4 @@
+import copy
 import csv
 import json
 import math
@@ -6,13 +7,14 @@ import re
 import struct
 import subprocess
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from decopt import cli, runner, topology
@@ -265,6 +267,8 @@ class TestConfigParsing:
          "algorithm.growth", "beta1"),
         ("algorithm: {kind: adolf, growth: {kind: ratio_power, beta2: 0.0}}",
          "algorithm.growth", "beta2"),
+        ("algorithm: {kind: adolf, growth: {kind: ratio_power, beta1: 10.0, beta2: 500.0}}",
+         "algorithm.growth", "beta2"),
         ("algorithm: {kind: adolf, growth: {kind: typo}}", "algorithm.growth", "kind"),
         ("stop: {max_iter: -1}", "stop", "max_iter"),
         ("stop: {cadence: 0}", "stop", "cadence"),
@@ -317,6 +321,18 @@ class TestRunExperiment:
         assert (tmp_path / "unit.config.yaml").exists()
         blob = json.loads((tmp_path / "unit.manifest.json").read_text())
         assert blob["config"]["gossip"]["c"] == 0.4
+
+    def test_laplacian_sqrt_computed_once(self, tmp_path, monkeypatch):
+        # the workspace computes it, and the saddle and the condat_vu run reuse it;
+        # the one other spectrum is the saddle's pseudoinverse
+        spectra = []
+        spectrum = topology._sqrt_spectrum
+        monkeypatch.setattr(topology, "_sqrt_spectrum",
+                            lambda gossip: spectra.append(gossip) or spectrum(gossip))
+        cfg = parse_config_dict(small_ridge_raw(
+            algorithm={"kind": "condat_vu", "alpha": 0.01}, stop={"max_iter": 5}))
+        run_experiment(cfg, out_dir=tmp_path)
+        assert len(spectra) == 2 and spectra[0] is spectra[1]
 
     def test_manifest_grid_table(self, tmp_path):
         grid = [0.01, 0.1, 50.0]
@@ -498,6 +514,55 @@ class TestCompare:
         # another run's stop metric gives no threshold on the compared one
         assert other_row.final_metric <= 1e-6
         assert other_row.comms_to_threshold is None
+
+
+# validate accepted it, and run died on the first selection with an OverflowError
+BETA2_OVERFLOW = small_ridge_raw(algorithm={"kind": "adolf", "growth": {
+    "kind": "ratio_power", "beta1": 10.0, "beta2": 500.0}})
+
+CONFIG_SECTIONS = ("problem", "graph", "gossip", "algorithm", "init", "stop", "diagnostics")
+
+
+class TestRunFuzz:
+    """decopt run on generated configs: each runs or exits with its documented code."""
+
+    @given(valid_raw_configs())
+    @example(BETA2_OVERFLOW)
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_run_exits_with_a_documented_code(self, tmp_path, capsys, raw):
+        # at a tiny size: m <= 6, n and d <= 10, max_iter and budget <= 50
+        raw = copy.deepcopy(raw)
+        problem, stop, algorithm = raw["problem"], raw["stop"], raw["algorithm"]
+        problem["m"] = raw["graph"]["m"] = min(problem["m"], 6)
+        problem["n"], problem["d"] = min(problem["n"], 10), min(problem["d"], 10)
+        stop["max_iter"] = min(stop["max_iter"], 50)
+        if "budget" in algorithm:
+            algorithm["budget"] = min(algorithm["budget"], 50)
+        case = Path(tempfile.mkdtemp(dir=tmp_path))
+        (case / "cfg.yaml").write_text(yaml.safe_dump(raw))
+        code = cli.main(["run", str(case / "cfg.yaml"), "--out", str(case / "out")])
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3, 4, 5), err
+        if code == 2:
+            assert re.match(rf"config error: ({'|'.join(CONFIG_SECTIONS)})\.\w+", err), err
+        if code == 0:
+            (path,) = (case / "out").glob("*.manifest.json")
+            manifest = strict_json(path)
+            for key in ("saddle_residual", "saddle_grad_norm"):
+                if raw.get("diagnostics", {}).get("saddle", True):
+                    assert math.isfinite(manifest[key]), (key, manifest[key])
+                else:
+                    assert manifest[key] is None
+
+    def test_overflowing_growth_cap_names_its_key(self, tmp_path, capsys):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(BETA2_OVERFLOW))
+        assert cli.main(["validate", str(path)]) == 2
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2
+        assert all(line.startswith("config error: algorithm.growth: beta2 ") for line in err)
 
 
 class TestPresets:

@@ -9,21 +9,18 @@ import pytest
 
 from decopt import objectives, solvers, topology
 from decopt.diagnostics import TraceRecorder, compute_saddle
-from decopt.errors import ConfigError, NoConvergentStepsizeError, ParameterError
+from decopt.errors import ConfigError, NoConvergentStepsizeError, ParameterError, ShapeError
 from decopt.objectives import ProblemInstance, synth_ridge
 from decopt.solvers import (
     ExtraParams,
     FixedStepParams,
     StopRule,
-    adolf_init,
-    adolf_local_init,
     adolf_local_step,
     adolf_step,
-    condat_vu_init,
     condat_vu_step,
     extra_grid_search,
-    extra_init,
     extra_step,
+    initial_state,
     run,
 )
 from decopt.stepsize import GrowthPolicy, StepsizeParams
@@ -85,7 +82,8 @@ class TestAdolfInit:
         gossip = mh_shifted(make_line_graph(4))
         rng = np.random.default_rng(2)
         x0 = rng.standard_normal((4, 3))
-        st = adolf_init(prob, gossip, FixedStepParams(alpha=0.05, sigma=2.0, gamma=1.0), x0)
+        st = adolf_step(initial_state(prob, x0), prob, gossip,
+                        FixedStepParams(alpha=0.05, sigma=2.0, gamma=1.0))
         # X^-1 = X0 and gamma0 = 1 make the mix collapse to X0 itself
         w = gossip.shifted
         expected = 2.0 * 0.05 * (x0 - w @ x0)
@@ -97,7 +95,8 @@ class TestAdolfInit:
         gossip = mh_shifted(make_line_graph(4))
         rng = np.random.default_rng(3)
         x0 = rng.standard_normal((4, 3))
-        st = adolf_init(prob, gossip, FixedStepParams(alpha=0.05, sigma=2.0), x0, np.zeros_like(x0))
+        st = adolf_step(initial_state(prob, x0, np.zeros_like(x0)), prob, gossip,
+                        FixedStepParams(alpha=0.05, sigma=2.0))
         w = gossip.shifted
         expected = 2.0 * 0.05 * 2.0 * (x0 - w @ x0)
         np.testing.assert_allclose(st.dual, expected, atol=1e-14)
@@ -106,7 +105,8 @@ class TestAdolfInit:
         prob = synth_ridge(m=5, n=4, d=3, seed=4)
         gossip = mh_shifted(make_erdos_renyi(5, 0.6, seed=0))
         rng = np.random.default_rng(5)
-        st = adolf_init(prob, gossip, FixedStepParams(alpha=1e-3), rng.standard_normal((5, 3)))
+        st = adolf_step(initial_state(prob, rng.standard_normal((5, 3))), prob, gossip,
+                        FixedStepParams(alpha=1e-3))
         assert np.abs(st.dual.sum(axis=0)).max() <= 1e-12
 
     def test_consensual_stationary_fixed_point(self):
@@ -114,9 +114,22 @@ class TestAdolfInit:
         gossip = mh_shifted(make_line_graph(4))
         x_star = objectives.ridge_exact_solution(prob)
         x0 = np.tile(x_star, (4, 1))
-        st = adolf_init(prob, gossip, FixedStepParams(alpha=1e-3), x0)
+        st = adolf_step(initial_state(prob, x0), prob, gossip, FixedStepParams(alpha=1e-3))
         np.testing.assert_allclose(st.dual, 0.0, atol=1e-12)
         np.testing.assert_allclose(st.x_now, x0, atol=1e-12)
+
+    def test_strongly_convex_round_zero_scales_by_sigma0_alpha0(self):
+        # round 0 scales the dual by sigma0() * alpha0, not by the later rounds'
+        # sigma / alpha, which rounds the same number differently
+        prob = synth_ridge(m=4, n=5, d=3, seed=1)
+        gossip = mh_shifted(make_line_graph(4))
+        x0 = np.random.default_rng(6).standard_normal((4, 3))
+        params = sc_params()
+        st = adolf_step(initial_state(prob, x0), prob, gossip, params)
+        w = gossip.shifted
+        np.testing.assert_array_equal(st.dual, params.sigma0() * params.alpha0 * (x0 - w @ x0))
+        assert (st.alpha, st.gamma, st.sigma) == (params.alpha0, 1.0, params.sigma0())
+        assert st.l_last is None and st.comm_scalar == 0
 
 
 class TestAdolfStep:
@@ -140,7 +153,8 @@ class TestAdolfStep:
         gossip = psd_shift(GossipMatrix(np.array([[1.0]])), c=0.4)
         rng = np.random.default_rng(8)
         x0 = rng.standard_normal((1, 4))
-        st = adolf_init(prob, gossip, FixedStepParams(alpha=0.01, sigma=1.0), x0)
+        st = adolf_step(initial_state(prob, x0), prob, gossip,
+                        FixedStepParams(alpha=0.01, sigma=1.0))
         params = convex_params(alpha0=0.01)
         xs = [x0.copy(), st.x_now.copy()]
         alphas = [0.01]
@@ -172,7 +186,8 @@ class TestAdolfStep:
 
         prob = CountingProblem(synth_ridge(m=4, n=5, d=3, seed=9))
         gossip = mh_shifted(make_line_graph(4))
-        st = adolf_init(prob, gossip, FixedStepParams(alpha=1e-3), np.zeros((4, 3)))
+        st = adolf_step(initial_state(prob, np.zeros((4, 3))), prob, gossip,
+                        FixedStepParams(alpha=1e-3))
         assert calls["grad"] == 1
         for i in range(6):
             st = adolf_step(st, prob, gossip, convex_params())
@@ -185,7 +200,8 @@ class TestAdolfStep:
         gossip = mh_shifted(make_line_graph(4))
         params = convex_params()
         rng = np.random.default_rng(11)
-        st = adolf_init(prob, gossip, FixedStepParams(alpha=1e-3), rng.standard_normal((4, 3)))
+        st = adolf_step(initial_state(prob, rng.standard_normal((4, 3))), prob, gossip,
+                        FixedStepParams(alpha=1e-3))
         triples = [(st.alpha, st.gamma, st.sigma)]
         for _ in range(30):
             st = adolf_step(st, prob, gossip, params)
@@ -218,8 +234,8 @@ class TestCondatVuEquivalence:
         params = FixedStepParams(alpha=1e-2, sigma=1.0, gamma=1.0)
         rng = np.random.default_rng(0)
         x0 = rng.standard_normal((5, 3))
-        a_st = adolf_init(prob, gossip, params, x0)
-        c_st = condat_vu_init(prob, gossip, params, x0)
+        a_st = adolf_step(initial_state(prob, x0), prob, gossip, params)
+        c_st = condat_vu_step(initial_state(prob, x0), prob, gossip, params)
         l_op = graph_laplacian_sqrt(gossip)
         for _ in range(100):
             assert np.linalg.norm(a_st.x_now - c_st.x_now) <= 1e-10
@@ -233,7 +249,7 @@ class TestCondatVuEquivalence:
         params = FixedStepParams(alpha=0.02, sigma=0.5, gamma=1.0)
         rng = np.random.default_rng(14)
         x0 = rng.standard_normal((3, 2))
-        st = condat_vu_init(prob, gossip, params, x0)
+        st = condat_vu_step(initial_state(prob, x0), prob, gossip, params)
         l_op = gossip.laplacian_sqrt
         y_prev, x_prev, x_now = st.y.copy(), st.x_prev.copy(), st.x_now.copy()
         new = condat_vu_step(st, prob, gossip, params)
@@ -253,7 +269,7 @@ class TestAdolfLocal:
         params_l = local_params(c1=0.9, c2=0.9)
         rng = np.random.default_rng(16)
         x0 = np.tile(rng.standard_normal(3), (4, 1))
-        st_l = adolf_local_init(prob, gossip, params_l, x0)
+        st_l = adolf_local_step(initial_state(prob, x0), prob, gossip, params_l)
         w = gossip.shifted
         sigma_bar = params_l.sigma_bar
         # replay state for the scalar-form update
@@ -277,7 +293,7 @@ class TestAdolfLocal:
         gossip = mh_shifted(make_line_graph(4))
         x_star = objectives.ridge_exact_solution(prob)
         x0 = np.tile(x_star, (4, 1))
-        st = adolf_local_init(prob, gossip, local_params(), x0)
+        st = adolf_local_step(initial_state(prob, x0), prob, gossip, local_params())
         for _ in range(3):
             st = adolf_local_step(st, prob, gossip, local_params())
             np.testing.assert_allclose(st.x_now, x0, atol=1e-11)
@@ -286,7 +302,8 @@ class TestAdolfLocal:
         prob = synth_ridge(m=6, n=5, d=4, seed=17)
         gossip = mh_shifted(make_erdos_renyi(6, 0.5, seed=3))
         rng = np.random.default_rng(18)
-        st = adolf_local_init(prob, gossip, local_params(), rng.standard_normal((6, 4)))
+        st = adolf_local_step(initial_state(prob, rng.standard_normal((6, 4))), prob, gossip,
+                              local_params())
         for _ in range(25):
             st = adolf_local_step(st, prob, gossip, local_params())
             assert np.abs(st.dual.sum(axis=0)).max() <= 1e-9 * (1 + np.linalg.norm(st.dual))
@@ -297,7 +314,7 @@ class TestAdolfLocal:
         params = local_params(
             c1=0.5, c2=0.99, strongly_convex=True, sigma=0.2,
         )
-        st = adolf_local_init(prob, gossip, params, np.zeros((5, 4)))
+        st = adolf_local_step(initial_state(prob, np.zeros((5, 4))), prob, gossip, params)
         spreads = []
         for _ in range(400):
             st = adolf_local_step(st, prob, gossip, params)
@@ -312,7 +329,7 @@ class TestAdolfLocal:
         prob = synth_ridge(m=3, n=4, d=2, seed=20)
         gossip = mh_shifted(make_line_graph(3))
         with pytest.raises(ConfigError):
-            adolf_local_init(prob, gossip, convex_params(), np.zeros((3, 2)))
+            adolf_local_step(initial_state(prob, np.zeros((3, 2))), prob, gossip, convex_params())
 
 
 class TestExtra:
@@ -323,7 +340,7 @@ class TestExtra:
         x0 = rng.standard_normal((1, 4))
         alpha = 0.03
         params = ExtraParams(alpha)
-        st = extra_init(prob, gossip, params, x0)
+        st = extra_step(initial_state(prob, x0), prob, gossip, params)
         x = x0.copy()
         for _ in range(8):
             x = x - alpha * prob.stacked_gradient(x)
@@ -336,7 +353,7 @@ class TestExtra:
         x_star = objectives.ridge_exact_solution(prob)
         x0 = np.tile(x_star, (4, 1))
         params = ExtraParams(0.05)
-        st = extra_init(prob, gossip, params, x0)
+        st = extra_step(initial_state(prob, x0), prob, gossip, params)
         for _ in range(4):
             np.testing.assert_allclose(st.x_now, x0, atol=1e-11)
             st = extra_step(st, prob, gossip, params)
@@ -346,7 +363,7 @@ class TestExtra:
         gossip = mh_shifted(make_erdos_renyi(5, 0.7, seed=5))
         saddle = compute_saddle(prob, gossip)
         params = ExtraParams(0.05)
-        st = extra_init(prob, gossip, params, np.zeros((5, 4)))
+        st = extra_step(initial_state(prob, np.zeros((5, 4))), prob, gossip, params)
         dists = []
         for _ in range(800):
             st = extra_step(st, prob, gossip, params)
@@ -375,7 +392,7 @@ class TestExtra:
 
         gossip = CountingGossip(mh_shifted(make_line_graph(4)))
         params = ExtraParams(0.01)
-        st = extra_init(prob, gossip, params, np.zeros((4, 3)))
+        st = extra_step(initial_state(prob, np.zeros((4, 3))), prob, gossip, params)
         base = gossip.mults
         for _ in range(5):
             st = extra_step(st, prob, gossip, params)
@@ -469,23 +486,23 @@ class TestRunLoop:
                     np.zeros((4, 3)))
 
 
-# each engine's (init, step, params of its kind) and the message its init gives
+# each engine's (step, params of its kind) and the message its round 0 gives
 # params of another kind
 ENGINES = {
-    "adolf": (adolf_init, adolf_step, sc_params(),
+    "adolf": (adolf_step, sc_params(),
               "adolf needs FixedStepParams or global-mode StepsizeParams"),
-    "adolf_local": (adolf_local_init, adolf_local_step, local_params(),
+    "adolf_local": (adolf_local_step, local_params(),
                     "adolf_local needs StepsizeParams in local mode"),
-    "condat_vu": (condat_vu_init, condat_vu_step, FixedStepParams(alpha=0.01),
+    "condat_vu": (condat_vu_step, FixedStepParams(alpha=0.01),
                   "condat_vu needs FixedStepParams"),
-    "extra": (extra_init, extra_step, ExtraParams(alpha=0.05), "extra needs ExtraParams"),
+    "extra": (extra_step, ExtraParams(alpha=0.05), "extra needs ExtraParams"),
 }
 
 
 class TestEngineContract:
     @pytest.mark.parametrize("algorithm", list(ENGINES))
     def test_run_is_init_then_step(self, algorithm):
-        init, step, params, _ = ENGINES[algorithm]
+        step, params, _ = ENGINES[algorithm]
         prob = synth_ridge(m=4, n=5, d=3, seed=31)
         gossip = mh_shifted(make_erdos_renyi(4, 0.7, seed=2))
         saddle = compute_saddle(prob, gossip)
@@ -497,25 +514,36 @@ class TestEngineContract:
         recorder = TraceRecorder(prob, l_op, saddle, cadence=1)
         state = solvers.State(x0, x0, dual=np.zeros_like(x0))
         for k in range(25):
-            new = init(prob, gossip, params, x0) if k == 0 else step(state, prob, gossip, params)
+            new = step(state, prob, gossip, params)
             recorder.observe(state, new)
             state = new
         recorder.finalize(state)
         assert trace.status == "budget"
         assert trace.to_csv() == recorder.trace.to_csv()
 
+    def test_initial_state_checks_shapes(self):
+        prob = synth_ridge(m=3, n=4, d=2, seed=33)
+        with pytest.raises(ShapeError, match=r"^x0 must have shape \(3, 2\), got \(2, 3\)$"):
+            initial_state(prob, np.zeros((2, 3)))
+        with pytest.raises(ShapeError, match=r"^x_minus1 must have shape \(3, 2\), got \(3,\)$"):
+            initial_state(prob, np.zeros((3, 2)), np.zeros(3))
+        state = initial_state(prob, np.ones((3, 2)))
+        assert state.k == state.comm_vector == state.comm_scalar == 0
+        assert state.x_prev is state.x_now  # X^-1 defaults to X^0
+        np.testing.assert_array_equal(state.dual, np.zeros((3, 2)))
+
     @pytest.mark.parametrize("algorithm", list(ENGINES))
     def test_init_rejects_other_params(self, algorithm):
-        init, _, _, message = ENGINES[algorithm]
+        step, _, message = ENGINES[algorithm]
         prob = synth_ridge(m=3, n=4, d=2, seed=33)
         gossip = mh_shifted(make_line_graph(3))
         rec = TraceRecorder(prob, graph_laplacian_sqrt(gossip), None, cadence=1)
-        others = [params for name, (_, _, params, _) in ENGINES.items() if name != algorithm
+        others = [params for name, (_, params, _) in ENGINES.items() if name != algorithm
                   and not (algorithm == "adolf" and name == "condat_vu")]  # adolf takes both
         assert len(others) == (2 if algorithm == "adolf" else 3)
         for params in others:
             with pytest.raises(ConfigError, match=f"^{message}$"):
-                init(prob, gossip, params, np.zeros((3, 2)))
+                step(initial_state(prob, np.zeros((3, 2))), prob, gossip, params)
             with pytest.raises(ConfigError, match=f"^{message}$"):
                 run(algorithm, prob, gossip, params, StopRule(max_iter=5), rec, np.zeros((3, 2)))
 
@@ -746,11 +774,11 @@ class TestRestrictedOnRuns:
         x0 = np.random.default_rng(30).standard_normal((6, 8))
         if algorithm == "adolf":
             params = sc_params()
-            state = adolf_init(prob, gossip, params, x0)
+            state = adolf_step(initial_state(prob, x0), prob, gossip, params)
             advance = lambda s: adolf_step(s, prob, gossip, params)
         else:
             params = ExtraParams(alpha=0.05)
-            state = extra_init(prob, gossip, params, x0)
+            state = extra_step(initial_state(prob, x0), prob, gossip, params)
             advance = lambda s: extra_step(s, prob, gossip, params)
         l_ks, mu_ks = [], []
         for _ in range(self.ITERATIONS - 1):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from decopt import topology
 from decopt.errors import NumericError, ParameterError
 from decopt.objectives import synth_ridge
-from decopt.solvers import adolf_local_init
+from decopt.solvers import adolf_local_step, initial_state
 from decopt.stepsize import (
     GrowthPolicy,
     StepsizeParams,
@@ -489,8 +489,8 @@ class TestSchedulesAndPolicies:
     def test_local_state_uniform(self):
         params = StepsizeParams(local=True, alpha0=1e-3, growth=GrowthPolicy(kind="additive"))
         gossip = topology.psd_shift(topology.metropolis_hastings(topology.make_line_graph(4)))
-        st_local = adolf_local_init(synth_ridge(4, 3, 2, seed=0), gossip, params,
-                                    np.zeros((4, 2)))
+        prob = synth_ridge(4, 3, 2, seed=0)
+        st_local = adolf_local_step(initial_state(prob, np.zeros((4, 2))), prob, gossip, params)
         np.testing.assert_array_equal(st_local.alpha, np.full(4, 1e-3))
         np.testing.assert_array_equal(st_local.gamma, np.ones(4))
 

@@ -32,7 +32,6 @@ from decopt.solvers import (
     FixedStepParams,
     State,
     StopRule,
-    adolf_init,
     adolf_step,
     run,
 )
@@ -223,8 +222,7 @@ def test_records_complete_only_after_finalize(small_setup):
     recorder = TraceRecorder(prob, graph_laplacian_sqrt(gossip), saddle)
     state = State(x0, x0, dual=np.zeros_like(x0))
     for k in range(5):
-        new = (adolf_init(prob, gossip, params, x0) if k == 0
-               else adolf_step(state, prob, gossip, params))
+        new = adolf_step(state, prob, gossip, params)
         recorder.observe(state, new)
         state = new
     assert recorder.trace.records == []  # five rows wait in one batch
