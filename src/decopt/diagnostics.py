@@ -123,8 +123,10 @@ def compute_saddle(
     y_star = -pinv @ perp
     d_star = gossip.laplacian_sqrt @ y_star
     residual = float(np.linalg.norm(grad_stack + d_star))
-    if residual > max(1e-6, np.sqrt(m) * 10 * tol * (1.0 + np.linalg.norm(grad_stack))):
-        raise NumericError(f"saddle stationarity residual too large: {residual:.3e}")
+    if not residual <= max(1e-6, np.sqrt(m) * 10 * tol * (1.0 + np.linalg.norm(grad_stack))):
+        # a NaN or inf target or feature makes x* NaN, and NaN fails every comparison
+        what = "too large" if np.isfinite(residual) else "not finite"
+        raise NumericError(f"saddle stationarity residual {what}: {residual:.3e}")
     f_star, grad_star = problem.average_value_and_gradient(x_star)
     return SaddlePoint(
         x_star=x_star,

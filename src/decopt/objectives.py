@@ -23,11 +23,11 @@ gradients of G stacks (``column_gradients``, with ``stacked_gradient`` as
 G = 1) and the own-row values of G stacks (``column_values``, with
 ``stacked_value`` as G = 1). ``_cross`` multiplies k shared points by the
 (m*n, d) view, as ``points @ A^T``; it gives every point under every loss
-(k = m for one stack, a multiple of m for a trace batch's stacks).
-``_forward`` is the one-point product ``A x`` behind the averaged value and
-gradient, computed once for both, and ``_back`` the product ``w @ A`` that
-turns it into the gradient. ``average_hessian`` is the reference solve's
-float32 Hessian: its lanes split the Hessian's block columns, not the agents.
+(k = m for one stack, a multiple of m for a trace batch's stacks), and at
+k = 1 the residuals or margins behind the averaged value and gradient,
+computed once for both. ``_back``, the product ``w @ A``, turns these into
+the gradient. ``average_hessian`` is the reference solve's float32 Hessian:
+its lanes split the Hessian's block columns, not the agents.
 
 Instances are immutable after construction (data arrays are read-only, and
 no writable array shares their memory), so value and gradient evaluation is
@@ -42,7 +42,6 @@ import os
 import struct
 import threading
 from dataclasses import dataclass
-from operator import attrgetter
 
 import numpy as np
 
@@ -65,7 +64,7 @@ IDX_LABEL_MAGIC = 0x00000801
 
 # Batch evaluators of a data slab of at least this many bytes multiply shared
 # points by one agent's block of rows at a time and split the agents into
-# lanes, one per CPU (see _Batch). Measured at 1 BLAS thread on a 2-CPU VM
+# lanes, one per CPU (see ProblemInstance). Measured at 1 BLAS thread on a 2-CPU VM
 # (m=20, d=784): two lanes cut a stacked gradient from 1.3 to 0.8 ms at a
 # 12 MiB slab and broke even at 6 MiB, where the stacked value and the averaged
 # pass were already slower; at the 1.5 MiB of the fig2 presets (d=500) the
@@ -168,67 +167,114 @@ def _expit(t):
     return np.divide(1.0, t, out=t)
 
 
-def _check_point(x, d: int) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (d,):
-        raise ShapeError(f"expected point of shape ({d},), got {x.shape}")
-    return x
+class ProblemInstance:
+    """m agents' losses of one kind, evaluated on the instance's data slabs.
 
+    Build one with ``ProblemInstance.ridge`` or ``ProblemInstance.logistic``,
+    which return an instance of the loss's subclass. ``loss`` is "ridge" or
+    "logistic"; ``a`` holds the (m, n, d) features (a[i, j] is agent i's
+    sample j), ``b`` the (m, n) ridge targets or logistic labels and
+    ``gammas`` the (m,) ridge coefficients, None for logistic. The arrays are
+    read-only and no field can be set after construction; ``lanes`` counts
+    the evaluators' agent lanes: 1 below LANE_MIN_BYTES or on one CPU.
 
-class _Batch:
-    """Read-only (m, n, d) features and (m, n) labels or targets of m agents;
-    a loss builds its evaluators on their products.
-
-    The averaged value and gradient share one pass, ``_average_pass``: the
-    residuals or margins at a shared point, computed once for both.
+    A loss supplies its per-lane kernels (``_pass``, the residuals or
+    margins at k shared points, and the ``*_lane`` kernels of its gradient
+    and values) and its averaged value, gradient and curvature. The averaged
+    value and gradient share one pass, ``_average_pass``: the residuals or
+    margins at a shared point, the one-point case of ``_pass``, computed once
+    for both.
 
     Agent lanes. Every kernel is written for a range of agents ``lo..hi-1`` and
-    runs through ``_in_lanes``, which gives each lane a contiguous range and one
-    slice of a preallocated output; one lane is the whole range. The products
-    with shared points (``_cross``, ``_forward``, ``_back``) run over ``block_rows`` rows
-    of ``a_flat`` at a time: the whole slab when it is below
-    ``LANE_MIN_BYTES``, else one block per agent, each a BLAS call of its own.
-    A lane therefore makes the very BLAS calls and elementwise operations that
-    one lane makes for its agents, and results are bit-identical at any lane
-    count. (One call over a lane's rows would not do: BLAS picks its kernels
-    and blocking from a call's shape, so it can round differently from one
-    call over all rows.) The blocking depends only on the slab's size, so a run's bits do
+    runs through ``_per_agent``, which gives each lane a contiguous range and one
+    slice of a new output; one lane is the whole range. The products with
+    shared points (``_cross``, ``_back``) run over ``block_rows`` rows of
+    ``a_flat`` at a time: the whole slab when it is below ``LANE_MIN_BYTES``,
+    else one block per agent, each a BLAS call of its own. A lane therefore
+    makes the very BLAS calls and elementwise operations that one lane makes
+    for its agents, and results are bit-identical at any lane count. (One
+    call over a lane's rows would not do: BLAS picks its kernels and blocking
+    from a call's shape, so it can round differently from one call over all
+    rows.) The blocking depends only on the slab's size, so a run's bits do
     not depend on how many CPUs the machine has. Reductions across agents
     stay on the calling thread, so their summation order never changes: the
     averaged value's mean, in one call, and the sum of the back product's
     per-block rows (``_back``), in block order.
     """
 
+    gammas = None
+
     def __init__(self, a, b):
-        self.a, self.b = _frozen_array(a), _frozen_array(b)
-        if self.a.ndim != 3 or self.b.shape != self.a.shape[:2]:
-            raise ShapeError(f"incompatible {self.loss} data shapes {self.a.shape}, "
-                             f"{self.b.shape}: expected (m, n, d) and (m, n)")
-        if self.a.shape[0] < 1:
+        a, b = _frozen_array(a), _frozen_array(b)
+        if a.ndim != 3 or b.shape != a.shape[:2]:
+            raise ShapeError(f"incompatible {self.loss} data shapes {a.shape}, {b.shape}: "
+                             "expected (m, n, d) and (m, n)")
+        if a.shape[0] < 1:
             raise ParameterError("a problem needs at least one agent")
-        self.m, self.n, self.d = self.a.shape
-        self.a_flat = self.a.reshape(self.m * self.n, self.d)  # a view
-        laned = self.a.nbytes >= LANE_MIN_BYTES
-        self.block_rows = self.n if laned else self.m * self.n
-        lanes = min(_cpu_count(), self.m) if laned else 1
-        self.ranges = [(self.m * i // lanes, self.m * (i + 1) // lanes) for i in range(lanes)]
+        m, n, d = a.shape
+        laned = a.nbytes >= LANE_MIN_BYTES
+        lanes = min(_cpu_count(), m) if laned else 1
+        vars(self).update(a=a, b=b, m=m, n=n, d=d, a_flat=a.reshape(m * n, d),  # a view
+                          block_rows=n if laned else m * n,
+                          ranges=[(m * i // lanes, m * (i + 1) // lanes) for i in range(lanes)])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a problem instance is immutable: cannot set {name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"a problem instance is immutable: cannot delete {name}")
+
+    @staticmethod
+    def ridge(a, b, gammas) -> ProblemInstance:
+        """f_i(x) = (1/n) ||A_i x - b_i||^2 + (gamma_i/2) ||x||^2.
+
+        a is (m, n, d), b is (m, n) and gammas is (m,), each positive and finite.
+        """
+        return _Ridge(a, b, gammas)
+
+    @staticmethod
+    def logistic(a, b) -> ProblemInstance:
+        """f_i(x) = (1/n) sum_j log(1 + exp(-b_ij <x, a_ij>)) with every b_ij in {-1, +1}.
+
+        a is (m, n, d) and b is (m, n).
+        """
+        return _Logistic(a, b)
 
     @property
     def lanes(self) -> int:
         return len(self.ranges)
 
-    def _in_lanes(self, kernel, ranges=None) -> None:
-        """kernel(lo, hi) for every lane's range, by default its agent range; the
-        calling thread runs the first."""
-        ranges = self.ranges if ranges is None else ranges
-        futures = [_lane_pool().submit(kernel, lo, hi) for lo, hi in ranges[1:]]
+    def check_shape(self, x, name: str, shape=None) -> np.ndarray:
+        """x as a float array of shape, by default a stack's (m, d), where a letter stands
+        for any size of at least 1; else a ShapeError that calls x name."""
+        x = np.asarray(x, dtype=float)
+        shape = (self.m, self.d) if shape is None else shape
+        if x.shape != shape and (len(x.shape) != len(shape) or not all(
+                size == want or isinstance(want, str) and size >= 1
+                for size, want in zip(x.shape, shape))):
+            dims = str(shape).replace("'", "")  # (m, G, d), not (m, 'G', d)
+            raise ShapeError(f"{name} must have shape {dims}, got {x.shape}")
+        return x
+
+    def _in_lanes(self, kernel, ranges, *args) -> None:
+        """kernel(*args, lo, hi) for every (lo, hi) in ranges; the calling thread runs the
+        first."""
+        if len(ranges) == 1:
+            return kernel(*args, *ranges[0])
+        futures = [_lane_pool().submit(kernel, *args, lo, hi) for lo, hi in ranges[1:]]
         try:
-            kernel(*ranges[0])
+            kernel(*args, *ranges[0])
         finally:
             for future in futures:
                 future.exception()  # waits: no lane may write to the output after return
         for future in futures:
             future.result()  # re-raises a lane's exception in the caller
+
+    def _per_agent(self, kernel, shape, x) -> np.ndarray:
+        """A new array of that shape, filled by kernel(out, x, lo, hi) in every agent lane."""
+        out = np.empty(shape)
+        self._in_lanes(kernel, self.ranges, out, x)
+        return out
 
     def _own(self, x_cols, lo, hi):
         """A_i x_cols[i, g] for agents i in lo..hi-1 and every column g, (hi - lo, G, n)."""
@@ -242,21 +288,23 @@ class _Batch:
         """A_j p for agents j in lo..hi-1 and every row p of the (k, d) points, (hi - lo, n, k).
 
         Computed as ``points @ A_j^T`` (wide side last, the faster GEMM
-        orientation) and copied to agent-major order for the reductions.
+        orientation) and copied to agent-major order for the reductions; at
+        one point that order is the product's own, and nothing is copied.
         """
         prods = np.matmul(points, self._blocks(lo, hi).transpose(0, 2, 1))  # (blocks, k, rows)
         return np.ascontiguousarray(prods.transpose(0, 2, 1)).reshape(hi - lo, self.n, -1)
 
-    def _forward(self, x):
-        """A x at one shared point, shape (m*n,)."""
-        out = np.empty(self.m * self.n)
+    def _pass_lane(self, out, points, lo, hi):
+        out[lo:hi] = self._pass(points, lo, hi)
 
-        def lane(lo, hi):
-            np.matmul(self._blocks(lo, hi), x,
-                      out=out[lo * self.n:hi * self.n].reshape(-1, self.block_rows))
+    def _average_pass(self, x):
+        """The residuals or margins at the one point x, (m*n,)."""
+        return self._per_agent(self._pass_lane, (self.m, self.n, 1), x[None]).reshape(-1)
 
-        self._in_lanes(lane)
-        return out
+    def _back_lane(self, parts, w, lo, hi):
+        np.matmul(w[lo * self.n:hi * self.n].reshape(-1, 1, self.block_rows),
+                  self._blocks(lo, hi),
+                  out=parts[lo * self.n // self.block_rows:hi * self.n // self.block_rows])
 
     def _back(self, w):
         """w @ A for one weight per row of a_flat, shape (d,).
@@ -264,30 +312,68 @@ class _Batch:
         One product per block of rows, each into its own row of a buffer; the
         calling thread then sums the rows in block order.
         """
-        parts = np.empty((self.m * self.n // self.block_rows, 1, self.d))
-
-        def lane(lo, hi):
-            np.matmul(w[lo * self.n:hi * self.n].reshape(-1, 1, self.block_rows),
-                      self._blocks(lo, hi),
-                      out=parts[lo * self.n // self.block_rows:hi * self.n // self.block_rows])
-
-        self._in_lanes(lane)
+        parts = self._per_agent(self._back_lane, (self.m * self.n // self.block_rows, 1, self.d),
+                                w)
         return np.sum(parts[:, 0], axis=0)
 
-    def average_hessian(self, x):
-        """The lower triangle of the averaged objective's Hessian at x, in float32.
+    def stacked_value(self, x_stack) -> float:
+        """F(X) = sum_i f_i(x_i), bit-identical to column_values at one column."""
+        x_cols = self.check_shape(x_stack, "x_stack")[:, None]
+        return float(np.sum(self._per_agent(self._values_lane, (self.m, 1), x_cols)))
+
+    def column_values(self, x_cols) -> np.ndarray:
+        """F at G stacks at once: x_cols[:, g] is stack g, shape (m, G, d); returns (G,).
+
+        Each column's sum over the agents is the one-column sum; only the
+        product with the data rounds differently at other G.
+        """
+        x_cols = self.check_shape(x_cols, "x_cols", (self.m, "G", self.d))
+        values = self._per_agent(self._values_lane, x_cols.shape[:2], x_cols)
+        return np.array([np.sum(values[:, g]) for g in range(values.shape[1])])
+
+    def stacked_gradient(self, x_stack) -> np.ndarray:
+        """Row i holds the gradient of f_i at row i of the stack."""
+        x_cols = self.check_shape(x_stack, "x_stack")[:, None]
+        return self._per_agent(self._gradient_lane, x_cols.shape, x_cols)[:, 0]
+
+    def column_gradients(self, x_cols) -> np.ndarray:
+        """Gradients of G stacks at once: x_cols[:, g] is stack g, shape (m, G, d)."""
+        x_cols = self.check_shape(x_cols, "x_cols", (self.m, "G", self.d))
+        return self._per_agent(self._gradient_lane, x_cols.shape, x_cols)
+
+    def average_value(self, x) -> float:
+        """f(x) = (1/m) sum_i f_i(x) at a single shared point."""
+        x = self.check_shape(x, "x", (self.d,))
+        return self._average_value(x, self._average_pass(x))
+
+    def average_gradient(self, x) -> np.ndarray:
+        x = self.check_shape(x, "x", (self.d,))
+        return self._average_gradient(x, self._average_pass(x))
+
+    def average_value_and_gradient(self, x) -> tuple[float, np.ndarray]:
+        """(f(x), grad f(x)), bit-identical to the two separate calls.
+
+        The product with the data is computed once for both.
+        """
+        x = self.check_shape(x, "x", (self.d,))
+        t = self._average_pass(x)
+        return self._average_value(x, t), self._average_gradient(x, t)
+
+    def average_hessian(self, x) -> np.ndarray:
+        """The Hessian of f at x, (d, d), in float32: a preconditioner, not a value.
 
         sum_i A_i^T diag(c_i) A_i / (m n) + shift I, where c holds each row's
-        curvature (``_curvature``), built one agent at a time, in agent order.
-        Each agent's term is made one block column at a time
+        curvature (``_curvature``). Only its lower triangle is the Hessian's,
+        as the factor of ``centralized_minimize``'s chord finish reads nothing
+        else; the entries right of its diagonal blocks are zero. Each agent's
+        term, in agent order, is made one block column at a time
         (``_hessian_blocks``), from the diagonal block down: a product of the
         agent's scaled rows with a slice of themselves, which needs no (d, d)
         temporary. The lanes split the block columns, not the agents: each
         takes a contiguous run of about equal work, so every block sees the
-        same products in the same order at any lane count. The entries right
-        of the diagonal blocks stay zero.
+        same products in the same order at any lane count.
         """
-        curvature, shift = self._curvature(x)
+        curvature, shift = self._curvature(self.check_shape(x, "x", (self.d,)))
         scale = np.sqrt(curvature / (self.m * self.n)).reshape(self.m, self.n)
         hess = np.zeros((self.d, self.d), dtype=np.float32)
         rows = np.empty((self.n, self.d), dtype=np.float32)
@@ -307,74 +393,62 @@ class _Batch:
         hess.flat[:: self.d + 1] += shift
         return hess
 
-    def average_value(self, x):
-        return self._average_value(x, self._average_pass(x))
+    def cross_bytes(self, points: int) -> int:
+        """Bytes of the arrays that average_values_at_rows makes at that many points:
+        a loss-specific count of arrays the size of the data product, (m*n, points)."""
+        return self.cross_arrays * 8 * self.m * self.n * points
 
-    def average_gradient(self, x):
-        return self._average_gradient(x, self._average_pass(x))
+    def average_values_at_rows(self, x_rows) -> np.ndarray:
+        """f(x_r) for every row x_r of a (k, d) array, f being the averaged objective.
 
-    def average_value_and_gradient(self, x):
-        t = self._average_pass(x)
-        return self._average_value(x, t), self._average_gradient(x, t)
+        One product with the data for all k rows: a trace batch passes the
+        stacks of several rows at once.
+        """
+        return np.mean(self._cross_values(self.check_shape(x_rows, "x_rows", ("k", self.d))),
+                       axis=1)
 
 
-class _RidgeBatch(_Batch):
-    """Ridge evaluators on the residuals A x - b."""
+class _Ridge(ProblemInstance):
+    """Ridge losses, evaluated on the residuals A x - b."""
 
     loss = "ridge"
-    cross_arrays = 3  # of cross_values' product size: the product, its copy, the residuals
+    cross_arrays = 3  # of _cross_values' product size: the product, its copy, the residuals
 
     def __init__(self, a, b, gammas):
         super().__init__(a, b)
-        self.gammas = _frozen_array(gammas)
-        if self.gammas.shape != (self.m,):
-            raise ShapeError(f"expected {self.m} ridge coefficients, got shape "
-                             f"{self.gammas.shape}")
-        if not np.all(self.gammas > 0):  # a NaN coefficient fails too
-            raise ParameterError(f"ridge coefficients must be positive, got {self.gammas}")
+        gammas = _frozen_array(gammas)
+        if gammas.shape != (self.m,):
+            raise ShapeError(f"expected {self.m} ridge coefficients, got shape {gammas.shape}")
+        if not np.all((gammas > 0) & (gammas < np.inf)):  # a NaN coefficient fails too
+            raise ParameterError(f"ridge coefficients must be positive and finite, got {gammas}")
+        vars(self)["gammas"] = gammas
 
-    def column_gradients(self, x_cols):
-        grad = np.empty(x_cols.shape)
+    def _pass(self, points, lo, hi):
+        """The residuals A_j p - b_j of agents lo..hi-1 at the (k, d) points, (hi - lo, n, k)."""
+        return self._cross(points, lo, hi) - self.b[lo:hi, :, None]
 
-        def lane(lo, hi):
-            r = self._own(x_cols, lo, hi) - self.b[lo:hi, None, :]
-            r *= 2.0 / self.n
-            np.matmul(r, self.a[lo:hi], out=grad[lo:hi])
-            grad[lo:hi] += self.gammas[lo:hi, None, None] * x_cols[lo:hi]
+    def _gradient_lane(self, grad, x_cols, lo, hi):
+        r = self._own(x_cols, lo, hi) - self.b[lo:hi, None, :]
+        r *= 2.0 / self.n
+        np.matmul(r, self.a[lo:hi], out=grad[lo:hi])
+        grad[lo:hi] += self.gammas[lo:hi, None, None] * x_cols[lo:hi]
 
-        self._in_lanes(lane)
-        return grad
+    def _values_lane(self, values, x_cols, lo, hi):
+        r = self._own(x_cols, lo, hi) - self.b[lo:hi, None, :]
+        x = x_cols[lo:hi]
+        sq = np.einsum("mgd,mgd->mg", x, x)
+        values[lo:hi] = (np.einsum("mgn,mgn->mg", r, r) / self.n
+                         + 0.5 * self.gammas[lo:hi, None] * sq)
 
-    def values_at_own_columns(self, x_cols):
-        values = np.empty(x_cols.shape[:2])
-
-        def lane(lo, hi):
-            r = self._own(x_cols, lo, hi) - self.b[lo:hi, None, :]
-            x = x_cols[lo:hi]
-            sq = np.einsum("mgd,mgd->mg", x, x)
-            values[lo:hi] = (np.einsum("mgn,mgn->mg", r, r) / self.n
-                             + 0.5 * self.gammas[lo:hi, None] * sq)
-
-        self._in_lanes(lane)
-        return values
-
-    def cross_values(self, x_rows):
-        """value[i, j] = f_j evaluated at row i."""
+    def _cross_lane(self, values, x_rows, lo, hi):
+        r = self._pass(x_rows, lo, hi)
         sq = np.einsum("id,id->i", x_rows, x_rows)
-        values = np.empty((len(x_rows), self.m))
+        values[:, lo:hi] = (np.einsum("jni,jni->ij", r, r) / self.n
+                            + 0.5 * self.gammas[None, lo:hi] * sq[:, None])
 
-        def lane(lo, hi):
-            r = self._cross(x_rows, lo, hi) - self.b[lo:hi, :, None]
-            values[:, lo:hi] = (np.einsum("jni,jni->ij", r, r) / self.n
-                                + 0.5 * self.gammas[None, lo:hi] * sq[:, None])
-
-        self._in_lanes(lane)
-        return values
-
-    def _average_pass(self, x):
-        r = self._forward(x)
-        r -= self.b.ravel()
-        return r
+    def _cross_values(self, x_rows):
+        """value[i, j] = f_j evaluated at row i."""
+        return self._per_agent(self._cross_lane, (len(x_rows), self.m), x_rows)
 
     def _average_value(self, x, r):
         return float(r @ r / (self.m * self.n) + 0.5 * np.mean(self.gammas) * (x @ x))
@@ -386,12 +460,11 @@ class _RidgeBatch(_Batch):
         return np.full(self.m * self.n, 2.0), float(np.mean(self.gammas))
 
 
-class _LogisticBatch(_Batch):
-    """Logistic evaluators on the margins b * (A x)."""
+class _Logistic(ProblemInstance):
+    """Logistic losses, evaluated on the margins b * (A x)."""
 
     loss = "logistic"
-    gammas = None
-    # of cross_values' product size: the product, its copy, the margins, their
+    # of _cross_values' product size: the product, its copy, the margins, their
     # negation and their softplus
     cross_arrays = 5
 
@@ -400,43 +473,29 @@ class _LogisticBatch(_Batch):
         if not np.all(np.abs(self.b) == 1.0):
             raise ParameterError("logistic labels must be +1 or -1")
 
-    def column_gradients(self, x_cols):
-        grad = np.empty(x_cols.shape)
+    def _pass(self, points, lo, hi):
+        """The margins b_j * (A_j p) of agents lo..hi-1 at the (k, d) points, (hi - lo, n, k)."""
+        return self.b[lo:hi, :, None] * self._cross(points, lo, hi)
 
-        def lane(lo, hi):
-            b = self.b[lo:hi, None, :]
-            weights = self._own(x_cols, lo, hi)
-            weights *= -b
-            weights = _expit(weights)
-            weights *= b
-            weights *= -1.0 / self.n
-            np.matmul(weights, self.a[lo:hi], out=grad[lo:hi])
+    def _gradient_lane(self, grad, x_cols, lo, hi):
+        b = self.b[lo:hi, None, :]
+        weights = self._own(x_cols, lo, hi)
+        weights *= -b
+        weights = _expit(weights)
+        weights *= b
+        weights *= -1.0 / self.n
+        np.matmul(weights, self.a[lo:hi], out=grad[lo:hi])
 
-        self._in_lanes(lane)
-        return grad
+    def _values_lane(self, values, x_cols, lo, hi):
+        margins = self.b[lo:hi, None, :] * self._own(x_cols, lo, hi)
+        values[lo:hi] = np.mean(np.logaddexp(0.0, -margins), axis=2)
 
-    def values_at_own_columns(self, x_cols):
-        values = np.empty(x_cols.shape[:2])
+    def _cross_lane(self, values, x_rows, lo, hi):
+        values[lo:hi] = np.mean(np.logaddexp(0.0, -self._pass(x_rows, lo, hi)), axis=1)
 
-        def lane(lo, hi):
-            margins = self.b[lo:hi, None, :] * self._own(x_cols, lo, hi)
-            values[lo:hi] = np.mean(np.logaddexp(0.0, -margins), axis=2)
-
-        self._in_lanes(lane)
-        return values
-
-    def cross_values(self, x_rows):
-        values = np.empty((self.m, len(x_rows)))
-
-        def lane(lo, hi):
-            margins = self.b[lo:hi, :, None] * self._cross(x_rows, lo, hi)
-            values[lo:hi] = np.mean(np.logaddexp(0.0, -margins), axis=1)
-
-        self._in_lanes(lane)
-        return values.T
-
-    def _average_pass(self, x):
-        return self.b.ravel() * self._forward(x)
+    def _cross_values(self, x_rows):
+        """value[i, j] = f_j evaluated at row i."""
+        return self._per_agent(self._cross_lane, (self.m, len(x_rows)), x_rows).T
 
     def _average_value(self, x, margins):
         return float(np.mean(np.logaddexp(0.0, -margins)))
@@ -448,122 +507,6 @@ class _LogisticBatch(_Batch):
     def _curvature(self, x):
         p = _expit(self._average_pass(x))
         return p * (1.0 - p), 0.0
-
-
-class ProblemInstance:
-    """m agents' losses of one kind, evaluated on the instance's data slabs.
-
-    Build one with ``ProblemInstance.ridge`` or ``ProblemInstance.logistic``.
-    ``loss`` is "ridge" or "logistic"; ``a`` holds the (m, n, d) features
-    (a[i, j] is agent i's sample j), ``b`` the (m, n) ridge targets or
-    logistic labels and ``gammas`` the (m,) ridge coefficients, None for
-    logistic. The arrays are read-only; ``lanes`` counts the evaluators'
-    agent lanes: 1 below LANE_MIN_BYTES or on one CPU.
-    """
-
-    def __init__(self, kernel: _Batch):
-        self._kernel = kernel
-
-    # the kernel's fields, read-only: each is stored once
-    loss = property(attrgetter("_kernel.loss"))
-    lanes = property(attrgetter("_kernel.lanes"))
-    a = property(attrgetter("_kernel.a"))
-    b = property(attrgetter("_kernel.b"))
-    gammas = property(attrgetter("_kernel.gammas"))
-    m = property(attrgetter("_kernel.m"))
-    n = property(attrgetter("_kernel.n"))
-    d = property(attrgetter("_kernel.d"))
-
-    @classmethod
-    def ridge(cls, a, b, gammas) -> ProblemInstance:
-        """f_i(x) = (1/n) ||A_i x - b_i||^2 + (gamma_i/2) ||x||^2 with every gamma_i > 0.
-
-        a is (m, n, d), b is (m, n) and gammas is (m,).
-        """
-        return cls(_RidgeBatch(a, b, gammas))
-
-    @classmethod
-    def logistic(cls, a, b) -> ProblemInstance:
-        """f_i(x) = (1/n) sum_j log(1 + exp(-b_ij <x, a_ij>)) with every b_ij in {-1, +1}.
-
-        a is (m, n, d) and b is (m, n).
-        """
-        return cls(_LogisticBatch(a, b))
-
-    def _check_stack(self, x_stack):
-        x_stack = np.asarray(x_stack, dtype=float)
-        if x_stack.shape != (self.m, self.d):
-            raise ShapeError(f"expected stack of shape ({self.m}, {self.d}), got {x_stack.shape}")
-        return x_stack
-
-    def _check_columns(self, x_cols):
-        x_cols = np.asarray(x_cols, dtype=float)
-        if x_cols.ndim != 3 or x_cols.shape[0] != self.m or x_cols.shape[2] != self.d:
-            raise ShapeError(f"expected columns of shape ({self.m}, G, {self.d}), "
-                             f"got {x_cols.shape}")
-        return x_cols
-
-    def stacked_value(self, x_stack) -> float:
-        """F(X) = sum_i f_i(x_i)."""
-        return float(self.column_values(self._check_stack(x_stack)[:, None])[0])
-
-    def column_values(self, x_cols) -> np.ndarray:
-        """F at G stacks at once: x_cols[:, g] is stack g, shape (m, G, d); returns (G,).
-
-        Each column's sum over the agents is the one-column sum; only the
-        product with the data rounds differently at other G.
-        """
-        values = self._kernel.values_at_own_columns(self._check_columns(x_cols))
-        return np.array([np.sum(values[:, g]) for g in range(values.shape[1])])
-
-    def stacked_gradient(self, x_stack) -> np.ndarray:
-        """Row i holds the gradient of f_i at row i of the stack."""
-        return self._kernel.column_gradients(self._check_stack(x_stack)[:, None])[:, 0]
-
-    def column_gradients(self, x_cols) -> np.ndarray:
-        """Gradients of G stacks at once: x_cols[:, g] is stack g, shape (m, G, d)."""
-        return self._kernel.column_gradients(self._check_columns(x_cols))
-
-    def average_value(self, x) -> float:
-        """f(x) = (1/m) sum_i f_i(x) at a single shared point."""
-        return self._kernel.average_value(_check_point(x, self.d))
-
-    def average_gradient(self, x) -> np.ndarray:
-        return self._kernel.average_gradient(_check_point(x, self.d))
-
-    def average_value_and_gradient(self, x) -> tuple[float, np.ndarray]:
-        """(f(x), grad f(x)), bit-identical to the two separate calls.
-
-        The product with the data is computed once for both.
-        """
-        return self._kernel.average_value_and_gradient(_check_point(x, self.d))
-
-    def average_hessian(self, x) -> np.ndarray:
-        """The Hessian of f at x, (d, d), in float32: a preconditioner, not a value.
-
-        Only its lower triangle is the Hessian's, as the factor reads nothing
-        else; the entries right of its diagonal blocks are zero. Built one
-        agent at a time, in agent order, with the same bits at any lane
-        count; the chord finish of ``centralized_minimize`` factors it.
-        """
-        return self._kernel.average_hessian(_check_point(x, self.d))
-
-    def cross_bytes(self, points: int) -> int:
-        """Bytes of the arrays that average_values_at_rows makes at that many points:
-        a loss-specific count of arrays the size of the data product, (m*n, points)."""
-        return self._kernel.cross_arrays * 8 * self.m * self.n * points
-
-    def average_values_at_rows(self, x_rows) -> np.ndarray:
-        """f(x_r) for every row x_r of a (k, d) array, f being the averaged objective.
-
-        One product with the data for all k rows: a trace batch passes the
-        stacks of several rows at once.
-        """
-        x_rows = np.asarray(x_rows, dtype=float)
-        if x_rows.ndim != 2 or x_rows.shape[1] != self.d or not len(x_rows):
-            raise ShapeError(f"expected rows of shape (k, {self.d}) with k >= 1, "
-                             f"got {x_rows.shape}")
-        return np.mean(self._kernel.cross_values(x_rows), axis=1)
 
 
 def synth_ridge(m: int, n: int, d: int, seed: int) -> ProblemInstance:

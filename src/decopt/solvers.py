@@ -40,7 +40,6 @@ from .errors import (
     NoConvergentStepsizeError,
     NumericError,
     ParameterError,
-    ShapeError,
 )
 from .objectives import ProblemInstance
 from .stepsize import (
@@ -126,15 +125,6 @@ class StopRule:
                 raise ParameterError(f"threshold must be positive, got {self.threshold}")
 
 
-def _check_stack(x, problem: ProblemInstance, name: str) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (problem.m, problem.d):
-        raise ShapeError(
-            f"{name} must have shape ({problem.m}, {problem.d}), got {x.shape}"
-        )
-    return x
-
-
 @dataclass
 class State:
     """One engine's state after k rounds; an engine leaves the fields it does not use None.
@@ -171,8 +161,8 @@ def initial_state(problem: ProblemInstance, x0, x_minus1=None) -> State:
     Both stacks are checked against the problem's shape. Round 0 of each
     engine's step is its initialization from this state.
     """
-    x0 = _check_stack(x0, problem, "x0")
-    x_minus1 = x0 if x_minus1 is None else _check_stack(x_minus1, problem, "x_minus1")
+    x0 = problem.check_shape(x0, "x0")
+    x_minus1 = x0 if x_minus1 is None else problem.check_shape(x_minus1, "x_minus1")
     return State(x0, x_minus1, dual=np.zeros_like(x0))
 
 
@@ -595,7 +585,7 @@ def extra_grid_search(
         raise ParameterError(f"grid-search budget must be >= 0, got {budget}")
     if metric in SADDLE_METRICS and recorder.saddle is None:
         raise ConfigError(f"grid-search metric {metric!r} needs saddle diagnostics")
-    x0 = np.zeros((problem.m, problem.d)) if x0 is None else _check_stack(x0, problem, "x0")
+    x0 = np.zeros((problem.m, problem.d)) if x0 is None else problem.check_shape(x0, "x0")
     start = (x0, gossip.shifted @ x0, problem.stacked_gradient(x0))
     width = _grid_block_width(problem.m, problem.d)
     points, cap = [], budget

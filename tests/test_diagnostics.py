@@ -15,7 +15,7 @@ from decopt.diagnostics import (
     rate_fit,
     CSV_HEADER,
 )
-from decopt.errors import InsufficientDataError, ParameterError
+from decopt.errors import InsufficientDataError, NumericError, ParameterError
 from decopt.objectives import ProblemInstance, synth_logistic, synth_ridge
 from decopt.solvers import extra_grid_search
 from decopt.topology import graph_laplacian_sqrt, make_erdos_renyi, make_line_graph
@@ -56,6 +56,19 @@ class TestSaddle:
         prob, gossip, _, _ = ridge_setup
         with pytest.raises(ParameterError, match="positive and finite"):
             compute_saddle(prob, gossip, tol=tol)
+
+    @pytest.mark.parametrize("where", ["b", "a"])
+    def test_non_finite_data_gives_no_anchor(self, where):
+        # a NaN target or an inf feature makes the exact solve's x* NaN, and
+        # NaN passed the old `residual > bound` test
+        prob = synth_ridge(m=4, n=5, d=3, seed=0)
+        data = {"a": prob.a.copy(), "b": prob.b.copy()}
+        data[where].flat[7] = {"a": np.inf, "b": np.nan}[where]
+        bad = ProblemInstance.ridge(data["a"], data["b"], prob.gammas)
+        gossip = psd_shift(metropolis_hastings(make_line_graph(4)), c=0.4)
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(NumericError, match="residual not finite"):
+                compute_saddle(bad, gossip)
 
     @pytest.mark.parametrize("synth, solver", [(synth_ridge, "ridge_exact_solution"),
                                                (synth_logistic, "centralized_minimize")])

@@ -523,6 +523,52 @@ BETA2_OVERFLOW = small_ridge_raw(algorithm={"kind": "adolf", "growth": {
 CONFIG_SECTIONS = ("problem", "graph", "gossip", "algorithm", "init", "stop", "diagnostics")
 
 
+def tiny(raw):
+    """A copy of raw at a tiny size: m <= 6, n and d <= 10, max_iter and budget <= 50."""
+    raw = copy.deepcopy(raw)
+    problem, stop, algorithm = raw["problem"], raw["stop"], raw["algorithm"]
+    problem["m"] = raw["graph"]["m"] = min(problem["m"], 6)
+    problem["n"], problem["d"] = min(problem["n"], 10), min(problem["d"], 10)
+    stop["max_iter"] = min(stop["max_iter"], 50)
+    if "budget" in algorithm:
+        algorithm["budget"] = min(algorithm["budget"], 50)
+    return raw
+
+
+@st.composite
+def rejected_raw_configs(draw):
+    """(raw, section, key): a tiny valid config whose field section.key, one that its
+    kinds read, is set to a value outside its range."""
+    raw = tiny(draw(valid_raw_configs()))
+    algorithm = raw["algorithm"]
+    cases = [("gossip", "c", 0.0), ("gossip", "c", 0.5), ("problem", "n", 0),
+             ("problem", "d", 0), ("problem", "seed", -1), ("graph", "seed", -1),
+             ("init", "seed", -1), ("init", "kind", "bogus"), ("diagnostics", "cadence", 0),
+             ("diagnostics", "saddle_tol", 0.0), ("stop", "cadence", 0), ("stop", "max_iter", -1)]
+    if raw["graph"]["kind"] == "erdos_renyi":
+        cases += [("graph", "p", 1.5), ("graph", "p", 0.0)]
+    if raw["problem"]["kind"] == "logistic_synthetic":
+        cases += [("problem", "noise", 0.5), ("problem", "noise", -0.1)]
+    if "threshold" in raw["stop"]:
+        cases.append(("stop", "threshold", 0.0))
+    if algorithm["kind"] in ("adolf", "adolf_local"):
+        cases += [("algorithm", "c2", 2.0), ("algorithm", "alpha0", 0.0),
+                  ("algorithm", "mode", "bogus"),
+                  ("algorithm", "sigma" if algorithm["mode"] == "strongly_convex"
+                   else "sigma_bar", 0.0)]
+        if algorithm["kind"] == "adolf_local":
+            cases.append(("algorithm", "eta", 1.0))
+    elif "grid" in algorithm:
+        cases += [("algorithm", "budget", 0), ("algorithm", "grid", [1.0, 0.0])]
+    else:
+        cases.append(("algorithm", "alpha", 0.0))
+    if algorithm["kind"] == "condat_vu":
+        cases += [("algorithm", "gamma", 0.0), ("algorithm", "sigma_bar", 0.0)]
+    section, key, value = draw(st.sampled_from(cases))
+    raw[section][key] = value
+    return raw, section, key
+
+
 class TestRunFuzz:
     """decopt run on generated configs: each runs or exits with its documented code."""
 
@@ -531,14 +577,7 @@ class TestRunFuzz:
     @settings(max_examples=25, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_run_exits_with_a_documented_code(self, tmp_path, capsys, raw):
-        # at a tiny size: m <= 6, n and d <= 10, max_iter and budget <= 50
-        raw = copy.deepcopy(raw)
-        problem, stop, algorithm = raw["problem"], raw["stop"], raw["algorithm"]
-        problem["m"] = raw["graph"]["m"] = min(problem["m"], 6)
-        problem["n"], problem["d"] = min(problem["n"], 10), min(problem["d"], 10)
-        stop["max_iter"] = min(stop["max_iter"], 50)
-        if "budget" in algorithm:
-            algorithm["budget"] = min(algorithm["budget"], 50)
+        raw = tiny(raw)
         case = Path(tempfile.mkdtemp(dir=tmp_path))
         (case / "cfg.yaml").write_text(yaml.safe_dump(raw))
         code = cli.main(["run", str(case / "cfg.yaml"), "--out", str(case / "out")])
@@ -554,6 +593,21 @@ class TestRunFuzz:
                     assert math.isfinite(manifest[key]), (key, manifest[key])
                 else:
                     assert manifest[key] is None
+
+    @given(rejected_raw_configs())
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_out_of_range_field_exits_2_naming_it(self, tmp_path, capsys, drawn):
+        raw, section, key = drawn
+        case = Path(tempfile.mkdtemp(dir=tmp_path))
+        (case / "cfg.yaml").write_text(yaml.safe_dump(raw))
+        code = cli.main(["run", str(case / "cfg.yaml"), "--out", str(case / "out")])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert "Traceback" not in err
+        assert not (case / "out").exists() or not any((case / "out").iterdir())
+        # the key named in either form: section.key: or section: key
+        assert re.search(rf"^config error: {section}(\.{key}\b|: {key}\b)", err, re.M), err
 
     def test_overflowing_growth_cap_names_its_key(self, tmp_path, capsys):
         path = tmp_path / "cfg.yaml"

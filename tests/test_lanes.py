@@ -120,7 +120,7 @@ def test_mnist_partition_identical_at_any_lane_count(tmp_path, force_lanes):
 def test_lanes_cover_every_agent_once(force_lanes, synth):
     for count in [1] + COUNTS:
         force_lanes(count)
-        ranges = synth(M, N, D, seed=3)._kernel.ranges
+        ranges = synth(M, N, D, seed=3).ranges
         assert ranges[0][0] == 0 and ranges[-1][1] == M
         assert all(lo < hi == next_lo for (lo, hi), (next_lo, _) in zip(ranges, ranges[1:]))
 

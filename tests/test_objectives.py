@@ -112,6 +112,11 @@ class TestRidge:
         with pytest.raises(ParameterError, match="positive"):
             ProblemInstance.ridge(np.zeros((3, 4, 2)), np.zeros((3, 4)), gammas)
 
+    def test_gamma_finite(self):
+        # an inf coefficient passed `gammas > 0` and made the reference x* NaN
+        with pytest.raises(ParameterError, match="positive and finite"):
+            ProblemInstance.ridge(np.zeros((4, 2, 3)), np.zeros((4, 2)), [1, np.inf, 1, 1])
+
     def test_slab_shapes_checked(self):
         a, b = np.zeros((3, 4, 2)), np.zeros((3, 4))
         for bad in [(a[0], b[0], [1.0]), (a, b[:2], [1.0] * 3), (a, b.T, [1.0] * 3),
@@ -546,10 +551,8 @@ class TestSlab:
         built = self.built(tmp_path)
         assert adopted == [True] * 2 * len(built)  # every a and b slab handed over
         for prob, _ in built:
-            kernel = prob._kernel
-            assert np.shares_memory(prob.a, kernel.a) and np.shares_memory(prob.b, kernel.b)
-            assert np.shares_memory(kernel.a_flat, prob.a)
-            for array in (prob.a, prob.b, kernel.a_flat, prob.gammas):
+            assert np.shares_memory(prob.a_flat, prob.a)
+            for array in (prob.a, prob.b, prob.a_flat, prob.gammas):
                 if array is not None:
                     with pytest.raises(ValueError):
                         array[0] = 1.0
@@ -565,7 +568,7 @@ class TestSlab:
             # index copy becomes a new contiguous slab
             assert np.shares_memory(sub.a, prob.a) == adopted
             assert sub.a.flags.c_contiguous and not sub.a.flags.writeable
-            flat = sub._kernel.a_flat
+            flat = sub.a_flat
             assert np.shares_memory(flat, sub.a) and not flat.flags.writeable
             np.testing.assert_allclose(sub.stacked_gradient(x[:sub.m, :sub.d]),
                                        loop_stacked_gradient(sub, x[:sub.m, :sub.d]),
@@ -603,7 +606,7 @@ class TestSlab:
         x = rng.standard_normal((3, 3))
         before = [(p.stacked_value(x), p.stacked_gradient(x)) for p in (ridge, logistic)]
         for prob in (ridge, logistic):
-            for mine, theirs in ((prob.a, a), (prob.b, b), (prob._kernel.a_flat, a)):
+            for mine, theirs in ((prob.a, a), (prob.b, b), (prob.a_flat, a)):
                 assert not np.shares_memory(mine, theirs)
         assert not np.shares_memory(ridge.gammas, gammas)
         a += 1.0

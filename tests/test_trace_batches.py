@@ -191,15 +191,15 @@ def test_stop_row_reports_the_tested_value(small_setup, monkeypatch, metric, thr
 
 def test_objective_gap_costs_one_cross_product_per_tick(small_setup, monkeypatch):
     prob = small_setup[0]
-    kernel = type(prob._kernel)
+    loss = type(prob)
     calls = []
-    cross_values = kernel.cross_values
+    cross_values = loss._cross_values
 
     def counted(self, x_rows):
         calls.append(len(x_rows))
         return cross_values(self, x_rows)
 
-    monkeypatch.setattr(kernel, "cross_values", counted)
+    monkeypatch.setattr(loss, "_cross_values", counted)
     stop = StopRule(max_iter=20_000, metric="objective_gap", threshold=1e-8, cadence=4)
     trace = traced(small_setup, "adolf", PARAMS["adolf"], stop, 4, DEFAULT_BYTES, monkeypatch)
     assert trace.status == "converged"
