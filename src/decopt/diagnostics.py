@@ -369,11 +369,12 @@ class Trace:
 # trace_batch_rows counts the stacks once. Measured at 1 BLAS thread on a
 # 2-CPU VM, in CPU time: a 400-row cadence-1 trace of fig2_er09's adolf and
 # adolf_local (m=20, n=20, d=500) took 1.42 s in batches of 1 row, 1.27 s of
-# 2, 1.20 s of 3 and 1.19 s of 4; the fig1_er01 adolf and adolf_local traces
-# (n=50, d=20), whose objective gap is mostly the softplus of 20 000 margins a
-# row and not the product, took 2.92 s in batches of 1 and 3.27 s of 2.
-# 1.5 MiB holds 3 rows at the fig2 shape and 1 at the fig1 and MNIST
-# (n=600, d=784) shapes.
+# 2, 1.20 s of 3 and 1.19 s of 4. A logistic row's values are reduced in the
+# product's own memory (2 arrays of its size, not 5): the objective gaps of
+# one fig1 row (n=50, d=20, 20 000 margins) took 360 us alone and 330 us a
+# row in a batch of 4, against 660 us alone when they made 5 arrays.
+# 1.5 MiB holds 3 rows at the fig2 shape, 4 at the fig1 shape and 1 at the
+# MNIST shape (n=600, d=784).
 TRACE_BATCH_BYTES = 3 << 19
 
 

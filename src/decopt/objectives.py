@@ -22,18 +22,23 @@ one batched GEMM of each agent's rows with its own points; it gives the
 gradients of G stacks (``column_gradients``, with ``stacked_gradient`` as
 G = 1) and the own-row values of G stacks (``column_values``, with
 ``stacked_value`` as G = 1). ``_cross`` multiplies k shared points by the
-(m*n, d) view, as ``points @ A^T``; it gives every point under every loss
-(k = m for one stack, a multiple of m for a trace batch's stacks), and at
-k = 1 the residuals or margins behind the averaged value and gradient,
-computed once for both. ``_back``, the product ``w @ A``, turns these into
-the gradient. ``average_hessian`` is the reference solve's float32 Hessian:
-its lanes split the Hessian's block columns, not the agents.
+(m*n, d) view, as ``points @ A^T``; it gives every point under every ridge
+loss (k = m for one stack, a multiple of m for a trace batch's stacks), and
+at k = 1 the residuals or margins behind the averaged value and gradient,
+computed once for both. The logistic values at k points reduce each
+block's product where it lands, margins and softplus in place
+(``_Logistic._cross_lane``). ``_back``, the product ``w @ A``, turns the
+residuals or margins into the gradient. ``average_hessian`` is the
+reference solve's float32 Hessian: its lanes split the Hessian's block
+columns, not the agents.
 
 Instances are immutable after construction (data arrays are read-only, and
-no writable array shares their memory), so value and gradient evaluation is
-safe from multiple threads. The evaluators rely on it: above
-``LANE_MIN_BYTES`` of data they split the agents into lanes that run on a
-thread pool, one lane per CPU, with results bit-identical to one lane's.
+no writable array shares their memory; a logistic instance's one writable
+array per thread is scratch that no other thread sees), so value and
+gradient evaluation is safe from multiple threads. The evaluators rely on
+it: above ``LANE_MIN_BYTES`` of data they split the agents into lanes that
+run on a thread pool, one lane per CPU, with results bit-identical to one
+lane's.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, NotConvergedError, ParameterError, ShapeError
+from .errors import DataError, NotConvergedError, NumericError, ParameterError, ShapeError
 
 __all__ = [
     "ProblemInstance",
@@ -165,6 +170,28 @@ def _expit(t):
         np.exp(t, out=t)
     t += 1.0
     return np.divide(1.0, t, out=t)
+
+
+def _softplus_mean(t):
+    """The mean over the last axis of log(1 + exp(-t)) for the float array t of
+    margins, computed in t itself, which it overwrites.
+
+    As max(-t, 0) + log1p(exp(-|t|)), which neither overflows nor loses the
+    small values: the positive part max(-t, 0) is summed under a mask of
+    t < 0, so that no float temporary of t's size is made, and the rest is
+    computed in t. exp(-|t|) underflows to a subnormal or 0 for |t| above
+    about 708, where log1p of it is the value, so the underflow is not an
+    error.
+    """
+    positive = np.sum(t, axis=-1, where=t < 0.0)
+    np.copysign(t, -1.0, out=t)
+    with np.errstate(under="ignore"):
+        np.exp(t, out=t)
+        np.log1p(t, out=t)
+    out = np.sum(t, axis=-1)
+    out -= positive
+    out /= t.shape[-1]
+    return out
 
 
 class ProblemInstance:
@@ -407,6 +434,10 @@ class ProblemInstance:
         return np.mean(self._cross_values(self.check_shape(x_rows, "x_rows", ("k", self.d))),
                        axis=1)
 
+    def _cross_values(self, x_rows):
+        """value[i, j] = f_j evaluated at row i."""
+        return self._per_agent(self._cross_lane, (len(x_rows), self.m), x_rows)
+
 
 class _Ridge(ProblemInstance):
     """Ridge losses, evaluated on the residuals A x - b."""
@@ -446,10 +477,6 @@ class _Ridge(ProblemInstance):
         values[:, lo:hi] = (np.einsum("jni,jni->ij", r, r) / self.n
                             + 0.5 * self.gammas[None, lo:hi] * sq[:, None])
 
-    def _cross_values(self, x_rows):
-        """value[i, j] = f_j evaluated at row i."""
-        return self._per_agent(self._cross_lane, (len(x_rows), self.m), x_rows)
-
     def _average_value(self, x, r):
         return float(r @ r / (self.m * self.n) + 0.5 * np.mean(self.gammas) * (x @ x))
 
@@ -464,14 +491,33 @@ class _Logistic(ProblemInstance):
     """Logistic losses, evaluated on the margins b * (A x)."""
 
     loss = "logistic"
-    # of _cross_values' product size: the product, its copy, the margins, their
-    # negation and their softplus
-    cross_arrays = 5
+    # of _cross_values' product size: the product, which holds the margins and
+    # their softplus, and its sign mask (an eighth of it), counted as a second
+    cross_arrays = 2
 
     def __init__(self, a, b):
         super().__init__(a, b)
         if not np.all(np.abs(self.b) == 1.0):
             raise ParameterError("logistic labels must be +1 or -1")
+        vars(self)["_products"] = threading.local()  # see _product_buffer
+
+    def _product_buffer(self, shape) -> np.ndarray:
+        """An uninitialized float array of that shape, in the calling thread's buffer
+        for this instance, which grows to the largest size asked for.
+
+        The trace values' products live here from call to call. Made fresh
+        on every call, a fig1 trace batch's product (640 KB) made glibc grow
+        and trim its heap each time once the BLAS ran it on two threads:
+        about 220 minor page faults a call on a 2-CPU VM, none at 1 BLAS
+        thread. The buffer goes with its instance: one kept by the process
+        held the heap's top through the next instance's reference solve and
+        lifted logistic_mnist_shape's peak RSS by 0.9 MB.
+        """
+        size = shape[0] * shape[1]
+        buf = getattr(self._products, "buf", None)
+        if buf is None or buf.size < size:
+            buf = self._products.buf = np.empty(size)
+        return buf[:size].reshape(shape)
 
     def _pass(self, points, lo, hi):
         """The margins b_j * (A_j p) of agents lo..hi-1 at the (k, d) points, (hi - lo, n, k)."""
@@ -487,15 +533,20 @@ class _Logistic(ProblemInstance):
         np.matmul(weights, self.a[lo:hi], out=grad[lo:hi])
 
     def _values_lane(self, values, x_cols, lo, hi):
-        margins = self.b[lo:hi, None, :] * self._own(x_cols, lo, hi)
-        values[lo:hi] = np.mean(np.logaddexp(0.0, -margins), axis=2)
+        margins = self._own(x_cols, lo, hi)
+        margins *= self.b[lo:hi, None, :]
+        values[lo:hi] = _softplus_mean(margins)
 
     def _cross_lane(self, values, x_rows, lo, hi):
-        values[lo:hi] = np.mean(np.logaddexp(0.0, -self._pass(x_rows, lo, hi)), axis=1)
-
-    def _cross_values(self, x_rows):
-        """value[i, j] = f_j evaluated at row i."""
-        return self._per_agent(self._cross_lane, (self.m, len(x_rows)), x_rows).T
+        """Each block's product x_rows @ block^T, reduced in its own (k, agents, n)
+        layout: margins and softplus in the product's memory, no agent-major copy."""
+        agents = self.block_rows // self.n
+        margins = self._product_buffer((len(x_rows), self.block_rows))
+        for j in range(lo, hi, agents):
+            np.matmul(x_rows, self._blocks(j, j + agents)[0].T, out=margins)
+            t = margins.reshape(len(x_rows), agents, self.n)
+            t *= self.b[j:j + agents]
+            values[:, j:j + agents] = _softplus_mean(t)
 
     def _average_value(self, x, margins):
         return float(np.mean(np.logaddexp(0.0, -margins)))
@@ -837,8 +888,10 @@ def centralized_minimize(
 
     Returns a point with ||grad f|| <= tol. max_iter bounds the accelerated
     iterations and the chord steps together; when it runs out, the
-    NotConvergedError carries the best point seen. counts, if given, gains
-    what the call spent.
+    NotConvergedError carries the best point seen. A NumericError reports
+    data on which f or its gradient is not finite at the start x = 0; the
+    data themselves are not scanned. counts, if given, gains what the call
+    spent.
     """
     if not 0 < tol < np.inf:
         raise ParameterError(f"tolerance must be positive and finite, got {tol}")
@@ -846,6 +899,10 @@ def centralized_minimize(
     x = np.zeros(problem.d)
     f_x, g, norm = run.evaluate(x)
     run.counts.evaluations += 1
+    if not np.isfinite(f_x) or not np.isfinite(norm):
+        # the backtracking would double its curvature estimate forever on a NaN f
+        raise NumericError(f"the averaged objective is not finite at 0 (f = {f_x:.3e}, "
+                           f"||grad f|| = {norm:.3e}): the data are not finite")
     if norm <= tol:
         return x
 

@@ -20,6 +20,7 @@ from decopt.objectives import ProblemInstance, synth_logistic, synth_ridge
 from decopt.solvers import extra_grid_search
 from decopt.topology import graph_laplacian_sqrt, make_erdos_renyi, make_line_graph
 from decopt.topology import metropolis_hastings, psd_shift
+from probes import run_probe
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +70,33 @@ class TestSaddle:
         with np.errstate(invalid="ignore"):
             with pytest.raises(NumericError, match="residual not finite"):
                 compute_saddle(bad, gossip)
+
+    def test_non_finite_logistic_data_raise_in_time(self):
+        # an inf feature makes every logistic value NaN, on which the
+        # reference solve's backtracking doubled its curvature estimate
+        # forever; in a subprocess, so that a hang fails the test by its
+        # timeout. The same data under ridge fail the exact solve's check.
+        probe = (
+            "import numpy as np\n"
+            "from decopt.diagnostics import compute_saddle\n"
+            "from decopt.errors import NumericError\n"
+            "from decopt.objectives import ProblemInstance, synth_logistic\n"
+            "from decopt.topology import make_line_graph, metropolis_hastings, psd_shift\n"
+            "prob = synth_logistic(m=4, n=5, d=3, seed=0)\n"
+            "a = prob.a.copy()\n"
+            "a.flat[7] = np.inf\n"
+            "gossip = psd_shift(metropolis_hastings(make_line_graph(4)), c=0.4)\n"
+            "for bad in (ProblemInstance.logistic(a, prob.b),\n"
+            "            ProblemInstance.ridge(a, prob.b, [1.0] * 4)):\n"
+            "    try:\n"
+            "        with np.errstate(invalid='ignore'):\n"
+            "            compute_saddle(bad, gossip)\n"
+            "    except NumericError as exc:\n"
+            "        print(bad.loss, exc)\n"
+        )
+        logistic, ridge = run_probe(probe, timeout=60).splitlines()
+        assert logistic.startswith("logistic ") and "data are not finite" in logistic
+        assert ridge.startswith("ridge ") and "residual not finite" in ridge
 
     @pytest.mark.parametrize("synth, solver", [(synth_ridge, "ridge_exact_solution"),
                                                (synth_logistic, "centralized_minimize")])

@@ -2,11 +2,8 @@ import copy
 import csv
 import json
 import math
-import os
 import re
 import struct
-import subprocess
-import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -39,6 +36,7 @@ from decopt.runner import (
     run_experiment,
 )
 from faults import nan_gradient_problem
+from probes import run_probe
 
 
 def small_ridge_raw(**overrides):
@@ -588,11 +586,24 @@ class TestRunFuzz:
         if code == 0:
             (path,) = (case / "out").glob("*.manifest.json")
             manifest = strict_json(path)
+            saddle = raw.get("diagnostics", {}).get("saddle", True)
             for key in ("saddle_residual", "saddle_grad_norm"):
-                if raw.get("diagnostics", {}).get("saddle", True):
+                if saddle:
                     assert math.isfinite(manifest[key]), (key, manifest[key])
                 else:
                     assert manifest[key] is None
+            if saddle:
+                # f(x_i) >= f(x*) + <grad f(x*), x_i - x*> by convexity, so the
+                # mean over the agents, objective_gap, is at least -||grad f(x*)||
+                # sqrt(distance_sq / m), up to rounding: at a reference solved to
+                # the rounding floor, -1e-10 (1 + |f*|)
+                ref = runner._Workspace(parse_config(case / "cfg.yaml")).saddle
+                m = raw["problem"]["m"]
+                with open(Path(manifest["csv_path"])) as f:
+                    for row in csv.DictReader(f):
+                        slack = ref.grad_norm * math.sqrt(float(row["distance_sq"]) / m)
+                        bound = -1e-10 * (1.0 + abs(ref.f_star)) - slack
+                        assert float(row["objective_gap"]) >= bound, (row, bound)
 
     @given(rejected_raw_configs())
     @settings(max_examples=40, deadline=None,
@@ -1017,13 +1028,8 @@ class TestCli:
             ("ridge", ["run", str(ridge), "--out", str(tmp_path / "ridge")]),
             ("logistic", ["run", str(logistic), "--out", str(tmp_path / "logistic")]),
         ]
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run([sys.executable, "-c", probe, json.dumps(stages)],
-                              capture_output=True, text=True, env=env, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout.splitlines()[-1]) == {
+        stdout = run_probe(probe, json.dumps(stages), timeout=120)
+        assert json.loads(stdout.splitlines()[-1]) == {
             "import": False,
             "validate": [0, False],
             "ridge": [0, False],

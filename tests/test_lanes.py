@@ -11,12 +11,9 @@ makes for its agents.
 import json
 import os
 import signal
-import subprocess
-import sys
 import threading
 import time
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +27,7 @@ from decopt.solvers import extra_grid_search
 from decopt.topology import graph_laplacian_sqrt, make_line_graph, metropolis_hastings, psd_shift
 from faults import RaiseOutsideBall
 from idx_files import write_idx_pair
+from probes import run_probe
 
 # At this shape one BLAS call per lane, instead of one per agent block, rounds
 # differently from one call for all agents (OpenBLAS 0.3.31, SkylakeX kernels),
@@ -251,14 +249,8 @@ def test_ridge_grid_loads_no_pool_modules(tmp_path):
         "print(json.dumps([code, 'multiprocessing' in sys.modules,\n"
         "                  'concurrent.futures' in sys.modules]))\n"
     )
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", probe, "run", str(config), "--out",
-                           str(tmp_path / "out")], capture_output=True, text=True, env=env,
-                          timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == [0, False, False]
+    stdout = run_probe(probe, "run", str(config), "--out", str(tmp_path / "out"), timeout=120)
+    assert json.loads(stdout.splitlines()[-1]) == [0, False, False]
 
 
 def raw_config(problem_kind: str, algorithm: dict) -> dict:

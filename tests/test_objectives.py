@@ -1,4 +1,6 @@
 import struct
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -134,6 +136,12 @@ EXPIT_EDGES = np.array(
     + [s * t for t in (708.0, 709.0, 709.7, 710.0, 720.0, 744.0, 745.0, 745.2, 746.0)
        for s in (1.0, -1.0)])
 
+# ±0, ±tiny, ±1, where exp(-|t|) nears the rounding of 1 + exp(-|t|) (36.7),
+# overflows (709) and underflows to 0 (745), ±huge, ±inf and NaN
+SOFTPLUS_EDGES = np.array(
+    [0.0, -0.0, np.nan] + [s * t for t in (1e-300, 1.0, 36.7, 709.0, 745.0, 1e308, np.inf)
+                           for s in (1.0, -1.0)])
+
 
 class TestLogistic:
     def test_value_gradient_at_zero(self):
@@ -187,6 +195,64 @@ class TestLogistic:
     def test_expit_overflow_is_not_an_error(self):
         with np.errstate(all="raise"):
             assert objectives._expit(np.array([-800.0]))[0] == 0.0
+
+    def test_softplus_mean_at_the_edges(self):
+        # one margin a row, so that each mean is that margin's softplus; CI runs
+        # the logistic presets with RuntimeWarnings as errors, so none may warn
+        t = SOFTPLUS_EDGES[:, None].copy()
+        with np.errstate(all="raise"):
+            got = objectives._softplus_mean(t)
+        with np.errstate(invalid="ignore"):  # at NaN
+            want = np.logaddexp(0.0, -SOFTPLUS_EDGES)
+        wide = SOFTPLUS_EDGES.astype(np.longdouble)
+        exact = (np.maximum(-wide, 0.0) + np.log1p(np.exp(-np.abs(wide)))).astype(float)
+        for ref in (want, exact):
+            assert np.array_equal(np.isnan(got), np.isnan(ref))
+            finite = ~np.isnan(ref)
+            np.testing.assert_array_max_ulp(got[finite], ref[finite], maxulp=2)
+
+    @pytest.mark.parametrize("n", [50, 600])  # the fig1 and the MNIST shape
+    def test_softplus_mean_of_many_margins(self, n):
+        # numpy sums under a mask in order, not pairwise, so the positive
+        # part's rounding grows with n: at most 6 ulps of the mean at n = 600
+        t = 30.0 * np.random.default_rng(n).standard_normal((200, n))
+        want = np.mean(np.logaddexp(0.0, -t), axis=-1)
+        exact = np.mean(np.logaddexp(0.0, -t.astype(np.longdouble)), axis=-1).astype(float)
+        with np.errstate(all="raise"):
+            got = objectives._softplus_mean(t.copy())
+        np.testing.assert_array_max_ulp(got, want, maxulp=8)
+        np.testing.assert_array_max_ulp(got, exact, maxulp=8)
+
+    def test_softplus_mean_is_computed_in_its_array(self):
+        t = np.random.default_rng(1).standard_normal((4, 20_000))
+        tracemalloc.start()
+        try:
+            objectives._softplus_mean(t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < t.nbytes / 4  # the sign mask is an eighth of t; no float copy of it
+        assert np.all((0.0 < t) & (t <= np.log(2.0)))  # t now holds log1p(exp(-|t|))
+
+    def test_product_buffer_is_kept_per_instance_and_thread(self):
+        prob = objectives.synth_logistic(m=2, n=3, d=2, seed=0)
+        kept = prob._product_buffer((3, 4))
+        assert np.shares_memory(kept, prob._product_buffer((2, 5)))
+        assert not np.shares_memory(kept, prob._product_buffer((4, 4)))  # it grew
+        other = objectives.synth_logistic(m=2, n=3, d=2, seed=0)
+        assert not np.shares_memory(other._product_buffer((3, 4)), prob._products.buf)
+        with ThreadPoolExecutor(1) as pool:
+            theirs = pool.submit(prob._product_buffer, (3, 4)).result()
+        assert not np.shares_memory(theirs, prob._products.buf)
+
+    def test_average_value_is_still_the_logaddexp_form(self):
+        # the averaged value steers the reference solve: its bits stay as they were
+        prob = objectives.synth_logistic(m=4, n=30, d=5, seed=3)
+        margins = 40.0 * np.random.default_rng(2).standard_normal(prob.m * prob.n)
+        assert prob._average_value(None, margins) == float(np.mean(np.logaddexp(0.0, -margins)))
+        x = np.random.default_rng(3).standard_normal(prob.d)
+        assert prob.average_value(x) == float(
+            np.mean(np.logaddexp(0.0, -prob._average_pass(x))))
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=20, deadline=None)

@@ -1,8 +1,5 @@
 import functools
-import os
-import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +23,7 @@ from decopt.solvers import (
 from decopt.stepsize import GrowthPolicy, StepsizeParams
 from decopt.diagnostics import METRICS
 from faults import NanOutsideBall, nan_gradient_problem
+from probes import run_probe
 from sequential_grid import sequential_grid_search
 from shadow_dual import shadow_dual_residuals
 from decopt.topology import (
@@ -601,13 +599,35 @@ class TestGridSearch:
             "search(1000)\n"
             "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
         )
-        src = str(Path(solvers.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                              env=env, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        assert int(proc.stdout.splitlines()[-1]) < 1000
+        assert int(run_probe(probe, timeout=300).splitlines()[-1]) < 1000
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="counts page faults as Linux reports them")
+    def test_logistic_trace_rows_do_not_churn_the_heap(self):
+        # The objective gaps of one trace row (20 points) and of a batch of
+        # four at the fig1 shape. Five product-size arrays a call (160 KB a
+        # row here) made glibc grow and trim its heap: 46 and 280 000 minor
+        # page faults at 1 BLAS thread; a fresh product a call, about 220 000
+        # at four rows once the BLAS ran it on two threads. A fresh
+        # interpreter, as above.
+        probe = (
+            "import resource\n"
+            "import numpy as np\n"
+            "from decopt import runner\n"
+            "cfg = runner.figure_preset('fig1_er01', synthetic_logistic=True)[0]\n"
+            "problem = runner._Workspace(cfg).problem\n"
+            "rows = np.random.default_rng(0).standard_normal((4 * problem.m, problem.d))\n"
+            "for points in (rows[:problem.m], rows):\n"
+            "    for _ in range(20):\n"
+            "        problem.average_values_at_rows(points)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "for points in (rows[:problem.m], rows):\n"
+            "    for _ in range(1000):\n"
+            "        problem.average_values_at_rows(points)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        )
+        assert int(run_probe(probe, timeout=300).splitlines()[-1]) < 1000
+
 
 @pytest.mark.parametrize("value", [np.inf, np.nan])
 @pytest.mark.parametrize("build", [
