@@ -9,9 +9,13 @@ against that anchor.
 
 The trace recorder reads each pair of consecutive solver states, accumulates
 the gamma-weighted ergodic average, and writes one record per cadence tick.
-The adaptive solvers carry only D = L_op Y, with Y in the range of L_op, so
-the Lyapunov value recovers Y = pinv(L_op) D from the saddle's cached
-pseudoinverse on the rows it writes; the oracle hands over its own Y.
+Every F it reports comes from the own products A_i x_i that the solver
+rounds formed for their gradients: the products at X^{k-1} give the
+Lyapunov value's F, and their gamma-weighted sum, kept beside the ergodic
+sum of the iterates, gives F at the ergodic average. The adaptive solvers
+carry only D = L_op Y, with Y in the range of L_op, so the Lyapunov value
+recovers Y = pinv(L_op) D from the saddle's cached pseudoinverse on the rows
+it writes; the oracle hands over its own Y.
 
 Metric functions are pure and read-only over iterate snapshots; a recorder
 instance belongs to exactly one run and is not safe to share across
@@ -23,6 +27,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -95,6 +100,11 @@ class SaddlePoint:
         """F(X*) = m * f(x*)."""
         return self.x_stack.shape[0] * self.f_star
 
+    @cached_property
+    def d_star_x_star(self) -> float:
+        """<D*, X*>, zero but for rounding: the constant of <D*, X - X*>."""
+        return float(np.vdot(self.d_star, self.x_stack))
+
 
 def compute_saddle(
     problem: ProblemInstance, gossip: GossipMatrix, tol: float = 1e-12
@@ -142,8 +152,9 @@ def compute_saddle(
 
 
 def _linear_term(x_stack: np.ndarray, saddle: SaddlePoint):
-    """<L_op Y*, X - X*>, the primal gap's term that does not need F."""
-    return np.sum(saddle.d_star * (x_stack - saddle.x_stack))
+    """<L_op Y*, X - X*>, the primal gap's term that does not need F, as
+    <D*, X> - <D*, X*>."""
+    return np.vdot(saddle.d_star, x_stack) - saddle.d_star_x_star
 
 
 def _gap(f_value, linear, saddle: SaddlePoint) -> float:
@@ -169,12 +180,10 @@ def merit(
     return primal_gap(problem, x_stack, saddle) + _consensus(l_op, x_stack)
 
 
-def _lyapunov_parts(x_now, x_prev, y, saddle: SaddlePoint, sigma_k, gamma_k, alpha_k):
-    """The Lyapunov terms that do not need F, and the weight of the primal gap at x_prev."""
-    dx = x_now - saddle.x_stack
-    dy = y - saddle.y_star
-    base = np.sum(dx * dx) + np.sum(dy * dy) / sigma_k + 0.5 * np.sum((x_now - x_prev) ** 2)
-    return base, 2.0 * gamma_k * alpha_k
+def _lyapunov_base(distance_sq, x_now, x_prev, y, saddle: SaddlePoint, sigma_k):
+    """The Lyapunov terms that do not need F, given ||X^k - X*||^2."""
+    dy, step = y - saddle.y_star, x_now - x_prev
+    return distance_sq + np.vdot(dy, dy) / sigma_k + 0.5 * np.vdot(step, step)
 
 
 def lyapunov(
@@ -193,14 +202,16 @@ def lyapunov(
     ||X^k - X^{k-1}||^2 / 2, plus 2 gamma_k alpha_k times the primal gap at
     the previous iterate.
     """
-    base, weight = _lyapunov_parts(x_now, x_prev, y, saddle, sigma_k, gamma_k, alpha_k)
-    return float(base + weight * primal_gap(problem, x_prev, saddle))
+    dx = x_now - saddle.x_stack
+    base = _lyapunov_base(np.sum(dx * dx), x_now, x_prev, y, saddle, sigma_k)
+    return float(base + 2.0 * gamma_k * alpha_k * primal_gap(problem, x_prev, saddle))
 
 
 class ErgodicAccumulator:
     """Running gamma-weighted average of iterates, its sum kept in place.
 
-    The weights are the solvers' gamma_k, positive by construction.
+    The weights are the solvers' gamma_k, positive by construction. Each
+    term is scaled in one scratch array, made with the sum.
     """
 
     def __init__(self):
@@ -210,8 +221,9 @@ class ErgodicAccumulator:
     def add(self, x_t: np.ndarray, gamma_t: float) -> None:
         if self.weighted_sum is None:
             self.weighted_sum = gamma_t * x_t
+            self._scratch = np.empty_like(self.weighted_sum)
         else:
-            self.weighted_sum += gamma_t * x_t
+            self.weighted_sum += np.multiply(x_t, gamma_t, out=self._scratch)
         self.theta += gamma_t
 
     @property
@@ -360,47 +372,28 @@ class Trace:
         return buf.getvalue()
 
 
-# Bytes that one batch of trace rows may hold (see TraceRecorder). A row holds
-# three (m, d) stacks: its iterate for the objective gap, and the ergodic
-# average and X^{k-1} for F. Its products with the data are two own-value
-# columns, (m, n) each, and the arrays that cross_values makes at its m points
-# (ProblemInstance.cross_bytes). During a flush the batch holds the rows'
-# stacks plus one stacked copy of each kind, the points and the F columns;
-# trace_batch_rows counts the stacks once. Measured at 1 BLAS thread on a
-# 2-CPU VM, in CPU time: a 400-row cadence-1 trace of fig2_er09's adolf and
-# adolf_local (m=20, n=20, d=500) took 1.42 s in batches of 1 row, 1.27 s of
-# 2, 1.20 s of 3 and 1.19 s of 4. A logistic row's values are reduced in the
-# product's own memory (2 arrays of its size, not 5): the objective gaps of
-# one fig1 row (n=50, d=20, 20 000 margins) took 360 us alone and 330 us a
-# row in a batch of 4, against 660 us alone when they made 5 arrays.
-# 1.5 MiB holds 3 rows at the fig2 shape, 4 at the fig1 shape and 1 at the
-# MNIST shape (n=600, d=784).
+# Bytes that one batch of trace rows may hold (see TraceRecorder). A row's
+# iterate, an (m, d) stack, waits for its objective gap as a copy in the
+# recorder's buffer of points, and its products with the data are the arrays
+# that cross_values makes at its m points (ProblemInstance.cross_bytes). The
+# copies keep no engine array alive across the batch: held by reference, ten
+# rows' iterates and their concatenation raised the runs' peak of traced
+# memory on fig2_er09 from 1.6 to 3.0 MB (tracemalloc). Measured at 1 BLAS thread on a 2-CPU VM: a
+# runner.compare of fig2_er09's adolf and adolf_local with 400-row cadence-1
+# traces (m=20, n=20, d=500) took 0.83 s in batches of 1 row, 0.69 s of 3,
+# 0.72 s of 5, 0.67 s of 10 and 0.67 s of 16 (minima of 4, in one process).
+# A logistic row's values are reduced in the product's own memory (2 arrays
+# of its size, not 5): the objective gaps of one fig1 row (n=50, d=20, 20 000
+# margins) took 360 us alone and 330 us a row in a batch of 4, against 660 us
+# alone when they made 5 arrays. 1.5 MiB holds 10 rows at the fig2 shape, 4
+# at the fig1 shape and 1 at the MNIST shape (n=600, d=784).
 TRACE_BATCH_BYTES = 3 << 19
 
 
 def trace_batch_rows(problem: ProblemInstance) -> int:
     """Rows per batch of trace rows: as many as fit TRACE_BATCH_BYTES, at least one."""
-    m, n, d = problem.m, problem.n, problem.d
-    row = 8 * (3 * m * d + 2 * m * n) + problem.cross_bytes(m)
+    row = 8 * problem.m * problem.d + problem.cross_bytes(problem.m)
     return max(1, TRACE_BATCH_BYTES // row)
-
-
-@dataclass
-class _PendingRow:
-    """A trace row that waits for its batch's products.
-
-    fields are the TraceRecord fields known when the row was due. point is
-    the iterate whose objective gap waits, None when it does not. Each term
-    (field, x_stack, offset, weight, linear) makes the field offset + weight
-    times the primal gap at x_stack, given its _linear_term. The stacks are
-    the run's own arrays, not copies: no engine writes an array after
-    returning it in a State, and the ergodic average is a fresh array each
-    time.
-    """
-
-    fields: dict
-    point: np.ndarray | None = None
-    terms: list = field(default_factory=list)
 
 
 class TraceRecorder:
@@ -410,16 +403,17 @@ class TraceRecorder:
     and the running dual column-sum drift. The dual Y behind a Lyapunov
     value is recovered from D on the rows that need it, never integrated.
 
-    Rows are written in batches of trace_batch_rows. When a row is due, its
-    cheap fields are computed at once: k, the round counts, the step
-    scalars, distance_sq, consensus_err and the terms of merit and Lyapunov
-    that do not need F. The rest waits, as the row's iterate, ergodic
-    average and X^{k-1}, until the batch is full or the run ends.
-    Then one cross_values call gives every waiting row's objective gap, and
-    one column_values call the F behind its merit and Lyapunov value. So
-    ``trace.records`` is complete only after ``finalize``. A stop rule's
-    value is computed when the rule asks (``row_metric``), and its row
-    reports that very value.
+    Every field of a row but its objective gap is computed when the row is
+    due. F comes from the own products that the engines keep in State: the
+    Lyapunov value's F(X^{k-1}) from prev.products_prev (at row 0, where
+    X^-1 has none, from stacked_value), and merit_ergodic's F at the ergodic
+    average from the gamma-weighted sum of new.products_prev, the products
+    at the iterate the ergodic sum takes in. The objective gaps wait, as
+    copies of the rows' iterates in one buffer, until a batch of
+    trace_batch_rows is full or the run ends; then one cross_values call on
+    the buffer gives them all. So ``trace.records`` is complete only after
+    ``finalize``. A stop rule's value is computed when the rule asks
+    (``row_metric``), and its row reports that very value.
     """
 
     def __init__(
@@ -437,11 +431,14 @@ class TraceRecorder:
         self.cadence = cadence
         self.trace = Trace()
         self._ergodic = ErgodicAccumulator()
+        self._ergodic_products = ErgodicAccumulator()  # of the same iterates' own products
         self._last_nonconsensual = -1
         self._saw_vector_alpha = False
         self._tested: tuple[int, str, float | None] | None = None  # (k, column, value)
         self._batch_rows = trace_batch_rows(problem)
-        self._pending: list[_PendingRow] = []
+        self._pending: list[tuple[dict, bool]] = []  # (fields, whether its gap waits)
+        self._points = None  # the waiting rows' iterates, (batch rows * m, d), made on first use
+        self._waiting = 0
 
     # -- metric helpers -------------------------------------------------
 
@@ -479,25 +476,25 @@ class TraceRecorder:
         Row k describes prev's iterates, dual and round counts next to the
         alpha, gamma, sigma and curvature that the step selected from them.
         """
-        alpha = np.asarray(new.alpha, dtype=float)
-        if alpha.ndim > 0:
+        step = float(np.min(new.alpha)), float(np.max(new.alpha)), float(np.min(new.gamma))
+        alpha_min, alpha_max, gamma = step
+        if np.ndim(new.alpha) > 0:
             self._saw_vector_alpha = True
-            spread = float(alpha.max() - alpha.min())
-            if spread > 0.0:
+            if alpha_max > alpha_min:
                 self._last_nonconsensual = prev.k
-        floor = float(np.min(alpha))
-        if self.trace.alpha_floor is None or floor < self.trace.alpha_floor:
-            self.trace.alpha_floor = floor
+        if self.trace.alpha_floor is None or alpha_min < self.trace.alpha_floor:
+            self.trace.alpha_floor = alpha_min
         self.trace.restricted.update(new.l_last, new.mu_last)
 
         if prev.k % self.cadence == 0:
-            self._emit_row(prev, new)
+            self._emit_row(prev, new, step)
         if new.dual is not None:
             col = np.abs(new.dual.sum(axis=0)).max()
             rel = float(col / (1.0 + np.linalg.norm(new.dual)))
             drift = self.trace.dual_colsum_max
             self.trace.dual_colsum_max = rel if drift is None else max(drift, rel)
-        self._ergodic.add(prev.x_now, float(np.min(new.gamma)))
+        self._ergodic.add(prev.x_now, gamma)
+        self._ergodic_products.add(new.products_prev, gamma)
 
     def finalize(self, state) -> Trace:
         """Emit the terminal row for the last state (no step data), write the
@@ -511,66 +508,69 @@ class TraceRecorder:
     # -- internals -------------------------------------------------------
 
     def _ergodic_merit(self) -> float | None:
+        """merit at the ergodic average, its F from the average of the own products."""
         if self.saddle is None or self._ergodic.weighted_sum is None:
             return None
-        return merit(self.problem, self._ergodic.average, self.saddle, self.l_op)
+        average = self._ergodic.average
+        f_value = self.problem.value_from_products(self._ergodic_products.average, average)
+        lx = self.l_op @ average
+        return _gap(f_value, _linear_term(average, self.saddle), self.saddle) + float(
+            np.vdot(lx, lx))
 
-    def _emit_row(self, prev, new) -> None:
-        """Row prev.k: prev's iterates, next to the step data of new when a step follows.
+    def _emit_row(self, prev, new, step=None) -> None:
+        """Row prev.k: prev's iterates, next to the step data of new when a step follows,
+        with step = (alpha_min, alpha_max, gamma) of new.
 
-        The row waits in the batch for its objective gap and the F behind its
-        merit and Lyapunov value, unless a stop rule already computed one.
+        The row waits in the batch for its objective gap, unless a stop rule
+        already computed it.
         """
         saddle = self.saddle
-        row = _PendingRow(dict(
+        distance_sq = self.metric_value("distance_sq", prev.x_now)
+        fields = dict(
             k=prev.k, comm_vector=prev.comm_vector, comm_scalar=prev.comm_scalar,
-            objective_gap=None, distance_sq=self.metric_value("distance_sq", prev.x_now),
+            objective_gap=None, distance_sq=distance_sq,
             consensus_err=self.metric_value("consensus_err", prev.x_now),
             merit_ergodic=None, lyapunov=None, alpha_min=None, alpha_max=None, gamma=None,
             L_k=None,
-        ))
+        )
         tested = None
         if self._tested is not None and self._tested[0] == prev.k:
             _, tested, value = self._tested
-            row.fields[tested] = value  # the stop rule's value, computed once
-        if saddle is not None and tested != "objective_gap":
-            row.point = prev.x_now
-        if (saddle is not None and tested != "merit_ergodic"
-                and self._ergodic.weighted_sum is not None):
-            average = self._ergodic.average
-            row.terms.append(("merit_ergodic", average, _consensus(self.l_op, average), 1.0,
-                              _linear_term(average, saddle)))
+            fields[tested] = value  # the stop rule's value, computed once
+        if tested != "merit_ergodic":
+            fields["merit_ergodic"] = self._ergodic_merit()
         if new is not None:
-            alpha_min, alpha_max = float(np.min(new.alpha)), float(np.max(new.alpha))
-            gamma = float(np.min(new.gamma))
-            row.fields.update(alpha_min=alpha_min, alpha_max=alpha_max, gamma=gamma,
-                              L_k=new.l_last)
+            alpha_min, alpha_max, gamma = step
+            fields.update(alpha_min=alpha_min, alpha_max=alpha_max, gamma=gamma,
+                          L_k=new.l_last)
             if saddle is not None and new.sigma is not None and np.ndim(new.alpha) == 0:
                 y_k = prev.y if prev.y is not None else saddle.l_pinv @ prev.dual
-                base, weight = _lyapunov_parts(prev.x_now, prev.x_prev, y_k, saddle,
-                                               sigma_k=new.sigma, gamma_k=gamma,
-                                               alpha_k=alpha_min)
-                row.terms.append(("lyapunov", prev.x_prev, base, weight,
-                                  _linear_term(prev.x_prev, saddle)))
-        self._pending.append(row)
+                f_prev = (self.problem.stacked_value(prev.x_prev) if prev.products_prev is None
+                          else self.problem.value_from_products(prev.products_prev, prev.x_prev))
+                base = _lyapunov_base(distance_sq, prev.x_now, prev.x_prev, y_k, saddle,
+                                      new.sigma)
+                fields["lyapunov"] = float(base + 2.0 * gamma * alpha_min * _gap(
+                    f_prev, _linear_term(prev.x_prev, saddle), saddle))
+        waits = saddle is not None and tested != "objective_gap"
+        if waits:
+            m = self.problem.m
+            if self._points is None:
+                self._points = np.empty((self._batch_rows * m, self.problem.d))
+            self._points[self._waiting * m:(self._waiting + 1) * m] = prev.x_now
+            self._waiting += 1
+        self._pending.append((fields, waits))
         if len(self._pending) == self._batch_rows:
             self._flush()
 
     def _flush(self) -> None:
-        """Complete the waiting rows with one product call of each kind, and write them."""
-        saddle, m, pending = self.saddle, self.problem.m, self._pending
-        points = [row.point for row in pending if row.point is not None]
-        if points:
-            at_points = iter(
-                self.problem.average_values_at_rows(np.concatenate(points)).reshape(-1, m))
-        stacks = [term[1] for row in pending for term in row.terms]
-        if stacks:
-            f_values = iter(self.problem.column_values(np.stack(stacks, axis=1)))
-        for row in pending:
-            fields = row.fields
-            if row.point is not None:
-                fields["objective_gap"] = float(np.mean(next(at_points)) - saddle.f_star)
-            for name, _, offset, weight, linear in row.terms:
-                fields[name] = float(offset + weight * _gap(next(f_values), linear, saddle))
+        """Complete the waiting rows' objective gaps with one product call, and write them."""
+        m = self.problem.m
+        if self._waiting:
+            gaps = iter(self.problem.average_values_at_rows(self._points[:self._waiting * m])
+                        .reshape(-1, m))
+        for fields, waits in self._pending:
+            if waits:
+                fields["objective_gap"] = float(np.mean(next(gaps)) - self.saddle.f_star)
             self.trace.records.append(TraceRecord(**fields))
-        pending.clear()
+        self._pending.clear()
+        self._waiting = 0

@@ -20,17 +20,18 @@ instance.
 The evaluators are built on products of the slab A, (m, n, d). ``_own`` is
 one batched GEMM of each agent's rows with its own points; it gives the
 gradients of G stacks (``column_gradients``, with ``stacked_gradient`` as
-G = 1) and the own-row values of G stacks (``column_values``, with
-``stacked_value`` as G = 1). ``_cross`` multiplies k shared points by the
-(m*n, d) view, as ``points @ A^T``; it gives every point under every ridge
-loss (k = m for one stack, a multiple of m for a trace batch's stacks), and
-at k = 1 the residuals or margins behind the averaged value and gradient,
-computed once for both. The logistic values at k points reduce each
-block's product where it lands, margins and softplus in place
-(``_Logistic._cross_lane``). ``_back``, the product ``w @ A``, turns the
-residuals or margins into the gradient. ``average_hessian`` is the
-reference solve's float32 Hessian: its lanes split the Hessian's block
-columns, not the agents.
+G = 1). ``stacked_gradient`` hands over, on request, the own products
+A_i x_i it formed, and ``value_from_products`` turns such products into F:
+``stacked_value`` is the two in a row, so a solver round's products give F
+at its iterate with no product of their own. ``_cross`` multiplies shared
+points by the (m*n, d) view, as ``points @ A^T``; at one point it gives the
+residuals or margins behind the averaged value and gradient, computed once
+for both. The values at k points (every point under every loss: k = m for
+one stack, a multiple of m for a trace batch's stacks) reduce each block's
+product where it lands, in its own (k, agents, n) layout (``_cross_lane``).
+``_back``, the product ``w @ A``, turns the residuals or margins into the
+gradient. ``average_hessian`` is the reference solve's float32 Hessian: its
+lanes split the Hessian's block columns, not the agents.
 
 Instances are immutable after construction (data arrays are read-only, and
 no writable array shares their memory; a logistic instance's one writable
@@ -43,6 +44,7 @@ lane's.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import threading
@@ -172,18 +174,20 @@ def _expit(t):
     return np.divide(1.0, t, out=t)
 
 
-def _softplus_mean(t):
+def _softplus_mean(t, low):
     """The mean over the last axis of log(1 + exp(-t)) for the float array t of
-    margins, computed in t itself, which it overwrites.
+    margins, computed in t itself, which it overwrites, and in low, an array of
+    t's shape that it overwrites with min(t, 0).
 
     As max(-t, 0) + log1p(exp(-|t|)), which neither overflows nor loses the
-    small values: the positive part max(-t, 0) is summed under a mask of
-    t < 0, so that no float temporary of t's size is made, and the rest is
-    computed in t. exp(-|t|) underflows to a subnormal or 0 for |t| above
-    about 708, where log1p of it is the value, so the underflow is not an
-    error.
+    small values: each part is summed pairwise, the positive part max(-t, 0)
+    as min(t, 0) in low and the rest in t, so that no float temporary of t's
+    size is made. (Summed under a mask of t < 0 instead, numpy adds the
+    positive part in order: 15 ulps off at n = 5000.) exp(-|t|) underflows
+    to a subnormal or 0 for |t| above about 708, where log1p of it is the
+    value, so the underflow is not an error.
     """
-    positive = np.sum(t, axis=-1, where=t < 0.0)
+    positive = np.sum(np.minimum(t, 0.0, out=low), axis=-1)
     np.copysign(t, -1.0, out=t)
     with np.errstate(under="ignore"):
         np.exp(t, out=t)
@@ -206,11 +210,11 @@ class ProblemInstance:
     the evaluators' agent lanes: 1 below LANE_MIN_BYTES or on one CPU.
 
     A loss supplies its per-lane kernels (``_pass``, the residuals or
-    margins at k shared points, and the ``*_lane`` kernels of its gradient
-    and values) and its averaged value, gradient and curvature. The averaged
-    value and gradient share one pass, ``_average_pass``: the residuals or
-    margins at a shared point, the one-point case of ``_pass``, computed once
-    for both.
+    margins at a shared point, and the ``*_lane`` kernels of its gradient
+    and values at shared points), ``value_from_products`` and its averaged
+    value, gradient and curvature. The averaged value and gradient share one
+    pass, ``_average_pass``: the residuals or margins at a shared point,
+    computed once for both.
 
     Agent lanes. Every kernel is written for a range of agents ``lo..hi-1`` and
     runs through ``_per_agent``, which gives each lane a contiguous range and one
@@ -297,10 +301,11 @@ class ProblemInstance:
         for future in futures:
             future.result()  # re-raises a lane's exception in the caller
 
-    def _per_agent(self, kernel, shape, x) -> np.ndarray:
-        """A new array of that shape, filled by kernel(out, x, lo, hi) in every agent lane."""
+    def _per_agent(self, kernel, shape, *args) -> np.ndarray:
+        """A new array of that shape, filled by kernel(out, *args, lo, hi) in every agent
+        lane."""
         out = np.empty(shape)
-        self._in_lanes(kernel, self.ranges, out, x)
+        self._in_lanes(kernel, self.ranges, out, *args)
         return out
 
     def _own(self, x_cols, lo, hi):
@@ -311,15 +316,14 @@ class ProblemInstance:
         """The rows of agents lo..hi-1 as (blocks, block_rows, d)."""
         return self.a_flat[lo * self.n:hi * self.n].reshape(-1, self.block_rows, self.d)
 
-    def _cross(self, points, lo, hi):
-        """A_j p for agents j in lo..hi-1 and every row p of the (k, d) points, (hi - lo, n, k).
+    def _cross(self, point, lo, hi):
+        """A_j p for agents j in lo..hi-1 at the one point p, (1, d): (hi - lo, n, 1).
 
-        Computed as ``points @ A_j^T`` (wide side last, the faster GEMM
-        orientation) and copied to agent-major order for the reductions; at
-        one point that order is the product's own, and nothing is copied.
+        Computed as ``p @ A_j^T``, (blocks, 1, rows), whose memory is already
+        agent-major.
         """
-        prods = np.matmul(points, self._blocks(lo, hi).transpose(0, 2, 1))  # (blocks, k, rows)
-        return np.ascontiguousarray(prods.transpose(0, 2, 1)).reshape(hi - lo, self.n, -1)
+        prods = np.matmul(point, self._blocks(lo, hi).transpose(0, 2, 1))
+        return prods.reshape(hi - lo, self.n, 1)
 
     def _pass_lane(self, out, points, lo, hi):
         out[lo:hi] = self._pass(points, lo, hi)
@@ -343,30 +347,31 @@ class ProblemInstance:
                                 w)
         return np.sum(parts[:, 0], axis=0)
 
+    def _own_lane(self, own, x_cols, lo, hi):
+        own[lo:hi] = self._own(x_cols, lo, hi)
+
     def stacked_value(self, x_stack) -> float:
-        """F(X) = sum_i f_i(x_i), bit-identical to column_values at one column."""
+        """F(X) = sum_i f_i(x_i): value_from_products at the products that
+        stacked_gradient(X, products=True) hands over, so bit-identical to it."""
         x_cols = self.check_shape(x_stack, "x_stack")[:, None]
-        return float(np.sum(self._per_agent(self._values_lane, (self.m, 1), x_cols)))
+        own = self._per_agent(self._own_lane, (self.m, 1, self.n), x_cols)
+        return self.value_from_products(own[:, 0], x_cols[:, 0])
 
-    def column_values(self, x_cols) -> np.ndarray:
-        """F at G stacks at once: x_cols[:, g] is stack g, shape (m, G, d); returns (G,).
+    def stacked_gradient(self, x_stack, products: bool = False):
+        """Row i holds the gradient of f_i at row i of the stack.
 
-        Each column's sum over the agents is the one-column sum; only the
-        product with the data rounds differently at other G.
+        With products, returns (gradient, products): products[i] = A_i x_i,
+        (m, n), the own products the gradient is formed from.
         """
-        x_cols = self.check_shape(x_cols, "x_cols", (self.m, "G", self.d))
-        values = self._per_agent(self._values_lane, x_cols.shape[:2], x_cols)
-        return np.array([np.sum(values[:, g]) for g in range(values.shape[1])])
-
-    def stacked_gradient(self, x_stack) -> np.ndarray:
-        """Row i holds the gradient of f_i at row i of the stack."""
         x_cols = self.check_shape(x_stack, "x_stack")[:, None]
-        return self._per_agent(self._gradient_lane, x_cols.shape, x_cols)[:, 0]
+        own = np.empty((self.m, 1, self.n)) if products else None
+        grad = self._per_agent(self._gradient_lane, x_cols.shape, x_cols, own)[:, 0]
+        return (grad, own[:, 0]) if products else grad
 
     def column_gradients(self, x_cols) -> np.ndarray:
         """Gradients of G stacks at once: x_cols[:, g] is stack g, shape (m, G, d)."""
         x_cols = self.check_shape(x_cols, "x_cols", (self.m, "G", self.d))
-        return self._per_agent(self._gradient_lane, x_cols.shape, x_cols)
+        return self._per_agent(self._gradient_lane, x_cols.shape, x_cols, None)
 
     def average_value(self, x) -> float:
         """f(x) = (1/m) sum_i f_i(x) at a single shared point."""
@@ -438,12 +443,20 @@ class ProblemInstance:
         """value[i, j] = f_j evaluated at row i."""
         return self._per_agent(self._cross_lane, (len(x_rows), self.m), x_rows)
 
+    def _cross_blocks(self, x_rows, lo, hi, out=None):
+        """(j, product) for each block of agents j.. in lo..hi-1: the block's
+        product x_rows @ block^T in its own (k, agents, n) layout, in out if given."""
+        agents = self.block_rows // self.n
+        for j in range(lo, hi, agents):
+            prods = np.matmul(x_rows, self._blocks(j, j + agents)[0].T, out=out)
+            yield j, prods.reshape(len(x_rows), agents, self.n)
+
 
 class _Ridge(ProblemInstance):
     """Ridge losses, evaluated on the residuals A x - b."""
 
     loss = "ridge"
-    cross_arrays = 3  # of _cross_values' product size: the product, its copy, the residuals
+    cross_arrays = 1  # of _cross_values' product size: the product, which the residuals overwrite
 
     def __init__(self, a, b, gammas):
         super().__init__(a, b)
@@ -454,28 +467,32 @@ class _Ridge(ProblemInstance):
             raise ParameterError(f"ridge coefficients must be positive and finite, got {gammas}")
         vars(self)["gammas"] = gammas
 
-    def _pass(self, points, lo, hi):
-        """The residuals A_j p - b_j of agents lo..hi-1 at the (k, d) points, (hi - lo, n, k)."""
-        return self._cross(points, lo, hi) - self.b[lo:hi, :, None]
+    def _pass(self, point, lo, hi):
+        """The residuals A_j p - b_j of agents lo..hi-1 at the one point p, (hi - lo, n, 1)."""
+        return self._cross(point, lo, hi) - self.b[lo:hi, :, None]
 
-    def _gradient_lane(self, grad, x_cols, lo, hi):
-        r = self._own(x_cols, lo, hi) - self.b[lo:hi, None, :]
+    def _gradient_lane(self, grad, x_cols, own, lo, hi):
+        r = self._own(x_cols, lo, hi)
+        if own is not None:
+            own[lo:hi] = r
+        r -= self.b[lo:hi, None, :]
         r *= 2.0 / self.n
         np.matmul(r, self.a[lo:hi], out=grad[lo:hi])
         grad[lo:hi] += self.gammas[lo:hi, None, None] * x_cols[lo:hi]
 
-    def _values_lane(self, values, x_cols, lo, hi):
-        r = self._own(x_cols, lo, hi) - self.b[lo:hi, None, :]
-        x = x_cols[lo:hi]
-        sq = np.einsum("mgd,mgd->mg", x, x)
-        values[lo:hi] = (np.einsum("mgn,mgn->mg", r, r) / self.n
-                         + 0.5 * self.gammas[lo:hi, None] * sq)
+    def value_from_products(self, own, x_stack) -> float:
+        """F(X) from the own products own[i] = A_i x_i, (m, n), and the stack X."""
+        r = own - self.b
+        sq = np.einsum("md,md->m", x_stack, x_stack)
+        return float(np.vdot(r, r) / self.n + 0.5 * (self.gammas @ sq))
 
     def _cross_lane(self, values, x_rows, lo, hi):
-        r = self._pass(x_rows, lo, hi)
-        sq = np.einsum("id,id->i", x_rows, x_rows)
-        values[:, lo:hi] = (np.einsum("jni,jni->ij", r, r) / self.n
-                            + 0.5 * self.gammas[None, lo:hi] * sq[:, None])
+        sq = np.einsum("id,id->i", x_rows, x_rows)[:, None]
+        for j, r in self._cross_blocks(x_rows, lo, hi):
+            agents = slice(j, j + r.shape[1])
+            r -= self.b[agents]
+            values[:, agents] = (np.einsum("ijn,ijn->ij", r, r) / self.n
+                                 + 0.5 * self.gammas[agents] * sq)
 
     def _average_value(self, x, r):
         return float(r @ r / (self.m * self.n) + 0.5 * np.mean(self.gammas) * (x @ x))
@@ -492,7 +509,7 @@ class _Logistic(ProblemInstance):
 
     loss = "logistic"
     # of _cross_values' product size: the product, which holds the margins and
-    # their softplus, and its sign mask (an eighth of it), counted as a second
+    # their softplus, and the softplus' min(t, 0)
     cross_arrays = 2
 
     def __init__(self, a, b):
@@ -505,7 +522,8 @@ class _Logistic(ProblemInstance):
         """An uninitialized float array of that shape, in the calling thread's buffer
         for this instance, which grows to the largest size asked for.
 
-        The trace values' products live here from call to call. Made fresh
+        The trace values' products and F's margins, each with the softplus'
+        min(t, 0) beside it, live here from call to call. Made fresh
         on every call, a fig1 trace batch's product (640 KB) made glibc grow
         and trim its heap each time once the BLAS ran it on two threads:
         about 220 minor page faults a call on a 2-CPU VM, none at 1 BLAS
@@ -513,40 +531,41 @@ class _Logistic(ProblemInstance):
         held the heap's top through the next instance's reference solve and
         lifted logistic_mnist_shape's peak RSS by 0.9 MB.
         """
-        size = shape[0] * shape[1]
+        size = math.prod(shape)
         buf = getattr(self._products, "buf", None)
         if buf is None or buf.size < size:
             buf = self._products.buf = np.empty(size)
         return buf[:size].reshape(shape)
 
-    def _pass(self, points, lo, hi):
-        """The margins b_j * (A_j p) of agents lo..hi-1 at the (k, d) points, (hi - lo, n, k)."""
-        return self.b[lo:hi, :, None] * self._cross(points, lo, hi)
+    def _pass(self, point, lo, hi):
+        """The margins b_j * (A_j p) of agents lo..hi-1 at the one point p, (hi - lo, n, 1)."""
+        return self.b[lo:hi, :, None] * self._cross(point, lo, hi)
 
-    def _gradient_lane(self, grad, x_cols, lo, hi):
+    def _gradient_lane(self, grad, x_cols, own, lo, hi):
         b = self.b[lo:hi, None, :]
         weights = self._own(x_cols, lo, hi)
+        if own is not None:
+            own[lo:hi] = weights  # before the weights overwrite the products
         weights *= -b
         weights = _expit(weights)
         weights *= b
         weights *= -1.0 / self.n
         np.matmul(weights, self.a[lo:hi], out=grad[lo:hi])
 
-    def _values_lane(self, values, x_cols, lo, hi):
-        margins = self._own(x_cols, lo, hi)
-        margins *= self.b[lo:hi, None, :]
-        values[lo:hi] = _softplus_mean(margins)
+    def value_from_products(self, own, x_stack) -> float:
+        """F(X) from the own products own[i] = A_i x_i, (m, n); the margins and their
+        softplus are computed in the calling thread's buffer."""
+        margins, low = self._product_buffer((2, self.m, self.n))
+        np.multiply(own, self.b, out=margins)
+        return float(np.sum(_softplus_mean(margins, low)))
 
     def _cross_lane(self, values, x_rows, lo, hi):
-        """Each block's product x_rows @ block^T, reduced in its own (k, agents, n)
-        layout: margins and softplus in the product's memory, no agent-major copy."""
-        agents = self.block_rows // self.n
-        margins = self._product_buffer((len(x_rows), self.block_rows))
-        for j in range(lo, hi, agents):
-            np.matmul(x_rows, self._blocks(j, j + agents)[0].T, out=margins)
-            t = margins.reshape(len(x_rows), agents, self.n)
-            t *= self.b[j:j + agents]
-            values[:, j:j + agents] = _softplus_mean(t)
+        """Margins and softplus in each block's product, in the thread's buffer."""
+        margins, low = self._product_buffer((2, len(x_rows), self.block_rows))
+        for j, t in self._cross_blocks(x_rows, lo, hi, out=margins):
+            agents = slice(j, j + t.shape[1])
+            t *= self.b[agents]
+            values[:, agents] = _softplus_mean(t, low.reshape(t.shape))
 
     def _average_value(self, x, margins):
         return float(np.mean(np.logaddexp(0.0, -margins)))

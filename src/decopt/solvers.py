@@ -135,8 +135,10 @@ class State:
     step's that produced the state (per-agent vectors and no sigma for
     adolf_local; gamma 1 and no sigma for extra), with its curvature estimates
     l_last and mu_last. grad_prev is the gradient at x_prev, which the
-    curvature proxy reuses, and w_x_prev extra's W x_prev, which keeps its
-    round at one gossip multiplication.
+    curvature proxy reuses, products_prev the own products A_i x_i at x_prev
+    that the gradient was formed from, which give the trace F(x_prev), and
+    w_x_prev extra's W x_prev, which keeps its round at one gossip
+    multiplication.
     """
 
     x_now: np.ndarray
@@ -152,6 +154,7 @@ class State:
     l_last: float | None = None
     mu_last: float | None = None
     grad_prev: np.ndarray | None = None
+    products_prev: np.ndarray | None = None
     w_x_prev: np.ndarray | None = None
 
 
@@ -184,7 +187,7 @@ def adolf_step(state: State, problem: ProblemInstance, gossip: GossipMatrix,
     if state.k == 0 and not (fixed or isinstance(params, StepsizeParams) and not params.local):
         raise ConfigError("adolf needs FixedStepParams or global-mode StepsizeParams")
     w = gossip.shifted
-    grad_now = problem.stacked_gradient(state.x_now)
+    grad_now, products = problem.stacked_gradient(state.x_now, products=True)
     l_k = mu_k = None
     if state.k > 0:
         l_k, mu_k = curvature_global(grad_now, state.grad_prev, state.x_now, state.x_prev)
@@ -210,7 +213,8 @@ def adolf_step(state: State, problem: ProblemInstance, gossip: GossipMatrix,
     return State(x_now=x_next, x_prev=state.x_now, k=state.k + 1,
                  comm_vector=state.comm_vector + 1, comm_scalar=state.comm_scalar + scalar_rounds,
                  dual=dual, alpha=alpha, gamma=gamma, sigma=sigma_k, l_last=l_k, mu_last=mu_k,
-                 grad_prev=grad_now)
+                 grad_prev=grad_now,
+                 products_prev=products)
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +241,7 @@ def adolf_local_step(state: State, problem: ProblemInstance, gossip: GossipMatri
     if state.k == 0 and not (isinstance(params, StepsizeParams) and params.local):
         raise ConfigError("adolf_local needs StepsizeParams in local mode")
     w = gossip.shifted
-    grad_now = problem.stacked_gradient(state.x_now)
+    grad_now, products = problem.stacked_gradient(state.x_now, products=True)
     if state.k == 0:
         l_k = mu_k = None
         alpha_vec, gamma_vec = np.full(problem.m, params.alpha0), np.ones(problem.m)
@@ -258,7 +262,8 @@ def adolf_local_step(state: State, problem: ProblemInstance, gossip: GossipMatri
                  comm_vector=state.comm_vector + 1,
                  comm_scalar=state.comm_scalar + (state.k > 0),
                  dual=dual, alpha=alpha_vec, gamma=gamma_vec, l_last=l_k, mu_last=mu_k,
-                 grad_prev=grad_now)
+                 grad_prev=grad_now,
+                 products_prev=products)
 
 
 # ---------------------------------------------------------------------------
@@ -276,11 +281,11 @@ def condat_vu_step(
     l_op = gossip.laplacian_sqrt
     mix = (1.0 + gamma) * state.x_now - gamma * state.x_prev
     y_next = (0.0 if state.k == 0 else state.y) + sigma * alpha * (l_op @ mix)
-    grad_now = problem.stacked_gradient(state.x_now)
+    grad_now, products = problem.stacked_gradient(state.x_now, products=True)
     x_next = state.x_now - alpha * (grad_now + l_op @ y_next)
     return State(x_now=x_next, x_prev=state.x_now, k=state.k + 1,
                  comm_vector=state.comm_vector + 1, y=y_next,
-                 alpha=alpha, gamma=gamma, sigma=sigma)
+                 alpha=alpha, gamma=gamma, sigma=sigma, products_prev=products)
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +304,7 @@ def extra_step(
     """
     if state.k == 0 and not isinstance(params, ExtraParams):
         raise ConfigError("extra needs ExtraParams")
-    grad_now = problem.stacked_gradient(state.x_now)
+    grad_now, products = problem.stacked_gradient(state.x_now, products=True)
     wx_now = gossip.shifted @ state.x_now
     if state.k == 0:
         l_k = mu_k = None
@@ -314,7 +319,8 @@ def extra_step(
         )
     return State(x_now=x_next, x_prev=state.x_now, k=state.k + 1,
                  comm_vector=state.comm_vector + 1, alpha=params.alpha, gamma=1.0,
-                 l_last=l_k, mu_last=mu_k, grad_prev=grad_now, w_x_prev=wx_now)
+                 l_last=l_k, mu_last=mu_k, grad_prev=grad_now, products_prev=products,
+                 w_x_prev=wx_now)
 
 
 # ---------------------------------------------------------------------------

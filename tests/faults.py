@@ -4,8 +4,8 @@ A fault ``Fault(problem, **fields)`` is a copy of the wrapped problem, of a
 subclass of the fault and of the problem's own class, so it shares the
 problem's data and kernels and adds the fault's fields. The NaN problems
 evaluate as the problem does and then overwrite rows of the stacked gradient
-(``stacked_gradient``) or of the column gradients (``column_gradients``, one
-call per column) with NaN. ``RaiseOutsideBall`` raises from
+(``stacked_gradient``, whose own products stay exact) or of the column
+gradients (``column_gradients``, one call per column) with NaN. ``RaiseOutsideBall`` raises from
 ``column_gradients`` instead. Values and the averaged evaluations are left
 exact.
 """
@@ -44,10 +44,10 @@ class NanGradient(_Fault):
             if next(self.calls) > self.start:
                 row[:] = np.nan
 
-    def stacked_gradient(self, x_stack):
-        grad = super().stacked_gradient(x_stack)
-        self._poison(grad[:1])
-        return grad
+    def stacked_gradient(self, x_stack, products=False):
+        out = super().stacked_gradient(x_stack, products)
+        self._poison((out[0] if products else out)[:1])
+        return out
 
     def column_gradients(self, x_cols):
         grad = super().column_gradients(x_cols)
@@ -67,10 +67,10 @@ class NanOutsideBall(_Fault):
     so one run sees it at the same round however many runs share the problem.
     """
 
-    def stacked_gradient(self, x_stack):
-        grad = super().stacked_gradient(x_stack)
-        grad[np.linalg.norm(x_stack, axis=-1) > self.radius] = np.nan
-        return grad
+    def stacked_gradient(self, x_stack, products=False):
+        out = super().stacked_gradient(x_stack, products)
+        (out[0] if products else out)[np.linalg.norm(x_stack, axis=-1) > self.radius] = np.nan
+        return out
 
     def column_gradients(self, x_cols):
         grad = super().column_gradients(x_cols)

@@ -17,7 +17,9 @@ from decopt.diagnostics import (
 )
 from decopt.errors import InsufficientDataError, NumericError, ParameterError
 from decopt.objectives import ProblemInstance, synth_logistic, synth_ridge
-from decopt.solvers import extra_grid_search
+from decopt.solvers import (FixedStepParams, StopRule, adolf_local_step, adolf_step,
+                            condat_vu_step, extra_grid_search, initial_state, run)
+from decopt.stepsize import GrowthPolicy, StepsizeParams
 from decopt.topology import graph_laplacian_sqrt, make_erdos_renyi, make_line_graph
 from decopt.topology import metropolis_hastings, psd_shift
 from probes import run_probe
@@ -244,6 +246,85 @@ class TestErgodic:
     def test_average_needs_a_term(self):
         with pytest.raises(ParameterError):
             ErgodicAccumulator().average
+
+
+def _close(got, want, rel=1e-12):
+    return got == want or abs(got - want) <= rel * max(abs(got), abs(want))
+
+
+class TestRowsMatchReferences:
+    """Every row of a cadence-1 trace against the reference metric functions on
+    the run's own states.
+
+    The recorder takes F from the products the engines formed for their
+    gradients, and at the ergodic average from their running sum; merit and
+    lyapunov evaluate it afresh, so the two agree to rounding. distance_sq and
+    consensus_err have one expression, so they agree exactly.
+    """
+
+    SC = dict(strongly_convex=True, c1=0.5, c2=0.99, alpha0=1e-3, sigma=0.2)
+    CASES = {  # (loss, algorithm, step, params)
+        "ridge_adolf": ("ridge", "adolf", adolf_step, StepsizeParams(**SC)),
+        "ridge_adolf_local": ("ridge", "adolf_local", adolf_local_step,
+                              StepsizeParams(local=True, eta=0.9,
+                                             growth=GrowthPolicy(kind="additive"), **SC)),
+        "logistic_adolf": ("logistic", "adolf", adolf_step,
+                           StepsizeParams(c1=0.9, c2=0.9, alpha0=1e-3, sigma_bar=1.0)),
+        "ridge_condat_vu": ("ridge", "condat_vu", condat_vu_step,
+                            FixedStepParams(alpha=0.05, sigma=1.0, gamma=1.0)),
+    }
+    ROUNDS = 40
+
+    @pytest.mark.parametrize("custom_x_minus1", [False, True])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_every_row(self, monkeypatch, case, custom_x_minus1):
+        loss, algorithm, step, params = self.CASES[case]
+        synth = synth_ridge if loss == "ridge" else synth_logistic
+        prob = synth(m=6, n=8, d=4, seed=2)
+        gossip = psd_shift(metropolis_hastings(make_erdos_renyi(6, 0.6, seed=3)), c=0.4)
+        saddle, l_op = compute_saddle(prob, gossip), graph_laplacian_sqrt(gossip)
+        rng = np.random.default_rng(4)
+        x0 = rng.standard_normal((6, 4))
+        x_minus1 = x0 + 0.5 * rng.standard_normal((6, 4)) if custom_x_minus1 else None
+        # a merit stop rule tested every 3 rounds, at a threshold it never meets
+        tested = {}
+        row_metric = diagnostics.TraceRecorder.row_metric
+
+        def spy(self, name, state):
+            tested[state.k] = row_metric(self, name, state)
+            return tested[state.k]
+
+        monkeypatch.setattr(diagnostics.TraceRecorder, "row_metric", spy)
+        recorder = diagnostics.TraceRecorder(prob, l_op, saddle, cadence=1)
+        stop = StopRule(max_iter=self.ROUNDS, metric="merit", threshold=1e-30, cadence=3)
+        trace = run(algorithm, prob, gossip, params, stop, recorder, x0, x_minus1)
+        states = [initial_state(prob, x0, x_minus1)]
+        for _ in range(self.ROUNDS):
+            states.append(step(states[-1], prob, gossip, params))
+
+        assert [row.k for row in trace.records] == list(range(self.ROUNDS + 1))
+        assert sorted(tested) == list(range(3, self.ROUNDS + 1, 3)) + [self.ROUNDS] * (
+            self.ROUNDS % 3 != 0)
+        weighted, theta = 0.0, 0.0
+        for row, state, new in zip(trace.records, states, states[1:] + [None]):
+            assert row.distance_sq == recorder.metric_value("distance_sq", state.x_now)
+            assert row.consensus_err == recorder.metric_value("consensus_err", state.x_now)
+            if state.k == 0:
+                assert row.merit_ergodic is None
+            else:
+                assert _close(row.merit_ergodic, merit(prob, weighted / theta, saddle, l_op))
+            if state.k in tested:
+                assert row.merit_ergodic == tested[state.k]
+            if new is None or algorithm == "adolf_local":
+                assert row.lyapunov is None
+            else:
+                y = state.y if state.y is not None else saddle.l_pinv @ state.dual
+                want = lyapunov(prob, state.x_now, state.x_prev, y, saddle, new.sigma,
+                                float(np.min(new.gamma)), float(np.min(new.alpha)))
+                assert _close(row.lyapunov, want)
+            if new is not None:
+                weighted = weighted + float(np.min(new.gamma)) * state.x_now
+                theta += float(np.min(new.gamma))
 
 
 class TestClassicalBound:

@@ -53,9 +53,16 @@ def evaluations(prob):
     value, grad = prob.average_value_and_gradient(x[0])
     # the stacked gradient is the one-column case of the column gradients
     assert np.array_equal(prob.stacked_gradient(x), prob.column_gradients(x[:, None])[:, 0])
+    # the products it hands over are the one-column own product, over all agents
+    # in one call, and F from them is stacked_value
+    grad, own = prob.stacked_gradient(x, products=True)
+    assert np.array_equal(grad, prob.stacked_gradient(x))
+    assert np.array_equal(own, prob._own(x[:, None], 0, prob.m)[:, 0])
+    assert prob.value_from_products(own, x) == prob.stacked_value(x)
     return {
         "column_gradients": prob.column_gradients(x_cols),
         "stacked_gradient": prob.stacked_gradient(x),
+        "own_products": own,
         "stacked_value": prob.stacked_value(x),
         "average_values_at_rows": prob.average_values_at_rows(x),
         "average_value": value,

@@ -175,9 +175,9 @@ class TestAdolfStep:
                 self.inner = inner
                 self.m, self.d = inner.m, inner.d
 
-            def stacked_gradient(self, x):
+            def stacked_gradient(self, x, products=False):
                 calls["grad"] += 1
-                return self.inner.stacked_gradient(x)
+                return self.inner.stacked_gradient(x, products)
 
             def __getattr__(self, name):
                 return getattr(self.inner, name)

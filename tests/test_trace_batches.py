@@ -1,11 +1,10 @@
 """Trace rows in batches.
 
-TraceRecorder defers each row's objective gap and the F behind its merit and
-Lyapunov value to a batch of rows, sized by diagnostics.TRACE_BATCH_BYTES;
-with that constant at 0 every batch holds one row. Every column but
-merit_ergodic and lyapunov must be byte-identical at any batch size. Those
-two take F from one product over all of a batch's stacks, which rounds
-differently from one stack's, and must agree to 1e-12 relative.
+TraceRecorder defers each row's objective gap to a batch of rows, sized by
+diagnostics.TRACE_BATCH_BYTES; with that constant at 0 every batch holds one
+row. merit_ergodic and lyapunov take F from the engines' products when the
+row is due, so they, and every other column but objective_gap, must be
+byte-identical at any batch size.
 
 objective_gap takes its values from one product of the data with all of a
 batch's stacks. It is byte-identical only where the BLAS gives every row of
@@ -43,7 +42,6 @@ from decopt.topology import (
     psd_shift,
 )
 
-ROUNDED = ("merit_ergodic", "lyapunov")  # F from a batched product
 DEFAULT_BYTES = diagnostics.TRACE_BATCH_BYTES
 
 PARAMS = {
@@ -110,7 +108,7 @@ def rows_independent(prob, batch_rows: int) -> bool:
                               alone[:rows * prob.m]) for rows in range(2, batch_rows + 1))
 
 
-def assert_same_rows(trace, other, rounded=ROUNDED):
+def assert_same_rows(trace, other, rounded=()):
     """Byte-identical rows, but for the rounded columns, which agree to 1e-12."""
     assert trace.status == other.status
     assert len(trace.records) == len(other.records)
@@ -127,7 +125,7 @@ def assert_same_rows(trace, other, rounded=ROUNDED):
 def rounded(prob, batch_bytes: int) -> tuple[str, ...]:
     """The columns that may round differently at batch_bytes from batches of one row."""
     exact = rows_independent(prob, batch_rows_at(prob, batch_bytes))
-    return ROUNDED + (() if exact else ("objective_gap",))
+    return () if exact else ("objective_gap",)
 
 
 @pytest.mark.parametrize("algorithm", list(PARAMS))
@@ -210,7 +208,7 @@ def test_objective_gap_costs_one_cross_product_per_tick(small_setup, monkeypatch
 def test_batch_rows_fit_the_byte_constant(monkeypatch):
     prob = synth_ridge(m=20, n=20, d=500, seed=0)  # the fig2 shape
     rows = trace_batch_rows(prob)
-    row_bytes = 8 * (3 * prob.m * prob.d + 2 * prob.m * prob.n) + prob.cross_bytes(prob.m)
+    row_bytes = 8 * prob.m * prob.d + prob.cross_bytes(prob.m)  # its iterate and its products
     assert rows > 1 and rows * row_bytes <= DEFAULT_BYTES
     monkeypatch.setattr(diagnostics, "TRACE_BATCH_BYTES", 0)
     assert trace_batch_rows(prob) == 1
