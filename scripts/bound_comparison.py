@@ -36,9 +36,8 @@ def main() -> int:
                         default=[0.5, 2.0, 10.0, 50.0])
     args = parser.parse_args()
 
-    gossip = metropolis_hastings(make_erdos_renyi(args.graph_m, args.graph_p, args.graph_seed))
-    m = gossip.m
-    actual_norm = float(np.linalg.norm(np.eye(m) - gossip.w_tilde, 2))
+    w_tilde = metropolis_hastings(make_erdos_renyi(args.graph_m, args.graph_p, args.graph_seed))
+    actual_norm = float(np.linalg.norm(np.eye(args.graph_m) - w_tilde, 2))
     print(f"graph: G({args.graph_m}, {args.graph_p}), ||I - W_tilde|| = {actual_norm:.3f} "
           f"(worst case 2.0)\n")
     header = (f"{'L':>8} {'sigma':>8} {'classical(exact norm)':>22} "

@@ -63,7 +63,6 @@ from .topology import (
     make_line_graph,
     make_ring_graph,
     metropolis_hastings,
-    psd_shift,
 )
 
 __all__ = [
@@ -111,7 +110,7 @@ def build_graph(config: ExperimentConfig) -> Graph:
 
 
 def build_gossip(config: ExperimentConfig, graph: Graph) -> GossipMatrix:
-    return psd_shift(metropolis_hastings(graph), c=config.gossip.c)
+    return GossipMatrix(metropolis_hastings(graph), c=config.gossip.c)
 
 
 def build_problem(config: ExperimentConfig) -> ProblemInstance:

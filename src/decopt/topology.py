@@ -1,10 +1,10 @@
 """Communication graphs, gossip matrices, and their spectral helpers.
 
 A graph is undirected, connected, and has no self-loops. A gossip matrix
-is a symmetric doubly stochastic matrix compliant with the graph (positive
-on the diagonal and on edges, zero elsewhere). Shifting it as
-``W = (1 - c) I + c W_tilde`` with ``c in (0, 1/2)`` makes it positive
-definite, which the solvers require. Everything is dense: at desk scale
+holds a symmetric doubly stochastic W_tilde compliant with the graph
+(positive on the diagonal and on edges, zero elsewhere) and its shift
+``W = (1 - c) I + c W_tilde`` with ``c in (0, 1/2)``, which is positive
+definite, as the solvers require. Everything is dense: at desk scale
 (m up to a few hundred) the eigendecompositions dominate anyway.
 
 All objects are immutable after construction; arrays are marked
@@ -13,7 +13,8 @@ read-only so they can be shared across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -27,7 +28,6 @@ __all__ = [
     "make_ring_graph",
     "make_erdos_renyi",
     "metropolis_hastings",
-    "psd_shift",
     "graph_laplacian_sqrt",
     "laplacian_pinv_sqrt",
 ]
@@ -44,7 +44,16 @@ _NULLSPACE_CUTOFF = 1e-12
 _ER_MAX_ATTEMPTS = 100_000
 
 
-def _normalize_edge(i: int, j: int) -> tuple[int, int]:
+def _normalize_edge(edge, m: int) -> tuple[int, int]:
+    """The edge as (i, j) with 0 <= i < j < m, or a ParameterError naming it."""
+    try:
+        i, j = (operator.index(v) for v in edge)
+    except (TypeError, ValueError):
+        raise ParameterError(f"edge {edge!r} is not a pair of integer agents") from None
+    if i == j:
+        raise ParameterError(f"self-loop ({i},{j}) not allowed")
+    if not (0 <= i < m and 0 <= j < m):
+        raise ParameterError(f"edge ({i},{j}) out of range for m={m}")
     return (i, j) if i < j else (j, i)
 
 
@@ -62,12 +71,8 @@ class Graph:
     def __post_init__(self) -> None:
         if self.m < 2:
             raise ParameterError(f"graph needs at least 2 agents, got m={self.m}")
-        object.__setattr__(self, "edges", frozenset(_normalize_edge(*e) for e in self.edges))
-        for i, j in self.edges:
-            if i == j:
-                raise ParameterError(f"self-loop ({i},{j}) not allowed")
-            if not (0 <= i < self.m and 0 <= j < self.m):
-                raise ParameterError(f"edge ({i},{j}) out of range for m={self.m}")
+        edges = frozenset(_normalize_edge(e, self.m) for e in self.edges)
+        object.__setattr__(self, "edges", edges)
         if -1 in _bfs_distances(self.m, self.neighbor_lists, 0):
             raise ParameterError("graph is not connected")
 
@@ -75,21 +80,8 @@ class Graph:
     def neighbor_lists(self) -> tuple[tuple[int, ...], ...]:
         return _neighbor_lists(self.m, self.edges)
 
-    def neighbors(self, i: int) -> tuple[int, ...]:
-        return self.neighbor_lists[i]
-
     def degree(self, i: int) -> int:
         return len(self.neighbor_lists[i])
-
-    def neighbor_mask(self, include_self: bool = True) -> np.ndarray:
-        """Boolean (m, m) adjacency; diagonal set when include_self."""
-        mask = np.zeros((self.m, self.m), dtype=bool)
-        for i, j in self.edges:
-            mask[i, j] = mask[j, i] = True
-        if include_self:
-            np.fill_diagonal(mask, True)
-        mask.setflags(write=False)
-        return mask
 
     @cached_property
     def diameter(self) -> int:
@@ -128,39 +120,40 @@ def _bfs_distances(m: int, nbrs, src: int) -> list[int]:
 
 @dataclass(frozen=True)
 class GossipMatrix:
-    """Doubly stochastic weight matrix W_tilde, optionally PSD-shifted.
+    """Doubly stochastic weight matrix W_tilde and its shift W.
 
-    ``w_tilde`` always satisfies the compliance invariants. ``w`` is the
-    shifted matrix (1-c) I + c W_tilde once psd_shift has been applied;
-    until then ``c`` and ``w`` are None.
+    Construction checks the compliance invariants of ``w_tilde`` and forms
+    the read-only ``shifted`` = (1-c) I + c W_tilde. c in (0, 1/2)
+    guarantees W is positive definite, since the smallest eigenvalue of
+    any symmetric doubly stochastic matrix is >= -1; construction checks
+    that eigenvalue too.
     """
 
     w_tilde: np.ndarray
-    c: float | None = None
-    w: np.ndarray | None = None
+    c: float = 0.4
+    shifted: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        c = self.c
+        if not (0.0 < c < 0.5):
+            raise ParameterError(f"shift coefficient c must lie in (0, 1/2), got {c}")
         wt = np.asarray(self.w_tilde, dtype=float)
-        if wt.ndim != 2 or wt.shape[0] != wt.shape[1]:
-            raise ShapeError(f"w_tilde must be square, got {wt.shape}")
+        if wt.ndim != 2 or wt.shape[0] != wt.shape[1] or wt.size == 0:
+            raise ShapeError(f"w_tilde must be square with at least one agent, got {wt.shape}")
         _check_stochastic(wt)
         wt = wt.copy()
-        wt.setflags(write=False)
-        object.__setattr__(self, "w_tilde", wt)
-        if self.w is not None:
-            w = np.asarray(self.w, dtype=float).copy()
-            w.setflags(write=False)
-            object.__setattr__(self, "w", w)
+        w = (1.0 - c) * np.eye(wt.shape[0]) + c * wt
+        w = (w + w.T) / 2.0
+        for name, arr in (("w_tilde", wt), ("shifted", w)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        lam_min = float(np.min(self._shifted_eigensystem[0]))
+        if lam_min < (1.0 - 2.0 * c) - 1e-10:
+            raise NumericError(f"shifted matrix not positive definite (lambda_min={lam_min})")
 
     @property
     def m(self) -> int:
         return self.w_tilde.shape[0]
-
-    @property
-    def shifted(self) -> np.ndarray:
-        if self.w is None:
-            raise ParameterError("gossip matrix has no PSD shift applied yet")
-        return self.w
 
     def neighbor_mask(self) -> np.ndarray:
         """Closed-neighborhood mask: the sparsity pattern of w_tilde.
@@ -205,7 +198,7 @@ class GossipMatrix:
 def _check_stochastic(wt: np.ndarray) -> None:
     if not np.all(np.isfinite(wt)):
         raise NumericError("gossip matrix has non-finite entries")
-    sym_err = np.max(np.abs(wt - wt.T)) if wt.size else 0.0
+    sym_err = np.max(np.abs(wt - wt.T))
     if sym_err > SYMMETRY_TOL:
         raise ParameterError(f"w_tilde not symmetric (error {sym_err:.2e})")
     row_err = np.max(np.abs(wt.sum(axis=1) - 1.0))
@@ -254,36 +247,19 @@ def make_erdos_renyi(m: int, p: float, seed: int) -> Graph:
     )
 
 
-def metropolis_hastings(graph: Graph) -> GossipMatrix:
-    """Metropolis-Hastings weights: w_ij = 1 / (1 + max(deg_i, deg_j)).
+def metropolis_hastings(graph: Graph) -> np.ndarray:
+    """Metropolis-Hastings weights W_tilde: w_ij = 1 / (1 + max(deg_i, deg_j)).
 
     The diagonal absorbs the remaining mass, so rows sum to one and the
-    matrix is symmetric doubly stochastic by construction.
+    matrix is symmetric doubly stochastic by construction. Pass it to
+    GossipMatrix for the shifted W.
     """
     m = graph.m
     wt = np.zeros((m, m))
     for i, j in graph.edges:
         wt[i, j] = wt[j, i] = 1.0 / (1.0 + max(graph.degree(i), graph.degree(j)))
     np.fill_diagonal(wt, 1.0 - wt.sum(axis=1))
-    return GossipMatrix(w_tilde=wt)
-
-
-def psd_shift(gossip: GossipMatrix, c: float = 0.4) -> GossipMatrix:
-    """Return the gossip matrix with W = (1-c) I + c W_tilde attached.
-
-    c in (0, 1/2) guarantees W is positive definite, since the smallest
-    eigenvalue of any symmetric doubly stochastic matrix is >= -1.
-    """
-    if not (0.0 < c < 0.5):
-        raise ParameterError(f"shift coefficient c must lie in (0, 1/2), got {c}")
-    m = gossip.m
-    w = (1.0 - c) * np.eye(m) + c * gossip.w_tilde
-    w = (w + w.T) / 2.0
-    shifted = GossipMatrix(w_tilde=gossip.w_tilde, c=c, w=w)
-    lam_min = float(np.min(shifted._shifted_eigensystem[0]))
-    if lam_min < (1.0 - 2.0 * c) - 1e-10:
-        raise NumericError(f"shifted matrix not positive definite (lambda_min={lam_min})")
-    return shifted
+    return wt
 
 
 def _sqrt_spectrum(gossip: GossipMatrix) -> tuple[np.ndarray, np.ndarray]:

@@ -21,7 +21,7 @@ from decopt.solvers import FixedStepParams, StopRule, adolf_step, initial_state
 from decopt.solvers import condat_vu_step, run
 from decopt.stepsize import GrowthPolicy, StepsizeParams, gamma_ratio_bound
 from decopt.topology import graph_laplacian_sqrt, make_erdos_renyi, make_ring_graph
-from decopt.topology import metropolis_hastings, psd_shift
+from decopt.topology import GossipMatrix, metropolis_hastings
 from shadow_dual import shadow_dual_residuals
 
 
@@ -30,7 +30,7 @@ def report(line: str) -> None:
 
 
 def mh_shifted(graph, c=0.4):
-    return psd_shift(metropolis_hastings(graph), c=c)
+    return GossipMatrix(metropolis_hastings(graph), c=c)
 
 
 def assert_structural_invariants(trace, algorithm, problem, gossip, params, x0):

@@ -21,14 +21,14 @@ from decopt.solvers import (FixedStepParams, StopRule, adolf_local_step, adolf_s
                             condat_vu_step, extra_grid_search, initial_state, run)
 from decopt.stepsize import GrowthPolicy, StepsizeParams
 from decopt.topology import graph_laplacian_sqrt, make_erdos_renyi, make_line_graph
-from decopt.topology import metropolis_hastings, psd_shift
+from decopt.topology import GossipMatrix, metropolis_hastings
 from probes import run_probe
 
 
 @pytest.fixture(scope="module")
 def ridge_setup():
     prob = synth_ridge(m=6, n=8, d=4, seed=0)
-    gossip = psd_shift(metropolis_hastings(make_erdos_renyi(6, 0.5, seed=1)), c=0.4)
+    gossip = GossipMatrix(metropolis_hastings(make_erdos_renyi(6, 0.5, seed=1)), c=0.4)
     saddle = compute_saddle(prob, gossip)
     l_op = graph_laplacian_sqrt(gossip)
     return prob, gossip, saddle, l_op
@@ -49,7 +49,7 @@ class TestSaddle:
 
     def test_homogeneous_agents_zero_dual(self):
         prob = ProblemInstance.ridge(np.tile(np.eye(3), (3, 1, 1)), np.ones((3, 3)), [1.0] * 3)
-        gossip = psd_shift(metropolis_hastings(make_line_graph(3)), c=0.4)
+        gossip = GossipMatrix(metropolis_hastings(make_line_graph(3)), c=0.4)
         saddle = compute_saddle(prob, gossip)
         assert np.linalg.norm(saddle.y_star) <= 1e-10
 
@@ -68,7 +68,7 @@ class TestSaddle:
         data = {"a": prob.a.copy(), "b": prob.b.copy()}
         data[where].flat[7] = {"a": np.inf, "b": np.nan}[where]
         bad = ProblemInstance.ridge(data["a"], data["b"], prob.gammas)
-        gossip = psd_shift(metropolis_hastings(make_line_graph(4)), c=0.4)
+        gossip = GossipMatrix(metropolis_hastings(make_line_graph(4)), c=0.4)
         with np.errstate(invalid="ignore"):
             with pytest.raises(NumericError, match="residual not finite"):
                 compute_saddle(bad, gossip)
@@ -83,11 +83,11 @@ class TestSaddle:
             "from decopt.diagnostics import compute_saddle\n"
             "from decopt.errors import NumericError\n"
             "from decopt.objectives import ProblemInstance, synth_logistic\n"
-            "from decopt.topology import make_line_graph, metropolis_hastings, psd_shift\n"
+            "from decopt.topology import GossipMatrix, make_line_graph, metropolis_hastings\n"
             "prob = synth_logistic(m=4, n=5, d=3, seed=0)\n"
             "a = prob.a.copy()\n"
             "a.flat[7] = np.inf\n"
-            "gossip = psd_shift(metropolis_hastings(make_line_graph(4)), c=0.4)\n"
+            "gossip = GossipMatrix(metropolis_hastings(make_line_graph(4)), c=0.4)\n"
             "for bad in (ProblemInstance.logistic(a, prob.b),\n"
             "            ProblemInstance.ridge(a, prob.b, [1.0] * 4)):\n"
             "    try:\n"
@@ -117,7 +117,7 @@ class TestSaddle:
         for name in ("ridge_exact_solution", "centralized_minimize"):
             monkeypatch.setattr(diagnostics, name, spy(name))
         prob = synth(m=4, n=6, d=3, seed=2)
-        gossip = psd_shift(metropolis_hastings(make_line_graph(4)), c=0.4)
+        gossip = GossipMatrix(metropolis_hastings(make_line_graph(4)), c=0.4)
         saddle = compute_saddle(prob, gossip)
         assert calls == [solver]
         assert saddle.stationarity_residual <= 1e-9
@@ -145,7 +145,7 @@ class TestSaddle:
 
     def test_logistic_saddle_high_accuracy(self):
         prob = synth_logistic(m=5, n=15, d=6, seed=3, noise=0.15)
-        gossip = psd_shift(metropolis_hastings(make_erdos_renyi(5, 0.6, seed=2)), c=0.4)
+        gossip = GossipMatrix(metropolis_hastings(make_erdos_renyi(5, 0.6, seed=2)), c=0.4)
         saddle = compute_saddle(prob, gossip, tol=1e-13)
         assert saddle.stationarity_residual <= 1e-11
 
@@ -186,7 +186,7 @@ class TestPrimalGapAndMerit:
 
     def test_consensual_point_reduces_to_objective_gap(self):
         prob = ProblemInstance.ridge(np.tile(np.eye(2), (2, 1, 1)), [[1.0, -1.0]] * 2, [0.5] * 2)
-        gossip = psd_shift(metropolis_hastings(make_line_graph(2)), c=0.4)
+        gossip = GossipMatrix(metropolis_hastings(make_line_graph(2)), c=0.4)
         saddle = compute_saddle(prob, gossip)
         l_op = graph_laplacian_sqrt(gossip)
         x = np.tile([0.3, 0.4], (2, 1))
@@ -281,7 +281,7 @@ class TestRowsMatchReferences:
         loss, algorithm, step, params = self.CASES[case]
         synth = synth_ridge if loss == "ridge" else synth_logistic
         prob = synth(m=6, n=8, d=4, seed=2)
-        gossip = psd_shift(metropolis_hastings(make_erdos_renyi(6, 0.6, seed=3)), c=0.4)
+        gossip = GossipMatrix(metropolis_hastings(make_erdos_renyi(6, 0.6, seed=3)), c=0.4)
         saddle, l_op = compute_saddle(prob, gossip), graph_laplacian_sqrt(gossip)
         rng = np.random.default_rng(4)
         x0 = rng.standard_normal((6, 4))

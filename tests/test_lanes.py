@@ -24,7 +24,12 @@ from decopt.config import parse_config_dict
 from decopt.diagnostics import TraceRecorder, compute_saddle
 from decopt.objectives import load_mnist_partition, synth_logistic, synth_ridge
 from decopt.solvers import extra_grid_search
-from decopt.topology import graph_laplacian_sqrt, make_line_graph, metropolis_hastings, psd_shift
+from decopt.topology import (
+    GossipMatrix,
+    graph_laplacian_sqrt,
+    make_line_graph,
+    metropolis_hastings,
+)
 from faults import RaiseOutsideBall
 from idx_files import write_idx_pair
 from probes import run_probe
@@ -198,7 +203,7 @@ def grid_case(loss):
     (0.1, 0.316) drops to one column when 0.316 diverges. The logistic grid
     stays below the stepsizes where EXTRA turns unstable.
     """
-    gossip = psd_shift(metropolis_hastings(make_line_graph(16)), c=0.4)
+    gossip = GossipMatrix(metropolis_hastings(make_line_graph(16)), c=0.4)
     x0 = 10.0 * np.random.default_rng(42).standard_normal((16, 4))
     if loss == "ridge":
         prob, grid = synth_ridge(16, 8, 4, seed=40), np.logspace(-3, 1.5, 10)

@@ -33,12 +33,11 @@ from decopt.topology import (
     make_line_graph,
     make_ring_graph,
     metropolis_hastings,
-    psd_shift,
 )
 
 
 def mh_shifted(graph, c=0.4):
-    return psd_shift(metropolis_hastings(graph), c=c)
+    return GossipMatrix(metropolis_hastings(graph), c=c)
 
 
 def convex_params(**kw):
@@ -148,7 +147,7 @@ class TestAdolfStep:
 
     def test_single_agent_reduces_to_gradient_descent(self):
         prob = synth_ridge(m=1, n=6, d=4, seed=7)
-        gossip = psd_shift(GossipMatrix(np.array([[1.0]])), c=0.4)
+        gossip = GossipMatrix(np.array([[1.0]]), c=0.4)
         rng = np.random.default_rng(8)
         x0 = rng.standard_normal((1, 4))
         st = adolf_step(initial_state(prob, x0), prob, gossip,
@@ -333,7 +332,7 @@ class TestAdolfLocal:
 class TestExtra:
     def test_single_agent_is_gradient_descent(self):
         prob = synth_ridge(m=1, n=6, d=4, seed=21)
-        gossip = psd_shift(GossipMatrix(np.array([[1.0]])), c=0.4)
+        gossip = GossipMatrix(np.array([[1.0]]), c=0.4)
         rng = np.random.default_rng(22)
         x0 = rng.standard_normal((1, 4))
         alpha = 0.03

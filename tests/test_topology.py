@@ -3,12 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from decopt import topology
-from decopt.errors import GraphGenerationError, ParameterError
+from decopt import runner, topology
+from decopt.errors import GraphGenerationError, ParameterError, ShapeError
 
 
 def mh_shifted(graph, c=0.4):
-    return topology.psd_shift(topology.metropolis_hastings(graph), c=c)
+    return topology.GossipMatrix(topology.metropolis_hastings(graph), c=c)
 
 
 class TestGraphs:
@@ -41,6 +41,14 @@ class TestGraphs:
     def test_self_loop_rejected(self):
         with pytest.raises(ParameterError):
             topology.Graph(3, frozenset({(0, 0), (0, 1), (1, 2)}))
+
+    def test_edge_not_a_pair_rejected(self):
+        with pytest.raises(ParameterError, match=r"edge \(1, 2, 3\)"):
+            topology.Graph(3, {(0, 1), (1, 2, 3)})
+
+    def test_edge_with_float_vertex_rejected(self):
+        with pytest.raises(ParameterError, match=r"edge \(1, 2\.5\)"):
+            topology.Graph(3, {(0, 1), (1, 2.5)})
 
     def test_er_p1_is_complete(self):
         g = topology.make_erdos_renyi(2, 1.0, seed=0)
@@ -87,39 +95,45 @@ class TestGraphs:
 class TestMetropolisHastings:
     def test_line_m3_hand_values(self):
         # degrees (1, 2, 1): off-diagonals 1/(1+2) = 1/3, diagonal fills rows.
-        wt = topology.metropolis_hastings(topology.make_line_graph(3)).w_tilde
+        wt = topology.metropolis_hastings(topology.make_line_graph(3))
         expected = np.array([[2 / 3, 1 / 3, 0.0], [1 / 3, 1 / 3, 1 / 3], [0.0, 1 / 3, 2 / 3]])
         np.testing.assert_allclose(wt, expected, atol=1e-15)
 
     def test_complete_m2(self):
-        wt = topology.metropolis_hastings(topology.make_line_graph(2)).w_tilde
+        wt = topology.metropolis_hastings(topology.make_line_graph(2))
         np.testing.assert_allclose(wt, np.full((2, 2), 0.5), atol=1e-15)
 
     @given(st.integers(min_value=0, max_value=1000))
     @settings(max_examples=25, deadline=None)
     def test_doubly_stochastic_any_graph(self, seed):
         g = topology.make_erdos_renyi(8, 0.35, seed=seed)
-        wt = topology.metropolis_hastings(g).w_tilde
+        wt = topology.metropolis_hastings(g)
         assert np.max(np.abs(wt - wt.T)) <= 1e-12
         assert np.max(np.abs(wt.sum(axis=1) - 1.0)) <= 1e-12
         assert np.all(np.diag(wt) > 0)
         # sparsity matches the graph exactly
-        mask = g.neighbor_mask(include_self=False)
-        off = ~np.eye(8, dtype=bool)
-        assert np.array_equal(wt[off] > 0, mask[off])
+        assert np.array_equal(wt > 0, closed_neighborhoods(g))
 
 
-class TestPsdShift:
+class TestGossipMatrix:
     def test_arithmetic_2x2(self):
-        gm = topology.GossipMatrix(np.full((2, 2), 0.5))
-        w = topology.psd_shift(gm, c=0.4).shifted
+        w = topology.GossipMatrix(np.full((2, 2), 0.5), c=0.4).shifted
         np.testing.assert_allclose(w, [[0.8, 0.2], [0.2, 0.8]], atol=1e-15)
 
-    def test_open_interval(self):
-        gm = topology.GossipMatrix(np.full((2, 2), 0.5))
-        for c in (0.0, 0.5, -0.1, 0.7):
-            with pytest.raises(ParameterError):
-                topology.psd_shift(gm, c=c)
+    def test_default_shift(self):
+        assert topology.GossipMatrix(np.full((2, 2), 0.5)).c == 0.4
+
+    def test_shift_expression_on_preset_graph(self):
+        cfg = runner.figure_preset("fig2_er09")[0]
+        gossip = runner.build_gossip(cfg, runner.build_graph(cfg))
+        c, wt = cfg.gossip.c, gossip.w_tilde
+        w = (1.0 - c) * np.eye(gossip.m) + c * wt
+        assert np.array_equal(gossip.shifted, (w + w.T) / 2.0)
+
+    @pytest.mark.parametrize("c", [0.0, 0.5, -0.1, 0.7, np.nan, np.inf])
+    def test_open_interval(self, c):
+        with pytest.raises(ParameterError):
+            topology.GossipMatrix(np.full((2, 2), 0.5), c=c)
 
     def test_line_m3_positive_definite(self):
         shifted = mh_shifted(topology.make_line_graph(3))
@@ -147,12 +161,12 @@ class TestPsdShift:
         mask = shifted.neighbor_mask()
         assert mask is shifted.neighbor_mask()
         assert not mask.flags.writeable
-        assert np.array_equal(mask, g.neighbor_mask())
+        assert np.array_equal(mask, closed_neighborhoods(g))
 
 
 class TestLaplacianSqrt:
     def test_2x2_closed_form(self):
-        gm = topology.GossipMatrix(np.full((2, 2), 0.5), c=0.4, w=np.array([[0.8, 0.2], [0.2, 0.8]]))
+        gm = topology.GossipMatrix(np.full((2, 2), 0.5), c=0.4)
         l_op = topology.graph_laplacian_sqrt(gm)
         vals = np.sort(np.linalg.eigvalsh(l_op))
         np.testing.assert_allclose(vals, [0.0, np.sqrt(0.4)], atol=1e-12)
@@ -185,9 +199,13 @@ class TestGossipValidation:
         with pytest.raises(ParameterError):
             topology.GossipMatrix(wt)
 
+    def test_empty_is_shape_error(self):
+        with pytest.raises(ShapeError):
+            topology.GossipMatrix(np.zeros((0, 0)))
+
     def test_single_agent_identity_allowed(self):
         # Not reachable through Graph (m >= 2); used by solver reduction tests.
-        gm = topology.psd_shift(topology.GossipMatrix(np.array([[1.0]])), c=0.4)
+        gm = topology.GossipMatrix(np.array([[1.0]]), c=0.4)
         np.testing.assert_allclose(gm.shifted, [[1.0]])
 
     def test_arrays_read_only(self):
@@ -196,6 +214,14 @@ class TestGossipValidation:
             gm.w_tilde[0, 0] = 2.0
         with pytest.raises(ValueError):
             gm.shifted[0, 0] = 2.0
+
+
+def closed_neighborhoods(graph):
+    """Boolean (m, m) mask of each agent's neighbors and itself, from the edges."""
+    mask = np.eye(graph.m, dtype=bool)
+    for i, j in graph.edges:
+        mask[i, j] = mask[j, i] = True
+    return mask
 
 
 def replay_erdos_renyi(m: int, p: float, seed: int):

@@ -36,10 +36,10 @@ from decopt.solvers import (
 )
 from decopt.stepsize import GrowthPolicy, StepsizeParams
 from decopt.topology import (
+    GossipMatrix,
     graph_laplacian_sqrt,
     make_erdos_renyi,
     metropolis_hastings,
-    psd_shift,
 )
 
 DEFAULT_BYTES = diagnostics.TRACE_BATCH_BYTES
@@ -65,7 +65,7 @@ PROBLEMS = {
 @functools.cache
 def make_setup(name: str):
     prob = PROBLEMS[name]()
-    gossip = psd_shift(metropolis_hastings(make_erdos_renyi(prob.m, 0.6, seed=4)), c=0.4)
+    gossip = GossipMatrix(metropolis_hastings(make_erdos_renyi(prob.m, 0.6, seed=4)), c=0.4)
     x0 = np.random.default_rng(5).standard_normal((prob.m, prob.d))
     return prob, gossip, compute_saddle(prob, gossip), x0
 
