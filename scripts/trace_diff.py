@@ -12,7 +12,8 @@ It exits 1 unless:
 - both directories hold the same traces, manifests and summaries;
 - every summary row has the same status, comm_vector and to_threshold, and
   every manifest the same status, iterations, comm_vector and
-  extra_best_alpha;
+  extra_best_alpha, and the same (alpha, status, rounds) at every point of
+  its EXTRA grid (the points' metric values may move by rounding);
 - paired traces have the same rows (k, comm_vector, comm_scalar), and
   - every metric column agrees to |delta| <= 1e-12 * max|column| of that run;
   - every step column agrees to a relative 1e-6 per row, on rows whose
@@ -41,6 +42,7 @@ STEP_COLUMNS = ("alpha_min", "alpha_max", "gamma", "L_k")
 ERGODIC_COLUMN = "merit_ergodic"  # checked only before the first row below the floor
 TRACE_HEADER = ",".join(ROW_KEYS + METRIC_COLUMNS + STEP_COLUMNS)
 MANIFEST_KEYS = ("status", "iterations", "comm_vector", "extra_best_alpha")
+GRID_KEYS = ("alpha", "status", "rounds")  # of each extra_grid point; its value is not compared
 METRIC_TOL = 1e-12  # |delta| / max|column| over both runs
 STEP_TOL = 1e-6  # |delta| / max(|parent|, |change|), per row
 DISTANCE_FLOOR = 1e-14  # step columns are checked only on rows above it
@@ -85,6 +87,12 @@ def _read_summary(path: Path) -> dict:
     """Run name -> (status, comm_vector, to_threshold)."""
     lines = path.read_text().splitlines()[2:]
     return {fields[0]: tuple(fields[1:]) for fields in (line.split() for line in lines)}
+
+
+def _grid(manifest: dict) -> list | None:
+    """The (alpha, status, rounds) of each point of a manifest's EXTRA grid."""
+    grid = manifest.get("extra_grid")
+    return None if grid is None else [tuple(p[k] for k in GRID_KEYS) for p in grid]
 
 
 def _diff_trace(name, parent: list[dict], change: list[dict], problems: list[str]) -> str:
@@ -148,6 +156,10 @@ def compare_dirs(parent_dir: Path, change_dir: Path) -> tuple[list[str], list[st
             p_man, c_man = json.loads(p_path.read_text()), json.loads(c_path.read_text())
             problems += [f"{name}: {key} {p_man.get(key)!r} vs {c_man.get(key)!r}"
                          for key in MANIFEST_KEYS if p_man.get(key) != c_man.get(key)]
+            p_grid, c_grid = _grid(p_man), _grid(c_man)
+            if p_grid != c_grid:
+                problems.append(f"{name}: extra_grid {'/'.join(GRID_KEYS)} "
+                                f"{p_grid!r} vs {c_grid!r}")
     return report, problems
 
 

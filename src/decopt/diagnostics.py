@@ -115,7 +115,8 @@ def compute_saddle(
     ``centralized_minimize`` to gradient norm tol (its chord finish goes on
     to the rounding floor when tol is below CHORD_START). The dual anchor is
     the minimum-norm Y* = -pinv(L_op) grad F(X*) after projecting the rows of
-    the gradient stack off the consensus direction.
+    the gradient stack off the consensus direction. f* and ||grad f(x*)||
+    come from that same evaluation at X* = 1 x*^T.
     """
     if not 0 < tol < np.inf:
         raise ParameterError(f"saddle tolerance must be positive and finite, got {tol}")
@@ -127,7 +128,7 @@ def compute_saddle(
         x_star = centralized_minimize(problem, tol=tol, counts=counts)
     m = problem.m
     x_stack = np.tile(x_star, (m, 1))
-    grad_stack = problem.stacked_gradient(x_stack)
+    grad_stack, own = problem.stacked_gradient(x_stack, products=True)
     perp = grad_stack - grad_stack.mean(axis=0, keepdims=True)
     pinv = laplacian_pinv_sqrt(gossip)
     y_star = -pinv @ perp
@@ -137,7 +138,7 @@ def compute_saddle(
         # a NaN or inf target or feature makes x* NaN, and NaN fails every comparison
         what = "too large" if np.isfinite(residual) else "not finite"
         raise NumericError(f"saddle stationarity residual {what}: {residual:.3e}")
-    f_star, grad_star = problem.average_value_and_gradient(x_star)
+    f_star, grad_star = problem.consensus_average(x_stack, grad_stack, own)
     return SaddlePoint(
         x_star=x_star,
         f_star=f_star,

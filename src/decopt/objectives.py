@@ -23,15 +23,15 @@ gradients of G stacks (``column_gradients``, with ``stacked_gradient`` as
 G = 1). ``stacked_gradient`` hands over, on request, the own products
 A_i x_i it formed, and ``value_from_products`` turns such products into F:
 ``stacked_value`` is the two in a row, so a solver round's products give F
-at its iterate with no product of their own. ``_cross`` multiplies shared
-points by the (m*n, d) view, as ``points @ A^T``; at one point it gives the
-residuals or margins behind the averaged value and gradient, computed once
-for both. The values at k points (every point under every loss: k = m for
-one stack, a multiple of m for a trace batch's stacks) reduce each block's
-product where it lands, in its own (k, agents, n) layout (``_cross_lane``).
-``_back``, the product ``w @ A``, turns the residuals or margins into the
-gradient. ``average_hessian`` is the reference solve's float32 Hessian: its
-lanes split the Hessian's block columns, not the agents.
+at its iterate with no product of their own. The averaged objective f(x)
+is F(X) / m at the consensus stack X = 1 x^T, by the same kernels
+(``average_value_and_gradient``). The values at k shared points (every
+point under every loss: k = m for one stack, a multiple of m for a trace
+batch's stacks) multiply the points by the (m*n, d) view, as
+``points @ A^T``, and reduce each block's product where it lands, in its
+own (k, agents, n) layout (``_cross_lane``). ``average_hessian`` is the
+reference solve's float32 Hessian: its lanes split the Hessian's block
+columns, not the agents.
 
 Instances are immutable after construction (data arrays are read-only, and
 no writable array shares their memory; a logistic instance's one writable
@@ -209,17 +209,15 @@ class ProblemInstance:
     read-only and no field can be set after construction; ``lanes`` counts
     the evaluators' agent lanes: 1 below LANE_MIN_BYTES or on one CPU.
 
-    A loss supplies its per-lane kernels (``_pass``, the residuals or
-    margins at a shared point, and the ``*_lane`` kernels of its gradient
-    and values at shared points), ``value_from_products`` and its averaged
-    value, gradient and curvature. The averaged value and gradient share one
-    pass, ``_average_pass``: the residuals or margins at a shared point,
-    computed once for both.
+    A loss supplies its per-lane kernels (the ``*_lane`` kernels of its
+    gradient and of its values at shared points), ``value_from_products``
+    with ``_value_in``, the same value free to overwrite the products, and
+    the curvature of its Hessian.
 
     Agent lanes. Every kernel is written for a range of agents ``lo..hi-1`` and
     runs through ``_per_agent``, which gives each lane a contiguous range and one
     slice of a new output; one lane is the whole range. The products with
-    shared points (``_cross``, ``_back``) run over ``block_rows`` rows of
+    shared points (``_cross_blocks``) run over ``block_rows`` rows of
     ``a_flat`` at a time: the whole slab when it is below ``LANE_MIN_BYTES``,
     else one block per agent, each a BLAS call of its own. A lane therefore
     makes the very BLAS calls and elementwise operations that one lane makes
@@ -228,9 +226,7 @@ class ProblemInstance:
     from a call's shape, so it can round differently from one call over all
     rows.) The blocking depends only on the slab's size, so a run's bits do
     not depend on how many CPUs the machine has. Reductions across agents
-    stay on the calling thread, so their summation order never changes: the
-    averaged value's mean, in one call, and the sum of the back product's
-    per-block rows (``_back``), in block order.
+    stay on the calling thread, so their summation order never changes.
     """
 
     gammas = None
@@ -312,41 +308,6 @@ class ProblemInstance:
         """A_i x_cols[i, g] for agents i in lo..hi-1 and every column g, (hi - lo, G, n)."""
         return np.matmul(x_cols[lo:hi], self.a[lo:hi].transpose(0, 2, 1))
 
-    def _blocks(self, lo, hi):
-        """The rows of agents lo..hi-1 as (blocks, block_rows, d)."""
-        return self.a_flat[lo * self.n:hi * self.n].reshape(-1, self.block_rows, self.d)
-
-    def _cross(self, point, lo, hi):
-        """A_j p for agents j in lo..hi-1 at the one point p, (1, d): (hi - lo, n, 1).
-
-        Computed as ``p @ A_j^T``, (blocks, 1, rows), whose memory is already
-        agent-major.
-        """
-        prods = np.matmul(point, self._blocks(lo, hi).transpose(0, 2, 1))
-        return prods.reshape(hi - lo, self.n, 1)
-
-    def _pass_lane(self, out, points, lo, hi):
-        out[lo:hi] = self._pass(points, lo, hi)
-
-    def _average_pass(self, x):
-        """The residuals or margins at the one point x, (m*n,)."""
-        return self._per_agent(self._pass_lane, (self.m, self.n, 1), x[None]).reshape(-1)
-
-    def _back_lane(self, parts, w, lo, hi):
-        np.matmul(w[lo * self.n:hi * self.n].reshape(-1, 1, self.block_rows),
-                  self._blocks(lo, hi),
-                  out=parts[lo * self.n // self.block_rows:hi * self.n // self.block_rows])
-
-    def _back(self, w):
-        """w @ A for one weight per row of a_flat, shape (d,).
-
-        One product per block of rows, each into its own row of a buffer; the
-        calling thread then sums the rows in block order.
-        """
-        parts = self._per_agent(self._back_lane, (self.m * self.n // self.block_rows, 1, self.d),
-                                w)
-        return np.sum(parts[:, 0], axis=0)
-
     def _own_lane(self, own, x_cols, lo, hi):
         own[lo:hi] = self._own(x_cols, lo, hi)
 
@@ -373,23 +334,27 @@ class ProblemInstance:
         x_cols = self.check_shape(x_cols, "x_cols", (self.m, "G", self.d))
         return self._per_agent(self._gradient_lane, x_cols.shape, x_cols, None)
 
+    def average_value_and_gradient(self, x) -> tuple[float, np.ndarray]:
+        """(f(x), grad f(x)), f = (1/m) sum_i f_i: F(X) / m and the mean of grad F(X)'s
+        rows at the consensus stack X = 1 x^T, by the stacked kernels.
+
+        Bit-identical to stacked_value(X) / m and stacked_gradient(X).mean(axis=0).
+        """
+        x_stack = np.broadcast_to(self.check_shape(x, "x", (self.d,)), (self.m, self.d))
+        return self.consensus_average(x_stack, *self.stacked_gradient(x_stack, products=True))
+
+    def consensus_average(self, x_stack, grad, own) -> tuple[float, np.ndarray]:
+        """(f(x), grad f(x)) at a consensus stack X = 1 x^T from the gradient and own
+        products that stacked_gradient(X, products=True) returned; overwrites own."""
+        return self._value_in(own, x_stack) / self.m, grad.mean(axis=0)
+
     def average_value(self, x) -> float:
-        """f(x) = (1/m) sum_i f_i(x) at a single shared point."""
-        x = self.check_shape(x, "x", (self.d,))
-        return self._average_value(x, self._average_pass(x))
+        """f(x), as average_value_and_gradient computes it."""
+        return self.average_value_and_gradient(x)[0]
 
     def average_gradient(self, x) -> np.ndarray:
-        x = self.check_shape(x, "x", (self.d,))
-        return self._average_gradient(x, self._average_pass(x))
-
-    def average_value_and_gradient(self, x) -> tuple[float, np.ndarray]:
-        """(f(x), grad f(x)), bit-identical to the two separate calls.
-
-        The product with the data is computed once for both.
-        """
-        x = self.check_shape(x, "x", (self.d,))
-        t = self._average_pass(x)
-        return self._average_value(x, t), self._average_gradient(x, t)
+        """grad f(x), as average_value_and_gradient computes it."""
+        return self.average_value_and_gradient(x)[1]
 
     def average_hessian(self, x) -> np.ndarray:
         """The Hessian of f at x, (d, d), in float32: a preconditioner, not a value.
@@ -448,7 +413,7 @@ class ProblemInstance:
         product x_rows @ block^T in its own (k, agents, n) layout, in out if given."""
         agents = self.block_rows // self.n
         for j in range(lo, hi, agents):
-            prods = np.matmul(x_rows, self._blocks(j, j + agents)[0].T, out=out)
+            prods = np.matmul(x_rows, self.a_flat[j * self.n:(j + agents) * self.n].T, out=out)
             yield j, prods.reshape(len(x_rows), agents, self.n)
 
 
@@ -467,10 +432,6 @@ class _Ridge(ProblemInstance):
             raise ParameterError(f"ridge coefficients must be positive and finite, got {gammas}")
         vars(self)["gammas"] = gammas
 
-    def _pass(self, point, lo, hi):
-        """The residuals A_j p - b_j of agents lo..hi-1 at the one point p, (hi - lo, n, 1)."""
-        return self._cross(point, lo, hi) - self.b[lo:hi, :, None]
-
     def _gradient_lane(self, grad, x_cols, own, lo, hi):
         r = self._own(x_cols, lo, hi)
         if own is not None:
@@ -486,6 +447,8 @@ class _Ridge(ProblemInstance):
         sq = np.einsum("md,md->m", x_stack, x_stack)
         return float(np.vdot(r, r) / self.n + 0.5 * (self.gammas @ sq))
 
+    _value_in = value_from_products  # which leaves own as it is
+
     def _cross_lane(self, values, x_rows, lo, hi):
         sq = np.einsum("id,id->i", x_rows, x_rows)[:, None]
         for j, r in self._cross_blocks(x_rows, lo, hi):
@@ -493,12 +456,6 @@ class _Ridge(ProblemInstance):
             r -= self.b[agents]
             values[:, agents] = (np.einsum("ijn,ijn->ij", r, r) / self.n
                                  + 0.5 * self.gammas[agents] * sq)
-
-    def _average_value(self, x, r):
-        return float(r @ r / (self.m * self.n) + 0.5 * np.mean(self.gammas) * (x @ x))
-
-    def _average_gradient(self, x, r):
-        return (2.0 / (self.m * self.n)) * self._back(r) + np.mean(self.gammas) * x
 
     def _curvature(self, x):
         return np.full(self.m * self.n, 2.0), float(np.mean(self.gammas))
@@ -537,17 +494,13 @@ class _Logistic(ProblemInstance):
             buf = self._products.buf = np.empty(size)
         return buf[:size].reshape(shape)
 
-    def _pass(self, point, lo, hi):
-        """The margins b_j * (A_j p) of agents lo..hi-1 at the one point p, (hi - lo, n, 1)."""
-        return self.b[lo:hi, :, None] * self._cross(point, lo, hi)
-
     def _gradient_lane(self, grad, x_cols, own, lo, hi):
         b = self.b[lo:hi, None, :]
         weights = self._own(x_cols, lo, hi)
         if own is not None:
             own[lo:hi] = weights  # before the weights overwrite the products
-        weights *= -b
-        weights = _expit(weights)
+        weights *= b
+        weights = _expit(np.negative(weights, out=weights))
         weights *= b
         weights *= -1.0 / self.n
         np.matmul(weights, self.a[lo:hi], out=grad[lo:hi])
@@ -559,6 +512,11 @@ class _Logistic(ProblemInstance):
         np.multiply(own, self.b, out=margins)
         return float(np.sum(_softplus_mean(margins, low)))
 
+    def _value_in(self, own, x_stack) -> float:
+        """value_from_products, computed in own, which it overwrites, and a new array."""
+        own *= self.b
+        return float(np.sum(_softplus_mean(own, np.empty_like(own))))
+
     def _cross_lane(self, values, x_rows, lo, hi):
         """Margins and softplus in each block's product, in the thread's buffer."""
         margins, low = self._product_buffer((2, len(x_rows), self.block_rows))
@@ -567,15 +525,12 @@ class _Logistic(ProblemInstance):
             t *= self.b[agents]
             values[:, agents] = _softplus_mean(t, low.reshape(t.shape))
 
-    def _average_value(self, x, margins):
-        return float(np.mean(np.logaddexp(0.0, -margins)))
-
-    def _average_gradient(self, x, margins):
-        weights = self.b.ravel() * _expit(-margins)
-        return -self._back(weights) / (self.m * self.n)
-
     def _curvature(self, x):
-        p = _expit(self._average_pass(x))
+        """p (1 - p) of each row's margin at the consensus stack X = 1 x^T, p its sigmoid."""
+        margins = self._per_agent(self._own_lane, (self.m, 1, self.n),
+                                  np.broadcast_to(x, (self.m, 1, self.d)))[:, 0]
+        margins *= self.b
+        p = _expit(margins.reshape(-1))
         return p * (1.0 - p), 0.0
 
 

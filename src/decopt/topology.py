@@ -69,8 +69,12 @@ class Graph:
     edges: frozenset[tuple[int, int]]
 
     def __post_init__(self) -> None:
-        if self.m < 2:
-            raise ParameterError(f"graph needs at least 2 agents, got m={self.m}")
+        try:
+            m = operator.index(self.m)
+        except TypeError:
+            raise ParameterError(f"graph size m must be an integer, got {self.m!r}") from None
+        if m < 2:
+            raise ParameterError(f"graph needs at least 2 agents, got m={m}")
         edges = frozenset(_normalize_edge(e, self.m) for e in self.edges)
         object.__setattr__(self, "edges", edges)
         if -1 in _bfs_distances(self.m, self.neighbor_lists, 0):
@@ -118,7 +122,7 @@ def _bfs_distances(m: int, nbrs, src: int) -> list[int]:
     return dist
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # compared and hashed by identity, as its fields are arrays
 class GossipMatrix:
     """Doubly stochastic weight matrix W_tilde and its shift W.
 

@@ -122,6 +122,25 @@ class TestSaddle:
         assert calls == [solver]
         assert saddle.stationarity_residual <= 1e-9
 
+    @pytest.mark.parametrize("synth", [synth_ridge, synth_logistic])
+    def test_f_star_is_the_averaged_objective_at_x_star(self, synth):
+        prob = synth(m=4, n=6, d=3, seed=2)
+        gossip = GossipMatrix(metropolis_hastings(make_line_graph(4)), c=0.4)
+        saddle = compute_saddle(prob, gossip)
+        value, grad = prob.average_value_and_gradient(saddle.x_star)
+        assert saddle.f_star == value and saddle.grad_norm == float(np.linalg.norm(grad))
+
+    def test_x_star_is_evaluated_once(self, ridge_setup, monkeypatch):
+        # the dual anchor's gradient call gives f* and ||grad f(x*)|| too
+        prob, gossip, saddle, _ = ridge_setup
+        calls = []
+        real = ProblemInstance.stacked_gradient
+        monkeypatch.setattr(ProblemInstance, "stacked_gradient",
+                            lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+        again = compute_saddle(prob, gossip)
+        assert len(calls) == 1
+        assert (again.f_star, again.grad_norm) == (saddle.f_star, saddle.grad_norm)
+
     def test_saddle_records_what_the_solve_spent(self, ridge_setup):
         prob, gossip, saddle, _ = ridge_setup
         assert saddle.solve_counts is None  # the exact normal-equation solve

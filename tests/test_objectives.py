@@ -247,14 +247,19 @@ class TestLogistic:
             theirs = pool.submit(prob._product_buffer, (3, 4)).result()
         assert not np.shares_memory(theirs, prob._products.buf)
 
-    def test_average_value_is_still_the_logaddexp_form(self):
-        # the averaged value steers the reference solve: its bits stay as they were
-        prob = objectives.synth_logistic(m=4, n=30, d=5, seed=3)
-        margins = 40.0 * np.random.default_rng(2).standard_normal(prob.m * prob.n)
-        assert prob._average_value(None, margins) == float(np.mean(np.logaddexp(0.0, -margins)))
-        x = np.random.default_rng(3).standard_normal(prob.d)
-        assert prob.average_value(x) == float(
-            np.mean(np.logaddexp(0.0, -prob._average_pass(x))))
+    def test_stacked_gradient_makes_one_product_size_array(self):
+        # the gradient and its weights, with no temporary of the weights' size beside them
+        prob = objectives.synth_logistic(m=20, n=400, d=30, seed=0)
+        assert prob.lanes == 1
+        x = np.random.default_rng(1).standard_normal((prob.m, prob.d))
+        prob.stacked_gradient(x)
+        tracemalloc.start()
+        try:
+            grad = prob.stacked_gradient(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < grad.nbytes + 8 * prob.m * prob.n + 16 * 1024
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=20, deadline=None)
@@ -417,6 +422,17 @@ class TestProblemInstance:
             val, grad = prob.average_value_and_gradient(x)
             assert val == prob.average_value(x)
             assert np.array_equal(grad, prob.average_gradient(x))
+
+    @pytest.mark.parametrize("build", list(BUILDS))
+    def test_average_is_the_stacked_kernels_at_the_consensus_stack(self, build):
+        # f(x) = F(X) / m and grad f(x) the mean of grad F(X)'s rows at X = 1 x^T, bit for bit
+        prob = self.BUILDS[build]()
+        for seed, scale in ((0, 1.0), (1, 1.0), (2, 40.0)):
+            x = scale * np.random.default_rng(seed).standard_normal(prob.d)
+            stack = np.tile(x, (prob.m, 1))
+            val, grad = prob.average_value_and_gradient(x)
+            assert val == prob.stacked_value(stack) / prob.m
+            assert np.array_equal(grad, prob.stacked_gradient(stack).mean(axis=0))
 
     @pytest.mark.parametrize("m, n, d", KERNEL_SHAPES)
     @pytest.mark.parametrize("synth", [synth_ridge, synth_logistic])

@@ -50,6 +50,11 @@ class TestGraphs:
         with pytest.raises(ParameterError, match=r"edge \(1, 2\.5\)"):
             topology.Graph(3, {(0, 1), (1, 2.5)})
 
+    @pytest.mark.parametrize("m", [2.5, "3"])
+    def test_non_integer_size_rejected(self, m):
+        with pytest.raises(ParameterError, match="graph size m must be an integer"):
+            topology.Graph(m, {(0, 1)})
+
     def test_er_p1_is_complete(self):
         g = topology.make_erdos_renyi(2, 1.0, seed=0)
         assert g.edges == frozenset({(0, 1)})
@@ -119,6 +124,12 @@ class TestGossipMatrix:
     def test_arithmetic_2x2(self):
         w = topology.GossipMatrix(np.full((2, 2), 0.5), c=0.4).shifted
         np.testing.assert_allclose(w, [[0.8, 0.2], [0.2, 0.8]], atol=1e-15)
+
+    def test_compared_and_hashed_by_identity(self):
+        w = np.full((2, 2), 0.5)
+        gossip, twin = topology.GossipMatrix(w), topology.GossipMatrix(w)
+        assert gossip == gossip and gossip != twin
+        assert len({gossip, twin, gossip}) == 2
 
     def test_default_shift(self):
         assert topology.GossipMatrix(np.full((2, 2), 0.5)).c == 0.4

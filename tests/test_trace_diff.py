@@ -87,6 +87,21 @@ def test_changed_extra_stepsize_fails(outputs, tmp_path):
     assert "FAIL unit_extra.manifest.json: extra_best_alpha" in out
 
 
+@pytest.mark.parametrize("key, passes", [("rounds", False), ("value", True)])
+def test_changed_grid_point(outputs, tmp_path, key, passes):
+    """A grid point's rounds must match; its metric value may move by rounding."""
+    change = tmp_path / "change"
+    shutil.copytree(outputs, change)
+    path = change / "unit_extra.manifest.json"
+    manifest = json.loads(path.read_text())
+    point = next(p for p in manifest["extra_grid"] if p[key] is not None)
+    point[key] += 1
+    path.write_text(json.dumps(manifest))
+    code, out = trace_diff(outputs, change)
+    assert code == (0 if passes else 1), out
+    assert ("FAIL unit_extra.manifest.json: extra_grid alpha/status/rounds" in out) != passes
+
+
 def test_missing_run_fails(outputs, tmp_path):
     change = tmp_path / "change"
     shutil.copytree(outputs, change)
