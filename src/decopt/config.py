@@ -1,16 +1,20 @@
-"""Experiment configuration: schema, validation, parsing, and emission.
+"""Experiment configuration: schema, checks, parsing, and emission.
 
-Configs are nested key-value documents (YAML on disk). Parsing is strict:
-unknown keys, values of the wrong type and out-of-range values raise
-ConfigError naming the offending key, and every default is resolved at parse
-time so that emitting a parsed config and parsing it again is the identity.
-The stop section and the growth policy are the solvers' own StopRule and
-GrowthPolicy, and the adaptive solvers' constants are checked by building
-their StepsizeParams, so each range check has one owner.
+Configs are nested key-value documents (YAML on disk). A config is resolved
+and checked when it is built, in code or by the parser: each section checks
+its ranges and fills its defaults in __post_init__ (the algorithm's c1 and
+growth policy follow its mode and kind), and ExperimentConfig checks only
+what spans sections. A value out of range raises ConfigError naming its key,
+and the parser also rejects unknown keys and mistyped values, so emitting a
+config and parsing it again is the identity. The stop section and the growth
+policy are the solvers' own StopRule and GrowthPolicy, and the adaptive
+solvers' constants are checked by building their StepsizeParams, so each
+range check has one owner.
 
 The master seed derives per-component seeds by fixed offsets (graph +1,
 data +2, init +3) so a component can be varied independently by overriding
-just its own seed.
+just its own seed. Seeds are derived on demand, so replacing master_seed
+moves every seed that is not set on its own.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import numbers
 import re
 import types
 import typing
-from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 import yaml
 
@@ -78,7 +82,7 @@ class ProblemConfig:
     labels_path: str | None = None
     digit_pair: tuple[int, int] = (0, 1)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         _require(self.kind in ("ridge", "logistic_synthetic", "mnist"), "problem.kind",
                  f"must be ridge, logistic_synthetic, or mnist, got {self.kind!r}")
         _require(self.m >= 1, "problem.m", f"must be >= 1, got {self.m}")
@@ -105,7 +109,7 @@ class GraphConfig:
     p: float = 0.9
     seed: int | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         _require(self.kind in ("line", "ring", "erdos_renyi"), "graph.kind",
                  f"must be line, ring, or erdos_renyi, got {self.kind!r}")
         _require(self.m >= 2, "graph.m", f"must be >= 2, got {self.m}")
@@ -119,16 +123,8 @@ class GraphConfig:
 class GossipConfig:
     c: float = 0.4
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         _require(0.0 < self.c < 0.5, "gossip.c", f"c must lie in (0, 1/2), got {self.c}")
-
-
-def _default_growth(kind: str, mode: str) -> GrowthPolicy:
-    if kind == "adolf_local":
-        return GrowthPolicy(kind="additive")
-    if mode == "strongly_convex":
-        return GrowthPolicy(kind="ratio_power")
-    return GrowthPolicy(kind="unbounded")
 
 
 @dataclass(frozen=True)
@@ -141,19 +137,11 @@ class AlgorithmConfig:
     eta: float = 0.9
     sigma: float = 0.2  # strongly convex coupling constant
     sigma_bar: float = 1.0  # convex-mode constant dual scale
-    growth: GrowthPolicy | None = None
+    growth: GrowthPolicy | None = None  # defaults depend on kind and mode
     alpha: float | None = None  # extra (fixed) and condat_vu
     gamma: float = 1.0  # condat_vu
     grid: tuple[float, ...] | None = None  # extra grid search
     budget: int = 20_000  # extra grid-search budget
-
-    def resolved_c1(self) -> float:
-        if self.c1 is not None:
-            return self.c1
-        return 0.5 if self.mode == "strongly_convex" else 0.99
-
-    def resolved_growth(self) -> GrowthPolicy:
-        return self.growth if self.growth is not None else _default_growth(self.kind, self.mode)
 
     def stepsize_params(self) -> StepsizeParams:
         """Solver-level stepsize parameters of an adolf or adolf_local block.
@@ -163,18 +151,24 @@ class AlgorithmConfig:
         """
         return StepsizeParams(
             strongly_convex=self.mode == "strongly_convex", local=self.kind == "adolf_local",
-            c1=self.resolved_c1(), c2=self.c2, alpha0=self.alpha0, eta=self.eta,
-            growth=self.resolved_growth(), sigma=self.sigma, sigma_bar=self.sigma_bar,
+            c1=self.c1, c2=self.c2, alpha0=self.alpha0, eta=self.eta,
+            growth=self.growth, sigma=self.sigma, sigma_bar=self.sigma_bar,
         )
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        if self.c1 is None:
+            object.__setattr__(self, "c1", 0.5 if self.mode == "strongly_convex" else 0.99)
+        if self.growth is None:
+            growth = ("additive" if self.kind == "adolf_local" else
+                      "ratio_power" if self.mode == "strongly_convex" else GROWTH_UNBOUNDED)
+            object.__setattr__(self, "growth", GrowthPolicy(kind=growth))
         _require(self.kind in ("adolf", "adolf_local", "extra", "condat_vu"),
                  "algorithm.kind",
                  f"must be adolf, adolf_local, extra, or condat_vu, got {self.kind!r}")
         if self.kind in ("adolf", "adolf_local"):
             _require(self.mode in ("convex", "strongly_convex"), "algorithm.mode",
                      f"must be convex or strongly_convex, got {self.mode!r}")
-            _require(self.mode == "convex" or self.resolved_growth().kind != GROWTH_UNBOUNDED,
+            _require(self.mode == "convex" or self.growth.kind != GROWTH_UNBOUNDED,
                      "algorithm.growth.kind",
                      "unbounded growth is valid in convex mode only; strongly convex mode "
                      "needs additive or ratio_power")
@@ -211,7 +205,7 @@ class InitConfig:
     kind: str = "gaussian"  # gaussian | zeros
     seed: int | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         _require(self.kind in ("gaussian", "zeros"), "init.kind",
                  f"must be gaussian or zeros, got {self.kind!r}")
 
@@ -222,7 +216,7 @@ class DiagnosticsConfig:
     saddle: bool = True
     saddle_tol: float = 1e-12
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         _require(self.cadence >= 1, "diagnostics.cadence",
                  f"must be >= 1, got {self.cadence}")
         _require(0 < self.saddle_tol < math.inf, "diagnostics.saddle_tol",
@@ -242,11 +236,8 @@ class ExperimentConfig:
     output_dir: str = "out"
     master_seed: int = 0
 
-    def validate(self) -> None:
-        # stop is a StopRule, which checks itself when it is built
-        for section in (self.problem, self.graph, self.gossip, self.algorithm,
-                        self.init, self.diagnostics):
-            section.validate()
+    def __post_init__(self) -> None:
+        # each section checked itself when it was built; these checks span sections
         check_file_stem(self.name, "name")
         _require(self.problem.m == self.graph.m, "graph.m",
                  f"graph agents ({self.graph.m}) must match problem agents ({self.problem.m})")
@@ -342,20 +333,14 @@ def _build(cls, raw, key: str):
 
 
 def parse_config_dict(raw: dict) -> ExperimentConfig:
-    """Validate a nested dict into a fully resolved ExperimentConfig."""
+    """ExperimentConfig built from a nested dict, resolved and checked as it is built."""
     if not isinstance(raw, dict):
         raise ConfigError(f"config root must be a mapping, got {type(raw).__name__}")
-    config = _build(ExperimentConfig, raw, "")
-    # normalize lazily-defaulted fields so emit/parse round-trips exactly
-    algorithm = config.algorithm
-    config = replace(config, algorithm=replace(
-        algorithm, c1=algorithm.resolved_c1(), growth=algorithm.resolved_growth()))
-    config.validate()
-    return config
+    return _build(ExperimentConfig, raw, "")
 
 
 def parse_config(path) -> ExperimentConfig:
-    """Read a YAML config file and validate it."""
+    """ExperimentConfig from a YAML config file (see parse_config_dict)."""
     with open(path) as f:
         try:
             raw = yaml.safe_load(f)
@@ -369,8 +354,6 @@ def parse_config(path) -> ExperimentConfig:
 def resolved_dict(config: ExperimentConfig) -> dict:
     """Nested plain-dict echo of the config with every field resolved."""
     out = asdict(config)
-    out["algorithm"]["growth"] = asdict(config.algorithm.resolved_growth())
-    out["algorithm"]["c1"] = config.algorithm.resolved_c1()
     out["problem"]["digit_pair"] = list(config.problem.digit_pair)
     if out["algorithm"]["grid"] is not None:
         out["algorithm"]["grid"] = list(out["algorithm"]["grid"])

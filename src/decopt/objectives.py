@@ -577,6 +577,16 @@ def _read_be_u32(f, path) -> int:
     return struct.unpack(">I", raw)[0]
 
 
+def _read_payload(f, size: int, what: str, path) -> bytes:
+    """The size bytes that an IDX header promises, read only once the file is
+    known to hold them, so a corrupt header cannot ask for a huge buffer."""
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if left < size:
+        raise DataError(f"truncated {what} data in {path}: the header promises {size} "
+                        f"bytes, the file holds {left}")
+    return f.read(size)
+
+
 def _read_idx_pixels(path) -> np.ndarray:
     """The raw (count, rows*cols) uint8 pixels of a big-endian IDX image file."""
     with open(path, "rb") as f:
@@ -586,9 +596,7 @@ def _read_idx_pixels(path) -> np.ndarray:
         count = _read_be_u32(f, path)
         rows = _read_be_u32(f, path)
         cols = _read_be_u32(f, path)
-        raw = f.read(count * rows * cols)
-        if len(raw) != count * rows * cols:
-            raise DataError(f"truncated pixel data in {path}")
+        raw = _read_payload(f, count * rows * cols, "pixel", path)
     return np.frombuffer(raw, dtype=np.uint8).reshape(count, rows * cols)
 
 
@@ -604,18 +612,18 @@ def read_idx_labels(path) -> np.ndarray:
         if magic != IDX_LABEL_MAGIC:
             raise DataError(f"bad magic 0x{magic:08x} in label file {path}")
         count = _read_be_u32(f, path)
-        raw = f.read(count)
-        if len(raw) != count:
-            raise DataError(f"truncated label data in {path}")
+        raw = _read_payload(f, count, "label", path)
     return np.frombuffer(raw, dtype=np.uint8).astype(int)
 
 
 def _read_idx(reader, path, key: str):
-    """reader(path), with an OSError turned into a DataError naming key and path."""
+    """reader(path), with an OSError or a malformed file raised as a DataError naming key."""
     try:
         return reader(path)
     except OSError as exc:
         raise DataError(f"problem.{key}: cannot read {path}: {exc.strerror or exc}") from exc
+    except DataError as exc:
+        raise DataError(f"problem.{key}: {exc}") from exc
 
 
 def load_mnist_partition(
@@ -632,15 +640,16 @@ def load_mnist_partition(
     partitions equally among m agents (remainder dropped so every agent has
     the same sample count).
     """
+    if m < 1:
+        raise ParameterError(f"m must be >= 1, got {m}")
     p, q = digit_pair
     if p == q:
         raise ParameterError(f"digit pair must be distinct, got {digit_pair}")
     pixels = _read_idx(_read_idx_pixels, images_path, "images_path")
     labels = _read_idx(read_idx_labels, labels_path, "labels_path")
     if pixels.shape[0] != labels.shape[0]:
-        raise DataError(
-            f"image/label count mismatch: {pixels.shape[0]} vs {labels.shape[0]}"
-        )
+        raise DataError(f"problem.labels_path: {labels.shape[0]} labels in {labels_path} "
+                        f"for {pixels.shape[0]} images in {images_path}")
     kept = np.flatnonzero((labels == p) | (labels == q))
     if kept.size < m:
         raise DataError(f"only {kept.size} samples for {m} agents")

@@ -278,7 +278,6 @@ def _finite(value) -> float | None:
 
 def run_experiment(config: ExperimentConfig, out_dir=None) -> RunManifest:
     """Build everything, run the algorithm, and write trace + manifest."""
-    config.validate()
     out = _resolve_out_dir(config, out_dir)
     _, manifest = _write_run(config, _Workspace(config), out, config.run_name())
     _atomic_write_text(out / f"{manifest.name}.config.yaml", emit_config(config))
@@ -351,8 +350,6 @@ def compare(configs: list[ExperimentConfig], out_dir=None, metric: str | None = 
     if not configs:
         raise ComparisonError("compare needs at least one config")
     check_file_stem(label, "label")
-    for cfg in configs:
-        cfg.validate()
     base = _shared_sections(configs[0])
     for cfg in configs[1:]:
         for key, value in _shared_sections(cfg).items():
@@ -485,5 +482,4 @@ def figure_preset(
                 name=f"{name}_{algo.kind}", master_seed=master_seed,
             )
         )
-        configs[-1].validate()
     return configs

@@ -35,6 +35,7 @@ from decopt.runner import (
     figure_preset,
     run_experiment,
 )
+from decopt.stepsize import GrowthPolicy
 from faults import nan_gradient_problem
 from probes import run_probe
 
@@ -81,7 +82,7 @@ def algorithm_sections(draw, grid: bool):
                        eta=draw(between(0.0, 1.0, exclude_min=True, exclude_max=True)))
         if c1 is not None:
             section["c1"] = c1
-        c1 = AlgorithmConfig(mode=mode, c1=c1).resolved_c1()
+        c1 = AlgorithmConfig(mode=mode).c1 if c1 is None else c1
         if mode == "strongly_convex":
             section["sigma"] = draw(between(1e-6, c1 / 2, exclude_max=True))
         else:
@@ -143,20 +144,33 @@ class TestConfigParsing:
         cfg = parse_config_dict(small_ridge_raw())
         assert cfg.gossip.c == 0.4
         assert cfg.algorithm.c1 == 0.5  # strongly convex default
-        assert cfg.algorithm.resolved_growth().kind == "ratio_power"
+        assert cfg.algorithm.growth.kind == "ratio_power"
         assert cfg.diagnostics.saddle
 
     def test_convex_defaults(self):
         raw = small_ridge_raw(algorithm={"kind": "adolf", "mode": "convex"})
         cfg = parse_config_dict(raw)
         assert cfg.algorithm.c1 == 0.99
-        assert cfg.algorithm.resolved_growth().kind == "unbounded"
+        assert cfg.algorithm.growth.kind == "unbounded"
 
     def test_local_defaults(self):
         raw = small_ridge_raw(algorithm={"kind": "adolf_local", "mode": "convex"})
         cfg = parse_config_dict(raw)
         assert cfg.algorithm.eta == 0.9
-        assert cfg.algorithm.resolved_growth().kind == "additive"
+        assert cfg.algorithm.growth.kind == "additive"
+
+    def test_sections_check_themselves_when_built(self):
+        with pytest.raises(ConfigError, match=r"^algorithm\.alpha:"):
+            AlgorithmConfig(kind="extra")
+        cfg = parse_config_dict(small_ridge_raw())
+        with pytest.raises(ConfigError, match=r"^graph\.m:"):
+            replace(cfg, graph=GraphConfig(m=3))
+
+    def test_defaults_resolved_when_built(self):
+        assert AlgorithmConfig(mode="convex").c1 == 0.99
+        assert AlgorithmConfig(kind="adolf_local").growth == GrowthPolicy(kind="additive")
+        adolf = figure_preset("fig2_er09")[0].algorithm
+        assert adolf.kind == "adolf" and adolf.growth == GrowthPolicy(kind="ratio_power")
 
     def test_bad_shift_coefficient_message(self):
         raw = small_ridge_raw(gossip={"c": 0.6})
@@ -636,12 +650,12 @@ class TestPresets:
             configs = figure_preset(name, synthetic_logistic=True)
             assert len(configs) == 3
             for cfg in configs:
-                cfg.validate()
+                assert parse_config_dict(yaml.safe_load(emit_config(cfg))) == cfg
                 assert cfg.problem.m == 20 and cfg.graph.m == 20
         for name in ("fig2_line", "fig2_er01", "fig2_er09"):
             configs = figure_preset(name)
             for cfg in configs:
-                cfg.validate()
+                assert parse_config_dict(yaml.safe_load(emit_config(cfg))) == cfg
                 assert cfg.problem.kind == "ridge"
                 assert cfg.problem.n == 20 and cfg.problem.d == 500
                 assert cfg.stop.metric == "distance_sq"
@@ -652,12 +666,12 @@ class TestPresets:
 
     def test_preset_pi_choices(self):
         ridge_cfgs = {c.algorithm.kind: c for c in figure_preset("fig2_er09")}
-        assert ridge_cfgs["adolf"].algorithm.resolved_growth().kind == "ratio_power"
-        assert ridge_cfgs["adolf"].algorithm.resolved_growth().beta1 == 10
-        assert ridge_cfgs["adolf_local"].algorithm.resolved_growth().kind == "additive"
+        assert ridge_cfgs["adolf"].algorithm.growth.kind == "ratio_power"
+        assert ridge_cfgs["adolf"].algorithm.growth.beta1 == 10
+        assert ridge_cfgs["adolf_local"].algorithm.growth.kind == "additive"
         assert ridge_cfgs["adolf_local"].algorithm.eta == 0.9
         log_cfgs = {c.algorithm.kind: c for c in figure_preset("fig1_line", synthetic_logistic=True)}
-        assert log_cfgs["adolf"].algorithm.resolved_growth().kind == "unbounded"
+        assert log_cfgs["adolf"].algorithm.growth.kind == "unbounded"
         assert log_cfgs["extra"].algorithm.grid == default_extra_grid()
 
     def test_unknown_preset(self):
@@ -716,6 +730,17 @@ class TestCli:
         (tmp_path / "no.idx").write_bytes(b"\x00\x00\x00\x00" * 4)
         (tmp_path / "no2.idx").write_bytes(b"\x00\x00\x00\x00" * 2)
         assert cli.main(["run", str(path)]) == 3
+
+    def test_oversized_image_header_exit_code(self, tmp_path, capsys):
+        # the header promises 10^11 pixel bytes; the run stops before reading them
+        images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+        images.write_bytes(struct.pack(">IIII", 2051, 100_000, 1000, 1000) + bytes(24))
+        labels.write_bytes(struct.pack(">II", 2049, 1) + b"\x00")
+        problem = {"kind": "mnist", "m": 4, "images_path": str(images),
+                   "labels_path": str(labels)}
+        path = self.write_config(tmp_path, small_ridge_raw(problem=problem))
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "r")]) == 3
+        assert capsys.readouterr().err.startswith("data error: problem.images_path: ")
 
     @pytest.mark.parametrize("key", ["images_path", "labels_path"])
     def test_missing_mnist_file_exit_code(self, tmp_path, capsys, key):

@@ -554,6 +554,42 @@ class TestMnist:
         with pytest.raises(DataError):
             objectives.read_idx_images(path)
 
+    def test_oversized_header(self, tmp_path):
+        # headers that promise far more than the file holds: rejected before any read
+        images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+        images.write_bytes(struct.pack(">IIII", 0x00000803, 100_000, 1000, 1000) + bytes(24))
+        labels.write_bytes(struct.pack(">II", 0x00000801, 10**9) + bytes(32))
+        with pytest.raises(DataError, match="promises 100000000000 bytes, the file holds 24"):
+            objectives.read_idx_images(images)
+        with pytest.raises(DataError, match="promises 1000000000 bytes, the file holds 32"):
+            objectives.read_idx_labels(labels)
+
+    def test_partition_errors_name_their_key(self, tmp_path):
+        rng = np.random.default_rng(4)
+        img, lbl = write_idx_pair(tmp_path, rng.integers(0, 256, size=(6, 2, 2)),
+                                  np.array([0, 1] * 3))
+        good_img, good_lbl = img.read_bytes(), lbl.read_bytes()
+        img.write_bytes(good_img[:-1])
+        with pytest.raises(DataError, match=r"^problem\.images_path: truncated pixel data"):
+            load_mnist_partition(img, lbl, m=2)
+        img.write_bytes(good_img)
+        lbl.write_bytes(struct.pack(">II", 0x00000803, 6) + good_lbl[8:])
+        with pytest.raises(DataError, match=r"^problem\.labels_path: bad magic"):
+            load_mnist_partition(img, lbl, m=2)
+        lbl.write_bytes(good_lbl[:-2])
+        with pytest.raises(DataError, match=r"^problem\.labels_path: truncated label data"):
+            load_mnist_partition(img, lbl, m=2)
+        lbl.write_bytes(struct.pack(">II", 0x00000801, 4) + good_lbl[8:12])
+        with pytest.raises(DataError, match=r"^problem\.labels_path: 4 labels"):
+            load_mnist_partition(img, lbl, m=2)
+
+    def test_partition_needs_an_agent(self, tmp_path):
+        rng = np.random.default_rng(5)
+        img, lbl = write_idx_pair(tmp_path, rng.integers(0, 256, size=(4, 2, 2)),
+                                  np.array([0, 1, 0, 1]))
+        with pytest.raises(ParameterError, match="m must be >= 1"):
+            load_mnist_partition(img, lbl, m=0)
+
     def test_insufficient_samples(self, tmp_path):
         rng = np.random.default_rng(2)
         images = rng.integers(0, 256, size=(6, 2, 2))
