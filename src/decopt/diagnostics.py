@@ -11,8 +11,8 @@ The trace recorder reads each pair of consecutive solver states, accumulates
 the gamma-weighted ergodic average, and writes one record per cadence tick.
 Every F it reports comes from the own products A_i x_i that the solver
 rounds formed for their gradients: the products at X^{k-1} give the
-Lyapunov value's F, and their gamma-weighted sum, kept beside the ergodic
-sum of the iterates, gives F at the ergodic average. The adaptive solvers
+Lyapunov value's F, and their gamma-weighted sum, kept in one running sum
+with the iterates', gives F at the ergodic average. The adaptive solvers
 carry only D = L_op Y, with Y in the range of L_op, so the Lyapunov value
 recovers Y = pinv(L_op) D from the saddle's cached pseudoinverse on the rows
 it writes; the oracle hands over its own Y.
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -42,8 +42,6 @@ __all__ = [
     "primal_gap",
     "merit",
     "lyapunov",
-    "ErgodicAccumulator",
-    "RestrictedConstants",
     "classical_stepsize_bound",
     "RateFit",
     "rate_fit",
@@ -56,21 +54,6 @@ __all__ = [
     "METRICS",
     "SADDLE_METRICS",
     "DEFAULT_METRIC",
-]
-
-CSV_HEADER = [
-    "k",
-    "comm_vector",
-    "comm_scalar",
-    "objective_gap",
-    "distance_sq",
-    "consensus_err",
-    "merit_ergodic",
-    "lyapunov",
-    "alpha_min",
-    "alpha_max",
-    "gamma",
-    "L_k",
 ]
 
 # metric name -> the trace column that reports it. Traces, stop rules, compare
@@ -208,51 +191,6 @@ def lyapunov(
     return float(base + 2.0 * gamma_k * alpha_k * primal_gap(problem, x_prev, saddle))
 
 
-class ErgodicAccumulator:
-    """Running gamma-weighted average of iterates, its sum kept in place.
-
-    The weights are the solvers' gamma_k, positive by construction. Each
-    term is scaled in one scratch array, made with the sum.
-    """
-
-    def __init__(self):
-        self.weighted_sum: np.ndarray | None = None
-        self.theta = 0.0
-
-    def add(self, x_t: np.ndarray, gamma_t: float) -> None:
-        if self.weighted_sum is None:
-            self.weighted_sum = gamma_t * x_t
-            self._scratch = np.empty_like(self.weighted_sum)
-        else:
-            self.weighted_sum += np.multiply(x_t, gamma_t, out=self._scratch)
-        self.theta += gamma_t
-
-    @property
-    def average(self) -> np.ndarray:
-        if self.weighted_sum is None:
-            raise ParameterError("ergodic average undefined before any term is accumulated")
-        return self.weighted_sum / self.theta
-
-
-@dataclass
-class RestrictedConstants:
-    """Trajectory estimates of the restricted smoothness and convexity.
-
-    l_tilde_hat is a lower estimate of the restricted Lipschitz constant
-    (max observed secant), mu_tilde_hat an upper estimate of the restricted
-    strong-convexity constant (min observed secant inner product ratio).
-    """
-
-    l_tilde_hat: float = 0.0
-    mu_tilde_hat: float = np.inf
-
-    def update(self, l_k: float | None, mu_k: float | None) -> None:
-        if l_k is not None:
-            self.l_tilde_hat = max(self.l_tilde_hat, l_k)
-        if mu_k is not None:
-            self.mu_tilde_hat = min(self.mu_tilde_hat, max(mu_k, 0.0))
-
-
 def classical_stepsize_bound(l_const: float, sigma: float, w_tilde_norm: float) -> float:
     """Largest stepsize allowed by the network-coupled classical condition.
 
@@ -320,22 +258,23 @@ def rate_fit(trace: "Trace", metric: str, window: tuple[int, int]) -> RateFit:
     return RateFit(kind, geo_slope, geo_r2, pow_slope, pow_r2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class TraceRecord:
-    """One diagnostics row; None marks fields that were not computable."""
+    """One diagnostics row, its fields in CSV column order; None marks fields that were
+    not computable."""
 
     k: int
     comm_vector: int
     comm_scalar: int
-    objective_gap: float | None
-    distance_sq: float | None
+    objective_gap: float | None = None
+    distance_sq: float | None = None
     consensus_err: float
-    merit_ergodic: float | None
-    lyapunov: float | None
-    alpha_min: float | None
-    alpha_max: float | None
-    gamma: float | None
-    L_k: float | None
+    merit_ergodic: float | None = None
+    lyapunov: float | None = None
+    alpha_min: float | None = None
+    alpha_max: float | None = None
+    gamma: float | None = None
+    L_k: float | None = None
 
     def metric(self, name: str) -> float | None:
         """The value this row reports for a metric named in METRICS."""
@@ -349,6 +288,9 @@ class TraceRecord:
         return out
 
 
+CSV_HEADER = [f.name for f in fields(TraceRecord)]
+
+
 @dataclass
 class Trace:
     """Full run history plus run-level annotations."""
@@ -357,8 +299,12 @@ class Trace:
     status: str = "budget"  # converged | budget | diverged
     consensus_iteration: int | None = None  # local runs: first k with equal stepsizes
     alpha_floor: float | None = None  # smallest per-agent stepsize seen
-    dual_colsum_max: float | None = None  # max relative column-sum drift of D; None without D
-    restricted: RestrictedConstants = field(default_factory=RestrictedConstants)
+    dual_colsum_max: float | None = None  # max relative column-sum drift of D at the rows
+    # trajectory estimates of the restricted constants from the secants: the max
+    # L_k, a lower estimate of smoothness, and the min mu_k clipped at 0, an upper
+    # estimate of strong convexity
+    l_tilde_hat: float = 0.0
+    mu_tilde_hat: float = np.inf
 
     @property
     def final(self) -> TraceRecord:
@@ -376,23 +322,29 @@ class Trace:
 # Bytes that one batch of trace rows may hold (see TraceRecorder). A row's
 # iterate, an (m, d) stack, waits for its objective gap as a copy in the
 # recorder's buffer of points, and its products with the data are the arrays
-# that cross_values makes at its m points (ProblemInstance.cross_bytes). The
-# copies keep no engine array alive across the batch: held by reference, ten
-# rows' iterates and their concatenation raised the runs' peak of traced
-# memory on fig2_er09 from 1.6 to 3.0 MB (tracemalloc). Measured at 1 BLAS thread on a 2-CPU VM: a
-# runner.compare of fig2_er09's adolf and adolf_local with 400-row cadence-1
-# traces (m=20, n=20, d=500) took 0.83 s in batches of 1 row, 0.69 s of 3,
-# 0.72 s of 5, 0.67 s of 10 and 0.67 s of 16 (minima of 4, in one process).
-# A logistic row's values are reduced in the product's own memory (2 arrays
-# of its size, not 5): the objective gaps of one fig1 row (n=50, d=20, 20 000
-# margins) took 360 us alone and 330 us a row in a batch of 4, against 660 us
-# alone when they made 5 arrays. 1.5 MiB holds 10 rows at the fig2 shape, 4
-# at the fig1 shape and 1 at the MNIST shape (n=600, d=784).
+# that one block's product makes at its m points (ProblemInstance.cross_bytes):
+# the whole slab's below LANE_MIN_BYTES, one agent's above it, which is all
+# that a lane holds at a time. The copies keep no engine array alive across
+# the batch: held by reference, ten rows' iterates and their concatenation
+# raised the runs' peak of traced memory on fig2_er09 from 1.6 to 3.0 MB
+# (tracemalloc). Measured at 1 BLAS thread on a 2-CPU VM: a runner.compare of
+# fig2_er09's adolf and adolf_local with 400-row cadence-1 traces (m=20, n=20,
+# d=500) took 0.83 s in batches of 1 row, 0.69 s of 3, 0.72 s of 5, 0.67 s of
+# 10 and 0.67 s of 16 (minima of 4, in one process). A logistic row's values
+# are reduced in the product's own memory (2 arrays of its size, not 5): the
+# objective gaps of one fig1 row (n=50, d=20, 20 000 margins) took 360 us
+# alone and 330 us a row in a batch of 4, against 660 us alone when they made
+# 5 arrays. 1.5 MiB holds 10 rows at the fig2 shape, 4 at the fig1 shape and
+# 4 at the MNIST shape (n=600, d=784), where a row's objective gaps took
+# 10.0 ms alone, 7.1 ms a row in batches of 2 and 5.5 ms in batches of 4
+# (2 lanes, minima of 15), with the same bits.
 TRACE_BATCH_BYTES = 3 << 19
 
 
 def trace_batch_rows(problem: ProblemInstance) -> int:
-    """Rows per batch of trace rows: as many as fit TRACE_BATCH_BYTES, at least one."""
+    """Rows per batch of trace rows: as many as fit TRACE_BATCH_BYTES, at least one.
+
+    Set by the instance's shape alone, not by its lane count."""
     row = 8 * problem.m * problem.d + problem.cross_bytes(problem.m)
     return max(1, TRACE_BATCH_BYTES // row)
 
@@ -400,21 +352,23 @@ def trace_batch_rows(problem: ProblemInstance) -> int:
 class TraceRecorder:
     """Accumulates a Trace from consecutive solver states.
 
-    Maintains the ergodic average, per-agent stepsize consensus tracking,
-    and the running dual column-sum drift. The dual Y behind a Lyapunov
-    value is recovered from D on the rows that need it, never integrated.
+    Keeps one gamma-weighted running sum of the iterates and of their own
+    products, with its total weight theta, the per-agent stepsize consensus
+    tracking and the restricted-constant extrema; the dual column-sum drift
+    is taken on the rows. The dual Y behind a Lyapunov value is recovered
+    from D on the rows that need it, never integrated.
 
     Every field of a row but its objective gap is computed when the row is
     due. F comes from the own products that the engines keep in State: the
     Lyapunov value's F(X^{k-1}) from prev.products_prev (at row 0, where
     X^-1 has none, from stacked_value), and merit_ergodic's F at the ergodic
-    average from the gamma-weighted sum of new.products_prev, the products
-    at the iterate the ergodic sum takes in. The objective gaps wait, as
-    copies of the rows' iterates in one buffer, until a batch of
-    trace_batch_rows is full or the run ends; then one cross_values call on
-    the buffer gives them all. So ``trace.records`` is complete only after
-    ``finalize``. A stop rule's value is computed when the rule asks
-    (``row_metric``), and its row reports that very value.
+    average from the running sum of new.products_prev, the products at the
+    iterate the sum takes in. The objective gaps wait, as copies of the
+    rows' iterates in one buffer, until a batch of trace_batch_rows is full
+    or the run ends; then one cross_values call on the buffer gives them
+    all. So ``trace.records`` is complete only after ``finalize``. A stop
+    rule's value is computed when the rule asks (``row_metric``), and its
+    row reports that very value.
     """
 
     def __init__(
@@ -431,13 +385,13 @@ class TraceRecorder:
         self.saddle = saddle
         self.cadence = cadence
         self.trace = Trace()
-        self._ergodic = ErgodicAccumulator()
-        self._ergodic_products = ErgodicAccumulator()  # of the same iterates' own products
+        self._sums = None  # [sum of gamma X, sum of gamma products], made with the first term
+        self._theta = 0.0  # sum of gamma
         self._last_nonconsensual = -1
         self._saw_vector_alpha = False
         self._tested: tuple[int, str, float | None] | None = None  # (k, column, value)
         self._batch_rows = trace_batch_rows(problem)
-        self._pending: list[tuple[dict, bool]] = []  # (fields, whether its gap waits)
+        self._pending: list[tuple[dict, bool]] = []  # (row's fields, whether its gap waits)
         self._points = None  # the waiting rows' iterates, (batch rows * m, d), made on first use
         self._waiting = 0
 
@@ -479,23 +433,28 @@ class TraceRecorder:
         """
         step = float(np.min(new.alpha)), float(np.max(new.alpha)), float(np.min(new.gamma))
         alpha_min, alpha_max, gamma = step
+        trace = self.trace
         if np.ndim(new.alpha) > 0:
             self._saw_vector_alpha = True
             if alpha_max > alpha_min:
                 self._last_nonconsensual = prev.k
-        if self.trace.alpha_floor is None or alpha_min < self.trace.alpha_floor:
-            self.trace.alpha_floor = alpha_min
-        self.trace.restricted.update(new.l_last, new.mu_last)
+        if trace.alpha_floor is None or alpha_min < trace.alpha_floor:
+            trace.alpha_floor = alpha_min
+        if new.l_last is not None:
+            trace.l_tilde_hat = max(trace.l_tilde_hat, new.l_last)
+        if new.mu_last is not None:
+            trace.mu_tilde_hat = min(trace.mu_tilde_hat, max(new.mu_last, 0.0))
 
         if prev.k % self.cadence == 0:
             self._emit_row(prev, new, step)
-        if new.dual is not None:
-            col = np.abs(new.dual.sum(axis=0)).max()
-            rel = float(col / (1.0 + np.linalg.norm(new.dual)))
-            drift = self.trace.dual_colsum_max
-            self.trace.dual_colsum_max = rel if drift is None else max(drift, rel)
-        self._ergodic.add(prev.x_now, gamma)
-        self._ergodic_products.add(new.products_prev, gamma)
+        terms = prev.x_now, new.products_prev
+        if self._sums is None:
+            self._sums = [gamma * term for term in terms]
+            self._scratch = [np.empty_like(term) for term in terms]
+        else:
+            for total, scratch, term in zip(self._sums, self._scratch, terms):
+                total += np.multiply(term, gamma, out=scratch)
+        self._theta += gamma
 
     def finalize(self, state) -> Trace:
         """Emit the terminal row for the last state (no step data), write the
@@ -510,10 +469,10 @@ class TraceRecorder:
 
     def _ergodic_merit(self) -> float | None:
         """merit at the ergodic average, its F from the average of the own products."""
-        if self.saddle is None or self._ergodic.weighted_sum is None:
+        if self.saddle is None or self._sums is None:
             return None
-        average = self._ergodic.average
-        f_value = self.problem.value_from_products(self._ergodic_products.average, average)
+        average, products = (total / self._theta for total in self._sums)
+        f_value = self.problem.value_from_products(products, average)
         lx = self.l_op @ average
         return _gap(f_value, _linear_term(average, self.saddle), self.saddle) + float(
             np.vdot(lx, lx))
@@ -522,44 +481,42 @@ class TraceRecorder:
         """Row prev.k: prev's iterates, next to the step data of new when a step follows,
         with step = (alpha_min, alpha_max, gamma) of new.
 
-        The row waits in the batch for its objective gap, unless a stop rule
-        already computed it.
+        A stop rule's value at prev.k stands in for the row's own. The row
+        waits in the batch for its objective gap, unless a stop rule already
+        computed it.
         """
         saddle = self.saddle
-        distance_sq = self.metric_value("distance_sq", prev.x_now)
-        fields = dict(
-            k=prev.k, comm_vector=prev.comm_vector, comm_scalar=prev.comm_scalar,
-            objective_gap=None, distance_sq=distance_sq,
-            consensus_err=self.metric_value("consensus_err", prev.x_now),
-            merit_ergodic=None, lyapunov=None, alpha_min=None, alpha_max=None, gamma=None,
-            L_k=None,
-        )
-        tested = None
+        row = dict(k=prev.k, comm_vector=prev.comm_vector, comm_scalar=prev.comm_scalar)
         if self._tested is not None and self._tested[0] == prev.k:
-            _, tested, value = self._tested
-            fields[tested] = value  # the stop rule's value, computed once
-        if tested != "merit_ergodic":
-            fields["merit_ergodic"] = self._ergodic_merit()
+            row[self._tested[1]] = self._tested[2]  # the stop rule's value, computed once
+        for name in ("distance_sq", "consensus_err"):
+            if name not in row:
+                row[name] = self.metric_value(name, prev.x_now)
+        if "merit_ergodic" not in row:
+            row["merit_ergodic"] = self._ergodic_merit()
+        if prev.k and prev.dual is not None:  # row 0's D is initial_state's 0 in every engine
+            drift = float(np.abs(prev.dual.sum(axis=0)).max() / (1.0 + np.linalg.norm(prev.dual)))
+            most = self.trace.dual_colsum_max
+            self.trace.dual_colsum_max = drift if most is None else max(most, drift)
         if new is not None:
             alpha_min, alpha_max, gamma = step
-            fields.update(alpha_min=alpha_min, alpha_max=alpha_max, gamma=gamma,
-                          L_k=new.l_last)
+            row.update(alpha_min=alpha_min, alpha_max=alpha_max, gamma=gamma, L_k=new.l_last)
             if saddle is not None and new.sigma is not None and np.ndim(new.alpha) == 0:
                 y_k = prev.y if prev.y is not None else saddle.l_pinv @ prev.dual
                 f_prev = (self.problem.stacked_value(prev.x_prev) if prev.products_prev is None
                           else self.problem.value_from_products(prev.products_prev, prev.x_prev))
-                base = _lyapunov_base(distance_sq, prev.x_now, prev.x_prev, y_k, saddle,
+                base = _lyapunov_base(row["distance_sq"], prev.x_now, prev.x_prev, y_k, saddle,
                                       new.sigma)
-                fields["lyapunov"] = float(base + 2.0 * gamma * alpha_min * _gap(
+                row["lyapunov"] = float(base + 2.0 * gamma * alpha_min * _gap(
                     f_prev, _linear_term(prev.x_prev, saddle), saddle))
-        waits = saddle is not None and tested != "objective_gap"
+        waits = saddle is not None and "objective_gap" not in row
         if waits:
             m = self.problem.m
             if self._points is None:
                 self._points = np.empty((self._batch_rows * m, self.problem.d))
             self._points[self._waiting * m:(self._waiting + 1) * m] = prev.x_now
             self._waiting += 1
-        self._pending.append((fields, waits))
+        self._pending.append((row, waits))
         if len(self._pending) == self._batch_rows:
             self._flush()
 
@@ -569,9 +526,9 @@ class TraceRecorder:
         if self._waiting:
             gaps = iter(self.problem.average_values_at_rows(self._points[:self._waiting * m])
                         .reshape(-1, m))
-        for fields, waits in self._pending:
+        for row, waits in self._pending:
             if waits:
-                fields["objective_gap"] = float(np.mean(next(gaps)) - self.saddle.f_star)
-            self.trace.records.append(TraceRecord(**fields))
+                row["objective_gap"] = float(np.mean(next(gaps)) - self.saddle.f_star)
+            self.trace.records.append(TraceRecord(**row))
         self._pending.clear()
         self._waiting = 0

@@ -210,9 +210,8 @@ class ProblemInstance:
     the evaluators' agent lanes: 1 below LANE_MIN_BYTES or on one CPU.
 
     A loss supplies its per-lane kernels (the ``*_lane`` kernels of its
-    gradient and of its values at shared points), ``value_from_products``
-    with ``_value_in``, the same value free to overwrite the products, and
-    the curvature of its Hessian.
+    gradient and of its values at shared points), its one F kernel
+    ``value_from_products``, and the curvature of its Hessian.
 
     Agent lanes. Every kernel is written for a range of agents ``lo..hi-1`` and
     runs through ``_per_agent``, which gives each lane a contiguous range and one
@@ -345,8 +344,8 @@ class ProblemInstance:
 
     def consensus_average(self, x_stack, grad, own) -> tuple[float, np.ndarray]:
         """(f(x), grad f(x)) at a consensus stack X = 1 x^T from the gradient and own
-        products that stacked_gradient(X, products=True) returned; overwrites own."""
-        return self._value_in(own, x_stack) / self.m, grad.mean(axis=0)
+        products that stacked_gradient(X, products=True) returned."""
+        return self.value_from_products(own, x_stack) / self.m, grad.mean(axis=0)
 
     def average_value(self, x) -> float:
         """f(x), as average_value_and_gradient computes it."""
@@ -391,9 +390,10 @@ class ProblemInstance:
         return hess
 
     def cross_bytes(self, points: int) -> int:
-        """Bytes of the arrays that average_values_at_rows makes at that many points:
-        a loss-specific count of arrays the size of the data product, (m*n, points)."""
-        return self.cross_arrays * 8 * self.m * self.n * points
+        """Bytes of the arrays that average_values_at_rows makes at that many points for
+        one block of data rows: a loss-specific count of arrays the size of the block's
+        product, (block_rows, points)."""
+        return self.cross_arrays * 8 * self.block_rows * points
 
     def average_values_at_rows(self, x_rows) -> np.ndarray:
         """f(x_r) for every row x_r of a (k, d) array, f being the averaged objective.
@@ -421,7 +421,7 @@ class _Ridge(ProblemInstance):
     """Ridge losses, evaluated on the residuals A x - b."""
 
     loss = "ridge"
-    cross_arrays = 1  # of _cross_values' product size: the product, which the residuals overwrite
+    cross_arrays = 1  # of a block's product size: the product, which the residuals overwrite
 
     def __init__(self, a, b, gammas):
         super().__init__(a, b)
@@ -447,8 +447,6 @@ class _Ridge(ProblemInstance):
         sq = np.einsum("md,md->m", x_stack, x_stack)
         return float(np.vdot(r, r) / self.n + 0.5 * (self.gammas @ sq))
 
-    _value_in = value_from_products  # which leaves own as it is
-
     def _cross_lane(self, values, x_rows, lo, hi):
         sq = np.einsum("id,id->i", x_rows, x_rows)[:, None]
         for j, r in self._cross_blocks(x_rows, lo, hi):
@@ -465,7 +463,7 @@ class _Logistic(ProblemInstance):
     """Logistic losses, evaluated on the margins b * (A x)."""
 
     loss = "logistic"
-    # of _cross_values' product size: the product, which holds the margins and
+    # of a block's product size: the product, which holds the margins and
     # their softplus, and the softplus' min(t, 0)
     cross_arrays = 2
 
@@ -511,11 +509,6 @@ class _Logistic(ProblemInstance):
         margins, low = self._product_buffer((2, self.m, self.n))
         np.multiply(own, self.b, out=margins)
         return float(np.sum(_softplus_mean(margins, low)))
-
-    def _value_in(self, own, x_stack) -> float:
-        """value_from_products, computed in own, which it overwrites, and a new array."""
-        own *= self.b
-        return float(np.sum(_softplus_mean(own, np.empty_like(own))))
 
     def _cross_lane(self, values, x_rows, lo, hi):
         """Margins and softplus in each block's product, in the thread's buffer."""

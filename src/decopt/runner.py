@@ -154,7 +154,7 @@ class RunManifest:
     reference_chord_steps: int | None = None  # its chord finish's trial points
     # run telemetry from the Trace; None where undefined or not finite
     alpha_floor: float | None = None  # smallest per-agent stepsize seen
-    dual_colsum_max: float | None = None  # max relative column-sum drift of D
+    dual_colsum_max: float | None = None  # max relative column-sum drift of D over the trace rows
     l_tilde_hat: float | None = None  # max observed secant curvature; None if none positive
     mu_tilde_hat: float | None = None  # min observed secant strong convexity
     lanes: int = 1  # agent lanes of the instance's batch evaluators
@@ -241,7 +241,6 @@ def _write_run(config: ExperimentConfig, ws: _Workspace, out: Path,
 def _manifest_for(config: ExperimentConfig, trace: Trace, csv_path: Path, ws: _Workspace,
                   best_alpha: float | None, search: GridSearch | None,
                   name: str) -> RunManifest:
-    restricted = trace.restricted
     grid = None if search is None else search.points
     counts = None if ws.saddle is None else ws.saddle.solve_counts
     return RunManifest(
@@ -264,8 +263,8 @@ def _manifest_for(config: ExperimentConfig, trace: Trace, csv_path: Path, ws: _W
         reference_chord_steps=None if counts is None else counts.chord_steps,
         alpha_floor=_finite(trace.alpha_floor),
         dual_colsum_max=_finite(trace.dual_colsum_max),
-        l_tilde_hat=_finite(restricted.l_tilde_hat) if restricted.l_tilde_hat > 0 else None,
-        mu_tilde_hat=_finite(restricted.mu_tilde_hat),
+        l_tilde_hat=_finite(trace.l_tilde_hat) if trace.l_tilde_hat > 0 else None,
+        mu_tilde_hat=_finite(trace.mu_tilde_hat),
         lanes=ws.problem.lanes,
         grid_rounds=None if grid is None else sum(point.rounds for point in grid),
     )

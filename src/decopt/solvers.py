@@ -104,7 +104,13 @@ class ExtraParams:
 
 @dataclass(frozen=True)
 class StopRule:
-    """Iteration budget plus an optional metric threshold, tested every cadence rounds."""
+    """Iteration budget plus an optional metric threshold, tested every cadence rounds.
+
+    merit is tested at the gamma-weighted ergodic average, which keeps the early
+    iterates' weight: for strongly convex adolf it decays about like 1/k, so a merit
+    threshold far below the early iterates' merit needs on the order of 1/threshold
+    rounds, even where the iterates converge linearly.
+    """
 
     max_iter: int = 10_000
     metric: str | None = None

@@ -3,8 +3,6 @@ import pytest
 
 from decopt import diagnostics, objectives, runner, topology
 from decopt.diagnostics import (
-    ErgodicAccumulator,
-    RestrictedConstants,
     Trace,
     TraceRecord,
     classical_stepsize_bound,
@@ -17,8 +15,8 @@ from decopt.diagnostics import (
 )
 from decopt.errors import InsufficientDataError, NumericError, ParameterError
 from decopt.objectives import ProblemInstance, synth_logistic, synth_ridge
-from decopt.solvers import (FixedStepParams, StopRule, adolf_local_step, adolf_step,
-                            condat_vu_step, extra_grid_search, initial_state, run)
+from decopt.solvers import (ExtraParams, FixedStepParams, State, StopRule, adolf_local_step,
+                            adolf_step, condat_vu_step, extra_grid_search, initial_state, run)
 from decopt.stepsize import GrowthPolicy, StepsizeParams
 from decopt.topology import graph_laplacian_sqrt, make_erdos_renyi, make_line_graph
 from decopt.topology import GossipMatrix, metropolis_hastings
@@ -230,43 +228,6 @@ class TestLyapunov:
         assert v > 0
 
 
-class TestErgodic:
-    def test_plain_average(self):
-        acc = ErgodicAccumulator()
-        xs = [np.full((2, 2), float(t)) for t in range(5)]
-        for x in xs:
-            acc.add(x, 1.0)
-        np.testing.assert_allclose(acc.average, np.full((2, 2), 2.0))
-
-    def test_single_term(self):
-        acc = ErgodicAccumulator()
-        acc.add(np.ones((2, 2)), 0.7)
-        np.testing.assert_allclose(acc.average, np.ones((2, 2)))
-
-    def test_matches_loop_oracle(self):
-        rng = np.random.default_rng(7)
-        xs = rng.standard_normal((6, 3, 2))
-        gammas = rng.uniform(0.5, 1.5, size=6)
-        acc = ErgodicAccumulator()
-        for x, g in zip(xs, gammas):
-            acc.add(x, g)
-        direct = sum(g * x for x, g in zip(xs, gammas)) / gammas.sum()
-        np.testing.assert_allclose(acc.average, direct, atol=1e-14)
-
-    def test_in_place_sum_leaves_iterates_alone(self):
-        # the sum is updated in place, so it must never be an iterate itself
-        xs = [np.full((2, 2), 1.0), np.full((2, 2), 2.0)]
-        acc = ErgodicAccumulator()
-        for x in xs:
-            acc.add(x, 1.0)
-        np.testing.assert_array_equal(xs[0], np.full((2, 2), 1.0))
-        np.testing.assert_array_equal(acc.weighted_sum, np.full((2, 2), 3.0))
-
-    def test_average_needs_a_term(self):
-        with pytest.raises(ParameterError):
-            ErgodicAccumulator().average
-
-
 def _close(got, want, rel=1e-12):
     return got == want or abs(got - want) <= rel * max(abs(got), abs(want))
 
@@ -405,17 +366,69 @@ class TestRateFit:
 
 
 class TestRestrictedConstants:
-    def test_ordering(self):
-        rc = RestrictedConstants()
-        rc.update(2.0, 0.5)
-        rc.update(5.0, 0.8)
-        rc.update(1.0, 0.2)
-        assert rc.l_tilde_hat == 5.0
-        assert rc.mu_tilde_hat == 0.2
-        assert 0 <= rc.mu_tilde_hat <= rc.l_tilde_hat
+    """Trace.l_tilde_hat and mu_tilde_hat: the extrema of the steps' secant estimates."""
+
+    def test_max_of_l_and_min_of_clipped_mu(self):
+        prob = synth_ridge(m=2, n=3, d=2, seed=0)
+        recorder = diagnostics.TraceRecorder(prob, np.eye(2), cadence=100)
+        assert (recorder.trace.l_tilde_hat, recorder.trace.mu_tilde_hat) == (0.0, np.inf)
+        x, products = np.zeros((2, 2)), np.zeros((2, 3))
+        state = initial_state(prob, x)
+        seen = []
+        for l_k, mu_k in [(2.0, 0.5), (None, None), (5.0, 0.8), (1.0, 0.2), (3.0, -0.4)]:
+            new = State(x, x, k=state.k + 1, alpha=0.1, gamma=1.0, l_last=l_k, mu_last=mu_k,
+                        products_prev=products)
+            recorder.observe(state, new)
+            state = new
+            seen.append((recorder.trace.l_tilde_hat, recorder.trace.mu_tilde_hat))
+        # a step without estimates leaves both alone; a negative mu_k counts as 0
+        assert seen == [(2.0, 0.5), (2.0, 0.5), (5.0, 0.5), (5.0, 0.2), (5.0, 0.0)]
+
+
+class TestDualDrift:
+    """dual_colsum_max: the largest relative column-sum drift of D over the trace rows
+    after row 0."""
+
+    @staticmethod
+    def drift(dual):
+        return float(np.abs(dual.sum(axis=0)).max() / (1.0 + np.linalg.norm(dual)))
+
+    @pytest.mark.parametrize("cadence", [1, 3])
+    def test_max_over_the_rows(self, ridge_setup, cadence):
+        prob, gossip, saddle, l_op = ridge_setup
+        params = StepsizeParams(strongly_convex=True, c1=0.5, c2=0.99, alpha0=1e-3, sigma=0.2)
+        x0 = np.random.default_rng(6).standard_normal((prob.m, prob.d))
+        recorder = diagnostics.TraceRecorder(prob, l_op, saddle, cadence=cadence)
+        trace = run("adolf", prob, gossip, params, StopRule(max_iter=40), recorder, x0)
+        states = [initial_state(prob, x0)]
+        for _ in range(40):
+            states.append(adolf_step(states[-1], prob, gossip, params))
+        rows = [row.k for row in trace.records]
+        assert rows == sorted({*range(0, 41, cadence), 40})
+        # row 0's D is initial_state's 0, which every engine starts from
+        assert trace.dual_colsum_max == max(self.drift(states[k].dual) for k in rows[1:]) > 0.0
+
+    @pytest.mark.parametrize("algorithm, params", [
+        ("extra", ExtraParams(alpha=0.05)),
+        ("condat_vu", FixedStepParams(alpha=0.05, sigma=1.0, gamma=1.0)),  # carries Y, not D
+    ])
+    def test_none_without_a_dual(self, ridge_setup, algorithm, params):
+        prob, gossip, saddle, l_op = ridge_setup
+        recorder = diagnostics.TraceRecorder(prob, l_op, saddle, cadence=3)
+        x0 = np.zeros((prob.m, prob.d))
+        trace = run(algorithm, prob, gossip, params, StopRule(max_iter=10), recorder, x0)
+        assert trace.final.k == 10 and trace.dual_colsum_max is None
 
 
 class TestTraceCsv:
+    def test_header_is_the_record_schema(self):
+        # the README's fixed header, in TraceRecord's field order
+        assert ",".join(CSV_HEADER) == ("k,comm_vector,comm_scalar,objective_gap,distance_sq,"
+                                        "consensus_err,merit_ergodic,lyapunov,alpha_min,"
+                                        "alpha_max,gamma,L_k")
+        row = TraceRecord(k=3, comm_vector=3, comm_scalar=1, consensus_err=0.5)
+        assert row.csv_row() == ["3", "3", "1", "", "", "0.5", "", "", "", "", "", ""]
+
     def test_header_and_empty_fields(self):
         trace = _trace_from_values([(0, 1.0), (1, 0.5)])
         text = trace.to_csv()

@@ -782,7 +782,7 @@ class TestFaultInjection:
 
 
 class TestRestrictedOnRuns:
-    """Trace.restricted against secant pairs recomputed with plain numpy."""
+    """Trace.l_tilde_hat and mu_tilde_hat against secant pairs recomputed with plain numpy."""
 
     ITERATIONS = 200
 
@@ -814,7 +814,7 @@ class TestRestrictedOnRuns:
         # the replay ends on the run's final iterate, so both saw the same secant pairs
         np.testing.assert_allclose(trace.final.consensus_err, rec.metric_value(
             "consensus_err", state.x_now), rtol=1e-12)
-        assert trace.restricted.l_tilde_hat == pytest.approx(max(l_ks), rel=1e-12)
-        assert trace.restricted.mu_tilde_hat == pytest.approx(
+        assert trace.l_tilde_hat == pytest.approx(max(l_ks), rel=1e-12)
+        assert trace.mu_tilde_hat == pytest.approx(
             min(max(mu, 0.0) for mu in mu_ks), rel=1e-12)
-        assert 0.0 < trace.restricted.mu_tilde_hat <= trace.restricted.l_tilde_hat
+        assert 0.0 < trace.mu_tilde_hat <= trace.l_tilde_hat

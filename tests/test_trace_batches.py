@@ -23,7 +23,7 @@ import math
 import numpy as np
 import pytest
 
-from decopt import diagnostics
+from decopt import diagnostics, objectives
 from decopt.diagnostics import CSV_HEADER, TraceRecorder, compute_saddle, trace_batch_rows
 from decopt.objectives import synth_logistic, synth_ridge
 from decopt.solvers import (
@@ -212,6 +212,24 @@ def test_batch_rows_fit_the_byte_constant(monkeypatch):
     assert rows > 1 and rows * row_bytes <= DEFAULT_BYTES
     monkeypatch.setattr(diagnostics, "TRACE_BATCH_BYTES", 0)
     assert trace_batch_rows(prob) == 1
+
+
+def test_laned_rows_count_one_block(monkeypatch):
+    """Above the lane cutoff a lane holds one agent's block product at a time, so a
+    row counts that block's product, at any CPU count; and the batch's objective
+    values are those of each row alone."""
+    counts = []
+    for cpus in (1, 4):
+        monkeypatch.setattr(objectives, "_cpu_count", lambda: cpus)
+        prob = synth_logistic(m=20, n=80, d=784, seed=0)  # 10 MB of features: laned
+        assert prob.lanes == min(cpus, prob.m) and prob.block_rows == prob.n
+        counts.append(trace_batch_rows(prob))
+    row_bytes = 8 * prob.m * prob.d + 2 * 8 * prob.n * prob.m  # its iterate and a block's 2 arrays
+    assert counts == [DEFAULT_BYTES // row_bytes] * 2 == [10, 10]
+    stacks = np.random.default_rng(1).standard_normal((counts[0], prob.m, prob.d))
+    alone = np.concatenate([prob.average_values_at_rows(x) for x in stacks])
+    np.testing.assert_array_equal(prob.average_values_at_rows(stacks.reshape(-1, prob.d)),
+                                  alone)
 
 
 def test_records_complete_only_after_finalize(small_setup):
