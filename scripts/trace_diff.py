@@ -5,9 +5,9 @@ A review tool for changes that move trace bits by rounding only, such as a
 new evaluation kernel. Both directories are searched recursively and their
 trace CSVs, manifests and summary tables are paired by relative path.
 
-    python scripts/trace_diff.py PARENT_DIR CHANGE_DIR
+    python scripts/trace_diff.py [--exact] PARENT_DIR CHANGE_DIR
 
-It exits 1 unless:
+By default it exits 1 unless:
 
 - both directories hold the same traces, manifests and summaries;
 - every summary row has the same status, comm_vector and to_threshold, and
@@ -27,6 +27,11 @@ It exits 1 unless:
 It prints, per trace, the worst difference of each column (in units of its
 bound's scale) and the first row below the distance floor. Long-format CSVs
 and gnuplot files restate the trace columns and are not compared.
+
+With --exact, for a change that must keep every bit, it pairs every file of
+the two directories and exits 1 unless both hold the same files, each pair
+is byte-identical, and each pair of manifests is equal as JSON apart from
+created_utc and csv_path, which name when and where a run was written.
 """
 
 import argparse
@@ -46,6 +51,7 @@ GRID_KEYS = ("alpha", "status", "rounds")  # of each extra_grid point; its value
 METRIC_TOL = 1e-12  # |delta| / max|column| over both runs
 STEP_TOL = 1e-6  # |delta| / max(|parent|, |change|), per row
 DISTANCE_FLOOR = 1e-14  # step columns are checked only on rows above it
+EXACT_EXEMPT = ("created_utc", "csv_path")  # manifest fields --exact does not compare
 
 
 def _kind(path: Path) -> str | None:
@@ -163,18 +169,48 @@ def compare_dirs(parent_dir: Path, change_dir: Path) -> tuple[list[str], list[st
     return report, problems
 
 
+def compare_exact(parent_dir: Path, change_dir: Path) -> tuple[list[str], list[str]]:
+    """Report lines and problems of one --exact comparison: one report line per file
+    pair."""
+    parent, change = ({path.relative_to(root) for path in root.rglob("*") if path.is_file()}
+                      for root in (parent_dir, change_dir))
+    problems = [f"{name}: only in {side}" for side, here, there in
+                ((parent_dir, parent, change), (change_dir, change, parent))
+                for name in sorted(here - there)]
+    if not parent and not change:
+        problems.append("no file found")
+    report = []
+    for name in sorted(parent & change):
+        p_path, c_path = parent_dir / name, change_dir / name
+        if _kind(p_path) == "manifest":
+            p_man, c_man = (json.loads(path.read_text()) for path in (p_path, c_path))
+            differ = [f"{name}: {key} {p_man.get(key)!r} vs {c_man.get(key)!r}"
+                      for key in sorted(p_man.keys() | c_man.keys())
+                      if key not in EXACT_EXEMPT and p_man.get(key) != c_man.get(key)]
+        else:
+            differ = ([] if p_path.read_bytes() == c_path.read_bytes()
+                      else [f"{name}: not byte-identical"])
+        problems += differ
+        report.append(f"{name}: {'differs' if differ else 'same'}")
+    return report, problems
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("parent_dir", type=Path)
     parser.add_argument("change_dir", type=Path)
+    parser.add_argument("--exact", action="store_true",
+                        help="require every file byte-identical, manifests apart from "
+                             + " and ".join(EXACT_EXEMPT))
     args = parser.parse_args(argv)
-    report, problems = compare_dirs(args.parent_dir, args.change_dir)
+    compare = compare_exact if args.exact else compare_dirs
+    report, problems = compare(args.parent_dir, args.change_dir)
     print("\n".join(report))
     for line in problems:
         print(f"FAIL {line}")
-    print(f"{'FAIL' if problems else 'PASS'}: {len(report)} traces compared, "
-          f"{len(problems)} problems")
+    print(f"{'FAIL' if problems else 'PASS'}: {len(report)} {'files' if args.exact else 'traces'} "
+          f"compared, {len(problems)} problems")
     return 1 if problems else 0
 
 

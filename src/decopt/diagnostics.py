@@ -31,7 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InsufficientDataError, NumericError, ParameterError
+from .errors import NumericError, ParameterError
 from .objectives import (ProblemInstance, SolveCounts, centralized_minimize,
                          ridge_exact_solution)
 from .topology import GossipMatrix, laplacian_pinv_sqrt
@@ -41,10 +41,7 @@ __all__ = [
     "compute_saddle",
     "primal_gap",
     "merit",
-    "lyapunov",
     "classical_stepsize_bound",
-    "RateFit",
-    "rate_fit",
     "TraceRecord",
     "Trace",
     "TraceRecorder",
@@ -170,27 +167,6 @@ def _lyapunov_base(distance_sq, x_now, x_prev, y, saddle: SaddlePoint, sigma_k):
     return distance_sq + np.vdot(dy, dy) / sigma_k + 0.5 * np.vdot(step, step)
 
 
-def lyapunov(
-    problem: ProblemInstance,
-    x_now: np.ndarray,
-    x_prev: np.ndarray,
-    y: np.ndarray,
-    saddle: SaddlePoint,
-    sigma_k: float,
-    gamma_k: float,
-    alpha_k: float,
-) -> float:
-    """Trajectory Lyapunov value at index k.
-
-    Distance to the saddle in both variables, plus the momentum term
-    ||X^k - X^{k-1}||^2 / 2, plus 2 gamma_k alpha_k times the primal gap at
-    the previous iterate.
-    """
-    dx = x_now - saddle.x_stack
-    base = _lyapunov_base(np.sum(dx * dx), x_now, x_prev, y, saddle, sigma_k)
-    return float(base + 2.0 * gamma_k * alpha_k * primal_gap(problem, x_prev, saddle))
-
-
 def classical_stepsize_bound(l_const: float, sigma: float, w_tilde_norm: float) -> float:
     """Largest stepsize allowed by the network-coupled classical condition.
 
@@ -203,59 +179,6 @@ def classical_stepsize_bound(l_const: float, sigma: float, w_tilde_norm: float) 
         raise ParameterError(f"||I - W_tilde|| must lie in (0, 2], got {w_tilde_norm}")
     q = sigma * w_tilde_norm
     return float((-l_const / 2.0 + np.sqrt(l_const**2 / 4.0 + 4.0 * q)) / (2.0 * q))
-
-
-@dataclass(frozen=True)
-class RateFit:
-    """Log-linear and log-log fits of a metric tail."""
-
-    kind: str  # "linear" (geometric) or "sublinear" (power)
-    geometric_slope: float
-    geometric_r2: float
-    power_slope: float
-    power_r2: float
-
-    @property
-    def coefficient(self) -> float:
-        return self.geometric_slope if self.kind == "linear" else self.power_slope
-
-
-def _least_squares_fit(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float]:
-    slope, intercept = np.polyfit(xs, ys, 1)
-    pred = slope * xs + intercept
-    ss_res = float(np.sum((ys - pred) ** 2))
-    ss_tot = float(np.sum((ys - np.mean(ys)) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return float(slope), r2
-
-
-def rate_fit(trace: "Trace", metric: str, window: tuple[int, int]) -> RateFit:
-    """Fit log(metric) against k and against log(k) over a window of iterations.
-
-    Uses only records with k inside the window and a strictly positive
-    metric value; needs at least three such points.
-    """
-    lo, hi = window
-    ks, vals = [], []
-    for rec in trace.records:
-        v = getattr(rec, metric)
-        if v is not None and lo <= rec.k <= hi and v > 0.0:
-            ks.append(rec.k)
-            vals.append(v)
-    if len(ks) < 3:
-        raise InsufficientDataError(
-            f"need at least 3 positive {metric} points in [{lo}, {hi}], got {len(ks)}"
-        )
-    ks_arr = np.asarray(ks, dtype=float)
-    log_vals = np.log(np.asarray(vals))
-    geo_slope, geo_r2 = _least_squares_fit(ks_arr, log_vals)
-    pos = ks_arr > 0
-    if np.count_nonzero(pos) >= 3:
-        pow_slope, pow_r2 = _least_squares_fit(np.log(ks_arr[pos]), log_vals[pos])
-    else:
-        pow_slope, pow_r2 = 0.0, -np.inf
-    kind = "linear" if geo_r2 >= pow_r2 else "sublinear"
-    return RateFit(kind, geo_slope, geo_r2, pow_slope, pow_r2)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -431,7 +354,10 @@ class TraceRecorder:
         Row k describes prev's iterates, dual and round counts next to the
         alpha, gamma, sigma and curvature that the step selected from them.
         """
-        step = float(np.min(new.alpha)), float(np.max(new.alpha)), float(np.min(new.gamma))
+        if isinstance(new.alpha, float) and isinstance(new.gamma, float):  # no reductions
+            step = float(new.alpha), float(new.alpha), float(new.gamma)
+        else:
+            step = float(np.min(new.alpha)), float(np.max(new.alpha)), float(np.min(new.gamma))
         alpha_min, alpha_max, gamma = step
         trace = self.trace
         if np.ndim(new.alpha) > 0:
@@ -494,7 +420,7 @@ class TraceRecorder:
                 row[name] = self.metric_value(name, prev.x_now)
         if "merit_ergodic" not in row:
             row["merit_ergodic"] = self._ergodic_merit()
-        if prev.k and prev.dual is not None:  # row 0's D is initial_state's 0 in every engine
+        if prev.dual is not None:
             drift = float(np.abs(prev.dual.sum(axis=0)).max() / (1.0 + np.linalg.norm(prev.dual)))
             most = self.trace.dual_colsum_max
             self.trace.dual_colsum_max = drift if most is None else max(most, drift)
@@ -502,7 +428,8 @@ class TraceRecorder:
             alpha_min, alpha_max, gamma = step
             row.update(alpha_min=alpha_min, alpha_max=alpha_max, gamma=gamma, L_k=new.l_last)
             if saddle is not None and new.sigma is not None and np.ndim(new.alpha) == 0:
-                y_k = prev.y if prev.y is not None else saddle.l_pinv @ prev.dual
+                y_k = (0.0 if prev.k == 0 else prev.y if prev.y is not None
+                       else saddle.l_pinv @ prev.dual)  # Y^0 = 0 in every engine
                 f_prev = (self.problem.stacked_value(prev.x_prev) if prev.products_prev is None
                           else self.problem.value_from_products(prev.products_prev, prev.x_prev))
                 base = _lyapunov_base(row["distance_sq"], prev.x_now, prev.x_prev, y_k, saddle,

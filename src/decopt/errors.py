@@ -50,6 +50,3 @@ class NoConvergentStepsizeError(DecoptError, RuntimeError):
 class ComparisonError(DecoptError, ValueError):
     """Configs passed to compare() do not share problem/graph seeds."""
 
-
-class InsufficientDataError(DecoptError, ValueError):
-    """Not enough points/samples for the requested computation."""

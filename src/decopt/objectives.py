@@ -59,7 +59,6 @@ __all__ = [
     "synth_ridge",
     "synth_logistic",
     "load_mnist_partition",
-    "read_idx_images",
     "read_idx_labels",
     "centralized_minimize",
     "SolveCounts",
@@ -347,10 +346,6 @@ class ProblemInstance:
         products that stacked_gradient(X, products=True) returned."""
         return self.value_from_products(own, x_stack) / self.m, grad.mean(axis=0)
 
-    def average_value(self, x) -> float:
-        """f(x), as average_value_and_gradient computes it."""
-        return self.average_value_and_gradient(x)[0]
-
     def average_gradient(self, x) -> np.ndarray:
         """grad f(x), as average_value_and_gradient computes it."""
         return self.average_value_and_gradient(x)[1]
@@ -591,11 +586,6 @@ def _read_idx_pixels(path) -> np.ndarray:
         cols = _read_be_u32(f, path)
         raw = _read_payload(f, count * rows * cols, "pixel", path)
     return np.frombuffer(raw, dtype=np.uint8).reshape(count, rows * cols)
-
-
-def read_idx_images(path) -> np.ndarray:
-    """Parse a big-endian IDX image file into a (count, rows*cols) float array."""
-    return _read_idx_pixels(path).astype(float)
 
 
 def read_idx_labels(path) -> np.ndarray:

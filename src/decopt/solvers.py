@@ -11,7 +11,7 @@ scalar rounds are counted separately.
 Every engine is one step(state, problem, gossip, params) over one State
 dataclass, and it returns a fresh state, so a run is an explicit state
 machine and traces can be reconstructed exactly. A run starts from
-initial_state(problem, x0, x_minus1), State(X^0, X^-1, dual=0); round 0 of
+initial_state(problem, x0, x_minus1), State(X^0, X^-1) with no dual; round 0 of
 each step is the engine's initialization from it, and there the step also
 checks that params are of the engine's kind. One run is strictly sequential
 (the synchronous-round semantics are part of correctness); distinct runs
@@ -165,14 +165,15 @@ class State:
 
 
 def initial_state(problem: ProblemInstance, x0, x_minus1=None) -> State:
-    """State(X^0, X^-1, dual=0), the start of every run; X^-1 defaults to X^0.
+    """State(X^0, X^-1), the start of every run; X^-1 defaults to X^0.
 
     Both stacks are checked against the problem's shape. Round 0 of each
-    engine's step is its initialization from this state.
+    engine's step is its initialization from this state, which carries no
+    dual: adolf and adolf_local start D, and condat_vu Y, from zero there.
     """
     x0 = problem.check_shape(x0, "x0")
     x_minus1 = x0 if x_minus1 is None else problem.check_shape(x_minus1, "x_minus1")
-    return State(x0, x_minus1, dual=np.zeros_like(x0))
+    return State(x0, x_minus1)
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +215,7 @@ def adolf_step(state: State, problem: ProblemInstance, gossip: GossipMatrix,
         sigma_alpha, scalar_rounds = sigma_k * alpha, 1
 
     mix = (1.0 + gamma) * state.x_now - gamma * state.x_prev
-    dual = state.dual + sigma_alpha * (mix - w @ mix)
+    dual = (0.0 if state.k == 0 else state.dual) + sigma_alpha * (mix - w @ mix)
     x_next = state.x_now - alpha * (grad_now + dual)
     return State(x_now=x_next, x_prev=state.x_now, k=state.k + 1,
                  comm_vector=state.comm_vector + 1, comm_scalar=state.comm_scalar + scalar_rounds,
@@ -241,8 +242,8 @@ def adolf_local_step(state: State, problem: ProblemInstance, gossip: GossipMatri
     Every agent's rule runs at once on per-agent arrays. The diagonal scaling
     Sigma_k Lambda_k applies before the mixing matrix, so each agent scales
     its own contribution and then gossips once. Round 0 is the
-    initialization, with uniform Lambda0 = alpha0 I and Gamma0 = I and no
-    scalar round.
+    initialization, with uniform Lambda0 = alpha0 I and Gamma0 = I, the dual
+    from zero and no scalar round.
     """
     if state.k == 0 and not (isinstance(params, StepsizeParams) and params.local):
         raise ConfigError("adolf_local needs StepsizeParams in local mode")
@@ -262,7 +263,7 @@ def adolf_local_step(state: State, problem: ProblemInstance, gossip: GossipMatri
 
     mix = (1.0 + gamma_vec)[:, None] * state.x_now - gamma_vec[:, None] * state.x_prev
     scaled = _local_sigma_alpha(alpha_vec, params)[:, None] * mix
-    dual = state.dual + (scaled - w @ scaled)
+    dual = (0.0 if state.k == 0 else state.dual) + (scaled - w @ scaled)
     x_next = state.x_now - alpha_vec[:, None] * (grad_now + dual)
     return State(x_now=x_next, x_prev=state.x_now, k=state.k + 1,
                  comm_vector=state.comm_vector + 1,
@@ -366,7 +367,7 @@ def run(
 
     Iteration 0 is the initialization update; the trace row at index k
     always describes the iterate after k communication rounds. The run
-    starts from State(X^0, X^-1, dual=0), which trace row 0 reads and a zero
+    starts from State(X^0, X^-1), which trace row 0 reads and a zero
     budget ends on. A stop metric is tested on the value its trace row
     reports (merit at the ergodic average), and that row reports the very
     value tested, computed once. Divergence (non-finite values or

@@ -43,7 +43,6 @@ __all__ = [
     "local_candidate_strongly_convex",
     "local_tilde",
     "local_min_consensus",
-    "gamma_ratio_bound",
 ]
 
 GROWTH_UNBOUNDED = "unbounded"
@@ -286,10 +285,3 @@ def local_min_consensus(
     alpha = np.where(neighbor_mask, alpha_tilde, np.inf).min(axis=1)
     return alpha, alpha_tilde / alpha_prev
 
-
-def gamma_ratio_bound(c2: float) -> float:
-    """Fixed point of g -> sqrt(1 + c2 g): (c2 + sqrt(c2^2 + 4)) / 2.
-
-    Upper bound for every gamma_k reachable from gamma_0 = 1.
-    """
-    return 0.5 * (c2 + math.sqrt(c2 * c2 + 4.0))

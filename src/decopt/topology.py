@@ -87,15 +87,6 @@ class Graph:
     def degree(self, i: int) -> int:
         return len(self.neighbor_lists[i])
 
-    @cached_property
-    def diameter(self) -> int:
-        """Longest shortest path, by BFS from every agent."""
-        best = 0
-        for src in range(self.m):
-            dist = _bfs_distances(self.m, self.neighbor_lists, src)
-            best = max(best, int(max(dist)))
-        return best
-
 
 def _neighbor_lists(m: int, edges) -> tuple[tuple[int, ...], ...]:
     """Each agent's neighbors in ascending order."""

@@ -7,19 +7,18 @@ from decopt.diagnostics import (
     TraceRecord,
     classical_stepsize_bound,
     compute_saddle,
-    lyapunov,
     merit,
     primal_gap,
-    rate_fit,
     CSV_HEADER,
 )
-from decopt.errors import InsufficientDataError, NumericError, ParameterError
+from decopt.errors import NumericError, ParameterError
 from decopt.objectives import ProblemInstance, synth_logistic, synth_ridge
 from decopt.solvers import (ExtraParams, FixedStepParams, State, StopRule, adolf_local_step,
                             adolf_step, condat_vu_step, extra_grid_search, initial_state, run)
 from decopt.stepsize import GrowthPolicy, StepsizeParams
 from decopt.topology import graph_laplacian_sqrt, make_erdos_renyi, make_line_graph
 from decopt.topology import GossipMatrix, metropolis_hastings
+from oracles import InsufficientDataError, lyapunov, rate_fit
 from probes import run_probe
 
 
@@ -298,7 +297,8 @@ class TestRowsMatchReferences:
             if new is None or algorithm == "adolf_local":
                 assert row.lyapunov is None
             else:
-                y = state.y if state.y is not None else saddle.l_pinv @ state.dual
+                y = (0.0 if state.k == 0 else state.y if state.y is not None
+                     else saddle.l_pinv @ state.dual)  # a run starts from Y^0 = 0
                 want = lyapunov(prob, state.x_now, state.x_prev, y, saddle, new.sigma,
                                 float(np.min(new.gamma)), float(np.min(new.alpha)))
                 assert _close(row.lyapunov, want)
@@ -405,7 +405,7 @@ class TestDualDrift:
             states.append(adolf_step(states[-1], prob, gossip, params))
         rows = [row.k for row in trace.records]
         assert rows == sorted({*range(0, 41, cadence), 40})
-        # row 0's D is initial_state's 0, which every engine starts from
+        # row 0 has no D: initial_state carries none
         assert trace.dual_colsum_max == max(self.drift(states[k].dual) for k in rows[1:]) > 0.0
 
     @pytest.mark.parametrize("algorithm, params", [

@@ -32,6 +32,7 @@ from decopt.topology import (
 )
 from faults import RaiseOutsideBall
 from idx_files import write_idx_pair
+from oracles import average_value
 from probes import run_probe
 
 # At this shape one BLAS call per lane, instead of one per agent block, rounds
@@ -72,7 +73,7 @@ def evaluations(prob):
         "average_values_at_rows": prob.average_values_at_rows(x),
         "average_value": value,
         "average_gradient": grad,
-        "average_value_alone": prob.average_value(x[1]),
+        "average_value_alone": average_value(prob, x[1]),
         "average_gradient_alone": prob.average_gradient(x[1]),
         "average_hessian": prob.average_hessian(x[2]),
     }

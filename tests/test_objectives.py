@@ -1,3 +1,4 @@
+import functools
 import struct
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -17,7 +18,7 @@ from decopt.objectives import (
     synth_logistic,
     synth_ridge,
 )
-from idx_files import write_idx_pair
+from idx_files import read_idx_images, write_idx_pair
 from local_losses import (
     local_gradient,
     local_value,
@@ -26,6 +27,7 @@ from local_losses import (
     loop_average_value,
     loop_stacked_gradient,
 )
+from oracles import average_value
 
 
 def finite_diff_gradient(fn, x, scale=None):
@@ -62,7 +64,7 @@ def gradient(prob, x):
 def assert_grad_matches_fd(prob, x, rtol=1e-6):
     """The stacked and the averaged gradient each match differences of their values."""
     for grad, fn in ((gradient(prob, x), lambda y: value(prob, y)),
-                     (prob.average_gradient(x), prob.average_value)):
+                     (prob.average_gradient(x), functools.partial(average_value, prob))):
         fd = finite_diff_gradient(fn, x)
         assert np.linalg.norm(grad - fd) <= rtol * (1.0 + np.linalg.norm(grad))
 
@@ -163,7 +165,7 @@ class TestLogistic:
         prob = one_logistic([[1.0], [-1.0]], [1.0, 1.0])
         for t in (-700.0, -100.0, 0.0, 100.0, 700.0):
             x = np.array([t])
-            assert np.isfinite(value(prob, x)) and np.isfinite(prob.average_value(x))
+            assert np.isfinite(value(prob, x)) and np.isfinite(average_value(prob, x))
             assert np.all(np.isfinite(gradient(prob, x)))
             assert np.all(np.isfinite(prob.average_gradient(x)))
 
@@ -364,7 +366,7 @@ class TestProblemInstance:
             x = rng.standard_normal(3)
             np.testing.assert_allclose(prob.average_gradient(x),
                                        loop_average_gradient(prob, x), atol=1e-13)
-            assert prob.average_value(x) == pytest.approx(loop_average_value(prob, x),
+            assert average_value(prob, x) == pytest.approx(loop_average_value(prob, x),
                                                           rel=1e-12)
 
     # d = 5 instances from each generator and from caller arrays
@@ -401,7 +403,7 @@ class TestProblemInstance:
         rows = [loop_average_value(prob, r) for r in x]
         np.testing.assert_allclose(prob.average_values_at_rows(x), rows, rtol=1e-12)
         point = x[-1]
-        assert prob.average_value(point) == pytest.approx(loop_average_value(prob, point),
+        assert average_value(prob, point) == pytest.approx(loop_average_value(prob, point),
                                                           rel=1e-12)
         np.testing.assert_allclose(prob.average_gradient(point),
                                    loop_average_gradient(prob, point), atol=1e-13)
@@ -420,7 +422,7 @@ class TestProblemInstance:
         for seed in range(3):
             x = np.random.default_rng(seed).standard_normal(prob.d)
             val, grad = prob.average_value_and_gradient(x)
-            assert val == prob.average_value(x)
+            assert val == average_value(prob, x)
             assert np.array_equal(grad, prob.average_gradient(x))
 
     @pytest.mark.parametrize("build", list(BUILDS))
@@ -489,7 +491,7 @@ class TestProblemInstance:
     def test_average_point_shape_checked(self, build):
         prob = self.BUILDS[build]()
         for shape in [(prob.d - 1,), (1, prob.d), (prob.d, 1), ()]:
-            for method in (prob.average_value, prob.average_gradient,
+            for method in (functools.partial(average_value, prob), prob.average_gradient,
                            prob.average_value_and_gradient, prob.average_hessian):
                 with pytest.raises(ShapeError):
                     method(np.zeros(shape))
@@ -524,7 +526,7 @@ class TestMnist:
         images = rng.integers(0, 256, size=(30, 4, 4))
         labels = rng.integers(0, 10, size=30)
         img, lbl = write_idx_pair(tmp_path, images, labels)
-        assert objectives.read_idx_images(img).shape == (30, 16)
+        assert read_idx_images(img).shape == (30, 16)
         assert objectives.read_idx_labels(lbl).shape == (30,)
 
     def test_partition(self, tmp_path):
@@ -544,7 +546,7 @@ class TestMnist:
             f.write(struct.pack("<IIII", 0x00000803, 1, 2, 2))  # little-endian: swapped
             f.write(bytes(4))
         with pytest.raises(DataError):
-            objectives.read_idx_images(path)
+            read_idx_images(path)
 
     def test_truncated(self, tmp_path):
         path = tmp_path / "short.idx"
@@ -552,7 +554,7 @@ class TestMnist:
             f.write(struct.pack(">IIII", 0x00000803, 10, 2, 2))
             f.write(bytes(3))
         with pytest.raises(DataError):
-            objectives.read_idx_images(path)
+            read_idx_images(path)
 
     def test_oversized_header(self, tmp_path):
         # headers that promise far more than the file holds: rejected before any read
@@ -560,7 +562,7 @@ class TestMnist:
         images.write_bytes(struct.pack(">IIII", 0x00000803, 100_000, 1000, 1000) + bytes(24))
         labels.write_bytes(struct.pack(">II", 0x00000801, 10**9) + bytes(32))
         with pytest.raises(DataError, match="promises 100000000000 bytes, the file holds 24"):
-            objectives.read_idx_images(images)
+            read_idx_images(images)
         with pytest.raises(DataError, match="promises 1000000000 bytes, the file holds 32"):
             objectives.read_idx_labels(labels)
 
@@ -625,7 +627,7 @@ def old_synth_logistic(m, n, d, seed, noise=0.1):
 
 
 def old_mnist_partition(images_path, labels_path, m, digit_pair, seed):
-    images = objectives.read_idx_images(images_path)
+    images = read_idx_images(images_path)
     labels = objectives.read_idx_labels(labels_path)
     keep = (labels == digit_pair[0]) | (labels == digit_pair[1])
     feats = images[keep] / 255.0

@@ -527,7 +527,7 @@ class TestEngineContract:
         state = initial_state(prob, np.ones((3, 2)))
         assert state.k == state.comm_vector == state.comm_scalar == 0
         assert state.x_prev is state.x_now  # X^-1 defaults to X^0
-        np.testing.assert_array_equal(state.dual, np.zeros((3, 2)))
+        assert state.dual is None and state.y is None  # a run starts with no dual
 
     @pytest.mark.parametrize("algorithm", list(ENGINES))
     def test_init_rejects_other_params(self, algorithm):

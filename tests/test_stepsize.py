@@ -15,13 +15,13 @@ from decopt.stepsize import (
     curvature_global,
     curvature_local,
     curvature_guard,
-    gamma_ratio_bound,
     local_candidate_strongly_convex,
     local_min_consensus,
     local_tilde,
     select_alpha_convex,
     select_alpha_strongly_convex,
 )
+from oracles import diameter, gamma_ratio_bound
 from scalar_local_rule import scalar_candidate, scalar_cap, scalar_local_rule
 
 
@@ -338,7 +338,7 @@ class TestLocalRules:
         g = topology.make_line_graph(6)
         mask = closed_mask(g)
         vals = np.array([0.9, 0.8, 0.7, 0.6, 0.5, 0.05])
-        for _ in range(g.diameter):
+        for _ in range(diameter(g)):
             vals, _ = local_min_consensus(vals, mask, np.ones(6))
         np.testing.assert_allclose(vals, np.full(6, 0.05), atol=0)
 
@@ -349,7 +349,7 @@ class TestLocalRules:
         mask = closed_mask(g)
         vals = np.random.default_rng(seed).uniform(0.01, 1.0, size=m)
         target = vals.min()
-        for _ in range(g.diameter):
+        for _ in range(diameter(g)):
             vals, _ = local_min_consensus(vals, mask, np.ones(m))
         np.testing.assert_array_equal(vals, np.full(m, target))
 

@@ -2,16 +2,17 @@
 
 import csv
 import json
+import math
 import shutil
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
 
 from decopt.config import AlgorithmConfig, parse_config_dict
-from decopt.runner import compare
+from decopt.runner import RunManifest, compare
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "trace_diff.py"
 
@@ -34,14 +35,15 @@ def outputs(tmp_path_factory):
     return out
 
 
-def trace_diff(parent, change):
-    proc = subprocess.run([sys.executable, str(SCRIPT), str(parent), str(change)],
+def trace_diff(parent, change, *flags):
+    proc = subprocess.run([sys.executable, str(SCRIPT), *flags, str(parent), str(change)],
                           capture_output=True, text=True)
     return proc.returncode, proc.stdout
 
 
-def perturbed(outputs, tmp_path, column, factor):
-    """A copy whose adolf trace has column scaled by factor in its row of largest |value|."""
+def perturbed(outputs, tmp_path, column, factor=None):
+    """A copy whose adolf trace has column scaled by factor in its row of largest |value|,
+    or moved up by one ulp without a factor."""
     change = tmp_path / "change"
     shutil.copytree(outputs, change)
     path = change / "unit_adolf.csv"
@@ -49,7 +51,8 @@ def perturbed(outputs, tmp_path, column, factor):
         rows = list(csv.reader(f))
     col = rows[0].index(column)
     row = max(rows[1:], key=lambda r: abs(float(r[col])) if r[col] else -1.0)
-    row[col] = repr(float(row[col]) * factor)
+    value = float(row[col])
+    row[col] = repr(math.nextafter(value, math.inf) if factor is None else value * factor)
     with open(path, "w", newline="") as f:
         csv.writer(f, lineterminator="\n").writerows(rows)
     return change
@@ -139,3 +142,41 @@ def test_distance_floor_rules(tmp_path, k_changed, column, code):
     result, out = trace_diff(parent, change)
     assert result == code, out
     assert "1 rows at distance_sq <= 1e-14 from k=2" in out
+
+
+def test_exact_identical_directories_pass(outputs, tmp_path):
+    change = tmp_path / "change"
+    shutil.copytree(outputs, change)
+    files = sorted(path.name for path in outputs.iterdir())
+    assert {"unit_adolf.csv", "unit_adolf.manifest.json", "unit_summary.txt"} <= set(files)
+    assert any(name.endswith("_long.csv") for name in files)
+    assert any(name.endswith(".dat") for name in files)
+    code, out = trace_diff(outputs, change, "--exact")
+    assert code == 0, out
+    assert f"PASS: {len(files)} files compared, 0 problems" in out
+
+
+def test_exact_fails_on_one_ulp(outputs, tmp_path):
+    change = perturbed(outputs, tmp_path, "objective_gap")
+    assert trace_diff(outputs, change)[0] == 0  # within the default mode's bounds
+    code, out = trace_diff(outputs, change, "--exact")
+    assert code == 1
+    assert "FAIL unit_adolf.csv: not byte-identical" in out
+    assert "1 problems" in out
+
+
+@pytest.mark.parametrize("key", [f.name for f in fields(RunManifest)])
+def test_exact_compares_every_manifest_field_but_time_and_place(outputs, tmp_path, key):
+    change = tmp_path / "change"
+    shutil.copytree(outputs, change)
+    path = change / "unit_extra.manifest.json"
+    manifest = json.loads(path.read_text())
+    assert key in manifest
+    manifest[key] = ["changed"]
+    path.write_text(json.dumps(manifest))
+    code, out = trace_diff(outputs, change, "--exact")
+    if key in ("created_utc", "csv_path"):
+        assert code == 0, out
+    else:
+        assert code == 1
+        assert f"FAIL unit_extra.manifest.json: {key} " in out
