@@ -98,7 +98,7 @@ def _report(result) -> int:
     print(result.summary_table(), end="")
     print(f"long-format data: {result.long_path}")
     print(f"gnuplot blocks:   {result.gnuplot_path}")
-    return EXIT_DIVERGED if any(row.status == "diverged" for row in result.rows) else EXIT_OK
+    return EXIT_DIVERGED if any(m.status == "diverged" for m in result.manifests) else EXIT_OK
 
 
 def _cmd_preset(args) -> int:

@@ -168,10 +168,6 @@ class AlgorithmConfig:
         if self.kind in ("adolf", "adolf_local"):
             _require(self.mode in ("convex", "strongly_convex"), "algorithm.mode",
                      f"must be convex or strongly_convex, got {self.mode!r}")
-            _require(self.mode == "convex" or self.growth.kind != GROWTH_UNBOUNDED,
-                     "algorithm.growth.kind",
-                     "unbounded growth is valid in convex mode only; strongly convex mode "
-                     "needs additive or ratio_power")
             try:
                 self.stepsize_params()
             except ParameterError as exc:

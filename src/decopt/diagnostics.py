@@ -17,9 +17,9 @@ carry only D = L_op Y, with Y in the range of L_op, so the Lyapunov value
 recovers Y = pinv(L_op) D from the saddle's cached pseudoinverse on the rows
 it writes; the oracle hands over its own Y.
 
-Metric functions are pure and read-only over iterate snapshots; a recorder
-instance belongs to exactly one run and is not safe to share across
-concurrent runs.
+The primal gap, the merit and the Lyapunov value each have one formula
+here, read-only over iterate snapshots; a recorder instance belongs to
+exactly one run and is not safe to share across concurrent runs.
 """
 
 from __future__ import annotations
@@ -39,8 +39,6 @@ from .topology import GossipMatrix, laplacian_pinv_sqrt
 __all__ = [
     "SaddlePoint",
     "compute_saddle",
-    "primal_gap",
-    "merit",
     "classical_stepsize_bound",
     "TraceRecord",
     "Trace",
@@ -132,39 +130,11 @@ def compute_saddle(
     )
 
 
-def _linear_term(x_stack: np.ndarray, saddle: SaddlePoint):
-    """<L_op Y*, X - X*>, the primal gap's term that does not need F, as
-    <D*, X> - <D*, X*>."""
-    return np.vdot(saddle.d_star, x_stack) - saddle.d_star_x_star
-
-
-def _gap(f_value, linear, saddle: SaddlePoint) -> float:
-    """The primal gap from F(X) and _linear_term(X)."""
-    return float(f_value - saddle.f_stack_star + linear)
-
-
-def _consensus(l_op: np.ndarray, x_stack: np.ndarray) -> float:
-    """||L_op X||^2."""
-    lx = l_op @ x_stack
-    return float(np.sum(lx * lx))
-
-
-def primal_gap(problem: ProblemInstance, x_stack: np.ndarray, saddle: SaddlePoint) -> float:
-    """Lagrangian gap F(X) - F(X*) + <L_op Y*, X - X*>, nonnegative by convexity."""
-    return _gap(problem.stacked_value(x_stack), _linear_term(x_stack, saddle), saddle)
-
-
-def merit(
-    problem: ProblemInstance, x_stack: np.ndarray, saddle: SaddlePoint, l_op: np.ndarray
-) -> float:
-    """Primal gap plus consensus penalty ||L_op X||^2; zero exactly at solutions."""
-    return primal_gap(problem, x_stack, saddle) + _consensus(l_op, x_stack)
-
-
-def _lyapunov_base(distance_sq, x_now, x_prev, y, saddle: SaddlePoint, sigma_k):
-    """The Lyapunov terms that do not need F, given ||X^k - X*||^2."""
-    dy, step = y - saddle.y_star, x_now - x_prev
-    return distance_sq + np.vdot(dy, dy) / sigma_k + 0.5 * np.vdot(step, step)
+def _gap(f_value, x_stack: np.ndarray, saddle: SaddlePoint) -> float:
+    """The primal gap F(X) - F(X*) + <L_op Y*, X - X*> from F(X), nonnegative by
+    convexity; the linear term is <D*, X> - <D*, X*>."""
+    return float(f_value - saddle.f_stack_star
+                 + (np.vdot(saddle.d_star, x_stack) - saddle.d_star_x_star))
 
 
 def classical_stepsize_bound(l_const: float, sigma: float, w_tilde_norm: float) -> float:
@@ -310,8 +280,6 @@ class TraceRecorder:
         self.trace = Trace()
         self._sums = None  # [sum of gamma X, sum of gamma products], made with the first term
         self._theta = 0.0  # sum of gamma
-        self._last_nonconsensual = -1
-        self._saw_vector_alpha = False
         self._tested: tuple[int, str, float | None] | None = None  # (k, column, value)
         self._batch_rows = trace_batch_rows(problem)
         self._pending: list[tuple[dict, bool]] = []  # (row's fields, whether its gap waits)
@@ -322,7 +290,8 @@ class TraceRecorder:
 
     def metric_value(self, name: str, x_stack: np.ndarray) -> float | None:
         if name == "consensus_err":
-            return _consensus(self.l_op, x_stack)
+            lx = self.l_op @ x_stack
+            return float(np.sum(lx * lx))
         if self.saddle is None:
             return None
         if name == "distance_sq":
@@ -333,7 +302,7 @@ class TraceRecorder:
                 np.mean(self.problem.average_values_at_rows(x_stack)) - self.saddle.f_star
             )
         if name == "merit":
-            return merit(self.problem, x_stack, self.saddle, self.l_op)
+            return self._merit(self.problem.stacked_value(x_stack), x_stack)
         raise ParameterError(f"unknown metric {name!r}")
 
     def row_metric(self, name: str, state) -> float | None:
@@ -360,10 +329,9 @@ class TraceRecorder:
             step = float(np.min(new.alpha)), float(np.max(new.alpha)), float(np.min(new.gamma))
         alpha_min, alpha_max, gamma = step
         trace = self.trace
-        if np.ndim(new.alpha) > 0:
-            self._saw_vector_alpha = True
-            if alpha_max > alpha_min:
-                self._last_nonconsensual = prev.k
+        if np.ndim(new.alpha) > 0:  # per-agent stepsizes agree after the last round they differ
+            trace.consensus_iteration = (prev.k + 1 if alpha_max > alpha_min
+                                         else trace.consensus_iteration or 0)
         if trace.alpha_floor is None or alpha_min < trace.alpha_floor:
             trace.alpha_floor = alpha_min
         if new.l_last is not None:
@@ -387,21 +355,22 @@ class TraceRecorder:
         waiting rows and close the trace."""
         self._emit_row(state, None)
         self._flush()
-        if self._saw_vector_alpha:
-            self.trace.consensus_iteration = self._last_nonconsensual + 1
         return self.trace
 
     # -- internals -------------------------------------------------------
+
+    def _merit(self, f_value, x_stack: np.ndarray) -> float:
+        """The primal gap plus the consensus penalty ||L_op X||^2, from F(X); zero
+        exactly at solutions."""
+        lx = self.l_op @ x_stack
+        return _gap(f_value, x_stack, self.saddle) + float(np.vdot(lx, lx))
 
     def _ergodic_merit(self) -> float | None:
         """merit at the ergodic average, its F from the average of the own products."""
         if self.saddle is None or self._sums is None:
             return None
         average, products = (total / self._theta for total in self._sums)
-        f_value = self.problem.value_from_products(products, average)
-        lx = self.l_op @ average
-        return _gap(f_value, _linear_term(average, self.saddle), self.saddle) + float(
-            np.vdot(lx, lx))
+        return self._merit(self.problem.value_from_products(products, average), average)
 
     def _emit_row(self, prev, new, step=None) -> None:
         """Row prev.k: prev's iterates, next to the step data of new when a step follows,
@@ -412,7 +381,7 @@ class TraceRecorder:
         computed it.
         """
         saddle = self.saddle
-        row = dict(k=prev.k, comm_vector=prev.comm_vector, comm_scalar=prev.comm_scalar)
+        row = dict(k=prev.k, comm_vector=prev.k, comm_scalar=prev.comm_scalar)
         if self._tested is not None and self._tested[0] == prev.k:
             row[self._tested[1]] = self._tested[2]  # the stop rule's value, computed once
         for name in ("distance_sq", "consensus_err"):
@@ -432,10 +401,11 @@ class TraceRecorder:
                        else saddle.l_pinv @ prev.dual)  # Y^0 = 0 in every engine
                 f_prev = (self.problem.stacked_value(prev.x_prev) if prev.products_prev is None
                           else self.problem.value_from_products(prev.products_prev, prev.x_prev))
-                base = _lyapunov_base(row["distance_sq"], prev.x_now, prev.x_prev, y_k, saddle,
-                                      new.sigma)
-                row["lyapunov"] = float(base + 2.0 * gamma * alpha_min * _gap(
-                    f_prev, _linear_term(prev.x_prev, saddle), saddle))
+                dy, dx = y_k - saddle.y_star, prev.x_now - prev.x_prev
+                gap_prev = _gap(f_prev, prev.x_prev, saddle)
+                row["lyapunov"] = float(row["distance_sq"] + np.vdot(dy, dy) / new.sigma
+                                        + 0.5 * np.vdot(dx, dx)
+                                        + 2.0 * gamma * alpha_min * gap_prev)
         waits = saddle is not None and "objective_gap" not in row
         if waits:
             m = self.problem.m

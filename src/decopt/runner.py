@@ -284,21 +284,10 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> RunManifest:
 
 
 @dataclass
-class ComparisonRow:
-    name: str
-    algorithm: str
-    status: str
-    comm_vector: int
-    comm_scalar: int
-    final_metric: float | None
-    comms_to_threshold: int | None
-
-
-@dataclass
 class ComparisonResult:
     metric: str
-    rows: list[ComparisonRow]
     manifests: list[RunManifest]
+    to_threshold: dict[str, int | None]  # run name -> rounds to its threshold, or None
     long_path: str
     gnuplot_path: str
     summary_path: str
@@ -306,10 +295,12 @@ class ComparisonResult:
     def summary_table(self) -> str:
         header = f"{'run':<32} {'status':<10} {'comm_vector':>12} {'to_threshold':>13}"
         lines = [header, "-" * len(header)]
-        for row in self.rows:
-            target = "budget" if row.comms_to_threshold is None else str(row.comms_to_threshold)
+        for manifest in self.manifests:
+            rounds = self.to_threshold[manifest.name]
+            target = "budget" if rounds is None else str(rounds)
             lines.append(
-                f"{row.name:<32} {row.status:<10} {row.comm_vector:>12} {target:>13}"
+                f"{manifest.name:<32} {manifest.status:<10} {manifest.comm_vector:>12} "
+                f"{target:>13}"
             )
         return "\n".join(lines) + "\n"
 
@@ -326,13 +317,14 @@ def _shared_sections(config: ExperimentConfig) -> dict:
     }
 
 
-def _comms_to_threshold(trace: Trace, metric: str, threshold: float | None) -> int | None:
+def _rounds_to_threshold(trace: Trace, metric: str, threshold: float | None) -> int | None:
+    """The first row's k at which metric is at or below threshold; None if none is."""
     if threshold is None:
         return None
     for rec in trace.records:
         value = rec.metric(metric)
         if value is not None and value <= threshold:
-            return rec.comm_vector
+            return rec.k
     return None
 
 
@@ -364,8 +356,8 @@ def compare(configs: list[ExperimentConfig], out_dir=None, metric: str | None = 
     out = _resolve_out_dir(configs[0], out_dir)
     ws = _Workspace(configs[0])
 
-    rows: list[ComparisonRow] = []
     manifests: list[RunManifest] = []
+    to_threshold: dict[str, int | None] = {}
     long_lines = ["algorithm,k,comm_vector,comm_scalar,metric,value"]
     gp_blocks = []
     used_names: set[str] = set()
@@ -376,18 +368,8 @@ def compare(configs: list[ExperimentConfig], out_dir=None, metric: str | None = 
         used_names.add(name)
         trace, manifest = _write_run(cfg, ws, out, name)
         manifests.append(manifest)
-        rows.append(
-            ComparisonRow(
-                name=name,
-                algorithm=cfg.algorithm.kind,
-                status=trace.status,
-                comm_vector=trace.final.comm_vector,
-                comm_scalar=trace.final.comm_scalar,
-                final_metric=trace.final.metric(metric),
-                comms_to_threshold=_comms_to_threshold(
-                    trace, metric, cfg.stop.threshold if cfg.stop.metric == metric else None),
-            )
-        )
+        to_threshold[name] = _rounds_to_threshold(
+            trace, metric, cfg.stop.threshold if cfg.stop.metric == metric else None)
         gp_lines = [f"# {name}", "# k comm_vector value"]
         for rec in trace.records:
             value = rec.metric(metric)
@@ -404,7 +386,7 @@ def compare(configs: list[ExperimentConfig], out_dir=None, metric: str | None = 
     _atomic_write_text(gnuplot_path, "\n\n\n".join(gp_blocks) + "\n")
 
     result = ComparisonResult(
-        metric=metric, rows=rows, manifests=manifests,
+        metric=metric, manifests=manifests, to_threshold=to_threshold,
         long_path=str(long_path), gnuplot_path=str(gnuplot_path),
         summary_path=str(out / f"{label}_summary.txt"),
     )

@@ -142,6 +142,9 @@ class StepsizeParams:
             if self.growth.kind != GROWTH_ADDITIVE:
                 raise ParameterError("growth.kind must be additive in local mode (summable "
                                      f"increments), got {self.growth.kind!r}")
+        if self.strongly_convex and self.growth.kind == GROWTH_UNBOUNDED:
+            raise ParameterError("growth.kind must be additive or ratio_power in strongly convex "
+                                 "mode (unbounded growth is valid in convex mode only)")
         if self.strongly_convex and not (0.0 < self.sigma < self.c1 / 2.0):
             raise ParameterError(
                 f"sigma must lie in (0, c1/2) = (0, {self.c1 / 2}) in strongly convex mode, "

@@ -1,12 +1,13 @@
 """Test helper: the oracles that the acceptance suite and the unit tests check
 the package against, and which no run of the package uses.
 
-lyapunov is the trajectory Lyapunov value from its definition at one index,
-which the recorder's rows must match; rate_fit fits a trace's metric tail
-for the sublinear and linear rate criteria; gamma_ratio_bound is the fixed
-point that bounds every gamma_k; average_value is f(x) alone, and diameter
-the graph's diameter, the rounds that min-consensus needs to spread a
-minimum to every agent.
+primal_gap, merit and lyapunov are the primal gap, the merit and the
+trajectory Lyapunov value from their definitions, with F summed agent by
+agent from local_losses.local_value and no code of the recorder's: its rows
+must match them. rate_fit fits a trace's metric tail for the sublinear and
+linear rate criteria; gamma_ratio_bound is the fixed point that bounds every
+gamma_k; average_value is f(x) alone, and diameter the graph's diameter,
+the rounds that min-consensus needs to spread a minimum to every agent.
 """
 
 from __future__ import annotations
@@ -16,10 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from decopt.diagnostics import SaddlePoint, Trace, _lyapunov_base, primal_gap
+from decopt.diagnostics import SaddlePoint, Trace
 from decopt.errors import DecoptError
 from decopt.objectives import ProblemInstance
 from decopt.topology import Graph, _bfs_distances
+from local_losses import local_value
 
 
 class InsufficientDataError(DecoptError, ValueError):
@@ -48,25 +50,41 @@ def gamma_ratio_bound(c2: float) -> float:
     return 0.5 * (c2 + math.sqrt(c2 * c2 + 4.0))
 
 
+def stacked_value(problem: ProblemInstance, x_stack) -> float:
+    """F(X) = sum_i f_i(x_i), one agent at a time."""
+    return sum(local_value(problem, i, x) for i, x in enumerate(x_stack))
+
+
+def primal_gap(problem: ProblemInstance, x_stack, saddle: SaddlePoint, l_op) -> float:
+    """The Lagrangian gap F(X) - F(X*) + <L_op Y*, X - X*>."""
+    linear = np.vdot(l_op @ saddle.y_star, x_stack - saddle.x_stack)
+    return float(stacked_value(problem, x_stack) - stacked_value(problem, saddle.x_stack) + linear)
+
+
+def merit(problem: ProblemInstance, x_stack, saddle: SaddlePoint, l_op) -> float:
+    """The primal gap plus the consensus penalty ||L_op X||^2."""
+    lx = l_op @ x_stack
+    return primal_gap(problem, x_stack, saddle, l_op) + float(np.sum(lx * lx))
+
+
 def lyapunov(
     problem: ProblemInstance,
     x_now: np.ndarray,
     x_prev: np.ndarray,
     y: np.ndarray,
     saddle: SaddlePoint,
+    l_op: np.ndarray,
     sigma_k: float,
     gamma_k: float,
     alpha_k: float,
 ) -> float:
-    """Trajectory Lyapunov value at index k.
-
-    Distance to the saddle in both variables, plus the momentum term
-    ||X^k - X^{k-1}||^2 / 2, plus 2 gamma_k alpha_k times the primal gap at
-    the previous iterate.
+    """Trajectory Lyapunov value at index k:
+    ||X^k - X*||^2 + ||Y^k - Y*||^2 / sigma_k + ||X^k - X^{k-1}||^2 / 2
+    + 2 gamma_k alpha_k gap(X^{k-1}).
     """
-    dx = x_now - saddle.x_stack
-    base = _lyapunov_base(np.sum(dx * dx), x_now, x_prev, y, saddle, sigma_k)
-    return float(base + 2.0 * gamma_k * alpha_k * primal_gap(problem, x_prev, saddle))
+    dx, dy, step = x_now - saddle.x_stack, y - saddle.y_star, x_now - x_prev
+    return float(np.sum(dx * dx) + np.sum(dy * dy) / sigma_k + np.sum(step * step) / 2.0
+                 + 2.0 * gamma_k * alpha_k * primal_gap(problem, x_prev, saddle, l_op))
 
 
 @dataclass(frozen=True)

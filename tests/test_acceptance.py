@@ -15,7 +15,7 @@ import pytest
 from decopt import objectives, solvers, topology
 from decopt.config import AlgorithmConfig, ExperimentConfig, GraphConfig, InitConfig
 from decopt.config import DiagnosticsConfig, ProblemConfig, StopConfig
-from decopt.diagnostics import TraceRecorder, compute_saddle, merit
+from decopt.diagnostics import TraceRecorder, compute_saddle
 from decopt.objectives import ProblemInstance, synth_logistic, synth_ridge
 from decopt.runner import compare, default_extra_grid
 from decopt.solvers import FixedStepParams, StopRule, adolf_step, initial_state
@@ -23,7 +23,7 @@ from decopt.solvers import condat_vu_step, run
 from decopt.stepsize import GrowthPolicy, StepsizeParams
 from decopt.topology import graph_laplacian_sqrt, make_erdos_renyi, make_ring_graph
 from decopt.topology import GossipMatrix, metropolis_hastings
-from oracles import average_value, gamma_ratio_bound, rate_fit
+from oracles import average_value, gamma_ratio_bound, lyapunov, rate_fit
 from shadow_dual import shadow_dual_residuals
 
 
@@ -156,14 +156,21 @@ def test_criterion_02_fixed_parameter_descent():
     l_op = graph_laplacian_sqrt(gossip)
     sigma = 1.0
     alpha = 0.99 / (np.sqrt(l_const**2 + 2 * sigma) + l_const)
-    rng = np.random.default_rng(0)
+    x0 = np.random.default_rng(0).standard_normal((8, 6))
+    params = FixedStepParams(alpha=alpha, sigma=sigma, gamma=1.0)
     recorder = TraceRecorder(problem, l_op, saddle, cadence=1)
-    trace = run("condat_vu", problem, gossip, FixedStepParams(alpha=alpha, sigma=sigma, gamma=1.0),
-                StopRule(max_iter=500), recorder, rng.standard_normal((8, 6)))
+    trace = run("condat_vu", problem, gossip, params, StopRule(max_iter=500), recorder, x0)
     values = [r.lyapunov for r in trace.records if r.lyapunov is not None]
     assert len(values) == 500
     for v_now, v_next in zip(values, values[1:]):
         assert v_next <= v_now + 1e-10 * (1.0 + v_now)
+    # the rows hold the Lyapunov function itself: the oracle's, at the run's own states
+    state = initial_state(problem, x0)
+    for v in values:
+        want = lyapunov(problem, state.x_now, state.x_prev, state.y if state.k else 0.0, saddle,
+                        l_op, sigma, 1.0, alpha)
+        assert abs(v - want) <= 1e-10 * (1.0 + want)
+        state = condat_vu_step(state, problem, gossip, params)
     report(f"criterion 2 fixed-parameter descent: V monotone over {len(values)} "
            f"iterations at alpha={alpha:.4f} (L={l_const:.2f})")
 
@@ -291,9 +298,8 @@ def test_criterion_08_baseline_trend(tmp_path):
         name="extra_grid",
     )
     result = compare([base, extra_cfg], out_dir=tmp_path, metric="distance_sq")
-    rows = {row.name: row for row in result.rows}
-    adolf_comms = rows["adolf_defaults"].comms_to_threshold
-    extra_comms = rows["extra_grid"].comms_to_threshold
+    adolf_comms = result.to_threshold["adolf_defaults"]
+    extra_comms = result.to_threshold["extra_grid"]
     assert adolf_comms is not None and extra_comms is not None
     assert adolf_comms <= 2 * extra_comms
     table = result.summary_table()

@@ -7,8 +7,6 @@ from decopt.diagnostics import (
     TraceRecord,
     classical_stepsize_bound,
     compute_saddle,
-    merit,
-    primal_gap,
     CSV_HEADER,
 )
 from decopt.errors import NumericError, ParameterError
@@ -18,7 +16,7 @@ from decopt.solvers import (ExtraParams, FixedStepParams, State, StopRule, adolf
 from decopt.stepsize import GrowthPolicy, StepsizeParams
 from decopt.topology import graph_laplacian_sqrt, make_erdos_renyi, make_line_graph
 from decopt.topology import GossipMatrix, metropolis_hastings
-from oracles import InsufficientDataError, lyapunov, rate_fit
+from oracles import InsufficientDataError, lyapunov, merit, primal_gap, rate_fit
 from probes import run_probe
 
 
@@ -167,18 +165,24 @@ class TestSaddle:
 
 
 class TestPrimalGapAndMerit:
+    """The recorder's merit (metric_value) against the oracles' definitions."""
+
     def test_zero_at_saddle(self, ridge_setup):
         prob, _, saddle, l_op = ridge_setup
-        assert primal_gap(prob, saddle.x_stack, saddle) == pytest.approx(0.0, abs=1e-12)
+        recorder = diagnostics.TraceRecorder(prob, l_op, saddle)
+        assert primal_gap(prob, saddle.x_stack, saddle, l_op) == pytest.approx(0.0, abs=1e-12)
         assert merit(prob, saddle.x_stack, saddle, l_op) == pytest.approx(0.0, abs=1e-12)
+        assert recorder.metric_value("merit", saddle.x_stack) == pytest.approx(0.0, abs=1e-12)
 
     def test_nonnegative_at_random_points(self, ridge_setup):
         prob, _, saddle, l_op = ridge_setup
+        recorder = diagnostics.TraceRecorder(prob, l_op, saddle)
         rng = np.random.default_rng(4)
         for _ in range(20):
             x = saddle.x_stack + rng.standard_normal(saddle.x_stack.shape)
-            assert primal_gap(prob, x, saddle) >= -1e-10
+            assert primal_gap(prob, x, saddle, l_op) >= -1e-10
             assert merit(prob, x, saddle, l_op) >= -1e-10
+            assert recorder.metric_value("merit", x) >= -1e-10
 
     def test_cross_check_against_lagrangian(self, ridge_setup):
         # oracle: evaluate L(X, Y*) - L(X*, Y*) from the definition
@@ -190,15 +194,17 @@ class TestPrimalGapAndMerit:
             return prob.stacked_value(x_stack) + np.sum((l_op @ x_stack) * y)
 
         direct = lagrangian(x, saddle.y_star) - lagrangian(saddle.x_stack, saddle.y_star)
-        assert primal_gap(prob, x, saddle) == pytest.approx(direct, rel=1e-9, abs=1e-9)
+        assert primal_gap(prob, x, saddle, l_op) == pytest.approx(direct, rel=1e-9, abs=1e-9)
 
     def test_merit_decomposition(self, ridge_setup):
         prob, _, saddle, l_op = ridge_setup
+        recorder = diagnostics.TraceRecorder(prob, l_op, saddle)
         rng = np.random.default_rng(6)
         x = rng.standard_normal(saddle.x_stack.shape)
         lx = l_op @ x
-        expected = primal_gap(prob, x, saddle) + np.sum(lx * lx)
+        expected = primal_gap(prob, x, saddle, l_op) + np.sum(lx * lx)
         assert merit(prob, x, saddle, l_op) == pytest.approx(expected, rel=1e-12)
+        assert recorder.metric_value("merit", x) == pytest.approx(expected, rel=1e-12)
 
     def test_consensual_point_reduces_to_objective_gap(self):
         prob = ProblemInstance.ridge(np.tile(np.eye(2), (2, 1, 1)), [[1.0, -1.0]] * 2, [0.5] * 2)
@@ -208,22 +214,24 @@ class TestPrimalGapAndMerit:
         x = np.tile([0.3, 0.4], (2, 1))
         expected = prob.stacked_value(x) - saddle.f_stack_star
         assert merit(prob, x, saddle, l_op) == pytest.approx(expected, abs=1e-12)
+        recorder = diagnostics.TraceRecorder(prob, l_op, saddle)
+        assert recorder.metric_value("merit", x) == pytest.approx(expected, abs=1e-12)
         assert expected >= 0
 
 
 class TestLyapunov:
     def test_zero_at_rest_at_saddle(self, ridge_setup):
-        prob, _, saddle, _ = ridge_setup
+        prob, _, saddle, l_op = ridge_setup
         v = lyapunov(
-            prob, saddle.x_stack, saddle.x_stack, saddle.y_star, saddle,
+            prob, saddle.x_stack, saddle.x_stack, saddle.y_star, saddle, l_op,
             sigma_k=1.0, gamma_k=1.0, alpha_k=0.1,
         )
         assert v == pytest.approx(0.0, abs=1e-12)
 
     def test_positive_when_perturbed(self, ridge_setup):
-        prob, _, saddle, _ = ridge_setup
+        prob, _, saddle, l_op = ridge_setup
         x = saddle.x_stack + 0.1
-        v = lyapunov(prob, x, saddle.x_stack, saddle.y_star, saddle, 1.0, 1.0, 0.1)
+        v = lyapunov(prob, x, saddle.x_stack, saddle.y_star, saddle, l_op, 1.0, 1.0, 0.1)
         assert v > 0
 
 
@@ -236,14 +244,16 @@ class TestRowsMatchReferences:
     the run's own states.
 
     The recorder takes F from the products the engines formed for their
-    gradients, and at the ergodic average from their running sum; merit and
-    lyapunov evaluate it afresh, so the two agree to rounding. distance_sq and
-    consensus_err have one expression, so they agree exactly.
+    gradients, and at the ergodic average from their running sum; the oracles'
+    merit and lyapunov sum it agent by agent from their definitions, so the two
+    agree to rounding. distance_sq and consensus_err have one expression, so
+    they agree exactly.
     """
 
     SC = dict(strongly_convex=True, c1=0.5, c2=0.99, alpha0=1e-3, sigma=0.2)
     CASES = {  # (loss, algorithm, step, params)
-        "ridge_adolf": ("ridge", "adolf", adolf_step, StepsizeParams(**SC)),
+        "ridge_adolf": ("ridge", "adolf", adolf_step,
+                        StepsizeParams(growth=GrowthPolicy(kind="ratio_power"), **SC)),
         "ridge_adolf_local": ("ridge", "adolf_local", adolf_local_step,
                               StepsizeParams(local=True, eta=0.9,
                                              growth=GrowthPolicy(kind="additive"), **SC)),
@@ -299,7 +309,7 @@ class TestRowsMatchReferences:
             else:
                 y = (0.0 if state.k == 0 else state.y if state.y is not None
                      else saddle.l_pinv @ state.dual)  # a run starts from Y^0 = 0
-                want = lyapunov(prob, state.x_now, state.x_prev, y, saddle, new.sigma,
+                want = lyapunov(prob, state.x_now, state.x_prev, y, saddle, l_op, new.sigma,
                                 float(np.min(new.gamma)), float(np.min(new.alpha)))
                 assert _close(row.lyapunov, want)
             if new is not None:
@@ -396,7 +406,8 @@ class TestDualDrift:
     @pytest.mark.parametrize("cadence", [1, 3])
     def test_max_over_the_rows(self, ridge_setup, cadence):
         prob, gossip, saddle, l_op = ridge_setup
-        params = StepsizeParams(strongly_convex=True, c1=0.5, c2=0.99, alpha0=1e-3, sigma=0.2)
+        params = StepsizeParams(strongly_convex=True, c1=0.5, c2=0.99, alpha0=1e-3, sigma=0.2,
+                                growth=GrowthPolicy(kind="ratio_power"))
         x0 = np.random.default_rng(6).standard_normal((prob.m, prob.d))
         recorder = diagnostics.TraceRecorder(prob, l_op, saddle, cadence=cadence)
         trace = run("adolf", prob, gossip, params, StopRule(max_iter=40), recorder, x0)

@@ -440,8 +440,9 @@ class TestCompare:
     def test_table_and_files(self, tmp_path):
         adolf_cfg, extra_cfg = self.make_pair()
         result = compare([adolf_cfg, extra_cfg], out_dir=tmp_path)
-        assert {row.name for row in result.rows} == {"run_adolf", "run_extra"}
-        assert all(row.comms_to_threshold is not None for row in result.rows)
+        assert [m.name for m in result.manifests] == ["run_adolf", "run_extra"]
+        assert set(result.to_threshold) == {"run_adolf", "run_extra"}
+        assert all(rounds is not None for rounds in result.to_threshold.values())
         long_text = Path(result.long_path).read_text()
         assert long_text.startswith("algorithm,k,comm_vector,comm_scalar,metric,value")
         assert "run_adolf" in long_text and "run_extra" in long_text
@@ -454,7 +455,7 @@ class TestCompare:
         adolf_cfg, _ = self.make_pair()
         configs = [replace(adolf_cfg, name=name) for name in ("a_2", "a", "a")]
         result = compare(configs, out_dir=tmp_path)
-        names = [row.name for row in result.rows]
+        names = [m.name for m in result.manifests]
         assert len(set(names)) == 3 and names[:2] == ["a_2", "a"]
         assert len(list(tmp_path.glob("*.manifest.json"))) == 3
         assert {path.name for path in tmp_path.glob("*.csv")} >= {f"{n}.csv" for n in names}
@@ -465,14 +466,14 @@ class TestCompare:
     def test_single_config_degenerate(self, tmp_path):
         adolf_cfg, _ = self.make_pair()
         result = compare([adolf_cfg], out_dir=tmp_path)
-        assert len(result.rows) == 1
+        assert len(result.manifests) == 1
 
     def test_budget_marker(self, tmp_path):
         adolf_cfg, _ = self.make_pair()
         short = replace(adolf_cfg, stop=StopConfig(max_iter=5, metric="distance_sq",
                                                    threshold=1e-12, cadence=1))
         result = compare([short], out_dir=tmp_path)
-        assert result.rows[0].comms_to_threshold is None
+        assert result.to_threshold == {short.run_name(): None}
         assert "budget" in result.summary_table()
 
     def test_mismatched_seeds_rejected(self, tmp_path):
@@ -503,16 +504,17 @@ class TestCompare:
         # the cadence stays per run
         coarse = replace(adolf_cfg, name="coarse", diagnostics=DiagnosticsConfig(cadence=20))
         result = compare([adolf_cfg, coarse], out_dir=tmp_path)
-        assert len(result.rows) == 2
+        assert len(result.manifests) == 2
 
     def test_merit_stop_reaches_threshold_at_final_row(self, tmp_path):
         # the stop rule tests the ergodic merit the rows report, not the merit at X^k
         raw = small_ridge_raw(stop={"max_iter": 20_000, "metric": "merit", "threshold": 1.0e-2,
                                     "cadence": 10}, diagnostics={"cadence": 10})
-        row = compare([parse_config_dict(raw)], out_dir=tmp_path).rows[0]
-        assert row.status == "converged"
-        assert row.comms_to_threshold == row.comm_vector
-        assert row.final_metric <= 1.0e-2
+        result = compare([parse_config_dict(raw)], out_dir=tmp_path)
+        (manifest,) = result.manifests
+        assert manifest.status == "converged"
+        assert result.to_threshold[manifest.name] == manifest.comm_vector
+        assert float(final_row(manifest)["merit_ergodic"]) <= 1.0e-2
 
     def test_threshold_per_run(self, tmp_path):
         adolf_cfg, _ = self.make_pair()  # distance_sq <= 1e-6
@@ -520,12 +522,13 @@ class TestCompare:
         other_metric = replace(adolf_cfg, name="other_metric", stop=StopConfig(
             max_iter=1000, metric="consensus_err", threshold=1e-20, cadence=10))
         result = compare([adolf_cfg, loose, other_metric], out_dir=tmp_path, metric="distance_sq")
-        tight_row, loose_row, other_row = result.rows
-        assert None not in (tight_row.comms_to_threshold, loose_row.comms_to_threshold)
-        assert loose_row.comms_to_threshold < tight_row.comms_to_threshold
+        tight, loose_run, other = result.manifests
+        rounds = result.to_threshold
+        assert None not in (rounds[tight.name], rounds[loose_run.name])
+        assert rounds[loose_run.name] < rounds[tight.name]
         # another run's stop metric gives no threshold on the compared one
-        assert other_row.final_metric <= 1e-6
-        assert other_row.comms_to_threshold is None
+        assert float(final_row(other)["distance_sq"]) <= 1e-6
+        assert rounds[other.name] is None
 
 
 # validate accepted it, and run died on the first selection with an OverflowError
@@ -871,7 +874,7 @@ class TestCli:
         path = self.write_config(tmp_path, raw)
         for argv in (["validate", str(path)], ["run", str(path), "--out", str(tmp_path / "r")]):
             assert cli.main(argv) == 2
-            assert capsys.readouterr().err.startswith("config error: algorithm.growth.kind: ")
+            assert capsys.readouterr().err.startswith("config error: algorithm: growth.kind ")
         raw["algorithm"]["mode"] = "convex"  # where unbounded growth is valid for adolf
         assert cli.main(["validate", str(self.write_config(tmp_path, raw))]) == (
             0 if kind == "adolf" else 2)
@@ -1060,6 +1063,12 @@ class TestCli:
             "ridge": [0, False],
             "logistic": [0, False],
         }
+
+
+def final_row(manifest) -> dict:
+    """The last row of a run's trace CSV, by column name."""
+    with open(manifest.csv_path, newline="") as f:
+        return list(csv.DictReader(f))[-1]
 
 
 def strict_json(path: Path) -> dict:

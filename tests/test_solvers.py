@@ -85,7 +85,7 @@ class TestAdolfInit:
         w = gossip.shifted
         expected = 2.0 * 0.05 * (x0 - w @ x0)
         np.testing.assert_allclose(st.dual, expected, atol=1e-14)
-        assert st.k == 1 and st.comm_vector == 1 and st.comm_scalar == 0
+        assert st.k == 1 and st.comm_scalar == 0
 
     def test_zero_back_iterate_doubles_dual(self):
         prob = synth_ridge(m=4, n=5, d=3, seed=1)
@@ -139,7 +139,7 @@ class TestAdolfStep:
         grad = prob.stacked_gradient(x_stack)
         st = solvers.State(
             x_now=x_stack.copy(), x_prev=x_stack.copy(), dual=-grad, grad_prev=grad,
-            alpha=0.01, gamma=1.0, sigma=1.0, k=1, comm_vector=1, comm_scalar=0,
+            alpha=0.01, gamma=1.0, sigma=1.0, k=1, comm_scalar=0,
         )
         new = adolf_step(st, prob, gossip, convex_params())
         np.testing.assert_allclose(new.x_now, x_stack, atol=1e-10)
@@ -189,7 +189,7 @@ class TestAdolfStep:
         for i in range(6):
             st = adolf_step(st, prob, gossip, convex_params())
         assert calls["grad"] == 7  # exactly one evaluation per iteration
-        assert st.comm_vector == 7
+        assert st.k == 7  # one vector round per iteration
         assert st.comm_scalar == 6  # init has no scalar round
 
     def test_certificates_recorded(self):
@@ -394,7 +394,7 @@ class TestExtra:
         for _ in range(5):
             st = extra_step(st, prob, gossip, params)
         assert gossip.mults - base == 5  # one W product per round
-        assert st.comm_vector == 6
+        assert st.k == 6
 
 
 class TestRunLoop:
@@ -525,7 +525,7 @@ class TestEngineContract:
         with pytest.raises(ShapeError, match=r"^x_minus1 must have shape \(3, 2\), got \(3,\)$"):
             initial_state(prob, np.zeros((3, 2)), np.zeros(3))
         state = initial_state(prob, np.ones((3, 2)))
-        assert state.k == state.comm_vector == state.comm_scalar == 0
+        assert state.k == state.comm_scalar == 0
         assert state.x_prev is state.x_now  # X^-1 defaults to X^0
         assert state.dual is None and state.y is None  # a run starts with no dual
 

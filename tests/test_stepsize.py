@@ -454,7 +454,8 @@ class TestVectorLocalRule:
 class TestSchedulesAndPolicies:
     def test_dual_scale_per_regime(self):
         assert StepsizeParams(alpha0=0.5, sigma_bar=2.0).sigma0() == 2.0
-        inv = StepsizeParams(strongly_convex=True, c1=0.5, alpha0=0.1, sigma=0.2)
+        inv = StepsizeParams(strongly_convex=True, c1=0.5, alpha0=0.1, sigma=0.2,
+                             growth=GrowthPolicy(kind="ratio_power"))
         assert inv.sigma0() == pytest.approx(20.0, rel=1e-15)
         # product sigma_k * alpha_k reduces to sigma / alpha
         assert inv.sigma0() * 0.1 == pytest.approx(2.0, rel=1e-15)
@@ -488,8 +489,17 @@ class TestSchedulesAndPolicies:
             StepsizeParams(local=True, growth=GrowthPolicy())  # needs additive
         with pytest.raises(ParameterError):
             StepsizeParams(c1=0.0)
-        with pytest.raises(ParameterError):
-            StepsizeParams(strongly_convex=True, c1=0.5, sigma=0.25)  # needs sigma < c1/2
+        with pytest.raises(ParameterError, match="^sigma"):  # needs sigma < c1/2
+            StepsizeParams(strongly_convex=True, c1=0.5, sigma=0.25,
+                           growth=GrowthPolicy(kind="ratio_power"))
+
+    def test_strongly_convex_needs_capped_growth(self):
+        # the linear-rate regime needs a growth cap; the convex regime does not
+        with pytest.raises(ParameterError, match="^growth.kind"):
+            StepsizeParams(strongly_convex=True, c1=0.5, sigma=0.2)
+        for kind in ("additive", "ratio_power"):
+            StepsizeParams(strongly_convex=True, c1=0.5, sigma=0.2, growth=GrowthPolicy(kind=kind))
+        assert StepsizeParams().growth.kind == "unbounded"
 
     def test_local_state_uniform(self):
         params = StepsizeParams(local=True, alpha0=1e-3, growth=GrowthPolicy(kind="additive"))
