@@ -74,8 +74,8 @@ def check_file_stem(value: str, key: str) -> None:
 class ProblemConfig:
     kind: str = "ridge"  # ridge | logistic_synthetic | mnist
     m: int = 20
-    n: int = 20
-    d: int = 50
+    n: int | None = None  # samples per agent: 20 by default, set by the data for mnist
+    d: int | None = None  # features: 50 by default, set by the data for mnist
     seed: int | None = None
     noise: float = 0.1  # logistic_synthetic only
     images_path: str | None = None  # mnist only
@@ -86,9 +86,15 @@ class ProblemConfig:
         _require(self.kind in ("ridge", "logistic_synthetic", "mnist"), "problem.kind",
                  f"must be ridge, logistic_synthetic, or mnist, got {self.kind!r}")
         _require(self.m >= 1, "problem.m", f"must be >= 1, got {self.m}")
-        if self.kind != "mnist":
-            _require(self.n >= 1, "problem.n", f"must be >= 1, got {self.n}")
-            _require(self.d >= 1, "problem.d", f"must be >= 1, got {self.d}")
+        for key, default in (("n", 20), ("d", 50)):
+            value = getattr(self, key)
+            if self.kind == "mnist":
+                _require(value is None, f"problem.{key}",
+                         f"is set by the mnist data, so a config may not set it, got {value}")
+            elif value is None:
+                object.__setattr__(self, key, default)
+            else:
+                _require(value >= 1, f"problem.{key}", f"must be >= 1, got {value}")
         if self.kind == "logistic_synthetic":
             _require(0.0 <= self.noise < 0.5, "problem.noise",
                      f"must lie in [0, 0.5), got {self.noise}")

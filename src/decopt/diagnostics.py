@@ -14,8 +14,9 @@ rounds formed for their gradients: the products at X^{k-1} give the
 Lyapunov value's F, and their gamma-weighted sum, kept in one running sum
 with the iterates', gives F at the ergodic average. The adaptive solvers
 carry only D = L_op Y, with Y in the range of L_op, so the Lyapunov value
-recovers Y = pinv(L_op) D from the saddle's cached pseudoinverse on the rows
-it writes; the oracle hands over its own Y.
+recovers Y = pinv(L_op) D on the rows it writes; the oracle hands over its
+own Y. The saddle solve and the recorder read L_op and its pseudoinverse off
+the gossip matrix, their one owner.
 
 The primal gap, the merit and the Lyapunov value each have one formula
 here, read-only over iterate snapshots; a recorder instance belongs to
@@ -34,7 +35,7 @@ import numpy as np
 from .errors import NumericError, ParameterError
 from .objectives import (ProblemInstance, SolveCounts, centralized_minimize,
                          ridge_exact_solution)
-from .topology import GossipMatrix, laplacian_pinv_sqrt
+from .topology import GossipMatrix
 
 __all__ = [
     "SaddlePoint",
@@ -68,7 +69,6 @@ class SaddlePoint:
     x_stack: np.ndarray  # (m, d), every row x_star
     y_star: np.ndarray  # (m, d), minimum-norm dual
     d_star: np.ndarray  # L_op @ y_star
-    l_pinv: np.ndarray  # pinv(L_op): recovers Y = l_pinv @ D for D in range(L_op)
     stationarity_residual: float  # ||grad F(X*) + L_op Y*||_F
     grad_norm: float  # ||grad f(x*)||, the reference solve's accuracy
     solve_counts: SolveCounts | None  # what centralized_minimize spent; None for ridge
@@ -108,8 +108,7 @@ def compute_saddle(
     x_stack = np.tile(x_star, (m, 1))
     grad_stack, own = problem.stacked_gradient(x_stack, products=True)
     perp = grad_stack - grad_stack.mean(axis=0, keepdims=True)
-    pinv = laplacian_pinv_sqrt(gossip)
-    y_star = -pinv @ perp
+    y_star = -gossip.laplacian_pinv_sqrt @ perp
     d_star = gossip.laplacian_sqrt @ y_star
     residual = float(np.linalg.norm(grad_stack + d_star))
     if not residual <= max(1e-6, np.sqrt(m) * 10 * tol * (1.0 + np.linalg.norm(grad_stack))):
@@ -123,7 +122,6 @@ def compute_saddle(
         x_stack=x_stack,
         y_star=y_star,
         d_star=d_star,
-        l_pinv=pinv,
         stationarity_residual=residual,
         grad_norm=float(np.linalg.norm(grad_star)),
         solve_counts=counts,
@@ -267,14 +265,14 @@ class TraceRecorder:
     def __init__(
         self,
         problem: ProblemInstance,
-        l_op: np.ndarray,
+        gossip: GossipMatrix,
         saddle: SaddlePoint | None = None,
         cadence: int = 1,
     ):
         if cadence < 1:
             raise ParameterError(f"diagnostics cadence must be >= 1, got {cadence}")
         self.problem = problem
-        self.l_op = l_op
+        self.gossip = gossip
         self.saddle = saddle
         self.cadence = cadence
         self.trace = Trace()
@@ -289,8 +287,11 @@ class TraceRecorder:
     # -- metric helpers -------------------------------------------------
 
     def metric_value(self, name: str, x_stack: np.ndarray) -> float | None:
+        """A metric named in METRICS at x_stack; None for a saddle metric without a saddle."""
+        if name not in METRICS:
+            raise ParameterError(f"unknown metric {name!r}")
         if name == "consensus_err":
-            lx = self.l_op @ x_stack
+            lx = self.gossip.laplacian_sqrt @ x_stack
             return float(np.sum(lx * lx))
         if self.saddle is None:
             return None
@@ -298,12 +299,8 @@ class TraceRecorder:
             d = x_stack - self.saddle.x_stack
             return float(np.sum(d * d))
         if name == "objective_gap":
-            return float(
-                np.mean(self.problem.average_values_at_rows(x_stack)) - self.saddle.f_star
-            )
-        if name == "merit":
-            return self._merit(self.problem.stacked_value(x_stack), x_stack)
-        raise ParameterError(f"unknown metric {name!r}")
+            return self._objective_gap(self.problem.average_values_at_rows(x_stack))
+        return self._merit(self.problem.stacked_value(x_stack), x_stack)
 
     def row_metric(self, name: str, state) -> float | None:
         """The value row state.k reports for a metric: merit at the ergodic
@@ -359,10 +356,14 @@ class TraceRecorder:
 
     # -- internals -------------------------------------------------------
 
+    def _objective_gap(self, values) -> float:
+        """The objective gap f(x) - f* of a point from its agents' averaged values."""
+        return float(np.mean(values) - self.saddle.f_star)
+
     def _merit(self, f_value, x_stack: np.ndarray) -> float:
         """The primal gap plus the consensus penalty ||L_op X||^2, from F(X); zero
         exactly at solutions."""
-        lx = self.l_op @ x_stack
+        lx = self.gossip.laplacian_sqrt @ x_stack
         return _gap(f_value, x_stack, self.saddle) + float(np.vdot(lx, lx))
 
     def _ergodic_merit(self) -> float | None:
@@ -397,8 +398,8 @@ class TraceRecorder:
             alpha_min, alpha_max, gamma = step
             row.update(alpha_min=alpha_min, alpha_max=alpha_max, gamma=gamma, L_k=new.l_last)
             if saddle is not None and new.sigma is not None and np.ndim(new.alpha) == 0:
-                y_k = (0.0 if prev.k == 0 else prev.y if prev.y is not None
-                       else saddle.l_pinv @ prev.dual)  # Y^0 = 0 in every engine
+                y_k = (0.0 if prev.k == 0 else prev.y if prev.y is not None  # Y^0 = 0 always
+                       else self.gossip.laplacian_pinv_sqrt @ prev.dual)
                 f_prev = (self.problem.stacked_value(prev.x_prev) if prev.products_prev is None
                           else self.problem.value_from_products(prev.products_prev, prev.x_prev))
                 dy, dx = y_k - saddle.y_star, prev.x_now - prev.x_prev
@@ -425,7 +426,7 @@ class TraceRecorder:
                         .reshape(-1, m))
         for row, waits in self._pending:
             if waits:
-                row["objective_gap"] = float(np.mean(next(gaps)) - self.saddle.f_star)
+                row["objective_gap"] = self._objective_gap(next(gaps))
             self.trace.records.append(TraceRecord(**row))
         self._pending.clear()
         self._waiting = 0

@@ -182,19 +182,16 @@ class _Workspace:
         self.graph = build_graph(config)
         self.gossip = build_gossip(config, self.graph)
         self.problem = build_problem(config)
-        if self.problem.m != self.graph.m:
-            raise ConfigError(
-                f"problem.m: problem has {self.problem.m} agents but graph has {self.graph.m}"
-            )
-        # computed here, on the gossip matrix; compute_saddle and condat_vu reuse it
-        self.l_op = graph_laplacian_sqrt(self.gossip)
+        # L_op is computed here, once, and cached on the gossip matrix, where the
+        # saddle, the recorders and condat_vu read it; perfbench times this call
+        graph_laplacian_sqrt(self.gossip)
         self.saddle: SaddlePoint | None = None
         if config.diagnostics.saddle:
             self.saddle = compute_saddle(self.problem, self.gossip, tol=config.diagnostics.saddle_tol)
         self.x0 = build_initial_stack(config, self.problem)
 
     def recorder(self, cadence: int) -> TraceRecorder:
-        return TraceRecorder(self.problem, self.l_op, self.saddle, cadence=cadence)
+        return TraceRecorder(self.problem, self.gossip, self.saddle, cadence=cadence)
 
 
 def _execute(config: ExperimentConfig, ws: _Workspace

@@ -183,6 +183,14 @@ def initial_state(problem: ProblemInstance, x0, x_minus1=None) -> State:
 # shared-stepsize adaptive engine
 
 
+def _sigma_alpha(alpha, params: StepsizeParams):
+    """sigma_k alpha_k, the dual increment's scale, per agent for a vector: adolf's at
+    the rounds that select, adolf_local's at every round."""
+    if params.strongly_convex:
+        return params.sigma / alpha
+    return params.sigma_bar * alpha
+
+
 def adolf_step(state: State, problem: ProblemInstance, gossip: GossipMatrix,
                params: StepsizeParams | FixedStepParams) -> State:
     """One synchronous round: curvature average, selection, dual+primal update.
@@ -202,39 +210,32 @@ def adolf_step(state: State, problem: ProblemInstance, gossip: GossipMatrix,
     if state.k > 0:
         l_k, mu_k = curvature_global(grad_now, state.grad_prev, state.x_now, state.x_prev)
 
-    if fixed or state.k == 0:  # no selection, so no global average
+    selects = not fixed and state.k > 0  # a selection takes one global average
+    if not selects:
         alpha, gamma, sigma_k = ((params.alpha, params.gamma, params.sigma) if fixed
                                  else (params.alpha0, 1.0, params.sigma0()))
-        sigma_alpha, scalar_rounds = sigma_k * alpha, 0
     elif params.strongly_convex:
         alpha, gamma = select_alpha_strongly_convex(l_k, state.alpha, state.gamma, state.k,
                                                     params)
         sigma_k = params.sigma / alpha**2
-        sigma_alpha, scalar_rounds = params.sigma / alpha, 1
     else:
         sigma_k = params.sigma_bar
         alpha, gamma = select_alpha_convex(l_k, sigma_k, state.alpha, state.gamma, state.k,
                                            params)
-        sigma_alpha, scalar_rounds = sigma_k * alpha, 1
+    # without a selection, sigma_k * alpha as is: sigma0() * alpha0 rounds apart from sigma / alpha0
+    sigma_alpha = _sigma_alpha(alpha, params) if selects else sigma_k * alpha
 
     mix = (1.0 + gamma) * state.x_now - gamma * state.x_prev
     dual = (0.0 if state.k == 0 else state.dual) + sigma_alpha * (mix - w @ mix)
     x_next = state.x_now - alpha * (grad_now + dual)
     return State(x_now=x_next, x_prev=state.x_now, k=state.k + 1,
-                 comm_scalar=state.comm_scalar + scalar_rounds,
+                 comm_scalar=state.comm_scalar + selects,
                  dual=dual, alpha=alpha, gamma=gamma, sigma=sigma_k, l_last=l_k, mu_last=mu_k,
                  grad_prev=grad_now, products_prev=products)
 
 
 # ---------------------------------------------------------------------------
 # per-agent adaptive engine
-
-
-def _local_sigma_alpha(alpha_vec: np.ndarray, params: StepsizeParams) -> np.ndarray:
-    """Row scaling sigma_i alpha_i of the dual increment."""
-    if params.strongly_convex:
-        return params.sigma / alpha_vec
-    return params.sigma_bar * alpha_vec
 
 
 def adolf_local_step(state: State, problem: ProblemInstance, gossip: GossipMatrix,
@@ -261,10 +262,10 @@ def adolf_local_step(state: State, problem: ProblemInstance, gossip: GossipMatri
         else:
             hat = curvature_guard(l_vec, params.sigma_bar, params.c1)
         tilde = local_tilde(hat, state.alpha, state.gamma, params, state.k)
-        alpha_vec, gamma_vec = local_min_consensus(tilde, gossip.neighbor_mask(), state.alpha)
+        alpha_vec, gamma_vec = local_min_consensus(tilde, gossip.neighbor_mask, state.alpha)
 
     mix = (1.0 + gamma_vec)[:, None] * state.x_now - gamma_vec[:, None] * state.x_prev
-    scaled = _local_sigma_alpha(alpha_vec, params)[:, None] * mix
+    scaled = _sigma_alpha(alpha_vec, params)[:, None] * mix
     dual = (0.0 if state.k == 0 else state.dual) + (scaled - w @ scaled)
     x_next = state.x_now - alpha_vec[:, None] * (grad_now + dual)
     return State(x_now=x_next, x_prev=state.x_now, k=state.k + 1,

@@ -1,11 +1,15 @@
-"""Communication graphs, gossip matrices, and their spectral helpers.
+"""Communication graphs and gossip matrices.
 
 A graph is undirected, connected, and has no self-loops. A gossip matrix
 holds a symmetric doubly stochastic W_tilde compliant with the graph
 (positive on the diagonal and on edges, zero elsewhere) and its shift
 ``W = (1 - c) I + c W_tilde`` with ``c in (0, 1/2)``, which is positive
-definite, as the solvers require. Everything is dense: at desk scale
-(m up to a few hundred) the eigendecompositions dominate anyway.
+definite, as the solvers require. It is the one owner of what derives from
+W: the neighbor mask of the local stepsize rule, and the consensus operator
+L_op = (I - W)^{1/2} and its pseudoinverse, which only the condat_vu oracle
+and the diagnostics' saddle point and Lyapunov value use. Everything is
+dense: at desk scale (m up to a few hundred) the eigendecomposition
+dominates anyway.
 
 All objects are immutable after construction; arrays are marked
 read-only so they can be shared across threads.
@@ -29,7 +33,6 @@ __all__ = [
     "make_erdos_renyi",
     "metropolis_hastings",
     "graph_laplacian_sqrt",
-    "laplacian_pinv_sqrt",
 ]
 
 # Tolerances for gossip-matrix invariants.
@@ -115,18 +118,22 @@ def _bfs_distances(m: int, nbrs, src: int) -> list[int]:
 
 @dataclass(frozen=True, eq=False)  # compared and hashed by identity, as its fields are arrays
 class GossipMatrix:
-    """Doubly stochastic weight matrix W_tilde and its shift W.
+    """Doubly stochastic weight matrix W_tilde, its shift W, and what derives from W.
 
-    Construction checks the compliance invariants of ``w_tilde`` and forms
-    the read-only ``shifted`` = (1-c) I + c W_tilde. c in (0, 1/2)
-    guarantees W is positive definite, since the smallest eigenvalue of
-    any symmetric doubly stochastic matrix is >= -1; construction checks
-    that eigenvalue too.
+    Construction checks the compliance invariants of ``w_tilde``, forms the
+    read-only ``shifted`` = (1-c) I + c W_tilde and decomposes it, once. c in
+    (0, 1/2) guarantees W is positive definite, since the smallest
+    eigenvalue of any symmetric doubly stochastic matrix is >= -1;
+    construction checks that eigenvalue too. The cached properties are
+    computed on first use, and every later use returns the same read-only
+    array.
     """
 
     w_tilde: np.ndarray
     c: float = 0.4
     shifted: np.ndarray = field(init=False, repr=False)
+    # L_op's eigenvalues sqrt(s_i), s_i those of I - W with the consensus one zeroed, and Q
+    _spectrum: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         c = self.c
@@ -142,52 +149,58 @@ class GossipMatrix:
         for name, arr in (("w_tilde", wt), ("shifted", w)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        lam_min = float(np.min(self._shifted_eigensystem[0]))
+        vals, vecs = np.linalg.eigh(w)
+        if not (np.all(np.isfinite(vals)) and np.all(np.isfinite(vecs))):
+            raise NumericError("eigendecomposition of W returned non-finite values")
+        lam_min = float(np.min(vals))
         if lam_min < (1.0 - 2.0 * c) - 1e-10:
             raise NumericError(f"shifted matrix not positive definite (lambda_min={lam_min})")
+        s = 1.0 - vals
+        s[np.abs(s) < _NULLSPACE_CUTOFF] = 0.0
+        if np.any(s < 0.0):
+            raise NumericError("I - W has a significantly negative eigenvalue")
+        object.__setattr__(self, "_spectrum", (np.sqrt(s), vecs))
 
     @property
     def m(self) -> int:
         return self.w_tilde.shape[0]
 
+    @cached_property
     def neighbor_mask(self) -> np.ndarray:
         """Closed-neighborhood mask: the sparsity pattern of w_tilde.
 
         Its diagonal is set because construction checked that w_tilde's is
-        positive, so every agent is in its own neighborhood. Computed once;
-        every call returns the same read-only array.
+        positive, so every agent is in its own neighborhood.
         """
-        return self._neighbor_mask
-
-    @cached_property
-    def _neighbor_mask(self) -> np.ndarray:
         mask = self.w_tilde > 0.0
         mask.setflags(write=False)
         return mask
 
     @cached_property
-    def _shifted_eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
-        vals, vecs = np.linalg.eigh(self.shifted)
-        if not (np.all(np.isfinite(vals)) and np.all(np.isfinite(vecs))):
-            raise NumericError("eigendecomposition of W returned non-finite values")
-        return vals, vecs
-
-    @cached_property
     def laplacian_sqrt(self) -> np.ndarray:
-        """Symmetric PSD square root of I - W, with null space span(1).
+        """L_op: the symmetric PSD square root of I - W, with null space span(1).
 
         Satisfies ||L_op @ L_op - (I - W)||_F <= 1e-10 and L_op @ 1 = 0.
-        Computed on first use; every later use returns the same read-only
-        array.
         """
-        s, q = _sqrt_spectrum(self)
-        l_op = (q * np.sqrt(s)) @ q.T
+        root, q = self._spectrum
+        l_op = (q * root) @ q.T
         l_op = (l_op + l_op.T) / 2.0
         recon = np.linalg.norm(l_op @ l_op - (np.eye(self.m) - self.shifted))
         if recon > SQRT_RECON_TOL:
             raise NumericError(f"laplacian sqrt reconstruction error {recon:.2e}")
         l_op.setflags(write=False)
         return l_op
+
+    @cached_property
+    def laplacian_pinv_sqrt(self) -> np.ndarray:
+        """Moore-Penrose pseudoinverse of L_op: Y = pinv @ D recovers the Y in
+        range(L_op) with L_op Y = D."""
+        root, q = self._spectrum
+        inv = np.divide(1.0, root, out=np.zeros_like(root), where=root > 0.0)
+        pinv = (q * inv) @ q.T
+        pinv = (pinv + pinv.T) / 2.0
+        pinv.setflags(write=False)
+        return pinv
 
 
 def _check_stochastic(wt: np.ndarray) -> None:
@@ -257,29 +270,8 @@ def metropolis_hastings(graph: Graph) -> np.ndarray:
     return wt
 
 
-def _sqrt_spectrum(gossip: GossipMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues s_i of I - W with the consensus direction zeroed, and Q."""
-    vals, vecs = gossip._shifted_eigensystem
-    s = 1.0 - vals
-    s[np.abs(s) < _NULLSPACE_CUTOFF] = 0.0
-    if np.any(s < 0.0):
-        raise NumericError("I - W has a significantly negative eigenvalue")
-    return s, vecs
-
-
 def graph_laplacian_sqrt(gossip: GossipMatrix) -> np.ndarray:
-    """gossip.laplacian_sqrt: the first call on a gossip matrix computes the
-    square root, and later calls return the same array."""
+    """gossip.laplacian_sqrt, as a function: the first call on a gossip matrix
+    computes the square root, and later calls return the same array."""
     return gossip.laplacian_sqrt
 
-
-def laplacian_pinv_sqrt(gossip: GossipMatrix) -> np.ndarray:
-    """Moore-Penrose pseudoinverse of graph_laplacian_sqrt(gossip)."""
-    s, q = _sqrt_spectrum(gossip)
-    inv = np.zeros_like(s)
-    pos = s > 0.0
-    inv[pos] = 1.0 / np.sqrt(s[pos])
-    pinv = (q * inv) @ q.T
-    pinv = (pinv + pinv.T) / 2.0
-    pinv.setflags(write=False)
-    return pinv

@@ -15,18 +15,16 @@ import numpy as np
 
 from decopt.diagnostics import TraceRecorder
 from decopt.solvers import ExtraParams, GridPoint, StopRule, run
-from decopt.topology import graph_laplacian_sqrt
 
 
 def sequential_grid_search(problem, gossip, grid, budget, saddle, metric, x0, threshold=None,
                            cadence=1):
     """(chosen stepsize or None, one GridPoint per stepsize in ascending order)."""
-    l_op = graph_laplacian_sqrt(gossip)
     points, cap = [], budget
     for alpha in sorted((float(a) for a in grid), reverse=True):
         stop = (StopRule(max_iter=cap, cadence=cadence) if threshold is None
                 else StopRule(max_iter=cap, metric=metric, threshold=threshold, cadence=cadence))
-        recorder = TraceRecorder(problem, l_op, saddle, cadence=max(cap, 1))
+        recorder = TraceRecorder(problem, gossip, saddle, cadence=max(cap, 1))
         trace = run("extra", problem, gossip, ExtraParams(alpha), stop, recorder, x0)
         value = None if trace.status == "diverged" else trace.final.metric(metric)
         if value is not None and not np.isfinite(value):

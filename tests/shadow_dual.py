@@ -10,7 +10,6 @@ that pinv(L_op) D recovers Y.
 import numpy as np
 
 from decopt.solvers import adolf_local_step, adolf_step, initial_state
-from decopt.topology import graph_laplacian_sqrt, laplacian_pinv_sqrt
 
 SHADOW_TOL = 1e-8
 
@@ -27,8 +26,7 @@ def shadow_dual_residuals(algorithm, problem, gossip, params, x0, iterations):
     runs iterations rounds from X^0 = X^-1 = x0. Both residuals are asserted
     to stay within SHADOW_TOL and returned for reporting.
     """
-    l_op = graph_laplacian_sqrt(gossip)
-    pinv = laplacian_pinv_sqrt(gossip)
+    l_op, pinv = gossip.laplacian_sqrt, gossip.laplacian_pinv_sqrt
     x_now = x_prev = np.asarray(x0, dtype=float)
     step = adolf_step if algorithm == "adolf" else adolf_local_step
     state = step(initial_state(problem, x_now), problem, gossip, params)

@@ -21,7 +21,7 @@ from decopt.runner import compare, default_extra_grid
 from decopt.solvers import FixedStepParams, StopRule, adolf_step, initial_state
 from decopt.solvers import condat_vu_step, run
 from decopt.stepsize import GrowthPolicy, StepsizeParams
-from decopt.topology import graph_laplacian_sqrt, make_erdos_renyi, make_ring_graph
+from decopt.topology import make_erdos_renyi, make_ring_graph
 from decopt.topology import GossipMatrix, metropolis_hastings
 from oracles import average_value, gamma_ratio_bound, lyapunov, rate_fit
 from shadow_dual import shadow_dual_residuals
@@ -40,7 +40,7 @@ def assert_structural_invariants(trace, algorithm, problem, gossip, params, x0):
     wt = gossip.w_tilde
     assert np.max(np.abs(wt - wt.T)) <= 1e-12
     assert np.max(np.abs(wt.sum(axis=1) - 1.0)) <= 1e-12
-    l_op = graph_laplacian_sqrt(gossip)
+    l_op = gossip.laplacian_sqrt
     m = gossip.m
     assert np.linalg.norm(l_op @ l_op - (np.eye(m) - gossip.shifted)) <= 1e-10
     assert np.linalg.norm(l_op @ np.ones(m)) <= 1e-10
@@ -62,17 +62,17 @@ def logistic_setup():
     problem = synth_logistic(m=10, n=20, d=10, seed=5, noise=0.1)
     gossip = mh_shifted(make_erdos_renyi(10, 0.5, seed=3))
     saddle = compute_saddle(problem, gossip, tol=1e-13)
-    return problem, gossip, saddle, graph_laplacian_sqrt(gossip)
+    return problem, gossip, saddle
 
 
 @pytest.fixture(scope="module")
 def logistic_adolf_trace(logistic_setup):
     """One 2000-iteration convex-mode run serving criteria 3 and 4."""
-    problem, gossip, saddle, l_op = logistic_setup
+    problem, gossip, saddle = logistic_setup
     params = StepsizeParams(
         c1=0.9, c2=0.9, alpha0=1e-3, sigma_bar=1.0,
     )
-    recorder = TraceRecorder(problem, l_op, saddle, cadence=1)
+    recorder = TraceRecorder(problem, gossip, saddle, cadence=1)
     start = time.perf_counter()
     trace = run("adolf", problem, gossip, params, StopRule(max_iter=2000), recorder,
                 np.zeros((10, 10)))
@@ -85,7 +85,7 @@ def ridge50_setup():
     problem = synth_ridge(m=20, n=20, d=50, seed=11)
     gossip = mh_shifted(make_erdos_renyi(20, 0.9, seed=7))
     saddle = compute_saddle(problem, gossip)
-    return problem, gossip, saddle, graph_laplacian_sqrt(gossip)
+    return problem, gossip, saddle
 
 
 def sc_global_params():
@@ -105,8 +105,8 @@ def sc_local_params():
 @pytest.fixture(scope="module")
 def local_ridge_trace(ridge50_setup):
     """Criterion 6/7 run: per-agent variant to the 1e-8 distance threshold."""
-    problem, gossip, saddle, l_op = ridge50_setup
-    recorder = TraceRecorder(problem, l_op, saddle, cadence=1)
+    problem, gossip, saddle = ridge50_setup
+    recorder = TraceRecorder(problem, gossip, saddle, cadence=1)
     trace = run(
         "adolf_local", problem, gossip, sc_local_params(),
         StopRule(max_iter=100_000, metric="distance_sq", threshold=1e-8, cadence=1),
@@ -129,7 +129,7 @@ def test_criterion_01_oracle_equivalence():
     x0 = rng.standard_normal((5, 3))
     a_state = adolf_step(initial_state(problem, x0), problem, gossip, params)
     c_state = condat_vu_step(initial_state(problem, x0), problem, gossip, params)
-    l_op = graph_laplacian_sqrt(gossip)
+    l_op = gossip.laplacian_sqrt
     worst = 0.0
     for _ in range(100):
         worst = max(worst, float(np.linalg.norm(a_state.x_now - c_state.x_now)))
@@ -153,12 +153,12 @@ def test_criterion_02_fixed_parameter_descent():
     )
     gossip = mh_shifted(make_ring_graph(8))
     saddle = compute_saddle(problem, gossip)
-    l_op = graph_laplacian_sqrt(gossip)
+    l_op = gossip.laplacian_sqrt
     sigma = 1.0
     alpha = 0.99 / (np.sqrt(l_const**2 + 2 * sigma) + l_const)
     x0 = np.random.default_rng(0).standard_normal((8, 6))
     params = FixedStepParams(alpha=alpha, sigma=sigma, gamma=1.0)
-    recorder = TraceRecorder(problem, l_op, saddle, cadence=1)
+    recorder = TraceRecorder(problem, gossip, saddle, cadence=1)
     trace = run("condat_vu", problem, gossip, params, StopRule(max_iter=500), recorder, x0)
     values = [r.lyapunov for r in trace.records if r.lyapunov is not None]
     assert len(values) == 500
@@ -177,7 +177,7 @@ def test_criterion_02_fixed_parameter_descent():
 
 def test_criterion_03_adaptive_descent_certificates(logistic_setup, logistic_adolf_trace):
     """Adaptive-run Lyapunov descends and the selection certificates hold."""
-    problem, gossip, saddle, _ = logistic_setup
+    problem, gossip, saddle = logistic_setup
     trace, _, params = logistic_adolf_trace
     rows = [r for r in trace.records if r.lyapunov is not None][:1001]
     assert len(rows) >= 1001
@@ -199,7 +199,7 @@ def test_criterion_03_adaptive_descent_certificates(logistic_setup, logistic_ado
 
 def test_criterion_04_sublinear_ergodic_merit(logistic_setup, logistic_adolf_trace):
     """Ergodic merit decays at least like 1/k over iterations 100..2000."""
-    problem, gossip, saddle, l_op = logistic_setup
+    problem, gossip, saddle = logistic_setup
     trace, elapsed, _ = logistic_adolf_trace
     merits = [r.merit_ergodic for r in trace.records if r.merit_ergodic is not None]
     assert min(merits) >= -1e-10
@@ -213,8 +213,8 @@ def test_criterion_04_sublinear_ergodic_merit(logistic_setup, logistic_adolf_tra
 
 def test_criterion_05_linear_rate(ridge50_setup):
     """Strongly convex mode reaches 1e-8 and the tail decays geometrically."""
-    problem, gossip, saddle, l_op = ridge50_setup
-    recorder = TraceRecorder(problem, l_op, saddle, cadence=1)
+    problem, gossip, saddle = ridge50_setup
+    recorder = TraceRecorder(problem, gossip, saddle, cadence=1)
     start = time.perf_counter()
     params = sc_global_params()
     trace = run("adolf", problem, gossip, params, StopRule(max_iter=1000),
@@ -247,12 +247,12 @@ def test_criterion_06_local_stepsize_consensus(ridge50_setup, logistic_setup, lo
     assert ridge_trace.alpha_floor > 0
 
     # logistic instance, convex local mode
-    problem, gossip, saddle, l_op = logistic_setup
+    problem, gossip, saddle = logistic_setup
     params = StepsizeParams(
         local=True, c1=0.9, c2=0.9, alpha0=1e-3, eta=0.9, sigma_bar=1.0,
         growth=GrowthPolicy(kind="additive", a=6 / np.pi**2),
     )
-    recorder = TraceRecorder(problem, l_op, saddle, cadence=1)
+    recorder = TraceRecorder(problem, gossip, saddle, cadence=1)
     log_trace = run("adolf_local", problem, gossip, params, StopRule(max_iter=2000),
                     recorder, np.zeros((10, 10)))
     assert log_trace.consensus_iteration is not None
@@ -267,7 +267,7 @@ def test_criterion_06_local_stepsize_consensus(ridge50_setup, logistic_setup, lo
 
 def test_criterion_07_local_convergence(ridge50_setup, local_ridge_trace):
     """Per-agent variant reaches 1e-8 with a geometric tail after consensus."""
-    problem, gossip, _, _ = ridge50_setup
+    problem, gossip, _ = ridge50_setup
     trace = local_ridge_trace
     assert trace.status == "converged"
     assert trace.final.distance_sq <= 1e-8
@@ -352,8 +352,8 @@ def test_criterion_09_gradient_correctness():
 def test_criterion_10_structural_invariants(ridge50_setup, logistic_adolf_trace,
                                             local_ridge_trace, logistic_setup):
     """Gossip, laplacian-sqrt, dual, and ratio invariants across all runs."""
-    problem, gossip, saddle, l_op = ridge50_setup
-    log_problem, log_gossip, _, _ = logistic_setup
+    problem, gossip, saddle = ridge50_setup
+    log_problem, log_gossip, _ = logistic_setup
     # gossip invariants on both acceptance graphs
     for gp in (gossip, log_gossip):
         wt = gp.w_tilde
@@ -361,7 +361,7 @@ def test_criterion_10_structural_invariants(ridge50_setup, logistic_adolf_trace,
         assert np.max(np.abs(wt.sum(axis=1) - 1.0)) <= 1e-12
         off = ~np.eye(gp.m, dtype=bool)
         assert np.array_equal(gp.shifted[off] != 0, wt[off] != 0)
-        lo = graph_laplacian_sqrt(gp)
+        lo = gp.laplacian_sqrt
         assert np.linalg.norm(lo @ lo - (np.eye(gp.m) - gp.shifted)) <= 1e-10
     # run-level invariants accumulated by the recorders
     adolf_trace, _, params = logistic_adolf_trace

@@ -14,7 +14,7 @@ from decopt.objectives import ProblemInstance, synth_logistic, synth_ridge
 from decopt.solvers import (ExtraParams, FixedStepParams, State, StopRule, adolf_local_step,
                             adolf_step, condat_vu_step, extra_grid_search, initial_state, run)
 from decopt.stepsize import GrowthPolicy, StepsizeParams
-from decopt.topology import graph_laplacian_sqrt, make_erdos_renyi, make_line_graph
+from decopt.topology import make_erdos_renyi, make_line_graph
 from decopt.topology import GossipMatrix, metropolis_hastings
 from oracles import InsufficientDataError, lyapunov, merit, primal_gap, rate_fit
 from probes import run_probe
@@ -25,8 +25,7 @@ def ridge_setup():
     prob = synth_ridge(m=6, n=8, d=4, seed=0)
     gossip = GossipMatrix(metropolis_hastings(make_erdos_renyi(6, 0.5, seed=1)), c=0.4)
     saddle = compute_saddle(prob, gossip)
-    l_op = graph_laplacian_sqrt(gossip)
-    return prob, gossip, saddle, l_op
+    return prob, gossip, saddle, gossip.laplacian_sqrt
 
 
 class TestSaddle:
@@ -168,15 +167,15 @@ class TestPrimalGapAndMerit:
     """The recorder's merit (metric_value) against the oracles' definitions."""
 
     def test_zero_at_saddle(self, ridge_setup):
-        prob, _, saddle, l_op = ridge_setup
-        recorder = diagnostics.TraceRecorder(prob, l_op, saddle)
+        prob, gossip, saddle, l_op = ridge_setup
+        recorder = diagnostics.TraceRecorder(prob, gossip, saddle)
         assert primal_gap(prob, saddle.x_stack, saddle, l_op) == pytest.approx(0.0, abs=1e-12)
         assert merit(prob, saddle.x_stack, saddle, l_op) == pytest.approx(0.0, abs=1e-12)
         assert recorder.metric_value("merit", saddle.x_stack) == pytest.approx(0.0, abs=1e-12)
 
     def test_nonnegative_at_random_points(self, ridge_setup):
-        prob, _, saddle, l_op = ridge_setup
-        recorder = diagnostics.TraceRecorder(prob, l_op, saddle)
+        prob, gossip, saddle, l_op = ridge_setup
+        recorder = diagnostics.TraceRecorder(prob, gossip, saddle)
         rng = np.random.default_rng(4)
         for _ in range(20):
             x = saddle.x_stack + rng.standard_normal(saddle.x_stack.shape)
@@ -197,8 +196,8 @@ class TestPrimalGapAndMerit:
         assert primal_gap(prob, x, saddle, l_op) == pytest.approx(direct, rel=1e-9, abs=1e-9)
 
     def test_merit_decomposition(self, ridge_setup):
-        prob, _, saddle, l_op = ridge_setup
-        recorder = diagnostics.TraceRecorder(prob, l_op, saddle)
+        prob, gossip, saddle, l_op = ridge_setup
+        recorder = diagnostics.TraceRecorder(prob, gossip, saddle)
         rng = np.random.default_rng(6)
         x = rng.standard_normal(saddle.x_stack.shape)
         lx = l_op @ x
@@ -210,11 +209,11 @@ class TestPrimalGapAndMerit:
         prob = ProblemInstance.ridge(np.tile(np.eye(2), (2, 1, 1)), [[1.0, -1.0]] * 2, [0.5] * 2)
         gossip = GossipMatrix(metropolis_hastings(make_line_graph(2)), c=0.4)
         saddle = compute_saddle(prob, gossip)
-        l_op = graph_laplacian_sqrt(gossip)
+        l_op = gossip.laplacian_sqrt
         x = np.tile([0.3, 0.4], (2, 1))
         expected = prob.stacked_value(x) - saddle.f_stack_star
         assert merit(prob, x, saddle, l_op) == pytest.approx(expected, abs=1e-12)
-        recorder = diagnostics.TraceRecorder(prob, l_op, saddle)
+        recorder = diagnostics.TraceRecorder(prob, gossip, saddle)
         assert recorder.metric_value("merit", x) == pytest.approx(expected, abs=1e-12)
         assert expected >= 0
 
@@ -271,7 +270,7 @@ class TestRowsMatchReferences:
         synth = synth_ridge if loss == "ridge" else synth_logistic
         prob = synth(m=6, n=8, d=4, seed=2)
         gossip = GossipMatrix(metropolis_hastings(make_erdos_renyi(6, 0.6, seed=3)), c=0.4)
-        saddle, l_op = compute_saddle(prob, gossip), graph_laplacian_sqrt(gossip)
+        saddle, l_op = compute_saddle(prob, gossip), gossip.laplacian_sqrt
         rng = np.random.default_rng(4)
         x0 = rng.standard_normal((6, 4))
         x_minus1 = x0 + 0.5 * rng.standard_normal((6, 4)) if custom_x_minus1 else None
@@ -284,7 +283,7 @@ class TestRowsMatchReferences:
             return tested[state.k]
 
         monkeypatch.setattr(diagnostics.TraceRecorder, "row_metric", spy)
-        recorder = diagnostics.TraceRecorder(prob, l_op, saddle, cadence=1)
+        recorder = diagnostics.TraceRecorder(prob, gossip, saddle, cadence=1)
         stop = StopRule(max_iter=self.ROUNDS, metric="merit", threshold=1e-30, cadence=3)
         trace = run(algorithm, prob, gossip, params, stop, recorder, x0, x_minus1)
         states = [initial_state(prob, x0, x_minus1)]
@@ -308,13 +307,23 @@ class TestRowsMatchReferences:
                 assert row.lyapunov is None
             else:
                 y = (0.0 if state.k == 0 else state.y if state.y is not None
-                     else saddle.l_pinv @ state.dual)  # a run starts from Y^0 = 0
+                     else gossip.laplacian_pinv_sqrt @ state.dual)  # a run starts from Y^0 = 0
                 want = lyapunov(prob, state.x_now, state.x_prev, y, saddle, l_op, new.sigma,
                                 float(np.min(new.gamma)), float(np.min(new.alpha)))
                 assert _close(row.lyapunov, want)
             if new is not None:
                 weighted = weighted + float(np.min(new.gamma)) * state.x_now
                 theta += float(np.min(new.gamma))
+
+
+class TestMetricValue:
+    @pytest.mark.parametrize("saddle", [False, True])
+    def test_unknown_metric_rejected(self, ridge_setup, saddle):
+        # with or without a saddle, the name is checked before anything else
+        prob, gossip, anchor, _ = ridge_setup
+        recorder = diagnostics.TraceRecorder(prob, gossip, anchor if saddle else None)
+        with pytest.raises(ParameterError, match="unknown metric 'gap'"):
+            recorder.metric_value("gap", anchor.x_stack)
 
 
 class TestClassicalBound:
@@ -380,7 +389,8 @@ class TestRestrictedConstants:
 
     def test_max_of_l_and_min_of_clipped_mu(self):
         prob = synth_ridge(m=2, n=3, d=2, seed=0)
-        recorder = diagnostics.TraceRecorder(prob, np.eye(2), cadence=100)
+        recorder = diagnostics.TraceRecorder(prob, GossipMatrix(np.full((2, 2), 0.5)),
+                                             cadence=100)
         assert (recorder.trace.l_tilde_hat, recorder.trace.mu_tilde_hat) == (0.0, np.inf)
         x, products = np.zeros((2, 2)), np.zeros((2, 3))
         state = initial_state(prob, x)
@@ -409,7 +419,7 @@ class TestDualDrift:
         params = StepsizeParams(strongly_convex=True, c1=0.5, c2=0.99, alpha0=1e-3, sigma=0.2,
                                 growth=GrowthPolicy(kind="ratio_power"))
         x0 = np.random.default_rng(6).standard_normal((prob.m, prob.d))
-        recorder = diagnostics.TraceRecorder(prob, l_op, saddle, cadence=cadence)
+        recorder = diagnostics.TraceRecorder(prob, gossip, saddle, cadence=cadence)
         trace = run("adolf", prob, gossip, params, StopRule(max_iter=40), recorder, x0)
         states = [initial_state(prob, x0)]
         for _ in range(40):
@@ -425,7 +435,7 @@ class TestDualDrift:
     ])
     def test_none_without_a_dual(self, ridge_setup, algorithm, params):
         prob, gossip, saddle, l_op = ridge_setup
-        recorder = diagnostics.TraceRecorder(prob, l_op, saddle, cadence=3)
+        recorder = diagnostics.TraceRecorder(prob, gossip, saddle, cadence=3)
         x0 = np.zeros((prob.m, prob.d))
         trace = run(algorithm, prob, gossip, params, StopRule(max_iter=10), recorder, x0)
         assert trace.final.k == 10 and trace.dual_colsum_max is None

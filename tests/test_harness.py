@@ -335,16 +335,16 @@ class TestRunExperiment:
         assert blob["config"]["gossip"]["c"] == 0.4
 
     def test_laplacian_sqrt_computed_once(self, tmp_path, monkeypatch):
-        # the workspace computes it, and the saddle and the condat_vu run reuse it;
-        # the one other spectrum is the saddle's pseudoinverse
+        # W is decomposed once, when the gossip matrix is built; the workspace, the
+        # saddle, the recorder and the condat_vu run read L_op and its
+        # pseudoinverse off that one spectrum
         spectra = []
-        spectrum = topology._sqrt_spectrum
-        monkeypatch.setattr(topology, "_sqrt_spectrum",
-                            lambda gossip: spectra.append(gossip) or spectrum(gossip))
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: spectra.append(a) or eigh(a))
         cfg = parse_config_dict(small_ridge_raw(
             algorithm={"kind": "condat_vu", "alpha": 0.01}, stop={"max_iter": 5}))
         run_experiment(cfg, out_dir=tmp_path)
-        assert len(spectra) == 2 and spectra[0] is spectra[1]
+        assert len(spectra) == 1
 
     def test_manifest_grid_table(self, tmp_path):
         grid = [0.01, 0.1, 50.0]
@@ -717,6 +717,27 @@ class TestCli:
         path = self.write_config(tmp_path)
         assert cli.main(["validate", str(path)]) == 0
         assert "ridge" in capsys.readouterr().out
+
+    def test_mnist_shape_left_to_the_data(self, tmp_path, capsys):
+        # the IDX files set n and d, so the echo holds null for both, and parses back
+        problem = {"kind": "mnist", "m": 4, "images_path": "images.idx",
+                   "labels_path": "labels.idx"}
+        path = self.write_config(tmp_path, small_ridge_raw(problem=problem))
+        assert cli.main(["validate", str(path)]) == 0
+        echo = yaml.safe_load(capsys.readouterr().out)
+        assert echo["problem"]["n"] is None and echo["problem"]["d"] is None
+        assert parse_config_dict(echo) == parse_config(path)
+        # a ridge section keeps its defaults
+        ridge = parse_config_dict(small_ridge_raw(problem={"kind": "ridge", "m": 4}))
+        assert (ridge.problem.n, ridge.problem.d) == (20, 50)
+
+    @pytest.mark.parametrize("key", ["n", "d"])
+    def test_mnist_shape_set_in_config_exit_code(self, tmp_path, capsys, key):
+        problem = {"kind": "mnist", "m": 4, "images_path": "images.idx",
+                   "labels_path": "labels.idx", key: 20}
+        path = self.write_config(tmp_path, small_ridge_raw(problem=problem))
+        assert cli.main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: problem.{key}: ")
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         raw = small_ridge_raw()

@@ -26,7 +26,6 @@ from decopt.objectives import load_mnist_partition, synth_logistic, synth_ridge
 from decopt.solvers import extra_grid_search
 from decopt.topology import (
     GossipMatrix,
-    graph_laplacian_sqrt,
     make_line_graph,
     metropolis_hastings,
 )
@@ -215,7 +214,7 @@ def grid_case(loss):
 
 def search(prob, gossip, saddle, grid, budget, metric, x0):
     """extra_grid_search's GridSearch."""
-    recorder = TraceRecorder(prob, graph_laplacian_sqrt(gossip), saddle)
+    recorder = TraceRecorder(prob, gossip, saddle)
     return extra_grid_search(prob, gossip, grid, budget, recorder, metric, x0)
 
 

@@ -28,7 +28,6 @@ from sequential_grid import sequential_grid_search
 from shadow_dual import shadow_dual_residuals
 from decopt.topology import (
     GossipMatrix,
-    graph_laplacian_sqrt,
     make_erdos_renyi,
     make_line_graph,
     make_ring_graph,
@@ -214,8 +213,7 @@ class TestAdolfStep:
     def test_divergence_flagged_not_raised(self):
         prob = synth_ridge(m=4, n=5, d=3, seed=12)
         gossip = mh_shifted(make_line_graph(4))
-        l_op = graph_laplacian_sqrt(gossip)
-        rec = TraceRecorder(prob, l_op, None, cadence=1)
+        rec = TraceRecorder(prob, gossip, None, cadence=1)
         trace = run(
             "extra", prob, gossip, ExtraParams(alpha=50.0),
             StopRule(max_iter=200), rec, np.ones((4, 3)),
@@ -233,7 +231,7 @@ class TestCondatVuEquivalence:
         x0 = rng.standard_normal((5, 3))
         a_st = adolf_step(initial_state(prob, x0), prob, gossip, params)
         c_st = condat_vu_step(initial_state(prob, x0), prob, gossip, params)
-        l_op = graph_laplacian_sqrt(gossip)
+        l_op = gossip.laplacian_sqrt
         for _ in range(100):
             assert np.linalg.norm(a_st.x_now - c_st.x_now) <= 1e-10
             assert np.linalg.norm(a_st.dual - l_op @ c_st.y) <= 1e-10
@@ -402,20 +400,19 @@ class TestRunLoop:
         prob = synth_ridge(m=4, n=5, d=3, seed=25)
         gossip = mh_shifted(make_line_graph(4))
         sp = compute_saddle(prob, gossip) if saddle else None
-        l_op = graph_laplacian_sqrt(gossip)
-        return prob, gossip, sp, l_op
+        return prob, gossip, sp
 
     def test_zero_budget_single_record(self):
-        prob, gossip, saddle, l_op = self.setup_case()
-        rec = TraceRecorder(prob, l_op, saddle, cadence=1)
+        prob, gossip, saddle = self.setup_case()
+        rec = TraceRecorder(prob, gossip, saddle, cadence=1)
         trace = run("adolf", prob, gossip, convex_params(), StopRule(max_iter=0), rec,
                     np.zeros((4, 3)))
         assert len(trace.records) == 1
         assert trace.records[0].k == 0
 
     def test_row_count_matches_budget(self):
-        prob, gossip, saddle, l_op = self.setup_case()
-        rec = TraceRecorder(prob, l_op, saddle, cadence=1)
+        prob, gossip, saddle = self.setup_case()
+        rec = TraceRecorder(prob, gossip, saddle, cadence=1)
         trace = run("adolf", prob, gossip, convex_params(), StopRule(max_iter=10), rec,
                     np.zeros((4, 3)))
         assert [r.k for r in trace.records] == list(range(11))
@@ -424,8 +421,8 @@ class TestRunLoop:
         assert trace.records[5].comm_scalar == 4  # scalar rounds lag by one
 
     def test_threshold_stop(self):
-        prob, gossip, saddle, l_op = self.setup_case()
-        rec = TraceRecorder(prob, l_op, saddle, cadence=1)
+        prob, gossip, saddle = self.setup_case()
+        rec = TraceRecorder(prob, gossip, saddle, cadence=1)
         trace = run(
             "adolf", prob, gossip, sc_params(),
             StopRule(max_iter=50_000, metric="distance_sq", threshold=1e-6, cadence=1),
@@ -435,18 +432,18 @@ class TestRunLoop:
         assert trace.final.distance_sq <= 1e-6
 
     def test_metric_requires_saddle(self):
-        prob, gossip, _, l_op = self.setup_case(saddle=False)
-        rec = TraceRecorder(prob, l_op, None, cadence=1)
+        prob, gossip, _ = self.setup_case(saddle=False)
+        rec = TraceRecorder(prob, gossip, None, cadence=1)
         with pytest.raises(ConfigError):
             run("adolf", prob, gossip, convex_params(),
                 StopRule(max_iter=10, metric="distance_sq", threshold=1e-3), rec,
                 np.zeros((4, 3)))
 
     def test_determinism(self):
-        prob, gossip, saddle, l_op = self.setup_case()
+        prob, gossip, saddle = self.setup_case()
         traces = []
         for _ in range(2):
-            rec = TraceRecorder(prob, l_op, saddle, cadence=1)
+            rec = TraceRecorder(prob, gossip, saddle, cadence=1)
             traces.append(
                 run("adolf_local", prob, gossip, local_params(), StopRule(max_iter=40),
                     rec, np.ones((4, 3))).to_csv()
@@ -454,13 +451,13 @@ class TestRunLoop:
         assert traces[0] == traces[1]
 
     def test_shadow_dual_consistency_all_algorithms(self):
-        prob, gossip, saddle, l_op = self.setup_case()
+        prob, gossip, saddle = self.setup_case()
         for algorithm, params in [
             ("adolf", convex_params()),
             ("adolf", sc_params()),
             ("adolf_local", local_params()),
         ]:
-            rec = TraceRecorder(prob, l_op, saddle, cadence=1)
+            rec = TraceRecorder(prob, gossip, saddle, cadence=1)
             trace = run(algorithm, prob, gossip, params, StopRule(max_iter=60), rec,
                         np.ones((4, 3)))
             shadow_dual_residuals(algorithm, prob, gossip, params, np.ones((4, 3)),
@@ -469,7 +466,7 @@ class TestRunLoop:
 
     def test_unknown_algorithm(self):
         # unknown names, and params of the wrong kind for a known algorithm
-        prob, gossip, saddle, l_op = self.setup_case()
+        prob, gossip, saddle = self.setup_case()
         for algorithm, params in [
             ("sgd", convex_params()),
             ("adolf", local_params()),
@@ -477,7 +474,7 @@ class TestRunLoop:
             ("condat_vu", convex_params()),
             ("extra", FixedStepParams(alpha=0.01)),
         ]:
-            rec = TraceRecorder(prob, l_op, saddle, cadence=1)
+            rec = TraceRecorder(prob, gossip, saddle, cadence=1)
             with pytest.raises(ConfigError):
                 run(algorithm, prob, gossip, params, StopRule(max_iter=5), rec,
                     np.zeros((4, 3)))
@@ -503,12 +500,11 @@ class TestEngineContract:
         prob = synth_ridge(m=4, n=5, d=3, seed=31)
         gossip = mh_shifted(make_erdos_renyi(4, 0.7, seed=2))
         saddle = compute_saddle(prob, gossip)
-        l_op = graph_laplacian_sqrt(gossip)
         x0 = np.random.default_rng(32).standard_normal((4, 3))
         trace = run(algorithm, prob, gossip, params, StopRule(max_iter=25),
-                    TraceRecorder(prob, l_op, saddle, cadence=1), x0)
+                    TraceRecorder(prob, gossip, saddle, cadence=1), x0)
         # the same states by hand, from State(X^0, X^-1, dual=0), through a fresh recorder
-        recorder = TraceRecorder(prob, l_op, saddle, cadence=1)
+        recorder = TraceRecorder(prob, gossip, saddle, cadence=1)
         state = solvers.State(x0, x0, dual=np.zeros_like(x0))
         for k in range(25):
             new = step(state, prob, gossip, params)
@@ -534,7 +530,7 @@ class TestEngineContract:
         step, _, message = ENGINES[algorithm]
         prob = synth_ridge(m=3, n=4, d=2, seed=33)
         gossip = mh_shifted(make_line_graph(3))
-        rec = TraceRecorder(prob, graph_laplacian_sqrt(gossip), None, cadence=1)
+        rec = TraceRecorder(prob, gossip, None, cadence=1)
         others = [params for name, (_, params, _) in ENGINES.items() if name != algorithm
                   and not (algorithm == "adolf" and name == "condat_vu")]  # adolf takes both
         assert len(others) == (2 if algorithm == "adolf" else 3)
@@ -550,7 +546,7 @@ class TestGridSearch:
         prob = synth_ridge(m=4, n=5, d=3, seed=26)
         gossip = mh_shifted(make_erdos_renyi(4, 0.8, seed=6))
         saddle = compute_saddle(prob, gossip)
-        recorder = TraceRecorder(prob, graph_laplacian_sqrt(gossip), saddle)
+        recorder = TraceRecorder(prob, gossip, saddle)
         return prob, gossip, recorder
 
     def test_interior_point_wins(self):
@@ -567,7 +563,7 @@ class TestGridSearch:
 
     def test_metric_needs_saddle(self):
         prob, gossip, _ = self.setup_case()
-        recorder = TraceRecorder(prob, graph_laplacian_sqrt(gossip), None)
+        recorder = TraceRecorder(prob, gossip, None)
         with pytest.raises(ConfigError, match="saddle"):
             extra_grid_search(prob, gossip, [0.01, 0.1], 50, recorder)
 
@@ -691,7 +687,7 @@ class TestGridParity:
             stop = StopRule(metric=metric, threshold=threshold, cadence=cadence)
         ref_alpha, ref_points = sequential_grid_search(prob, gossip, grid, budget, saddle,
                                                        metric, x0, threshold, cadence or 1)
-        recorder = TraceRecorder(prob, graph_laplacian_sqrt(gossip), saddle)
+        recorder = TraceRecorder(prob, gossip, saddle)
         # one block holding the whole grid, then blocks of three columns
         for block_bytes in (solvers.GRID_BLOCK_BYTES,
                             3 * solvers.GRID_COLUMN_ARRAYS * x0.nbytes):
@@ -735,7 +731,7 @@ class TestGridParity:
 
     def test_threshold_on_another_metric_rejected(self):
         prob, gossip, saddle, grid, x0 = _parity_case("ridge")
-        recorder = TraceRecorder(prob, graph_laplacian_sqrt(gossip), saddle)
+        recorder = TraceRecorder(prob, gossip, saddle)
         stop = StopRule(metric="consensus_err", threshold=1e-6)
         with pytest.raises(ParameterError, match="differs from the stop metric"):
             extra_grid_search(prob, gossip, grid, 10, recorder, "distance_sq", x0, stop)
@@ -743,7 +739,7 @@ class TestGridParity:
     def test_nan_gradient_from_start_diverges_every_point(self):
         prob = nan_gradient_problem(0)
         gossip = mh_shifted(make_line_graph(4))
-        recorder = TraceRecorder(prob, graph_laplacian_sqrt(gossip), None)
+        recorder = TraceRecorder(prob, gossip, None)
         with pytest.raises(NoConvergentStepsizeError, match="every stepsize .* of 3 diverged"):
             extra_grid_search(prob, gossip, [0.01, 0.1, 1.0], 50, recorder, "consensus_err",
                               np.ones((4, 3)))
@@ -751,13 +747,13 @@ class TestGridParity:
     def test_no_finite_value_is_not_called_divergence(self):
         # at budget 0 no ergodic average exists, so merit is undefined at every point
         prob, gossip, saddle, grid, x0 = _parity_case("ridge")
-        recorder = TraceRecorder(prob, graph_laplacian_sqrt(gossip), saddle)
+        recorder = TraceRecorder(prob, gossip, saddle)
         with pytest.raises(NoConvergentStepsizeError, match="finite merit after 0 rounds"):
             extra_grid_search(prob, gossip, grid, 0, recorder, "merit", x0)
 
     def test_rejects_non_finite_grid(self):
         prob, gossip, saddle, _, x0 = _parity_case("ridge")
-        recorder = TraceRecorder(prob, graph_laplacian_sqrt(gossip), saddle)
+        recorder = TraceRecorder(prob, gossip, saddle)
         for grid in ([0.1, np.inf], [np.nan], [], [0.0]):
             with pytest.raises(ParameterError, match="grid"):
                 extra_grid_search(prob, gossip, grid, 10, recorder)
@@ -775,7 +771,7 @@ class TestFaultInjection:
     def test_nan_gradient_ends_diverged(self, algorithm, params, start):
         prob = nan_gradient_problem(start)
         gossip = mh_shifted(make_line_graph(4))
-        rec = TraceRecorder(prob, graph_laplacian_sqrt(gossip), None, cadence=1)
+        rec = TraceRecorder(prob, gossip, None, cadence=1)
         trace = run(algorithm, prob, gossip, params, StopRule(max_iter=50), rec, np.ones((4, 3)))
         assert trace.status == "diverged"
         assert trace.final.k < 50
@@ -808,7 +804,7 @@ class TestRestrictedOnRuns:
             mu_ks.append(np.sum(dg * dx) / np.sum(dx * dx))
             state = advance(state)
 
-        rec = TraceRecorder(prob, graph_laplacian_sqrt(gossip), None, cadence=50)
+        rec = TraceRecorder(prob, gossip, None, cadence=50)
         trace = run(algorithm, prob, gossip, params, StopRule(max_iter=self.ITERATIONS), rec, x0)
         assert trace.status == "budget" and trace.final.k == self.ITERATIONS
         # the replay ends on the run's final iterate, so both saw the same secant pairs

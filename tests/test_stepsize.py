@@ -27,7 +27,7 @@ from scalar_local_rule import scalar_candidate, scalar_cap, scalar_local_rule
 
 def closed_mask(graph):
     """The closed-neighborhood mask the local rule runs on: the gossip matrix's."""
-    return topology.GossipMatrix(topology.metropolis_hastings(graph)).neighbor_mask()
+    return topology.GossipMatrix(topology.metropolis_hastings(graph)).neighbor_mask
 
 
 def convex_params(c1=1.0, c2=1.0, growth=None):

@@ -167,13 +167,26 @@ class TestGossipMatrix:
             shifted.shifted[off] != 0, shifted.w_tilde[off] != 0
         )
 
-    def test_neighbor_mask_computed_once(self):
+    def test_w_decomposed_once_and_derived_arrays_cached(self, monkeypatch):
+        # construction decomposes W; L_op, its pseudoinverse and the neighbor mask
+        # come from that one eigensystem, each computed on first read and then held
+        spectra = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: spectra.append(a) or eigh(a))
         g = topology.make_erdos_renyi(10, 0.3, seed=2)
-        shifted = mh_shifted(g)
-        mask = shifted.neighbor_mask()
-        assert mask is shifted.neighbor_mask()
-        assert not mask.flags.writeable
-        assert np.array_equal(mask, closed_neighborhoods(g))
+        gm = mh_shifted(g)
+        names = ("laplacian_sqrt", "laplacian_pinv_sqrt", "neighbor_mask")
+        first = {name: getattr(gm, name) for name in names}
+        for name, arr in first.items():
+            assert getattr(gm, name) is arr
+            assert not arr.flags.writeable
+            with pytest.raises(AttributeError):
+                setattr(gm, name, arr.copy())
+            with pytest.raises(AttributeError):
+                delattr(gm, name)
+            assert getattr(gm, name) is arr
+        assert len(spectra) == 1
+        assert np.array_equal(first["neighbor_mask"], closed_neighborhoods(g))
 
 
 class TestLaplacianSqrt:
@@ -194,8 +207,7 @@ class TestLaplacianSqrt:
 
     def test_pinv(self):
         gm = mh_shifted(topology.make_line_graph(6))
-        l_op = topology.graph_laplacian_sqrt(gm)
-        pinv = topology.laplacian_pinv_sqrt(gm)
+        l_op, pinv = gm.laplacian_sqrt, gm.laplacian_pinv_sqrt
         proj = np.eye(6) - np.full((6, 6), 1 / 6)
         np.testing.assert_allclose(l_op @ pinv, proj, atol=1e-10)
 

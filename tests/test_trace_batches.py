@@ -37,7 +37,6 @@ from decopt.solvers import (
 from decopt.stepsize import GrowthPolicy, StepsizeParams
 from decopt.topology import (
     GossipMatrix,
-    graph_laplacian_sqrt,
     make_erdos_renyi,
     metropolis_hastings,
 )
@@ -94,7 +93,7 @@ def few_rows_bytes(prob) -> int:
 def traced(setup, algorithm, params, stop, cadence, batch_bytes, monkeypatch):
     prob, gossip, saddle, x0 = setup
     monkeypatch.setattr(diagnostics, "TRACE_BATCH_BYTES", batch_bytes)
-    recorder = TraceRecorder(prob, graph_laplacian_sqrt(gossip), saddle, cadence=cadence)
+    recorder = TraceRecorder(prob, gossip, saddle, cadence=cadence)
     return run(algorithm, prob, gossip, params, stop, recorder, x0)
 
 
@@ -235,7 +234,7 @@ def test_laned_rows_count_one_block(monkeypatch):
 def test_records_complete_only_after_finalize(small_setup):
     prob, gossip, saddle, x0 = small_setup
     params = PARAMS["adolf"]
-    recorder = TraceRecorder(prob, graph_laplacian_sqrt(gossip), saddle)
+    recorder = TraceRecorder(prob, gossip, saddle)
     state = State(x0, x0, dual=np.zeros_like(x0))
     for k in range(5):
         new = adolf_step(state, prob, gossip, params)
