@@ -27,11 +27,17 @@ The EXTRA grid search runs many stepsizes without run() or a recorder: it
 advances them as the columns of one (m, G, d) stack, so each round costs one
 stacked gradient and one gossip multiply for the whole block. Under a stop
 threshold it visits the stepsizes from the largest down, and no stepsize
-runs past the round at which a larger one reached the threshold.
+runs past the round at which a larger one reached the threshold. Once that
+cap can only fall, the blocks left run at once in forked worker processes,
+one per CPU, and every point keeps the bits of the one-process search.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -555,6 +561,88 @@ def _extra_block(problem, gossip, start, alphas, cap, recorder, metric, stop) ->
     return points
 
 
+def _grid_workers(problem: ProblemInstance, blocks: int) -> int:
+    """How many processes run that many grid blocks at one cap: one per CPU this
+    process may use, at most one per block. One, so no fork, where os.fork
+    does not exist, when the problem's agent lanes already use every CPU, or
+    while another thread is alive, which a forked child would not have."""
+    if not hasattr(os, "fork") or problem.lanes > 1 or threading.active_count() > 1:
+        return 1
+    return min(objectives._cpu_count(), blocks)
+
+
+def _run_items(items, work) -> dict:
+    """{item: work(item)} for the items, in order, before the first one that raises."""
+    done = {}
+    for item in items:
+        try:
+            done[item] = work(item)
+        except Exception:  # the caller runs this item again, and it raises there
+            break
+    return done
+
+
+def _fork_worker(items, work):
+    """(pid, report file) of a forked child running _run_items(items, work); None if
+    the fork fails.
+
+    The child pickles its results into the report pipe and leaves through
+    os._exit, so it runs none of this process's cleanup; it exits 0 once the
+    report is written.
+    """
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to spare: the caller runs these items itself
+        os.close(read_end)
+        os.close(write_end)
+        return None
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_end)
+            with open(write_end, "wb") as report:
+                pickle.dump(_run_items(items, work), report, protocol=pickle.HIGHEST_PROTOCOL)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_end)
+    return pid, open(read_end, "rb")
+
+
+def _in_workers(items: range, workers: int, work) -> dict:
+    """{item: work(item)} for the items that workers processes ran to the end.
+
+    Worker w takes items[w], items[w + workers], ... in order: this process
+    is worker 0, the others are forked children (_fork_worker). Plain
+    os.fork, not multiprocessing, which would load ctypes and more: a child
+    starts from this process's memory with only the thread that forked it.
+    A worker stops at its first failing item, and a child that did not fork
+    or did not exit 0 reports nothing. Every child is waited for before this
+    returns; if this process is interrupted, they are killed first.
+    """
+    children = []
+    try:
+        for w in range(1, workers):
+            if (child := _fork_worker(items[w::workers], work)) is None:
+                break
+            children.append(child)
+        done = _run_items(items[::workers], work)
+        reports = [report.read() for _, report in children]
+    except BaseException:
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for _, report in children:
+            report.close()
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid, _ in children]
+    for data, code in zip(reports, codes):
+        if code == 0:  # written by a child of this call, so safe to unpickle
+            done.update(pickle.loads(data))
+    return done
+
+
 def extra_grid_search(
     problem: ProblemInstance,
     gossip: GossipMatrix,
@@ -588,9 +676,17 @@ def extra_grid_search(
     The stepsizes run as column blocks of _extra_block, as many per block as
     fit GRID_BLOCK_BYTES, each in arrays of its own, from the largest
     stepsizes down. A converging column caps only the smaller stepsizes of
-    its own block, so the points do not depend on the block width. Returns
-    the chosen stepsize and one GridPoint per grid stepsize in ascending
-    order.
+    its own block, so the points do not depend on the block width. Once the
+    cap can no longer be the budget (from the first converged point on, or
+    from the start without a threshold) it can only fall, so the blocks
+    left run at once at that cap, in _grid_workers processes (_in_workers).
+    They are then taken from the largest down, and a block whose own cap
+    fell below it (a larger block converged sooner) or that no worker
+    reported runs again in this process at its own cap. A block makes the
+    same calls in any process, so every point, and the exception of the
+    first block that raises, are those of the one-process search at any CPU
+    count. Returns the chosen stepsize and one GridPoint per grid stepsize
+    in ascending order.
     """
     grid = sorted(float(a) for a in grid)
     if not grid or not all(0 < a < np.inf for a in grid):
@@ -607,10 +703,21 @@ def extra_grid_search(
     x0 = np.zeros((problem.m, problem.d)) if x0 is None else problem.check_shape(x0, "x0")
     start = (x0, gossip.shifted @ x0, problem.stacked_gradient(x0))
     width = _grid_block_width(problem.m, problem.d)
-    points, cap = [], budget
-    for i in reversed(range(0, len(grid), width)):
-        block = _extra_block(problem, gossip, start, grid[i:i + width], cap, recorder, metric,
-                             stop)
+    blocks = [grid[i:i + width] for i in reversed(range(0, len(grid), width))]
+
+    def run_block(i: int, cap: int) -> list[GridPoint]:
+        return _extra_block(problem, gossip, start, blocks[i], cap, recorder, metric, stop)
+
+    points, cap, ahead = [], budget, None
+    for i in range(len(blocks)):
+        if ahead is None and (stop.threshold is None
+                              or any(point.status == "converged" for point in points)):
+            # the cap can only fall from here: run the blocks left at it, at once
+            rest, ahead_cap = range(i, len(blocks)), cap
+            workers = _grid_workers(problem, len(rest))
+            ahead = {} if workers == 1 else _in_workers(
+                rest, workers, lambda j: run_block(j, ahead_cap))
+        block = ahead[i] if ahead and i in ahead and cap == ahead_cap else run_block(i, cap)
         cap = min([cap] + [point.rounds for point in block if point.status == "converged"])
         points[:0] = block
     best = best_key = None

@@ -13,6 +13,7 @@ import os
 import signal
 import threading
 import time
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -29,10 +30,11 @@ from decopt.topology import (
     make_line_graph,
     metropolis_hastings,
 )
-from faults import RaiseOutsideBall
+from faults import RaiseOnColumns, RaiseOutsideBall
 from idx_files import write_idx_pair
 from oracles import average_value
 from probes import run_probe
+from sequential_grid import sequential_grid_search
 
 # At this shape one BLAS call per lane, instead of one per agent block, rounds
 # differently from one call for all agents (OpenBLAS 0.3.31, SkylakeX kernels),
@@ -212,10 +214,49 @@ def grid_case(loss):
     return prob, gossip, compute_saddle(prob, gossip), grid, x0
 
 
-def search(prob, gossip, saddle, grid, budget, metric, x0):
-    """extra_grid_search's GridSearch."""
+def search(prob, gossip, saddle, grid, budget, metric, x0, stop=solvers.StopRule()):
+    """extra_grid_search's GridSearch; the search leaves no child process and no open
+    descriptor behind, whether it returns or raises."""
+    fds = set(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
     recorder = TraceRecorder(prob, gossip, saddle)
-    return extra_grid_search(prob, gossip, grid, budget, recorder, metric, x0)
+    try:
+        with warnings.catch_warnings(record=True) as caught:  # a report file left open
+            warnings.simplefilter("always", ResourceWarning)
+            return extra_grid_search(prob, gossip, grid, budget, recorder, metric, x0, stop)
+    finally:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        if fds is not None:
+            assert set(os.listdir("/proc/self/fd")) == fds
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+# The grid forks its workers only while no other thread is alive.
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children forked during the test, which fails after 120 s. The
+    agent lane threads that earlier tests started are stopped first."""
+    if objectives._LANE_POOL is not None:
+        objectives._LANE_POOL.shutdown(wait=True)
+        objectives._forget_lane_pool()
+    assert threading.active_count() == 1
+    pids, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    def timeout(signum, frame):  # the search kills its workers, waits for them and raises
+        raise TimeoutError("a grid search with workers took over 120 s")
+
+    monkeypatch.setattr(os, "fork", counted)
+    handler = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(120)
+    yield pids
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, handler)
 
 
 def test_grid_case_diverges_and_drops_to_one_column(grid_blocks_of_two):
@@ -228,12 +269,128 @@ def test_grid_case_diverges_and_drops_to_one_column(grid_blocks_of_two):
     assert all(p.rounds < 200 for p in points if p.status == "diverged")
 
 
-def test_block_error_reaches_caller(grid_blocks_of_two):
-    # the top blocks leave the ball; the first one the search runs raises
+def test_block_error_reaches_caller(grid_blocks_of_two, forks, monkeypatch):
+    # the top blocks leave the ball, in this process and in the worker; the
+    # error is the first block's, as in one process
     prob, gossip, saddle, grid, x0 = grid_case("ridge")
     faulty = RaiseOutsideBall(prob, radius=300.0)
-    with pytest.raises(FloatingPointError, match="outside the ball"):
-        search(faulty, gossip, saddle, grid, 200, "distance_sq", x0)
+    errors = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(objectives, "_cpu_count", lambda: cpus)
+        with pytest.raises(FloatingPointError, match="outside the ball") as error:
+            search(faulty, gossip, saddle, grid, 200, "distance_sq", x0)
+        errors.append(str(error.value))
+        assert len(forks) == cpus - 1
+    assert errors[1] == errors[0]
+
+
+def threshold_stop(threshold: float) -> solvers.StopRule:
+    return solvers.StopRule(metric="distance_sq", threshold=threshold)
+
+
+@pytest.fixture
+def blocks_here(monkeypatch):
+    """(alphas, cap) of each grid block run in this process, in order."""
+    calls, block = [], solvers._extra_block
+
+    def recorded(problem, gossip, start, alphas, cap, *args):
+        calls.append((alphas, cap))
+        return block(problem, gossip, start, alphas, cap, *args)
+
+    monkeypatch.setattr(solvers, "_extra_block", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("stop", [solvers.StopRule(), threshold_stop(1.0)],
+                         ids=["no_threshold", "threshold"])
+def test_worker_grid_identical(grid_blocks_of_two, forks, blocks_here, monkeypatch, stop):
+    # without a threshold the five blocks run at once; with one, 0.1 converges
+    # in the third block and the two blocks left run at once; this process runs
+    # the blocks before those and its stride of them
+    prob, gossip, saddle, grid, x0 = grid_case("ridge")
+    monkeypatch.setattr(objectives, "_cpu_count", lambda: 1)
+    want = search(prob, gossip, saddle, grid, 200, "distance_sq", x0, stop)
+    assert not forks and len(blocks_here) == 5
+    assert any(p.status == "converged" for p in want.points) == (stop.threshold is not None)
+    for cpus in (2, 3):
+        monkeypatch.setattr(objectives, "_cpu_count", lambda: cpus)
+        forks.clear()
+        blocks_here.clear()
+        assert search(prob, gossip, saddle, grid, 200, "distance_sq", x0, stop) == want
+        assert len(forks) == (cpus - 1 if stop.threshold is None else 1)
+        assert len(blocks_here) == (len(range(0, 5, cpus)) if stop.threshold is None else 4)
+
+
+def test_worker_block_converging_first_reruns_the_next(grid_blocks_of_two, forks, blocks_here,
+                                                       monkeypatch):
+    # 0.1 converges at round 259; in the two blocks left, run at once at that
+    # cap, 0.0316 converges at 169, so the last block runs again at 169
+    prob, gossip, saddle, _, x0 = grid_case("ridge")
+    grid, stop = np.logspace(-3, -0.5, 6), threshold_stop(1e-2)
+    monkeypatch.setattr(objectives, "_cpu_count", lambda: 2)
+    got = search(prob, gossip, saddle, grid, 400, "distance_sq", x0, stop)
+    assert len(forks) == 1
+    (_, budget), (_, r), (bottom, c) = blocks_here  # the worker ran the bottom block at r
+    assert budget == 400 > r > c and bottom == list(grid[:2])
+    ref_alpha, ref_points = sequential_grid_search(prob, gossip, grid, 400, saddle,
+                                                   "distance_sq", x0, 1e-2)
+    assert got.alpha == ref_alpha
+    assert [(p.alpha, p.status, p.rounds) for p in got.points] == [
+        (p.alpha, p.status, p.rounds) for p in ref_points]
+    assert [p.rounds for p in got.points if p.status == "converged"] == [c, r]
+    for point, ref in zip(got.points, ref_points):
+        assert point.value == pytest.approx(ref.value, rel=1e-9, abs=0.0)
+    monkeypatch.setattr(objectives, "_cpu_count", lambda: 1)
+    assert search(prob, gossip, saddle, grid, 400, "distance_sq", x0, stop) == got
+
+
+def test_worker_block_error_reaches_caller(grid_blocks_of_two, forks, monkeypatch):
+    # nine logistic stepsizes: every block but the top one has two columns and
+    # raises; the first of them runs in the first of two workers, and this
+    # process runs it again and raises its error
+    prob, gossip, saddle, grid, x0 = grid_case("logistic")
+    faulty = RaiseOnColumns(prob, columns=2)
+    errors = []
+    for cpus in (1, 3):
+        monkeypatch.setattr(objectives, "_cpu_count", lambda: cpus)
+        with pytest.raises(FloatingPointError, match="^a stack of 2 columns") as error:
+            search(faulty, gossip, saddle, grid[1:], 200, "distance_sq", x0)
+        errors.append(str(error.value))
+    assert len(forks) == 2
+    assert errors[1] == errors[0]
+
+
+@pytest.mark.parametrize("case", ["fork_fails", "laned", "one_cpu", "live_thread",
+                                  "one_block"])
+def test_grid_runs_in_one_process(grid_blocks_of_two, forks, force_lanes, monkeypatch, case):
+    prob, gossip, saddle, grid, x0 = grid_case("ridge")
+    if case == "one_block":
+        grid = grid[:2]
+    force_lanes(1)
+    want = search(prob, gossip, saddle, grid, 200, "distance_sq", x0)
+    force_lanes(2)
+    release = threading.Event()
+    if case == "fork_fails":
+        def fails():
+            forks.append(None)
+            raise OSError("no process to spare")
+        monkeypatch.setattr(os, "fork", fails)
+    elif case == "laned":
+        prob = grid_case("ridge")[0]
+        assert prob.lanes == 2
+    elif case == "one_cpu":
+        monkeypatch.setattr(objectives, "_cpu_count", lambda: 1)
+    elif case == "live_thread":
+        waiter = threading.Thread(target=release.wait)
+        waiter.start()
+    try:
+        assert search(prob, gossip, saddle, grid, 200, "distance_sq", x0) == want
+    finally:
+        release.set()
+    if case == "live_thread":
+        waiter.join(timeout=10)
+        assert not waiter.is_alive()
+    assert forks == ([None] if case == "fork_fails" else [])
 
 
 def test_laned_problem_grid_identical(force_lanes, grid_blocks_of_two):
