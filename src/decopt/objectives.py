@@ -144,8 +144,9 @@ def _lane_pool():
 def _forget_lane_pool() -> None:
     """In a forked child, which has none of its parent's lane threads.
 
-    decopt forks only for the EXTRA grid's workers, and only while no other
-    thread is alive (solvers._grid_workers), so no lane thread is lost there;
+    decopt forks only for the EXTRA grid search and its workers, and only
+    while no other thread is alive (solvers.spare_cpus), so no lane thread is
+    lost there;
     this protects a caller that forks with the lane threads started, such as
     a ``multiprocessing`` pool with the fork start method, so that a child
     starts its own lane threads instead of waiting on its parent's.

@@ -7,6 +7,12 @@ long-format CSV and a gnuplot-friendly block file) plus a summary table of
 communications-to-threshold. figure_preset generates the benchmark config
 sets (line graph and two random-graph densities, one per figure family).
 
+compare starts each EXTRA grid search after its first config in a forked
+child as soon as the shared workspace is built, one per CPU beyond its own,
+so the search runs while the configs before it run in the calling process;
+the search call at EXTRA's turn waits for the child and takes its result.
+The files are those of a compare in one process.
+
 Output files are written atomically (temp file then rename) so repeated or
 interrupted invocations never leave partial CSVs behind.
 """
@@ -53,7 +59,9 @@ from .solvers import (
     FixedStepParams,
     GridSearch,
     extra_grid_search,
+    fork_grid_search,
     run,
+    spare_cpus,
 )
 from .topology import (
     GossipMatrix,
@@ -194,11 +202,19 @@ class _Workspace:
         return TraceRecorder(self.problem, self.gossip, self.saddle, cadence=cadence)
 
 
-def _execute(config: ExperimentConfig, ws: _Workspace
+def _grid_args(config: ExperimentConfig, ws: _Workspace) -> tuple:
+    """extra_grid_search's arguments for config's grid in ws."""
+    algo, stop = config.algorithm, config.stop
+    return (ws.problem, ws.gossip, algo.grid, algo.budget, ws.recorder(config.diagnostics.cadence),
+            stop.metric or DEFAULT_METRIC, ws.x0, stop)
+
+
+def _execute(config: ExperimentConfig, ws: _Workspace, ahead=None
              ) -> tuple[Trace, float | None, GridSearch | None]:
     """Run the configured algorithm inside a prepared workspace.
 
-    Returns the trace, EXTRA's stepsize and, for a grid, the grid search.
+    Returns the trace, EXTRA's stepsize and, for a grid, the grid search,
+    which ahead (a fork_grid_search child of _grid_args) may have run.
     """
     algo = config.algorithm
     stop = config.stop
@@ -212,10 +228,7 @@ def _execute(config: ExperimentConfig, ws: _Workspace
         trace = run("condat_vu", ws.problem, ws.gossip, params, stop, ws.recorder(cadence), ws.x0)
     else:  # extra
         if algo.grid is not None:
-            search = extra_grid_search(
-                ws.problem, ws.gossip, algo.grid, algo.budget, ws.recorder(cadence),
-                stop.metric or DEFAULT_METRIC, ws.x0, stop,
-            )
+            search = extra_grid_search(*_grid_args(config, ws), ahead=ahead)
             best_alpha = search.alpha
         else:
             best_alpha = algo.alpha
@@ -224,10 +237,10 @@ def _execute(config: ExperimentConfig, ws: _Workspace
     return trace, best_alpha, search
 
 
-def _write_run(config: ExperimentConfig, ws: _Workspace, out: Path,
-               name: str) -> tuple[Trace, RunManifest]:
+def _write_run(config: ExperimentConfig, ws: _Workspace, out: Path, name: str,
+               ahead=None) -> tuple[Trace, RunManifest]:
     """Execute one config in ws and write its trace CSV and manifest to out as name.*."""
-    trace, best_alpha, search = _execute(config, ws)
+    trace, best_alpha, search = _execute(config, ws, ahead)
     csv_path = out / f"{name}.csv"
     _atomic_write_text(csv_path, trace.to_csv())
     manifest = _manifest_for(config, trace, csv_path, ws, best_alpha, search, name)
@@ -334,6 +347,13 @@ def compare(configs: list[ExperimentConfig], out_dir=None, metric: str | None = 
     the trajectories are comparable. A run's threshold column uses its own
     stop.threshold when its stop.metric is the compared metric. label names
     the comparison's files, so it must be a plain file name.
+
+    Each EXTRA grid search but the first config's starts in a forked child
+    (solvers.fork_grid_search) once the workspace is built, while fewer
+    children run than solvers.spare_cpus allows: none with agent lanes, one
+    CPU or another live thread, or where os.fork does not exist. Its run joins
+    the child, and runs the search itself if the child reported none. Any
+    exit before that kills and reaps the child and the workers it forked.
     """
     if not configs:
         raise ComparisonError("compare needs at least one config")
@@ -358,24 +378,36 @@ def compare(configs: list[ExperimentConfig], out_dir=None, metric: str | None = 
     long_lines = ["algorithm,k,comm_vector,comm_scalar,metric,value"]
     gp_blocks = []
     used_names: set[str] = set()
-    for idx, cfg in enumerate(configs):
-        name, suffix = cfg.run_name(), idx
-        while name in used_names:  # run_name()_idx, or the next suffix that is free
-            name, suffix = f"{cfg.run_name()}_{suffix}", suffix + 1
-        used_names.add(name)
-        trace, manifest = _write_run(cfg, ws, out, name)
-        manifests.append(manifest)
-        to_threshold[name] = _rounds_to_threshold(
-            trace, metric, cfg.stop.threshold if cfg.stop.metric == metric else None)
-        gp_lines = [f"# {name}", "# k comm_vector value"]
-        for rec in trace.records:
-            value = rec.metric(metric)
-            if value is not None:
-                long_lines.append(
-                    f"{name},{rec.k},{rec.comm_vector},{rec.comm_scalar},{metric},{value!r}"
-                )
-                gp_lines.append(f"{rec.k} {rec.comm_vector} {value!r}")
-        gp_blocks.append("\n".join(gp_lines))
+    ahead = {}  # config index -> the fork_grid_search child running its grid
+    try:
+        slots = spare_cpus(ws.problem)
+        for idx, cfg in enumerate(configs[1:], 1):
+            if (len(ahead) < slots and cfg.algorithm.kind == "extra"
+                    and cfg.algorithm.grid is not None):
+                if (child := fork_grid_search(*_grid_args(cfg, ws))) is None:
+                    break
+                ahead[idx] = child
+        for idx, cfg in enumerate(configs):
+            name, suffix = cfg.run_name(), idx
+            while name in used_names:  # run_name()_idx, or the next suffix that is free
+                name, suffix = f"{cfg.run_name()}_{suffix}", suffix + 1
+            used_names.add(name)
+            trace, manifest = _write_run(cfg, ws, out, name, ahead.get(idx))
+            manifests.append(manifest)
+            to_threshold[name] = _rounds_to_threshold(
+                trace, metric, cfg.stop.threshold if cfg.stop.metric == metric else None)
+            gp_lines = [f"# {name}", "# k comm_vector value"]
+            for rec in trace.records:
+                value = rec.metric(metric)
+                if value is not None:
+                    long_lines.append(
+                        f"{name},{rec.k},{rec.comm_vector},{rec.comm_scalar},{metric},{value!r}"
+                    )
+                    gp_lines.append(f"{rec.k} {rec.comm_vector} {value!r}")
+            gp_blocks.append("\n".join(gp_lines))
+    finally:  # kill and reap the children whose runs were not reached
+        for child in ahead.values():
+            child.stop()
 
     long_path = out / f"{label}_long.csv"
     _atomic_write_text(long_path, "\n".join(long_lines) + "\n")

@@ -29,11 +29,14 @@ stacked gradient and one gossip multiply for the whole block. Under a stop
 threshold it visits the stepsizes from the largest down, and no stepsize
 runs past the round at which a larger one reached the threshold. Once that
 cap can only fall, the blocks left run at once in forked worker processes,
-one per CPU, and every point keeps the bits of the one-process search.
+one per CPU, and every point keeps the bits of the one-process search. A
+whole search can also start ahead in a forked child (fork_grid_search),
+which the search call with the same arguments joins.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import pickle
 import signal
@@ -77,6 +80,8 @@ __all__ = [
     "extra_step",
     "run",
     "extra_grid_search",
+    "fork_grid_search",
+    "spare_cpus",
     "GridPoint",
     "GridSearch",
     "DIVERGENCE_NORM",
@@ -561,14 +566,21 @@ def _extra_block(problem, gossip, start, alphas, cap, recorder, metric, stop) ->
     return points
 
 
-def _grid_workers(problem: ProblemInstance, blocks: int) -> int:
-    """How many processes run that many grid blocks at one cap: one per CPU this
-    process may use, at most one per block. One, so no fork, where os.fork
-    does not exist, when the problem's agent lanes already use every CPU, or
-    while another thread is alive, which a forked child would not have."""
+_IN_WORKER = False  # True in a forked worker: its own workers join its process group
+
+
+def spare_cpus(problem: ProblemInstance) -> int:
+    """CPUs beyond this process's own that its forked workers may use on problem.
+
+    Zero where os.fork does not exist, when the problem's agent lanes already
+    use every CPU, or while another thread is alive, which a forked child
+    would not have; else one less than the CPUs this process may use. Both
+    fork sites, the grid's workers and compare's grid searches run ahead,
+    ask this.
+    """
     if not hasattr(os, "fork") or problem.lanes > 1 or threading.active_count() > 1:
-        return 1
-    return min(objectives._cpu_count(), blocks)
+        return 0
+    return objectives._cpu_count() - 1
 
 
 def _run_items(items, work) -> dict:
@@ -582,14 +594,52 @@ def _run_items(items, work) -> dict:
     return done
 
 
-def _fork_worker(items, work):
-    """(pid, report file) of a forked child running _run_items(items, work); None if
-    the fork fails.
+class _Worker:
+    """A forked child running _run_items(items, work) (see _fork_worker)."""
+
+    def __init__(self, pid: int, report):
+        self.pid, self.report = pid, report
+
+    def join(self) -> dict:
+        """The child's {item: result}, {} unless it exited 0, once it has exited.
+        If the wait is interrupted, the child is killed first."""
+        try:
+            data = self.report.read()
+        except BaseException:
+            self.stop()
+            raise
+        code = self._reap()
+        # written by a child of this process, so safe to unpickle
+        return pickle.loads(data) if code == 0 else {}
+
+    def stop(self) -> None:
+        """Kill the child, and any workers of its own, and wait for it, unless it
+        was joined or stopped."""
+        if self.report.closed:
+            return
+        if not _IN_WORKER:  # the child leads a process group that holds its workers
+            with contextlib.suppress(ProcessLookupError):  # no process of the group is left
+                os.killpg(self.pid, signal.SIGKILL)
+        os.kill(self.pid, signal.SIGKILL)
+        self._reap()
+
+    def _reap(self) -> int:
+        self.report.close()
+        return os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+
+
+def _fork_worker(items, work) -> _Worker | None:
+    """A forked child running _run_items(items, work); None if the fork fails.
 
     The child pickles its results into the report pipe and leaves through
     os._exit, so it runs none of this process's cleanup; it exits 0 once the
-    report is written.
+    report is written. Plain os.fork, not multiprocessing, which would load
+    ctypes and more: a child starts from this process's memory with only the
+    thread that forked it. A child of a process that is no worker leads a
+    process group of its own, which its workers join, so that stop() kills
+    them with it.
     """
+    global _IN_WORKER
     read_end, write_end = os.pipe()
     try:
         pid = os.fork()
@@ -597,9 +647,12 @@ def _fork_worker(items, work):
         os.close(read_end)
         os.close(write_end)
         return None
+    leader = not _IN_WORKER
     if pid == 0:
-        status = 1
+        _IN_WORKER, status = True, 1
         try:
+            if leader:
+                os.setpgid(0, 0)
             os.close(read_end)
             with open(write_end, "wb") as report:
                 pickle.dump(_run_items(items, work), report, protocol=pickle.HIGHEST_PROTOCOL)
@@ -607,18 +660,19 @@ def _fork_worker(items, work):
         finally:
             os._exit(status)
     os.close(write_end)
-    return pid, open(read_end, "rb")
+    if leader:  # as the child does, so the group exists before this process goes on
+        with contextlib.suppress(OSError):  # the child may have exited already
+            os.setpgid(pid, pid)
+    return _Worker(pid, open(read_end, "rb"))
 
 
 def _in_workers(items: range, workers: int, work) -> dict:
     """{item: work(item)} for the items that workers processes ran to the end.
 
     Worker w takes items[w], items[w + workers], ... in order: this process
-    is worker 0, the others are forked children (_fork_worker). Plain
-    os.fork, not multiprocessing, which would load ctypes and more: a child
-    starts from this process's memory with only the thread that forked it.
-    A worker stops at its first failing item, and a child that did not fork
-    or did not exit 0 reports nothing. Every child is waited for before this
+    is worker 0, the others are forked children (_fork_worker). A worker
+    stops at its first failing item, and a child that did not fork or did
+    not exit 0 reports nothing. Every child is waited for before this
     returns; if this process is interrupted, they are killed first.
     """
     children = []
@@ -628,19 +682,20 @@ def _in_workers(items: range, workers: int, work) -> dict:
                 break
             children.append(child)
         done = _run_items(items[::workers], work)
-        reports = [report.read() for _, report in children]
-    except BaseException:
-        for pid, _ in children:
-            os.kill(pid, signal.SIGKILL)
-        raise
+        for child in children:
+            done.update(child.join())
     finally:
-        for _, report in children:
-            report.close()
-        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid, _ in children]
-    for data, code in zip(reports, codes):
-        if code == 0:  # written by a child of this call, so safe to unpickle
-            done.update(pickle.loads(data))
+        for child in children:
+            child.stop()
     return done
+
+
+def fork_grid_search(*args) -> _Worker | None:
+    """A forked child running extra_grid_search(*args), for the call
+    extra_grid_search(*args, ahead=child) to join; None if the fork fails.
+    The caller decides whether to fork (spare_cpus), and must stop() the
+    child if it leaves before that call."""
+    return _fork_worker((0,), lambda _: extra_grid_search(*args))
 
 
 def extra_grid_search(
@@ -652,6 +707,8 @@ def extra_grid_search(
     metric: str = DEFAULT_METRIC,
     x0: np.ndarray | None = None,
     stop: StopRule = StopRule(),
+    *,
+    ahead: _Worker | None = None,
 ) -> GridSearch:
     """Run EXTRA at every grid stepsize for at most budget rounds; pick the best one.
 
@@ -679,7 +736,8 @@ def extra_grid_search(
     its own block, so the points do not depend on the block width. Once the
     cap can no longer be the budget (from the first converged point on, or
     from the start without a threshold) it can only fall, so the blocks
-    left run at once at that cap, in _grid_workers processes (_in_workers).
+    left run at once at that cap, in this process and a forked worker per
+    spare CPU, at most one process per block (spare_cpus, _in_workers).
     They are then taken from the largest down, and a block whose own cap
     fell below it (a larger block converged sooner) or that no worker
     reported runs again in this process at its own cap. A block makes the
@@ -687,7 +745,14 @@ def extra_grid_search(
     first block that raises, are those of the one-process search at any CPU
     count. Returns the chosen stepsize and one GridPoint per grid stepsize
     in ascending order.
+
+    ahead is a child of fork_grid_search(*args) with this call's other
+    arguments as args, or None. The call waits for it and returns its
+    search; the search runs here only if the child reported none (it raised
+    or was killed), so what it raises, it raises here.
     """
+    if ahead is not None and (done := ahead.join()):
+        return done[0]
     grid = sorted(float(a) for a in grid)
     if not grid or not all(0 < a < np.inf for a in grid):
         raise ParameterError("grid must be a nonempty list of positive finite stepsizes")
@@ -708,16 +773,16 @@ def extra_grid_search(
     def run_block(i: int, cap: int) -> list[GridPoint]:
         return _extra_block(problem, gossip, start, blocks[i], cap, recorder, metric, stop)
 
-    points, cap, ahead = [], budget, None
+    points, cap, settled = [], budget, None
     for i in range(len(blocks)):
-        if ahead is None and (stop.threshold is None
-                              or any(point.status == "converged" for point in points)):
+        if settled is None and (stop.threshold is None
+                                or any(point.status == "converged" for point in points)):
             # the cap can only fall from here: run the blocks left at it, at once
-            rest, ahead_cap = range(i, len(blocks)), cap
-            workers = _grid_workers(problem, len(rest))
-            ahead = {} if workers == 1 else _in_workers(
-                rest, workers, lambda j: run_block(j, ahead_cap))
-        block = ahead[i] if ahead and i in ahead and cap == ahead_cap else run_block(i, cap)
+            rest, settled_cap = range(i, len(blocks)), cap
+            workers = min(1 + spare_cpus(problem), len(rest))
+            settled = {} if workers == 1 else _in_workers(
+                rest, workers, lambda j: run_block(j, settled_cap))
+        block = settled[i] if settled and i in settled and cap == settled_cap else run_block(i, cap)
         cap = min([cap] + [point.rounds for point in block if point.status == "converged"])
         points[:0] = block
     best = best_key = None

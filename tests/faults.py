@@ -7,7 +7,8 @@ evaluate as the problem does and then overwrite rows of the stacked gradient
 (``stacked_gradient``, whose own products stay exact) or of the column
 gradients (``column_gradients``, one call per column) with NaN.
 ``RaiseOutsideBall`` and ``RaiseOnColumns`` raise from ``column_gradients``
-instead. Values and the averaged evaluations are left exact.
+instead, and ``RaiseOnProducts`` from ``stacked_gradient`` when it is asked for
+the own products. Values and the averaged evaluations are left exact.
 """
 
 import itertools
@@ -105,3 +106,14 @@ class RaiseOnColumns(_Fault):
             norm = np.max(np.linalg.norm(x_cols, axis=-1))
             raise FloatingPointError(f"a stack of {self.columns} columns, row norm {norm!r}")
         return super().column_gradients(x_cols)
+
+
+class RaiseOnProducts(_Fault):
+    """problem whose stacked gradient raises `error` when asked for the own products, as
+    every engine round asks and the EXTRA grid search never does; so in a compare the
+    runs raise and a grid search run ahead does not."""
+
+    def stacked_gradient(self, x_stack, products=False):
+        if products:
+            raise self.error
+        return super().stacked_gradient(x_stack, products)

@@ -8,6 +8,7 @@ a lane makes exactly the BLAS calls and elementwise operations that one lane
 makes for its agents.
 """
 
+import contextlib
 import json
 import os
 import signal
@@ -15,6 +16,7 @@ import threading
 import time
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ import yaml
 from decopt import cli, objectives, runner, solvers
 from decopt.config import parse_config_dict
 from decopt.diagnostics import TraceRecorder, compute_saddle
+from decopt.errors import NoConvergentStepsizeError
 from decopt.objectives import load_mnist_partition, synth_logistic, synth_ridge
 from decopt.solvers import extra_grid_search
 from decopt.topology import (
@@ -30,7 +33,7 @@ from decopt.topology import (
     make_line_graph,
     metropolis_hastings,
 )
-from faults import RaiseOnColumns, RaiseOutsideBall
+from faults import RaiseOnColumns, RaiseOnProducts, RaiseOutsideBall
 from idx_files import write_idx_pair
 from oracles import average_value
 from probes import run_probe
@@ -214,21 +217,28 @@ def grid_case(loss):
     return prob, gossip, compute_saddle(prob, gossip), grid, x0
 
 
-def search(prob, gossip, saddle, grid, budget, metric, x0, stop=solvers.StopRule()):
-    """extra_grid_search's GridSearch; the search leaves no child process and no open
-    descriptor behind, whether it returns or raises."""
+@contextlib.contextmanager
+def leaves_nothing():
+    """Fails unless the block leaves no child process, no new open descriptor and no
+    ResourceWarning (a report file left open) behind, whether it returns or raises."""
     fds = set(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        try:
+            yield
+        finally:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+            if fds is not None:
+                assert set(os.listdir("/proc/self/fd")) == fds
+            assert not [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+def search(prob, gossip, saddle, grid, budget, metric, x0, stop=solvers.StopRule()):
+    """extra_grid_search's GridSearch; the search leaves nothing behind (leaves_nothing)."""
     recorder = TraceRecorder(prob, gossip, saddle)
-    try:
-        with warnings.catch_warnings(record=True) as caught:  # a report file left open
-            warnings.simplefilter("always", ResourceWarning)
-            return extra_grid_search(prob, gossip, grid, budget, recorder, metric, x0, stop)
-    finally:
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-        if fds is not None:
-            assert set(os.listdir("/proc/self/fd")) == fds
-        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+    with leaves_nothing():
+        return extra_grid_search(prob, gossip, grid, budget, recorder, metric, x0, stop)
 
 
 # The grid forks its workers only while no other thread is alive.
@@ -512,3 +522,181 @@ def test_preset_manifests_record_lanes(tmp_path, force_lanes, monkeypatch):
         outputs[count] = {p.name: p.read_bytes() for p in out.iterdir()
                           if not p.name.endswith(".manifest.json")}
     assert outputs[2] == outputs[1]
+
+
+# compare forks each EXTRA grid search after its first config into a child that
+# runs it while this process runs the configs before it, one per spare CPU.
+ADOLF = {"kind": "adolf", "mode": "convex"}
+
+
+def grid_algorithm(*alphas, budget=30) -> dict:
+    return {"kind": "extra", "grid": list(alphas), "budget": budget}
+
+
+def compare_configs(*algorithms, **sections) -> list:
+    """One config per algorithm on raw_config's ridge instance, named run0, run1, ..."""
+    return [parse_config_dict({**raw_config("ridge", algorithm), **sections, "name": f"run{i}"})
+            for i, algorithm in enumerate(algorithms)]
+
+
+def written(out) -> dict:
+    """Every file in out by name: its bytes, or for a manifest its fields but when and
+    where it was written."""
+    files = {}
+    for path in sorted(out.iterdir()):
+        if path.name.endswith(".manifest.json"):
+            files[path.name] = json.loads(path.read_text())
+            del files[path.name]["created_utc"], files[path.name]["csv_path"]
+        else:
+            files[path.name] = path.read_bytes()
+    return files
+
+
+def compare_outputs(configs, out, metric=None) -> dict:
+    """written(out) after compare wrote there, leaving nothing behind."""
+    with leaves_nothing():
+        runner.compare(configs, out_dir=out, metric=metric)
+    return written(out)
+
+
+def test_compare_grids_ahead_identical(tmp_path, forks, blocks_here, monkeypatch):
+    # the first config's grid starts at its turn; of the two after it, one per
+    # spare CPU runs ahead in a child, the others here, each grid a single block
+    configs = compare_configs(grid_algorithm(0.05, 0.3), ADOLF,
+                              grid_algorithm(0.05, 0.3, 1.0, 8.0), grid_algorithm(0.1, 0.2))
+    outputs, searched_here = {}, {}
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(objectives, "_cpu_count", lambda: cpus)
+        forks.clear()
+        blocks_here.clear()
+        outputs[cpus] = compare_outputs(configs, tmp_path / f"cpus{cpus}")
+        assert len(forks) == cpus - 1
+        searched_here[cpus] = len(blocks_here)
+    assert searched_here == {1: 3, 2: 2, 3: 1}
+    assert outputs[2] == outputs[1] and outputs[3] == outputs[1]
+    assert [outputs[1][f"run{i}.manifest.json"]["extra_best_alpha"] for i in (0, 2, 3)] == [
+        0.05, 0.05, 0.1]
+
+    def fails():
+        forks.append(None)
+        raise OSError("no process to spare")
+
+    monkeypatch.setattr(os, "fork", fails)
+    forks.clear()
+    blocks_here.clear()
+    assert compare_outputs(configs, tmp_path / "fork_fails") == outputs[1]
+    assert forks == [None] and len(blocks_here) == 3
+
+
+def test_compare_grid_ahead_error_is_raised_at_its_turn(tmp_path, forks, monkeypatch):
+    # every stepsize diverges: the child reports nothing, and the search run here
+    # raises the one-process error after the adaptive run's files are written
+    configs = compare_configs(ADOLF, grid_algorithm(50.0, 80.0, budget=200))
+    errors, files = [], []
+    for cpus in (1, 2):
+        monkeypatch.setattr(objectives, "_cpu_count", lambda: cpus)
+        forks.clear()
+        out = tmp_path / f"cpus{cpus}"
+        with leaves_nothing(), pytest.raises(NoConvergentStepsizeError) as error:
+            runner.compare(configs, out_dir=out)
+        assert len(forks) == cpus - 1
+        errors.append(str(error.value))
+        files.append(written(out))
+    assert errors == ["every stepsize in the grid of 2 diverged"] * 2
+    assert set(files[0]) == {"run0.csv", "run0.manifest.json"}
+    assert files[1] == files[0]
+
+
+@pytest.mark.parametrize("error", [FloatingPointError("an injected fault"), KeyboardInterrupt()],
+                         ids=["error", "interrupt"])
+def test_compare_kills_grid_ahead_when_a_run_raises(tmp_path, forks, monkeypatch, error):
+    # the adaptive run raises at its first round, while the grid ahead, at a
+    # budget it would take minutes to spend, runs on: its child is killed
+    build, killpg, kills = runner.build_problem, os.killpg, []
+
+    def recorded(pid, sig):
+        kills.append((pid, sig))
+        killpg(pid, sig)
+
+    monkeypatch.setattr(runner, "build_problem",
+                        lambda config: RaiseOnProducts(build(config), error=error))
+    monkeypatch.setattr(os, "killpg", recorded)
+    monkeypatch.setattr(objectives, "_cpu_count", lambda: 2)
+    configs = compare_configs(ADOLF, grid_algorithm(0.01, 0.05, budget=10**7),
+                              stop={"max_iter": 40, "metric": "consensus_err", "threshold": 1e-300},
+                              diagnostics={"cadence": 1, "saddle": False})
+    with leaves_nothing(), pytest.raises(type(error)):
+        runner.compare(configs, out_dir=tmp_path)
+    assert len(forks) == 1
+    assert kills == [(forks[0], signal.SIGKILL)]
+
+
+def running_in_group(pgid: int) -> set[int]:
+    """The pids of the processes of process group pgid that have not exited."""
+    pids = set()
+    for entry in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            stat = Path("/proc", entry, "stat").read_text()
+        except OSError:  # exited and reaped meanwhile
+            continue
+        state, _, pgrp = stat.rsplit(")", 1)[1].split()[:3]
+        if int(pgrp) == pgid and state != "Z":
+            pids.add(int(entry))
+    return pids
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process groups in /proc")
+def test_stopped_grid_ahead_takes_its_workers(grid_blocks_of_two, forks, monkeypatch):
+    # a grid of two blocks with no threshold forks a worker at once, in the child
+    prob, gossip, saddle, grid, x0 = grid_case("ridge")
+    monkeypatch.setattr(objectives, "_cpu_count", lambda: 2)
+    args = (prob, gossip, grid[:4], 10**7, TraceRecorder(prob, gossip, saddle), "distance_sq", x0)
+    with leaves_nothing():
+        child = solvers.fork_grid_search(*args)
+        try:
+            deadline = time.monotonic() + 60
+            while len(group := running_in_group(child.pid)) < 2 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert group > {child.pid}, "the child forked no worker"
+        finally:
+            child.stop()
+    assert forks == [child.pid]
+    deadline = time.monotonic() + 60
+    while running_in_group(child.pid) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert not running_in_group(child.pid), "the child's worker outlived it"
+
+
+def test_killed_grid_ahead_runs_here(grid_blocks_of_two, forks, blocks_here, monkeypatch):
+    prob, gossip, saddle, grid, x0 = grid_case("ridge")
+    monkeypatch.setattr(objectives, "_cpu_count", lambda: 1)
+    want = search(prob, gossip, saddle, grid, 200, "distance_sq", x0)
+    assert len(blocks_here) == 5
+    monkeypatch.setattr(objectives, "_cpu_count", lambda: 2)
+    args = (prob, gossip, grid, 200, TraceRecorder(prob, gossip, saddle), "distance_sq", x0)
+    with leaves_nothing():
+        joined = extra_grid_search(*args, ahead=solvers.fork_grid_search(*args))
+        child = solvers.fork_grid_search(*args)
+        os.kill(child.pid, signal.SIGKILL)
+        blocks_here.clear()
+        rerun = extra_grid_search(*args, ahead=child)
+    assert joined == want and rerun == want
+    assert len(forks) == 3  # the two children, and the rerun's worker
+    assert len(blocks_here) == 3  # the rerun's stride of the five blocks
+
+
+def test_laned_compare_runs_no_grid_ahead(tmp_path, force_lanes, forks):
+    # without a saddle solve no lane thread runs at compare's fork site, so the
+    # lane count alone keeps the grid here; the runs start the lane threads
+    configs = compare_configs(ADOLF, grid_algorithm(0.05, 0.3),
+                              stop={"max_iter": 40, "metric": "consensus_err", "threshold": 1e-300},
+                              diagnostics={"cadence": 1, "saddle": False})
+    force_lanes(1)
+    want = compare_outputs(configs, tmp_path / "one")
+    force_lanes(2)
+    got = compare_outputs(configs, tmp_path / "two")
+    assert not forks
+    assert threading.active_count() > 1
+    for name in ("run0.manifest.json", "run1.manifest.json"):
+        assert (want[name].pop("lanes"), got[name].pop("lanes")) == (1, 2)
+    assert got == want
