@@ -7,11 +7,11 @@ long-format CSV and a gnuplot-friendly block file) plus a summary table of
 communications-to-threshold. figure_preset generates the benchmark config
 sets (line graph and two random-graph densities, one per figure family).
 
-compare starts each EXTRA grid search after its first config in a forked
-child as soon as the shared workspace is built, one per CPU beyond its own,
-so the search runs while the configs before it run in the calling process;
-the search call at EXTRA's turn waits for the child and takes its result.
-The files are those of a compare in one process.
+compare runs configs after its first ahead, each in a forked child, one per
+CPU beyond its own, longest first: a child runs an EXTRA grid search, or any
+other config's whole run, while the calling process runs the configs before
+it, and the search or run call at that config's turn waits for the child and
+takes its result. The files are those of a compare in one process.
 
 Output files are written atomically (temp file then rename) so repeated or
 interrupted invocations never leave partial CSVs behind.
@@ -59,7 +59,7 @@ from .solvers import (
     FixedStepParams,
     GridSearch,
     extra_grid_search,
-    fork_grid_search,
+    fork_ahead,
     run,
     spare_cpus,
 )
@@ -209,32 +209,59 @@ def _grid_args(config: ExperimentConfig, ws: _Workspace) -> tuple:
             stop.metric or DEFAULT_METRIC, ws.x0, stop)
 
 
+def _run_args(config: ExperimentConfig, ws: _Workspace, extra_alpha: float | None) -> tuple:
+    """run's arguments for config in ws, EXTRA's at stepsize extra_alpha."""
+    algo = config.algorithm
+    if algo.kind in ("adolf", "adolf_local"):
+        params = algo.stepsize_params()
+    elif algo.kind == "condat_vu":
+        params = FixedStepParams(alpha=algo.alpha, sigma=algo.sigma_bar, gamma=algo.gamma)
+    else:
+        params = ExtraParams(extra_alpha)
+    return (algo.kind, ws.problem, ws.gossip, params, config.stop,
+            ws.recorder(config.diagnostics.cadence), ws.x0)
+
+
+def _has_grid(config: ExperimentConfig) -> bool:
+    return config.algorithm.kind == "extra" and config.algorithm.grid is not None
+
+
 def _execute(config: ExperimentConfig, ws: _Workspace, ahead=None
              ) -> tuple[Trace, float | None, GridSearch | None]:
     """Run the configured algorithm inside a prepared workspace.
 
-    Returns the trace, EXTRA's stepsize and, for a grid, the grid search,
-    which ahead (a fork_grid_search child of _grid_args) may have run.
+    Returns the trace, EXTRA's stepsize and, for a grid, the grid search.
+    ahead, a fork_ahead child of _run_ahead(config, ws), goes to the call
+    that does its work, the grid search for a grid and else the run, which
+    joins it.
     """
     algo = config.algorithm
-    stop = config.stop
-    cadence = config.diagnostics.cadence
     best_alpha = search = None
-    if algo.kind in ("adolf", "adolf_local"):
-        params = algo.stepsize_params()
-        trace = run(algo.kind, ws.problem, ws.gossip, params, stop, ws.recorder(cadence), ws.x0)
-    elif algo.kind == "condat_vu":
-        params = FixedStepParams(alpha=algo.alpha, sigma=algo.sigma_bar, gamma=algo.gamma)
-        trace = run("condat_vu", ws.problem, ws.gossip, params, stop, ws.recorder(cadence), ws.x0)
-    else:  # extra
-        if algo.grid is not None:
-            search = extra_grid_search(*_grid_args(config, ws), ahead=ahead)
-            best_alpha = search.alpha
-        else:
-            best_alpha = algo.alpha
-        trace = run("extra", ws.problem, ws.gossip, ExtraParams(best_alpha), stop,
-                    ws.recorder(cadence), ws.x0)
+    if _has_grid(config):
+        search = extra_grid_search(*_grid_args(config, ws), ahead=ahead)
+        best_alpha, ahead = search.alpha, None
+    elif algo.kind == "extra":
+        best_alpha = algo.alpha
+    trace = run(*_run_args(config, ws, best_alpha), ahead=ahead)
     return trace, best_alpha, search
+
+
+def _run_ahead(config: ExperimentConfig, ws: _Workspace):
+    """What a child forked for config does ahead, with _execute's arguments: an EXTRA
+    grid search, or any other config's whole run."""
+    if _has_grid(config):
+        return extra_grid_search(*_grid_args(config, ws))
+    return run(*_run_args(config, ws, config.algorithm.alpha))
+
+
+def _ahead_rank(config: ExperimentConfig) -> int:
+    """Where config comes in compare's order of runs ahead, longest first, by kind alone:
+    an EXTRA grid search runs EXTRA at every grid stepsize; an adolf_local round adds
+    the per-agent rule and its min-consensus to what an adolf round does; adolf,
+    condat_vu and EXTRA without a grid come last, in config order."""
+    if _has_grid(config):
+        return 0
+    return 1 if config.algorithm.kind == "adolf_local" else 2
 
 
 def _write_run(config: ExperimentConfig, ws: _Workspace, out: Path, name: str,
@@ -331,10 +358,10 @@ def _rounds_to_threshold(trace: Trace, metric: str, threshold: float | None) -> 
     """The first row's k at which metric is at or below threshold; None if none is."""
     if threshold is None:
         return None
-    for rec in trace.records:
-        value = rec.metric(metric)
+    rows = trace.records
+    for k, value in zip(rows.column("k"), rows.column(METRICS[metric])):
         if value is not None and value <= threshold:
-            return rec.k
+            return k
     return None
 
 
@@ -348,12 +375,16 @@ def compare(configs: list[ExperimentConfig], out_dir=None, metric: str | None = 
     stop.threshold when its stop.metric is the compared metric. label names
     the comparison's files, so it must be a plain file name.
 
-    Each EXTRA grid search but the first config's starts in a forked child
-    (solvers.fork_grid_search) once the workspace is built, while fewer
-    children run than solvers.spare_cpus allows: none with agent lanes, one
-    CPU or another live thread, or where os.fork does not exist. Its run joins
-    the child, and runs the search itself if the child reported none. Any
-    exit before that kills and reaps the child and the workers it forked.
+    Once the workspace is built, configs after the first start ahead, each
+    in a forked child (solvers.fork_ahead), as many as solvers.spare_cpus
+    allows: none with agent lanes, one CPU or another live thread, or where
+    os.fork does not exist. They are taken longest first by kind
+    (_ahead_rank): EXTRA with a grid, then adolf_local, then the others in
+    config order. A child runs EXTRA's grid search, or any other config's
+    whole run, while this process runs the configs before it. At the
+    config's turn the search or run call joins the child, and does the work
+    itself if the child reported none. Any exit before that kills and reaps
+    the child and the workers it forked.
     """
     if not configs:
         raise ComparisonError("compare needs at least one config")
@@ -378,15 +409,13 @@ def compare(configs: list[ExperimentConfig], out_dir=None, metric: str | None = 
     long_lines = ["algorithm,k,comm_vector,comm_scalar,metric,value"]
     gp_blocks = []
     used_names: set[str] = set()
-    ahead = {}  # config index -> the fork_grid_search child running its grid
+    ahead = {}  # config index -> the fork_ahead child running it ahead
     try:
-        slots = spare_cpus(ws.problem)
-        for idx, cfg in enumerate(configs[1:], 1):
-            if (len(ahead) < slots and cfg.algorithm.kind == "extra"
-                    and cfg.algorithm.grid is not None):
-                if (child := fork_grid_search(*_grid_args(cfg, ws))) is None:
-                    break
-                ahead[idx] = child
+        later = sorted(range(1, len(configs)), key=lambda i: _ahead_rank(configs[i]))
+        for idx in later[:spare_cpus(ws.problem)]:
+            if (child := fork_ahead(_run_ahead, configs[idx], ws)) is None:
+                break
+            ahead[idx] = child
         for idx, cfg in enumerate(configs):
             name, suffix = cfg.run_name(), idx
             while name in used_names:  # run_name()_idx, or the next suffix that is free
@@ -397,13 +426,12 @@ def compare(configs: list[ExperimentConfig], out_dir=None, metric: str | None = 
             to_threshold[name] = _rounds_to_threshold(
                 trace, metric, cfg.stop.threshold if cfg.stop.metric == metric else None)
             gp_lines = [f"# {name}", "# k comm_vector value"]
-            for rec in trace.records:
-                value = rec.metric(metric)
+            rows = trace.records
+            for k, vector, scalar, value in zip(*map(rows.column, (
+                    "k", "comm_vector", "comm_scalar", METRICS[metric]))):
                 if value is not None:
-                    long_lines.append(
-                        f"{name},{rec.k},{rec.comm_vector},{rec.comm_scalar},{metric},{value!r}"
-                    )
-                    gp_lines.append(f"{rec.k} {rec.comm_vector} {value!r}")
+                    long_lines.append(f"{name},{k},{vector},{scalar},{metric},{value!r}")
+                    gp_lines.append(f"{k} {vector} {value!r}")
             gp_blocks.append("\n".join(gp_lines))
     finally:  # kill and reap the children whose runs were not reached
         for child in ahead.values():

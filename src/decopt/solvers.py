@@ -21,7 +21,8 @@ checks that params are of the engine's kind. One run is strictly sequential
 (the synchronous-round semantics are part of correctness); distinct runs
 share nothing mutable and may execute in parallel. run() drives the step
 named by its algorithm and hands the trace recorder each pair of
-consecutive states.
+consecutive states. A run, or a whole grid search, can start ahead in a
+forked child (fork_ahead), which the call with the same arguments joins.
 
 The EXTRA grid search runs many stepsizes without run() or a recorder: it
 advances them as the columns of one (m, G, d) stack, so each round costs one
@@ -29,9 +30,7 @@ stacked gradient and one gossip multiply for the whole block. Under a stop
 threshold it visits the stepsizes from the largest down, and no stepsize
 runs past the round at which a larger one reached the threshold. Once that
 cap can only fall, the blocks left run at once in forked worker processes,
-one per CPU, and every point keeps the bits of the one-process search. A
-whole search can also start ahead in a forked child (fork_grid_search),
-which the search call with the same arguments joins.
+one per CPU, and every point keeps the bits of the one-process search.
 """
 
 from __future__ import annotations
@@ -80,7 +79,7 @@ __all__ = [
     "extra_step",
     "run",
     "extra_grid_search",
-    "fork_grid_search",
+    "fork_ahead",
     "spare_cpus",
     "GridPoint",
     "GridSearch",
@@ -372,6 +371,8 @@ def run(
     recorder: TraceRecorder,
     x0: np.ndarray,
     x_minus1: np.ndarray | None = None,
+    *,
+    ahead: _Worker | None = None,
 ) -> Trace:
     """Drive one algorithm under a stop rule, recording diagnostics.
 
@@ -383,7 +384,14 @@ def run(
     value tested, computed once. Divergence (non-finite values or
     Frobenius norm above 1e12) ends the run with status "diverged" instead
     of raising.
+
+    ahead is a fork_ahead child that calls run with this call's other
+    arguments, or None. The call waits for it and returns its trace; the
+    run happens here, with recorder, only if the child reported none (it
+    raised or was killed), so what it raises, it raises here.
     """
+    if ahead is not None and (done := ahead.join()):
+        return done[0]
     if algorithm not in _ALGORITHMS:
         raise ConfigError(f"unknown algorithm {algorithm!r}")
     state = initial_state(problem, x0, x_minus1)
@@ -575,8 +583,7 @@ def spare_cpus(problem: ProblemInstance) -> int:
     Zero where os.fork does not exist, when the problem's agent lanes already
     use every CPU, or while another thread is alive, which a forked child
     would not have; else one less than the CPUs this process may use. Both
-    fork sites, the grid's workers and compare's grid searches run ahead,
-    ask this.
+    fork sites, the grid's workers and compare's runs ahead, ask this.
     """
     if not hasattr(os, "fork") or problem.lanes > 1 or threading.active_count() > 1:
         return 0
@@ -690,12 +697,12 @@ def _in_workers(items: range, workers: int, work) -> dict:
     return done
 
 
-def fork_grid_search(*args) -> _Worker | None:
-    """A forked child running extra_grid_search(*args), for the call
-    extra_grid_search(*args, ahead=child) to join; None if the fork fails.
-    The caller decides whether to fork (spare_cpus), and must stop() the
-    child if it leaves before that call."""
-    return _fork_worker((0,), lambda _: extra_grid_search(*args))
+def fork_ahead(fn, *args) -> _Worker | None:
+    """A forked child running fn(*args), which calls run or extra_grid_search,
+    for the same call made here with ahead=child to join; None if the fork
+    fails. The caller decides whether to fork (spare_cpus), and must stop()
+    the child if it leaves before that call."""
+    return _fork_worker((0,), lambda _: fn(*args))
 
 
 def extra_grid_search(
@@ -746,8 +753,8 @@ def extra_grid_search(
     count. Returns the chosen stepsize and one GridPoint per grid stepsize
     in ascending order.
 
-    ahead is a child of fork_grid_search(*args) with this call's other
-    arguments as args, or None. The call waits for it and returns its
+    ahead is a fork_ahead child that calls extra_grid_search with this
+    call's other arguments, or None. The call waits for it and returns its
     search; the search runs here only if the child reported none (it raised
     or was killed), so what it raises, it raises here.
     """

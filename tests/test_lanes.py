@@ -9,6 +9,7 @@ makes for its agents.
 """
 
 import contextlib
+import importlib.util
 import json
 import os
 import signal
@@ -524,9 +525,11 @@ def test_preset_manifests_record_lanes(tmp_path, force_lanes, monkeypatch):
     assert outputs[2] == outputs[1]
 
 
-# compare forks each EXTRA grid search after its first config into a child that
-# runs it while this process runs the configs before it, one per spare CPU.
+# compare forks configs after its first into children that run them ahead while
+# this process runs the configs before them, one per spare CPU, longest first:
+# an EXTRA grid search, then adolf_local's run, then the others'.
 ADOLF = {"kind": "adolf", "mode": "convex"}
+ADOLF_LOCAL = {"kind": "adolf_local", "mode": "convex"}
 
 
 def grid_algorithm(*alphas, budget=30) -> dict:
@@ -652,7 +655,7 @@ def test_stopped_grid_ahead_takes_its_workers(grid_blocks_of_two, forks, monkeyp
     monkeypatch.setattr(objectives, "_cpu_count", lambda: 2)
     args = (prob, gossip, grid[:4], 10**7, TraceRecorder(prob, gossip, saddle), "distance_sq", x0)
     with leaves_nothing():
-        child = solvers.fork_grid_search(*args)
+        child = solvers.fork_ahead(extra_grid_search, *args)
         try:
             deadline = time.monotonic() + 60
             while len(group := running_in_group(child.pid)) < 2 and time.monotonic() < deadline:
@@ -675,8 +678,9 @@ def test_killed_grid_ahead_runs_here(grid_blocks_of_two, forks, blocks_here, mon
     monkeypatch.setattr(objectives, "_cpu_count", lambda: 2)
     args = (prob, gossip, grid, 200, TraceRecorder(prob, gossip, saddle), "distance_sq", x0)
     with leaves_nothing():
-        joined = extra_grid_search(*args, ahead=solvers.fork_grid_search(*args))
-        child = solvers.fork_grid_search(*args)
+        ahead = solvers.fork_ahead(extra_grid_search, *args)
+        joined = extra_grid_search(*args, ahead=ahead)
+        child = solvers.fork_ahead(extra_grid_search, *args)
         os.kill(child.pid, signal.SIGKILL)
         blocks_here.clear()
         rerun = extra_grid_search(*args, ahead=child)
@@ -700,3 +704,194 @@ def test_laned_compare_runs_no_grid_ahead(tmp_path, force_lanes, forks):
     for name in ("run0.manifest.json", "run1.manifest.json"):
         assert (want[name].pop("lanes"), got[name].pop("lanes")) == (1, 2)
     assert got == want
+
+
+_spec = importlib.util.spec_from_file_location(
+    "trace_diff", Path(__file__).resolve().parents[1] / "scripts" / "trace_diff.py")
+trace_diff = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(trace_diff)
+
+
+@pytest.fixture
+def forked_kinds(monkeypatch):
+    """The algorithm kind of each config that compare forks a child for, in order."""
+    kinds, fork = [], runner.fork_ahead
+
+    def recorded(fn, config, *args):
+        kinds.append(config.algorithm.kind)
+        return fork(fn, config, *args)
+
+    monkeypatch.setattr(runner, "fork_ahead", recorded)
+    return kinds
+
+
+# fig2's three kinds on the small ridge instance: strongly convex adaptive runs
+# and a grid-searched EXTRA, all stopped by a distance_sq threshold every 10 rounds
+FIG2_SHAPED = (
+    {"kind": "adolf", "mode": "strongly_convex", "c2": 0.99, "alpha0": 1e-3, "sigma": 0.2},
+    {"kind": "adolf_local", "mode": "strongly_convex", "c2": 0.99, "alpha0": 1e-3, "sigma": 0.2,
+     "eta": 0.9},
+    grid_algorithm(1e-3, 1e-2, 0.1, 1.0, budget=300),
+)
+FIG2_STOP = {"max_iter": 1000, "metric": "distance_sq", "threshold": 1e-10, "cadence": 10}
+
+
+def step_of(kind: str, fault):
+    """kind's step, made to call fault(state) first at every round."""
+    step = solvers._ALGORITHMS[kind]
+
+    def faulty(state, *args):
+        fault(state)
+        return step(state, *args)
+
+    return faulty
+
+
+def note_here(kinds: set, kind: str):
+    """A fault that adds kind to kinds when its step runs in this process, not in a child."""
+    def fault(state):
+        if not solvers._IN_WORKER:
+            kinds.add(kind)
+    return fault
+
+
+def hang_ahead(state) -> None:
+    """A fault that keeps a run going in a forked child until the child is killed."""
+    while solvers._IN_WORKER:
+        time.sleep(0.01)
+
+
+@pytest.mark.parametrize("algorithms, sections, cpus, ahead", [
+    ((ADOLF, ADOLF_LOCAL), {}, 2, ["adolf_local"]),
+    ((grid_algorithm(0.05, 0.3), ADOLF, ADOLF_LOCAL), {}, 2, ["adolf_local"]),
+    (FIG2_SHAPED, {"stop": FIG2_STOP}, 2, ["extra"]),
+    (FIG2_SHAPED, {"stop": FIG2_STOP}, 3, ["extra", "adolf_local"]),
+], ids=["pair", "local_before_adolf", "fig2_two_cpus", "fig2_three_cpus"])
+def test_compare_runs_ahead_identical(tmp_path, forks, forked_kinds, monkeypatch, algorithms,
+                                      sections, cpus, ahead):
+    configs = compare_configs(*algorithms, **sections)
+    stepped_here = set()  # the kinds whose steps ran in this process
+    for kind in ("adolf", "adolf_local", "extra"):
+        monkeypatch.setitem(solvers._ALGORITHMS, kind, step_of(kind, note_here(stepped_here, kind)))
+    monkeypatch.setattr(objectives, "_cpu_count", lambda: cpus)
+    with leaves_nothing():
+        runner.compare(configs, out_dir=tmp_path / "ahead")
+    assert forked_kinds == ahead and len(forks) == len(ahead)
+    # a child runs EXTRA's grid search, and EXTRA's run follows here
+    kinds = {algorithm["kind"] for algorithm in algorithms}
+    assert stepped_here == kinds - ({"adolf_local"} & {*ahead})
+    for module in (runner, solvers):
+        monkeypatch.setattr(module, "spare_cpus", lambda problem: 0)
+    forked_kinds.clear()
+    forks.clear()
+    with leaves_nothing():
+        runner.compare(configs, out_dir=tmp_path / "here")
+    assert not forked_kinds and not forks
+    report, problems = trace_diff.compare_exact(tmp_path / "here", tmp_path / "ahead")
+    assert problems == []
+    assert len(report) == 2 * len(configs) + 3  # each run's CSV and manifest, compare's three
+    statuses = {json.loads((tmp_path / "here" / f"run{i}.manifest.json").read_text())["status"]
+                for i in range(len(configs))}
+    assert statuses == ({"converged"} if sections else {"budget"})
+
+
+def test_compare_run_ahead_error_is_raised_at_its_turn(tmp_path, forks, forked_kinds,
+                                                       monkeypatch):
+    # adolf_local raises at round 3: in the child, which reports nothing, then at
+    # its turn here, after adolf's files are written, with the same message
+    rounds_here = []
+
+    def fault(state):
+        if not solvers._IN_WORKER:
+            rounds_here.append(state.k)
+        if state.k == 3:
+            raise FloatingPointError(f"an injected fault at round {state.k}")
+
+    monkeypatch.setitem(solvers._ALGORITHMS, "adolf_local", step_of("adolf_local", fault))
+    configs = compare_configs(ADOLF, ADOLF_LOCAL)
+    errors, files = [], []
+    for cpus in (1, 2):
+        monkeypatch.setattr(objectives, "_cpu_count", lambda: cpus)
+        forks.clear()
+        rounds_here.clear()
+        out = tmp_path / f"cpus{cpus}"
+        with leaves_nothing(), pytest.raises(FloatingPointError) as error:
+            runner.compare(configs, out_dir=out)
+        assert len(forks) == cpus - 1
+        assert rounds_here == [0, 1, 2, 3]  # the run here, once, whether or not it ran ahead
+        errors.append(str(error.value))
+        files.append(written(out))
+    assert forked_kinds == ["adolf_local"]
+    assert errors == ["an injected fault at round 3"] * 2
+    assert set(files[0]) == {"run0.csv", "run0.manifest.json"}
+    assert files[1] == files[0]
+
+
+def test_killed_run_ahead_runs_here(tmp_path, forks, forked_kinds, monkeypatch):
+    # the child running adolf_local ahead is killed as soon as it is forked: its
+    # run happens here at its turn, and compare writes the one-process files
+    configs = compare_configs(ADOLF, ADOLF_LOCAL)
+    monkeypatch.setattr(objectives, "_cpu_count", lambda: 1)
+    want = compare_outputs(configs, tmp_path / "one")
+    fork = runner.fork_ahead
+
+    def killed(*args):
+        child = fork(*args)
+        os.kill(child.pid, signal.SIGKILL)
+        return child
+
+    monkeypatch.setattr(runner, "fork_ahead", killed)
+    monkeypatch.setattr(objectives, "_cpu_count", lambda: 2)
+    monkeypatch.setitem(solvers._ALGORITHMS, "adolf_local", step_of("adolf_local", hang_ahead))
+    forked_kinds.clear()
+    assert compare_outputs(configs, tmp_path / "killed") == want
+    assert len(forks) == 1
+
+
+@pytest.mark.parametrize("error", [FloatingPointError("an injected fault"), KeyboardInterrupt()],
+                         ids=["error", "interrupt"])
+@pytest.mark.parametrize("where", ["earlier_run", "join"])
+def test_compare_kills_run_ahead(tmp_path, forks, forked_kinds, monkeypatch, error, where):
+    # adolf_local's child runs until it is killed; adolf raises at its first round,
+    # or the error hits while this process waits in the join for the child's report
+    killpg, kills = os.killpg, []
+
+    def recorded(pid, sig):
+        kills.append((pid, sig))
+        killpg(pid, sig)
+
+    def fault(state):
+        raise error
+
+    class Interrupted:
+        """A report pipe whose read is hit by the error before any byte arrives."""
+
+        def __init__(self, report):
+            self.report = report
+
+        def read(self):
+            raise error
+
+        def __getattr__(self, name):
+            return getattr(self.report, name)
+
+    fork = runner.fork_ahead
+
+    def interrupted(*args):
+        child = fork(*args)
+        child.report = Interrupted(child.report)
+        return child
+
+    monkeypatch.setattr(os, "killpg", recorded)
+    monkeypatch.setattr(objectives, "_cpu_count", lambda: 2)
+    monkeypatch.setitem(solvers._ALGORITHMS, "adolf_local", step_of("adolf_local", hang_ahead))
+    if where == "earlier_run":
+        monkeypatch.setitem(solvers._ALGORITHMS, "adolf", step_of("adolf", fault))
+    else:
+        monkeypatch.setattr(runner, "fork_ahead", interrupted)
+    with leaves_nothing(), pytest.raises(type(error)):
+        runner.compare(compare_configs(ADOLF, ADOLF_LOCAL), out_dir=tmp_path)
+    assert forked_kinds == ["adolf_local"] and len(forks) == 1
+    assert kills == [(forks[0], signal.SIGKILL)]
+    assert ({path.name for path in tmp_path.iterdir()}
+            == (set() if where == "earlier_run" else {"run0.csv", "run0.manifest.json"}))

@@ -4,7 +4,8 @@ Every name in a decopt module's ``__all__``, and every exception class in
 ``decopt.errors``, must be loaded, imported or raised somewhere in
 ``src/decopt``, ``scripts/``, ``perfbench/`` or README's library block,
 outside its own definition. Code that only the tests call belongs under
-``tests/``, where it serves as their oracle.
+``tests/``, where it serves as their oracle. The package forks from one
+function, and exports one helper that starts work in a forked child.
 """
 
 import ast
@@ -117,3 +118,15 @@ def test_the_scan_sees_each_kind_of_use():
             ("decopt.runner", "compare"), ("decopt.config", "parse_config")} <= _uses(None, tree)
     own = ast.parse("def f():\n    return f()\n\ndef g():\n    raise E(f)\n")
     assert _uses("decopt.m", own) == {("decopt.m", "E"), ("decopt.m", "f")}
+
+
+def test_one_fork_helper():
+    # every process the package forks comes from solvers._fork_worker, and the one
+    # helper that starts work ahead in a forked child is solvers.fork_ahead
+    forking = {(module, top.name) for module, tree in _sources() if module is not None
+               for top in tree.body if isinstance(top, ast.FunctionDef)
+               for node in ast.walk(top) if isinstance(node, ast.Call)
+               and isinstance(node.func, ast.Attribute) and node.func.attr == "fork"}
+    assert forking == {("decopt.solvers", "_fork_worker")}
+    assert [(module, name) for module, name in _exports() if "fork" in name] == [
+        ("decopt.solvers", "fork_ahead")]
