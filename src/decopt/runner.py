@@ -11,7 +11,8 @@ compare runs configs after its first ahead, each in a forked child, one per
 CPU beyond its own, longest first: a child runs an EXTRA grid search, or any
 other config's whole run, while the calling process runs the configs before
 it, and the search or run call at that config's turn waits for the child and
-takes its result. The files are those of a compare in one process.
+takes its result. On a problem with agent lanes the processes split the CPUs
+between them as lanes. The files are those of a compare in one process.
 
 Output files are written atomically (temp file then rename) so repeated or
 interrupted invocations never leave partial CSVs behind.
@@ -53,7 +54,13 @@ from .diagnostics import (
     compute_saddle,
 )
 from .errors import ComparisonError, ConfigError, GraphGenerationError
-from .objectives import ProblemInstance, load_mnist_partition, synth_logistic, synth_ridge
+from .objectives import (
+    ProblemInstance,
+    load_mnist_partition,
+    share_lanes,
+    synth_logistic,
+    synth_ridge,
+)
 from .solvers import (
     ExtraParams,
     FixedStepParams,
@@ -377,14 +384,19 @@ def compare(configs: list[ExperimentConfig], out_dir=None, metric: str | None = 
 
     Once the workspace is built, configs after the first start ahead, each
     in a forked child (solvers.fork_ahead), as many as solvers.spare_cpus
-    allows: none with agent lanes, one CPU or another live thread, or where
-    os.fork does not exist. They are taken longest first by kind
-    (_ahead_rank): EXTRA with a grid, then adolf_local, then the others in
-    config order. A child runs EXTRA's grid search, or any other config's
-    whole run, while this process runs the configs before it. At the
-    config's turn the search or run call joins the child, and does the work
-    itself if the child reported none. Any exit before that kills and reaps
-    the child and the workers it forked.
+    allows: none on one CPU, while another thread is alive, or where os.fork
+    does not exist. The agent lane threads that the reference solve started
+    are stopped first, so they do not count. Configs are taken longest first
+    by kind (_ahead_rank): EXTRA with a grid, then adolf_local, then the
+    others in config order. A child runs EXTRA's grid search, or any other
+    config's whole run, while this process runs the configs before it. At
+    the config's turn the search or run call joins the child, and does the
+    work itself if the child reported none. Any exit before that kills and
+    reaps the child and the workers it forked.
+
+    While children run ahead, this process and each child run at most
+    max(1, cpus // processes) agent lanes (objectives.share_lanes); every
+    exit lifts that cap again. The manifests' lanes stay the instance's.
     """
     if not configs:
         raise ComparisonError("compare needs at least one config")
@@ -410,10 +422,14 @@ def compare(configs: list[ExperimentConfig], out_dir=None, metric: str | None = 
     gp_blocks = []
     used_names: set[str] = set()
     ahead = {}  # config index -> the fork_ahead child running it ahead
+    share_lanes(1)  # stops the reference solve's lane threads, so that spare_cpus may fork
     try:
         later = sorted(range(1, len(configs)), key=lambda i: _ahead_rank(configs[i]))
-        for idx in later[:spare_cpus(ws.problem)]:
+        later = later[:spare_cpus()]
+        share_lanes(1 + len(later))  # the processes split the CPUs as agent lanes
+        for idx in later:
             if (child := fork_ahead(_run_ahead, configs[idx], ws)) is None:
+                share_lanes(1 + len(ahead))
                 break
             ahead[idx] = child
         for idx, cfg in enumerate(configs):
@@ -436,6 +452,7 @@ def compare(configs: list[ExperimentConfig], out_dir=None, metric: str | None = 
     finally:  # kill and reap the children whose runs were not reached
         for child in ahead.values():
             child.stop()
+        share_lanes(1)  # every CPU's lanes again, from a pool started at its next use
 
     long_path = out / f"{label}_long.csv"
     _atomic_write_text(long_path, "\n".join(long_lines) + "\n")

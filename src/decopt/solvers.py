@@ -577,15 +577,16 @@ def _extra_block(problem, gossip, start, alphas, cap, recorder, metric, stop) ->
 _IN_WORKER = False  # True in a forked worker: its own workers join its process group
 
 
-def spare_cpus(problem: ProblemInstance) -> int:
-    """CPUs beyond this process's own that its forked workers may use on problem.
+def spare_cpus() -> int:
+    """CPUs beyond this process's own that its forked workers may use.
 
-    Zero where os.fork does not exist, when the problem's agent lanes already
-    use every CPU, or while another thread is alive, which a forked child
-    would not have; else one less than the CPUs this process may use. Both
-    fork sites, the grid's workers and compare's runs ahead, ask this.
+    Zero where os.fork does not exist, or while another thread is alive,
+    which a forked child would not have: agent lane threads keep a laned
+    grid here, and compare stops them first (objectives.share_lanes). Else
+    one less than the CPUs this process may use. Both fork sites, the
+    grid's workers and compare's runs ahead, ask this.
     """
-    if not hasattr(os, "fork") or problem.lanes > 1 or threading.active_count() > 1:
+    if not hasattr(os, "fork") or threading.active_count() > 1:
         return 0
     return objectives._cpu_count() - 1
 
@@ -786,7 +787,7 @@ def extra_grid_search(
                                 or any(point.status == "converged" for point in points)):
             # the cap can only fall from here: run the blocks left at it, at once
             rest, settled_cap = range(i, len(blocks)), cap
-            workers = min(1 + spare_cpus(problem), len(rest))
+            workers = min(1 + spare_cpus(), len(rest))
             settled = {} if workers == 1 else _in_workers(
                 rest, workers, lambda j: run_block(j, settled_cap))
         block = settled[i] if settled and i in settled and cap == settled_cap else run_block(i, cap)

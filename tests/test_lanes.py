@@ -220,9 +220,11 @@ def grid_case(loss):
 
 @contextlib.contextmanager
 def leaves_nothing():
-    """Fails unless the block leaves no child process, no new open descriptor and no
-    ResourceWarning (a report file left open) behind, whether it returns or raises."""
+    """Fails unless the block leaves no child process, no new thread, no new open
+    descriptor and no ResourceWarning (a report file left open) behind, whether it
+    returns or raises."""
     fds = set(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+    threads = set(threading.enumerate())
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ResourceWarning)
         try:
@@ -230,6 +232,7 @@ def leaves_nothing():
         finally:
             with pytest.raises(ChildProcessError):
                 os.waitpid(-1, os.WNOHANG)
+            assert set(threading.enumerate()) <= threads
             if fds is not None:
                 assert set(os.listdir("/proc/self/fd")) == fds
             assert not [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)]
@@ -536,9 +539,11 @@ def grid_algorithm(*alphas, budget=30) -> dict:
     return {"kind": "extra", "grid": list(alphas), "budget": budget}
 
 
-def compare_configs(*algorithms, **sections) -> list:
-    """One config per algorithm on raw_config's ridge instance, named run0, run1, ..."""
-    return [parse_config_dict({**raw_config("ridge", algorithm), **sections, "name": f"run{i}"})
+def compare_configs(*algorithms, problem_kind="ridge", **sections) -> list:
+    """One config per algorithm on raw_config's instance of problem_kind, named run0,
+    run1, ..."""
+    return [parse_config_dict({**raw_config(problem_kind, algorithm), **sections,
+                               "name": f"run{i}"})
             for i, algorithm in enumerate(algorithms)]
 
 
@@ -689,23 +694,6 @@ def test_killed_grid_ahead_runs_here(grid_blocks_of_two, forks, blocks_here, mon
     assert len(blocks_here) == 3  # the rerun's stride of the five blocks
 
 
-def test_laned_compare_runs_no_grid_ahead(tmp_path, force_lanes, forks):
-    # without a saddle solve no lane thread runs at compare's fork site, so the
-    # lane count alone keeps the grid here; the runs start the lane threads
-    configs = compare_configs(ADOLF, grid_algorithm(0.05, 0.3),
-                              stop={"max_iter": 40, "metric": "consensus_err", "threshold": 1e-300},
-                              diagnostics={"cadence": 1, "saddle": False})
-    force_lanes(1)
-    want = compare_outputs(configs, tmp_path / "one")
-    force_lanes(2)
-    got = compare_outputs(configs, tmp_path / "two")
-    assert not forks
-    assert threading.active_count() > 1
-    for name in ("run0.manifest.json", "run1.manifest.json"):
-        assert (want[name].pop("lanes"), got[name].pop("lanes")) == (1, 2)
-    assert got == want
-
-
 _spec = importlib.util.spec_from_file_location(
     "trace_diff", Path(__file__).resolve().parents[1] / "scripts" / "trace_diff.py")
 trace_diff = importlib.util.module_from_spec(_spec)
@@ -714,10 +702,12 @@ _spec.loader.exec_module(trace_diff)
 
 @pytest.fixture
 def forked_kinds(monkeypatch):
-    """The algorithm kind of each config that compare forks a child for, in order."""
+    """The algorithm kind of each config that compare forks a child for, in order. Every
+    fork must happen from a process with one thread, so no lane thread is alive there."""
     kinds, fork = [], runner.fork_ahead
 
     def recorded(fn, config, *args):
+        assert threading.active_count() == 1
         kinds.append(config.algorithm.kind)
         return fork(fn, config, *args)
 
@@ -781,7 +771,7 @@ def test_compare_runs_ahead_identical(tmp_path, forks, forked_kinds, monkeypatch
     kinds = {algorithm["kind"] for algorithm in algorithms}
     assert stepped_here == kinds - ({"adolf_local"} & {*ahead})
     for module in (runner, solvers):
-        monkeypatch.setattr(module, "spare_cpus", lambda problem: 0)
+        monkeypatch.setattr(module, "spare_cpus", lambda: 0)
     forked_kinds.clear()
     forks.clear()
     with leaves_nothing():
@@ -895,3 +885,162 @@ def test_compare_kills_run_ahead(tmp_path, forks, forked_kinds, monkeypatch, err
     assert kills == [(forks[0], signal.SIGKILL)]
     assert ({path.name for path in tmp_path.iterdir()}
             == (set() if where == "earlier_run" else {"run0.csv", "run0.manifest.json"}))
+
+
+# A laned compare forks too: the lane threads the reference solve started are
+# stopped first, and while children run ahead each process runs its share of
+# the CPUs as lanes, max(1, cpus // processes).
+@pytest.fixture
+def lane_log(monkeypatch, tmp_path):
+    """The directory where each process appends to a log of its own, one line per
+    laned call of a batch evaluator: the lanes it ran in, the threads then alive and
+    the lane pool's size. compare's forks mark the caller's log (read_lane_logs)."""
+    logs = tmp_path / "lanes"
+    logs.mkdir()
+    in_lanes, fork = objectives.ProblemInstance._in_lanes, runner.fork_ahead
+
+    def write(line):
+        with open(logs / str(os.getpid()), "a") as log:
+            log.write(line + "\n")
+
+    def logged(self, kernel, ranges, *args):
+        in_lanes(self, kernel, ranges, *args)
+        pool = objectives._LANE_POOL
+        write(f"{len(ranges)} lanes, {threading.active_count()} threads, "
+              f"pool of {pool._max_workers if pool else 0}")
+
+    def marked(*args):
+        write("fork")
+        return fork(*args)
+
+    monkeypatch.setattr(objectives.ProblemInstance, "_in_lanes", logged)
+    monkeypatch.setattr(runner, "fork_ahead", marked)
+    return logs
+
+
+def read_lane_logs(logs) -> dict:
+    """{pid: [line, ...]} of lane_log's logs, "fork" for a mark; they are emptied."""
+    lines = {}
+    for path in logs.iterdir():
+        lines[int(path.name)] = path.read_text().splitlines()
+        path.unlink()
+    return lines
+
+
+@pytest.fixture
+def threads_after_workspace(monkeypatch):
+    """The threads alive once each compare built its workspace, saddle solve and all."""
+    counts, workspace = [], runner._Workspace
+
+    def built(config):
+        ws = workspace(config)
+        counts.append(threading.active_count())
+        return ws
+
+    monkeypatch.setattr(runner, "_Workspace", built)
+    return counts
+
+
+def assert_lanes_restored():
+    """The caller's lanes are its own again: no cap, and no pool until the next use."""
+    assert objectives._LANE_SHARE is None and objectives._LANE_POOL is None
+    assert threading.active_count() == 1
+
+
+@pytest.mark.parametrize("algorithms, problem_kind", [
+    ((ADOLF, ADOLF_LOCAL), "ridge"),
+    ((grid_algorithm(0.05, 0.3), ADOLF, ADOLF_LOCAL), "logistic_synthetic"),
+], ids=["pair", "grid_triple"])
+def test_laned_compare_runs_ahead_identical(tmp_path, force_lanes, forks, forked_kinds,
+                                            threads_after_workspace, algorithms, problem_kind):
+    # both with a saddle solve, whose lane threads are alive when compare starts
+    configs = compare_configs(*algorithms, problem_kind=problem_kind)
+    assert all(config.diagnostics.saddle for config in configs)
+    force_lanes(1)
+    want = compare_outputs(configs, tmp_path / "one")
+    assert not forks and not forked_kinds
+    force_lanes(2)
+    got = compare_outputs(configs, tmp_path / "two")
+    assert forked_kinds == ["adolf_local"] and len(forks) == 1
+    assert threads_after_workspace == [1, 2]  # the one-lane compare started no lane thread
+    assert_lanes_restored()
+    for i in range(len(configs)):
+        name = f"run{i}.manifest.json"
+        assert (want[name].pop("lanes"), got[name].pop("lanes")) == (1, 2)
+    assert got == want
+
+
+def lanes_during_runs(log: dict, caller: int) -> tuple[set, set]:
+    """The distinct lines the caller logged after its fork, and those its children logged."""
+    mine = log.pop(caller)
+    return set(mine[mine.index("fork") + 1:]), {line for lines in log.values() for line in lines}
+
+
+@pytest.mark.parametrize("cpus", [2, 4])
+def test_laned_compare_splits_the_cpus(tmp_path, force_lanes, forks, forked_kinds, lane_log,
+                                       cpus):
+    # at 2 CPUs the caller and the child run one lane each, at 4 two each; the
+    # instance and its manifests keep the lanes it was built with
+    force_lanes(cpus)
+    with leaves_nothing():
+        result = runner.compare(compare_configs(ADOLF, ADOLF_LOCAL), out_dir=tmp_path / "out")
+    assert forked_kinds == ["adolf_local"]
+    share = cpus // 2
+    line = f"{share} lanes, {share} threads, pool of {share - 1}"
+    assert lanes_during_runs(read_lane_logs(lane_log), os.getpid()) == ({line}, {line})
+    assert [manifest.lanes for manifest in result.manifests] == [cpus, cpus]
+    assert_lanes_restored()
+    # the next laned call runs every lane, from a pool sized for them
+    synth_ridge(M, N, D, seed=3).stacked_gradient(np.zeros((M, D)))
+    (line,) = read_lane_logs(lane_log)[os.getpid()]
+    assert line.startswith(f"{cpus} lanes") and line.endswith(f"pool of {cpus - 1}")
+
+
+@pytest.mark.parametrize("exit_by", ["error", "interrupt", "killed_child"])
+def test_laned_compare_restores_lanes_on_every_exit(tmp_path, force_lanes, forks, forked_kinds,
+                                                    lane_log, monkeypatch, exit_by):
+    # at 4 CPUs the caller runs two lanes, so a lane thread is alive when adolf
+    # raises at round 3, or while it runs adolf_local itself once its child is killed
+    force_lanes(4)
+    configs = compare_configs(ADOLF, ADOLF_LOCAL)
+    monkeypatch.setitem(solvers._ALGORITHMS, "adolf_local", step_of("adolf_local", hang_ahead))
+    if exit_by == "killed_child":
+        fork = runner.fork_ahead
+
+        def killed(*args):
+            child = fork(*args)
+            os.kill(child.pid, signal.SIGKILL)
+            return child
+
+        monkeypatch.setattr(runner, "fork_ahead", killed)
+        compare_outputs(configs, tmp_path / "out")
+    else:
+        error = KeyboardInterrupt() if exit_by == "interrupt" else FloatingPointError("a fault")
+
+        def fault(state):
+            if state.k == 3:
+                raise error
+
+        monkeypatch.setitem(solvers._ALGORITHMS, "adolf", step_of("adolf", fault))
+        with leaves_nothing(), pytest.raises(type(error)):
+            runner.compare(configs, out_dir=tmp_path / "out")
+    assert lanes_during_runs(read_lane_logs(lane_log), os.getpid())[0] == {
+        "2 lanes, 2 threads, pool of 1"}
+    assert forked_kinds == ["adolf_local"] and len(forks) == 1
+    assert_lanes_restored()
+
+
+def test_laned_compare_fork_fails_runs_every_lane(tmp_path, force_lanes, forks, forked_kinds,
+                                                  lane_log, monkeypatch):
+    # no child to share the CPUs with: the caller runs all four lanes
+    def fails():
+        forks.append(None)
+        raise OSError("no process to spare")
+
+    monkeypatch.setattr(os, "fork", fails)
+    force_lanes(4)
+    compare_outputs(compare_configs(ADOLF, ADOLF_LOCAL), tmp_path / "out")
+    assert forked_kinds == ["adolf_local"] and forks == [None]
+    mine, _ = lanes_during_runs(read_lane_logs(lane_log), os.getpid())
+    assert {line.split(",")[0] for line in mine} == {"4 lanes"}
+    assert_lanes_restored()
