@@ -5,13 +5,15 @@
 
 exports REV with `git archive` into OUT/tree (no worktree, no network), then
 runs, in that tree and in this one, the six figure presets (fig1 with
---synthetic-logistic) and CI's batched-trace-row and MNIST-format configs,
-each process at one BLAS thread, into OUT/parent and OUT/change. The MNIST
-format runs on one synthetic IDX pair in OUT/data, written by this tree's
-scripts/synthetic_idx.py. Exits 1 unless `trace_diff.py --exact` finds every
-output file byte-identical and every pair of manifests equal apart from when
-and where it was written. OUT must not exist or be empty. On a 2-CPU VM the
-two trees take about 50 s.
+--synthetic-logistic) and CI's batched-trace-row, MNIST-format and lone
+EXTRA grid configs, each process at one BLAS thread, into OUT/parent and
+OUT/change: 81 files a tree. The MNIST format runs on one synthetic IDX pair
+in OUT/data, written by this tree's scripts/synthetic_idx.py. The lone grid
+(no stop threshold, three blocks of four stepsizes at the fig2 shape) is the
+one grid search that `decopt run` makes, outside compare. Exits 1 unless
+`trace_diff.py --exact` finds every output file byte-identical and every
+pair of manifests equal apart from when and where it was written. OUT must
+not exist or be empty. On a 2-CPU VM the two trees take about 50 s.
 """
 
 import argparse
@@ -41,6 +43,19 @@ init: {kind: zeros}
 stop: {max_iter: 400, metric: merit, threshold: 1.0e-6, cadence: 7}
 diagnostics: {cadence: 1, saddle: true}
 name: batch_rows
+master_seed: 0
+"""
+# CI's "EXTRA grid" config: a lone grid search under `decopt run`
+GRID = """\
+problem: {kind: ridge, m: 20, n: 20, d: 500}
+graph: {kind: erdos_renyi, m: 20, p: 0.9}
+algorithm: {kind: extra, budget: 200,
+            grid: [1.0e-5, 3.5e-5, 1.2e-4, 4.3e-4, 1.5e-3, 5.3e-3, 1.9e-2, 6.6e-2,
+                   0.23, 0.82, 2.9, 10.0]}
+init: {kind: zeros}
+stop: {max_iter: 200}
+diagnostics: {cadence: 10, saddle: true}
+name: lone_grid
 master_seed: 0
 """
 # CI's "MNIST-format run" config, on the IDX pair in {data}
@@ -73,7 +88,7 @@ def run_all(tree: Path, out: Path, configs: Path) -> None:
                 + (["--synthetic-logistic"] if name.startswith("fig1") else [])
                 for name in PRESETS]
     commands += [["run", str(configs / f"{name}.yaml"), "--out", str(out / name)]
-                 for name in ("batch", "mnist")]
+                 for name in ("batch", "grid", "mnist")]
     for command in commands:
         print(f"{out.name}: decopt {' '.join(command)}", flush=True)
         subprocess.run([sys.executable, "-c", CLI, src, *command], env=env, check=True,
@@ -96,6 +111,7 @@ def main(argv=None) -> int:
     subprocess.run([sys.executable, str(ROOT / "scripts" / "synthetic_idx.py"), str(data)],
                    env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, check=True)
     (configs / "batch.yaml").write_text(BATCH)
+    (configs / "grid.yaml").write_text(GRID)
     (configs / "mnist.yaml").write_text(MNIST.format(data=data))
     run_all(tree, out / "parent", configs)
     run_all(ROOT, out / "change", configs)

@@ -149,9 +149,9 @@ def _lane_pool():
 def _forget_lane_pool() -> None:
     """In a forked child, which has none of its parent's lane threads.
 
-    decopt forks (compare's runs ahead and the EXTRA grid's workers) only
-    while no other thread is alive (solvers.spare_cpus), so no lane thread is
-    lost there; compare stops the lane threads before it asks (share_lanes).
+    decopt forks (compare's runs ahead) only while no other thread is alive
+    (runner.compare), so no lane thread is lost there; compare stops the
+    lane threads before it asks (share_lanes).
     This protects a caller that forks with the lane threads started, such as
     a ``multiprocessing`` pool with the fork start method, so that a child
     starts its own lane threads instead of waiting on its parent's.

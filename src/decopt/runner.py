@@ -24,13 +24,14 @@ import dataclasses
 import json
 import math
 import os
+import threading
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, objectives
 from .config import (
     AlgorithmConfig,
     DiagnosticsConfig,
@@ -68,7 +69,6 @@ from .solvers import (
     extra_grid_search,
     fork_ahead,
     run,
-    spare_cpus,
 )
 from .topology import (
     GossipMatrix,
@@ -382,17 +382,16 @@ def compare(configs: list[ExperimentConfig], out_dir=None, metric: str | None = 
     stop.threshold when its stop.metric is the compared metric. label names
     the comparison's files, so it must be a plain file name.
 
-    Once the workspace is built, configs after the first start ahead, each
-    in a forked child (solvers.fork_ahead), as many as solvers.spare_cpus
-    allows: none on one CPU, while another thread is alive, or where os.fork
-    does not exist. The agent lane threads that the reference solve started
-    are stopped first, so they do not count. Configs are taken longest first
-    by kind (_ahead_rank): EXTRA with a grid, then adolf_local, then the
-    others in config order. A child runs EXTRA's grid search, or any other
-    config's whole run, while this process runs the configs before it. At
-    the config's turn the search or run call joins the child, and does the
-    work itself if the child reported none. Any exit before that kills and
-    reaps the child and the workers it forked.
+    Once the workspace is built, configs after the first start ahead in forked
+    children (solvers.fork_ahead), one per CPU beyond this process's: none
+    where os.fork does not exist, or while another thread is alive, which a
+    child would not have. The reference solve's agent lane threads are stopped
+    first. Configs are taken longest first by kind (_ahead_rank): EXTRA with a
+    grid, then adolf_local, then the others in config order. A child runs
+    EXTRA's grid search, or any other config's whole run, while this process
+    runs the configs before it. At the config's turn the search or run call
+    joins the child, and does the work itself if the child reported none. Any
+    exit before that kills and reaps the child, which forks nothing of its own.
 
     While children run ahead, this process and each child run at most
     max(1, cpus // processes) agent lanes (objectives.share_lanes); every
@@ -422,10 +421,11 @@ def compare(configs: list[ExperimentConfig], out_dir=None, metric: str | None = 
     gp_blocks = []
     used_names: set[str] = set()
     ahead = {}  # config index -> the fork_ahead child running it ahead
-    share_lanes(1)  # stops the reference solve's lane threads, so that spare_cpus may fork
+    share_lanes(1)  # stops the reference solve's lane threads, so that runs may fork ahead
     try:
         later = sorted(range(1, len(configs)), key=lambda i: _ahead_rank(configs[i]))
-        later = later[:spare_cpus()]
+        forkable = hasattr(os, "fork") and threading.active_count() == 1
+        later = later[:objectives._cpu_count() - 1 if forkable else 0]
         share_lanes(1 + len(later))  # the processes split the CPUs as agent lanes
         for idx in later:
             if (child := fork_ahead(_run_ahead, configs[idx], ws)) is None:

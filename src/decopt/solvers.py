@@ -28,24 +28,20 @@ The EXTRA grid search runs many stepsizes without run() or a recorder: it
 advances them as the columns of one (m, G, d) stack, so each round costs one
 stacked gradient and one gossip multiply for the whole block. Under a stop
 threshold it visits the stepsizes from the largest down, and no stepsize
-runs past the round at which a larger one reached the threshold. Once that
-cap can only fall, the blocks left run at once in forked worker processes,
-one per CPU, and every point keeps the bits of the one-process search.
+runs past the round at which a larger one reached the threshold. The search
+runs in one process; only compare's runs ahead fork.
 """
 
 from __future__ import annotations
 
-import contextlib
 import os
 import pickle
 import signal
-import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from . import objectives
 from .diagnostics import DEFAULT_METRIC, METRICS, SADDLE_METRICS, Trace, TraceRecorder
 from .errors import (
     ConfigError,
@@ -80,7 +76,6 @@ __all__ = [
     "run",
     "extra_grid_search",
     "fork_ahead",
-    "spare_cpus",
     "GridPoint",
     "GridSearch",
     "DIVERGENCE_NORM",
@@ -574,43 +569,15 @@ def _extra_block(problem, gossip, start, alphas, cap, recorder, metric, stop) ->
     return points
 
 
-_IN_WORKER = False  # True in a forked worker: its own workers join its process group
-
-
-def spare_cpus() -> int:
-    """CPUs beyond this process's own that its forked workers may use.
-
-    Zero where os.fork does not exist, or while another thread is alive,
-    which a forked child would not have: agent lane threads keep a laned
-    grid here, and compare stops them first (objectives.share_lanes). Else
-    one less than the CPUs this process may use. Both fork sites, the
-    grid's workers and compare's runs ahead, ask this.
-    """
-    if not hasattr(os, "fork") or threading.active_count() > 1:
-        return 0
-    return objectives._cpu_count() - 1
-
-
-def _run_items(items, work) -> dict:
-    """{item: work(item)} for the items, in order, before the first one that raises."""
-    done = {}
-    for item in items:
-        try:
-            done[item] = work(item)
-        except Exception:  # the caller runs this item again, and it raises there
-            break
-    return done
-
-
 class _Worker:
-    """A forked child running _run_items(items, work) (see _fork_worker)."""
+    """A forked child running fn(*args) for fork_ahead."""
 
     def __init__(self, pid: int, report):
         self.pid, self.report = pid, report
 
-    def join(self) -> dict:
-        """The child's {item: result}, {} unless it exited 0, once it has exited.
-        If the wait is interrupted, the child is killed first."""
+    def join(self) -> tuple:
+        """(fn(*args),) once the child has exited 0 with it, else (). If the wait is
+        interrupted, the child is killed first."""
         try:
             data = self.report.read()
         except BaseException:
@@ -618,16 +585,12 @@ class _Worker:
             raise
         code = self._reap()
         # written by a child of this process, so safe to unpickle
-        return pickle.loads(data) if code == 0 else {}
+        return pickle.loads(data) if code == 0 else ()
 
     def stop(self) -> None:
-        """Kill the child, and any workers of its own, and wait for it, unless it
-        was joined or stopped."""
+        """Kill the child and wait for it, unless it was joined or stopped."""
         if self.report.closed:
             return
-        if not _IN_WORKER:  # the child leads a process group that holds its workers
-            with contextlib.suppress(ProcessLookupError):  # no process of the group is left
-                os.killpg(self.pid, signal.SIGKILL)
         os.kill(self.pid, signal.SIGKILL)
         self._reap()
 
@@ -636,74 +599,40 @@ class _Worker:
         return os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
 
 
-def _fork_worker(items, work) -> _Worker | None:
-    """A forked child running _run_items(items, work); None if the fork fails.
+def fork_ahead(fn, *args) -> _Worker | None:
+    """A forked child running fn(*args), which calls run or extra_grid_search,
+    for the same call made here with ahead=child to join; None if the fork
+    fails. The caller decides whether to fork (runner.compare), and must stop()
+    the child if it leaves before that call.
 
-    The child pickles its results into the report pipe and leaves through
-    os._exit, so it runs none of this process's cleanup; it exits 0 once the
-    report is written. Plain os.fork, not multiprocessing, which would load
-    ctypes and more: a child starts from this process's memory with only the
-    thread that forked it. A child of a process that is no worker leads a
-    process group of its own, which its workers join, so that stop() kills
-    them with it.
+    The child pickles (fn(*args),), or () if fn raises, into its report pipe
+    and leaves through os._exit, so it runs none of this process's cleanup;
+    it exits 0 once the report is written. Plain os.fork, not
+    multiprocessing, which would load ctypes and more: a child starts from
+    this process's memory with only the thread that forked it.
     """
-    global _IN_WORKER
     read_end, write_end = os.pipe()
     try:
         pid = os.fork()
-    except OSError:  # no process to spare: the caller runs these items itself
+    except OSError:  # no process to spare: the caller does the work itself
         os.close(read_end)
         os.close(write_end)
         return None
-    leader = not _IN_WORKER
     if pid == 0:
-        _IN_WORKER, status = True, 1
+        status = 1
         try:
-            if leader:
-                os.setpgid(0, 0)
             os.close(read_end)
+            try:
+                done = (fn(*args),)
+            except Exception:  # the caller does the work again, and it raises there
+                done = ()
             with open(write_end, "wb") as report:
-                pickle.dump(_run_items(items, work), report, protocol=pickle.HIGHEST_PROTOCOL)
+                pickle.dump(done, report, protocol=pickle.HIGHEST_PROTOCOL)
             status = 0
         finally:
             os._exit(status)
     os.close(write_end)
-    if leader:  # as the child does, so the group exists before this process goes on
-        with contextlib.suppress(OSError):  # the child may have exited already
-            os.setpgid(pid, pid)
     return _Worker(pid, open(read_end, "rb"))
-
-
-def _in_workers(items: range, workers: int, work) -> dict:
-    """{item: work(item)} for the items that workers processes ran to the end.
-
-    Worker w takes items[w], items[w + workers], ... in order: this process
-    is worker 0, the others are forked children (_fork_worker). A worker
-    stops at its first failing item, and a child that did not fork or did
-    not exit 0 reports nothing. Every child is waited for before this
-    returns; if this process is interrupted, they are killed first.
-    """
-    children = []
-    try:
-        for w in range(1, workers):
-            if (child := _fork_worker(items[w::workers], work)) is None:
-                break
-            children.append(child)
-        done = _run_items(items[::workers], work)
-        for child in children:
-            done.update(child.join())
-    finally:
-        for child in children:
-            child.stop()
-    return done
-
-
-def fork_ahead(fn, *args) -> _Worker | None:
-    """A forked child running fn(*args), which calls run or extra_grid_search,
-    for the same call made here with ahead=child to join; None if the fork
-    fails. The caller decides whether to fork (spare_cpus), and must stop()
-    the child if it leaves before that call."""
-    return _fork_worker((0,), lambda _: fn(*args))
 
 
 def extra_grid_search(
@@ -740,19 +669,10 @@ def extra_grid_search(
 
     The stepsizes run as column blocks of _extra_block, as many per block as
     fit GRID_BLOCK_BYTES, each in arrays of its own, from the largest
-    stepsizes down. A converging column caps only the smaller stepsizes of
-    its own block, so the points do not depend on the block width. Once the
-    cap can no longer be the budget (from the first converged point on, or
-    from the start without a threshold) it can only fall, so the blocks
-    left run at once at that cap, in this process and a forked worker per
-    spare CPU, at most one process per block (spare_cpus, _in_workers).
-    They are then taken from the largest down, and a block whose own cap
-    fell below it (a larger block converged sooner) or that no worker
-    reported runs again in this process at its own cap. A block makes the
-    same calls in any process, so every point, and the exception of the
-    first block that raises, are those of the one-process search at any CPU
-    count. Returns the chosen stepsize and one GridPoint per grid stepsize
-    in ascending order.
+    stepsizes down, each block at the cap that the blocks before it left. A
+    converging column caps only the smaller stepsizes of its own block, so
+    the points do not depend on the block width. Returns the chosen stepsize
+    and one GridPoint per grid stepsize in ascending order.
 
     ahead is a fork_ahead child that calls extra_grid_search with this
     call's other arguments, or None. The call waits for it and returns its
@@ -778,19 +698,9 @@ def extra_grid_search(
     width = _grid_block_width(problem.m, problem.d)
     blocks = [grid[i:i + width] for i in reversed(range(0, len(grid), width))]
 
-    def run_block(i: int, cap: int) -> list[GridPoint]:
-        return _extra_block(problem, gossip, start, blocks[i], cap, recorder, metric, stop)
-
-    points, cap, settled = [], budget, None
-    for i in range(len(blocks)):
-        if settled is None and (stop.threshold is None
-                                or any(point.status == "converged" for point in points)):
-            # the cap can only fall from here: run the blocks left at it, at once
-            rest, settled_cap = range(i, len(blocks)), cap
-            workers = min(1 + spare_cpus(), len(rest))
-            settled = {} if workers == 1 else _in_workers(
-                rest, workers, lambda j: run_block(j, settled_cap))
-        block = settled[i] if settled and i in settled and cap == settled_cap else run_block(i, cap)
+    points, cap = [], budget
+    for alphas in blocks:  # from the largest stepsizes down
+        block = _extra_block(problem, gossip, start, alphas, cap, recorder, metric, stop)
         cap = min([cap] + [point.rounds for point in block if point.status == "converged"])
         points[:0] = block
     best = best_key = None

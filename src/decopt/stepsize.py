@@ -55,7 +55,8 @@ DEFAULT_ADDITIVE_INCREMENT = 6.0 / math.pi**2
 
 @dataclass(frozen=True)
 class GrowthPolicy:
-    """Per-iteration cap pi_k on stepsize increases.
+    """Per-iteration cap pi_k on stepsize increases at round k >= 1, every rule's;
+    PAPER.md holds only the abstract, so this indexing is unchecked against it.
 
     unbounded    -- no cap (valid in the merely convex regime only);
     additive     -- pi_k(x) = x + a / k^2, summable increments;
@@ -88,8 +89,7 @@ class GrowthPolicy:
                     "factor ((1 + beta1) / 2) ** beta2") from None
 
     def cap(self, x: float, k: int) -> float | None:
-        """pi_k(x) at selection index k >= 1, elementwise over an array x;
-        None when the policy imposes no cap."""
+        """pi_k(x), elementwise over an array x; None for no cap."""
         if self.kind == GROWTH_UNBOUNDED:
             return None
         if self.kind == GROWTH_ADDITIVE:
@@ -261,9 +261,9 @@ def local_tilde(
 ) -> np.ndarray:
     """Sufficient-decrease correction of the per-agent candidates.
 
-    Where the curvature candidate falls at or below the growth cap, shrink
-    by eta (bounding how often that can happen); elsewhere grow under both
-    the cap and the ratio guard. An infinite candidate is an absent one.
+    Where the curvature candidate falls at or below the cap pi_k (GrowthPolicy),
+    shrink by eta (bounding how often that can happen); elsewhere grow under
+    both the cap and the ratio guard. An infinite candidate is an absent one.
     """
     cap = params.growth.cap(alpha_prev, k)
     return np.where(

@@ -6,9 +6,9 @@ problem's data and kernels and adds the fault's fields. The NaN problems
 evaluate as the problem does and then overwrite rows of the stacked gradient
 (``stacked_gradient``, whose own products stay exact) or of the column
 gradients (``column_gradients``, one call per column) with NaN.
-``RaiseOutsideBall`` and ``RaiseOnColumns`` raise from ``column_gradients``
-instead, and ``RaiseOnProducts`` from ``stacked_gradient`` when it is asked for
-the own products. Values and the averaged evaluations are left exact.
+``RaiseOutsideBall`` raises from ``column_gradients`` instead, and
+``RaiseOnProducts`` from ``stacked_gradient`` when it is asked for the own
+products. Values and the averaged evaluations are left exact.
 """
 
 import itertools
@@ -92,19 +92,6 @@ class RaiseOutsideBall(_Fault):
         norm = np.max(np.linalg.norm(x_cols, axis=-1))
         if norm > self.radius:
             raise FloatingPointError(f"row norm {norm!r} outside the ball")
-        return super().column_gradients(x_cols)
-
-
-class RaiseOnColumns(_Fault):
-    """problem whose column gradients raise FloatingPointError on a stack of `columns`
-    columns, so in a grid search only the blocks of that width raise, at their first
-    gradient call; the message names the stack's largest row norm, which tells the
-    blocks apart."""
-
-    def column_gradients(self, x_cols):
-        if x_cols.shape[1] == self.columns:
-            norm = np.max(np.linalg.norm(x_cols, axis=-1))
-            raise FloatingPointError(f"a stack of {self.columns} columns, row norm {norm!r}")
         return super().column_gradients(x_cols)
 
 

@@ -34,7 +34,7 @@ from decopt.topology import (
     make_line_graph,
     metropolis_hastings,
 )
-from faults import RaiseOnColumns, RaiseOnProducts, RaiseOutsideBall
+from faults import RaiseOnProducts, RaiseOutsideBall
 from idx_files import write_idx_pair
 from oracles import average_value
 from probes import run_probe
@@ -245,7 +245,7 @@ def search(prob, gossip, saddle, grid, budget, metric, x0, stop=solvers.StopRule
         return extra_grid_search(prob, gossip, grid, budget, recorder, metric, x0, stop)
 
 
-# The grid forks its workers only while no other thread is alive.
+# Only compare's runs ahead fork, and only while no other thread is alive.
 @pytest.fixture
 def forks(monkeypatch):
     """The pids of the children forked during the test, which fails after 120 s. The
@@ -262,8 +262,8 @@ def forks(monkeypatch):
             pids.append(pid)
         return pid
 
-    def timeout(signum, frame):  # the search kills its workers, waits for them and raises
-        raise TimeoutError("a grid search with workers took over 120 s")
+    def timeout(signum, frame):  # compare kills its children, waits for them and raises
+        raise TimeoutError("a test that forks took over 120 s")
 
     monkeypatch.setattr(os, "fork", counted)
     handler = signal.signal(signal.SIGALRM, timeout)
@@ -284,8 +284,8 @@ def test_grid_case_diverges_and_drops_to_one_column(grid_blocks_of_two):
 
 
 def test_block_error_reaches_caller(grid_blocks_of_two, forks, monkeypatch):
-    # the top blocks leave the ball, in this process and in the worker; the
-    # error is the first block's, as in one process
+    # the top blocks leave the ball; the error is the first block's at any CPU
+    # count, and the grid forks nothing
     prob, gossip, saddle, grid, x0 = grid_case("ridge")
     faulty = RaiseOutsideBall(prob, radius=300.0)
     errors = []
@@ -294,8 +294,7 @@ def test_block_error_reaches_caller(grid_blocks_of_two, forks, monkeypatch):
         with pytest.raises(FloatingPointError, match="outside the ball") as error:
             search(faulty, gossip, saddle, grid, 200, "distance_sq", x0)
         errors.append(str(error.value))
-        assert len(forks) == cpus - 1
-    assert errors[1] == errors[0]
+    assert errors[1] == errors[0] and not forks
 
 
 def threshold_stop(threshold: float) -> solvers.StopRule:
@@ -317,34 +316,39 @@ def blocks_here(monkeypatch):
 
 @pytest.mark.parametrize("stop", [solvers.StopRule(), threshold_stop(1.0)],
                          ids=["no_threshold", "threshold"])
-def test_worker_grid_identical(grid_blocks_of_two, forks, blocks_here, monkeypatch, stop):
-    # without a threshold the five blocks run at once; with one, 0.1 converges
-    # in the third block and the two blocks left run at once; this process runs
-    # the blocks before those and its stride of them
+def test_grid_runs_in_one_process(grid_blocks_of_two, forks, blocks_here, monkeypatch, stop):
+    # each of the five blocks runs here once, from the largest stepsizes down, at
+    # the cap the blocks before it left, at any CPU count; with the threshold 0.1
+    # converges in the third block and caps the two below it
     prob, gossip, saddle, grid, x0 = grid_case("ridge")
-    monkeypatch.setattr(objectives, "_cpu_count", lambda: 1)
-    want = search(prob, gossip, saddle, grid, 200, "distance_sq", x0, stop)
-    assert not forks and len(blocks_here) == 5
-    assert any(p.status == "converged" for p in want.points) == (stop.threshold is not None)
-    for cpus in (2, 3):
+    tops = (8, 6, 4, 2, 0)  # the index of each block's smaller stepsize
+    for cpus in (1, 2, 3):
         monkeypatch.setattr(objectives, "_cpu_count", lambda: cpus)
-        forks.clear()
         blocks_here.clear()
-        assert search(prob, gossip, saddle, grid, 200, "distance_sq", x0, stop) == want
-        assert len(forks) == (cpus - 1 if stop.threshold is None else 1)
-        assert len(blocks_here) == (len(range(0, 5, cpus)) if stop.threshold is None else 4)
+        got = search(prob, gossip, saddle, grid, 200, "distance_sq", x0, stop)
+        if cpus == 1:
+            want = got
+        assert got == want
+        cap, caps = 200, []
+        for i in tops:
+            caps.append(cap)
+            cap = min([cap] + [p.rounds for p in got.points[i:i + 2] if p.status == "converged"])
+        assert blocks_here == [(list(grid[i:i + 2]), c) for i, c in zip(tops, caps)]
+    assert any(p.status == "converged" for p in want.points) == (stop.threshold is not None)
+    assert (caps[-1] < 200) == (stop.threshold is not None)
+    assert not forks
 
 
-def test_worker_block_converging_first_reruns_the_next(grid_blocks_of_two, forks, blocks_here,
-                                                       monkeypatch):
-    # 0.1 converges at round 259; in the two blocks left, run at once at that
-    # cap, 0.0316 converges at 169, so the last block runs again at 169
+def test_grid_caps_fall_from_block_to_block(grid_blocks_of_two, forks, blocks_here,
+                                            monkeypatch):
+    # 0.1 converges at round 259 in the top block, which caps the next one at
+    # 259; there 0.0316 converges at 169, which caps the last one
     prob, gossip, saddle, _, x0 = grid_case("ridge")
     grid, stop = np.logspace(-3, -0.5, 6), threshold_stop(1e-2)
     monkeypatch.setattr(objectives, "_cpu_count", lambda: 2)
     got = search(prob, gossip, saddle, grid, 400, "distance_sq", x0, stop)
-    assert len(forks) == 1
-    (_, budget), (_, r), (bottom, c) = blocks_here  # the worker ran the bottom block at r
+    assert not forks
+    (_, budget), (_, r), (bottom, c) = blocks_here
     assert budget == 400 > r > c and bottom == list(grid[:2])
     ref_alpha, ref_points = sequential_grid_search(prob, gossip, grid, 400, saddle,
                                                    "distance_sq", x0, 1e-2)
@@ -354,57 +358,6 @@ def test_worker_block_converging_first_reruns_the_next(grid_blocks_of_two, forks
     assert [p.rounds for p in got.points if p.status == "converged"] == [c, r]
     for point, ref in zip(got.points, ref_points):
         assert point.value == pytest.approx(ref.value, rel=1e-9, abs=0.0)
-    monkeypatch.setattr(objectives, "_cpu_count", lambda: 1)
-    assert search(prob, gossip, saddle, grid, 400, "distance_sq", x0, stop) == got
-
-
-def test_worker_block_error_reaches_caller(grid_blocks_of_two, forks, monkeypatch):
-    # nine logistic stepsizes: every block but the top one has two columns and
-    # raises; the first of them runs in the first of two workers, and this
-    # process runs it again and raises its error
-    prob, gossip, saddle, grid, x0 = grid_case("logistic")
-    faulty = RaiseOnColumns(prob, columns=2)
-    errors = []
-    for cpus in (1, 3):
-        monkeypatch.setattr(objectives, "_cpu_count", lambda: cpus)
-        with pytest.raises(FloatingPointError, match="^a stack of 2 columns") as error:
-            search(faulty, gossip, saddle, grid[1:], 200, "distance_sq", x0)
-        errors.append(str(error.value))
-    assert len(forks) == 2
-    assert errors[1] == errors[0]
-
-
-@pytest.mark.parametrize("case", ["fork_fails", "laned", "one_cpu", "live_thread",
-                                  "one_block"])
-def test_grid_runs_in_one_process(grid_blocks_of_two, forks, force_lanes, monkeypatch, case):
-    prob, gossip, saddle, grid, x0 = grid_case("ridge")
-    if case == "one_block":
-        grid = grid[:2]
-    force_lanes(1)
-    want = search(prob, gossip, saddle, grid, 200, "distance_sq", x0)
-    force_lanes(2)
-    release = threading.Event()
-    if case == "fork_fails":
-        def fails():
-            forks.append(None)
-            raise OSError("no process to spare")
-        monkeypatch.setattr(os, "fork", fails)
-    elif case == "laned":
-        prob = grid_case("ridge")[0]
-        assert prob.lanes == 2
-    elif case == "one_cpu":
-        monkeypatch.setattr(objectives, "_cpu_count", lambda: 1)
-    elif case == "live_thread":
-        waiter = threading.Thread(target=release.wait)
-        waiter.start()
-    try:
-        assert search(prob, gossip, saddle, grid, 200, "distance_sq", x0) == want
-    finally:
-        release.set()
-    if case == "live_thread":
-        waiter.join(timeout=10)
-        assert not waiter.is_alive()
-    assert forks == ([None] if case == "fork_fails" else [])
 
 
 def test_laned_problem_grid_identical(force_lanes, grid_blocks_of_two):
@@ -620,15 +573,15 @@ def test_compare_grid_ahead_error_is_raised_at_its_turn(tmp_path, forks, monkeyp
 def test_compare_kills_grid_ahead_when_a_run_raises(tmp_path, forks, monkeypatch, error):
     # the adaptive run raises at its first round, while the grid ahead, at a
     # budget it would take minutes to spend, runs on: its child is killed
-    build, killpg, kills = runner.build_problem, os.killpg, []
+    build, kill, kills = runner.build_problem, os.kill, []
 
     def recorded(pid, sig):
         kills.append((pid, sig))
-        killpg(pid, sig)
+        kill(pid, sig)
 
     monkeypatch.setattr(runner, "build_problem",
                         lambda config: RaiseOnProducts(build(config), error=error))
-    monkeypatch.setattr(os, "killpg", recorded)
+    monkeypatch.setattr(os, "kill", recorded)
     monkeypatch.setattr(objectives, "_cpu_count", lambda: 2)
     configs = compare_configs(ADOLF, grid_algorithm(0.01, 0.05, budget=10**7),
                               stop={"max_iter": 40, "metric": "consensus_err", "threshold": 1e-300},
@@ -639,48 +592,10 @@ def test_compare_kills_grid_ahead_when_a_run_raises(tmp_path, forks, monkeypatch
     assert kills == [(forks[0], signal.SIGKILL)]
 
 
-def running_in_group(pgid: int) -> set[int]:
-    """The pids of the processes of process group pgid that have not exited."""
-    pids = set()
-    for entry in filter(str.isdigit, os.listdir("/proc")):
-        try:
-            stat = Path("/proc", entry, "stat").read_text()
-        except OSError:  # exited and reaped meanwhile
-            continue
-        state, _, pgrp = stat.rsplit(")", 1)[1].split()[:3]
-        if int(pgrp) == pgid and state != "Z":
-            pids.add(int(entry))
-    return pids
-
-
-@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process groups in /proc")
-def test_stopped_grid_ahead_takes_its_workers(grid_blocks_of_two, forks, monkeypatch):
-    # a grid of two blocks with no threshold forks a worker at once, in the child
+def test_killed_grid_ahead_runs_here(grid_blocks_of_two, forks, blocks_here):
     prob, gossip, saddle, grid, x0 = grid_case("ridge")
-    monkeypatch.setattr(objectives, "_cpu_count", lambda: 2)
-    args = (prob, gossip, grid[:4], 10**7, TraceRecorder(prob, gossip, saddle), "distance_sq", x0)
-    with leaves_nothing():
-        child = solvers.fork_ahead(extra_grid_search, *args)
-        try:
-            deadline = time.monotonic() + 60
-            while len(group := running_in_group(child.pid)) < 2 and time.monotonic() < deadline:
-                time.sleep(0.01)
-            assert group > {child.pid}, "the child forked no worker"
-        finally:
-            child.stop()
-    assert forks == [child.pid]
-    deadline = time.monotonic() + 60
-    while running_in_group(child.pid) and time.monotonic() < deadline:
-        time.sleep(0.01)
-    assert not running_in_group(child.pid), "the child's worker outlived it"
-
-
-def test_killed_grid_ahead_runs_here(grid_blocks_of_two, forks, blocks_here, monkeypatch):
-    prob, gossip, saddle, grid, x0 = grid_case("ridge")
-    monkeypatch.setattr(objectives, "_cpu_count", lambda: 1)
     want = search(prob, gossip, saddle, grid, 200, "distance_sq", x0)
     assert len(blocks_here) == 5
-    monkeypatch.setattr(objectives, "_cpu_count", lambda: 2)
     args = (prob, gossip, grid, 200, TraceRecorder(prob, gossip, saddle), "distance_sq", x0)
     with leaves_nothing():
         ahead = solvers.fork_ahead(extra_grid_search, *args)
@@ -690,8 +605,8 @@ def test_killed_grid_ahead_runs_here(grid_blocks_of_two, forks, blocks_here, mon
         blocks_here.clear()
         rerun = extra_grid_search(*args, ahead=child)
     assert joined == want and rerun == want
-    assert len(forks) == 3  # the two children, and the rerun's worker
-    assert len(blocks_here) == 3  # the rerun's stride of the five blocks
+    assert len(forks) == 2  # the two children
+    assert len(blocks_here) == 5  # the rerun's blocks, all of them
 
 
 _spec = importlib.util.spec_from_file_location(
@@ -739,16 +654,22 @@ def step_of(kind: str, fault):
 
 def note_here(kinds: set, kind: str):
     """A fault that adds kind to kinds when its step runs in this process, not in a child."""
+    caller = os.getpid()
+
     def fault(state):
-        if not solvers._IN_WORKER:
+        if os.getpid() == caller:
             kinds.add(kind)
     return fault
 
 
-def hang_ahead(state) -> None:
+def hang_ahead():
     """A fault that keeps a run going in a forked child until the child is killed."""
-    while solvers._IN_WORKER:
-        time.sleep(0.01)
+    caller = os.getpid()
+
+    def fault(state):
+        while os.getpid() != caller:
+            time.sleep(0.01)
+    return fault
 
 
 @pytest.mark.parametrize("algorithms, sections, cpus, ahead", [
@@ -770,8 +691,7 @@ def test_compare_runs_ahead_identical(tmp_path, forks, forked_kinds, monkeypatch
     # a child runs EXTRA's grid search, and EXTRA's run follows here
     kinds = {algorithm["kind"] for algorithm in algorithms}
     assert stepped_here == kinds - ({"adolf_local"} & {*ahead})
-    for module in (runner, solvers):
-        monkeypatch.setattr(module, "spare_cpus", lambda: 0)
+    monkeypatch.setattr(objectives, "_cpu_count", lambda: 1)
     forked_kinds.clear()
     forks.clear()
     with leaves_nothing():
@@ -785,14 +705,35 @@ def test_compare_runs_ahead_identical(tmp_path, forks, forked_kinds, monkeypatch
     assert statuses == ({"converged"} if sections else {"budget"})
 
 
+def test_compare_forks_nothing_while_another_thread_lives(tmp_path, forks, monkeypatch):
+    # a forked child would not have the other thread, so at 3 CPUs the triple runs
+    # here, and its files are those of the 1-CPU compare
+    configs = compare_configs(grid_algorithm(0.05, 0.3), ADOLF, ADOLF_LOCAL)
+    monkeypatch.setattr(objectives, "_cpu_count", lambda: 1)
+    runner.compare(configs, out_dir=tmp_path / "one_cpu")
+    monkeypatch.setattr(objectives, "_cpu_count", lambda: 3)
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait)
+    waiter.start()
+    try:
+        with leaves_nothing():
+            runner.compare(configs, out_dir=tmp_path / "threaded")
+    finally:
+        release.set()
+        waiter.join()
+    assert not forks
+    report, problems = trace_diff.compare_exact(tmp_path / "one_cpu", tmp_path / "threaded")
+    assert problems == [] and len(report) == 2 * len(configs) + 3
+
+
 def test_compare_run_ahead_error_is_raised_at_its_turn(tmp_path, forks, forked_kinds,
                                                        monkeypatch):
     # adolf_local raises at round 3: in the child, which reports nothing, then at
     # its turn here, after adolf's files are written, with the same message
-    rounds_here = []
+    rounds_here, caller = [], os.getpid()
 
     def fault(state):
-        if not solvers._IN_WORKER:
+        if os.getpid() == caller:
             rounds_here.append(state.k)
         if state.k == 3:
             raise FloatingPointError(f"an injected fault at round {state.k}")
@@ -832,7 +773,7 @@ def test_killed_run_ahead_runs_here(tmp_path, forks, forked_kinds, monkeypatch):
 
     monkeypatch.setattr(runner, "fork_ahead", killed)
     monkeypatch.setattr(objectives, "_cpu_count", lambda: 2)
-    monkeypatch.setitem(solvers._ALGORITHMS, "adolf_local", step_of("adolf_local", hang_ahead))
+    monkeypatch.setitem(solvers._ALGORITHMS, "adolf_local", step_of("adolf_local", hang_ahead()))
     forked_kinds.clear()
     assert compare_outputs(configs, tmp_path / "killed") == want
     assert len(forks) == 1
@@ -844,11 +785,11 @@ def test_killed_run_ahead_runs_here(tmp_path, forks, forked_kinds, monkeypatch):
 def test_compare_kills_run_ahead(tmp_path, forks, forked_kinds, monkeypatch, error, where):
     # adolf_local's child runs until it is killed; adolf raises at its first round,
     # or the error hits while this process waits in the join for the child's report
-    killpg, kills = os.killpg, []
+    kill, kills = os.kill, []
 
     def recorded(pid, sig):
         kills.append((pid, sig))
-        killpg(pid, sig)
+        kill(pid, sig)
 
     def fault(state):
         raise error
@@ -872,9 +813,9 @@ def test_compare_kills_run_ahead(tmp_path, forks, forked_kinds, monkeypatch, err
         child.report = Interrupted(child.report)
         return child
 
-    monkeypatch.setattr(os, "killpg", recorded)
+    monkeypatch.setattr(os, "kill", recorded)
     monkeypatch.setattr(objectives, "_cpu_count", lambda: 2)
-    monkeypatch.setitem(solvers._ALGORITHMS, "adolf_local", step_of("adolf_local", hang_ahead))
+    monkeypatch.setitem(solvers._ALGORITHMS, "adolf_local", step_of("adolf_local", hang_ahead()))
     if where == "earlier_run":
         monkeypatch.setitem(solvers._ALGORITHMS, "adolf", step_of("adolf", fault))
     else:
@@ -885,6 +826,46 @@ def test_compare_kills_run_ahead(tmp_path, forks, forked_kinds, monkeypatch, err
     assert kills == [(forks[0], signal.SIGKILL)]
     assert ({path.name for path in tmp_path.iterdir()}
             == (set() if where == "earlier_run" else {"run0.csv", "run0.manifest.json"}))
+
+
+# Every forked child notes its parent and itself in a log directory while a test
+# has set one (fork_log); a fork hook cannot be unregistered, so it is inert else.
+_FORK_LOG = []
+
+
+def _log_fork():
+    if _FORK_LOG:
+        (_FORK_LOG[0] / f"{os.getppid()}-{os.getpid()}").touch()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_log_fork)
+
+
+@pytest.fixture
+def fork_log(tmp_path):
+    """A function giving the forks of every process since the test began, sorted
+    (parent pid, child pid) pairs, the children's own notes."""
+    logs = tmp_path / "forks"
+    logs.mkdir()
+    _FORK_LOG.append(logs)
+    yield lambda: sorted(tuple(map(int, path.name.split("-"))) for path in logs.iterdir())
+    _FORK_LOG.clear()
+
+
+def test_compare_forks_only_its_runs_ahead(tmp_path, forks, fork_log, forked_kinds,
+                                           monkeypatch):
+    # at 3 CPUs the grid, in two blocks, and adolf_local run ahead in two children
+    # of this process, and neither child forks; at 1 CPU nothing forks
+    monkeypatch.setattr(solvers, "GRID_BLOCK_BYTES", 2 * solvers.GRID_COLUMN_ARRAYS * M * D * 8)
+    configs = compare_configs(ADOLF, ADOLF_LOCAL, grid_algorithm(0.05, 0.3, 1.0, 8.0))
+    monkeypatch.setattr(objectives, "_cpu_count", lambda: 1)
+    want = compare_outputs(configs, tmp_path / "one")
+    assert not fork_log() and not forks
+    monkeypatch.setattr(objectives, "_cpu_count", lambda: 3)
+    assert compare_outputs(configs, tmp_path / "three") == want
+    assert forked_kinds == ["extra", "adolf_local"] and len(forks) == 2
+    assert fork_log() == sorted((os.getpid(), pid) for pid in forks)
 
 
 # A laned compare forks too: the lane threads the reference solve started are
@@ -1003,7 +984,7 @@ def test_laned_compare_restores_lanes_on_every_exit(tmp_path, force_lanes, forks
     # raises at round 3, or while it runs adolf_local itself once its child is killed
     force_lanes(4)
     configs = compare_configs(ADOLF, ADOLF_LOCAL)
-    monkeypatch.setitem(solvers._ALGORITHMS, "adolf_local", step_of("adolf_local", hang_ahead))
+    monkeypatch.setitem(solvers._ALGORITHMS, "adolf_local", step_of("adolf_local", hang_ahead()))
     if exit_by == "killed_child":
         fork = runner.fork_ahead
 

@@ -121,12 +121,13 @@ def test_the_scan_sees_each_kind_of_use():
 
 
 def test_one_fork_helper():
-    # every process the package forks comes from solvers._fork_worker, and the one
-    # helper that starts work ahead in a forked child is solvers.fork_ahead
-    forking = {(module, top.name) for module, tree in _sources() if module is not None
-               for top in tree.body if isinstance(top, ast.FunctionDef)
-               for node in ast.walk(top) if isinstance(node, ast.Call)
-               and isinstance(node.func, ast.Attribute) and node.func.attr == "fork"}
-    assert forking == {("decopt.solvers", "_fork_worker")}
+    # every process the package forks comes from solvers.fork_ahead, the one helper
+    # that starts work ahead in a forked child, and no process leads or kills a group
+    calls = {(module, getattr(top, "name", None), node.func.attr)
+             for module, tree in _sources() if module is not None
+             for top in tree.body for node in ast.walk(top) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute)
+             and node.func.attr in ("fork", "setpgid", "killpg")}
+    assert calls == {("decopt.solvers", "fork_ahead", "fork")}
     assert [(module, name) for module, name in _exports() if "fork" in name] == [
         ("decopt.solvers", "fork_ahead")]

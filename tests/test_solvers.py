@@ -541,6 +541,50 @@ class TestEngineContract:
                 run(algorithm, prob, gossip, params, StopRule(max_iter=5), rec, np.zeros((3, 2)))
 
 
+# The abstract's "no extra function evaluations": a round of any engine evaluates
+# each agent's gradient once, by one stacked_gradient call, and no value of F or f.
+F_EVALUATIONS = ("stacked_value", "value_from_products", "average_values_at_rows",
+                 "average_value_and_gradient", "consensus_average", "average_gradient")
+
+
+class TestOneGradientPerRound:
+    @pytest.mark.parametrize("loss", ["ridge", "logistic"])
+    @pytest.mark.parametrize("step, params", [
+        (adolf_step, convex_params()),
+        (adolf_step, sc_params()),
+        (adolf_local_step, local_params()),
+        (adolf_local_step, local_params(strongly_convex=True, c1=0.5, c2=0.99, sigma=0.2)),
+        (extra_step, ExtraParams(alpha=0.05)),
+        (condat_vu_step, FixedStepParams(alpha=0.01)),
+    ], ids=["adolf_convex", "adolf_strongly_convex", "adolf_local_convex",
+            "adolf_local_strongly_convex", "extra", "condat_vu"])
+    def test_no_function_evaluations(self, monkeypatch, loss, step, params):
+        synth = synth_ridge if loss == "ridge" else objectives.synth_logistic
+        prob = synth(m=5, n=6, d=3, seed=41)
+        gossip = mh_shifted(make_erdos_renyi(5, 0.7, seed=3))
+        cls = type(prob)
+
+        def evaluation(name):
+            def raises(*args, **kwargs):
+                raise AssertionError(f"a round called {name}")
+            return raises
+
+        for name in F_EVALUATIONS:
+            monkeypatch.setattr(cls, name, evaluation(name))
+        calls, gradient = [], cls.stacked_gradient
+
+        def counted(self, *args, **kwargs):
+            calls.append(args)
+            return gradient(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "stacked_gradient", counted)
+        state = initial_state(prob, np.random.default_rng(42).standard_normal((5, 3)))
+        for k in range(50):  # round 0 is the initialization
+            state = step(state, prob, gossip, params)
+            assert len(calls) == k + 1
+        assert state.k == 50 and np.all(np.isfinite(state.x_now))
+
+
 class TestGridSearch:
     def setup_case(self):
         prob = synth_ridge(m=4, n=5, d=3, seed=26)
