@@ -169,9 +169,10 @@ def compare_dirs(parent_dir: Path, change_dir: Path) -> tuple[list[str], list[st
     return report, problems
 
 
-def compare_exact(parent_dir: Path, change_dir: Path) -> tuple[list[str], list[str]]:
-    """Report lines and problems of one --exact comparison: one report line per file
-    pair."""
+def compare_exact(parent_dir: Path, change_dir: Path, exempt: tuple[str, ...] = EXACT_EXEMPT
+                  ) -> tuple[list[str], list[str]]:
+    """Report lines and problems of one --exact comparison, whose manifests may differ in
+    the keys exempt: one report line per file pair."""
     parent, change = ({path.relative_to(root) for path in root.rglob("*") if path.is_file()}
                       for root in (parent_dir, change_dir))
     problems = [f"{name}: only in {side}" for side, here, there in
@@ -186,7 +187,7 @@ def compare_exact(parent_dir: Path, change_dir: Path) -> tuple[list[str], list[s
             p_man, c_man = (json.loads(path.read_text()) for path in (p_path, c_path))
             differ = [f"{name}: {key} {p_man.get(key)!r} vs {c_man.get(key)!r}"
                       for key in sorted(p_man.keys() | c_man.keys())
-                      if key not in EXACT_EXEMPT and p_man.get(key) != c_man.get(key)]
+                      if key not in exempt and p_man.get(key) != c_man.get(key)]
         else:
             differ = ([] if p_path.read_bytes() == c_path.read_bytes()
                       else [f"{name}: not byte-identical"])

@@ -172,6 +172,8 @@ class AlgorithmConfig:
                  "algorithm.kind",
                  f"must be adolf, adolf_local, extra, or condat_vu, got {self.kind!r}")
         if self.kind in ("adolf", "adolf_local"):
+            _require(self.alpha is None, "algorithm.alpha",
+                     f"{self.kind} reads alpha0, not alpha; remove alpha")
             _require(self.mode in ("convex", "strongly_convex"), "algorithm.mode",
                      f"must be convex or strongly_convex, got {self.mode!r}")
             try:
@@ -182,6 +184,8 @@ class AlgorithmConfig:
         # extra and condat_vu checks stay here to name the config's keys
         if self.kind == "extra":
             if self.grid is not None:
+                _require(self.alpha is None, "algorithm.alpha",
+                         "extra takes either a fixed alpha or a grid, not both")
                 _require(len(self.grid) > 0, "algorithm.grid",
                          "must be a nonempty list of positive stepsizes")
                 for i, a in enumerate(self.grid):

@@ -887,6 +887,18 @@ class TestCli:
         err = capsys.readouterr().err
         assert key in err and "finite" in err
 
+    @pytest.mark.parametrize("algorithm", [
+        {"kind": "extra", "alpha": 0.01, "grid": [0.01, 0.1]},  # the grid would win
+        {"kind": "adolf", "alpha": 0.01},  # the adaptive kinds read alpha0
+        {"kind": "adolf_local", "mode": "convex", "alpha": 0.01},
+    ], ids=["extra_grid", "adolf", "adolf_local"])
+    def test_alpha_the_run_would_drop_exit_code(self, tmp_path, capsys, algorithm):
+        path = self.write_config(tmp_path, small_ridge_raw(algorithm=algorithm))
+        for argv in (["validate", str(path)], ["run", str(path), "--out", str(tmp_path / "r")]):
+            assert cli.main(argv) == 2
+            assert capsys.readouterr().err.startswith("config error: algorithm.alpha: ")
+        assert not (tmp_path / "r").exists()
+
     @pytest.mark.parametrize("kind", ["adolf", "adolf_local"])
     def test_unbounded_growth_in_strongly_convex_mode_exit_code(self, tmp_path, capsys, kind):
         raw = small_ridge_raw(graph={"kind": "ring", "m": 4},

@@ -1,6 +1,8 @@
-"""scripts/trace_diff.py: the parent-vs-change review tool for trace outputs."""
+"""scripts/trace_diff.py, the parent-vs-change review tool for trace outputs, and the run
+set of scripts/parent_diff.py, the same-bits harness built on it."""
 
 import csv
+import importlib
 import json
 import math
 import shutil
@@ -10,9 +12,11 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
+import yaml
 
 from decopt.config import AlgorithmConfig, parse_config_dict
-from decopt.runner import RunManifest, compare
+from decopt.diagnostics import METRICS
+from decopt.runner import RunManifest, _shared_sections, compare
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "trace_diff.py"
 
@@ -33,6 +37,13 @@ def outputs(tmp_path_factory):
     out = tmp_path_factory.mktemp("parent")
     compare([replace(base, name="unit_adolf"), extra], out_dir=out, label="unit")
     return out
+
+
+@pytest.fixture
+def scripts(monkeypatch):
+    """Import a module of scripts/ by name, as the scripts there import each other."""
+    monkeypatch.syspath_prepend(str(SCRIPT.parent))
+    return importlib.import_module
 
 
 def trace_diff(parent, change, *flags):
@@ -180,3 +191,38 @@ def test_exact_compares_every_manifest_field_but_time_and_place(outputs, tmp_pat
     else:
         assert code == 1
         assert f"FAIL unit_extra.manifest.json: {key} " in out
+
+
+def test_exact_exempt_keys_are_an_argument(outputs, tmp_path, scripts):
+    compare_exact = scripts("trace_diff").compare_exact
+    one_cpu = scripts("parent_diff").ONE_CPU_EXEMPT
+    change = tmp_path / "change"
+    shutil.copytree(outputs, change)
+    path = change / "unit_adolf.manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["lanes"] += 1
+    path.write_text(json.dumps(manifest))
+    lanes = f"unit_adolf.manifest.json: lanes {manifest['lanes'] - 1} vs {manifest['lanes']}"
+    assert compare_exact(outputs, change)[1] == [lanes]
+    assert compare_exact(outputs, change, one_cpu)[1] == []
+    manifest["iterations"] += 1  # the lanes exemption covers nothing else
+    path.write_text(json.dumps(manifest))
+    assert compare_exact(outputs, change, one_cpu)[1] == [
+        f"unit_adolf.manifest.json: iterations {manifest['iterations'] - 1} vs "
+        f"{manifest['iterations']}"]
+
+
+def test_parent_diff_run_set_is_valid(tmp_path, scripts):
+    # every config parses as the harness writes it, and each compare's pair shares
+    # its instance, before the harness's passes of more than a minute
+    parent_diff = scripts("parent_diff")
+    names = []
+    for label, group in parent_diff.run_set(tmp_path).items():
+        configs = [parse_config_dict(yaml.safe_load(yaml.safe_dump(raw))) for raw in group]
+        names += [config.name for config in configs]
+        if len(configs) == 2:
+            assert parent_diff.COMPARE_METRICS[label] in METRICS
+            assert _shared_sections(configs[0]) == _shared_sections(configs[1])
+        else:
+            assert len(configs) == 1 and label not in parent_diff.COMPARE_METRICS
+    assert len(set(names)) == len(names) == 7  # one config file each
