@@ -7,7 +7,7 @@ the same bytes on one CPU as on all of them.
 exports REV with `git archive` into OUT/tree (no worktree, no network), then
 runs the run set in that tree into OUT/parent, in this one into OUT/change,
 and in this one again pinned to one CPU (as `taskset -c 0` pins it) into
-OUT/one_cpu: 95 files a pass. The run set is the six figure presets (fig1
+OUT/one_cpu: 102 files a pass. The run set is the six figure presets (fig1
 with --synthetic-logistic) and the configs of run_set, each run a process of
 its own at one BLAS thread with RuntimeWarnings as errors. The MNIST format
 runs on one synthetic IDX pair in OUT/data, written by this tree's
@@ -47,7 +47,7 @@ FIG2 = {"problem": {"kind": "ridge", "m": 20, "n": 20, "d": 500},
         "diagnostics": {"cadence": 1, "saddle": True}, "master_seed": 0}
 STRONGLY_CONVEX = {"mode": "strongly_convex", "alpha0": 1.0e-3, "sigma": 0.2}
 GRID = [1.0e-5, 3.5e-5, 1.2e-4, 4.3e-4, 1.5e-3, 5.3e-3, 1.9e-2, 6.6e-2, 0.23, 0.82, 2.9, 10.0]
-COMPARE_METRICS = {"ahead": "distance_sq", "laned": "objective_gap"}
+COMPARE_METRICS = {"ahead": "distance_sq", "laned": "objective_gap", "fixed": "distance_sq"}
 ONE_CPU_EXEMPT = EXACT_EXEMPT + ("lanes",)  # a manifest's agent lanes follow the CPU count
 
 
@@ -80,6 +80,12 @@ def run_set(data: Path) -> dict[str, list[dict]]:
         # laned: compare stops the reference solve's lane threads before it forks
         "laned": [{**mnist, "name": f"laned_{kind}", "algorithm": {"kind": kind, "mode": "convex"}}
                   for kind in ("adolf", "adolf_local")],
+        # fixed stepsizes: on more than one CPU EXTRA's whole run goes ahead, with its
+        # alpha from the config (condat_vu diverges at 0.03 on this shape)
+        "fixed": [{**FIG2, "name": f"fixed_{algorithm['kind']}", "stop": {"max_iter": 300},
+                   "algorithm": algorithm, "diagnostics": {"cadence": 10, "saddle": True}}
+                  for algorithm in ({"kind": "condat_vu", "alpha": 0.01},
+                                    {"kind": "extra", "alpha": 0.0144})],
     }
 
 

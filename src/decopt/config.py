@@ -171,6 +171,8 @@ class AlgorithmConfig:
         _require(self.kind in ("adolf", "adolf_local", "extra", "condat_vu"),
                  "algorithm.kind",
                  f"must be adolf, adolf_local, extra, or condat_vu, got {self.kind!r}")
+        _require(self.grid is None or self.kind == "extra", "algorithm.grid",
+                 f"{self.kind} searches no grid, only extra does; remove grid")
         if self.kind in ("adolf", "adolf_local"):
             _require(self.alpha is None, "algorithm.alpha",
                      f"{self.kind} reads alpha0, not alpha; remove alpha")

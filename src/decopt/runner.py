@@ -24,6 +24,8 @@ import dataclasses
 import json
 import math
 import os
+import pickle
+import signal
 import threading
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -31,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, objectives
+from . import __version__, objectives, solvers
 from .config import (
     AlgorithmConfig,
     DiagnosticsConfig,
@@ -62,14 +64,7 @@ from .objectives import (
     synth_logistic,
     synth_ridge,
 )
-from .solvers import (
-    ExtraParams,
-    FixedStepParams,
-    GridSearch,
-    extra_grid_search,
-    fork_ahead,
-    run,
-)
+from .solvers import ExtraParams, FixedStepParams, GridSearch
 from .topology import (
     GossipMatrix,
     Graph,
@@ -229,6 +224,90 @@ def _run_args(config: ExperimentConfig, ws: _Workspace, extra_alpha: float | Non
             ws.recorder(config.diagnostics.cadence), ws.x0)
 
 
+class _Worker:
+    """A forked child running fn(*args) for fork_ahead."""
+
+    def __init__(self, pid: int, report):
+        self.pid, self.report = pid, report
+
+    def join(self) -> tuple:
+        """(fn(*args),) once the child has exited 0 with it, else (). If the wait is
+        interrupted, the child is killed first."""
+        try:
+            data = self.report.read()
+        except BaseException:
+            self.stop()
+            raise
+        code = self._reap()
+        # written by a child of this process, so safe to unpickle
+        return pickle.loads(data) if code == 0 else ()
+
+    def stop(self) -> None:
+        """Kill the child and wait for it, unless it was joined or stopped."""
+        if self.report.closed:
+            return
+        os.kill(self.pid, signal.SIGKILL)
+        self._reap()
+
+    def _reap(self) -> int:
+        self.report.close()
+        return os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+
+
+def fork_ahead(fn, *args) -> _Worker | None:
+    """A forked child running fn(*args), compare's _run_ahead, for the run or
+    extra_grid_search call made here with ahead=child to join; None if the fork
+    fails. compare decides whether to fork, and must stop() the child if it
+    leaves before that call.
+
+    The child pickles (fn(*args),), or () if fn raises, into its report pipe
+    and leaves through os._exit, so it runs none of this process's cleanup;
+    it exits 0 once the report is written. Plain os.fork, not
+    multiprocessing, which would load ctypes and more: a child starts from
+    this process's memory with only the thread that forked it.
+    """
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to spare: the caller does the work itself
+        os.close(read_end)
+        os.close(write_end)
+        return None
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_end)
+            try:
+                done = (fn(*args),)
+            except Exception:  # the caller does the work again, and it raises there
+                done = ()
+            with open(write_end, "wb") as report:
+                pickle.dump(done, report, protocol=pickle.HIGHEST_PROTOCOL)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_end)
+    return _Worker(pid, open(read_end, "rb"))
+
+
+def _joined(fn):
+    """fn, with one more keyword: ahead, a fork_ahead child running fn with the call's
+    other arguments, or None. The call waits for the child and returns its result;
+    fn runs here only if there is no child or it reported nothing (it raised or was
+    killed), so what fn raises, it raises here."""
+    def joined(*args, ahead: _Worker | None = None, **kwargs):
+        if ahead is not None and (done := ahead.join()):
+            return done[0]
+        return fn(*args, **kwargs)
+    return joined
+
+
+# compare's search and run calls, which join a config's child; each calls the solvers
+# function bound here at import, whatever later rebinds that name in solvers
+run = _joined(solvers.run)
+extra_grid_search = _joined(solvers.extra_grid_search)
+
+
 def _has_grid(config: ExperimentConfig) -> bool:
     return config.algorithm.kind == "extra" and config.algorithm.grid is not None
 
@@ -383,7 +462,7 @@ def compare(configs: list[ExperimentConfig], out_dir=None, metric: str | None = 
     the comparison's files, so it must be a plain file name.
 
     Once the workspace is built, configs after the first start ahead in forked
-    children (solvers.fork_ahead), one per CPU beyond this process's: none
+    children (fork_ahead), one per CPU beyond this process's: none
     where os.fork does not exist, or while another thread is alive, which a
     child would not have. The reference solve's agent lane threads are stopped
     first. Configs are taken longest first by kind (_ahead_rank): EXTRA with a

@@ -21,22 +21,17 @@ checks that params are of the engine's kind. One run is strictly sequential
 (the synchronous-round semantics are part of correctness); distinct runs
 share nothing mutable and may execute in parallel. run() drives the step
 named by its algorithm and hands the trace recorder each pair of
-consecutive states. A run, or a whole grid search, can start ahead in a
-forked child (fork_ahead), which the call with the same arguments joins.
+consecutive states.
 
 The EXTRA grid search runs many stepsizes without run() or a recorder: it
 advances them as the columns of one (m, G, d) stack, so each round costs one
 stacked gradient and one gossip multiply for the whole block. Under a stop
 threshold it visits the stepsizes from the largest down, and no stepsize
-runs past the round at which a larger one reached the threshold. The search
-runs in one process; only compare's runs ahead fork.
+runs past the round at which a larger one reached the threshold.
 """
 
 from __future__ import annotations
 
-import os
-import pickle
-import signal
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -75,7 +70,6 @@ __all__ = [
     "extra_step",
     "run",
     "extra_grid_search",
-    "fork_ahead",
     "GridPoint",
     "GridSearch",
     "DIVERGENCE_NORM",
@@ -366,8 +360,6 @@ def run(
     recorder: TraceRecorder,
     x0: np.ndarray,
     x_minus1: np.ndarray | None = None,
-    *,
-    ahead: _Worker | None = None,
 ) -> Trace:
     """Drive one algorithm under a stop rule, recording diagnostics.
 
@@ -379,14 +371,7 @@ def run(
     value tested, computed once. Divergence (non-finite values or
     Frobenius norm above 1e12) ends the run with status "diverged" instead
     of raising.
-
-    ahead is a fork_ahead child that calls run with this call's other
-    arguments, or None. The call waits for it and returns its trace; the
-    run happens here, with recorder, only if the child reported none (it
-    raised or was killed), so what it raises, it raises here.
     """
-    if ahead is not None and (done := ahead.join()):
-        return done[0]
     if algorithm not in _ALGORITHMS:
         raise ConfigError(f"unknown algorithm {algorithm!r}")
     state = initial_state(problem, x0, x_minus1)
@@ -569,72 +554,6 @@ def _extra_block(problem, gossip, start, alphas, cap, recorder, metric, stop) ->
     return points
 
 
-class _Worker:
-    """A forked child running fn(*args) for fork_ahead."""
-
-    def __init__(self, pid: int, report):
-        self.pid, self.report = pid, report
-
-    def join(self) -> tuple:
-        """(fn(*args),) once the child has exited 0 with it, else (). If the wait is
-        interrupted, the child is killed first."""
-        try:
-            data = self.report.read()
-        except BaseException:
-            self.stop()
-            raise
-        code = self._reap()
-        # written by a child of this process, so safe to unpickle
-        return pickle.loads(data) if code == 0 else ()
-
-    def stop(self) -> None:
-        """Kill the child and wait for it, unless it was joined or stopped."""
-        if self.report.closed:
-            return
-        os.kill(self.pid, signal.SIGKILL)
-        self._reap()
-
-    def _reap(self) -> int:
-        self.report.close()
-        return os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
-
-
-def fork_ahead(fn, *args) -> _Worker | None:
-    """A forked child running fn(*args), which calls run or extra_grid_search,
-    for the same call made here with ahead=child to join; None if the fork
-    fails. The caller decides whether to fork (runner.compare), and must stop()
-    the child if it leaves before that call.
-
-    The child pickles (fn(*args),), or () if fn raises, into its report pipe
-    and leaves through os._exit, so it runs none of this process's cleanup;
-    it exits 0 once the report is written. Plain os.fork, not
-    multiprocessing, which would load ctypes and more: a child starts from
-    this process's memory with only the thread that forked it.
-    """
-    read_end, write_end = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:  # no process to spare: the caller does the work itself
-        os.close(read_end)
-        os.close(write_end)
-        return None
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read_end)
-            try:
-                done = (fn(*args),)
-            except Exception:  # the caller does the work again, and it raises there
-                done = ()
-            with open(write_end, "wb") as report:
-                pickle.dump(done, report, protocol=pickle.HIGHEST_PROTOCOL)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_end)
-    return _Worker(pid, open(read_end, "rb"))
-
-
 def extra_grid_search(
     problem: ProblemInstance,
     gossip: GossipMatrix,
@@ -644,8 +563,6 @@ def extra_grid_search(
     metric: str = DEFAULT_METRIC,
     x0: np.ndarray | None = None,
     stop: StopRule = StopRule(),
-    *,
-    ahead: _Worker | None = None,
 ) -> GridSearch:
     """Run EXTRA at every grid stepsize for at most budget rounds; pick the best one.
 
@@ -673,14 +590,7 @@ def extra_grid_search(
     converging column caps only the smaller stepsizes of its own block, so
     the points do not depend on the block width. Returns the chosen stepsize
     and one GridPoint per grid stepsize in ascending order.
-
-    ahead is a fork_ahead child that calls extra_grid_search with this
-    call's other arguments, or None. The call waits for it and returns its
-    search; the search runs here only if the child reported none (it raised
-    or was killed), so what it raises, it raises here.
     """
-    if ahead is not None and (done := ahead.join()):
-        return done[0]
     grid = sorted(float(a) for a in grid)
     if not grid or not all(0 < a < np.inf for a in grid):
         raise ParameterError("grid must be a nonempty list of positive finite stepsizes")

@@ -899,6 +899,18 @@ class TestCli:
             assert capsys.readouterr().err.startswith("config error: algorithm.alpha: ")
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize("algorithm", [
+        {"kind": "adolf", "grid": [0.1]},  # only extra searches a grid
+        {"kind": "adolf_local", "mode": "convex", "grid": [0.1]},
+        {"kind": "condat_vu", "alpha": 0.01, "grid": [0.1]},
+    ], ids=["adolf", "adolf_local", "condat_vu"])
+    def test_grid_the_run_would_drop_exit_code(self, tmp_path, capsys, algorithm):
+        path = self.write_config(tmp_path, small_ridge_raw(algorithm=algorithm))
+        for argv in (["validate", str(path)], ["run", str(path), "--out", str(tmp_path / "r")]):
+            assert cli.main(argv) == 2
+            assert capsys.readouterr().err.startswith("config error: algorithm.grid: ")
+        assert not (tmp_path / "r").exists()
+
     @pytest.mark.parametrize("kind", ["adolf", "adolf_local"])
     def test_unbounded_growth_in_strongly_convex_mode_exit_code(self, tmp_path, capsys, kind):
         raw = small_ridge_raw(graph={"kind": "ring", "m": 4},

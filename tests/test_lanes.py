@@ -25,7 +25,7 @@ import yaml
 
 from decopt import cli, objectives, runner, solvers
 from decopt.config import parse_config_dict
-from decopt.diagnostics import TraceRecorder, compute_saddle
+from decopt.diagnostics import Trace, TraceRecorder, compute_saddle
 from decopt.errors import NoConvergentStepsizeError
 from decopt.objectives import load_mnist_partition, synth_logistic, synth_ridge
 from decopt.solvers import extra_grid_search
@@ -598,12 +598,12 @@ def test_killed_grid_ahead_runs_here(grid_blocks_of_two, forks, blocks_here):
     assert len(blocks_here) == 5
     args = (prob, gossip, grid, 200, TraceRecorder(prob, gossip, saddle), "distance_sq", x0)
     with leaves_nothing():
-        ahead = solvers.fork_ahead(extra_grid_search, *args)
-        joined = extra_grid_search(*args, ahead=ahead)
-        child = solvers.fork_ahead(extra_grid_search, *args)
+        ahead = runner.fork_ahead(extra_grid_search, *args)
+        joined = runner.extra_grid_search(*args, ahead=ahead)
+        child = runner.fork_ahead(extra_grid_search, *args)
         os.kill(child.pid, signal.SIGKILL)
         blocks_here.clear()
-        rerun = extra_grid_search(*args, ahead=child)
+        rerun = runner.extra_grid_search(*args, ahead=child)
     assert joined == want and rerun == want
     assert len(forks) == 2  # the two children
     assert len(blocks_here) == 5  # the rerun's blocks, all of them
@@ -826,6 +826,56 @@ def test_compare_kills_run_ahead(tmp_path, forks, forked_kinds, monkeypatch, err
     assert kills == [(forks[0], signal.SIGKILL)]
     assert ({path.name for path in tmp_path.iterdir()}
             == (set() if where == "earlier_run" else {"run0.csv", "run0.manifest.json"}))
+
+
+@pytest.fixture
+def tracing(monkeypatch):
+    """perfbench's span recorder, which rebinds runner's calls by name."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import tracing
+
+    return tracing
+
+
+def test_runs_ahead_keep_the_benchmark_phases(tmp_path, forks, tracing, monkeypatch):
+    # at 3 CPUs the grid and adolf_local run ahead; the caller still makes one search
+    # and one run call per config under compare's span, each holding its result,
+    # and adolf_local's span holds the wait for its child, which sleeps at round 0
+    nap, caller, forked_at = 0.3, os.getpid(), {}
+
+    def sleep_ahead(state):
+        if state.k == 0 and os.getpid() != caller:
+            time.sleep(nap)
+
+    fork = runner.fork_ahead
+
+    def timed(fn, config, *args):
+        forked_at[config.algorithm.kind] = time.perf_counter()
+        return fork(fn, config, *args)
+
+    monkeypatch.setattr(runner, "fork_ahead", timed)
+    monkeypatch.setitem(solvers._ALGORITHMS, "adolf_local", step_of("adolf_local", sleep_ahead))
+    monkeypatch.setattr(objectives, "_cpu_count", lambda: 3)
+    configs = compare_configs(ADOLF, ADOLF_LOCAL, grid_algorithm(0.05, 0.3))
+    tracer = tracing.Tracer()
+    tracer.install_phases()
+    try:
+        with leaves_nothing():
+            runner.compare(configs, out_dir=tmp_path)
+    finally:
+        tracer.restore()
+    assert sorted(forked_at) == ["adolf_local", "extra"] and len(forks) == 2
+    (root,) = [i for i, span in enumerate(tracer.spans) if span[0] == "runner.compare"]
+    kids = tracing.children(tracer.spans, root)
+    calls = [span for span in kids if span[0] == tracing.GRID
+             or span[0].startswith(tracing.RUN_PREFIX)]
+    assert [span[0] for span in calls] == [
+        "solvers.run.adolf", "solvers.run.adolf_local", tracing.GRID, "solvers.run.extra"]
+    assert isinstance(calls[2][4], solvers.GridSearch)
+    assert all(isinstance(span[4], Trace) for span in calls[:2] + calls[3:])
+    # the child cannot report before its nap is over, and the caller waits in the span
+    _, start, end, _, _ = calls[1]
+    assert end - start >= nap - (start - forked_at["adolf_local"])
 
 
 # Every forked child notes its parent and itself in a log directory while a test

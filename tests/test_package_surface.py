@@ -5,7 +5,8 @@ Every name in a decopt module's ``__all__``, and every exception class in
 ``src/decopt``, ``scripts/``, ``perfbench/`` or README's library block,
 outside its own definition. Code that only the tests call belongs under
 ``tests/``, where it serves as their oracle. The package forks from one
-function, and exports one helper that starts work in a forked child.
+function, runner.fork_ahead, which it does not export, and the solvers hold
+no process code.
 """
 
 import ast
@@ -121,13 +122,23 @@ def test_the_scan_sees_each_kind_of_use():
 
 
 def test_one_fork_helper():
-    # every process the package forks comes from solvers.fork_ahead, the one helper
+    # every process the package forks comes from runner.fork_ahead, the one helper
     # that starts work ahead in a forked child, and no process leads or kills a group
     calls = {(module, getattr(top, "name", None), node.func.attr)
              for module, tree in _sources() if module is not None
              for top in tree.body for node in ast.walk(top) if isinstance(node, ast.Call)
              and isinstance(node.func, ast.Attribute)
              and node.func.attr in ("fork", "setpgid", "killpg")}
-    assert calls == {("decopt.solvers", "fork_ahead", "fork")}
-    assert [(module, name) for module, name in _exports() if "fork" in name] == [
-        ("decopt.solvers", "fork_ahead")]
+    assert calls == {("decopt.runner", "fork_ahead", "fork")}
+    assert not [(module, name) for module, name in _exports() if "fork" in name]
+    # the engines and the grid search know nothing of children: runner forks,
+    # reports and joins, and no solvers function takes a child to join
+    tree = ast.parse((PACKAGE / "solvers.py").read_text())
+    imported = {alias.name.split(".")[0] for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for alias in node.names}
+    imported |= {node.module.split(".")[0] for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.module and not node.level}
+    assert not imported & {"os", "pickle", "signal"}
+    params = {arg.arg for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+              for arg in (*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs)}
+    assert "state" in params and "ahead" not in params

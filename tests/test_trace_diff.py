@@ -225,4 +225,4 @@ def test_parent_diff_run_set_is_valid(tmp_path, scripts):
             assert _shared_sections(configs[0]) == _shared_sections(configs[1])
         else:
             assert len(configs) == 1 and label not in parent_diff.COMPARE_METRICS
-    assert len(set(names)) == len(names) == 7  # one config file each
+    assert len(set(names)) == len(names) == 9  # one config file each
