@@ -39,8 +39,8 @@ array per thread is scratch that no other thread sees), so value and
 gradient evaluation is safe from multiple threads. The evaluators rely on
 it: above ``LANE_MIN_BYTES`` of data they split the agents into lanes that
 run on a thread pool, one lane per CPU, with results bit-identical to one
-lane's. Processes that run side by side split the CPUs between them as lanes
-(``share_lanes``).
+lane's. ``stop_lanes`` stops the pool's threads, so that the process may fork
+from one thread.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ from .errors import DataError, NotConvergedError, NumericError, ParameterError, 
 
 __all__ = [
     "ProblemInstance",
-    "share_lanes",
+    "stop_lanes",
     "synth_ridge",
     "synth_logistic",
     "load_mnist_partition",
@@ -80,7 +80,6 @@ IDX_LABEL_MAGIC = 0x00000801
 LANE_MIN_BYTES = 8 << 20
 _LANE_POOL = None  # a concurrent.futures.ThreadPoolExecutor, started on first use
 _LANE_POOL_LOCK = threading.Lock()
-_LANE_SHARE = None  # the most agent lanes this process runs, None for one per CPU (share_lanes)
 
 # centralized_minimize hands over from its accelerated steps to its chord finish
 # at this gradient norm. At the MNIST shape (m=20, n=600, d=784) that took 14
@@ -129,8 +128,7 @@ def _cpu_count() -> int:
 
 
 def _lane_pool():
-    """The process's lane threads, started on first use: one per lane of its share of the
-    CPUs (share_lanes) beyond the caller's.
+    """The process's lane threads, started on first use: one per CPU beyond the caller's.
 
     ``concurrent.futures`` is imported here, so that single-lane runs never
     load it (with the ``logging`` it imports, it holds about 0.4 MB).
@@ -140,8 +138,7 @@ def _lane_pool():
     global _LANE_POOL
     with _LANE_POOL_LOCK:
         if _LANE_POOL is None:
-            lanes = _LANE_SHARE or _cpu_count()
-            _LANE_POOL = ThreadPoolExecutor(max_workers=max(lanes - 1, 1),
+            _LANE_POOL = ThreadPoolExecutor(max_workers=max(_cpu_count() - 1, 1),
                                             thread_name_prefix="decopt-lane")
         return _LANE_POOL
 
@@ -151,7 +148,7 @@ def _forget_lane_pool() -> None:
 
     decopt forks only in runner.fork_ahead, which compare calls only while
     no other thread is alive, so no lane thread is lost there; compare stops
-    the lane threads before it asks (share_lanes).
+    the lane threads before it asks (stop_lanes).
     This protects a caller that forks with the lane threads started, such as
     a ``multiprocessing`` pool with the fork start method, so that a child
     starts its own lane threads instead of waiting on its parent's.
@@ -160,31 +157,18 @@ def _forget_lane_pool() -> None:
     _LANE_POOL, _LANE_POOL_LOCK = None, threading.Lock()
 
 
-def share_lanes(processes: int) -> None:
-    """Let this process run at most max(1, cpus // processes) agent lanes, its share of
-    the CPUs among that many processes running side by side; 1 lifts the cap.
-
-    The lane threads are stopped and waited for first, so the process may fork
-    next from one thread, and the pool restarts at its next use, sized to the
-    share. A child forked afterwards keeps the share. Results do not change,
-    as they are bit-identical at any lane count, and an instance's ``lanes``
-    stays the count it was built with.
-    """
-    global _LANE_POOL, _LANE_SHARE
+def stop_lanes() -> None:
+    """Stop the lane threads and wait for them, so that the process may fork next from
+    one thread; the pool restarts at its next use."""
+    global _LANE_POOL
     with _LANE_POOL_LOCK:
         pool, _LANE_POOL = _LANE_POOL, None
     if pool is not None:
         pool.shutdown(wait=True)
-    _LANE_SHARE = None if processes == 1 else max(1, _cpu_count() // processes)
 
 
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_lane_pool)
-
-
-def _agent_ranges(m: int, lanes: int) -> list[tuple[int, int]]:
-    """m agents cut into that many contiguous (lo, hi) ranges of about equal size."""
-    return [(m * i // lanes, m * (i + 1) // lanes) for i in range(lanes)]
 
 
 def _expit(t):
@@ -237,8 +221,7 @@ class ProblemInstance:
     sample j), ``b`` the (m, n) ridge targets or logistic labels and
     ``gammas`` the (m,) ridge coefficients, None for logistic. The arrays are
     read-only and no field can be set after construction; ``lanes`` counts
-    the evaluators' agent lanes: 1 below LANE_MIN_BYTES or on one CPU. A
-    process whose share of the CPUs is smaller runs fewer (share_lanes).
+    the evaluators' agent lanes: 1 below LANE_MIN_BYTES or on one CPU.
 
     A loss supplies its per-lane kernels (the ``*_lane`` kernels of its
     gradient and of its values at shared points), its one F kernel
@@ -273,7 +256,8 @@ class ProblemInstance:
         lanes = min(_cpu_count(), m) if laned else 1
         vars(self).update(a=a, b=b, m=m, n=n, d=d, a_flat=a.reshape(m * n, d),  # a view
                           block_rows=n if laned else m * n,
-                          ranges=_agent_ranges(m, lanes))
+                          # the agents cut into contiguous ranges of about equal size
+                          ranges=[(m * i // lanes, m * (i + 1) // lanes) for i in range(lanes)])
 
     def __setattr__(self, name, value):
         raise AttributeError(f"a problem instance is immutable: cannot set {name}")
@@ -313,10 +297,6 @@ class ProblemInstance:
             raise ShapeError(f"{name} must have shape {dims}, got {x.shape}")
         return x
 
-    def _lanes_here(self) -> int:
-        """The lanes this process runs: the instance's, at most its share (share_lanes)."""
-        return self.lanes if _LANE_SHARE is None else min(self.lanes, _LANE_SHARE)
-
     def _in_lanes(self, kernel, ranges, *args) -> None:
         """kernel(*args, lo, hi) for every (lo, hi) in ranges; the calling thread runs the
         first."""
@@ -335,9 +315,7 @@ class ProblemInstance:
         """A new array of that shape, filled by kernel(out, *args, lo, hi) in every agent
         lane."""
         out = np.empty(shape)
-        lanes = self._lanes_here()
-        ranges = self.ranges if lanes == self.lanes else _agent_ranges(self.m, lanes)
-        self._in_lanes(kernel, ranges, out, *args)
+        self._in_lanes(kernel, self.ranges, out, *args)
         return out
 
     def _own(self, x_cols, lo, hi):
@@ -408,9 +386,8 @@ class ProblemInstance:
         rows = np.empty((self.n, self.d), dtype=np.float32)
         blocks = _hessian_blocks(self.d)
         work = np.cumsum([(self.d - i) * (j - i) for i, j in blocks])
-        lanes = self._lanes_here()
-        cuts = [0, *(int(np.searchsorted(work, work[-1] * k / lanes)) + 1
-                     for k in range(1, lanes)), len(blocks)]
+        cuts = [0, *(int(np.searchsorted(work, work[-1] * k / self.lanes)) + 1
+                     for k in range(1, self.lanes)), len(blocks)]
         runs = list(zip(cuts, cuts[1:]))  # each lane's blocks
 
         def lane(lo, hi):

@@ -11,8 +11,8 @@ compare runs configs after its first ahead, each in a forked child, one per
 CPU beyond its own, longest first: a child runs an EXTRA grid search, or any
 other config's whole run, while the calling process runs the configs before
 it, and the search or run call at that config's turn waits for the child and
-takes its result. On a problem with agent lanes the processes split the CPUs
-between them as lanes. The files are those of a compare in one process.
+takes its result. Each process runs the instance's agent lanes. The files
+are those of a compare in one process.
 
 Output files are written atomically (temp file then rename) so repeated or
 interrupted invocations never leave partial CSVs behind.
@@ -56,11 +56,11 @@ from .diagnostics import (
     TraceRecorder,
     compute_saddle,
 )
-from .errors import ComparisonError, ConfigError, GraphGenerationError
+from .errors import ComparisonError, ConfigError, GraphGenerationError, ParameterError
 from .objectives import (
     ProblemInstance,
     load_mnist_partition,
-    share_lanes,
+    stop_lanes,
     synth_logistic,
     synth_ridge,
 )
@@ -120,7 +120,10 @@ def build_graph(config: ExperimentConfig) -> Graph:
 
 
 def build_gossip(config: ExperimentConfig, graph: Graph) -> GossipMatrix:
-    return GossipMatrix(metropolis_hastings(graph), c=config.gossip.c)
+    try:
+        return GossipMatrix(metropolis_hastings(graph), c=config.gossip.c)
+    except ParameterError as exc:
+        raise ConfigError(f"gossip.c: {exc}") from exc
 
 
 def build_problem(config: ExperimentConfig) -> ProblemInstance:
@@ -465,16 +468,14 @@ def compare(configs: list[ExperimentConfig], out_dir=None, metric: str | None = 
     children (fork_ahead), one per CPU beyond this process's: none
     where os.fork does not exist, or while another thread is alive, which a
     child would not have. The reference solve's agent lane threads are stopped
-    first. Configs are taken longest first by kind (_ahead_rank): EXTRA with a
-    grid, then adolf_local, then the others in config order. A child runs
-    EXTRA's grid search, or any other config's whole run, while this process
-    runs the configs before it. At the config's turn the search or run call
-    joins the child, and does the work itself if the child reported none. Any
-    exit before that kills and reaps the child, which forks nothing of its own.
-
-    While children run ahead, this process and each child run at most
-    max(1, cpus // processes) agent lanes (objectives.share_lanes); every
-    exit lifts that cap again. The manifests' lanes stay the instance's.
+    first (objectives.stop_lanes), and again on every exit. Configs are taken
+    longest first by kind (_ahead_rank): EXTRA with a grid, then adolf_local,
+    then the others in config order. A child runs EXTRA's grid search, or any
+    other config's whole run, while this process runs the configs before it.
+    At the config's turn the search or run call joins the child, and does the
+    work itself if the child reported none. Any exit before that kills and
+    reaps the child, which forks nothing of its own. This process and each
+    child run the instance's lanes.
     """
     if not configs:
         raise ComparisonError("compare needs at least one config")
@@ -500,15 +501,12 @@ def compare(configs: list[ExperimentConfig], out_dir=None, metric: str | None = 
     gp_blocks = []
     used_names: set[str] = set()
     ahead = {}  # config index -> the fork_ahead child running it ahead
-    share_lanes(1)  # stops the reference solve's lane threads, so that runs may fork ahead
+    stop_lanes()  # the reference solve's lane threads, so that runs may fork ahead
     try:
         later = sorted(range(1, len(configs)), key=lambda i: _ahead_rank(configs[i]))
         forkable = hasattr(os, "fork") and threading.active_count() == 1
-        later = later[:objectives._cpu_count() - 1 if forkable else 0]
-        share_lanes(1 + len(later))  # the processes split the CPUs as agent lanes
-        for idx in later:
+        for idx in later[:objectives._cpu_count() - 1 if forkable else 0]:
             if (child := fork_ahead(_run_ahead, configs[idx], ws)) is None:
-                share_lanes(1 + len(ahead))
                 break
             ahead[idx] = child
         for idx, cfg in enumerate(configs):
@@ -531,7 +529,7 @@ def compare(configs: list[ExperimentConfig], out_dir=None, metric: str | None = 
     finally:  # kill and reap the children whose runs were not reached
         for child in ahead.values():
             child.stop()
-        share_lanes(1)  # every CPU's lanes again, from a pool started at its next use
+        stop_lanes()  # no lane thread left behind; the pool restarts at its next use
 
     long_path = out / f"{label}_long.csv"
     _atomic_write_text(long_path, "\n".join(long_lines) + "\n")

@@ -124,9 +124,10 @@ class GossipMatrix:
     read-only ``shifted`` = (1-c) I + c W_tilde and decomposes it, once. c in
     (0, 1/2) guarantees W is positive definite, since the smallest
     eigenvalue of any symmetric doubly stochastic matrix is >= -1;
-    construction checks that eigenvalue too. The cached properties are
-    computed on first use, and every later use returns the same read-only
-    array.
+    construction checks that eigenvalue too, and that only the consensus
+    eigenvalue of I - W lies below ``_NULLSPACE_CUTOFF``, which a tiny c
+    breaks. The cached properties are computed on first use, and every later
+    use returns the same read-only array.
     """
 
     w_tilde: np.ndarray
@@ -156,7 +157,12 @@ class GossipMatrix:
         if lam_min < (1.0 - 2.0 * c) - 1e-10:
             raise NumericError(f"shifted matrix not positive definite (lambda_min={lam_min})")
         s = 1.0 - vals
-        s[np.abs(s) < _NULLSPACE_CUTOFF] = 0.0
+        zeroed = np.abs(s) < _NULLSPACE_CUTOFF  # s_i = c (1 - lambda_i(W_tilde))
+        if (count := np.count_nonzero(zeroed)) > 1:
+            raise ParameterError(f"c = {c} zeroes {count} eigenvalues of I - W below the "
+                                 f"cutoff {_NULLSPACE_CUTOFF}, where only the consensus "
+                                 "direction's is zero: the agents would not mix")
+        s[zeroed] = 0.0
         if np.any(s < 0.0):
             raise NumericError("I - W has a significantly negative eigenvalue")
         object.__setattr__(self, "_spectrum", (np.sqrt(s), vecs))

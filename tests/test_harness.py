@@ -535,6 +535,13 @@ class TestCompare:
 BETA2_OVERFLOW = small_ridge_raw(algorithm={"kind": "adolf", "growth": {
     "kind": "ratio_power", "beta1": 10.0, "beta2": 500.0}})
 
+# validate accepted it, and run reported consensus_err 0.0 on every row although
+# no agent mixed: c zeroed every eigenvalue of I - W (with the saddle, a false
+# stationarity residual)
+SMALL_C = small_ridge_raw(problem={"kind": "ridge", "m": 20, "n": 5, "d": 3},
+                          graph={"kind": "line", "m": 20}, gossip={"c": 1.0e-13},
+                          stop={"max_iter": 50}, diagnostics={"saddle": False})
+
 CONFIG_SECTIONS = ("problem", "graph", "gossip", "algorithm", "init", "stop", "diagnostics")
 
 
@@ -589,6 +596,7 @@ class TestRunFuzz:
 
     @given(valid_raw_configs())
     @example(BETA2_OVERFLOW)
+    @example(SMALL_C)
     @settings(max_examples=25, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_run_exits_with_a_documented_code(self, tmp_path, capsys, raw):
@@ -645,6 +653,18 @@ class TestRunFuzz:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 2
         assert all(line.startswith("config error: algorithm.growth: beta2 ") for line in err)
+
+    @pytest.mark.parametrize("c, saddle", [(1.0e-10, True), (1.0e-13, False)])
+    def test_too_small_gossip_c_names_its_key(self, tmp_path, capsys, c, saddle):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump({**SMALL_C, "gossip": {"c": c},
+                                        "diagnostics": {"saddle": saddle}}))
+        assert cli.main(["validate", str(path)]) == 0  # builds no graph
+        capsys.readouterr()
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"config error: gossip.c: c = {c} zeroes ")
+        assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
 
 
 class TestPresets:

@@ -919,8 +919,7 @@ def test_compare_forks_only_its_runs_ahead(tmp_path, forks, fork_log, forked_kin
 
 
 # A laned compare forks too: the lane threads the reference solve started are
-# stopped first, and while children run ahead each process runs its share of
-# the CPUs as lanes, max(1, cpus // processes).
+# stopped first, and the caller and each child run the instance's lanes.
 @pytest.fixture
 def lane_log(monkeypatch, tmp_path):
     """The directory where each process appends to a log of its own, one line per
@@ -973,8 +972,8 @@ def threads_after_workspace(monkeypatch):
 
 
 def assert_lanes_restored():
-    """The caller's lanes are its own again: no cap, and no pool until the next use."""
-    assert objectives._LANE_SHARE is None and objectives._LANE_POOL is None
+    """The caller's lane threads are stopped: no pool until the next use."""
+    assert objectives._LANE_POOL is None
     assert threading.active_count() == 1
 
 
@@ -1007,21 +1006,26 @@ def lanes_during_runs(log: dict, caller: int) -> tuple[set, set]:
     return set(mine[mine.index("fork") + 1:]), {line for lines in log.values() for line in lines}
 
 
+def lanes_and_pools(lines) -> set:
+    """The distinct (lanes, pool size) pairs of lane_log lines; the threads alive are left
+    out, as a pool starts a thread only when none of its threads is idle."""
+    return {(line.split(" lanes")[0], line.split("pool of ")[1]) for line in lines}
+
+
 @pytest.mark.parametrize("cpus", [2, 4])
-def test_laned_compare_splits_the_cpus(tmp_path, force_lanes, forks, forked_kinds, lane_log,
-                                       cpus):
-    # at 2 CPUs the caller and the child run one lane each, at 4 two each; the
-    # instance and its manifests keep the lanes it was built with
+def test_laned_compare_runs_the_instances_lanes(tmp_path, force_lanes, forks, forked_kinds,
+                                                lane_log, cpus):
+    # the caller and the child each run every lane of the instance, from a pool
+    # of a thread per CPU beyond the caller's, as its manifests record
     force_lanes(cpus)
     with leaves_nothing():
         result = runner.compare(compare_configs(ADOLF, ADOLF_LOCAL), out_dir=tmp_path / "out")
     assert forked_kinds == ["adolf_local"]
-    share = cpus // 2
-    line = f"{share} lanes, {share} threads, pool of {share - 1}"
-    assert lanes_during_runs(read_lane_logs(lane_log), os.getpid()) == ({line}, {line})
+    mine, children = lanes_during_runs(read_lane_logs(lane_log), os.getpid())
+    assert lanes_and_pools(mine) == lanes_and_pools(children) == {(str(cpus), str(cpus - 1))}
     assert [manifest.lanes for manifest in result.manifests] == [cpus, cpus]
     assert_lanes_restored()
-    # the next laned call runs every lane, from a pool sized for them
+    # the next laned call starts the pool again
     synth_ridge(M, N, D, seed=3).stacked_gradient(np.zeros((M, D)))
     (line,) = read_lane_logs(lane_log)[os.getpid()]
     assert line.startswith(f"{cpus} lanes") and line.endswith(f"pool of {cpus - 1}")
@@ -1030,9 +1034,9 @@ def test_laned_compare_splits_the_cpus(tmp_path, force_lanes, forks, forked_kind
 @pytest.mark.parametrize("exit_by", ["error", "interrupt", "killed_child"])
 def test_laned_compare_restores_lanes_on_every_exit(tmp_path, force_lanes, forks, forked_kinds,
                                                     lane_log, monkeypatch, exit_by):
-    # at 4 CPUs the caller runs two lanes, so a lane thread is alive when adolf
+    # at 2 CPUs the caller runs two lanes, so a lane thread is alive when adolf
     # raises at round 3, or while it runs adolf_local itself once its child is killed
-    force_lanes(4)
+    force_lanes(2)
     configs = compare_configs(ADOLF, ADOLF_LOCAL)
     monkeypatch.setitem(solvers._ALGORITHMS, "adolf_local", step_of("adolf_local", hang_ahead()))
     if exit_by == "killed_child":
@@ -1063,7 +1067,7 @@ def test_laned_compare_restores_lanes_on_every_exit(tmp_path, force_lanes, forks
 
 def test_laned_compare_fork_fails_runs_every_lane(tmp_path, force_lanes, forks, forked_kinds,
                                                   lane_log, monkeypatch):
-    # no child to share the CPUs with: the caller runs all four lanes
+    # no child: the caller runs all four lanes
     def fails():
         forks.append(None)
         raise OSError("no process to spare")

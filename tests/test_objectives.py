@@ -1,4 +1,5 @@
 import functools
+import itertools
 import struct
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -743,6 +744,20 @@ class TestSlab:
         for (v0, g0), (v1, g1) in zip(before, after):
             assert v0 == v1 and np.array_equal(g0, g1)
 
+    def test_buffer_owned_memory_is_copied(self):
+        # a read-only view of a bytearray: the buffer stays writable, so the
+        # instance copies it
+        rng = np.random.default_rng(6)
+        a = rng.standard_normal((3, 4, 3))
+        raw = bytearray(a.tobytes())
+        flat = np.frombuffer(raw)
+        flat.setflags(write=False)
+        view = flat.reshape(a.shape)  # read-only down to the bytearray
+        prob = ProblemInstance.ridge(view, np.ones((3, 4)), np.full(3, 0.5))
+        assert not np.shares_memory(prob.a, view) and np.array_equal(prob.a, a)
+        np.frombuffer(raw)[:] += 1.0
+        assert not np.array_equal(view, a) and np.array_equal(prob.a, a)
+
 
 class TestConvexity:
     @given(st.integers(min_value=0, max_value=5_000))
@@ -905,6 +920,51 @@ class TestCentralizedMinimize:
         assert np.linalg.norm(prob.average_gradient(x)) <= 1e-12
         assert targets == [objectives.CHORD_START, 1e-12]
         assert (counts.hessians, counts.chord_steps) == (1, 0)
+
+    def substitute_solve(self, monkeypatch, direction):
+        """Chord directions direction(call, newton, g), where call counts the solves from 0
+        and newton is the factor's own H^-1 g."""
+        solve, calls = objectives._Factor.solve, itertools.count()
+
+        def substituted(factor, g):
+            return direction(next(calls), solve(factor, g), g)
+        monkeypatch.setattr(objectives._Factor, "solve", substituted)
+
+    def solved(self, monkeypatch, tol=1e-12):
+        """(counts, accelerated targets) of a solve that must still reach tol."""
+        targets = self.spy_accelerate(monkeypatch)
+        prob = synth_logistic(m=3, n=30, d=5, seed=4, noise=0.15)
+        counts = objectives.SolveCounts()
+        x = centralized_minimize(prob, tol=tol, counts=counts)
+        assert np.linalg.norm(prob.average_gradient(x)) <= tol
+        return counts, targets
+
+    def test_chord_halves_an_ascent_step_then_gives_up(self, monkeypatch):
+        # -H^-1 g rises: the step halves until f rises by no more than the
+        # slack, and that step, on a fresh factor, cuts neither the gradient
+        # norm nor f, so the finish ends there
+        self.substitute_solve(monkeypatch, lambda call, newton, g: -newton)
+        counts, targets = self.solved(monkeypatch)
+        assert targets == [objectives.CHORD_START, 1e-12]
+        assert counts.hessians == 1 and 1 < counts.chord_steps < objectives.CHORD_HALVINGS
+
+    def test_chord_without_descent_on_a_fresh_factor_gives_up(self, monkeypatch):
+        # f rises by about t along t g / ||g||^2, above the slack at every halving
+        self.substitute_solve(monkeypatch, lambda call, newton, g: -g / (g @ g))
+        counts, targets = self.solved(monkeypatch)
+        assert targets == [objectives.CHORD_START, 1e-12]
+        assert (counts.hessians, counts.chord_steps) == (1, objectives.CHORD_HALVINGS)
+
+    def test_chord_without_descent_drops_a_stale_factor(self, monkeypatch):
+        # the first step is the factor's own; along the next direction no halving
+        # descends, so a fresh factor is formed where that step ended, which
+        # brings no descent either
+        self.substitute_solve(monkeypatch,
+                              lambda call, newton, g: newton if call == 0 else -g / (g @ g))
+        counts, targets = self.solved(monkeypatch)
+        assert targets == [objectives.CHORD_START, 1e-12]
+        assert counts.hessians == 2
+        assert counts.chord_steps == 1 + 2 * objectives.CHORD_HALVINGS
 
     def test_budget_exhaustion_carries_best_iterate(self):
         prob = synth_logistic(m=2, n=20, d=6, seed=6, noise=0.1)

@@ -227,6 +227,16 @@ class TestGossipValidation:
         with pytest.raises(ShapeError):
             topology.GossipMatrix(np.zeros((0, 0)))
 
+    @pytest.mark.parametrize("c, zeroed", [(1e-10, 2), (1e-13, 20)])
+    def test_c_that_zeroes_more_than_consensus_rejected(self, c, zeroed):
+        # the eigenvalues of I - W are c (1 - lambda_i(W_tilde)), and W_tilde's
+        # spectral gap on a 20-agent line is about 0.0082
+        w_tilde = topology.metropolis_hastings(topology.make_line_graph(20))
+        with pytest.raises(ParameterError, match=rf"^c = {c} zeroes {zeroed} eigenvalues .* "
+                                                 r"below the cutoff 1e-12,"):
+            topology.GossipMatrix(w_tilde, c=c)
+        topology.GossipMatrix(w_tilde, c=1e-9)  # zeroes the consensus eigenvalue alone
+
     def test_single_agent_identity_allowed(self):
         # Not reachable through Graph (m >= 2); used by solver reduction tests.
         gm = topology.GossipMatrix(np.array([[1.0]]), c=0.4)
