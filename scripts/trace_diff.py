@@ -90,9 +90,9 @@ def _read_trace(path: Path) -> list[dict]:
 
 
 def _read_summary(path: Path) -> dict:
-    """Run name -> (status, comm_vector, to_threshold)."""
+    """Run name -> (status, comm_vector, to_threshold); a name may hold spaces."""
     lines = path.read_text().splitlines()[2:]
-    return {fields[0]: tuple(fields[1:]) for fields in (line.split() for line in lines)}
+    return {fields[0]: tuple(fields[1:]) for fields in (line.rsplit(None, 3) for line in lines)}
 
 
 def _grid(manifest: dict) -> list | None:

@@ -64,10 +64,11 @@ def _require(cond: bool, key: str, message: str) -> None:
 
 def check_file_stem(value: str, key: str) -> None:
     """ConfigError naming key unless value is a plain file name, so that the
-    output files named after it stay in their directory."""
-    _require(not any(c in value for c in "/\\\0") and value not in (".", ".."), key,
-             f"must be a file name without '/', '\\' or NUL, and not '.' or '..', "
-             f"got {value!r}")
+    output files named after it stay in their directory, and it stays one field
+    of compare's long-format CSV and one line of its .dat and summary files."""
+    _require(not any(c in '/\\,"\x7f' or c < " " for c in value) and value not in (".", ".."),
+             key, f"must be a file name without '/', '\\', ',', '\"' or control characters, "
+             f"and not '.' or '..', got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -7,12 +7,13 @@ long-format CSV and a gnuplot-friendly block file) plus a summary table of
 communications-to-threshold. figure_preset generates the benchmark config
 sets (line graph and two random-graph densities, one per figure family).
 
-compare runs configs after its first ahead, each in a forked child, one per
-CPU beyond its own, longest first: a child runs an EXTRA grid search, or any
-other config's whole run, while the calling process runs the configs before
-it, and the search or run call at that config's turn waits for the child and
-takes its result. Each process runs the instance's agent lanes. The files
-are those of a compare in one process.
+compare runs configs from the back of its list ahead, each in a forked
+child, one per CPU beyond its own: a child runs its config's whole
+_execute, an EXTRA grid search and its run included, while the calling
+process runs the configs from the front, and the search and run calls at
+that config's turn wait for the child and take their parts of its result.
+Each process runs the instance's agent lanes. The files are those of a
+compare in one process.
 
 Output files are written atomically (temp file then rename) so repeated or
 interrupted invocations never leave partial CSVs behind.
@@ -207,43 +208,26 @@ class _Workspace:
         return TraceRecorder(self.problem, self.gossip, self.saddle, cadence=cadence)
 
 
-def _grid_args(config: ExperimentConfig, ws: _Workspace) -> tuple:
-    """extra_grid_search's arguments for config's grid in ws."""
-    algo, stop = config.algorithm, config.stop
-    return (ws.problem, ws.gossip, algo.grid, algo.budget, ws.recorder(config.diagnostics.cadence),
-            stop.metric or DEFAULT_METRIC, ws.x0, stop)
-
-
-def _run_args(config: ExperimentConfig, ws: _Workspace, extra_alpha: float | None) -> tuple:
-    """run's arguments for config in ws, EXTRA's at stepsize extra_alpha."""
-    algo = config.algorithm
-    if algo.kind in ("adolf", "adolf_local"):
-        params = algo.stepsize_params()
-    elif algo.kind == "condat_vu":
-        params = FixedStepParams(alpha=algo.alpha, sigma=algo.sigma_bar, gamma=algo.gamma)
-    else:
-        params = ExtraParams(extra_alpha)
-    return (algo.kind, ws.problem, ws.gossip, params, config.stop,
-            ws.recorder(config.diagnostics.cadence), ws.x0)
-
-
 class _Worker:
     """A forked child running fn(*args) for fork_ahead."""
 
     def __init__(self, pid: int, report):
-        self.pid, self.report = pid, report
+        self.pid, self.report, self.done = pid, report, None
 
     def join(self) -> tuple:
-        """(fn(*args),) once the child has exited 0 with it, else (). If the wait is
+        """(fn(*args),) once the child has exited 0 with it, else (). The report is
+        read once and kept, so every join returns the same. If the wait is
         interrupted, the child is killed first."""
-        try:
-            data = self.report.read()
-        except BaseException:
-            self.stop()
-            raise
-        code = self._reap()
-        # written by a child of this process, so safe to unpickle
-        return pickle.loads(data) if code == 0 else ()
+        if self.done is None:
+            try:
+                data = self.report.read()
+            except BaseException:
+                self.stop()
+                raise
+            code = self._reap()
+            # written by a child of this process, so safe to unpickle
+            self.done = pickle.loads(data) if code == 0 else ()
+        return self.done
 
     def stop(self) -> None:
         """Kill the child and wait for it, unless it was joined or stopped."""
@@ -258,10 +242,10 @@ class _Worker:
 
 
 def fork_ahead(fn, *args) -> _Worker | None:
-    """A forked child running fn(*args), compare's _run_ahead, for the run or
-    extra_grid_search call made here with ahead=child to join; None if the fork
-    fails. compare decides whether to fork, and must stop() the child if it
-    leaves before that call.
+    """A forked child running fn(*args), compare's _execute(config, ws), for the
+    search and run calls that _execute makes here with ahead=child to join; None
+    if the fork fails. compare decides whether to fork, and must stop() the
+    child if it leaves before those calls.
 
     The child pickles (fn(*args),), or () if fn raises, into its report pipe
     and leaves through os._exit, so it runs none of this process's cleanup;
@@ -293,26 +277,22 @@ def fork_ahead(fn, *args) -> _Worker | None:
     return _Worker(pid, open(read_end, "rb"))
 
 
-def _joined(fn):
-    """fn, with one more keyword: ahead, a fork_ahead child running fn with the call's
-    other arguments, or None. The call waits for the child and returns its result;
-    fn runs here only if there is no child or it reported nothing (it raised or was
-    killed), so what fn raises, it raises here."""
+def _joined(fn, part: int):
+    """fn, with one more keyword: ahead, a fork_ahead child running _execute for the
+    config whose call this is, or None. The call waits for the child and returns
+    part of _execute's result there; fn runs here only if there is no child or it
+    reported nothing (it raised or was killed), so what fn raises, it raises here."""
     def joined(*args, ahead: _Worker | None = None, **kwargs):
         if ahead is not None and (done := ahead.join()):
-            return done[0]
+            return done[0][part]
         return fn(*args, **kwargs)
     return joined
 
 
 # compare's search and run calls, which join a config's child; each calls the solvers
 # function bound here at import, whatever later rebinds that name in solvers
-run = _joined(solvers.run)
-extra_grid_search = _joined(solvers.extra_grid_search)
-
-
-def _has_grid(config: ExperimentConfig) -> bool:
-    return config.algorithm.kind == "extra" and config.algorithm.grid is not None
+run = _joined(solvers.run, 0)
+extra_grid_search = _joined(solvers.extra_grid_search, 2)
 
 
 def _execute(config: ExperimentConfig, ws: _Workspace, ahead=None
@@ -320,37 +300,25 @@ def _execute(config: ExperimentConfig, ws: _Workspace, ahead=None
     """Run the configured algorithm inside a prepared workspace.
 
     Returns the trace, EXTRA's stepsize and, for a grid, the grid search.
-    ahead, a fork_ahead child of _run_ahead(config, ws), goes to the call
-    that does its work, the grid search for a grid and else the run, which
-    joins it.
+    ahead, a fork_ahead child running _execute(config, ws), goes to both the
+    search and the run call, and each takes its part of the child's result.
     """
-    algo = config.algorithm
+    algo, stop = config.algorithm, config.stop
     best_alpha = search = None
-    if _has_grid(config):
-        search = extra_grid_search(*_grid_args(config, ws), ahead=ahead)
-        best_alpha, ahead = search.alpha, None
-    elif algo.kind == "extra":
-        best_alpha = algo.alpha
-    trace = run(*_run_args(config, ws, best_alpha), ahead=ahead)
+    if algo.kind in ("adolf", "adolf_local"):
+        params = algo.stepsize_params()
+    elif algo.kind == "condat_vu":
+        params = FixedStepParams(alpha=algo.alpha, sigma=algo.sigma_bar, gamma=algo.gamma)
+    else:
+        if algo.grid is not None:
+            search = extra_grid_search(ws.problem, ws.gossip, algo.grid, algo.budget,
+                                       ws.recorder(config.diagnostics.cadence),
+                                       stop.metric or DEFAULT_METRIC, ws.x0, stop, ahead=ahead)
+        best_alpha = algo.alpha if search is None else search.alpha
+        params = ExtraParams(best_alpha)
+    trace = run(algo.kind, ws.problem, ws.gossip, params, stop,
+                ws.recorder(config.diagnostics.cadence), ws.x0, ahead=ahead)
     return trace, best_alpha, search
-
-
-def _run_ahead(config: ExperimentConfig, ws: _Workspace):
-    """What a child forked for config does ahead, with _execute's arguments: an EXTRA
-    grid search, or any other config's whole run."""
-    if _has_grid(config):
-        return extra_grid_search(*_grid_args(config, ws))
-    return run(*_run_args(config, ws, config.algorithm.alpha))
-
-
-def _ahead_rank(config: ExperimentConfig) -> int:
-    """Where config comes in compare's order of runs ahead, longest first, by kind alone:
-    an EXTRA grid search runs EXTRA at every grid stepsize; an adolf_local round adds
-    the per-agent rule and its min-consensus to what an adolf round does; adolf,
-    condat_vu and EXTRA without a grid come last, in config order."""
-    if _has_grid(config):
-        return 0
-    return 1 if config.algorithm.kind == "adolf_local" else 2
 
 
 def _write_run(config: ExperimentConfig, ws: _Workspace, out: Path, name: str,
@@ -464,18 +432,18 @@ def compare(configs: list[ExperimentConfig], out_dir=None, metric: str | None = 
     stop.threshold when its stop.metric is the compared metric. label names
     the comparison's files, so it must be a plain file name.
 
-    Once the workspace is built, configs after the first start ahead in forked
-    children (fork_ahead), one per CPU beyond this process's: none
-    where os.fork does not exist, or while another thread is alive, which a
-    child would not have. The reference solve's agent lane threads are stopped
-    first (objectives.stop_lanes), and again on every exit. Configs are taken
-    longest first by kind (_ahead_rank): EXTRA with a grid, then adolf_local,
-    then the others in config order. A child runs EXTRA's grid search, or any
-    other config's whole run, while this process runs the configs before it.
-    At the config's turn the search or run call joins the child, and does the
-    work itself if the child reported none. Any exit before that kills and
+    Once the workspace is built, configs start ahead in forked children
+    (fork_ahead), one per CPU beyond this process's, from the back of the list
+    (never the first config): none where os.fork does not exist, or while
+    another thread is alive, which a child would not have. The reference
+    solve's agent lane threads are stopped first (objectives.stop_lanes), and
+    again on every exit. A child runs its config's whole _execute, EXTRA's grid
+    search and run alike, while this process runs the configs from the front.
+    At the config's turn its search and run calls join the child, and do the
+    work themselves if the child reported none. Any exit before that kills and
     reaps the child, which forks nothing of its own. This process and each
-    child run the instance's lanes.
+    child run the instance's lanes. A run named label_long is renamed, as a
+    repeated name is, since compare's long-format file takes that name.
     """
     if not configs:
         raise ComparisonError("compare needs at least one config")
@@ -499,14 +467,14 @@ def compare(configs: list[ExperimentConfig], out_dir=None, metric: str | None = 
     to_threshold: dict[str, int | None] = {}
     long_lines = ["algorithm,k,comm_vector,comm_scalar,metric,value"]
     gp_blocks = []
-    used_names: set[str] = set()
+    used_names = {f"{label}_long"}  # compare's long-format file is label_long.csv
     ahead = {}  # config index -> the fork_ahead child running it ahead
     stop_lanes()  # the reference solve's lane threads, so that runs may fork ahead
     try:
-        later = sorted(range(1, len(configs)), key=lambda i: _ahead_rank(configs[i]))
+        later = range(len(configs) - 1, 0, -1)
         forkable = hasattr(os, "fork") and threading.active_count() == 1
         for idx in later[:objectives._cpu_count() - 1 if forkable else 0]:
-            if (child := fork_ahead(_run_ahead, configs[idx], ws)) is None:
+            if (child := fork_ahead(_execute, configs[idx], ws)) is None:
                 break
             ahead[idx] = child
         for idx, cfg in enumerate(configs):

@@ -126,8 +126,9 @@ def valid_raw_configs(draw):
         "stop": stop,
         "diagnostics": {"cadence": draw(st.integers(1, 100)), "saddle": saddle,
                         "saddle_tol": draw(between(1e-15, 1.0))},
-        "name": draw(st.text(max_size=12).filter(
-            lambda name: not set(name) & set("/\\\0") and name not in (".", ".."))),
+        # a file name that is also one CSV field and one line (config.check_file_stem)
+        "name": draw(st.text(st.characters(min_codepoint=0x20, exclude_characters='/\\,"\x7f'),
+                             max_size=12).filter(lambda name: name not in (".", ".."))),
         "output_dir": draw(st.text(min_size=1, max_size=12)),
         "master_seed": draw(st.integers(0, 2**32)),
     }
@@ -732,6 +733,77 @@ class TestCli:
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.yaml"]  # nothing written
         with pytest.raises(ConfigError, match="^label: "):  # argv cannot carry a NUL
             compare([parse_config(path)], out_dir=tmp_path / "c", label="nul\0byte")
+
+    @pytest.mark.parametrize("value", ["a,b", 'a"b', "a\nb", "a\tb", "a\x7fb"],
+                             ids=["comma", "quote", "newline", "tab", "delete"])
+    def test_name_breaking_compare_files_exit_code(self, tmp_path, capsys, value):
+        # a comma or quote would split a long-format CSV field, a line break a line
+        path = self.write_config(tmp_path, small_ridge_raw(stop={"max_iter": 8}, name=value))
+        assert cli.main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: name: must be a file name")
+        path = self.write_config(tmp_path)
+        code = cli.main(["compare", str(path), "--label", value, "--out", str(tmp_path / "c")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: label: must be a file name")
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.yaml"]  # nothing written
+
+    def test_run_named_like_the_long_format_file_is_renamed(self, tmp_path):
+        # compare_long.csv is compare's long-format file, so the run writes compare_long_0.*
+        path = self.write_config(tmp_path, small_ridge_raw(stop={"max_iter": 8},
+                                                           name="compare_long"))
+        out = tmp_path / "c"
+        assert cli.main(["compare", str(path), "--out", str(out)]) == 0
+        manifest = json.loads((out / "compare_long_0.manifest.json").read_text())
+        assert manifest["name"] == "compare_long_0"
+        assert manifest["csv_path"] == str(out / "compare_long_0.csv")
+        trace = list(csv.DictReader((out / "compare_long_0.csv").read_text().splitlines()))
+        assert [int(row["k"]) for row in trace] == list(range(9))
+        long_rows = list(csv.DictReader((out / "compare_long.csv").read_text().splitlines()))
+        assert {row["algorithm"] for row in long_rows} == {"compare_long_0"}
+        assert sorted(p.name for p in out.iterdir()) == [
+            "compare.dat", "compare_long.csv", "compare_long_0.csv",
+            "compare_long_0.manifest.json", "compare_summary.txt"]
+
+    @pytest.mark.parametrize("raw, message", [
+        (small_ridge_raw(algorithm={"kind": "extra", "grid": 0.1}),
+         "algorithm.grid: expected a list, got float 0.1"),
+        (small_ridge_raw(problem={"kind": "ridge", "m": 4, "digit_pair": [0]}),
+         "problem.digit_pair: expected 2 entries, got 1"),
+        (small_ridge_raw(problem=5), "problem: expected a mapping, got int"),
+        ([small_ridge_raw()], "config root must be a mapping, got list"),
+    ], ids=["grid_not_a_list", "digit_pair_of_one", "section_not_a_mapping", "root_a_list"])
+    def test_config_shape_exit_code(self, tmp_path, capsys, raw, message):
+        path = self.write_config(tmp_path, raw)
+        assert cli.main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+    def test_invalid_yaml_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "cfg.yaml"
+        path.write_text("problem: {kind: ridge\n")
+        assert cli.main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {path}: invalid YAML: ")
+
+    @pytest.mark.parametrize("text, raw", [("", {}), ("name: unit\nproblem:\n", {"name": "unit"})],
+                             ids=["empty_file", "empty_section"])
+    def test_left_out_config_takes_defaults(self, tmp_path, capsys, text, raw):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(text)
+        assert cli.main(["validate", str(path)]) == 0
+        echo = yaml.safe_load(capsys.readouterr().out)
+        assert parse_config_dict(echo) == parse_config(path) == parse_config_dict(raw)
+        assert echo["problem"] == yaml.safe_load(emit_config(ExperimentConfig()))["problem"]
+
+    def test_truncated_image_file_exit_code(self, tmp_path, capsys):
+        # two bytes: the magic number itself is cut short
+        images, labels = tmp_path / "images.idx", tmp_path / "labels.idx"
+        images.write_bytes(b"\x00\x00")
+        labels.write_bytes(struct.pack(">II", 2049, 1) + b"\x00")
+        problem = {"kind": "mnist", "m": 4, "images_path": str(images),
+                   "labels_path": str(labels)}
+        path = self.write_config(tmp_path, small_ridge_raw(problem=problem))
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "r")]) == 3
+        assert capsys.readouterr().err.startswith(
+            f"data error: problem.images_path: truncated IDX file {images}")
 
     def test_validate_echo(self, tmp_path, capsys):
         path = self.write_config(tmp_path)

@@ -13,6 +13,7 @@ import importlib.util
 import json
 import os
 import signal
+import tempfile
 import threading
 import time
 import warnings
@@ -22,6 +23,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from decopt import cli, objectives, runner, solvers
 from decopt.config import parse_config_dict
@@ -592,18 +595,27 @@ def test_compare_kills_grid_ahead_when_a_run_raises(tmp_path, forks, monkeypatch
     assert kills == [(forks[0], signal.SIGKILL)]
 
 
+def executed(*args):
+    """What _execute reports for a grid config, (trace, stepsize, search), with the
+    search's arguments; the run is left out."""
+    found = extra_grid_search(*args)
+    return None, found.alpha, found
+
+
 def test_killed_grid_ahead_runs_here(grid_blocks_of_two, forks, blocks_here):
     prob, gossip, saddle, grid, x0 = grid_case("ridge")
     want = search(prob, gossip, saddle, grid, 200, "distance_sq", x0)
     assert len(blocks_here) == 5
     args = (prob, gossip, grid, 200, TraceRecorder(prob, gossip, saddle), "distance_sq", x0)
     with leaves_nothing():
-        ahead = runner.fork_ahead(extra_grid_search, *args)
+        ahead = runner.fork_ahead(executed, *args)
         joined = runner.extra_grid_search(*args, ahead=ahead)
-        child = runner.fork_ahead(extra_grid_search, *args)
+        child = runner.fork_ahead(executed, *args)
         os.kill(child.pid, signal.SIGKILL)
         blocks_here.clear()
         rerun = runner.extra_grid_search(*args, ahead=child)
+    # each child's report is read once and kept for its config's run call
+    assert ahead.join() == ((None, want.alpha, want),) and child.join() == ()
     assert joined == want and rerun == want
     assert len(forks) == 2  # the two children
     assert len(blocks_here) == 5  # the rerun's blocks, all of them
@@ -688,9 +700,9 @@ def test_compare_runs_ahead_identical(tmp_path, forks, forked_kinds, monkeypatch
     with leaves_nothing():
         runner.compare(configs, out_dir=tmp_path / "ahead")
     assert forked_kinds == ahead and len(forks) == len(ahead)
-    # a child runs EXTRA's grid search, and EXTRA's run follows here
+    # a child runs its config's grid search and run, so EXTRA's steps run there too
     kinds = {algorithm["kind"] for algorithm in algorithms}
-    assert stepped_here == kinds - ({"adolf_local"} & {*ahead})
+    assert stepped_here == kinds - {*ahead}
     monkeypatch.setattr(objectives, "_cpu_count", lambda: 1)
     forked_kinds.clear()
     forks.clear()
@@ -1079,3 +1091,93 @@ def test_laned_compare_fork_fails_runs_every_lane(tmp_path, force_lanes, forks, 
     mine, _ = lanes_during_runs(read_lane_logs(lane_log), os.getpid())
     assert {line.split(",")[0] for line in mine} == {"4 lanes"}
     assert_lanes_restored()
+
+
+# Scheduling never changes a byte: a compare set drawn at random, run at 2-4 CPUs with
+# at most one fault (a fork that fails, or a child killed as soon as it is forked),
+# writes the files that the same set writes on one CPU, or raises the same error after
+# the same files.
+@st.composite
+def algorithms(draw) -> dict:
+    kind = draw(st.sampled_from(["adolf", "adolf_local", "extra", "extra_grid", "condat_vu"]))
+    if kind in ("adolf", "adolf_local"):
+        return {"kind": kind, "mode": draw(st.sampled_from(["convex", "strongly_convex"]))}
+    if kind == "extra":
+        return {"kind": "extra", "alpha": draw(st.sampled_from([0.01, 0.1, 0.5]))}
+    if kind == "condat_vu":
+        return {"kind": "condat_vu", "alpha": draw(st.sampled_from([0.01, 0.05]))}
+    # the larger stepsizes diverge, and a grid of them alone raises
+    grid = draw(st.lists(st.sampled_from([0.01, 0.1, 0.5, 3.0, 50.0]), min_size=1, max_size=3,
+                         unique=True))
+    return grid_algorithm(*sorted(grid), budget=draw(st.integers(5, 40)))
+
+
+@st.composite
+def compare_sets(draw) -> list:
+    """2-4 configs on one tiny ridge or logistic instance, at most 60 rounds each."""
+    m = draw(st.integers(3, 5))
+    shared = {
+        "problem": {"kind": draw(st.sampled_from(["ridge", "logistic_synthetic"])), "m": m,
+                    "n": 4, "d": draw(st.integers(2, 4))},
+        "graph": draw(st.sampled_from([{"kind": "line", "m": m}, {"kind": "ring", "m": m},
+                                       {"kind": "erdos_renyi", "m": m, "p": 0.7}])),
+        "master_seed": draw(st.integers(0, 3)),
+    }
+    configs = []
+    for i in range(draw(st.integers(2, 4))):
+        stop = {"max_iter": draw(st.integers(1, 60)), "cadence": draw(st.integers(1, 5))}
+        if draw(st.booleans()):
+            stop.update(metric="distance_sq", threshold=draw(st.sampled_from([1e-2, 1e-4, 1e-6])))
+        configs.append(parse_config_dict({
+            **shared, "algorithm": draw(algorithms()), "stop": stop,
+            "diagnostics": {"cadence": draw(st.integers(1, 10))},
+            "name": draw(st.sampled_from(["run", f"run{i}"])),  # "run" repeats: run_1, ...
+        }))
+    return configs
+
+
+def compare_outcome(configs, out) -> tuple:
+    """(the error compare raised, as its type and message, or None; written(out)), where
+    compare leaves nothing behind either way."""
+    with leaves_nothing():
+        try:
+            runner.compare(configs, out_dir=out)
+        except Exception as exc:
+            error = (type(exc), str(exc))
+        else:
+            error = None
+    return error, written(out)
+
+
+@given(configs=compare_sets(), data=st.data())
+@settings(max_examples=100, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_scheduling_never_changes_a_byte(forks, configs, data):
+    cpus = data.draw(st.integers(2, 4), label="cpus")
+    children = min(cpus, len(configs)) - 1
+    fault = data.draw(st.sampled_from([None, "fork_fails", "killed"]), label="fault")
+    at = data.draw(st.integers(0, children - 1), label="at fork")
+    fork, fork_ahead = os.fork, runner.fork_ahead
+
+    def failing():
+        if fault == "fork_fails" and len(forks) == at:
+            raise OSError("no process to spare")
+        return fork()
+
+    def killing(*args):
+        child = fork_ahead(*args)
+        if fault == "killed" and len(forks) == at + 1:
+            os.kill(child.pid, signal.SIGKILL)
+        return child
+
+    forks.clear()
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(objectives, "_cpu_count", lambda: 1)
+        want = compare_outcome(configs, Path(tmp) / "one")
+        assert not forks
+        patch.setattr(objectives, "_cpu_count", lambda: cpus)
+        patch.setattr(os, "fork", failing)
+        patch.setattr(runner, "fork_ahead", killing)
+        got = compare_outcome(configs, Path(tmp) / "more")
+    assert len(forks) == (at if fault == "fork_fails" else children)
+    assert got == want

@@ -125,6 +125,26 @@ def test_missing_run_fails(outputs, tmp_path):
     assert "FAIL unit_extra.csv: only in" in out
 
 
+def test_changed_summary_row_of_a_name_with_spaces_fails(outputs, tmp_path):
+    # "unit b" and "unit c" share their first word; each keeps its own summary row
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    shutil.copytree(outputs, parent)
+    path = parent / "unit_summary.txt"
+    path.write_text(path.read_text().replace("unit_adolf", "unit b").replace("unit_extra", "unit c"))
+    shutil.copytree(parent, change)
+    path = change / "unit_summary.txt"
+    lines = path.read_text().splitlines()
+    name, status, vector, target = lines[2].rsplit(None, 3)
+    assert name == "unit b"
+    lines[2] = lines[2].replace(f" {vector} ", f" {int(vector) + 1:>{len(vector)}} ", 1)
+    path.write_text("\n".join(lines) + "\n")
+    code, out = trace_diff(parent, change)
+    assert code == 1
+    assert (f"FAIL unit_summary.txt: unit b ('{status}', '{vector}', '{target}') vs "
+            f"('{status}', '{int(vector) + 1}', '{target}')") in out
+    assert "unit c" not in out
+
+
 def write_trace(directory, rows):
     """A one-run output directory from (k, distance_sq, merit_ergodic, L_k) rows."""
     directory.mkdir()
